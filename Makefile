@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow test-invariants bench bench-smoke chaos-smoke multiprocess-smoke serve-smoke supervision-smoke lint lint-strict repro-lint ruff mypy all
+.PHONY: test test-slow test-invariants perf-quick bench bench-smoke chaos-smoke multiprocess-smoke serve-smoke supervision-smoke lint lint-strict repro-lint ruff mypy all
 
 all: test lint
 
@@ -19,6 +19,12 @@ test-slow:
 
 test-invariants:
 	REPRO_INVARIANTS=1 $(PYTHON) -m pytest -x -q tests/sim tests/obs tests/power tests/experiments
+
+# The benchmark harness's own tests (not tier-1): a kernel change that
+# breaks its bit-exactness check, budget sums or exact counts fails here,
+# before the gate runs perf/run.py.
+perf-quick:
+	$(PYTHON) -m pytest perf -q
 
 bench:
 	$(PYTHON) -m repro bench --scale default

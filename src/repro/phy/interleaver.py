@@ -20,6 +20,7 @@ __all__ = [
     "deinterleave",
     "deinterleave_rows",
     "interleave_indices",
+    "deinterleave_indices",
 ]
 
 #: Number of interleaver columns (LTE's sub-block interleaver uses 32).
@@ -35,9 +36,8 @@ COLUMN_PERMUTATION = np.array(
 )
 
 
-@lru_cache(maxsize=256)
-def _cached_indices(length: int) -> np.ndarray:
-    """Read-only interleaver permutation for one length (hot-path cache)."""
+def _build_indices(length: int) -> np.ndarray:
+    """Read-only interleaver permutation for one length."""
     if length < 1:
         raise ValueError("length must be >= 1")
     rows = -(-length // NUM_COLUMNS)  # ceil division
@@ -50,6 +50,10 @@ def _cached_indices(length: int) -> np.ndarray:
     return indices
 
 
+#: Hot-path cache of :func:`_build_indices`, one entry per stream length.
+_cached_indices = lru_cache(maxsize=256)(_build_indices)
+
+
 def interleave_indices(length: int) -> np.ndarray:
     """Permutation ``p`` such that ``out[i] = in[p[i]]`` interleaves.
 
@@ -58,6 +62,20 @@ def interleave_indices(length: int) -> np.ndarray:
     fresh (writable) copy; the kernels share a cached read-only variant.
     """
     return _cached_indices(int(length)).copy()
+
+
+def deinterleave_indices(length: int) -> np.ndarray:
+    """Permutation ``q`` such that ``out[i] = in[q[i]]`` deinterleaves.
+
+    The inverse of :func:`interleave_indices`, as a gather index: callers
+    that compose deinterleaving with another reordering (the batched tail
+    folds the layer demapping in) build one index and keep it themselves,
+    so nothing is cached here.
+    """
+    indices = _build_indices(int(length))
+    inverse = np.empty(indices.size, dtype=np.intp)
+    inverse[indices] = np.arange(indices.size)
+    return inverse
 
 
 def interleave(values: np.ndarray) -> np.ndarray:

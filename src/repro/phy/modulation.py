@@ -128,6 +128,14 @@ def demodulate_hard(symbols: np.ndarray, modulation: Modulation) -> np.ndarray:
     return symbols_to_bits(labels, modulation)
 
 
+#: Symbols per :func:`soft_demap` block. One block's working set — the
+#: input slice, the ``(2^(bps/2), block)`` distance scratch, its min-tree
+#: and the ``(block, bps)`` output rows — stays L2-resident, so every pass
+#: after the first runs out of cache; 4 096-8 192 measured best on a
+#: 4 MiB-L2 host. A constant, not a parameter: blocking never changes a bit.
+_DEMAP_BLOCK = 4096
+
+
 def soft_demap(
     symbols: np.ndarray,
     modulation: Modulation,
@@ -170,25 +178,42 @@ def soft_demap(
     # from dominating the whole receiver tail at 64-QAM.
     levels = _cached_pam_column(modulation)
     num = symbols.size
-    llrs = np.empty((bps, num), dtype=np.float64)
-    for offset, coords in ((0, symbols.real), (1, symbols.imag)):
-        dist2 = (levels - coords[None, :]) ** 2  # (2**half, num)
-        # Axis labels are MSB-first over this axis's bit-group, so each
-        # bit's 0/1 level subsets are alternating contiguous blocks: a
-        # suffix min-tree over trailing label bits yields every bit's two
-        # minima from cheap block reductions (min is order-independent).
-        suffix = [dist2]
-        for _ in range(half - 1):
-            prev = suffix[-1].reshape(-1, 2, num)
-            suffix.append(np.minimum(prev[:, 0], prev[:, 1]))
-        for j in range(half):
-            # suffix[half-1-j] rows are indexed by this axis's leading
-            # j+1 bits; axis 0 below spans the leading bits, axis 1 is
-            # the bit being demapped (transmitted at position 2j+offset).
-            level = suffix[half - 1 - j].reshape(1 << j, 2, num)
-            d01 = level.min(axis=0)
-            llrs[2 * j + offset] = (d01[1] - d01[0]) / noise
-    return llrs.T.reshape(-1)
+    # Row k holds symbol k's LLRs in transmission order, so the flat
+    # result needs no transpose.
+    llrs = np.empty((num, bps), dtype=np.float64)
+    # Scratch is per call: the threaded backend runs this kernel
+    # concurrently. suffix[t] is the block's squared distances minimized
+    # over the trailing t label bits of the axis.
+    block = max(1, min(num, _DEMAP_BLOCK))
+    suffix = [np.empty((1 << (half - t), block)) for t in range(half)]
+    d01 = np.empty((2, block))
+    for lo in range(0, num, block):
+        hi = min(lo + block, num)
+        width = hi - lo
+        tree = [level[:, :width] for level in suffix]
+        minima = d01[:, :width]
+        diff = minima[1]
+        for offset, coords in ((0, symbols.real), (1, symbols.imag)):
+            np.subtract(levels, coords[lo:hi], out=tree[0])
+            np.square(tree[0], out=tree[0])
+            # Axis labels are MSB-first over this axis's bit-group, so each
+            # bit's 0/1 level subsets are alternating contiguous blocks: a
+            # suffix min-tree over trailing label bits yields every bit's
+            # two minima from cheap block reductions (min is
+            # order-independent).
+            for t in range(1, half):
+                pairs = tree[t - 1].reshape(-1, 2, width)
+                np.minimum(pairs[:, 0], pairs[:, 1], out=tree[t])
+            for j in range(half):
+                # tree[half-1-j] rows are indexed by this axis's leading
+                # j+1 bits; axis 0 below spans the leading bits, axis 1 is
+                # the bit being demapped (transmitted at position
+                # 2j+offset).
+                level = tree[half - 1 - j].reshape(1 << j, 2, width)
+                np.minimum.reduce(level, axis=0, out=minima)
+                np.subtract(minima[1], minima[0], out=diff)
+                np.divide(diff, noise[lo:hi], out=llrs[lo:hi, 2 * j + offset])
+    return llrs.reshape(-1)
 
 
 def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:

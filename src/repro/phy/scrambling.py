@@ -19,6 +19,31 @@ __all__ = ["gold_sequence", "scramble_bits", "descramble_llrs", "pusch_c_init"]
 _NC = 1600
 
 
+def _lfsr_sequence(state: int, taps: tuple[int, ...], total: int) -> np.ndarray:
+    """First ``total`` bits of ``x[n+31] = x[n] ^ x[n+t]...`` over ``taps``.
+
+    ``state`` seeds ``x[0..30]`` (bit ``i`` is ``x[i]``). Squaring the
+    characteristic polynomial ``s`` times over GF(2) gives the same
+    recurrence stretched by ``s`` (``x[n+31s] = x[n] ^ x[n+ts]...``), whose
+    next ``28s`` outputs depend only on bits already known — so each pass
+    takes the largest such stride and the sequence nearly doubles per
+    NumPy call instead of growing a bit per Python iteration.
+    """
+    x = np.empty(max(total, 31), dtype=np.uint8)
+    x[:31] = (state >> np.arange(31)) & 1
+    known = 31
+    while known < total:
+        stride = 1 << ((known // 31).bit_length() - 1)
+        count = min(28 * stride, total - known)
+        base = known - 31 * stride
+        out = x[known : known + count]
+        out[:] = x[base : base + count]
+        for tap in taps:
+            out ^= x[base + tap * stride : base + tap * stride + count]
+        known += count
+    return x[:total]
+
+
 def gold_sequence(c_init: int, length: int) -> np.ndarray:
     """LTE pseudo-random sequence c(n) of the given length.
 
@@ -31,15 +56,9 @@ def gold_sequence(c_init: int, length: int) -> np.ndarray:
     if not 0 <= c_init < (1 << 31):
         raise ValueError("c_init must fit in 31 bits")
     total = _NC + length
-    x1 = np.zeros(total + 31, dtype=np.int8)
-    x2 = np.zeros(total + 31, dtype=np.int8)
-    x1[0] = 1
-    for bit in range(31):
-        x2[bit] = (c_init >> bit) & 1
-    for n in range(total):
-        x1[n + 31] = (x1[n + 3] + x1[n]) % 2
-        x2[n + 31] = (x2[n + 3] + x2[n + 2] + x2[n + 1] + x2[n]) % 2
-    return ((x1[_NC : _NC + length] + x2[_NC : _NC + length]) % 2).astype(np.int64)
+    x1 = _lfsr_sequence(1, (3,), total)
+    x2 = _lfsr_sequence(c_init, (3, 2, 1), total)
+    return (x1[_NC:] ^ x2[_NC:]).astype(np.int64)
 
 
 def pusch_c_init(rnti: int, subframe_index: int = 0, cell_id: int = 0) -> int:

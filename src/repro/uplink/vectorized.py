@@ -23,6 +23,7 @@ pass a ``stage_timer`` context-manager factory instead.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +35,9 @@ from ..phy.batched import (
 )
 from ..phy.chain import UserResult
 from ..phy.chest import ChestConfig
-from ..phy.crc import CRC24A, crc_check
+from ..phy.crc import CRC24A, crc_check, crc_check_rows
 from ..phy.dtypes import REAL_DTYPE, ensure_complex
+from ..phy.interleaver import deinterleave_indices
 from ..phy.params import (
     DATA_SYMBOLS_PER_SLOT,
     DATA_SYMBOLS_PER_SUBFRAME,
@@ -84,6 +86,31 @@ def _null_timer(kernel: str, batch: int):
     return nullcontext()
 
 
+@lru_cache(maxsize=256)
+def _tail_gather(layers: int, num_sc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices of the serial tail for one allocation shape.
+
+    ``symbols``: position ``k`` of a user's deinterleaved stream comes
+    from flat index ``symbols[k]`` of its ``(layers, 12, subcarriers)``
+    despread block — the layer demapping (stream position ``m`` holds layer
+    ``m % layers``, sample ``m // layers``) composed with the
+    deinterleaver, so the data moves once. ``noise``: the same position's
+    index into the user's flat ``(layers, slots)`` noise table. Both are
+    kept in the narrowest dtype that holds them: the paper's mix has a
+    couple of hundred shapes, and ``np.take`` widening an index per call
+    costs less time than 8-byte entries would cost memory.
+    """
+    per_layer = DATA_SYMBOLS_PER_SUBFRAME * num_sc
+    stream = deinterleave_indices(layers * per_layer)
+    flat = (stream % layers) * per_layer + stream // layers
+    symbols = flat.astype(np.int32)
+    # Layer l, slot s owns flat samples [(2l+s)·per_slot, (2l+s+1)·per_slot).
+    noise = (flat // (DATA_SYMBOLS_PER_SLOT * num_sc)).astype(np.uint8)
+    symbols.setflags(write=False)
+    noise.setflags(write=False)
+    return symbols, noise
+
+
 def _finalize_group(
     allocation: UserAllocation,
     layer_symbols: np.ndarray,
@@ -98,8 +125,6 @@ def _finalize_group(
     ``layer_symbols`` is ``(users, layers, 12, subcarriers)``;
     ``noise_per_layer_slot`` is ``(users, layers, 2)``.
     """
-    from ..phy import interleaver as il
-
     codec = codec or PassThroughTurbo()
     num_users = layer_symbols.shape[0]
     layers = allocation.layers
@@ -113,54 +138,57 @@ def _finalize_group(
     ):
         raise ValueError("layer_symbols shape mismatch")
 
-    # Invert the transmitter's layer mapping back to one stream per user:
-    # (users, layers, 12*sc) -> transpose -> (users, 12*sc, layers) -> flat.
-    streams = layer_symbols.reshape(num_users, layers, -1)
-    interleaved = streams.transpose(0, 2, 1).reshape(num_users, -1)
-    # Per-symbol noise follows the same reshaping as the data.
-    per_slot = DATA_SYMBOLS_PER_SLOT * num_sc
-    noise_streams = np.repeat(
-        np.asarray(noise_per_layer_slot, dtype=REAL_DTYPE), per_slot, axis=2
-    )  # (users, layers, 2*per_slot)
-    interleaved_noise = noise_streams.transpose(0, 2, 1).reshape(num_users, -1)
-
+    # Invert the transmitter's layer mapping and interleaver in one gather
+    # per user row; the per-symbol noise follows the data through the same
+    # reordering, read straight from the small clamped table.
+    symbol_index, noise_index = _tail_gather(layers, num_sc)
     if trace is not None:
-        trace.record(
-            "deinterleave", symbols=interleaved.shape[1], batch=num_users
-        )
-    symbols = il.deinterleave_rows(interleaved)
-    noise = il.deinterleave_rows(interleaved_noise)
+        trace.record("deinterleave", symbols=symbol_index.size, batch=num_users)
+    symbols = np.take(layer_symbols.reshape(num_users, -1), symbol_index, axis=1)
+    noise_table = np.maximum(
+        np.asarray(noise_per_layer_slot, dtype=REAL_DTYPE), 1e-12
+    ).reshape(num_users, -1)
+    noise = np.take(noise_table, noise_index, axis=1)
 
     llrs_rows = batched_soft_demap(
-        symbols, allocation.modulation, np.maximum(noise, 1e-12), trace=trace
+        symbols, allocation.modulation, noise, trace=trace
     )
+
+    if codec.rate_denominator == 1:
+        num_info_with_crc = useful_bits = llrs_rows.shape[1]
+    else:
+        num_info_with_crc = (llrs_rows.shape[1] - 12) // 3
+        useful_bits = 3 * num_info_with_crc + 12
+    c_inits = scrambling_c_inits or [None] * num_users
+    if type(codec) is PassThroughTurbo and all(c is None for c in c_inits):
+        # The pass-through decoder is a hard decision on every LLR, so the
+        # whole group decodes and checks as one array each.
+        hard = llrs_rows < 0
+        decoded_rows = hard.astype(np.int64)
+        ok_rows = crc_check_rows(hard, CRC24A)
+    else:
+        llrs_rows = [
+            llrs if c_init is None else descramble_llrs(llrs, c_init)
+            for llrs, c_init in zip(llrs_rows, c_inits)
+        ]
+        decoded_rows = [
+            codec.decode(llrs[:useful_bits], num_info_with_crc)
+            for llrs in llrs_rows
+        ]
+        ok_rows = [crc_check(decoded, CRC24A) for decoded in decoded_rows]
 
     results: list[UserResult] = []
     for row, user_id in enumerate(user_ids):
-        llrs = llrs_rows[row]
-        c_init = scrambling_c_inits[row] if scrambling_c_inits else None
-        if c_init is not None:
-            llrs = descramble_llrs(llrs, c_init)
-        if codec.rate_denominator == 1:
-            num_info = llrs.size - CRC24A.width
-            useful = llrs
-        else:
-            capacity = llrs.size
-            num_info_with_crc = (capacity - 12) // 3
-            num_info = num_info_with_crc - CRC24A.width
-            useful = llrs[: 3 * num_info_with_crc + 12]
+        decoded = decoded_rows[row]
         if trace is not None:
-            trace.record("turbo_decode", bits=useful.size)
-        decoded = codec.decode(useful, num_info + CRC24A.width)
-        if trace is not None:
+            trace.record("turbo_decode", bits=useful_bits)
             trace.record("crc_check", bits=decoded.size)
-        ok = crc_check(decoded, CRC24A)
         results.append(
             UserResult(
                 user_id=user_id,
                 payload=decoded[: -CRC24A.width],
-                crc_ok=ok,
-                llrs=llrs,
+                crc_ok=bool(ok_rows[row]),
+                llrs=llrs_rows[row],
             )
         )
     return results

@@ -9,6 +9,8 @@ from repro.phy.interleaver import (
     COLUMN_PERMUTATION,
     NUM_COLUMNS,
     deinterleave,
+    deinterleave_indices,
+    deinterleave_rows,
     interleave,
     interleave_indices,
 )
@@ -65,6 +67,21 @@ class TestInterleaveDeinterleave:
 
     def test_deterministic(self):
         assert np.array_equal(interleave_indices(500), interleave_indices(500))
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 1000, 4112])
+    def test_deinterleave_indices_gather_what_deinterleave_scatters(self, length):
+        values = np.random.default_rng(length).standard_normal((3, length))
+        gather = deinterleave_indices(length)
+        assert np.array_equal(gather[interleave_indices(length)], np.arange(length))
+        assert np.array_equal(values[0][gather], deinterleave(values[0]))
+        assert np.array_equal(values[:, gather], deinterleave_rows(values))
+
+    def test_deinterleave_indices_are_fresh_and_validated(self):
+        first = deinterleave_indices(64)
+        first[:] = 0
+        assert sorted(deinterleave_indices(64).tolist()) == list(range(64))
+        with pytest.raises(ValueError):
+            deinterleave_indices(0)
 
 
 @given(length=st.integers(min_value=1, max_value=2048))

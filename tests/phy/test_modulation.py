@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.phy import modulation as modulation_module
 from repro.phy.modulation import (
     bits_to_symbols,
     constellation,
@@ -168,3 +169,142 @@ def test_property_soft_demap_agrees_with_hard_at_high_snr(mod, seed):
     hard = demodulate_hard(noisy, mod)
     soft = llrs_to_bits(soft_demap(noisy, mod, noise_variance=0.02))
     assert np.array_equal(hard, soft)
+
+
+# ---------------------------------------------------------------- blocking
+# soft_demap walks the stream in cache-sized blocks; the straightforward
+# whole-stream form below is the reference it must equal bit for bit.
+BLOCK = modulation_module._DEMAP_BLOCK
+BLOCK_EDGE_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+
+
+def unblocked_soft_demap(symbols, mod, noise_variance):
+    """Max-log-MAP per axis over the whole stream at once."""
+    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    noise = np.broadcast_to(
+        np.asarray(noise_variance, dtype=np.float64), symbols.shape
+    )
+    half = mod.bits_per_symbol // 2
+    levels = (modulation_module._PAM[mod] / modulation_module._NORM[mod])[:, None]
+    llrs = np.empty((mod.bits_per_symbol, symbols.size))
+    for offset, coords in ((0, symbols.real), (1, symbols.imag)):
+        suffix = [(levels - coords[None, :]) ** 2]
+        for _ in range(half - 1):
+            prev = suffix[-1].reshape(len(suffix[-1]) // 2, 2, symbols.size)
+            suffix.append(np.minimum(prev[:, 0], prev[:, 1]))
+        for j in range(half):
+            d01 = suffix[half - 1 - j].reshape(1 << j, 2, symbols.size).min(axis=0)
+            llrs[2 * j + offset] = (d01[1] - d01[0]) / noise
+    return llrs.T.reshape(-1)
+
+
+def _stream(seed, size):
+    rng = np.random.default_rng(seed)
+    symbols = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return symbols, rng.uniform(0.01, 2.0, size)
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+@pytest.mark.parametrize("mod", MODS)
+class TestSoftDemapBlocking:
+    def test_scalar_noise_equals_unblocked(self, mod, size):
+        symbols, _ = _stream(size, size)
+        got = soft_demap(symbols, mod, 0.37)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, unblocked_soft_demap(symbols, mod, 0.37))
+
+    def test_per_symbol_noise_equals_unblocked(self, mod, size):
+        symbols, noise = _stream(size + 1, size)
+        assert np.array_equal(
+            soft_demap(symbols, mod, noise),
+            unblocked_soft_demap(symbols, mod, noise),
+        )
+
+
+@pytest.mark.parametrize("mod", MODS)
+class TestSoftDemapCoercion:
+    """Off-canonical inputs are coerced up front, as test_dtypes.py pins."""
+
+    def test_non_contiguous_and_2d_input(self, mod):
+        symbols, noise = _stream(5, 2 * (BLOCK + 3))
+        expected = unblocked_soft_demap(symbols[::2], mod, noise[::2])
+        assert np.array_equal(soft_demap(symbols[::2], mod, noise[::2]), expected)
+        grid = symbols[::2].reshape(-1, BLOCK + 3)
+        assert np.array_equal(soft_demap(grid, mod, noise[::2]), expected)
+
+    def test_complex64_input_computes_in_double(self, mod):
+        symbols, noise = _stream(6, BLOCK + 5)
+        narrow = symbols.astype(np.complex64)
+        got = soft_demap(narrow, mod, noise.astype(np.float32))
+        assert got.dtype == np.float64
+        assert np.array_equal(
+            got,
+            unblocked_soft_demap(
+                narrow.astype(np.complex128), mod, noise.astype(np.float32)
+            ),
+        )
+
+    def test_non_finite_symbols_propagate_like_unblocked(self, mod):
+        symbols, noise = _stream(7, BLOCK + 2)
+        symbols[[0, BLOCK]] = [np.nan, np.inf + 1j]
+        with np.errstate(invalid="ignore"):
+            got = soft_demap(symbols, mod, noise)
+            expected = unblocked_soft_demap(symbols, mod, noise)
+        assert np.isnan(got[0])
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_nonpositive_noise_in_a_later_block_rejected(self, mod):
+        symbols, noise = _stream(8, 2 * BLOCK)
+        noise[-1] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            soft_demap(symbols, mod, noise)
+
+
+@given(
+    mod=st.sampled_from(MODS),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 2 * BLOCK + 64),
+    per_symbol=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_blocked_soft_demap_equals_unblocked(mod, seed, size, per_symbol):
+    symbols, noise = _stream(seed, size)
+    noise_variance = noise if per_symbol else float(noise.sum() + 0.1)
+    assert np.array_equal(
+        soft_demap(symbols, mod, noise_variance),
+        unblocked_soft_demap(symbols, mod, noise_variance),
+    )
+
+
+def test_concurrent_soft_demap_calls_do_not_share_scratch():
+    """Two threads demapping different inputs both get the 1-thread answer."""
+    import sys
+    import threading
+
+    mod = Modulation.QAM64
+    inputs = [_stream(seed, 3 * BLOCK + 11) for seed in (21, 22)]
+    expected = [soft_demap(symbols, mod, noise) for symbols, noise in inputs]
+    mismatches = []
+    start = threading.Barrier(len(inputs))
+
+    def worker(index):
+        symbols, noise = inputs[index]
+        start.wait(timeout=30)
+        for _ in range(40):
+            if not np.array_equal(soft_demap(symbols, mod, noise), expected[index]):
+                mismatches.append(index)
+
+    threads = [
+        threading.Thread(target=worker, args=(index,)) for index in range(len(inputs))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []

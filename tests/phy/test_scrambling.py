@@ -13,6 +13,20 @@ from repro.phy.scrambling import (
 )
 
 
+def loop_gold_sequence(c_init, length):
+    """TS 36.211 §7.2 one bit per iteration: the oracle for the block form."""
+    total = 1600 + length
+    x1 = np.zeros(total + 31, dtype=np.int8)
+    x2 = np.zeros(total + 31, dtype=np.int8)
+    x1[0] = 1
+    for bit in range(31):
+        x2[bit] = (c_init >> bit) & 1
+    for n in range(total):
+        x1[n + 31] = (x1[n + 3] + x1[n]) % 2
+        x2[n + 31] = (x2[n + 3] + x2[n + 2] + x2[n + 1] + x2[n]) % 2
+    return ((x1[1600:total] + x2[1600:total]) % 2).astype(np.int64)
+
+
 class TestGoldSequence:
     def test_binary_output(self):
         c = gold_sequence(12345, 500)
@@ -56,6 +70,15 @@ class TestGoldSequence:
 
     def test_zero_length(self):
         assert gold_sequence(5, 0).size == 0
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 1599, 1600, 1601, 69_120])
+    @pytest.mark.parametrize(
+        "c_init", [0, 1, 12345, 0x2AAAAAAA, pusch_c_init(61, 4, 3), (1 << 31) - 1]
+    )
+    def test_block_recurrence_equals_the_bit_loop(self, c_init, length):
+        got = gold_sequence(c_init, length)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, loop_gold_sequence(c_init, length))
 
 
 class TestCInit:

@@ -75,3 +75,13 @@ def test_submodules_not_in_init_are_still_importable():
         "repro.cli",
     ):
         importlib.import_module(module)
+
+
+def test_batched_tail_names_are_public():
+    """Added with the group-batched receiver tail, on purpose: the rows
+    form of ``crc_check`` and the gather form of the deinterleaver."""
+    from repro.phy import crc, interleaver
+
+    assert "crc_check_rows" in crc.__all__ and callable(crc.crc_check_rows)
+    assert "deinterleave_indices" in interleaver.__all__
+    assert callable(interleaver.deinterleave_indices)

@@ -4,6 +4,8 @@ Fast equivalence checks plus backend-selection plumbing; the exhaustive
 seeded scenario matrix lives in ``tests/differential`` (slow tier).
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,113 @@ class TestBitExactness:
             user_slice.user.allocation, user_slice.view(subframe.grid), user_id=0
         )
         assert serial.user_results[0].equals(result)
+
+
+def _received(allocation, rng, codec=None, c_init=None):
+    """One user's received grid through a mild single-tap channel."""
+    from repro.phy import ChannelModel, transmit_subframe
+    from repro.phy.transmitter import payload_capacity
+
+    payload = rng.integers(0, 2, payload_capacity(allocation, codec))
+    tx = transmit_subframe(
+        allocation, payload, rng, codec=codec, scrambling_c_init=c_init
+    )
+    channel = ChannelModel(num_rx_antennas=4, num_taps=1, snr_db=30.0)
+    return channel.realize(
+        allocation.layers, allocation.num_subcarriers, rng
+    ).apply(tx.grid, rng)
+
+
+class TestFinalizeRoutes:
+    """The group tail decodes the pass-through codec as whole arrays and
+    everything else user by user; both must equal the serial chain."""
+
+    def test_scrambled_group_matches_process_user(self):
+        """A seed on one user sends the whole group down the per-user route."""
+        from repro.phy import UserAllocation, process_user
+        from repro.uplink.vectorized import process_group
+
+        rng = np.random.default_rng(5)
+        allocation = UserAllocation(num_prb=4, layers=2, modulation=Modulation.QAM16)
+        c_inits = [None, 4321, 77]
+        grids = np.stack([_received(allocation, rng, c_init=c) for c in c_inits])
+        results = process_group(
+            grids, allocation, [7, 8, 9], None, None, None,
+            lambda kernel, batch: nullcontext(), c_inits,
+        )
+        for grid, c_init, user_id, result in zip(grids, c_inits, (7, 8, 9), results):
+            expected = process_user(
+                allocation, grid, user_id=user_id, scrambling_c_init=c_init
+            )
+            assert expected.crc_ok
+            assert result.equals(expected)
+            assert np.array_equal(result.llrs, expected.llrs)
+
+    def test_real_turbo_codec_matches_process_user(self):
+        from repro.phy import TurboCodec, UserAllocation, process_user
+
+        rng = np.random.default_rng(6)
+        codec = TurboCodec(iterations=2)
+        allocation = UserAllocation(num_prb=2, layers=1, modulation=Modulation.QPSK)
+        grid = _received(allocation, rng, codec=codec)
+        expected = process_user(allocation, grid, codec=codec)
+        result = process_user_vectorized(allocation, grid, codec=codec)
+        assert result.equals(expected)
+        assert result.payload.dtype == expected.payload.dtype
+        assert np.array_equal(result.llrs, expected.llrs)
+
+    def test_passthrough_payload_dtype_and_crc_type_match_serial(self, subframe):
+        serial = process_subframe_serial(subframe)
+        vectorized = process_subframe_vectorized(subframe)
+        for a, b in zip(serial.user_results, vectorized.user_results):
+            assert b.payload.dtype == a.payload.dtype == np.int64
+            assert type(b.crc_ok) is type(a.crc_ok) is bool
+            assert b.llrs.dtype == np.float64 and b.llrs.ndim == 1
+
+    def test_bad_crc_rows_are_flagged_individually(self, subframe):
+        """Corrupting one user of the shared-shape group fails only that user."""
+        import dataclasses
+
+        grid = subframe.grid.copy()
+        victim = subframe.slices[2].view(grid)
+        rng = np.random.default_rng(9)
+        victim[...] = rng.standard_normal(victim.shape) + 1j * rng.standard_normal(
+            victim.shape
+        )
+
+        broken = dataclasses.replace(subframe, grid=grid)
+        serial = process_subframe_serial(broken)
+        vectorized = process_subframe_vectorized(broken)
+        assert serial.equals(vectorized)
+        assert [r.crc_ok for r in vectorized.user_results] == [
+            True, True, False, True,
+        ]
+
+    def test_tail_trace_records_are_per_user(self, subframe):
+        """The cost model is fed from these: kinds, order and sizes."""
+        from repro.phy import KernelTrace
+
+        trace = KernelTrace()
+        process_subframe_vectorized(subframe, trace=trace)
+        tail = [
+            (name, work)
+            for name, work in trace.events
+            if name in ("deinterleave", "soft_demap", "turbo_decode", "crc_check")
+        ]
+        # Second group: users 1 and 2, 2 layers x 16QAM.
+        symbols = 12 * subframe.slices[1].num_subcarriers * 2
+        start = next(
+            i for i, (_, work) in enumerate(tail) if work.get("batch") == 2
+        )
+        assert tail[start : start + 6] == [
+            ("deinterleave", {"symbols": symbols, "batch": 2}),
+            ("soft_demap", {"symbols": symbols, "bits_per_symbol": 4, "batch": 2}),
+            ("turbo_decode", {"bits": 4 * symbols}),
+            ("crc_check", {"bits": 4 * symbols}),
+            ("turbo_decode", {"bits": 4 * symbols}),
+            ("crc_check", {"bits": 4 * symbols}),
+        ]
+        assert trace.count("crc_check") == len(subframe.slices)
 
 
 class TestGrouping:
