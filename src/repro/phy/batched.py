@@ -7,13 +7,14 @@ touches a few-kilobyte array, so interpreter overhead dominates. This
 module provides the same four kernels with the task axes *stacked*: all
 (slot, antenna, layer) estimates of a user — and all users of a subframe
 that share an allocation shape — move through matched filter, IFFT,
-window, FFT, the MMSE solve, antenna combining, and soft demapping as
-single NumPy calls over 3-D/4-D arrays (the shape the Vienna LTE-A
-simulator and srsLTE use for their hot loops).
+window, FFT, the combiner-weight elimination, antenna combining, and soft
+demapping as single NumPy calls over 3-D/4-D arrays (the shape the Vienna
+LTE-A simulator and srsLTE use for their hot loops).
 
 Every kernel is *bit-exact* with its serial counterpart: NumPy computes a
-batched FFT/solve/einsum row by row with the same kernels the 1-D calls
-use, so stacking changes neither operation order nor rounding. The
+batched FFT/einsum row by row with the same kernels the 1-D calls use, so
+stacking changes neither operation order nor rounding, and the combiner
+*is* the serial chain's function, element-wise along the subcarriers. The
 differential suite (``tests/differential``) enforces this against the
 serial and threaded backends.
 
@@ -32,8 +33,9 @@ import numpy as np
 
 from .chest import ChestConfig
 from .dtypes import REAL_DTYPE, ensure_complex
-from .equalizer import mmse_combiner_weights  # noqa: F401  (re-exported ref)
+from .equalizer import mmse_combiner
 from .fftutil import wraparound_window
+from .modulation import soft_demap
 from .sequences import dmrs_for_layer
 
 __all__ = [
@@ -160,62 +162,23 @@ def batched_combiner_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """MMSE weights + bias removal + post-combining noise, batched.
 
-    The batched twin of :func:`repro.phy.chain.combiner_stage`: one
-    ``np.linalg.solve`` over every (batch element, subcarrier) system.
-
-    Parameters
-    ----------
-    channel:
-        Channel estimates, shape ``(..., antennas, layers, subcarriers)``.
-    noise_variance:
-        Per-batch-element noise variance, shape ``(...)`` (scalar for an
-        unbatched call).
-
-    Returns
-    -------
-    (weights, noise_after):
-        ``weights`` has shape ``(..., layers, antennas, subcarriers)``
-        with the MMSE amplitude bias removed; ``noise_after`` is the
-        per-(layer, subcarrier) effective noise variance, shape
-        ``(..., layers, subcarriers)``.
+    :func:`repro.phy.equalizer.mmse_combiner`, the function
+    :func:`repro.phy.chain.combiner_stage` calls per slot, over every
+    (batch element, subcarrier) system at once: ``channel`` is ``(...,
+    antennas, layers, subcarriers)`` and ``noise_variance`` ``(...)``;
+    returns ``weights``, shape ``(..., layers, antennas, subcarriers)``,
+    and ``noise_after``, shape ``(..., layers, subcarriers)``.
     """
-    channel = ensure_complex(channel)
-    if channel.ndim < 3:
-        raise ValueError("channel must be (..., antennas, layers, subcarriers)")
-    num_antennas, num_layers, num_sc = channel.shape[-3:]
-    if num_layers > num_antennas:
-        raise ValueError("cannot separate more layers than antennas")
-    noise_variance = np.asarray(noise_variance, dtype=REAL_DTYPE)
-    if noise_variance.shape != channel.shape[:-3]:
-        raise ValueError(
-            "noise_variance must carry one value per batch element "
-            f"(expected shape {channel.shape[:-3]}, got {noise_variance.shape})"
-        )
-    if noise_variance.size and noise_variance.min() < 0:
-        raise ValueError("noise_variance must be >= 0")
+    weights, noise_after = mmse_combiner(channel, noise_variance)
     if trace is not None:
+        *batch, layers, antennas, num_sc = weights.shape
         trace.record(
             "combiner_weights",
             subcarriers=num_sc,
-            layers=num_layers,
-            antennas=num_antennas,
-            batch=int(np.prod(channel.shape[:-3], dtype=np.int64)),
+            layers=layers,
+            antennas=antennas,
+            batch=int(np.prod(batch, dtype=np.int64)),
         )
-    # Per-subcarrier H: (..., sc, antennas, layers), as in the serial path.
-    h = np.moveaxis(channel, -1, -3)
-    hh = np.conj(np.swapaxes(h, -1, -2))  # (..., sc, layers, antennas)
-    gram = hh @ h  # (..., sc, layers, layers)
-    reg = gram + (noise_variance[..., None, None, None] + 1e-12) * np.eye(num_layers)
-    weights = np.linalg.solve(reg, hh)  # (..., sc, layers, antennas)
-    weights = np.moveaxis(weights, -3, -1)  # (..., layers, antennas, sc)
-    # Remove the MMSE amplitude bias: a[l, k] = Σ_a W[l, a, k] H[a, l, k].
-    bias = np.einsum("...lak,...alk->...lk", weights, channel)
-    magnitude = np.abs(bias)
-    safe = np.where(magnitude > 1e-9, bias, 1.0)
-    weights = weights / safe[..., :, None, :]
-    noise_after = noise_variance[..., None, None] * np.sum(
-        np.abs(weights) ** 2, axis=-2
-    )
     return weights, noise_after
 
 
@@ -272,8 +235,6 @@ def batched_soft_demap(
     element-wise per symbol, so stacking rows is trivially bit-exact with
     per-row :func:`repro.phy.modulation.soft_demap` calls.
     """
-    from .modulation import soft_demap
-
     symbols = ensure_complex(symbols)
     if symbols.ndim != 2:
         raise ValueError("symbols must be (batch, n)")

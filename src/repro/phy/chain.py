@@ -28,11 +28,7 @@ import numpy as np
 from . import interleaver as il
 from .chest import ChestConfig, estimate_channel, estimate_noise_variance
 from .crc import CRC24A, crc_check
-from .equalizer import (
-    combine_antennas,
-    mmse_combiner_weights,
-    post_combining_noise_variance,
-)
+from .equalizer import combine_antennas, mmse_combiner
 from .modulation import soft_demap
 from .params import (
     DATA_SYMBOLS_PER_SLOT,
@@ -132,7 +128,9 @@ def combiner_stage(
 
     Computes MMSE weights, removes the MMSE amplitude bias so the output
     constellation is unit-scaled, and derives the post-combining noise
-    variance the soft demapper needs.
+    variance the soft demapper needs
+    (:func:`repro.phy.equalizer.mmse_combiner`, unbatched). A singular
+    subcarrier system gives NaN weights; it does not raise.
     """
     channel = np.asarray(channel, dtype=np.complex128)
     num_antennas, num_layers, num_sc = channel.shape
@@ -143,13 +141,7 @@ def combiner_stage(
             layers=num_layers,
             antennas=num_antennas,
         )
-    weights = mmse_combiner_weights(channel, noise_variance)
-    # Bias of the MMSE estimate: a[l, k] = Σ_a W[l, a, k] H[a, l, k].
-    bias = np.einsum("lak,alk->lk", weights, channel)
-    magnitude = np.abs(bias)
-    safe = np.where(magnitude > 1e-9, bias, 1.0)
-    weights = weights / safe[:, None, :]
-    noise_after = post_combining_noise_variance(weights, noise_variance)
+    weights, noise_after = mmse_combiner(channel, noise_variance)
     return SlotEstimate(
         channel=channel,
         noise_variance=noise_variance,

@@ -6,14 +6,17 @@ identical but fuses the task axes: for every group of users that share an
 allocation shape ``(subcarriers, layers, modulation)``, all of the
 group's (user, slot, antenna, layer) channel-estimation tasks run as one
 :func:`repro.phy.batched.batched_chest` call, every per-subcarrier MMSE
-system of the whole group solves in one ``np.linalg.solve``, all
-(user, symbol, layer) combining tasks run as one einsum + one IFFT, and
-the groups' soft demaps run as one stacked call.
+system of the whole group is eliminated in one
+:func:`repro.phy.equalizer.mmse_combiner` call (the serial chain's own
+function, element-wise along the subcarriers), all (user, symbol, layer)
+combining tasks run as one einsum + one IFFT, and the groups' soft demaps
+run as one stacked call.
 
 Results are **bit-exact** with the serial reference (the batched NumPy
 kernels process rows independently with the same primitives), which the
 differential suite in ``tests/differential`` enforces across the full
-seeded scenario matrix.
+seeded scenario matrix. A user whose combiner system is singular gets NaN
+weights and fails its CRC; the rest of its group is unaffected.
 
 The module is deterministic-scope clean: it never reads the host clock.
 Callers that want per-kernel wall-clock attribution (``repro bench``)

@@ -7,7 +7,9 @@ reproduce the stored outputs **bit-exactly** — this is the only tier
 that compares against a committed artifact rather than a same-process
 re-run, so it catches numerical drift between NumPy versions, kernel
 rewrites, and dtype regressions that differential tests (which re-run
-both sides) are blind to.
+both sides) are blind to. A mismatch names the kernel and the largest
+relative deviation, so last-digit drift (~1e-15) and breakage (~1) read
+differently.
 
 After an intentional numerical change, regenerate with
 ``PYTHONPATH=src python tests/golden/regenerate.py`` and commit the
@@ -65,6 +67,22 @@ def _load(kernel: str) -> dict[str, np.ndarray]:
         return {name: data[name] for name in data.files}
 
 
+def _assert_golden(kernel: str, name: str, got, want) -> None:
+    """``array_equal``, failing with the kernel and the max relative deviation."""
+    got, want = np.asarray(got), np.asarray(want)
+    if np.array_equal(got, want):
+        return
+    if got.shape != want.shape:
+        pytest.fail(f"{kernel}.{name}: shape {got.shape}, golden {want.shape}")
+    with np.errstate(all="ignore"):
+        deviation = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    pytest.fail(
+        f"{kernel}.{name} differs from the golden vector in "
+        f"{np.count_nonzero(got != want)} of {want.size} values, max relative "
+        f"deviation {deviation:.3e} (|got - golden| over max |golden|)"
+    )
+
+
 @pytest.fixture(scope="module")
 def golden_user():
     return UserParameters(user_id=0, **GOLDEN_USER)
@@ -104,16 +122,21 @@ class TestChestGolden:
             for antenna in range(antennas):
                 for layer in range(layers):
                     estimate, noise = chest_task(g["refs"][slot, antenna], layer)
-                    assert np.array_equal(
-                        estimate, g["channel"][slot, antenna, layer]
-                    ), f"chest estimate drifted (slot {slot}, ant {antenna}, layer {layer})"
-                    assert noise == g["noise"][slot, antenna, layer]
+                    where = f"[slot {slot}, antenna {antenna}, layer {layer}]"
+                    _assert_golden(
+                        "chest_task", "channel" + where,
+                        estimate, g["channel"][slot, antenna, layer],
+                    )
+                    _assert_golden(
+                        "chest_task", "noise" + where,
+                        noise, g["noise"][slot, antenna, layer],
+                    )
 
     def test_batched_kernel(self):
         g = _load("chest")
         channel, noise = batched_chest(g["refs"], int(g["layers"]))
-        assert np.array_equal(channel, g["channel"])
-        assert np.array_equal(noise, g["noise"])
+        _assert_golden("batched_chest", "channel", channel, g["channel"])
+        _assert_golden("batched_chest", "noise", noise, g["noise"])
 
 
 class TestCombinerGolden:
@@ -123,9 +146,13 @@ class TestCombinerGolden:
             estimate = combiner_stage(
                 g["channel"][slot], float(g["noise_variance"][slot])
             )
-            assert np.array_equal(estimate.weights, g["weights"][slot])
-            assert np.array_equal(
-                estimate.noise_after_combining, g["noise_after"][slot]
+            _assert_golden(
+                "combiner_stage", f"weights[slot {slot}]",
+                estimate.weights, g["weights"][slot],
+            )
+            _assert_golden(
+                "combiner_stage", f"noise_after[slot {slot}]",
+                estimate.noise_after_combining, g["noise_after"][slot],
             )
 
     def test_batched_kernel(self):
@@ -133,8 +160,10 @@ class TestCombinerGolden:
         weights, noise_after = batched_combiner_weights(
             g["channel"], g["noise_variance"]
         )
-        assert np.array_equal(weights, g["weights"])
-        assert np.array_equal(noise_after, g["noise_after"])
+        _assert_golden("batched_combiner_weights", "weights", weights, g["weights"])
+        _assert_golden(
+            "batched_combiner_weights", "noise_after", noise_after, g["noise_after"]
+        )
 
 
 class TestSymbolGolden:
@@ -145,7 +174,10 @@ class TestSymbolGolden:
             slot = sym // SYMBOLS_PER_SLOT
             for layer in range(layers):
                 got = symbol_task(g["data"][:, row, :], g["weights"][slot], layer)
-                assert np.array_equal(got, g["layer_symbols"][layer, row])
+                _assert_golden(
+                    "symbol_task", f"layer_symbols[layer {layer}, row {row}]",
+                    got, g["layer_symbols"][layer, row],
+                )
 
     def test_batched_kernel(self):
         g = _load("symbol")
@@ -158,8 +190,9 @@ class TestSymbolGolden:
                     g["weights"][slot],
                 )
             )
-        assert np.array_equal(
-            np.concatenate(per_slot, axis=1), g["layer_symbols"]
+        _assert_golden(
+            "batched_combine_symbols", "layer_symbols",
+            np.concatenate(per_slot, axis=1), g["layer_symbols"],
         )
 
 
@@ -172,8 +205,8 @@ class TestFinalizeGolden:
             g["noise_per_layer_slot"],
             user_id=0,
         )
-        assert np.array_equal(result.llrs, g["llrs"])
-        assert np.array_equal(result.payload, g["payload"])
+        _assert_golden("finalize_user", "llrs", result.llrs, g["llrs"])
+        _assert_golden("finalize_user", "payload", result.payload, g["payload"])
         assert result.crc_ok == bool(g["crc_ok"])
         assert result.crc_ok
 
@@ -185,6 +218,8 @@ class TestFullChainGolden:
         result = process_user_vectorized(
             golden_user.allocation, golden_received, user_id=0
         )
-        assert np.array_equal(result.llrs, g["llrs"])
-        assert np.array_equal(result.payload, g["payload"])
+        _assert_golden("process_user_vectorized", "llrs", result.llrs, g["llrs"])
+        _assert_golden(
+            "process_user_vectorized", "payload", result.payload, g["payload"]
+        )
         assert result.crc_ok

@@ -1,13 +1,14 @@
 """Property-based PHY invariants (slow tier, hypothesis).
 
-Four families of properties the fixed-seed tiers can only spot-check:
+Five families of properties the fixed-seed tiers can only spot-check:
 
 * interleaver and scrambling are exact inverses for arbitrary payloads;
 * CRC24A detects *every* single-bit flip (minimum distance >= 2 — the
   linearity the vectorized CRC implementation relies on);
 * max-log soft demapping agrees in sign with minimum-distance hard
   demodulation at high SNR for arbitrary bit patterns;
-* batched kernels match their scalar twins on arbitrary shapes.
+* batched kernels match their scalar twins on arbitrary shapes;
+* the MMSE combiner is batch-independent and agrees with a LAPACK solve.
 
 The hypothesis profile is pinned in ``tests/conftest.py`` (no deadline,
 derandomized) so CI runs are reproducible.
@@ -126,3 +127,42 @@ def test_batched_soft_demap_matches_scalar(mod, nsym, batch, noise, seed):
     for row in range(batch):
         want = soft_demap(symbols[row], mod, noise_rows[row])
         assert np.array_equal(got[row], want)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(2, 40),  # an allocation is whole PRBs; see the kernel docstring
+    st.integers(1, 4),
+    st.floats(0.01, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_mmse_combiner_batch_independent_and_matches_lapack(
+    layers, spare_antennas, num_sc, users, noise, seed
+):
+    """Any shape, any subcarrier count (SIMD tails included): a batch
+    element equals the same element alone bit for bit, and the unpivoted
+    elimination agrees with a partial-pivot LAPACK solve to 1e-11."""
+    from repro.phy.equalizer import mmse_combiner
+
+    antennas = min(4, layers + spare_antennas)
+    rng = np.random.default_rng(seed)
+    shape = (users, 2, antennas, layers, num_sc)
+    channel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise_variance = rng.uniform(0.01, noise, (users, 2))
+    weights, noise_after = mmse_combiner(channel, noise_variance)
+    for user in range(users):
+        for slot in range(2):
+            alone_w, alone_n = mmse_combiner(
+                channel[user, slot], noise_variance[user, slot]
+            )
+            assert np.array_equal(alone_w, weights[user, slot])
+            assert np.array_equal(alone_n, noise_after[user, slot])
+    # Oracle: solve per subcarrier, divide by the complex gain.
+    h = np.moveaxis(channel, -1, -3)
+    hh = np.conj(np.swapaxes(h, -1, -2))
+    reg = hh @ h + (noise_variance[..., None, None, None] + 1e-12) * np.eye(layers)
+    want = np.moveaxis(np.linalg.solve(reg, hh), -3, -1)
+    want = want / np.einsum("...lak,...alk->...lk", want, channel)[..., :, None, :]
+    error = np.linalg.norm(weights - want, axis=(-3, -2))
+    assert np.all(error <= 1e-11 * np.linalg.norm(want, axis=(-3, -2)))

@@ -4,6 +4,7 @@ Fast equivalence checks plus backend-selection plumbing; the exhaustive
 seeded scenario matrix lives in ``tests/differential`` (slow tier).
 """
 
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -180,6 +181,43 @@ class TestFinalizeRoutes:
             ("crc_check", {"bits": 4 * symbols}),
         ]
         assert trace.count("crc_check") == len(subframe.slices)
+
+
+class TestSingularUser:
+    def test_rank_deficient_user_fails_alone_and_silently(self, subframe):
+        """One user of the shared-shape group whose slot-0 channel has rank 1
+        (both layers through one noiseless flat path, loud enough to absorb
+        the 1e-12): its combiner systems are singular. A LAPACK solve raised
+        ``LinAlgError`` for the whole group; the elimination gives that user
+        NaN weights, so it fails its CRC and nobody else notices."""
+        import dataclasses
+
+        from repro.phy import random_payload, transmit_subframe
+
+        victim, neighbour = subframe.slices[2], subframe.slices[1]
+        allocation = victim.user.allocation
+        rng = np.random.default_rng(9)
+        tx = transmit_subframe(allocation, random_payload(allocation, rng), rng)
+        grid = subframe.grid.copy()
+        victim.view(grid)[:, :7, :] = 2.0**20 * tx.grid[:, :7, :].sum(axis=0)
+        broken = dataclasses.replace(subframe, grid=grid)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            serial = process_subframe_serial(broken)
+            vectorized = process_subframe_vectorized(broken)
+        assert serial.equals(vectorized)
+        assert [r.crc_ok for r in vectorized.user_results] == [
+            True, True, False, True,
+        ]
+        for a, b in zip(serial.user_results, vectorized.user_results):
+            assert np.array_equal(a.llrs, b.llrs, equal_nan=True)
+        # The group neighbour is bit-identical to running alone.
+        alone = process_user_vectorized(
+            neighbour.user.allocation, neighbour.view(grid), user_id=1
+        )
+        assert np.array_equal(vectorized.user_results[1].llrs, alone.llrs)
+        assert np.all(np.isfinite(alone.llrs))
 
 
 class TestGrouping:
