@@ -37,12 +37,13 @@ chaos-smoke:
 	$(PYTHON) -m repro chaos --scale smoke --seeds 5 --timeout 480
 
 multiprocess-smoke:
-	$(PYTHON) -m pytest -x -q tests/sched/test_multiprocess.py tests/test_spawn_safety.py
+	$(PYTHON) -m pytest -x -q tests/sched/test_runtime_contract.py \
+		tests/sched/test_multiprocess.py tests/test_spawn_safety.py
 	$(PYTHON) -m pytest -m slow -q tests/differential/test_backends.py -k multiprocess
 	$(PYTHON) -m repro chaos --backend multiprocess --scale smoke --seeds 2 --timeout 600
 
 serve-smoke:
-	$(PYTHON) -m pytest -x -q tests/serve
+	$(PYTHON) -m pytest -x -q tests/sched/test_runtime_contract.py tests/serve
 	$(PYTHON) -m repro serve --cells 4 --subframes 40 --no-pace \
 		--arrival poisson --rate 2.0 --seed 0 --timeout 300 --json > SERVE_smoke.json
 	$(PYTHON) -c "import json; from repro.serve import validate_serve_report; \
@@ -88,7 +89,7 @@ ruff:
 
 mypy:
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; then \
-		$(PYTHON) -m mypy src/repro/analysis src/repro/obs src/repro/sched; \
+		$(PYTHON) -m mypy src/repro/analysis src/repro/obs src/repro/sched src/repro/serve; \
 	else \
 		echo "mypy not installed; skipping (pip install -e .[lint])"; \
 	fi

@@ -22,7 +22,7 @@ but any ordering violation on them is still real).
 
 Orderings are *declared* with a committed comment syntax::
 
-    # lock-order: SubframeLedger.lock -> ThreadedRuntime._pending_lock
+    # lock-order: SubframeLedger.lock -> SubframeTracker._lock
 
 meaning the left lock may be held while acquiring the right one (chains
 ``A -> B -> C`` declare each adjacent pair; the relation is transitive).

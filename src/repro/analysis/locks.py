@@ -11,9 +11,9 @@ Two equivalent declaration conventions (see ``docs/static_analysis.md``):
 The check is per-file and textual on the receiver: an access spelled
 ``<recv>.attr`` (any load, store, delete, or augmented assignment) where
 ``attr`` is declared guarded by ``lock`` must appear lexically inside a
-``with <recv>.lock:`` block — so ``self._completed`` needs
-``with self._completed_lock:`` and a cross-object ``pending.result``
-needs ``with pending.lock:``. Construction is exempt (``self.<attr>``
+``with <recv>.lock:`` block — so the tracker's ``self._completed`` needs
+``with self._lock:`` and a cross-object ``stats.retries`` needs
+``with stats.lock:``. Construction is exempt (``self.<attr>``
 inside the declaring scope's ``__init__`` happens before the object is
 shared). Lock context never propagates into nested ``def``/``lambda``
 bodies: a closure created under a lock typically *runs* after the lock

@@ -8,8 +8,10 @@ not know about is silently skipped — so this rule cross-checks the three
 parties statically over the whole linted tree:
 
 * ``REP301`` — every ``EventKind`` member must have at least one emit
-  site: an ``Event(EventKind.X, ...)`` construction outside the defining
-  module and the checker module. (Skipped when the linted file set
+  site: an ``Event(EventKind.X, ...)`` construction — or a call of an emit
+  helper, a function named ``*_event``, with ``EventKind.X`` among its
+  arguments — outside the defining module and the checker module.
+  (Skipped when the linted file set
   contains no emit sites at all — e.g. linting ``src/repro/obs`` alone.)
 * ``REP302`` — every ``EventKind`` member must be either *handled* by the
   invariant checker module (any ``EventKind.X`` reference in it) or
@@ -82,12 +84,12 @@ def _kind_refs(tree: ast.AST) -> Iterator[tuple[str, ast.Attribute]]:
 
 
 def _is_event_call(node: ast.Call) -> bool:
+    """``Event(...)`` itself, or an emit helper: by convention a function
+    whose name ends in ``_event`` builds the ``Event`` from its arguments
+    (``self._event(EventKind.X, ...)`` is as much an emit site)."""
     func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "Event"
-    if isinstance(func, ast.Attribute):
-        return func.attr == "Event"
-    return False
+    name = getattr(func, "id", None) or getattr(func, "attr", "")
+    return name == "Event" or name.endswith("_event")
 
 
 @register

@@ -476,7 +476,7 @@ def measure_fault_overhead_pct(
 
     Compares the default runtime against one carrying the full fault
     machinery — an (empty) armed fault plan, per-subframe wall-clock
-    deadlines (so the watchdog thread runs), retry budget, and ledger —
+    deadlines (so every poll checks them), retry budget, and ledger —
     with *no* fault firing. Interleaved best-of-``repeats``; the
     acceptance bound (<3%, ``benchmarks/test_fault_overhead.py``) keeps
     resilience always-on affordable.

@@ -649,18 +649,11 @@ def _run_impl(args) -> int:
     ]
     engine = SLOEngine() if args.json else None
     start = time.perf_counter()
-    if args.backend == "threaded":
-        from .sched import ThreadedRuntime
+    if args.backend in ("threaded", "multiprocess"):
+        from .sched import make_runtime
 
-        runtime = ThreadedRuntime(
-            num_workers=args.workers,
-            observers=[engine] if engine else None,
-        )
-        results = runtime.run(subframes)
-    elif args.backend == "multiprocess":
-        from .sched import MultiprocessRuntime
-
-        runtime = MultiprocessRuntime(
+        runtime = make_runtime(
+            args.backend,
             num_workers=args.workers,
             observers=[engine] if engine else None,
         )

@@ -4,12 +4,16 @@ report.
 ``run_full_reproduction`` executes the whole evaluation (workload traces,
 Fig. 12 estimation, the four-policy power study with gating) at a chosen
 scale and returns a JSON-serializable dict pairing each measured quantity
-with the paper's published value — the data behind EXPERIMENTS.md.
+with the paper's published value — the data behind EXPERIMENTS.md. It is
+``build_report(run_experiments(...))``: the first half is the expensive
+one and returns the experiment objects themselves, so a caller that wants
+both those and the report (the test suite) pays for one run.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +21,18 @@ import numpy as np
 from ..power.estimator import calibrate_from_cost_model
 from ..sim.cost import CostModel
 from ..uplink.parameter_model import RandomizedParameterModel
-from .estimation import run_estimation_experiment
-from .power_study import run_power_study
-from .workload import collect_workload_trace
+from .estimation import EstimationResult, run_estimation_experiment
+from .power_study import PowerStudyResult, run_power_study
+from .workload import WorkloadTrace, collect_workload_trace
 
-__all__ = ["PAPER_VALUES", "run_full_reproduction", "write_report"]
+__all__ = [
+    "PAPER_VALUES",
+    "Reproduction",
+    "build_report",
+    "run_experiments",
+    "run_full_reproduction",
+    "write_report",
+]
 
 #: The paper's published numbers, keyed like the report.
 PAPER_VALUES = {
@@ -46,21 +57,48 @@ PAPER_VALUES = {
 }
 
 
+@dataclass
+class Reproduction:
+    """Every experiment of one evaluation run, at one scale and seed."""
+
+    num_subframes: int
+    seed: int
+    workload: WorkloadTrace
+    estimation: EstimationResult
+    study: PowerStudyResult
+
+
+def run_experiments(num_subframes: int = 4_000, seed: int = 0) -> Reproduction:
+    """Run everything once; returns the experiment results themselves."""
+    cost = CostModel()
+    estimator = calibrate_from_cost_model(cost)
+    model = RandomizedParameterModel(total_subframes=num_subframes, seed=seed)
+    return Reproduction(
+        num_subframes=num_subframes,
+        seed=seed,
+        workload=collect_workload_trace(model),
+        estimation=run_estimation_experiment(
+            num_subframes=num_subframes, seed=seed, cost=cost, estimator=estimator
+        ),
+        study=run_power_study(
+            num_subframes=num_subframes, seed=seed, cost=cost, estimator=estimator
+        ),
+    )
+
+
 def run_full_reproduction(
     num_subframes: int = 4_000, seed: int = 0
 ) -> dict:
     """Run everything; returns the paper-vs-measured report dict."""
-    cost = CostModel()
-    estimator = calibrate_from_cost_model(cost)
-    model = RandomizedParameterModel(total_subframes=num_subframes, seed=seed)
+    return build_report(run_experiments(num_subframes=num_subframes, seed=seed))
 
-    workload = collect_workload_trace(model)
-    estimation = run_estimation_experiment(
-        num_subframes=num_subframes, seed=seed, cost=cost, estimator=estimator
-    )
-    study = run_power_study(
-        num_subframes=num_subframes, seed=seed, cost=cost, estimator=estimator
-    )
+
+def build_report(reproduction: Reproduction) -> dict:
+    """The paper-vs-measured report dict of one evaluation run."""
+    num_subframes, seed = reproduction.num_subframes, reproduction.seed
+    workload = reproduction.workload
+    estimation = reproduction.estimation
+    study = reproduction.study
 
     nonap = study.runs["NONAP"].power.total_w
     nap = study.runs["NAP"].power.total_w

@@ -66,14 +66,7 @@ THREADED_GROUPS: tuple[tuple[str, tuple[FaultKind, ...]], ...] = (
 #: of the default campaign (spawn cost); opt in with
 #: ``repro chaos --backend multiprocess`` (the CI multiprocess-smoke job
 #: does).
-MULTIPROCESS_GROUPS: tuple[tuple[str, tuple[FaultKind, ...]], ...] = (
-    ("death", (FaultKind.WORKER_DEATH,)),
-    ("hang", (FaultKind.WORKER_HANG,)),
-    ("task-exc", (FaultKind.TASK_EXCEPTION,)),
-    ("payload", (FaultKind.PAYLOAD_BITFLIP, FaultKind.PAYLOAD_NAN)),
-    ("mixed", (FaultKind.WORKER_DEATH, FaultKind.TASK_EXCEPTION,
-               FaultKind.PAYLOAD_BITFLIP)),
-)
+MULTIPROCESS_GROUPS = THREADED_GROUPS
 
 #: Supervised-respawn scenarios (``--backend multiprocess-respawn``): the
 #: pool runs with a :class:`~repro.serve.supervisor.WorkerSupervisor`
@@ -269,105 +262,54 @@ def build_matrix(
         raise ValueError(f"unknown scale {scale!r} (choose from {sorted(_SCALES)})")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    unknown = set(backends) - {
-        "sim", "threaded", "multiprocess", "multiprocess-respawn"
-    }
+    unknown = set(backends) - set(_RUNNERS)
     if unknown:
         raise ValueError(f"unknown chaos backend(s): {sorted(unknown)}")
     params = _SCALES[scale]
+    # Pools pinned small (spawn cost) but always one worker larger than
+    # the death budget: a survivor must exist, so the terminal-state
+    # outcome stays timing-independent and the replay fingerprint check is
+    # meaningful. Respawn scenarios get max_retries=3: the default crash
+    # loop kills one slot's task twice in a row, and both reclaims must
+    # stay inside the retry budget for the same reason.
+    mp_workers = max(2, params["faults_per_kind"] + 1)
+    # backend -> (fault groups, workers, retry budget)
+    table = {
+        "sim": (SIM_GROUPS, params["num_workers"], 1),
+        "threaded": (THREADED_GROUPS, params["num_workers"], 2),
+        "multiprocess": (MULTIPROCESS_GROUPS, mp_workers, 2),
+        "multiprocess-respawn": (RESPAWN_GROUPS, mp_workers, 3),
+    }
     scenarios: list[ChaosScenario] = []
     for seed in range(seeds):
-        if "sim" in backends:
-            for group, kinds in SIM_GROUPS:
-                resilience = ResilienceConfig(
-                    max_retries=1,
-                    deadline_subframes=3.0 if group == "deadline" else None,
-                )
+        for backend, (groups, workers, retries) in table.items():
+            if backend not in backends:
+                continue
+            for group, kinds in groups:
+                if backend == "sim":
+                    resilience = ResilienceConfig(
+                        max_retries=retries,
+                        deadline_subframes=3.0 if group == "deadline" else None,
+                    )
+                else:
+                    resilience = ResilienceConfig(
+                        max_retries=retries, drain_timeout_s=120.0
+                    )
                 scenarios.append(
                     ChaosScenario(
                         name=group,
-                        backend="sim",
+                        backend=backend,
                         seed=seed,
                         plan=_scenario_plan(
                             group, kinds, seed,
-                            params["num_subframes"], params["num_workers"],
+                            params["num_subframes"], workers,
                             params["faults_per_kind"],
                         ),
                         num_subframes=params["num_subframes"],
-                        num_workers=params["num_workers"],
+                        num_workers=workers,
                         max_users=params["max_users"],
                         resilience=resilience,
-                    )
-                )
-        if "threaded" in backends:
-            for group, kinds in THREADED_GROUPS:
-                scenarios.append(
-                    ChaosScenario(
-                        name=group,
-                        backend="threaded",
-                        seed=seed,
-                        plan=_scenario_plan(
-                            group, kinds, seed,
-                            params["num_subframes"], params["num_workers"],
-                            params["faults_per_kind"],
-                        ),
-                        num_subframes=params["num_subframes"],
-                        num_workers=params["num_workers"],
-                        max_users=params["max_users"],
-                        resilience=ResilienceConfig(
-                            max_retries=2, drain_timeout_s=120.0
-                        ),
-                    )
-                )
-        if "multiprocess" in backends:
-            # Pool pinned small (spawn cost) but always one worker larger
-            # than the death budget: a survivor must exist, so the
-            # terminal-state outcome stays timing-independent and the
-            # replay fingerprint check is meaningful.
-            mp_workers = max(2, params["faults_per_kind"] + 1)
-            for group, kinds in MULTIPROCESS_GROUPS:
-                scenarios.append(
-                    ChaosScenario(
-                        name=group,
-                        backend="multiprocess",
-                        seed=seed,
-                        plan=_scenario_plan(
-                            group, kinds, seed,
-                            params["num_subframes"], mp_workers,
-                            params["faults_per_kind"],
-                        ),
-                        num_subframes=params["num_subframes"],
-                        num_workers=mp_workers,
-                        max_users=params["max_users"],
-                        resilience=ResilienceConfig(
-                            max_retries=2, drain_timeout_s=120.0
-                        ),
-                    )
-                )
-        if "multiprocess-respawn" in backends:
-            # Same sizing logic as the fail-stop pool. max_retries=3:
-            # the default crash loop kills one slot's task twice in a
-            # row, and both reclaims must stay inside the retry budget
-            # so the subframe's terminal state is timing-independent.
-            mp_workers = max(2, params["faults_per_kind"] + 1)
-            for group, kinds in RESPAWN_GROUPS:
-                scenarios.append(
-                    ChaosScenario(
-                        name=group,
-                        backend="multiprocess-respawn",
-                        seed=seed,
-                        plan=_scenario_plan(
-                            group, kinds, seed,
-                            params["num_subframes"], mp_workers,
-                            params["faults_per_kind"],
-                        ),
-                        num_subframes=params["num_subframes"],
-                        num_workers=mp_workers,
-                        max_users=params["max_users"],
-                        resilience=ResilienceConfig(
-                            max_retries=3, drain_timeout_s=120.0
-                        ),
-                        respawn=True,
+                        respawn=backend == "multiprocess-respawn",
                     )
                 )
     return scenarios
@@ -440,69 +382,22 @@ def _run_sim(scenario: ChaosScenario) -> tuple:
     return fingerprint, ledger, checker, engine.slo_report()
 
 
-def _run_threaded(scenario: ChaosScenario) -> tuple:
-    """One threaded-runtime run; returns (fingerprint, ledger, checker, slo)."""
-    from ..obs.invariants import SchedulerInvariantChecker
-    from ..obs.slo import SLOEngine
-    from ..sched.threaded import ThreadedRuntime
-    from ..uplink.parameter_model import RandomizedParameterModel
-    from ..uplink.subframe import SubframeFactory
-    from .injector import corrupt_subframes
+def _run_runtime(scenario: ChaosScenario) -> tuple:
+    """One scheduler-runtime run; returns (fingerprint, ledger, checker, slo).
 
-    model = RandomizedParameterModel(
-        total_subframes=scenario.num_subframes,
-        seed=scenario.seed,
-        max_users=scenario.max_users,
-    )
-    factory = SubframeFactory(seed=scenario.seed)
-    subframes = [
-        factory.synthesize(model.uplink_parameters(i), i)
-        for i in range(scenario.num_subframes)
-    ]
-    subframes = corrupt_subframes(subframes, scenario.plan)
-    checker = SchedulerInvariantChecker(strict=False)
-    engine = SLOEngine()
-    runtime = ThreadedRuntime(
-        num_workers=scenario.num_workers,
-        observers=[checker, engine],
-        faults=scenario.plan,
-        resilience=scenario.resilience,
-    )
-    results = runtime.run(subframes)
-    fingerprint = {
-        "counts": runtime.ledger.counts(),
-        "ledger": ledger_fingerprint(runtime.ledger),
-        "per_subframe": {
-            r.subframe_index: sorted(
-                (u.user_id, bool(u.crc_ok)) for u in r.user_results
-            )
-            for r in results
-        },
-        "aborted": {
-            r.subframe_index: sorted(r.aborted_user_ids)
-            for r in results
-            if r.aborted_user_ids
-        },
-    }
-    return fingerprint, runtime.ledger, checker, engine.slo_report()
-
-
-def _run_multiprocess(scenario: ChaosScenario) -> tuple:
-    """One multiprocess-runtime run; returns (fingerprint, ledger, checker, slo).
-
-    Same scenario shape as the threaded runner, but WORKER_DEATH faults
-    SIGKILL real pool processes: the runner proves the orphan-subframe
-    reclamation and bounded-retry path against genuine process loss.
-    The attached SLO engine also opts the workers into local telemetry
-    sketching; the report carries an ``mp_merge_check`` comparing the
-    parent-merged payload-bits sketch against a serial reference built
-    from the delivered results (they must agree exactly — bucket-level
-    merge, retries counted once, killed workers never reply).
+    One runner for every :func:`~repro.sched.make_runtime` backend.
+    On ``multiprocess`` the WORKER_DEATH faults SIGKILL real pool
+    processes, so the run proves orphan reclamation and bounded retry
+    against genuine process loss; its attached SLO engine also opts the
+    workers into local telemetry sketching, and the report then carries an
+    ``mp_merge_check`` comparing the parent-merged payload-bits sketch
+    against a serial reference built from the delivered results (they must
+    agree exactly — bucket-level merge, retries counted once, killed
+    workers never reply).
     """
     from ..obs.invariants import SchedulerInvariantChecker
     from ..obs.slo import SLOEngine
-    from ..obs.telemetry import QuantileSketch
-    from ..sched.multiprocess import MultiprocessRuntime
+    from ..sched import make_runtime
     from ..uplink.parameter_model import RandomizedParameterModel
     from ..uplink.subframe import SubframeFactory
     from .injector import corrupt_subframes
@@ -534,12 +429,13 @@ def _run_multiprocess(scenario: ChaosScenario) -> tuple:
             backoff_initial_s=0.02,
             backoff_max_s=0.25,
         )
-    runtime = MultiprocessRuntime(
+    runtime = make_runtime(
+        scenario.backend.removesuffix("-respawn"),
         num_workers=scenario.num_workers,
+        respawn=respawn,
         observers=[checker, engine],
         faults=scenario.plan,
         resilience=scenario.resilience,
-        respawn=respawn,
     )
     if scenario.respawn:
         # Explicit lifecycle so pending respawns can be awaited before
@@ -582,42 +478,43 @@ def _run_multiprocess(scenario: ChaosScenario) -> tuple:
         # states are not.
         fingerprint["supervisor"] = runtime.supervisor.summary()
     slo = engine.slo_report()
-    reference = QuantileSketch(
-        relative_accuracy=engine.relative_accuracy
-    )
+    merged = engine.telemetry.sketches.get("mp_user_payload_bits")
+    if merged is not None:
+        slo["mp_merge_check"] = _merge_check(engine, merged, results)
+    return fingerprint, runtime.ledger, checker, slo
+
+
+def _merge_check(engine, merged, results) -> dict:
+    """Worker-merged payload-bits sketch vs. one built from ``results``."""
+    from ..obs.telemetry import QuantileSketch
+
+    reference = QuantileSketch(relative_accuracy=engine.relative_accuracy)
     for result in results:
         for user in result.user_results:
             reference.observe(float(user.payload.size))
-    merged = engine.telemetry.sketches.get("mp_user_payload_bits")
     quantiles = (0.0, 0.5, 0.9, 0.99, 1.0)
-    slo["mp_merge_check"] = {
-        "merged_count": merged.count if merged else 0,
+    return {
+        "merged_count": merged.count,
         "reference_count": reference.count,
-        "merged_quantiles": (
-            {str(q): merged.quantile(q) for q in quantiles}
-            if merged
-            else {}
-        ),
+        "merged_quantiles": {str(q): merged.quantile(q) for q in quantiles},
         "reference_quantiles": {
             str(q): reference.quantile(q) for q in quantiles
         },
         "exact": bool(
-            merged is not None
-            and merged.count == reference.count
+            merged.count == reference.count
             and all(
                 merged.quantile(q) == reference.quantile(q)
                 for q in quantiles
             )
         ),
     }
-    return fingerprint, runtime.ledger, checker, slo
 
 
 _RUNNERS = {
     "sim": _run_sim,
-    "threaded": _run_threaded,
-    "multiprocess": _run_multiprocess,
-    "multiprocess-respawn": _run_multiprocess,
+    "threaded": _run_runtime,
+    "multiprocess": _run_runtime,
+    "multiprocess-respawn": _run_runtime,
 }
 
 
@@ -638,7 +535,7 @@ def run_scenario(scenario: ChaosScenario) -> ScenarioOutcome:
     outcome.slo_report = slo_report
     outcome.counts = ledger.counts()
     outcome.dispatched = ledger.dispatched
-    # Supervisor counters are timing-shaped (see _run_multiprocess), so
+    # Supervisor counters are timing-shaped (see _run_runtime), so
     # they ride outside the replay fingerprint.
     supervisor = fingerprint.pop("supervisor", None)
     replay_supervisor = replay_fp.pop("supervisor", None)

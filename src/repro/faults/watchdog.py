@@ -3,10 +3,11 @@
 Home of the pieces both backends (and the CLI) share:
 
 * :class:`ResilienceConfig` — retry budgets, per-subframe deadlines, and
-  join/drain timeouts consumed by
-  :class:`~repro.sched.threaded.ThreadedRuntime` (wall-clock deadlines,
-  watchdog thread) and :class:`~repro.sim.machine.MachineSimulator`
-  (cycle deadlines, deterministic aborts);
+  join/drain timeouts consumed by every :mod:`repro.sched` runtime through
+  its :class:`~repro.sched.core.SubframeTracker` (wall-clock deadlines,
+  checked on each ``poll``) and by
+  :class:`~repro.sim.machine.MachineSimulator` (cycle deadlines,
+  deterministic aborts);
 * the monotonic clock helpers (:func:`monotonic_ns`, :func:`ns_from_s`,
   :func:`s_from_ns`) — the *single* clock the runtimes' deadline and
   drain paths use, so a deadline computed in nanoseconds is never
@@ -101,11 +102,6 @@ class ResilienceConfig:
             raise ValueError("join_timeout_s must be positive")
         if self.drain_timeout_s is not None and self.drain_timeout_s <= 0:
             raise ValueError("drain_timeout_s must be positive or None")
-
-    @property
-    def wants_watchdog(self) -> bool:
-        """True when the threaded runtime needs its monitor thread."""
-        return self.deadline_s is not None
 
 
 class RuntimeHung(RuntimeError):

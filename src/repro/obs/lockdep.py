@@ -12,7 +12,7 @@ run itself got lucky and never deadlocked.
 
 Naming convention: a tracked lock's name is the static analyzer's
 canonical node name, ``ClassName.attr`` (e.g.
-``ThreadedRuntime._pending_lock``), so the runtime graph and the static
+``SubframeTracker._lock``), so the runtime graph and the static
 graph speak the same language and
 :func:`LockOrderWitness.assert_subset_of` can cross-check one against
 the other. Locks of the same class share a name deliberately — like the

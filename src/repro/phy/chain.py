@@ -248,7 +248,10 @@ def finalize_user(
     decoded = codec.decode(useful, num_info + CRC24A.width)
     if trace is not None:
         trace.record("crc_check", bits=decoded.size)
-    ok = crc_check(decoded, CRC24A)
+    # A NaN LLR hard-decides to bit 0 and the all-zero block passes CRC24A,
+    # so a non-finite soft bit fails the user outright (one reduction: the
+    # sum is non-finite exactly when some LLR is).
+    ok = crc_check(decoded, CRC24A) and bool(np.isfinite(llrs.sum()))
     return UserResult(
         user_id=user_id,
         payload=decoded[: -CRC24A.width],

@@ -33,12 +33,16 @@ share, and ``Connection.send`` has no feeder thread to die mid-write.
 One task is outstanding per worker at a time, which also serializes
 reuse of that worker's output slab.
 
-Fault semantics mirror the threaded runtime, but worker death is *real*:
-a planned ``WORKER_DEATH`` fault makes the worker ``SIGKILL`` itself,
-the parent detects the corpse via its sentinel, reclaims the orphaned
-shape group (bounded by the retry budget), and keeps the
-:class:`~repro.faults.accounting.SubframeLedger` balanced — every
-dispatched subframe still reaches exactly one terminal state. By default
+This module is *transport* only — shared segments, pipes, sentinels and the
+supervisor. What it means to run a subframe to its terminal state (ledger,
+retry budget, deadlines, events, ``run``/``drain``/``collect_results``/
+``abort``) is :mod:`repro.sched.core`'s, shared with every other backend;
+the work unit here is one *shape group*, charged per user. Worker death is
+*real*: a planned ``WORKER_DEATH`` fault makes the worker ``SIGKILL``
+itself, the parent detects the corpse via its sentinel and hands the
+orphaned shape group back to the tracker (requeued within the retry
+budget), so every dispatched subframe still reaches exactly one terminal
+state. By default
 dead workers are not respawned (matching the threaded runtime); when the
 last one dies, outstanding subframes are aborted loudly. The opt-in
 ``respawn=`` knob attaches a
@@ -64,7 +68,8 @@ import os
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context, resource_tracker
 from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.shared_memory import SharedMemory
@@ -72,10 +77,9 @@ from typing import Any
 
 import numpy as np
 
-from ..faults.accounting import SubframeLedger, TerminalState
+from ..faults.accounting import SubframeLedger
 from ..faults.watchdog import (
     ResilienceConfig,
-    RuntimeHung,
     WorkerFailure,
     monotonic_ns,
     ns_from_s,
@@ -85,10 +89,10 @@ from ..phy.batched import dmrs_bank, seed_dmrs_bank
 from ..phy.chain import UserResult
 from ..phy.chest import ChestConfig
 from ..phy.dtypes import COMPLEX_DTYPE
-from ..uplink.serial import SubframeResult
-from ..uplink.subframe import SubframeInput, UserSlice
+from ..uplink.subframe import UserSlice
 from ..uplink.vectorized import group_slices_by_shape, process_group
-from .threaded import WorkerFailuresError
+from .core import Pending, Runtime
+from .threaded import RuntimeStats
 
 __all__ = [
     "DEFAULT_SLAB_BYTES",
@@ -241,11 +245,6 @@ def _execute_task(
         # Real worker death, not an exception: the parent must detect the
         # corpse via the process sentinel and reclaim the orphaned group.
         os.kill(os.getpid(), signal.SIGKILL)
-    hang_s = task.get("hang_s")
-    if hang_s:
-        time.sleep(hang_s)
-    if task.get("raise_exc"):
-        return ("err", task_id, "InjectedTaskError: planned task failure", True)
     try:
         name, shape = task["grid"]
         entry = grids.get(name)
@@ -255,6 +254,14 @@ def _execute_task(
             view.setflags(write=False)
             entry = grids[name] = (shm, view)
         grid = entry[1]
+        # Wedge while *holding* the task (grid mapped), like a hung thread:
+        # if the deadline resolves the subframe meanwhile, the straggler
+        # still reads valid memory and reports a late completion.
+        hang_s = task.get("hang_s")
+        if hang_s:
+            time.sleep(hang_s)
+        if task.get("raise_exc"):
+            return ("err", task_id, "InjectedTaskError: planned task failure", True)
         slices = [
             UserSlice(user=user, subcarrier_offset=offset)
             for user, offset in task["users"]
@@ -324,27 +331,19 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
 
 # --------------------------------------------------------------- parent side
 @dataclass
-class MultiprocessStats:
+class MultiprocessStats(RuntimeStats):
     """Counters for one multiprocess run.
 
-    Unlike :class:`~repro.sched.threaded.RuntimeStats` these carry no
-    lock: only the single-threaded parent event loop mutates them.
-    ``retries``/``aborted_users`` count *users* (a reclaimed shape group
-    charges each of its users once), keeping the units comparable with
-    the threaded runtime's per-user accounting.
+    :class:`~repro.sched.threaded.RuntimeStats` plus the pool's own
+    counters. Only the single-threaded parent event loop mutates them, so
+    beyond the inherited ``retries``/``aborted_users`` (the tracker's, per
+    *user*: a reclaimed shape group charges each of its users once) nothing
+    here takes the lock; ``steals`` stays zero.
     """
 
-    tasks_executed: list[int] = field(default_factory=list)
-    users_processed: list[int] = field(default_factory=list)
-    retries: int = 0
-    aborted_users: int = 0
     worker_deaths: int = 0
     slab_overflows: int = 0
     respawns: int = 0
-
-    @property
-    def total_tasks(self) -> int:
-        return sum(self.tasks_executed)
 
 
 @dataclass
@@ -354,20 +353,6 @@ class _GridShare:
     shm: SharedMemory
     key: int  # id() of the source ndarray while any referencing run lives
     refs: int = 0
-
-
-@dataclass
-class _PendingSubframe:
-    """Parent-side completion state for one dispatched subframe."""
-
-    subframe: SubframeInput
-    remaining_users: int
-    ordered: list  # position -> UserResult | None
-    grid_share: _GridShare | None = None
-    deadline_ns: int | None = None
-    resolved: bool = False
-    aborted_ids: list[int] = field(default_factory=list)
-    task_retries: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -386,16 +371,14 @@ class _WorkerHandle:
     heartbeat_killed: bool = False  # supervisor killed it as wedged
 
 
-class MultiprocessRuntime:
+class MultiprocessRuntime(Runtime):
     """Spawn-pool execution of the benchmark on real processes.
 
-    API mirrors :class:`~repro.sched.threaded.ThreadedRuntime`
-    (``start``/``submit``/``drain``/``stop``/``run``/``collect_results``
-    plus context-manager use), so the CLI, bench harness, and chaos
-    campaigns drive both through the same surface. The pool persists
-    across ``run()`` calls between :meth:`start` and :meth:`close`, which
-    amortizes spawn cost (each worker re-imports NumPy) across the
-    differential matrix.
+    The API is :class:`~repro.sched.core.Runtime`'s (``start``/``submit``/
+    ``poll``/``drain``/``close``/``run``/``collect_results``), the same
+    surface as every other backend. The pool persists across ``run()``
+    calls between :meth:`start` and :meth:`close`, which amortizes spawn
+    cost (each worker re-imports NumPy) across the differential matrix.
 
     Parameters
     ----------
@@ -452,20 +435,19 @@ class MultiprocessRuntime:
             raise ValueError("num_workers must be >= 1")
         if slab_bytes < 4096:
             raise ValueError("slab_bytes must be >= 4096")
+        stats = MultiprocessStats(
+            tasks_executed=[0] * num_workers,
+            steals=[0] * num_workers,
+            users_processed=[0] * num_workers,
+        )
+        super().__init__(
+            stats, observers, emit_spans, faults, resilience, ledger,
+            tags={"process_id": os.getpid()},
+        )
         self.num_workers = num_workers
         self.config = config
         self.codec = codec
         self.slab_bytes = slab_bytes
-        if faults is not None and not hasattr(faults, "check_worker_death"):
-            from ..faults.injector import ThreadFaultInjector
-
-            faults = ThreadFaultInjector(faults)
-        self._faults = faults
-        self._resilience = resilience or ResilienceConfig()
-        self._external_ledger = ledger
-        self.ledger: SubframeLedger = ledger or SubframeLedger()
-        self.emit_spans = emit_spans
-        self.observers = list(observers) if observers is not None else []
         # Observers exposing merge_shard (TelemetryCollector, SLOEngine)
         # opt the workers into local sketching; shards ride the existing
         # reply pipe and are exact-merged here in the parent.
@@ -474,40 +456,26 @@ class MultiprocessRuntime:
             for observer in self.observers
             if hasattr(observer, "merge_shard")
         ]
-        if not self.observers:
-            self._emit = None
-        elif len(self.observers) == 1:
-            self._emit = self.observers[0]
-        else:
-            fanout = tuple(self.observers)
-
-            def emit(event, _observers=fanout):
-                for observer in _observers:
-                    observer(event)
-
-            self._emit = emit
         self._ctx = get_context("spawn")
         self._workers: list[_WorkerHandle] = []
         self._spawned_pids: list[int] = []
-        self._started = False
         self._queue: deque[dict] = deque()
-        self._pending: dict[int, _PendingSubframe] = {}
-        self._completed: list[SubframeResult] = []
-        self._outstanding = 0
-        self._failures: list[WorkerFailure] = []
-        self._late_completions = 0
         self._next_task_id = 0
         self._grid_shares: dict[int, _GridShare] = {}
+        #: The shared grid each unresolved subframe holds a reference on.
+        self._grid_of: dict[int, _GridShare] = {}
+        self._tracker.listeners.append(self._release_grid)
         self._bank_shms: list[SharedMemory] = []
         self._shipped_banks: set[tuple[int, int]] = set()
         # Every ("banks", name, index) broadcast ever made, retained so a
         # respawned worker — which missed them all — can be re-seeded.
         self._bank_shipments: list[tuple[str, dict]] = []
         self._worker_init: dict = {}
-        self._supervisor = None
+        #: The attached :class:`WorkerSupervisor`, or ``None``.
+        self.supervisor = None
         if respawn:
             if hasattr(respawn, "record_death"):
-                self._supervisor = respawn
+                self.supervisor = respawn
             else:
                 # Deferred import: sched must not depend on serve at
                 # module level (serve already imports sched).
@@ -518,20 +486,11 @@ class MultiprocessRuntime:
                     if isinstance(respawn, RespawnPolicy)
                     else RespawnPolicy()
                 )
-                self._supervisor = WorkerSupervisor(policy, num_workers)
-        self._stats = MultiprocessStats(
-            tasks_executed=[0] * num_workers,
-            users_processed=[0] * num_workers,
-        )
+                self.supervisor = WorkerSupervisor(policy, num_workers)
 
-    # ------------------------------------------------------------------ API
-    def start(self) -> None:
+    # ------------------------------------------------------------ transport
+    def _start(self) -> None:
         """Spawn the worker pool (expensive: each child re-imports NumPy)."""
-        if self._started:
-            raise RuntimeError("runtime already started")
-        if self._external_ledger is None:
-            self.ledger = SubframeLedger()
-        self._failures.clear()
         init = {"config": self.config, "codec": self.codec}
         if self._merge_observers:
             accuracy = min(
@@ -544,14 +503,11 @@ class MultiprocessRuntime:
             for worker_id in range(self.num_workers):
                 self._workers.append(self._spawn_worker(worker_id))
         except BaseException:
-            # A later spawn failed: without this, the slabs of the workers
-            # that *did* start would leak (close() is a no-op before
-            # _started is set). Found by dogfooding REP511.
-            self._started = True
-            self.close()
+            # A later spawn failed: release the slabs of the workers that
+            # *did* start, or they would leak. Found by dogfooding REP511.
+            self._close()
             raise
         self._spawned_pids = [worker.pid for worker in self._workers]
-        self._started = True
 
     def _spawn_worker(self, worker_id: int) -> _WorkerHandle:
         """Spawn one worker process into the given slot id."""
@@ -584,10 +540,8 @@ class MultiprocessRuntime:
             slab=slab,
         )
 
-    def close(self) -> None:
+    def _close(self) -> None:
         """Shut the pool down and release every shared segment."""
-        if not self._started:
-            return
         for worker in self._workers:
             if not worker.dead:
                 self._send(worker, None)
@@ -610,83 +564,17 @@ class MultiprocessRuntime:
             share.shm.close()
             share.shm.unlink()
         self._grid_shares.clear()
+        self._grid_of.clear()
         self._workers.clear()
         self._queue.clear()
-        self._started = False
 
-    # ThreadedRuntime API parity.
-    stop = close
-
-    def abort(self) -> None:
-        """Emergency shutdown: account outstanding subframes, kill the pool."""
-        for pending in list(self._pending.values()):
-            self._finish_subframe(
-                pending,
-                forced_state=TerminalState.ABORTED,
-                reason="runtime aborted",
-            )
-        self._queue.clear()
-        self.close()
-
-    def __enter__(self) -> "MultiprocessRuntime":
-        if not self._started:
-            self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def submit(self, subframe: SubframeInput) -> None:
-        """Dispatch one subframe: share its grid, enqueue its shape groups."""
-        if not self._started:
-            raise RuntimeError("runtime not started")
+    def _enqueue(self, pending: Pending) -> None:
+        """Share the subframe's grid, enqueue its shape groups."""
+        subframe = pending.subframe
         index = subframe.subframe_index
-        pending = _PendingSubframe(
-            subframe=subframe,
-            remaining_users=len(subframe.slices),
-            ordered=[None] * len(subframe.slices),
-        )
-        if self._resilience.deadline_s is not None:
-            pending.deadline_ns = monotonic_ns() + ns_from_s(
-                self._resilience.deadline_s
-            )
-        self.ledger.dispatch(index, len(subframe.slices))
-        self._pending[index] = pending
-        self._outstanding += 1
-        if self._emit is not None:
-            now = monotonic_ns()
-            self._emit(
-                Event(
-                    EventKind.DISPATCH,
-                    now,
-                    -1,
-                    {
-                        "subframe": index,
-                        "users": len(subframe.slices),
-                        "process_id": os.getpid(),
-                    },
-                )
-            )
-            if self.emit_spans:
-                self._emit(
-                    Event(
-                        EventKind.SPAN_BEGIN,
-                        now,
-                        -1,
-                        {
-                            "name": f"subframe {index}",
-                            "cat": "subframe",
-                            "subframe": index,
-                            "process_id": os.getpid(),
-                        },
-                    )
-                )
-        if not subframe.slices:
-            self._finish_subframe(pending)
-            return
         share = self._share_grid(subframe.grid)
         share.refs += 1
-        pending.grid_share = share
+        self._grid_of[index] = share
         self._ship_banks(subframe.slices)
         for group in group_slices_by_shape(subframe.slices):
             positions = [position for position, _ in group]
@@ -709,108 +597,22 @@ class MultiprocessRuntime:
                     },
                 }
             )
-        self._pump(0.0)
-
-    def drain(self, timeout: float | None = None) -> None:
-        """Pump the event loop until every submitted subframe resolved.
-
-        Raises :class:`~repro.sched.threaded.WorkerFailuresError` on
-        unexpected (non-injected) worker deaths and
-        :class:`~repro.faults.watchdog.RuntimeHung` when ``timeout`` (or
-        the configured ``drain_timeout_s``) expires first.
-        """
-        if timeout is None:
-            timeout = self._resilience.drain_timeout_s
-        deadline = (
-            monotonic_ns() + ns_from_s(timeout) if timeout is not None else None
-        )
-        poll = self._resilience.watchdog_poll_s
-        while self._outstanding > 0:
-            if all(worker.dead for worker in self._workers) and not (
-                self._supervisor is not None and self._supervisor.pending
-            ):
-                # Nobody left to do the work and no respawn scheduled:
-                # account it as aborted instead of spinning until the
-                # drain timeout.
-                for pending in list(self._pending.values()):
-                    self._finish_subframe(
-                        pending,
-                        forced_state=TerminalState.ABORTED,
-                        reason="all workers dead",
-                    )
-                break
-            self._pump(poll)
-            if deadline is not None and monotonic_ns() >= deadline:
-                self._raise_on_fatal()
-                raise RuntimeHung(
-                    f"drain timed out after {timeout}s with "
-                    f"{self._outstanding} subframe(s) outstanding"
-                )
-        self._raise_on_fatal()
-
-    def run(self, subframes: list[SubframeInput]) -> list[SubframeResult]:
-        """Convenience: start (if needed), submit all, drain, collect.
-
-        When this call started the pool it also closes it; an externally
-        ``start()``-ed pool stays up so callers can amortize spawn cost
-        over several runs.
-        """
-        owns_pool = not self._started
-        if owns_pool:
-            self.start()
-        try:
-            for subframe in subframes:
-                self.submit(subframe)
-            self.drain()
-        except BaseException:
-            if owns_pool:
-                self.abort()
-            raise
-        if owns_pool:
-            self.close()
-        return self.collect_results()
+        self.poll(0.0)
 
     def await_respawns(self, timeout_s: float = 5.0) -> bool:
-        """Pump until no respawn is pending (or ``timeout_s`` expires).
+        """Poll until no respawn is pending (or ``timeout_s`` expires).
 
         Lets callers that will :meth:`close` right after :meth:`drain`
         observe a deterministic respawn count: a death near the end of a
         run schedules a respawn whose backoff may outlive the last
         subframe. Returns ``True`` when nothing is left pending.
         """
-        if self._supervisor is None:
+        if self.supervisor is None:
             return True
         deadline = monotonic_ns() + ns_from_s(timeout_s)
-        while self._supervisor.pending and monotonic_ns() < deadline:
-            self._pump(self._resilience.watchdog_poll_s)
-        return not self._supervisor.pending
-
-    def collect_results(self) -> list[SubframeResult]:
-        """Return and clear completed results, ordered by subframe index."""
-        if self._started:
-            self.drain()
-        results = sorted(self._completed, key=lambda r: r.subframe_index)
-        self._completed.clear()
-        return results
-
-    @property
-    def stats(self) -> MultiprocessStats:
-        return self._stats
-
-    @property
-    def supervisor(self):
-        """The attached :class:`WorkerSupervisor`, or ``None``."""
-        return self._supervisor
-
-    @property
-    def failures(self) -> list[WorkerFailure]:
-        """Worker failures recorded so far (injected and unexpected)."""
-        return list(self._failures)
-
-    @property
-    def late_completions(self) -> int:
-        """Results that arrived after their subframe was already resolved."""
-        return self._late_completions
+        while self.supervisor.pending and monotonic_ns() < deadline:
+            self.poll(self._resilience.watchdog_poll_s)
+        return not self.supervisor.pending
 
     @property
     def process_ids(self) -> list[int]:
@@ -823,24 +625,35 @@ class MultiprocessRuntime:
         return list(self._spawned_pids)
 
     # ------------------------------------------------------------ event loop
-    def _pump(self, timeout_s: float) -> None:
-        """One event-loop step: dispatch, then collect results and deaths."""
-        self._check_deadlines()
+    def poll(self, timeout: float = 0.0) -> None:
+        """One event-loop step: dispatch, then collect results and deaths.
+
+        Single-threaded by design: ``submit``, ``poll`` and ``drain`` must
+        all come from one thread (the serve loop's, or the batch caller's).
+        """
+        # Deadlines first, so an expired subframe's queued groups are
+        # skipped instead of dispatched.
+        self._tracker.expire_deadlines()
         self._service_supervisor()
         self._dispatch_ready()
         live = [worker for worker in self._workers if not worker.dead]
         if not live:
-            if self._supervisor is not None and self._supervisor.pending:
+            if self.supervisor is not None and self.supervisor.pending:
                 # Every slot is dead but a respawn is scheduled: wait out
                 # (part of) the backoff instead of busy-spinning callers.
-                if timeout_s > 0:
-                    time.sleep(min(timeout_s, 0.005))
+                if timeout > 0:
+                    time.sleep(min(timeout, 0.005))
+            else:
+                # Nobody left to do the work and no respawn scheduled:
+                # account it as aborted instead of spinning until the
+                # drain timeout.
+                self._tracker.abort_all("all workers dead")
             return
         waitables: dict[object, _WorkerHandle] = {}
         for worker in live:
             waitables[worker.conn] = worker
             waitables[worker.process.sentinel] = worker
-        for obj in _connection_wait(list(waitables), timeout=timeout_s):
+        for obj in _connection_wait(list(waitables), timeout=timeout):
             worker = waitables[obj]
             if worker.dead:
                 continue
@@ -849,7 +662,7 @@ class MultiprocessRuntime:
             self._drain_conn(worker)
             if obj is not worker.conn and not worker.process.is_alive():
                 self._handle_worker_death(worker)
-        self._check_deadlines()
+        self._tracker.expire_deadlines()
         self._dispatch_ready()
 
     def _dispatch_ready(self) -> None:
@@ -871,34 +684,32 @@ class MultiprocessRuntime:
     def _dispatch(self, worker: _WorkerHandle, task: dict) -> None:
         wire = dict(task["wire"])  # fault flags are per-dispatch
         index = wire["subframe"]
-        faults = self._faults
+        faults = self.faults
         if faults is not None:
+            fault = partial(
+                self._tracker.fault,
+                worker=worker.worker_id,
+                subframe=index,
+                process_id=worker.pid,
+            )
             if faults.check_worker_death(worker.worker_id, index):
-                self._emit_fault("worker-death", worker, index)
+                fault("worker-death")
                 wire["die"] = True
                 worker.expect_death = True
             else:
                 hang_s = faults.check_worker_hang(worker.worker_id, index)
                 if hang_s is not None:
-                    self._emit_fault("worker-hang", worker, index)
+                    fault("worker-hang")
                     wire["hang_s"] = hang_s
                 if faults.check_task_exception(worker.worker_id, index):
-                    self._emit_fault("task-exception", worker, index)
+                    fault("task-exception")
                     wire["raise_exc"] = True
-        if self._emit is not None:
+        if self.emit is not None:
             now = monotonic_ns()
             for user_slice in task["slices"]:
-                self._emit(
-                    Event(
-                        EventKind.USER_START,
-                        now,
-                        worker.worker_id,
-                        {
-                            "subframe": index,
-                            "user": user_slice.user.user_id,
-                            "process_id": worker.pid,
-                        },
-                    )
+                self._worker_event(
+                    EventKind.USER_START, now, worker,
+                    subframe=index, user=user_slice.user.user_id,
                 )
         worker.busy = task
         worker.busy_since_ns = monotonic_ns()
@@ -924,18 +735,18 @@ class MultiprocessRuntime:
             )
         if message[0] == "ok":
             _, _, packed, overflowed, stage_ns, shard = message
-            if self._supervisor is not None:
+            if self.supervisor is not None:
                 # Completed real work: reset this slot's consecutive-death
                 # backoff so a much-later crash starts from the initial one.
-                self._supervisor.note_progress(worker.worker_id)
-            self._stats.slab_overflows += overflowed
-            self._stats.tasks_executed[worker.worker_id] += len(stage_ns)
-            self._stats.users_processed[worker.worker_id] += len(
+                self.supervisor.note_progress(worker.worker_id)
+            self.stats.slab_overflows += overflowed
+            self.stats.tasks_executed[worker.worker_id] += len(stage_ns)
+            self.stats.users_processed[worker.worker_id] += len(
                 task["positions"]
             )
             self._complete_task(worker, task, packed, stage_ns, shard)
         else:  # ("err", task_id, error, injected)
-            self._requeue_or_abort_task(worker, task, message[2])
+            self._reclaim(worker, task, message[2])
 
     def _complete_task(
         self,
@@ -946,11 +757,11 @@ class MultiprocessRuntime:
         shard: dict | None = None,
     ) -> None:
         pending = task["pending"]
-        index = pending.subframe.subframe_index
+        index = pending.index
         self._emit_stage_events(worker, index, len(task["positions"]), stage_ns)
         results = self._unpack_results(worker, packed)
-        if pending.resolved:
-            self._late_completions += len(results)
+        if pending.resolved:  # late: the tracker only counts it
+            self._tracker.complete(pending, task["positions"], results)
             return
         # Merge after the late-completion gate: a task whose subframe was
         # already resolved (deadline abort) must not contribute, so every
@@ -959,76 +770,38 @@ class MultiprocessRuntime:
         if shard is not None:
             for observer in self._merge_observers:
                 observer.merge_shard(shard)
-        if self._emit is not None:
+        if self.emit is not None:
             now = monotonic_ns()
             for result in results:
-                self._emit(
-                    Event(
-                        EventKind.USER_FINISH,
-                        now,
-                        worker.worker_id,
-                        {
-                            "subframe": index,
-                            "user": result.user_id,
-                            "process_id": worker.pid,
-                        },
-                    )
+                self._worker_event(
+                    EventKind.USER_FINISH, now, worker,
+                    subframe=index, user=result.user_id,
                 )
-        for position, result in zip(task["positions"], results):
-            pending.ordered[position] = result
-        pending.remaining_users -= len(results)
-        if pending.remaining_users == 0:
-            self._finish_subframe(pending)
+        self._tracker.complete(pending, task["positions"], results)
+
+    def _worker_event(
+        self, kind: EventKind, t: int, worker: _WorkerHandle, **data
+    ) -> None:
+        """One event on ``worker``'s lane, tagged with its pid."""
+        if self.emit is not None:
+            data["process_id"] = worker.pid
+            self.emit(Event(kind, t, worker.worker_id, data))
 
     def _emit_stage_events(
         self, worker: _WorkerHandle, index: int, users: int, stage_ns: list
     ) -> None:
-        if self._emit is None:
+        """Replay a reply's worker-side stage windows as task/span events."""
+        if self.emit is None:
             return
         for kernel, begin, end, batch in stage_ns:
-            data = {
-                "kernel": kernel,
-                "stolen": False,
-                "subframe": index,
-                "batch": batch,
-                "process_id": worker.pid,
-            }
+            span = dict(name=kernel, cat="kernel", subframe=index, users=users)
+            task = dict(kernel=kernel, stolen=False, subframe=index, batch=batch)
             if self.emit_spans:
-                self._emit(
-                    Event(
-                        EventKind.SPAN_BEGIN,
-                        begin,
-                        worker.worker_id,
-                        {
-                            "name": kernel,
-                            "cat": "kernel",
-                            "subframe": index,
-                            "users": users,
-                            "process_id": worker.pid,
-                        },
-                    )
-                )
-            self._emit(
-                Event(EventKind.TASK_START, begin, worker.worker_id, data)
-            )
-            self._emit(
-                Event(EventKind.TASK_FINISH, end, worker.worker_id, data)
-            )
+                self._worker_event(EventKind.SPAN_BEGIN, begin, worker, **span)
+            self._worker_event(EventKind.TASK_START, begin, worker, **task)
+            self._worker_event(EventKind.TASK_FINISH, end, worker, **task)
             if self.emit_spans:
-                self._emit(
-                    Event(
-                        EventKind.SPAN_END,
-                        end,
-                        worker.worker_id,
-                        {
-                            "name": kernel,
-                            "cat": "kernel",
-                            "subframe": index,
-                            "users": users,
-                            "process_id": worker.pid,
-                        },
-                    )
-                )
+                self._worker_event(EventKind.SPAN_END, end, worker, **span)
 
     def _unpack_results(
         self, worker: _WorkerHandle, packed: list[dict]
@@ -1071,13 +844,13 @@ class MultiprocessRuntime:
         injected = worker.expect_death
         if injected:
             error = "killed by injected fault (SIGKILL)"
-            self._stats.worker_deaths += 1
+            self.stats.worker_deaths += 1
         elif worker.heartbeat_killed:
             error = "killed by supervisor (heartbeat timeout)"
         else:
             exitcode = worker.process.exitcode
             error = f"worker process died unexpectedly (exitcode {exitcode})"
-        supervisor = self._supervisor
+        supervisor = self.supervisor
         due = None
         if supervisor is not None:
             due = supervisor.record_death(worker.worker_id, monotonic_ns())
@@ -1089,36 +862,27 @@ class MultiprocessRuntime:
             fatal = not injected
         else:
             fatal = due is None and not injected and not worker.heartbeat_killed
-        self._failures.append(
-            WorkerFailure(
-                worker_id=worker.worker_id,
-                error=error,
-                fatal=fatal,
-                injected=injected,
-            )
+        self._tracker.worker_failed(
+            WorkerFailure(worker.worker_id, error, fatal=fatal, injected=injected)
         )
         task = worker.busy
         worker.busy = None
         if task is not None:
-            self._requeue_or_abort_task(worker, task, "worker death")
+            self._reclaim(worker, task, "worker death")
         if due is not None:
             # A replacement is scheduled: keep the remaining work queued
             # for it instead of aborting.
             return
         all_dead = all(w.dead for w in self._workers)
         if all_dead or fatal:
-            reason = (
+            self._tracker.abort_all(
                 "all workers dead" if all_dead else f"worker failure: {error}"
             )
-            for pending in list(self._pending.values()):
-                self._finish_subframe(
-                    pending, forced_state=TerminalState.ABORTED, reason=reason
-                )
 
     # ------------------------------------------------------------ supervision
     def _service_supervisor(self) -> None:
         """Heartbeat checks plus any respawns whose backoff expired."""
-        supervisor = self._supervisor
+        supervisor = self.supervisor
         if supervisor is None or not self._started:
             return
         self._check_heartbeats(supervisor)
@@ -1164,9 +928,9 @@ class MultiprocessRuntime:
         self._spawned_pids.append(replacement.pid)
         now = monotonic_ns()
         supervisor.note_respawn(corpse.worker_id, now)
-        self._stats.respawns += 1
-        if self._emit is not None:
-            self._emit(
+        self.stats.respawns += 1
+        if self.emit is not None:
+            self.emit(
                 Event(
                     EventKind.WORKER_RESPAWN,
                     now,
@@ -1188,173 +952,21 @@ class MultiprocessRuntime:
             if not self._send(replacement, ("banks", name, index)):
                 return
 
-    def _requeue_or_abort_task(
-        self, worker: _WorkerHandle, task: dict, reason: str
-    ) -> None:
-        """Bounded retry of a failed shape group; abort past the budget."""
-        pending = task["pending"]
-        if pending.resolved:
-            return
-        index = pending.subframe.subframe_index
-        attempts = pending.task_retries.get(task["task_id"], 0)
+    def _reclaim(self, worker: _WorkerHandle, task: dict, reason: str) -> None:
+        """A shape group failed or lost its worker: the tracker retries it
+        within the budget (each of its users charged once) or aborts it."""
         user_ids = [s.user.user_id for s in task["slices"]]
-        if attempts < self._resilience.max_retries:
-            pending.task_retries[task["task_id"]] = attempts + 1
-            self._stats.retries += len(user_ids)
-            if self._emit is not None:
-                now = monotonic_ns()
-                for user_id in user_ids:
-                    self._emit(
-                        Event(
-                            EventKind.USER_RETRY,
-                            now,
-                            worker.worker_id,
-                            {
-                                "subframe": index,
-                                "user": user_id,
-                                "attempt": attempts + 1,
-                                "reason": reason,
-                                "process_id": worker.pid,
-                            },
-                        )
-                    )
+        if self._tracker.fail(
+            task["pending"],
+            task["task_id"],
+            user_ids,
+            reason,
+            worker.worker_id,
+            process_id=worker.pid,
+        ):
             # Reclaimed work goes to the queue head so recovery from a
             # killed worker is prompt, not behind the whole backlog.
             self._queue.appendleft(task)
-            return
-        self._stats.aborted_users += len(user_ids)
-        if self._emit is not None:
-            now = monotonic_ns()
-            for user_id in user_ids:
-                self._emit(
-                    Event(
-                        EventKind.USER_ABORTED,
-                        now,
-                        worker.worker_id,
-                        {
-                            "subframe": index,
-                            "user": user_id,
-                            "was_adopted": True,
-                            "reason": reason,
-                            "process_id": worker.pid,
-                        },
-                    )
-                )
-        pending.aborted_ids.extend(user_ids)
-        pending.remaining_users -= len(user_ids)
-        if pending.remaining_users == 0:
-            self._finish_subframe(pending)
-
-    def _check_deadlines(self) -> None:
-        now = monotonic_ns()
-        expired = [
-            pending
-            for pending in self._pending.values()
-            if pending.deadline_ns is not None and now >= pending.deadline_ns
-        ]
-        for pending in expired:
-            self._finish_subframe(
-                pending,
-                forced_state=TerminalState.ABORTED,
-                reason="deadline expired",
-            )
-
-    def _emit_fault(
-        self, kind: str, worker: _WorkerHandle, subframe: int
-    ) -> None:
-        if self._emit is not None:
-            self._emit(
-                Event(
-                    EventKind.FAULT,
-                    monotonic_ns(),
-                    worker.worker_id,
-                    {
-                        "fault": kind,
-                        "subframe": subframe,
-                        "process_id": worker.pid,
-                    },
-                )
-            )
-
-    def _raise_on_fatal(self) -> None:
-        fatal = [f for f in self._failures if f.fatal]
-        if fatal:
-            raise WorkerFailuresError(fatal)
-
-    # ------------------------------------------------------------ completion
-    def _classify(
-        self, result: SubframeResult, aborted: list[int]
-    ) -> TerminalState:
-        if aborted:
-            return TerminalState.ABORTED
-        if any(not r.crc_ok for r in result.user_results):
-            return TerminalState.CRC_FAILED
-        return TerminalState.OK
-
-    def _finish_subframe(
-        self,
-        pending: _PendingSubframe,
-        forced_state: TerminalState | None = None,
-        reason: str = "",
-    ) -> None:
-        """Resolve one subframe to its single terminal state (first wins)."""
-        index = pending.subframe.subframe_index
-        first = not pending.resolved
-        pending.resolved = True
-        aborted = list(pending.aborted_ids)
-        if first and forced_state is TerminalState.ABORTED:
-            # Users that never produced a result were abandoned too.
-            done = {r.user_id for r in pending.ordered if r is not None}
-            aborted += [
-                s.user.user_id
-                for s in pending.subframe.slices
-                if s.user.user_id not in done and s.user.user_id not in aborted
-            ]
-            pending.aborted_ids = aborted
-        result = SubframeResult(
-            subframe_index=index,
-            user_results=[r for r in pending.ordered if r is not None],
-            aborted_user_ids=aborted,
-        )
-        state = forced_state or self._classify(result, aborted)
-        if not first:
-            self.ledger.resolve(index, state, reason or "late duplicate")
-            return
-        self.ledger.resolve(index, state, reason)
-        self._pending.pop(index, None)
-        if self._emit is not None:
-            now = monotonic_ns()
-            if self.emit_spans:
-                self._emit(
-                    Event(
-                        EventKind.SPAN_END,
-                        now,
-                        -1,
-                        {
-                            "name": f"subframe {index}",
-                            "cat": "subframe",
-                            "subframe": index,
-                            "process_id": os.getpid(),
-                        },
-                    )
-                )
-            self._emit(
-                Event(
-                    EventKind.SUBFRAME_TERMINAL,
-                    now,
-                    -1,
-                    {
-                        "subframe": index,
-                        "state": state.value,
-                        "aborted_users": len(aborted),
-                        "reason": reason,
-                        "process_id": os.getpid(),
-                    },
-                )
-            )
-        self._completed.append(result)
-        self._outstanding -= 1
-        self._release_grid(pending)
 
     # --------------------------------------------------------- shared memory
     def _share_grid(self, grid: np.ndarray) -> _GridShare:
@@ -1369,11 +981,11 @@ class MultiprocessRuntime:
             self._grid_shares[key] = share
         return share
 
-    def _release_grid(self, pending: _PendingSubframe) -> None:
-        share = pending.grid_share
+    def _release_grid(self, result, state, t_ns: int) -> None:
+        """Terminal listener: drop the resolved subframe's grid reference."""
+        share = self._grid_of.pop(result.subframe_index, None)
         if share is None:
             return
-        pending.grid_share = None
         share.refs -= 1
         if share.refs > 0:
             return

@@ -10,15 +10,16 @@ parallel execution produces bit-identical results to the serial version,
 Section IV-D), not wall-clock scaling; timing behaviour is studied with
 ``repro.sim`` instead.
 
-Fault tolerance (see ``docs/robustness.md``): a worker thread that fails
-no longer dies silently — task exceptions are retried up to the
-:class:`~repro.faults.watchdog.ResilienceConfig` budget and then abort the
-user; a dying worker requeues the user it held (orphan reclamation) and
-reports a :class:`~repro.faults.watchdog.WorkerFailure` so
-:meth:`ThreadedRuntime.drain` fails loudly instead of blocking forever; an
-optional watchdog thread aborts subframes that miss their wall-clock
-deadline. Every dispatched subframe reaches exactly one terminal state in
-the runtime's :class:`~repro.faults.accounting.SubframeLedger`.
+This module is *transport* only: the global queue, the per-worker deques,
+the steal policy and the Fig. 5 stage runner. What it means to run a
+subframe to its terminal state — ledger, retry budget, deadlines, events,
+``run``/``drain``/``collect_results``/``abort`` — is
+:mod:`repro.sched.core`'s, shared with every other backend. The work unit
+is one *user*: a task exception requeues that user (or aborts it past the
+:class:`~repro.faults.watchdog.ResilienceConfig` budget); a dying worker
+requeues the user it held (orphan reclamation) and reports a
+:class:`~repro.faults.watchdog.WorkerFailure`, so ``drain()`` fails loudly
+instead of blocking forever (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
-from ..faults.accounting import SubframeLedger, TerminalState
+from ..faults.accounting import SubframeLedger
 from ..faults.injector import InjectedTaskError, InjectedWorkerDeath
 from ..faults.watchdog import (
     ResilienceConfig,
-    RuntimeHung,
     WorkerFailure,
     monotonic_ns,
     ns_from_s,
@@ -40,22 +40,13 @@ from ..faults.watchdog import (
 from ..obs.events import Event, EventKind
 from ..obs.lockdep import tracked_lock
 from ..phy.chest import ChestConfig
-from ..uplink.serial import SubframeResult
-from ..uplink.subframe import SubframeInput, UserSlice
+from ..uplink.subframe import UserSlice
 from ..uplink.tasks import UserJob
+from .core import Pending, Runtime, WorkerFailuresError
 from .policy import RandomVictimPolicy
 from .queues import GlobalQueue, WorkStealingDeque
 
 __all__ = ["ThreadedRuntime", "RuntimeStats", "WorkerFailuresError"]
-
-
-class WorkerFailuresError(RuntimeError):
-    """Unexpected worker-thread failures propagated by ``drain()``."""
-
-    def __init__(self, failures: list[WorkerFailure]) -> None:
-        self.failures = list(failures)
-        lines = "; ".join(str(f) for f in failures)
-        super().__init__(f"{len(failures)} worker failure(s): {lines}")
 
 
 @dataclass
@@ -121,22 +112,7 @@ class _Latch:
                 self._event.wait(timeout=0.0005)
 
 
-@dataclass
-class _PendingSubframe:
-    subframe: SubframeInput
-    remaining_users: int  # guarded-by: lock
-    result: SubframeResult  # guarded-by: lock
-    lock: threading.Lock = field(
-        default_factory=lambda: tracked_lock("_PendingSubframe.lock")
-    )
-    resolved: bool = False  # guarded-by: lock
-    aborted_ids: list[int] = field(default_factory=list)  # guarded-by: lock
-    retries: dict[int, int] = field(default_factory=dict)  # guarded-by: lock
-    #: Wall-clock abort deadline (monotonic ns), set before sharing.
-    deadline_ns: int | None = None
-
-
-class ThreadedRuntime:
+class ThreadedRuntime(Runtime):
     """Work-stealing execution of the benchmark on real threads.
 
     Parameters
@@ -168,8 +144,8 @@ class ThreadedRuntime:
     resilience:
         Fault-tolerance knobs (:class:`~repro.faults.watchdog.ResilienceConfig`).
         The default keeps retry-on-failure on (one retry) with no
-        wall-clock deadline and no watchdog thread, so zero-fault runs pay
-        nothing beyond per-subframe ledger bookkeeping.
+        wall-clock deadline, so zero-fault runs pay nothing beyond
+        per-subframe ledger bookkeeping.
     ledger:
         Optional externally-owned
         :class:`~repro.faults.accounting.SubframeLedger`; by default the
@@ -190,71 +166,31 @@ class ThreadedRuntime:
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        self.config = config
-        self.codec = codec
-        self._policy = RandomVictimPolicy(num_workers, seed=steal_seed)
-        self._global: GlobalQueue = GlobalQueue()
-        self._locals: list[WorkStealingDeque] = [
-            WorkStealingDeque() for _ in range(num_workers)
-        ]
-        self._stats = RuntimeStats(
+        stats = RuntimeStats(
             tasks_executed=[0] * num_workers,
             steals=[0] * num_workers,
             users_processed=[0] * num_workers,
         )
-        self._completed: list[SubframeResult] = []  # guarded-by: _completed_lock
-        self._completed_lock = tracked_lock("ThreadedRuntime._completed_lock")
-        self._outstanding = 0  # guarded-by: _outstanding_lock
-        self._outstanding_lock = tracked_lock(
-            "ThreadedRuntime._outstanding_lock"
-        )
-        self._all_done = threading.Event()
-        self._all_done.set()
+        super().__init__(stats, observers, emit_spans, faults, resilience, ledger)
+        self.num_workers = num_workers
+        self.config = config
+        self.codec = codec
+        self._policy = RandomVictimPolicy(num_workers, seed=steal_seed)
+        #: (pending, slice position, user slice) per dispatched user.
+        self._global: GlobalQueue = GlobalQueue()
+        self._locals: list[WorkStealingDeque] = [
+            WorkStealingDeque() for _ in range(num_workers)
+        ]
         self._shutdown = threading.Event()
         self._threads: list[threading.Thread] = []
-        if faults is not None and not hasattr(faults, "check_worker_death"):
-            from ..faults.injector import ThreadFaultInjector
+        self._dead_workers: set[int] = set()  # guarded-by: _dead_lock
+        self._dead_lock = tracked_lock("ThreadedRuntime._dead_lock")
 
-            faults = ThreadFaultInjector(faults)
-        self._faults = faults
-        self._resilience = resilience or ResilienceConfig()
-        self._external_ledger = ledger
-        self.ledger: SubframeLedger = ledger or SubframeLedger()
-        self._pending_map: dict[int, _PendingSubframe] = {}  # guarded-by: _pending_lock
-        self._pending_lock = tracked_lock("ThreadedRuntime._pending_lock")
-        self._failures: list[WorkerFailure] = []  # guarded-by: _failures_lock
-        self._dead_workers: set[int] = set()  # guarded-by: _failures_lock
-        self._failures_lock = tracked_lock("ThreadedRuntime._failures_lock")
-        self._late_completions = 0  # guarded-by: _failures_lock
-        self._watchdog: threading.Thread | None = None
-        self._watchdog_stop = threading.Event()
-        self.emit_spans = emit_spans
-        self.observers = list(observers) if observers is not None else []
-        if not self.observers:
-            self._emit = None
-        elif len(self.observers) == 1:
-            self._emit = self.observers[0]
-        else:
-            fanout = tuple(self.observers)
-
-            def emit(event, _observers=fanout):
-                for observer in _observers:
-                    observer(event)
-
-            self._emit = emit
-
-    # ------------------------------------------------------------------ API
-    def start(self) -> None:
-        """Spawn the worker threads (and the watchdog when configured)."""
-        if self._threads:
-            raise RuntimeError("runtime already started")
+    # ------------------------------------------------------------ transport
+    def _start(self) -> None:
+        """Spawn the worker threads."""
         self._shutdown.clear()
-        self._watchdog_stop.clear()
-        if self._external_ledger is None:
-            self.ledger = SubframeLedger()
-        with self._failures_lock:
-            self._failures.clear()
+        with self._dead_lock:
             self._dead_workers.clear()
         for worker_id in range(self.num_workers):
             thread = threading.Thread(
@@ -262,193 +198,22 @@ class ThreadedRuntime:
             )
             thread.start()
             self._threads.append(thread)
-        if self._resilience.wants_watchdog:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop, daemon=True
-            )
-            self._watchdog.start()
 
-    def stop(self) -> None:
-        """Stop the worker threads (after draining outstanding work)."""
-        self.drain()
-        self._halt_threads()
-
-    def abort(self) -> None:
-        """Emergency shutdown: abort outstanding subframes, stop threads.
-
-        Used on ``KeyboardInterrupt``/fatal paths: every unresolved
-        subframe is accounted as ``aborted`` (so the ledger still
-        balances and traces can be flushed) and worker threads are joined
-        with a bounded timeout instead of drained.
-        """
-        with self._pending_lock:
-            pendings = list(self._pending_map.values())
-        for pending in pendings:
-            self._finish_subframe(
-                pending,
-                forced_state=TerminalState.ABORTED,
-                reason="runtime aborted",
-            )
-        self._halt_threads()
-
-    def _halt_threads(self) -> None:
+    def _close(self) -> None:
+        """Stop the worker threads, joining each with a bounded timeout."""
         self._shutdown.set()
-        self._watchdog_stop.set()
-        timeout = self._resilience.join_timeout_s
         for thread in self._threads:
-            thread.join(timeout=timeout)
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=timeout)
-            self._watchdog = None
+            thread.join(timeout=self._resilience.join_timeout_s)
         self._threads.clear()
 
-    def submit(self, subframe: SubframeInput) -> None:
+    def _enqueue(self, pending: Pending) -> None:
         """Dispatch one subframe's users onto the global queue."""
-        if not self._threads:
-            raise RuntimeError("runtime not started")
-        pending = _PendingSubframe(
-            subframe=subframe,
-            remaining_users=len(subframe.slices),
-            result=SubframeResult(subframe_index=subframe.subframe_index),
-        )
-        if self._resilience.deadline_s is not None:
-            # ns_from_s rounds instead of truncating: int(s * 1e9) floored
-            # the deadline one tick early at exact boundaries.
-            pending.deadline_ns = monotonic_ns() + ns_from_s(
-                self._resilience.deadline_s
-            )
-        self.ledger.dispatch(subframe.subframe_index, len(subframe.slices))
-        with self._pending_lock:
-            self._pending_map[subframe.subframe_index] = pending
-        with self._outstanding_lock:
-            self._outstanding += 1
-            self._all_done.clear()
-        if self._emit is not None:
-            now = time.monotonic_ns()
-            self._emit(
-                Event(
-                    EventKind.DISPATCH,
-                    now,
-                    -1,
-                    {
-                        "subframe": subframe.subframe_index,
-                        "users": len(subframe.slices),
-                    },
-                )
-            )
-            if self.emit_spans:
-                self._emit(
-                    Event(
-                        EventKind.SPAN_BEGIN,
-                        now,
-                        -1,
-                        {
-                            "name": f"subframe {subframe.subframe_index}",
-                            "cat": "subframe",
-                            "subframe": subframe.subframe_index,
-                        },
-                    )
-                )
-        if not subframe.slices:
-            self._finish_subframe(pending)
-            return
         self._global.put_subframe(
-            [(pending, user_slice) for user_slice in subframe.slices]
+            [
+                (pending, position, user_slice)
+                for position, user_slice in enumerate(pending.subframe.slices)
+            ]
         )
-
-    def drain(self, timeout: float | None = None) -> None:
-        """Block until every submitted subframe has completed.
-
-        Raises :class:`WorkerFailuresError` when a worker thread died from
-        an unexpected (non-injected) exception — the silent-death failure
-        mode this runtime used to have — and :class:`RuntimeHung` when
-        ``timeout`` (or the configured ``drain_timeout_s``) expires first.
-        """
-        if timeout is None:
-            timeout = self._resilience.drain_timeout_s
-        finished = self._all_done.wait(timeout)
-        self._raise_on_fatal()
-        if not finished:
-            with self._outstanding_lock:
-                outstanding = self._outstanding
-            raise RuntimeHung(
-                f"drain timed out after {timeout}s with {outstanding} "
-                "subframe(s) outstanding"
-            )
-
-    def run(self, subframes: list[SubframeInput]) -> list[SubframeResult]:
-        """Convenience: start, submit all, drain, stop; returns results.
-
-        ``drain()`` (and ``stop()`` via it) already blocks until every
-        submitted subframe completed, so the final ``collect_results()``
-        cannot lose in-flight work here. On ``KeyboardInterrupt`` (or any
-        fatal error) outstanding subframes are aborted — accounted, not
-        lost — before the exception propagates.
-        """
-        owns_threads = not self._threads
-        if owns_threads:
-            self.start()
-        try:
-            for subframe in subframes:
-                self.submit(subframe)
-            self.drain()
-        except BaseException:
-            if owns_threads:
-                self.abort()
-            raise
-        if owns_threads:
-            self.stop()
-        return self.collect_results()
-
-    def collect_results(self) -> list[SubframeResult]:
-        """Drain outstanding work, then return and clear the completed
-        subframe results, ordered by subframe index."""
-        self.drain()
-        with self._completed_lock:
-            results = sorted(self._completed, key=lambda r: r.subframe_index)
-            self._completed.clear()
-        return results
-
-    @property
-    def stats(self) -> RuntimeStats:
-        return self._stats
-
-    @property
-    def failures(self) -> list[WorkerFailure]:
-        """Worker failures recorded so far (injected and unexpected)."""
-        with self._failures_lock:
-            return list(self._failures)
-
-    @property
-    def late_completions(self) -> int:
-        """Users that finished after their subframe was already resolved."""
-        with self._failures_lock:
-            return self._late_completions
-
-    def _raise_on_fatal(self) -> None:
-        with self._failures_lock:
-            fatal = [f for f in self._failures if f.fatal]
-        if fatal:
-            raise WorkerFailuresError(fatal)
-
-    # ----------------------------------------------------- watchdog / death
-    def _watchdog_loop(self) -> None:
-        """Abort subframes whose wall-clock deadline expired."""
-        poll = self._resilience.watchdog_poll_s
-        while not self._watchdog_stop.wait(poll):
-            now = monotonic_ns()
-            with self._pending_lock:
-                expired = [
-                    p
-                    for p in self._pending_map.values()
-                    if p.deadline_ns is not None and now >= p.deadline_ns
-                ]
-            for pending in expired:
-                self._finish_subframe(
-                    pending,
-                    forced_state=TerminalState.ABORTED,
-                    reason="deadline expired",
-                )
 
     def _on_worker_dead(
         self, worker_id: int, error: str, injected: bool
@@ -460,108 +225,18 @@ class ThreadedRuntime:
         if the last live worker just died, all outstanding subframes are
         aborted so nothing blocks forever waiting for work nobody will do.
         """
-        failure = WorkerFailure(
-            worker_id=worker_id,
-            error=error,
-            fatal=not injected,
-            injected=injected,
+        self._tracker.worker_failed(
+            WorkerFailure(worker_id, error, fatal=not injected, injected=injected)
         )
-        with self._failures_lock:
-            self._failures.append(failure)
+        with self._dead_lock:
             self._dead_workers.add(worker_id)
             all_dead = len(self._dead_workers) >= self.num_workers
         if all_dead or not injected:
-            with self._pending_lock:
-                pendings = list(self._pending_map.values())
-            reason = (
+            self._tracker.abort_all(
                 "all workers dead" if all_dead else f"worker failure: {error}"
             )
-            for pending in pendings:
-                self._finish_subframe(
-                    pending, forced_state=TerminalState.ABORTED, reason=reason
-                )
 
     # ------------------------------------------------------------ internals
-    def _classify(
-        self, result: SubframeResult, aborted: list[int]
-    ) -> TerminalState:
-        if aborted:
-            return TerminalState.ABORTED
-        if any(not r.crc_ok for r in result.user_results):
-            return TerminalState.CRC_FAILED
-        return TerminalState.OK
-
-    def _finish_subframe(
-        self,
-        pending: _PendingSubframe,
-        forced_state: TerminalState | None = None,
-        reason: str = "",
-    ) -> None:
-        """Resolve one subframe to its single terminal state.
-
-        Idempotent: the first caller (normal completion, deadline
-        watchdog, or abort path) wins; later calls are recorded as late
-        resolutions in the ledger and change nothing else.
-        """
-        index = pending.subframe.subframe_index
-        with pending.lock:
-            first = not pending.resolved
-            pending.resolved = True
-            aborted = list(pending.aborted_ids)
-            result = pending.result
-            if first and forced_state is TerminalState.ABORTED:
-                # Forced abort (deadline, all workers dead, runtime abort):
-                # users that never produced a result were abandoned too —
-                # record them so the result explains itself.
-                done = {u.user_id for u in result.user_results}
-                aborted += [
-                    s.user.user_id
-                    for s in pending.subframe.slices
-                    if s.user.user_id not in done and s.user.user_id not in aborted
-                ]
-            result.aborted_user_ids = aborted
-        state = forced_state or self._classify(result, aborted)
-        if not first:
-            self.ledger.resolve(index, state, reason or "late duplicate")
-            return
-        self.ledger.resolve(index, state, reason)
-        with self._pending_lock:
-            self._pending_map.pop(index, None)
-        if self._emit is not None:
-            now = time.monotonic_ns()
-            if self.emit_spans:
-                self._emit(
-                    Event(
-                        EventKind.SPAN_END,
-                        now,
-                        -1,
-                        {
-                            "name": f"subframe {index}",
-                            "cat": "subframe",
-                            "subframe": index,
-                        },
-                    )
-                )
-            self._emit(
-                Event(
-                    EventKind.SUBFRAME_TERMINAL,
-                    now,
-                    -1,
-                    {
-                        "subframe": index,
-                        "state": state.value,
-                        "aborted_users": len(aborted),
-                        "reason": reason,
-                    },
-                )
-            )
-        with self._completed_lock:
-            self._completed.append(result)
-        with self._outstanding_lock:
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._all_done.set()
-
     def _worker_loop(self, worker_id: int) -> None:
         try:
             while not self._shutdown.is_set():
@@ -580,67 +255,36 @@ class ThreadedRuntime:
         self, worker_id: int, task: Callable[[], None], stolen: bool
     ) -> None:
         kernel = None
-        if self._emit is not None:
+        if self.emit is not None:
             kernel = getattr(task, "kernel", None)
-            self._emit(
-                Event(
-                    EventKind.TASK_START,
-                    time.monotonic_ns(),
-                    worker_id,
-                    {"stolen": stolen, "kernel": kernel},
-                )
-            )
+            self._event(EventKind.TASK_START, worker_id, stolen=stolen, kernel=kernel)
         task()
-        with self._stats.lock:
-            self._stats.tasks_executed[worker_id] += 1
-        if self._emit is not None:
-            self._emit(
-                Event(
-                    EventKind.TASK_FINISH,
-                    time.monotonic_ns(),
-                    worker_id,
-                    {"stolen": stolen, "kernel": kernel},
-                )
-            )
+        with self.stats.lock:
+            self.stats.tasks_executed[worker_id] += 1
+        if self.emit is not None:
+            self._event(EventKind.TASK_FINISH, worker_id, stolen=stolen, kernel=kernel)
 
-    def _span(self, worker_id: int, kind: EventKind, name: str, data: dict) -> None:
+    def _event(self, kind: EventKind, worker_id: int, **data) -> None:
+        """Emit one event from a worker thread, stamped now. Hot sites check
+        ``self.emit`` first so a run without observers builds no payload."""
+        if self.emit is not None:
+            self.emit(Event(kind, time.monotonic_ns(), worker_id, data))
+
+    def _span_event(
+        self, worker_id: int, kind: EventKind, name: str, ids: dict
+    ) -> None:
         """Emit one profiling-span edge from a worker thread."""
-        self._emit(
-            Event(
-                kind,
-                time.monotonic_ns(),
-                worker_id,
-                {"name": name, "cat": "kernel", **data},
-            )
-        )
-
-    def _emit_fault(self, kind: str, worker_id: int, subframe: int) -> None:
-        if self._emit is not None:
-            self._emit(
-                Event(
-                    EventKind.FAULT,
-                    time.monotonic_ns(),
-                    worker_id,
-                    {"fault": kind, "subframe": subframe},
-                )
-            )
+        self._event(kind, worker_id, name=name, cat="kernel", **ids)
 
     def _steal_task(self, worker_id: int) -> Callable[[], None] | None:
         """Try every victim once; returns the stolen task, if any."""
         for victim in self._policy.victim_order(worker_id):
             task = self._locals[victim].steal()
             if task is not None:
-                with self._stats.lock:
-                    self._stats.steals[worker_id] += 1
-                if self._emit is not None:
-                    self._emit(
-                        Event(
-                            EventKind.STEAL,
-                            time.monotonic_ns(),
-                            worker_id,
-                            {"victim": victim},
-                        )
-                    )
+                with self.stats.lock:
+                    self.stats.steals[worker_id] += 1
+                if self.emit is not None:
+                    self._event(EventKind.STEAL, worker_id, victim=victim)
                 return task
         return None
 
@@ -654,8 +298,7 @@ class ThreadedRuntime:
         # 2. Global user queue beats stealing.
         entry = self._global.get()
         if entry is not None:
-            pending, user_slice = entry
-            self._process_user(worker_id, pending, user_slice)
+            self._process_user(worker_id, *entry)
             return True
         # 3. Steal.
         task = self._steal_task(worker_id)
@@ -679,7 +322,7 @@ class ThreadedRuntime:
             time.sleep(min(remaining_ns / 1e9, 0.05))
 
     def _process_user(
-        self, worker_id: int, pending: _PendingSubframe, user_slice: UserSlice
+        self, worker_id: int, pending: Pending, position: int, user_slice: UserSlice
     ) -> None:
         """Become the user thread for one user (Section IV-C).
 
@@ -689,68 +332,51 @@ class ThreadedRuntime:
         worker moves on. A planned :class:`InjectedWorkerDeath` requeues
         the user first (orphan reclamation) and then kills this thread.
         """
-        index = pending.subframe.subframe_index
-        with self._stats.lock:
-            self._stats.users_processed[worker_id] += 1
-        if self._emit is not None:
-            self._emit(
-                Event(
-                    EventKind.USER_START,
-                    time.monotonic_ns(),
-                    worker_id,
-                    {"subframe": index, "user": user_slice.user.user_id},
-                )
-            )
-        faults = self._faults
+        index = pending.index
+        user_id = user_slice.user.user_id
+        with self.stats.lock:
+            self.stats.users_processed[worker_id] += 1
+        if self.emit is not None:
+            self._event(EventKind.USER_START, worker_id, subframe=index, user=user_id)
+
+        def requeue_or_abort(reason: str) -> None:
+            if self._tracker.fail(pending, user_id, [user_id], reason, worker_id):
+                self._global.put_subframe([(pending, position, user_slice)])
+
+        faults = self.faults
         if faults is not None:
             if faults.check_worker_death(worker_id, index):
-                self._emit_fault("worker-death", worker_id, index)
-                self._requeue_or_abort(
-                    worker_id, pending, user_slice, "worker death"
-                )
+                self._tracker.fault("worker-death", worker_id, index)
+                requeue_or_abort("worker death")
                 raise InjectedWorkerDeath(
                     f"planned death at subframe {index}"
                 )
             hang_s = faults.check_worker_hang(worker_id, index)
             if hang_s is not None:
-                self._emit_fault("worker-hang", worker_id, index)
+                self._tracker.fault("worker-hang", worker_id, index)
                 self._interruptible_sleep(hang_s)
         try:
             if faults is not None and faults.check_task_exception(
                 worker_id, index
             ):
-                self._emit_fault("task-exception", worker_id, index)
+                self._tracker.fault("task-exception", worker_id, index)
                 raise InjectedTaskError(
                     f"planned task failure (subframe {index}, "
-                    f"user {user_slice.user.user_id})"
+                    f"user {user_id})"
                 )
             result = self._execute_user_job(worker_id, pending, user_slice)
         except InjectedWorkerDeath:
-            self._requeue_or_abort(
-                worker_id, pending, user_slice, "worker death"
-            )
+            requeue_or_abort("worker death")
             raise
         except Exception as exc:
-            self._requeue_or_abort(
-                worker_id,
-                pending,
-                user_slice,
-                f"{type(exc).__name__}: {exc}",
-            )
+            requeue_or_abort(f"{type(exc).__name__}: {exc}")
             return
-        if self._emit is not None:
-            self._emit(
-                Event(
-                    EventKind.USER_FINISH,
-                    time.monotonic_ns(),
-                    worker_id,
-                    {"subframe": index, "user": user_slice.user.user_id},
-                )
-            )
-        self._complete_user(pending, result)
+        if self.emit is not None:
+            self._event(EventKind.USER_FINISH, worker_id, subframe=index, user=user_id)
+        self._tracker.complete(pending, [position], [result])
 
     def _execute_user_job(
-        self, worker_id: int, pending: _PendingSubframe, user_slice: UserSlice
+        self, worker_id: int, pending: Pending, user_slice: UserSlice
     ):
         """Run one user's Fig. 5 stage sequence; returns its UserResult."""
         job = UserJob(
@@ -760,107 +386,26 @@ class ThreadedRuntime:
         # thread (fork to join for the parallel stages); the per-task
         # events inside carry the same kernel label so both the join-level
         # and task-level views attribute time to the same kernels.
-        ids = {
-            "subframe": pending.subframe.subframe_index,
-            "user": user_slice.user.user_id,
-        }
-        emitting = self._emit is not None and self.emit_spans
+        ids = {"subframe": pending.index, "user": user_slice.user.user_id}
+        emitting = self.emit is not None and self.emit_spans
         if emitting:
-            self._span(worker_id, EventKind.SPAN_BEGIN, "chest", ids)
+            self._span_event(worker_id, EventKind.SPAN_BEGIN, "chest", ids)
         self._run_stage(worker_id, job.chest_tasks(), kernel="chest")
         if emitting:
-            self._span(worker_id, EventKind.SPAN_END, "chest", ids)
-            self._span(worker_id, EventKind.SPAN_BEGIN, "combiner", ids)
+            self._span_event(worker_id, EventKind.SPAN_END, "chest", ids)
+            self._span_event(worker_id, EventKind.SPAN_BEGIN, "combiner", ids)
         job.run_combiner()
         if emitting:
-            self._span(worker_id, EventKind.SPAN_END, "combiner", ids)
-            self._span(worker_id, EventKind.SPAN_BEGIN, "symbol", ids)
+            self._span_event(worker_id, EventKind.SPAN_END, "combiner", ids)
+            self._span_event(worker_id, EventKind.SPAN_BEGIN, "symbol", ids)
         self._run_stage(worker_id, job.data_tasks(), kernel="symbol")
         if emitting:
-            self._span(worker_id, EventKind.SPAN_END, "symbol", ids)
-            self._span(worker_id, EventKind.SPAN_BEGIN, "finalize", ids)
+            self._span_event(worker_id, EventKind.SPAN_END, "symbol", ids)
+            self._span_event(worker_id, EventKind.SPAN_BEGIN, "finalize", ids)
         result = job.finalize()
         if emitting:
-            self._span(worker_id, EventKind.SPAN_END, "finalize", ids)
+            self._span_event(worker_id, EventKind.SPAN_END, "finalize", ids)
         return result
-
-    def _complete_user(self, pending: _PendingSubframe, result) -> None:
-        with pending.lock:
-            if pending.resolved:
-                late = True
-                done = False
-            else:
-                late = False
-                pending.result.user_results.append(result)
-                pending.remaining_users -= 1
-                done = pending.remaining_users == 0
-        if late:
-            with self._failures_lock:
-                self._late_completions += 1
-            return
-        if done:
-            self._finish_subframe(pending)
-
-    def _requeue_or_abort(
-        self,
-        worker_id: int,
-        pending: _PendingSubframe,
-        user_slice: UserSlice,
-        reason: str,
-    ) -> None:
-        """Bounded retry of a failed user; abort it past the budget."""
-        index = pending.subframe.subframe_index
-        user_id = user_slice.user.user_id
-        with pending.lock:
-            if pending.resolved:
-                return  # subframe already aborted/resolved: drop silently
-            attempts = pending.retries.get(user_id, 0)
-            retry = attempts < self._resilience.max_retries
-            if retry:
-                pending.retries[user_id] = attempts + 1
-        if retry:
-            with self._stats.lock:
-                self._stats.retries += 1
-            if self._emit is not None:
-                self._emit(
-                    Event(
-                        EventKind.USER_RETRY,
-                        time.monotonic_ns(),
-                        worker_id,
-                        {
-                            "subframe": index,
-                            "user": user_id,
-                            "attempt": attempts + 1,
-                            "reason": reason,
-                        },
-                    )
-                )
-            self._global.put_subframe([(pending, user_slice)])
-            return
-        with self._stats.lock:
-            self._stats.aborted_users += 1
-        if self._emit is not None:
-            self._emit(
-                Event(
-                    EventKind.USER_ABORTED,
-                    time.monotonic_ns(),
-                    worker_id,
-                    {
-                        "subframe": index,
-                        "user": user_id,
-                        "was_adopted": True,
-                        "reason": reason,
-                    },
-                )
-            )
-        with pending.lock:
-            if pending.resolved:
-                return
-            pending.aborted_ids.append(user_id)
-            pending.remaining_users -= 1
-            done = pending.remaining_users == 0
-        if done:
-            self._finish_subframe(pending)
 
     def _run_stage(
         self,

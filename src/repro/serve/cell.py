@@ -4,10 +4,12 @@ Each simulated cell owns one :class:`CellShard`: its arrival process, a
 :class:`~repro.uplink.subframe.SubframeFactory`, a per-cell
 :class:`~repro.faults.admission.AdmissionController` (the Eq. 3-4
 estimator shedding against the DELTA budget), a bounded in-flight queue,
-and an execution backend — inline (serial/vectorized, run on a dedicated
-single thread so the ingest loop never blocks) or a real scheduler
-runtime (threaded/multiprocess) sharing the serve run's global
-:class:`~repro.faults.accounting.SubframeLedger`.
+and one :class:`~repro.sched.core.Runtime` from
+:func:`~repro.sched.make_runtime` — whichever backend it is, it runs
+off the ingest loop's thread, resolves every submitted subframe exactly
+once in the serve run's shared
+:class:`~repro.faults.accounting.SubframeLedger`, and hands each result to
+the loop through its observers' ``on_terminal``.
 
 Subframe identity: cell ``c``'s tick ``k`` dispatches as global id
 ``c * CELL_STRIDE + k``, so ids are unique across cells in the shared
@@ -22,11 +24,12 @@ from typing import Any, Callable
 
 from ..faults.accounting import SubframeLedger
 from ..faults.admission import AdmissionController, AdmissionDecision
-from ..faults.plan import FaultKind, FaultPlan, FaultSpec
+from ..faults.plan import RESPAWN_KINDS, FaultKind, FaultPlan, FaultSpec
 from ..faults.watchdog import ResilienceConfig
 from ..power import calibrate_from_cost_model
+from ..sched import Runtime, make_runtime
 from ..sim import CostModel
-from ..uplink.serial import SubframeResult, process_subframe
+from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeFactory, SubframeInput
 from ..uplink.user import UserParameters
 
@@ -36,9 +39,6 @@ __all__ = ["CELL_STRIDE", "CellShard", "offset_plan"]
 #: subframe id ``c * CELL_STRIDE + k``. Wide enough that no bounded serve
 #: run can collide across cells, and cell 0 keeps ``id == tick``.
 CELL_STRIDE = 10_000_000
-
-#: Backends executed inline on a per-cell thread (no scheduler runtime).
-_INLINE_BACKENDS = ("serial", "vectorized")
 
 
 def offset_plan(plan: FaultPlan, offset: int) -> FaultPlan:
@@ -66,8 +66,9 @@ class CellShard:
 
     The shard is driven by the asyncio serve loop (single consumer); its
     counters are only mutated from loop callbacks, so they need no lock.
-    Runtime backends receive the shared ``ledger`` so their own
-    dispatch/resolve accounting lands in the serve run's global ledger.
+    The runtime receives the shared ``ledger`` so its dispatch/resolve
+    accounting lands in the serve run's global ledger; ``processor``
+    replaces ``process_subframe`` on the serial/vectorized transport.
     """
 
     def __init__(
@@ -94,7 +95,6 @@ class CellShard:
         self.cell_id = cell_id
         self.arrivals = arrivals
         self.backend = backend
-        self.workers = workers
         self.queue_depth = queue_depth
         self.synthesize = synthesize
         self.factory = SubframeFactory(seed=seed)
@@ -102,12 +102,26 @@ class CellShard:
             calibrate_from_cost_model(CostModel()), max_activity=max_activity
         )
         self.ledger = ledger if ledger is not None else SubframeLedger()
-        self._processor = processor
-        self.runtime: Any = None
-        if backend not in _INLINE_BACKENDS:
-            self.runtime = self._make_runtime(
-                backend, faults, resilience, observers, respawn
+        plan = None
+        if faults is not None:
+            kinds = {FaultKind.WORKER_DEATH, FaultKind.TASK_EXCEPTION}
+            if respawn is not None:
+                # Repeated-kill kinds only make sense when the pool heals.
+                kinds |= RESPAWN_KINDS
+            plan = offset_plan(
+                faults.of_kinds(frozenset(kinds)), self.global_id(0)
             )
+        self.runtime: Runtime = make_runtime(
+            backend,
+            num_workers=workers,
+            processor=processor,
+            respawn=respawn,
+            observers=observers,
+            emit_spans=False,
+            faults=plan,
+            resilience=resilience,
+            ledger=self.ledger,
+        )
         # --- loop-owned state (single consumer, no lock needed) ---------
         self.inflight = 0
         self.max_depth = 0
@@ -135,73 +149,9 @@ class CellShard:
         #: resume skip set.
         self.resolved_ticks: dict[int, str] = {}
 
-    def _make_runtime(
-        self,
-        backend: str,
-        faults: FaultPlan | None,
-        resilience: ResilienceConfig | None,
-        observers: list | None,
-        respawn: Any = None,
-    ) -> Any:
-        plan = None
-        if faults is not None:
-            kinds = {FaultKind.WORKER_DEATH, FaultKind.TASK_EXCEPTION}
-            if respawn is not None:
-                # Repeated-kill kinds only make sense when the pool heals.
-                from ..faults.plan import RESPAWN_KINDS
-
-                kinds |= RESPAWN_KINDS
-            plan = offset_plan(
-                faults.of_kinds(frozenset(kinds)), self.global_id(0)
-            )
-        if backend == "threaded":
-            from ..sched.threaded import ThreadedRuntime
-
-            return ThreadedRuntime(
-                num_workers=self.workers,
-                observers=observers,
-                emit_spans=False,
-                faults=plan,
-                resilience=resilience,
-                ledger=self.ledger,
-            )
-        if backend == "multiprocess":
-            from ..sched.multiprocess import MultiprocessRuntime
-
-            return MultiprocessRuntime(
-                num_workers=self.workers,
-                observers=observers,
-                emit_spans=False,
-                faults=plan,
-                resilience=resilience,
-                ledger=self.ledger,
-                respawn=respawn,
-            )
-        raise ValueError(f"unknown serve backend {backend!r}")
-
     # ------------------------------------------------------------- identity
     def global_id(self, tick: int) -> int:
         return self.cell_id * CELL_STRIDE + tick
-
-    @property
-    def inline(self) -> bool:
-        return self.runtime is None
-
-    # ------------------------------------------------------------ lifecycle
-    def start(self) -> None:
-        if self.runtime is not None:
-            self.runtime.start()
-
-    def stop(self) -> None:
-        if self.runtime is not None:
-            if self.backend == "threaded":
-                self.runtime._halt_threads()
-            else:
-                self.runtime.close()
-
-    def abort(self) -> None:
-        if self.runtime is not None:
-            self.runtime.abort()
 
     # ------------------------------------------------------------- dispatch
     def make_subframe(self, tick: int, users: list[UserParameters]) -> SubframeInput:
@@ -214,12 +164,6 @@ class CellShard:
         self, users: list[UserParameters], load_factor: float | None = None
     ) -> AdmissionDecision:
         return self.admission.admit(users, load_factor=load_factor)
-
-    def process(self, subframe: SubframeInput) -> SubframeResult:
-        """Inline execution (runs on the shard's dedicated thread)."""
-        if self._processor is not None:
-            return self._processor(subframe)
-        return process_subframe(subframe, backend=self.backend)
 
     # ------------------------------------------------------------- tracking
     def note_dispatch(

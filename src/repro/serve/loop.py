@@ -8,10 +8,10 @@ is that arrival side. :func:`serve` runs an asyncio ingest loop with
 one producer per cell: each tick it draws the cell's offered users from
 a seeded arrival process (:mod:`repro.serve.arrivals`), applies
 backpressure against the cell's bounded in-flight queue, runs the
-Eq. 3-4 admission controller, and hands the admitted subframe to the
-cell's backend shard (:class:`repro.serve.cell.CellShard`) — inline
-serial/vectorized execution on a dedicated thread, or a real
-threaded/multiprocess scheduler runtime.
+Eq. 3-4 admission controller, and submits the admitted subframe to the
+cell's shard (:class:`repro.serve.cell.CellShard`), whose
+:class:`~repro.sched.core.Runtime` — serial, vectorized, threaded or
+multiprocess, all one contract — runs it off the loop's thread.
 
 Accounting is ledger-first: every arrival that offers users is entered
 into one shared :class:`~repro.faults.accounting.SubframeLedger` and
@@ -30,22 +30,24 @@ runs, and ``--trace`` writes a line-flushed JSONL stream that
 ``repro top --from <path> --follow`` can tail live.
 
 Threading model: the asyncio loop owns every shard counter and the
-ledger-facing serve paths. Runtime worker threads only touch the loop's
-state via ``call_soon_threadsafe`` (terminal marshaling); inline
-processing happens on per-cell single-thread executors whose results
-are consumed back on the loop. The multiprocess runtime's replies are
-pumped from a loop task, so no second thread ever calls into it.
+ledger-facing serve paths. There is one terminal path: the runtime's
+tracker resolves a subframe (on a worker thread, or on the loop thread for
+the multiprocess pool), hands state *and* result to the cell's
+``_RuntimeWatcher.on_terminal``, and that marshals them onto the loop with
+one ``call_soon_threadsafe`` — where ``_on_terminal`` does all the
+accounting. A loop task polls every runtime (``Runtime.poll``): that is
+what pumps the multiprocess pool's replies and expires deadlines, always
+from the loop thread, so no second thread ever calls into a runtime.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field
 from typing import IO, Any
-
-from concurrent.futures import ThreadPoolExecutor
 
 from ..faults.accounting import LedgerError, SubframeLedger, TerminalState
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -60,6 +62,7 @@ from ..obs.events import Event, EventKind
 from ..obs.lockdep import tracked_lock
 from ..obs.slo import SLOEngine
 from ..obs.telemetry import TelemetryCollector
+from ..sched import WorkerFailuresError, runtime_class
 from ..uplink.serial import SubframeResult
 from .arrivals import ARRIVAL_KINDS, make_arrivals
 from .cell import CellShard
@@ -146,7 +149,7 @@ class ServeConfig:
     keep_results: bool = True
     #: JSONL trace path (line-flushed; ``repro top --follow`` tails it).
     trace_path: str | None = None
-    #: Optional inline processor override (``SubframeInput -> SubframeResult``)
+    #: Optional processor override (``SubframeInput -> SubframeResult``)
     #: for serial/vectorized cells — the bench harness injects a
     #: stage-timed processor here to attribute per-kernel wall clock.
     processor: Any = None
@@ -240,46 +243,37 @@ class _JsonlTraceSink:
 
 
 class _RuntimeWatcher:
-    """Observer bridging one cell's runtime events into the serve loop.
+    """Observer bridging one cell's runtime into the serve loop.
 
     Task/fault/retry events forward synchronously (the collectors are
     GIL-safe, same as every batch runtime observer) with worker cores
-    remapped into the cell's core band. ``SUBFRAME_TERMINAL`` instead
-    marshals onto the loop thread, where the shard's counters and the
-    backpressure capacity signal live. The runtime's own ``DISPATCH``
-    is swallowed — the serve loop already emitted its cell-tagged one.
+    remapped into the cell's core band. The terminal instead arrives
+    through :meth:`on_terminal` — state and result together — and is
+    marshaled onto the loop thread, where the shard's counters and the
+    backpressure capacity signal live. The runtime's own ``DISPATCH`` and
+    ``SUBFRAME_TERMINAL`` events are swallowed: the serve loop emits its
+    cell-tagged ones.
     """
 
-    def __init__(self, server: _Server) -> None:
+    def __init__(self, server: _Server, cell_id: int) -> None:
         self._server = server
-        self._cell: CellShard | None = None
+        self._cell_id = cell_id
 
-    def bind(self, cell: CellShard) -> None:
-        """Late-bind the shard (the runtime is built inside CellShard,
-        so the watcher must exist before the cell it watches)."""
-        self._cell = cell
+    def on_terminal(self, result: SubframeResult, state: TerminalState, t: int) -> None:
+        server = self._server
+        server.loop.call_soon_threadsafe(
+            server._on_terminal, server.cells[self._cell_id], result, state, t
+        )
 
     def __call__(self, event: Event) -> None:
-        if self._cell is None:  # pragma: no cover - bound before start()
-            return
         kind = event.kind
-        if kind is EventKind.SUBFRAME_TERMINAL:
-            data = event.data or {}
-            self._server.loop.call_soon_threadsafe(
-                self._server._on_runtime_terminal,
-                self._cell,
-                int(data.get("subframe", -1)),
-                str(data.get("state", TerminalState.ABORTED.value)),
-                event.t,
-            )
-            return
-        if kind is EventKind.DISPATCH:
+        if kind is EventKind.SUBFRAME_TERMINAL or kind is EventKind.DISPATCH:
             return
         core = event.core
         if core >= 0:
-            core = self._cell.cell_id * _CORE_STRIDE + core
+            core = self._cell_id * _CORE_STRIDE + core
         data = dict(event.data) if event.data else {}
-        data.setdefault("cell", self._cell.cell_id)
+        data.setdefault("cell", self._cell_id)
         self._server.emit(Event(kind, event.t, core, data))
 
     def merge_shard(self, shard: dict) -> None:
@@ -307,10 +301,6 @@ class _Server:
             if config.adaptive
             else None
         )
-        inline = config.backend in ("serial", "vectorized")
-        self.telemetry.workers = (
-            config.cells if inline else config.cells * config.workers
-        )
         resilience = None
         if config.faults:
             resilience = ResilienceConfig(
@@ -324,10 +314,6 @@ class _Server:
         self.overloads: list[tuple[FaultSpec, ...]] = []
         for cell_id in range(config.cells):
             plan = self._cell_plan(cell_id) if config.faults else None
-            # The runtimes freeze their observer fan-out at construction,
-            # so the watcher must be handed in (and late-bound) rather
-            # than appended afterwards.
-            watcher = _RuntimeWatcher(self)
             cell = CellShard(
                 cell_id,
                 self._cell_arrivals(cell_id),
@@ -340,21 +326,19 @@ class _Server:
                 ledger=self.ledger,
                 faults=plan,
                 resilience=resilience,
-                observers=[watcher],
+                observers=[_RuntimeWatcher(self, cell_id)],
                 processor=config.processor,
                 respawn=respawn_policy,
             )
-            watcher.bind(cell)
             self.cells.append(cell)
             self.overloads.append(
                 tuple(plan.of_kinds(frozenset({FaultKind.OVERLOAD})).specs)
                 if plan is not None
                 else ()
             )
+        self.telemetry.workers = sum(c.runtime.num_workers for c in self.cells)
         self.loop: Any = None  # bound in run()
         self._capacity: list[asyncio.Event] = []
-        self._executors: list[ThreadPoolExecutor | None] = []
-        self._inline_tasks: set[asyncio.Task] = set()
         self._pump_stop = False
         self._start_ns = 0
         # --- checkpoint / resume / wall-guard state ---------------------
@@ -410,19 +394,13 @@ class _Server:
 
     def _cell_plan(self, cell_id: int) -> FaultPlan:
         config = self.config
-        inline = config.backend in ("serial", "vectorized")
-        if inline:
-            kinds: tuple[FaultKind, ...] = (FaultKind.OVERLOAD,)
-        else:
-            kinds = (
-                FaultKind.WORKER_DEATH,
-                FaultKind.TASK_EXCEPTION,
-                FaultKind.OVERLOAD,
-            )
-            if config.respawn:
-                # Repeated-kill kinds exercise the supervisor's bounded
-                # respawn; without one they would just abort the shard.
-                kinds += (FaultKind.CRASH_LOOP, FaultKind.RESPAWN_STORM)
+        # Worker faults only where the transport can lose a worker and go
+        # on (a serial/vectorized shard's one thread is the whole shard).
+        kinds = runtime_class(config.backend).chaos_kinds + (FaultKind.OVERLOAD,)
+        if config.respawn:
+            # Repeated-kill kinds exercise the supervisor's bounded
+            # respawn; without one they would just abort the shard.
+            kinds += (FaultKind.CRASH_LOOP, FaultKind.RESPAWN_STORM)
         return FaultPlan.generate(
             seed=config.seed + config.cell_seed_stride * cell_id + 1,
             num_subframes=config.subframes,
@@ -471,37 +449,18 @@ class _Server:
             self.overload.maybe_update(t)
         self._capacity[cell.cell_id].set()
 
-    def _on_runtime_terminal(
-        self, cell: CellShard, gid: int, state: str, t: int
+    def _on_terminal(
+        self, cell: CellShard, result: SubframeResult, state: TerminalState, t: int
     ) -> None:
+        """The one terminal path (loop thread): every backend's tracker
+        lands here with the subframe's state and its result."""
+        gid = result.subframe_index
         if gid not in cell.users_of:
             return  # duplicate or pre-reconciled terminal
-        self._finish(cell, gid, state, t)
-
-    async def _complete_inline(
-        self, cell: CellShard, gid: int, fut: asyncio.Future
-    ) -> None:
-        try:
-            result, begin_ns, end_ns = await fut
-        except Exception as exc:  # noqa: BLE001 - recorded and accounted
-            now = monotonic_ns()
-            self.ledger.resolve(gid, TerminalState.ABORTED, reason=repr(exc))
-            self.errors.append(
-                f"cell {cell.cell_id} subframe {gid}: {exc!r}"
-            )
-            self._finish(cell, gid, TerminalState.ABORTED.value, now)
-            return
-        crc_ok = sum(1 for u in result.user_results if u.crc_ok)
-        state = (
-            TerminalState.OK
-            if crc_ok == len(result.user_results)
-            else TerminalState.CRC_FAILED
-        )
-        self.ledger.resolve(gid, state, reason="serve-inline")
-        self.telemetry.record_busy(end_ns, end_ns - begin_ns)
         if self.config.keep_results:
             self.results[gid] = result
-        self._finish(cell, gid, state.value, end_ns, crc_ok)
+        crc_ok = sum(1 for u in result.user_results if u.crc_ok)
+        self._finish(cell, gid, state.value, t, crc_ok)
 
     # ------------------------------------------------------------- producer
     async def _await_capacity(self, cell: CellShard) -> None:
@@ -546,7 +505,6 @@ class _Server:
     async def _run_cell(self, cell: CellShard) -> None:
         config = self.config
         delta_ns = ns_from_s(config.delta_s)
-        loop = self.loop
         skip = self._skip[cell.cell_id]
         max_wall_ns = (
             ns_from_s(config.max_wall_s)
@@ -715,67 +673,36 @@ class _Server:
                 shed=shed_users,
                 backpressure=backpressured,
             )
-            if cell.inline:
-                self.ledger.dispatch(gid, len(admitted))
-                fut = loop.run_in_executor(
-                    self._executors[cell.cell_id], self._process_inline,
-                    cell, subframe,
+            try:
+                cell.runtime.submit(subframe)
+            except Exception as exc:  # noqa: BLE001 - accounted below
+                self.errors.append(
+                    f"cell {cell.cell_id} submit {gid}: {exc!r}"
                 )
-                task = loop.create_task(self._complete_inline(cell, gid, fut))
-                self._inline_tasks.add(task)
-                task.add_done_callback(self._inline_tasks.discard)
-            else:
-                try:
-                    cell.runtime.submit(subframe)
-                except Exception as exc:  # noqa: BLE001 - accounted below
-                    self.errors.append(
-                        f"cell {cell.cell_id} submit {gid}: {exc!r}"
+                if not self.ledger.is_resolved(gid):
+                    with contextlib.suppress(LedgerError):
+                        # Unless submit failed after its own dispatch call.
+                        self.ledger.dispatch(gid, len(admitted))
+                    self.ledger.resolve(
+                        gid, TerminalState.ABORTED, reason="submit-failed"
                     )
-                    if not self.ledger.is_resolved(gid):
-                        try:
-                            self.ledger.resolve(
-                                gid,
-                                TerminalState.ABORTED,
-                                reason="submit-failed",
-                            )
-                        except LedgerError:
-                            # submit failed before its own dispatch call
-                            self.ledger.dispatch(gid, len(admitted))
-                            self.ledger.resolve(
-                                gid,
-                                TerminalState.ABORTED,
-                                reason="submit-failed",
-                            )
-                    self._finish(
-                        cell, gid, TerminalState.ABORTED.value, monotonic_ns()
-                    )
-
-    @staticmethod
-    def _process_inline(
-        cell: CellShard, subframe: Any
-    ) -> tuple[SubframeResult, int, int]:
-        begin = monotonic_ns()
-        result = cell.process(subframe)
-        return result, begin, monotonic_ns()
+                self._finish(
+                    cell, gid, TerminalState.ABORTED.value, monotonic_ns()
+                )
 
     # ----------------------------------------------------------------- pump
     async def _pump_runtimes(self) -> None:
-        """Pump multiprocess replies from the loop thread.
+        """Poll every cell's runtime from the loop thread.
 
-        The MP runtime only surfaces worker replies (and observer events)
-        during ``submit``/``drain`` calls; with a blocked or idle producer
-        nothing would pump them, so this task does — always from the loop
-        thread, because the runtime is not safe for concurrent callers.
+        A poll is what surfaces the multiprocess pool's replies and what
+        expires wall-clock deadlines on every backend; with a blocked or
+        idle producer nothing else would. Always from the loop thread,
+        because a runtime is not safe for concurrent callers.
         """
-        mp_cells = [
-            c for c in self.cells if c.backend == "multiprocess"
-        ]
-        if not mp_cells:
-            return
         while not self._pump_stop:
-            for cell in mp_cells:
+            for cell in self.cells:
                 try:
-                    cell.runtime._pump(0.0)
+                    cell.runtime.poll(0.0)
                 except Exception as exc:  # noqa: BLE001 - recorded
                     self.errors.append(
                         f"cell {cell.cell_id} pump: {exc!r}"
@@ -841,10 +768,7 @@ class _Server:
 
     # ---------------------------------------------------------------- drain
     async def _drain(self) -> None:
-        from ..sched.threaded import WorkerFailuresError
-
-        runtime_cells = [c for c in self.cells if c.runtime is not None]
-        for cell in runtime_cells:
+        for cell in self.cells:
             try:
                 # Blocking in the loop thread is fine here: pacing is
                 # over and terminal callbacks queue until drain returns.
@@ -861,10 +785,10 @@ class _Server:
                     )
         # Let marshaled terminal callbacks land, bounded.
         for _ in range(2000):
-            if all(c.inflight == 0 for c in runtime_cells):
+            if all(c.inflight == 0 for c in self.cells):
                 break
             await asyncio.sleep(0.001)
-        for cell in runtime_cells:
+        for cell in self.cells:
             self._reconcile(cell)
 
     def _reconcile(self, cell: CellShard) -> None:
@@ -878,58 +802,28 @@ class _Server:
                 state = TerminalState.ABORTED
             self._finish(cell, gid, state.value, monotonic_ns())
 
-    def _collect_runtime_results(self) -> None:
-        for cell in self.cells:
-            if cell.runtime is None:
-                continue
-            try:
-                results = cell.runtime.collect_results()
-            except Exception as exc:  # noqa: BLE001 - recorded
-                self.errors.append(
-                    f"cell {cell.cell_id} collect: {exc!r}"
-                )
-                continue
-            for result in results:
-                crc_ok = sum(1 for u in result.user_results if u.crc_ok)
-                cell.crc_ok_users += crc_ok
-                if self.config.keep_results:
-                    self.results[result.subframe_index] = result
-
     # ------------------------------------------------------------------ run
     async def run(self) -> ServeResult:
-        config = self.config
         self.loop = asyncio.get_running_loop()
         self._capacity = [asyncio.Event() for _ in self.cells]
-        self._executors: list[ThreadPoolExecutor | None] = [
-            ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"serve-cell{c.cell_id}"
-            )
-            if c.inline
-            else None
-            for c in self.cells
-        ]
-        wall_begin = time.perf_counter()
-        self._wall_begin = wall_begin
+        self._wall_begin = time.perf_counter()
         pump_task = None
         ckpt_task = None
         try:
             for cell in self.cells:
-                cell.start()
+                cell.runtime.start()
             pump_task = self.loop.create_task(self._pump_runtimes())
-            if config.checkpoint_path:
+            if self.config.checkpoint_path:
                 ckpt_task = self.loop.create_task(self._checkpoint_loop())
             self._start_ns = monotonic_ns()
             await asyncio.gather(
                 *(self._run_cell(cell) for cell in self.cells)
             )
             self._producers_done = True
-            if self._inline_tasks:
-                await asyncio.gather(*tuple(self._inline_tasks))
             self._pump_stop = True
             await pump_task
             pump_task = None
             await self._drain()
-            self._collect_runtime_results()
         finally:
             self._pump_stop = True
             self._ckpt_stop = True
@@ -942,19 +836,20 @@ class _Server:
             self._write_checkpoint(completed=self._completed)
             for cell in self.cells:
                 try:
-                    cell.stop()
+                    cell.runtime.close()
                 except Exception as exc:  # noqa: BLE001 - recorded
                     self.errors.append(
                         f"cell {cell.cell_id} stop: {exc!r}"
                     )
-            for executor in self._executors:
-                if executor is not None:
-                    executor.shutdown(wait=True)
             if self.trace_sink is not None:
                 self.trace_sink.close()
-        wall_s = max(1e-9, time.perf_counter() - wall_begin)
+        wall_s = max(1e-9, time.perf_counter() - self._wall_begin)
+        report = self._report(wall_s)
+        # The runtimes' watchers point back at this server: dropping the shards
+        # breaks the cycle, so their grid pools are freed now, not at the next GC.
+        self.cells.clear()
         return ServeResult(
-            report=self._report(wall_s),
+            report=report,
             results=self.results,
             ledger=self.ledger,
             engine=self.engine,

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .parameter_model import ParameterModel
-from .serial import SubframeResult, process_subframe
+from .serial import SubframeResult
 from .subframe import SubframeFactory
 
 __all__ = ["DRIVER_BACKENDS", "BenchmarkConfig", "BenchmarkDriver"]
@@ -32,11 +32,11 @@ class BenchmarkConfig:
     ``delta_s`` is the paper's DELTA — the dispatch interval. It is
     configurable precisely because "this allows the benchmark to run on
     hardware that cannot sustain a rate of one subframe per millisecond".
-    ``backend`` selects how dispatched subframes execute: ``"threaded"``
-    (default) submits to the work-stealing runtime; ``"serial"`` and
-    ``"vectorized"`` process each subframe inline on the dispatch thread
-    (the vectorized path runs the batched kernels of
-    ``repro.phy.batched``).
+    ``backend`` selects the :func:`~repro.sched.make_runtime`
+    transport dispatched subframes execute on: ``"threaded"`` (default) is
+    the work-stealing runtime; ``"serial"`` and ``"vectorized"`` run each
+    subframe whole on one thread (the vectorized path runs the batched
+    kernels of ``repro.phy.batched``).
     """
 
     delta_s: float = 5e-3
@@ -84,26 +84,16 @@ class BenchmarkDriver:
         if num_subframes < 1:
             raise ValueError("num_subframes must be >= 1")
         subframes = [self._build(start + i) for i in range(num_subframes)]
-        if self.config.backend != "threaded":
-            # Inline backends: the dispatch thread processes each subframe
-            # itself (serial reference or batched vectorized fast path),
-            # still paced at DELTA so deadline behaviour is comparable.
-            results: list[SubframeResult] = []
-            epoch = time.monotonic()
-            for i, subframe in enumerate(subframes):
-                deadline = epoch + i * self.config.delta_s
-                delay = deadline - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                results.append(
-                    process_subframe(subframe, backend=self.config.backend)
-                )
-            return results
         # Imported here: repro.sched depends on repro.uplink's task graph,
         # so a module-level import would be circular.
-        from ..sched.threaded import ThreadedRuntime
+        from ..sched import make_runtime
 
-        runtime = ThreadedRuntime(num_workers=self.config.num_workers)
+        # Every backend is a runtime: the work-stealing threads, or one
+        # thread running the serial reference / batched vectorized path —
+        # paced at DELTA alike, so deadline behaviour is comparable.
+        runtime = make_runtime(
+            self.config.backend, num_workers=self.config.num_workers
+        )
         runtime.start()
         try:
             epoch = time.monotonic()
@@ -115,5 +105,5 @@ class BenchmarkDriver:
                 runtime.submit(subframe)
             runtime.drain()
         finally:
-            runtime.stop()
+            runtime.close()
         return runtime.collect_results()

@@ -162,6 +162,10 @@ def _finalize_group(
     else:
         num_info_with_crc = (llrs_rows.shape[1] - 12) // 3
         useful_bits = 3 * num_info_with_crc + 12
+    # A NaN LLR hard-decides to bit 0 and the all-zero block passes CRC24A,
+    # so a user with a non-finite soft bit fails outright (one reduction a
+    # group: a row's sum is non-finite exactly when some LLR in it is).
+    finite_rows = np.isfinite(llrs_rows.sum(axis=1))
     c_inits = scrambling_c_inits or [None] * num_users
     if type(codec) is PassThroughTurbo and all(c is None for c in c_inits):
         # The pass-through decoder is a hard decision on every LLR, so the
@@ -190,7 +194,7 @@ def _finalize_group(
             UserResult(
                 user_id=user_id,
                 payload=decoded[: -CRC24A.width],
-                crc_ok=bool(ok_rows[row]),
+                crc_ok=bool(ok_rows[row] and finite_rows[row]),
                 llrs=llrs_rows[row],
             )
         )

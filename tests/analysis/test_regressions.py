@@ -72,12 +72,13 @@ SCHEMA_PRE_FIX = {
     """,
 }
 
-# Regression note 3 — repro/sched/threaded.py (_PendingSubframe.result):
-# the last-user handoff read in _finish_subframe is deliberately outside
-# pending.lock (ordered by the remaining_users==0 observation) and is
-# suppressed in the real tree with a justification. The *unsuppressed*
-# shape must keep failing, or the suppression is load-bearing for
-# nothing.
+# Regression note 3 — repro/sched/core.py (Pending.results): the threaded
+# runtime's last-user hand-off once read a per-pending guarded result
+# outside pending.lock (ordered by the remaining_users==0 observation).
+# The tracker has no such hand-off: a Pending's slots are written and
+# read only under SubframeTracker._lock, and _resolve builds the
+# SubframeResult inside it, so the real tree needs no suppression. The
+# *old* shape must keep failing, or the rule guards nothing.
 PENDING_HANDOFF_PRE_FIX = """
     import threading
     from dataclasses import dataclass, field

@@ -33,6 +33,19 @@ EMITTER_PARTIAL = """
         emit(Event(EventKind.TASK_START, 1))
 """
 
+EMITTER_VIA_HELPER = """
+    from events import Event, EventKind
+
+    class Tracker:
+        def _event(self, kind, t):
+            self.emit(Event(kind, t))
+
+        def run(self, recorder):
+            self._event(EventKind.DISPATCH, 0)
+            self._event(EventKind.TASK_START, 1)
+            recorder.of_kind(EventKind.WAKE_CHECK)  # a filter, not an emit
+"""
+
 CHECKER_ALL = """
     from events import EventKind
 
@@ -94,6 +107,20 @@ def test_unemitted_kind_fails_rep301(lint_tree):
     assert rule_ids(result) == ["REP301"]
     assert "WAKE_CHECK" in result.findings[0].message
     assert result.findings[0].path.endswith("events.py")
+
+
+def test_emit_helper_call_is_an_emit_site(lint_tree):
+    """``self._event(EventKind.X, ...)`` emits X (functions named ``*_event``
+    are emit helpers); merely passing a kind to anything else does not."""
+    result = lint_tree(
+        {
+            "events.py": EVENTS,
+            "machine.py": EMITTER_VIA_HELPER,
+            "invariants.py": CHECKER_ALL,
+        }
+    )
+    assert rule_ids(result) == ["REP301"]
+    assert "WAKE_CHECK" in result.findings[0].message
 
 
 def test_unhandled_kind_fails_rep302(lint_tree):

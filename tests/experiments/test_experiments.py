@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.estimation import run_estimation_experiment
-from repro.experiments.power_study import run_power_study
 from repro.experiments.report import (
     format_estimation,
     format_series,
@@ -18,16 +17,17 @@ from repro.uplink.parameter_model import RandomizedParameterModel
 
 
 @pytest.fixture(scope="module")
-def study():
-    """One scaled power study shared by all table/figure assertions."""
-    return run_power_study(num_subframes=1000, seed=3)
+def study(reproduction):
+    """The session's one scaled power study (see conftest.py), shared by
+    all table/figure assertions."""
+    return reproduction.study
 
 
 @pytest.fixture(scope="module")
-def estimation():
+def estimation(reproduction):
     # 1200 subframes: with the 200-subframe probability step the triangle
     # actually reaches probability 1.0 at the half-way point.
-    return run_estimation_experiment(num_subframes=1200, seed=3)
+    return reproduction.estimation
 
 
 class TestWorkloadTrace:

@@ -4,16 +4,13 @@ import json
 
 import pytest
 
-from repro.experiments.runner import (
-    PAPER_VALUES,
-    run_full_reproduction,
-    write_report,
-)
+from repro.experiments.runner import PAPER_VALUES, build_report, write_report
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_full_reproduction(num_subframes=1200, seed=0)
+def report(reproduction):
+    """The report of the session's one shared reproduction (conftest.py)."""
+    return build_report(reproduction)
 
 
 class TestFullReproduction:
@@ -44,6 +41,7 @@ class TestFullReproduction:
         path = write_report(report, tmp_path / "report.json")
         loaded = json.loads(path.read_text())
         assert loaded["scale"]["paper_num_subframes"] == 68_000
+        assert loaded["scale"]["num_subframes"] == 1200
         assert loaded["table2"]["NONAP"]["total_power_w"] == pytest.approx(
             report["table2"]["NONAP"]["total_power_w"]
         )
@@ -51,10 +49,16 @@ class TestFullReproduction:
 
 class TestCliReport:
     def test_cli_report_writes_file(self, tmp_path, capsys):
+        """The CLI plumbing only, so at the smallest scale the experiments
+        accept (one 200-subframe averaging window, ~2 s): the file is
+        written, the shape checks are printed, and the exit code is their
+        verdict. Whether they *hold* at a meaningful scale is
+        ``TestFullReproduction.test_shape_checks_pass``."""
         from repro.cli import main
 
         out = tmp_path / "r.json"
-        code = main(["report", "--subframes", "1200", "--output", str(out)])
-        assert code == 0
-        assert out.exists()
+        code = main(["report", "--subframes", "200", "--output", str(out)])
+        written = json.loads(out.read_text())
+        assert written["scale"]["num_subframes"] == 200
+        assert code == (0 if all(written["shape_checks"].values()) else 1)
         assert "policy_ordering" in capsys.readouterr().out

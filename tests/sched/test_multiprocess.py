@@ -3,10 +3,12 @@
 Tier-1 coverage of the spawn-based pool. Each test spawns its own small
 pool (2 workers, a handful of subframes) because fault plans differ per
 test; the exhaustive cross-backend scenario matrix lives in the slow-tier
-differential suite (``tests/differential/test_backends.py``).
+differential suite (``tests/differential/test_backends.py``), and what
+every backend owes alike (one terminal per subframe, empty subframes,
+retry budget, deadlines, ``abort``/``drain``) in
+``tests/sched/test_runtime_contract.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -15,7 +17,7 @@ from repro.obs.recorder import EventRecorder
 from repro.sched.multiprocess import MultiprocessRuntime
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
-from repro.uplink.subframe import SubframeFactory, SubframeInput
+from repro.uplink.subframe import SubframeFactory
 
 NUM_SUBFRAMES = 4
 SEED = 3
@@ -148,16 +150,3 @@ def test_tiny_output_slab_falls_back_to_inline_results(workload):
     assert runtime.stats.slab_overflows > 0
     for result, expected in zip(results, reference):
         assert result.equals(expected)
-
-
-def test_empty_subframe_resolves_immediately():
-    empty = SubframeInput(
-        subframe_index=9,
-        grid=np.zeros((2, 14, 12), dtype=np.complex128),
-        slices=[],
-        expected_payloads={},
-    )
-    runtime = MultiprocessRuntime(num_workers=2)
-    results = runtime.run([empty])
-    assert len(results) == 1 and not results[0].user_results
-    assert runtime.ledger.counts()["ok"] == 1

@@ -1,0 +1,305 @@
+"""The runtime contract, once, over every backend.
+
+``repro.sched.core`` states what it means to run a subframe to a terminal
+state; a backend only supplies transport. So the contract is tested once:
+each test below has one body, parametrized over ``serial``, ``vectorized``,
+``threaded`` and ``multiprocess`` through :func:`make_runtime`. Backend
+suites (``test_threaded.py``, ``test_multiprocess.py``,
+``tests/faults/test_threaded_faults.py``) keep only what is about their
+transport: stealing, shared memory, real process death.
+"""
+
+import os
+import signal
+import time
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.faults.accounting import TerminalState
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.faults.watchdog import ResilienceConfig, RuntimeHung
+from repro.obs.recorder import EventRecorder
+from repro.phy.params import Modulation
+from repro.sched import Runtime, WorkerFailuresError, make_runtime
+from repro.uplink.parameter_model import RandomizedParameterModel
+from repro.uplink.serial import process_subframe_serial
+from repro.uplink.subframe import SubframeFactory, SubframeInput
+from repro.uplink.user import UserParameters
+
+BACKENDS = ["serial", "vectorized", "threaded", "multiprocess"]
+NUM_SUBFRAMES = 5
+SEED = 3
+
+
+@pytest.fixture(scope="module")
+def workload():
+    model = RandomizedParameterModel(
+        total_subframes=NUM_SUBFRAMES, seed=SEED, max_users=4
+    )
+    factory = SubframeFactory(seed=SEED)
+    subframes = [
+        factory.synthesize(model.uplink_parameters(i), i)
+        for i in range(NUM_SUBFRAMES)
+    ]
+    return subframes, [process_subframe_serial(s) for s in subframes]
+
+
+@pytest.fixture(scope="module")
+def one_user():
+    """Single-user subframes: a user, a shape group and a whole subframe
+    are then the same work unit, so the retry budget reads alike on every
+    transport."""
+    factory = SubframeFactory(seed=SEED)
+    user = UserParameters(0, 6, 1, Modulation.QPSK)
+    return [factory.synthesize([user], index) for index in range(3)]
+
+
+def plan_of(kind, count=1, subframe=0, param=0.0):
+    return FaultPlan(
+        specs=tuple(
+            FaultSpec(kind=kind, subframe=subframe, target=-1, param=param)
+            for _ in range(count)
+        )
+    )
+
+
+def runtime_for(backend, workers=2, **kwargs) -> Runtime:
+    kwargs.setdefault(
+        "resilience", ResilienceConfig(max_retries=1, drain_timeout_s=60.0)
+    )
+    return make_runtime(backend, num_workers=workers, **kwargs)
+
+
+class _Bug(BaseException):
+    """Not an injected fault: what a real bug in a worker looks like."""
+
+
+class _BuggyInjector:
+    def check_worker_death(self, worker_id, subframe_index):
+        raise _Bug("real bug in a worker")
+
+    check_worker_hang = check_task_exception = check_worker_death
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestRuntimeContract:
+    def test_one_terminal_per_subframe_and_bit_exact(self, backend, workload):
+        subframes, reference = workload
+        recorder = EventRecorder()
+        runtime = runtime_for(backend, observers=[recorder])
+        results = runtime.run(subframes)
+        ledger = runtime.ledger
+        ledger.check()
+        assert ledger.dispatched == NUM_SUBFRAMES
+        assert sum(ledger.counts().values()) == NUM_SUBFRAMES
+        assert ledger.late_resolutions == []
+        for kind in ("dispatch", "subframe-terminal"):
+            seen = sorted(
+                e.data["subframe"] for e in recorder if e.kind.value == kind
+            )
+            assert seen == list(range(NUM_SUBFRAMES)), kind
+        for result, expected in zip(results, reference):
+            assert result.equals(expected)
+            state = ledger.state_of(result.subframe_index)
+            clean = all(u.crc_ok for u in expected.user_results)
+            assert state is (
+                TerminalState.OK if clean else TerminalState.CRC_FAILED
+            )
+        assert runtime.failures == [] and runtime.late_completions == 0
+
+    def test_on_terminal_observer_takes_delivery_of_results(
+        self, backend, workload
+    ):
+        subframes, reference = workload
+
+        class Taker:
+            def __init__(self):
+                self.delivered = []
+
+            def __call__(self, event):
+                pass
+
+            def on_terminal(self, result, state, t_ns):
+                self.delivered.append((result, state, t_ns))
+
+        taker = Taker()
+        runtime = runtime_for(backend, observers=[taker])
+        assert runtime.run(subframes) == []  # delivered, so not kept as well
+        delivered = sorted(taker.delivered, key=lambda d: d[0].subframe_index)
+        assert len(delivered) == NUM_SUBFRAMES
+        for (result, state, t_ns), expected in zip(delivered, reference):
+            assert result.equals(expected) and t_ns > 0
+            assert state is runtime.ledger.state_of(result.subframe_index)
+
+    def test_results_sorted_by_index_users_in_slice_order(
+        self, backend, workload
+    ):
+        subframes, _ = workload
+        runtime = runtime_for(backend)
+        runtime.start()
+        try:
+            for subframe in reversed(subframes):
+                runtime.submit(subframe)
+            results = runtime.collect_results()  # drains by itself
+        finally:
+            runtime.close()
+        assert [r.subframe_index for r in results] == list(range(NUM_SUBFRAMES))
+        for result, subframe in zip(results, subframes):
+            assert [u.user_id for u in result.user_results] == [
+                s.user.user_id for s in subframe.slices
+            ]
+        assert runtime.collect_results() == []  # and clears
+
+    def test_empty_subframe_resolves_ok(self, backend):
+        empty = SubframeInput(
+            subframe_index=9,
+            grid=np.zeros((2, 14, 12), dtype=np.complex128),
+            slices=[],
+        )
+        runtime = runtime_for(backend)
+        results = runtime.run([empty])
+        assert len(results) == 1 and results[0].user_results == []
+        assert runtime.ledger.state_of(9) is TerminalState.OK
+
+    def test_lifecycle_errors(self, backend, one_user):
+        runtime = runtime_for(backend)
+        with pytest.raises(RuntimeError, match="not started"):
+            runtime.submit(one_user[0])
+        runtime.start()
+        try:
+            with pytest.raises(RuntimeError, match="already started"):
+                runtime.start()
+        finally:
+            runtime.stop()
+        runtime.close()  # idempotent
+
+    def test_task_exception_retries_then_succeeds(self, backend, one_user):
+        runtime = runtime_for(
+            backend, faults=plan_of(FaultKind.TASK_EXCEPTION, count=1)
+        )
+        results = runtime.run(one_user[:1])
+        assert (runtime.stats.retries, runtime.stats.aborted_users) == (1, 0)
+        assert results[0].equals(process_subframe_serial(one_user[0]))
+        assert results[0].aborted_user_ids == []
+        assert runtime.ledger.state_of(0) is TerminalState.OK
+
+    def test_task_exception_aborts_at_the_retry_budget(self, backend, one_user):
+        recorder = EventRecorder()
+        runtime = runtime_for(
+            backend,
+            faults=plan_of(FaultKind.TASK_EXCEPTION, count=2),
+            observers=[recorder],
+        )
+        results = runtime.run(one_user[:1])
+        # Budget of one retry: the first failure requeues the user, the
+        # second aborts it — counted per user on every backend.
+        assert (runtime.stats.retries, runtime.stats.aborted_users) == (1, 1)
+        assert results[0].aborted_user_ids == [0]
+        assert results[0].user_results == []
+        assert runtime.ledger.state_of(0) is TerminalState.ABORTED
+        runtime.ledger.check()
+        counts = recorder.counts()
+        assert counts["user-retry"] == 1 and counts["user-aborted"] == 1
+        assert counts["fault"] == 2 and counts["subframe-terminal"] == 1
+
+    def test_deadline_aborts_and_the_straggler_is_only_counted(
+        self, backend, one_user
+    ):
+        hung = 100  # the hang arms here; lower indices warm the transport
+        runtime = runtime_for(
+            backend,
+            workers=1,
+            faults=plan_of(FaultKind.WORKER_HANG, subframe=hung, param=0.4),
+            resilience=ResilienceConfig(
+                max_retries=0,
+                deadline_s=0.1,
+                watchdog_poll_s=0.01,
+                drain_timeout_s=60.0,
+            ),
+        )
+        runtime.start()
+        try:
+            ledger = runtime.ledger
+            # A cold multiprocess pool is still importing NumPy when its
+            # first deadlines pass: go on until one subframe comes back.
+            for index in range(hung):
+                runtime.submit(replace(one_user[0], subframe_index=index))
+                runtime.drain()
+                if ledger.state_of(index) is TerminalState.OK:
+                    break
+            else:
+                pytest.fail("the transport never came up")
+            runtime.collect_results()
+            runtime.submit(replace(one_user[0], subframe_index=hung))
+            runtime.drain()
+            assert ledger.state_of(hung) is TerminalState.ABORTED
+            reason = ledger.summary()["resolved"][hung]["reason"]
+            assert reason == "deadline expired"
+            [result] = runtime.collect_results()
+            assert result.aborted_user_ids == [0] and not result.user_results
+            # The hung worker wakes up and finishes after the fact: that
+            # is counted, and the subframe is not resolved a second time.
+            give_up = time.monotonic() + 20.0
+            while runtime.late_completions == 0 and time.monotonic() < give_up:
+                runtime.poll(0.02)
+            assert runtime.late_completions == 1
+            assert ledger.state_of(hung) is TerminalState.ABORTED
+            assert ledger.late_resolutions == []
+            assert runtime.collect_results() == []
+            ledger.check()
+        finally:
+            runtime.close()
+
+    def test_abort_leaves_the_ledger_balanced(self, backend, one_user):
+        runtime = runtime_for(
+            backend, faults=plan_of(FaultKind.WORKER_HANG, param=0.5)
+        )
+        runtime.start()
+        for subframe in one_user:
+            runtime.submit(subframe)
+        runtime.abort()
+        ledger = runtime.ledger
+        ledger.check()
+        assert ledger.dispatched == len(one_user) and ledger.unresolved() == []
+        assert ledger.counts()["aborted"] >= 1
+        results = runtime.collect_results()
+        assert [r.subframe_index for r in results] == [0, 1, 2]
+        assert any(r.aborted_user_ids for r in results)
+
+    def test_drain_raises_runtime_hung_on_timeout(self, backend, one_user):
+        runtime = runtime_for(
+            backend, faults=plan_of(FaultKind.WORKER_HANG, param=1.0)
+        )
+        runtime.start()
+        try:
+            runtime.submit(one_user[0])
+            with pytest.raises(RuntimeHung, match="1 subframe"):
+                runtime.drain(timeout=0.05)
+        finally:
+            runtime.abort()
+        runtime.ledger.check()
+
+    def test_drain_raises_on_a_fatal_worker_failure(self, backend, one_user):
+        if backend == "multiprocess":
+            # A real bug in a pool process is a process that is gone.
+            runtime = runtime_for(backend)
+            runtime.start()
+            for pid in runtime.process_ids:
+                os.kill(pid, signal.SIGKILL)
+        else:
+            runtime = runtime_for(backend, faults=_BuggyInjector())
+            runtime.start()
+        try:
+            for subframe in one_user:
+                runtime.submit(subframe)
+            with pytest.raises(WorkerFailuresError) as caught:
+                runtime.drain(timeout=30.0)
+        finally:
+            runtime.abort()
+        assert all(f.fatal and not f.injected for f in caught.value.failures)
+        assert runtime.failures and all(f.fatal for f in runtime.failures)
+        # Loud, and still accounted: nothing is left unresolved.
+        runtime.ledger.check()
+        assert runtime.ledger.counts()["aborted"] == len(one_user)

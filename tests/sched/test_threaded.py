@@ -69,13 +69,6 @@ class TestThreadedRuntime:
             len(s.slices) for s in subframes
         )
 
-    def test_empty_subframe_completes(self):
-        _, factory, _ = make_subframes()
-        empty = factory.from_pool([], 0)
-        results = ThreadedRuntime(num_workers=2).run([empty])
-        assert len(results) == 1
-        assert results[0].user_results == []
-
     def test_submit_requires_started_runtime(self):
         _, _, subframes = make_subframes(num=1)
         runtime = ThreadedRuntime(num_workers=2)
@@ -156,7 +149,7 @@ class TestThreadedRuntime:
 
     def test_no_observers_disables_emit_hook(self):
         runtime = ThreadedRuntime(num_workers=2)
-        assert runtime._emit is None
+        assert runtime.emit is None
 
     def test_synthesized_subframes_decode_correctly_in_parallel(self):
         users = [

@@ -113,6 +113,74 @@ class TestResumeDifferential:
         assert report["checkpoint"]["segments"] == 2
 
 
+BACKENDS = ["serial", "vectorized", "threaded", "multiprocess"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestCrcAccountingAtTheTerminal:
+    """``crc_ok_users`` is folded in at each terminal, on every backend.
+
+    Synthesized subframes at this seed all decode (no ``crc_failed``
+    tick), so in any consistent cut every served user is a CRC-ok user.
+    Runtime-backed cells used to learn ``crc_ok`` only when results were
+    collected at the end of the run: a periodic snapshot of a ``threaded``
+    cell read ``crc_ok_users: 0`` beside dozens of resolved ``ok`` ticks,
+    and a SIGKILL-and-resume from it undercounted silently.
+    """
+
+    CONFIG = dict(
+        backend=None, subframes=40, synthesize=True, checkpoint_every_s=0.02
+    )
+
+    def _serve(self, backend, **overrides):
+        return _serve(**{**self.CONFIG, "backend": backend, **overrides})
+
+    def test_periodic_snapshots_count_crc_ok_users(
+        self, backend, tmp_path, monkeypatch
+    ):
+        from repro.serve import loop
+
+        snapshots = []
+        write = loop.write_checkpoint
+
+        def recording_write(path, snapshot):
+            snapshots.append(json.loads(json.dumps(snapshot)))
+            write(path, snapshot)
+
+        monkeypatch.setattr(loop, "write_checkpoint", recording_write)
+        result = self._serve(backend, checkpoint_path=str(tmp_path / "c.json"))
+        assert result.ok, result.errors
+        assert result.report["terminal_counts"]["crc_failed"] == 0
+        periodic = snapshots[:-1]  # the last write is the final snapshot
+        assert all(not snapshot["completed"] for snapshot in periodic)
+        served = 0
+        for snapshot in periodic:
+            for record in snapshot["cells"]:
+                counters = record["counters"]
+                assert set(record["states"].values()) <= {"ok", "shed"}
+                assert counters["crc_ok_users"] == counters["served_users"]
+                served += counters["served_users"]
+        assert served > 0, "no periodic snapshot caught a resolved subframe"
+
+    def test_cut_and_resume_reproduces_crc_ok_users(self, backend, tmp_path):
+        full = self._serve(backend).report
+        assert full["crc_ok_users"] == full["served_users"] > 0
+        ckpt = str(tmp_path / "cut.json")
+        cut = self._serve(
+            backend, checkpoint_path=ckpt, max_wall_s=0.4 * full["wall_s"]
+        ).report
+        assert cut["max_wall"]["hit"] and cut["ledger_ok"]
+        assert cut["dispatched"] < full["dispatched"]
+        resumed = self._serve(backend, resume_path=ckpt, checkpoint_path=ckpt)
+        assert resumed.ok, resumed.errors
+        report = resumed.report
+        for key in ("crc_ok_users", "served_users", "terminal_counts"):
+            assert report[key] == full[key], key
+        assert report["terminal_states"] == self._serve(
+            backend, checkpoint_path=ckpt
+        ).report["terminal_states"]
+
+
 class TestSnapshotGuards:
     def test_signature_mismatch_names_the_field(self, tmp_path):
         ckpt = str(tmp_path / "sig.json")

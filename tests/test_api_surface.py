@@ -85,3 +85,57 @@ def test_batched_tail_names_are_public():
     assert "crc_check_rows" in crc.__all__ and callable(crc.crc_check_rows)
     assert "deinterleave_indices" in interleaver.__all__
     assert callable(interleaver.deinterleave_indices)
+
+
+def test_runtime_core_names_are_public():
+    """Added with the one runtime core, on purpose: the contract
+    (``Runtime``, ``SubframeTracker``), its third transport and the
+    factory every caller goes through."""
+    import repro.sched as sched
+    from repro.sched import core, inline
+
+    for name in (
+        "InlineRuntime",
+        "Runtime",
+        "SubframeTracker",
+        "WorkerFailuresError",
+        "make_runtime",
+        "runtime_class",
+    ):
+        assert name in sched.__all__ and hasattr(sched, name)
+    assert issubclass(sched.ThreadedRuntime, sched.Runtime)
+    assert issubclass(sched.MultiprocessRuntime, sched.Runtime)
+    assert issubclass(sched.InlineRuntime, sched.Runtime)
+    assert sched.InlineRuntime is inline.InlineRuntime
+    # One definition, re-exported where it used to live.
+    from repro.sched.threaded import WorkerFailuresError
+
+    assert WorkerFailuresError is core.WorkerFailuresError
+    for backend in ("serial", "vectorized", "threaded", "multiprocess"):
+        assert issubclass(sched.runtime_class(backend), sched.Runtime)
+    with pytest.raises(ValueError):
+        sched.make_runtime("quantum")
+
+
+def test_nothing_outside_sched_reaches_into_a_runtime():
+    """A runtime's underscore attributes are ``repro.sched``'s business:
+    serve, the CLI, the chaos campaign, the benches and the tests drive it
+    through ``start``/``submit``/``poll``/``drain``/``close`` and public
+    properties (``emit``, ``faults``, ``stats``, ``ledger``...)."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    private = re.compile(r"\bruntime\._(?!_)\w+")
+    offenders = []
+    for top in ("src", "tests", "perf", "benchmarks", "examples", "scripts"):
+        for path in sorted((root / top).rglob("*.py")):
+            if (root / "src" / "repro" / "sched") in path.parents:
+                continue
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1
+            ):
+                if private.search(line):
+                    where = f"{path.relative_to(root)}:{number}"
+                    offenders.append(f"{where}: {line.strip()}")
+    assert offenders == []

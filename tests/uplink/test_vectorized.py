@@ -220,6 +220,56 @@ class TestSingularUser:
         assert np.all(np.isfinite(alone.llrs))
 
 
+class TestNonFiniteLlrs:
+    @pytest.mark.parametrize("backend", FUNCTIONAL_BACKENDS)
+    def test_all_nan_user_fails_its_crc_and_only_it(self, subframe, backend):
+        """A user whose received slice is NaN decodes to 100 % NaN LLRs. A
+        hard decision maps NaN to bit 0 and the all-zero block passes
+        CRC24A, so it used to read ``crc_ok=True`` and the subframe ``ok``;
+        a non-finite LLR must fail that user — and nobody else, not even
+        the neighbour stacked into the same shape group."""
+        import dataclasses
+
+        victim = subframe.slices[2]  # shares its group with user 1
+        grid = subframe.grid.copy()
+        victim.view(grid)[...] = np.nan
+        broken = dataclasses.replace(subframe, grid=grid)
+        with np.errstate(all="ignore"):
+            result = process_subframe(broken, backend=backend)
+        clean = process_subframe(subframe, backend=backend)
+        poisoned = result.user_results[2]
+        assert np.isnan(poisoned.llrs).all() and not poisoned.payload.any()
+        assert [r.crc_ok for r in clean.user_results] == [True] * 4
+        assert [r.crc_ok for r in result.user_results] == [
+            True, True, False, True,
+        ]
+        for position in (0, 1, 3):
+            assert result.user_results[position].equals(
+                clean.user_results[position]
+            )
+            assert np.array_equal(
+                result.user_results[position].llrs,
+                clean.user_results[position].llrs,
+            )
+        from repro.sched.core import classify
+
+        assert classify(result).value == "crc_failed"
+        assert classify(clean).value == "ok"
+
+    @pytest.mark.parametrize("backend", FUNCTIONAL_BACKENDS)
+    def test_one_infinite_llr_is_enough(self, backend):
+        """±inf soft bits are as meaningless as NaN ones: a single received
+        sample at the float limit overflows the distances it touches."""
+        users = [UserParameters(0, 4, 1, Modulation.QPSK)]
+        subframe = SubframeFactory(seed=5).synthesize(users, 0)
+        assert process_subframe(subframe, backend=backend).user_results[0].crc_ok
+        subframe.grid[0, 3, 5] = 1e200
+        with np.errstate(all="ignore"):
+            result = process_subframe(subframe, backend=backend).user_results[0]
+        assert not np.isfinite(result.llrs).all()
+        assert not result.crc_ok
+
+
 class TestGrouping:
     def test_same_shape_users_share_a_group(self, subframe):
         groups = group_slices_by_shape(subframe.slices)
