@@ -15,7 +15,8 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 test-slow:
-	$(PYTHON) -m pytest -m slow -q tests/differential tests/properties
+	$(PYTHON) -m pytest -m slow -q tests/differential tests/properties \
+		tests/uplink/test_process_subframes.py
 
 test-invariants:
 	REPRO_INVARIANTS=1 $(PYTHON) -m pytest -x -q tests/sim tests/obs tests/power tests/experiments
@@ -51,6 +52,20 @@ serve-smoke:
 		assert not problems, problems; print('serve report: schema OK')"
 	$(PYTHON) -m repro serve --cells 2 --subframes 40 --no-pace \
 		--backend threaded --workers 2 --faults --seed 1 --timeout 300
+# Batching under backlog never shows: a flood that batches (depth 8) and
+# one that cannot (depth 1) account for exactly the same work.
+	for depth in 8 1; do \
+		$(PYTHON) -m repro serve --cells 2 --subframes 60 --no-pace \
+			--synthesize --arrival poisson --rate 2.0 --seed 0 \
+			--backpressure block --queue-depth $$depth --timeout 300 \
+			--json-out SERVE_depth$$depth.json > /dev/null || exit 1; \
+	done
+	$(PYTHON) -c "import json; \
+		a, b = (json.load(open('SERVE_depth%d.json' % d)) for d in (8, 1)); \
+		keys = ('dispatched', 'terminal_counts', 'served_users', 'crc_ok_users', 'ledger_ok'); \
+		assert all(a[k] == b[k] for k in keys), [(k, a[k], b[k]) for k in keys]; \
+		assert a['ledger_ok'] and a['crc_ok_users'] == a['served_users'] > 0, a; \
+		print('serve flood: queue depth 8 == queue depth 1 on', ', '.join(keys))"
 	$(PYTHON) -m pytest -m slow -q tests/serve/test_soak.py
 
 supervision-smoke:

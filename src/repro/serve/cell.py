@@ -68,7 +68,8 @@ class CellShard:
     counters are only mutated from loop callbacks, so they need no lock.
     The runtime receives the shared ``ledger`` so its dispatch/resolve
     accounting lands in the serve run's global ledger; ``processor``
-    replaces ``process_subframe`` on the serial/vectorized transport.
+    replaces ``process_subframes`` on the serial/vectorized transport
+    (one subframe a call: it is never handed a batch).
     """
 
     def __init__(

@@ -36,7 +36,11 @@ from .tasks import (
     describe_user_tasks_batched,
 )
 from .user import UserParameters
-from .vectorized import process_subframe_vectorized, process_user_vectorized
+from .vectorized import (
+    process_subframe_vectorized,
+    process_subframes,
+    process_user_vectorized,
+)
 from .verification import VerificationReport, verify_against_serial
 
 __all__ = [
@@ -60,6 +64,7 @@ __all__ = [
     "process_subframe",
     "process_subframe_serial",
     "process_subframe_vectorized",
+    "process_subframes",
     "process_user_vectorized",
     "DEFAULT_POOL_SIZE",
     "SubframeFactory",

@@ -75,22 +75,13 @@ def process_subframe(
     codec=None,
     backend: str = "serial",
 ) -> SubframeResult:
-    """Process one subframe on the selected single-thread backend.
+    """One subframe on the selected single-thread backend:
+    :func:`repro.uplink.vectorized.process_subframes` over a list of one
+    (``"serial"``: the per-task reference chain; ``"vectorized"``: the
+    batched fast path, bit-exact with the reference)."""
+    from .vectorized import process_subframes  # it imports this module
 
-    ``backend="serial"`` walks the per-task reference chain;
-    ``backend="vectorized"`` runs the batched fast path
-    (:func:`repro.uplink.vectorized.process_subframe_vectorized`), which
-    is bit-exact with the reference.
-    """
-    if backend == "serial":
-        return process_subframe_serial(subframe, config=config, codec=codec)
-    if backend == "vectorized":
-        from .vectorized import process_subframe_vectorized
-
-        return process_subframe_vectorized(subframe, config=config, codec=codec)
-    raise ValueError(
-        f"unknown backend {backend!r} (choose from {FUNCTIONAL_BACKENDS})"
-    )
+    return process_subframes([subframe], config, codec, backend)[0]
 
 
 class SerialBenchmark:

@@ -50,7 +50,7 @@ class UserSlice:
 
     @property
     def num_subcarriers(self) -> int:
-        return self.user.allocation.num_subcarriers
+        return self.user.num_subcarriers
 
     def view(self, grid: np.ndarray) -> np.ndarray:
         """The user's (antennas, 14, width) slice of the full-band grid."""
@@ -86,7 +86,7 @@ def assign_offsets(users: list[UserParameters], cell: CellConfig) -> list[UserSl
     offset = 0
     capacity = cell.max_prb_per_slot * SUBCARRIERS_PER_PRB
     for user in users:
-        width = user.allocation.num_subcarriers
+        width = user.num_subcarriers
         if offset + width > capacity:
             raise ValueError(
                 f"users exceed carrier capacity ({offset + width} > {capacity} subcarriers)"

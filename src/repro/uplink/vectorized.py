@@ -18,6 +18,15 @@ differential suite in ``tests/differential`` enforces across the full
 seeded scenario matrix. A user whose combiner system is singular gets NaN
 weights and fails its CRC; the rest of its group is unaffected.
 
+Because rows are independent, a group need not stop at one subframe:
+:func:`process_subframes` is the one implementation of both single-thread
+backends and stacks same-shape users of *every* subframe it is given, so a
+caller with several subframes in hand (the inline runtime under backlog)
+pays a group's fixed cost once per call. ``process_subframe`` and
+:func:`process_subframe_vectorized` are that function over a list of one;
+``tests/uplink/test_process_subframes.py`` pins that how subframes are
+partitioned into calls never changes a bit of any result.
+
 The module is deterministic-scope clean: it never reads the host clock.
 Callers that want per-kernel wall-clock attribution (``repro bench``)
 pass a ``stage_timer`` context-manager factory instead.
@@ -51,13 +60,14 @@ from ..phy.params import (
 from ..phy.scrambling import descramble_llrs
 from ..phy.transmitter import UserAllocation, data_symbol_indices
 from ..phy.turbo import PassThroughTurbo
-from .serial import SubframeResult
+from .serial import FUNCTIONAL_BACKENDS, SubframeResult, process_subframe_serial
 from .subframe import SubframeInput, UserSlice
 
 __all__ = [
     "group_slices_by_shape",
     "process_group",
     "process_user_vectorized",
+    "process_subframes",
     "process_subframe_vectorized",
 ]
 
@@ -65,6 +75,13 @@ _REF_SYMBOLS = tuple(
     slot * SYMBOLS_PER_SLOT + REFERENCE_SYMBOL_INDEX
     for slot in range(SLOTS_PER_SUBFRAME)
 )
+
+
+def _shape_key(user_slice: UserSlice) -> tuple[int, int, str]:
+    """The one definition of "same batchable shape": users agreeing on it
+    stack into one :func:`process_group` call."""
+    user = user_slice.user
+    return (user.num_subcarriers, user.layers, user.modulation.value)
 
 
 def group_slices_by_shape(
@@ -79,9 +96,9 @@ def group_slices_by_shape(
     """
     groups: dict[tuple[int, int, str], list[tuple[int, UserSlice]]] = {}
     for position, user_slice in enumerate(slices):
-        user = user_slice.user
-        key = (user_slice.num_subcarriers, user.layers, user.modulation.value)
-        groups.setdefault(key, []).append((position, user_slice))
+        groups.setdefault(_shape_key(user_slice), []).append(
+            (position, user_slice)
+        )
     return list(groups.values())
 
 
@@ -310,36 +327,55 @@ def process_user_vectorized(
     return results[0]
 
 
-def process_subframe_vectorized(
-    subframe: SubframeInput,
+def process_subframes(
+    subframes: list[SubframeInput],
     config: ChestConfig | None = None,
     codec=None,
+    backend: str = "serial",
     trace=None,
     stage_timer=None,
-) -> SubframeResult:
-    """Process one subframe with the batched vectorized backend.
+) -> list[SubframeResult]:
+    """Process ``subframes`` on a single-thread backend, one result each.
 
-    Users sharing an allocation shape are stacked and processed together;
-    results come back in dispatch order and are bit-exact with
-    :func:`repro.uplink.serial.process_subframe_serial`.
+    ``backend="serial"`` walks the per-task reference chain one subframe
+    after another. ``backend="vectorized"`` stacks the users of *all* the
+    given subframes that share an allocation shape and runs the batched
+    chain once per shape, so the fixed cost of a group is paid per call
+    rather than per subframe. Either way every result is bit-exact with
+    processing its subframe alone (the batched kernels treat rows
+    independently), with ``user_results`` in slice order.
 
-    Parameters
-    ----------
-    stage_timer:
-        Optional ``stage_timer(kernel, batch)`` context-manager factory
-        used by ``repro bench`` for per-kernel wall-clock attribution
-        (``kernel`` is one of :data:`repro.uplink.tasks.KERNEL_KINDS`).
-        The default is a no-op, keeping this module free of host-clock
-        reads.
+    ``stage_timer(kernel, batch)`` is an optional context-manager factory
+    for per-kernel wall-clock attribution (``kernel`` is one of
+    :data:`repro.uplink.tasks.KERNEL_KINDS`); the default is a no-op,
+    keeping this module free of host-clock reads. ``trace`` and
+    ``stage_timer`` apply to the vectorized backend only.
     """
+    if backend == "serial":
+        return [process_subframe_serial(s, config, codec) for s in subframes]
+    if backend != "vectorized":
+        raise ValueError(
+            f"unknown backend {backend!r} (choose from {FUNCTIONAL_BACKENDS})"
+        )
     timer = stage_timer or _null_timer
-    ordered: list[UserResult | None] = [None] * len(subframe.slices)
-    for group in group_slices_by_shape(subframe.slices):
-        positions = [position for position, _ in group]
-        slices = [user_slice for _, user_slice in group]
-        grids = np.stack([s.view(subframe.grid) for s in slices])
+    # Per shape, in order of first appearance: where each member's result
+    # goes (subframe number, slice position), its slice and its view of its
+    # own subframe's grid. Subframes of different cells may differ in
+    # antenna count, which a stacked grid cannot, so it joins the key.
+    groups: dict[tuple, tuple[list, list[UserSlice], list[np.ndarray]]] = {}
+    for number, subframe in enumerate(subframes):
+        grid = subframe.grid
+        for position, user_slice in enumerate(subframe.slices):
+            where, slices, views = groups.setdefault(
+                (grid.shape[0], *_shape_key(user_slice)), ([], [], [])
+            )
+            where.append((number, position))
+            slices.append(user_slice)
+            views.append(user_slice.view(grid))
+    ordered: list[list] = [[None] * len(s.slices) for s in subframes]
+    for where, slices, views in groups.values():
         results = _process_group(
-            grids,
+            np.stack(views),
             slices[0].user.allocation,
             [s.user.user_id for s in slices],
             config,
@@ -347,9 +383,23 @@ def process_subframe_vectorized(
             trace,
             timer,
         )
-        for position, result in zip(positions, results):
-            ordered[position] = result
-    return SubframeResult(
-        subframe_index=subframe.subframe_index,
-        user_results=list(ordered),
-    )
+        for (number, position), result in zip(where, results):
+            ordered[number][position] = result
+    return [
+        SubframeResult(subframe_index=s.subframe_index, user_results=users)
+        for s, users in zip(subframes, ordered)
+    ]
+
+
+def process_subframe_vectorized(
+    subframe: SubframeInput,
+    config: ChestConfig | None = None,
+    codec=None,
+    trace=None,
+    stage_timer=None,
+) -> SubframeResult:
+    """One subframe on the batched vectorized backend:
+    ``process_subframes([subframe], backend="vectorized")[0]``."""
+    return process_subframes(
+        [subframe], config, codec, "vectorized", trace, stage_timer
+    )[0]

@@ -11,8 +11,11 @@ transport: stealing, shared memory, real process death.
 
 import os
 import signal
+import sys
+import threading
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,11 +23,12 @@ import pytest
 from repro.faults.accounting import TerminalState
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig, RuntimeHung
+from repro.obs.events import EventKind
 from repro.obs.recorder import EventRecorder
 from repro.phy.params import Modulation
 from repro.sched import Runtime, WorkerFailuresError, make_runtime
 from repro.uplink.parameter_model import RandomizedParameterModel
-from repro.uplink.serial import process_subframe_serial
+from repro.uplink.serial import process_subframe, process_subframe_serial
 from repro.uplink.subframe import SubframeFactory, SubframeInput
 from repro.uplink.user import UserParameters
 
@@ -303,3 +307,273 @@ class TestRuntimeContract:
         # Loud, and still accounted: nothing is left unresolved.
         runtime.ledger.check()
         assert runtime.ledger.counts()["aborted"] == len(one_user)
+
+
+# --------------------------------------------------------------------------
+# Batching under backlog (the inline transport): whatever is already queued
+# behind the head runs as one call on ``vectorized``; everything the
+# contract above promises stays per subframe.
+INLINE = ["serial", "vectorized"]
+BACKLOG = 6
+
+
+class Gate:
+    """An observer that parks the worker inside its first ``holds``
+    TASK_STARTs until released, so what is submitted meanwhile is a
+    backlog; it also records every event."""
+
+    def __init__(self, holds=1):
+        self.events = []
+        self.entered = [threading.Event() for _ in range(holds)]
+        self.release = [threading.Event() for _ in range(holds)]
+        self._starts = 0
+
+    def __call__(self, event):
+        self.events.append(event)
+        if event.kind is EventKind.TASK_START:
+            ordinal, self._starts = self._starts, self._starts + 1
+            if ordinal < len(self.entered):
+                self.entered[ordinal].set()
+                assert self.release[ordinal].wait(30.0)
+
+    def calls(self):
+        """The ``subframes`` count of every call started so far."""
+        return [
+            e.data["subframes"]
+            for e in self.events
+            if e.kind is EventKind.TASK_START
+        ]
+
+    def terminals(self):
+        return sorted(
+            e.data["subframe"]
+            for e in self.events
+            if e.kind is EventKind.SUBFRAME_TERMINAL
+        )
+
+
+@pytest.fixture(scope="module")
+def flood():
+    """1 + BACKLOG mMTC-sized subframes (two 1-layer x 24-subcarrier users
+    each, ids repeating) and their serial results."""
+    factory = SubframeFactory(seed=SEED)
+    users = [UserParameters(u, 4, 1, Modulation.QPSK) for u in range(2)]
+    subframes = [factory.synthesize(users, i) for i in range(1 + BACKLOG)]
+    return subframes, [process_subframe_serial(s) for s in subframes]
+
+
+def submit_behind_gate(runtime, gate, subframes):
+    """Start, park the worker on the head, queue the rest, let go."""
+    runtime.start()
+    runtime.submit(subframes[0])
+    assert gate.entered[0].wait(30.0)
+    for subframe in subframes[1:]:
+        runtime.submit(subframe)
+    gate.release[0].set()
+
+
+@pytest.mark.parametrize("backend", INLINE)
+class TestInlineBatching:
+    def test_a_backlog_is_one_call_on_vectorized_only(self, backend, flood):
+        subframes, reference = flood
+        gate = Gate()
+        runtime = runtime_for(backend, observers=[gate])
+        submit_behind_gate(runtime, gate, subframes)
+        try:
+            results = runtime.collect_results()
+        finally:
+            runtime.close()
+        # Per subframe, as ever: one terminal each, results by index.
+        assert gate.terminals() == list(range(1 + BACKLOG))
+        runtime.ledger.check()
+        assert runtime.ledger.counts()["ok"] == 1 + BACKLOG
+        assert [r.subframe_index for r in results] == list(range(1 + BACKLOG))
+        for result, expected in zip(results, reference):
+            assert result.equals(expected)
+        assert runtime.stats.tasks_executed == [1 + BACKLOG]
+        assert runtime.stats.users_processed == [2 * (1 + BACKLOG)]
+        # Per call: the head ran alone, the backlog behind it together.
+        expected_calls = [1, BACKLOG] if backend == "vectorized" else [1] * (1 + BACKLOG)
+        assert gate.calls() == expected_calls
+        finishes = [e for e in gate.events if e.kind is EventKind.TASK_FINISH]
+        assert [e.data["subframes"] for e in finishes] == expected_calls
+
+    @pytest.mark.parametrize("how", ["processor", "injector"])
+    def test_a_processor_or_an_armed_injector_means_one_a_call(
+        self, backend, flood, how
+    ):
+        subframes, reference = flood
+        gate = Gate()
+        extra = (
+            {"processor": partial(process_subframe, backend=backend)}
+            if how == "processor"
+            # Armed, never fires: hang / exception checks stay per index.
+            else {"faults": plan_of(FaultKind.TASK_EXCEPTION, subframe=10_000)}
+        )
+        runtime = runtime_for(backend, observers=[gate], **extra)
+        submit_behind_gate(runtime, gate, subframes)
+        try:
+            results = runtime.collect_results()
+        finally:
+            runtime.close()
+        assert gate.calls() == [1] * (1 + BACKLOG)
+        assert gate.terminals() == list(range(1 + BACKLOG))
+        for result, expected in zip(results, reference):
+            assert result.equals(expected)
+
+    def test_a_poisoned_member_retries_and_aborts_alone(self, backend, flood):
+        subframes, reference = flood
+        # 13 symbols instead of 14: stacking it with its neighbours raises
+        # for the whole call, and it raises again whenever it runs alone.
+        poisoned = replace(subframes[3], grid=subframes[3].grid[:, :13])
+        batch = [*subframes[:3], poisoned, *subframes[4:]]
+        gate = Gate()
+        runtime = runtime_for(backend, observers=[gate])
+        submit_behind_gate(runtime, gate, batch)
+        try:
+            results = runtime.collect_results()
+        finally:
+            runtime.close()
+        ledger = runtime.ledger
+        ledger.check()
+        assert ledger.counts()["ok"] == BACKLOG and ledger.counts()["aborted"] == 1
+        assert gate.terminals() == list(range(1 + BACKLOG))
+        # Only its own two users spent budget: one retry each, then abort.
+        assert (runtime.stats.retries, runtime.stats.aborted_users) == (2, 2)
+        for result, expected in zip(results, reference):
+            if result.subframe_index == 3:
+                assert result.aborted_user_ids == [0, 1]
+                assert result.user_results == []
+            else:
+                assert result.equals(expected) and not result.aborted_user_ids
+        aborted = [e for e in gate.events if e.kind is EventKind.USER_ABORTED]
+        assert {e.data["subframe"] for e in aborted} == {3}
+        if backend == "vectorized":
+            # The batch failed as one call, then every member ran alone
+            # (the poisoned one twice).
+            assert gate.calls() == [1, BACKLOG] + [1] * (BACKLOG + 1)
+
+    def test_members_aborted_mid_call_are_late_not_re_resolved(
+        self, backend, flood
+    ):
+        subframes, _ = flood
+        holds = 2  # the head, then the call (or subframe) behind it
+        gate = Gate(holds)
+        runtime = runtime_for(
+            backend,
+            observers=[gate],
+            resilience=ResilienceConfig(
+                max_retries=0, deadline_s=0.5, watchdog_poll_s=0.01,
+                drain_timeout_s=60.0,
+            ),
+        )
+        submit_behind_gate(runtime, gate, subframes[:3])
+        try:
+            assert gate.entered[1].wait(30.0)
+            runtime.drain()  # the parked call outlives its members' deadline
+            ledger = runtime.ledger
+            assert ledger.state_of(0) is TerminalState.OK
+            assert ledger.state_of(1) is TerminalState.ABORTED
+            assert ledger.state_of(2) is TerminalState.ABORTED
+            gate.release[1].set()
+            # vectorized: subframes 1 and 2 finish together, both late;
+            # serial: 1 finishes late, 2 was resolved before it ran (skipped).
+            late = 4 if backend == "vectorized" else 2
+            give_up = time.monotonic() + 20.0
+            while runtime.late_completions < late and time.monotonic() < give_up:
+                runtime.poll(0.02)
+            assert runtime.late_completions == late
+            assert gate.calls() == ([1, 2] if backend == "vectorized" else [1, 1])
+            assert ledger.late_resolutions == []
+            assert gate.terminals() == [0, 1, 2]
+            results = runtime.collect_results()
+            assert [bool(r.user_results) for r in results] == [True, False, False]
+            ledger.check()
+        finally:
+            runtime.close()
+
+    def test_close_with_a_backlog(self, backend, flood):
+        subframes, reference = flood
+        gate = Gate()
+        runtime = runtime_for(
+            backend,
+            observers=[gate],
+            resilience=ResilienceConfig(join_timeout_s=0.05, drain_timeout_s=60.0),
+        )
+        runtime.start()
+        runtime.submit(subframes[0])
+        assert gate.entered[0].wait(30.0)
+        for subframe in subframes[1:]:
+            runtime.submit(subframe)
+        runtime.close()  # the sentinel goes in behind the backlog
+        with pytest.raises(RuntimeError, match="not started"):
+            runtime.submit(subframes[0])  # ... and nothing after it
+        gate.release[0].set()
+        give_up = time.monotonic() + 20.0
+        while runtime.ledger.unresolved() and time.monotonic() < give_up:
+            runtime.poll(0.02)
+        # What was queued before the sentinel still reached its terminal.
+        assert gate.terminals() == list(range(1 + BACKLOG))
+        runtime.ledger.check()
+        for result, expected in zip(runtime.collect_results(), reference):
+            assert result.equals(expected)
+
+    def test_a_long_queue_is_cut_into_bounded_calls(self, backend):
+        from repro.sched.inline import _BATCH_ELEMENTS
+
+        factory = SubframeFactory(seed=SEED)
+        # 2 layers x 300 subcarriers = 600 resource elements a subframe.
+        wide = UserParameters(0, 50, 2, Modulation.QPSK)
+        room = _BATCH_ELEMENTS // 600  # what fits behind a head
+        assert room >= 2
+        count = 2 * (1 + room) + 1
+        subframes = [
+            factory.from_pool([UserParameters(0, 4, 1, Modulation.QPSK)], 0),
+            *(factory.from_pool([wide], 1 + i) for i in range(count)),
+        ]
+        gate = Gate()
+        runtime = runtime_for(backend, observers=[gate])
+        submit_behind_gate(runtime, gate, subframes)
+        try:
+            results = runtime.collect_results()
+        finally:
+            runtime.close()
+        assert [r.subframe_index for r in results] == list(range(1 + count))
+        assert gate.terminals() == list(range(1 + count))
+        if backend == "vectorized":
+            # The head always goes in; the constant bounds what joins it,
+            # however long the queue is.
+            assert gate.calls() == [1, 1 + room, 1 + room, 1]
+        else:
+            assert gate.calls() == [1] * (1 + count)
+
+    def test_submitting_while_the_worker_drains_loses_nothing(self, backend, flood):
+        """The producer races the worker's look at the queue: with a short
+        switch interval every interleaving of ``put`` against ``empty`` /
+        ``get_nowait`` gets its turn, and each subframe still ends once."""
+        subframes, reference = flood
+        count = 300
+        gate = Gate(holds=0)
+        runtime = runtime_for(backend, observers=[gate])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runtime.start()
+            for index in range(count):
+                runtime.submit(
+                    replace(subframes[index % len(subframes)], subframe_index=index)
+                )
+            results = runtime.collect_results()
+        finally:
+            sys.setswitchinterval(interval)
+            runtime.close()
+        assert gate.terminals() == list(range(count))
+        assert sum(gate.calls()) == count  # every subframe in exactly one call
+        runtime.ledger.check()
+        assert runtime.ledger.counts()["ok"] == count
+        assert [r.subframe_index for r in results] == list(range(count))
+        for result in results:
+            expected = reference[result.subframe_index % len(subframes)]
+            assert replace(result, subframe_index=expected.subframe_index).equals(
+                expected
+            )

@@ -71,3 +71,53 @@ def test_synthesized_constant_stream_decodes_cleanly():
     assert counts["crc_failed"] == counts["shed"] == counts["aborted"] == 0
     assert served.report["crc_ok_users"] == served.report["served_users"]
     assert served.report["shed_users"] == 0
+
+
+@pytest.mark.parametrize("synthesize", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_flood_that_batches_equals_one_that_cannot(seed, synthesize):
+    """Under backlog the inline runtime runs what is queued as one call.
+    With ``queue_depth=1`` no batch can ever form, with 8 one forms
+    whenever the producer gets ahead (all the time on pool input, now and
+    then behind the slower synthesis): the two floods must agree subframe
+    by subframe on every payload and CRC verdict, not just on the counts."""
+
+    def flood(queue_depth):
+        result = serve(
+            ServeConfig(
+                cells=2,
+                subframes=40,
+                arrival="poisson",
+                rate=2.0,
+                mix="mmtc",
+                max_users=10,
+                backend="vectorized",
+                pace=False,
+                synthesize=synthesize,
+                backpressure="block",
+                queue_depth=queue_depth,
+                seed=seed,
+                keep_results=True,
+            )
+        )
+        assert result.ok, result.errors
+        return result
+
+    deep, single = flood(8), flood(1)
+    # Whether a backlog builds up at depth 8 is the host's business (the
+    # contract test forces one); at depth 1 none can.
+    assert max(c["max_queue_depth"] for c in single.report["per_cell"]) == 1
+    for key in (
+        "dispatched", "terminal_counts", "served_users", "crc_ok_users",
+        "ledger_ok",
+    ):
+        assert deep.report[key] == single.report[key], key
+    assert sorted(deep.results) == sorted(single.results)
+    assert len(deep.results) == deep.report["dispatched"] > 40
+    if synthesize:
+        assert deep.report["crc_ok_users"] == deep.report["served_users"] > 0
+    for gid, batched in deep.results.items():
+        alone = single.results[gid]
+        assert batched.equals(alone), f"subframe {gid} (seed {seed})"
+        for a, b in zip(batched.user_results, alone.user_results):
+            assert a.user_id == b.user_id and a.crc_ok == b.crc_ok

@@ -87,6 +87,30 @@ def test_batched_tail_names_are_public():
     assert callable(interleaver.deinterleave_indices)
 
 
+def test_process_subframes_is_public():
+    """Added with cross-subframe batching, on purpose: the one
+    implementation of the single-thread backends, which the one-subframe
+    entry points call with a list of one."""
+    import inspect
+
+    import repro.uplink as uplink
+    from repro.uplink import vectorized
+
+    assert "process_subframes" in uplink.__all__
+    assert "process_subframes" in vectorized.__all__
+    assert uplink.process_subframes is vectorized.process_subframes
+    assert list(inspect.signature(uplink.process_subframes).parameters) == [
+        "subframes", "config", "codec", "backend", "trace", "stage_timer",
+    ]
+    # ... and the inline runtime grew no parameter for batching.
+    from repro.sched import InlineRuntime
+
+    assert list(inspect.signature(InlineRuntime).parameters) == [
+        "backend", "processor", "observers", "emit_spans", "faults",
+        "resilience", "ledger",
+    ]
+
+
 def test_runtime_core_names_are_public():
     """Added with the one runtime core, on purpose: the contract
     (``Runtime``, ``SubframeTracker``), its third transport and the

@@ -7,6 +7,7 @@ from repro.phy.params import CellConfig, Modulation
 from repro.uplink.subframe import (
     DEFAULT_POOL_SIZE,
     SubframeFactory,
+    UserSlice,
     assign_offsets,
 )
 from repro.uplink.user import UserParameters
@@ -47,6 +48,47 @@ class TestAssignOffsets:
         lo = slices[1].subcarrier_offset
         assert view.shape == (4, 14, slices[1].num_subcarriers)
         assert np.array_equal(view, grid[:, :, lo : lo + view.shape[2]])
+
+
+class TestAllocationIsBuiltOnce:
+    """``UserParameters.allocation`` is cached per user and the slice width
+    comes from ``num_prb`` directly; nothing else about the value changes."""
+
+    def test_one_validated_allocation_per_user(self, monkeypatch):
+        from repro.phy import transmitter
+
+        built = []
+        validate = transmitter.validate_allocation
+        monkeypatch.setattr(
+            transmitter,
+            "validate_allocation",
+            lambda *args: (built.append(args), validate(*args))[1],
+        )
+        users = users_fixture()
+        slices = assign_offsets(users, CellConfig())
+        grid = np.zeros((2, 14, 1200))
+        for user_slice in slices:
+            assert user_slice.view(grid).shape[2] == user_slice.num_subcarriers
+        assert built == []  # widths need no allocation at all
+        for user in users:
+            assert user.allocation is user.allocation
+            assert user.allocation.num_subcarriers == user.num_subcarriers
+        assert len(built) == len(users)
+
+    def test_equality_hash_and_pickle_do_not_see_the_cache(self):
+        import pickle
+
+        touched, fresh = users_fixture()[0], users_fixture()[0]
+        cold = pickle.dumps(fresh)
+        assert touched.allocation.num_prb == touched.num_prb
+        assert touched == fresh and hash(touched) == hash(fresh)
+        assert len({touched, fresh}) == 1
+        assert pickle.dumps(touched) == cold  # the wire to spawned workers
+        clone = pickle.loads(pickle.dumps(touched))
+        assert clone == touched and clone.allocation == touched.allocation
+        assert UserSlice(clone, 12) == UserSlice(touched, 12)
+        with pytest.raises(AttributeError):
+            touched.num_prb = 2  # still frozen
 
 
 class TestPoolMode:
