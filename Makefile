@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow test-invariants perf-quick bench bench-smoke chaos-smoke multiprocess-smoke serve-smoke supervision-smoke lint lint-strict repro-lint ruff mypy all
+.PHONY: test test-slow test-invariants perf-quick perf-pairs bench bench-smoke chaos-smoke multiprocess-smoke serve-smoke supervision-smoke lint lint-strict repro-lint ruff mypy all
 
 all: test lint
 
@@ -26,6 +26,17 @@ test-invariants:
 # before the gate runs perf/run.py.
 perf-quick:
 	$(PYTHON) -m pytest perf -q
+
+# A performance claim (perf/README.md "Stating a claim"): ten alternating
+# pairs of perf/run.py on a `git clone` of the parent commit and on this
+# checkout, with a verdict per end-to-end metric from BENCHMARK.json's bounds.
+#   make perf-pairs PARENT=/path/to/parent-clone WORKLOAD=paper_mix SEED=1
+WORKLOAD ?= paper_mix
+SEED ?= 1
+PAIRS ?= 10
+perf-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<clone of the parent commit> [WORKLOAD=$(WORKLOAD) SEED=$(SEED) PAIRS=$(PAIRS)]"; exit 2; }
+	$(PYTHON) scripts/perf_pairs.py $(PARENT) . --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
 
 bench:
 	$(PYTHON) -m repro bench --scale default

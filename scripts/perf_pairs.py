@@ -1,0 +1,173 @@
+"""Paired parent/change runs of the benchmark, with a verdict per metric.
+
+    python scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N [--pairs 10]
+
+Runs ``python perf/run.py --workload W --seed N --trace 0`` in the two
+checkouts alternately (which side goes first alternates too, so a slow phase
+of the host hits both sides of a pair), prints every run, then every
+end-to-end metric's medians, quartiles and wins, and applies ``perf/README.md``
+"Stating a claim" steps 3-4 with the bounds of ``BENCHMARK.json``:
+
+* **gain** — the change wins at least nine tenths of the pairs (ties count
+  for neither) and the medians differ by more than the parent's own
+  inter-quartile distance;
+* **worse** — the change's median is worse than the parent's by more than
+  the metric's bound;
+* **unresolved** — neither, but one side's quartiles lie further apart than
+  the bound, so "no worse" cannot be told (unless every run of the change
+  beats every run of the parent);
+* **no worse** — otherwise.
+
+It drives the benchmark from outside and imports nothing from ``perf/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+__all__ = ["quartiles", "verdict", "main"]
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), the quartiles counted among the runs themselves."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def verdict(
+    parent: list[float], change: list[float], better: str, bound: float
+) -> dict:
+    """The rule above for one metric: ``parent[i]`` and ``change[i]`` are
+    the two sides of pair ``i``; ``better`` is ``"higher"`` or ``"lower"``;
+    ``bound`` is the relative worsening the benchmark tolerates."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same, non-zero number of runs on both sides")
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower', not {better!r}")
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p_q1, p_median, p_q3 = quartiles(parent)
+    c_q1, c_median, c_q3 = quartiles(change)
+    improvement = sign * (c_median - p_median)
+    scale = abs(p_median) or 1.0
+    spread = max((p_q3 - p_q1) / scale, (c_q3 - c_q1) / (abs(c_median) or 1.0))
+    every_run_better = (
+        min(change) > max(parent) if better == "higher" else max(change) < min(parent)
+    )
+    if wins >= 0.9 * len(parent) and improvement > p_q3 - p_q1:
+        word = "gain"
+    elif -improvement > bound * scale:
+        word = "worse"
+    elif spread > bound and not every_run_better:
+        word = "unresolved"
+    else:
+        word = "no worse"
+    return {
+        "verdict": word,
+        "wins": wins,
+        "pairs": len(parent),
+        "parent": (p_q1, p_median, p_q3),
+        "change": (c_q1, c_median, c_q3),
+        "relative_change": (c_median - p_median) / scale,
+        "spread": spread,
+    }
+
+
+def run_once(checkout: str, workload: str, seed: int) -> dict:
+    """One ``perf/run.py`` run in ``checkout``: its result object."""
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # each side must import its own src/
+    done = subprocess.run(
+        [sys.executable, os.path.join("perf", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=False,
+    )
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"perf_pairs: no output from perf/run.py in {checkout}")
+    result = json.loads(lines[-1])
+    if done.returncode != 0 or not result["correct"]:
+        print(f"perf_pairs: run in {checkout} was not correct "
+              f"(exit {done.returncode})", file=sys.stderr)
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter
+    )
+    parser.add_argument("parent_dir", metavar="PARENT_DIR")
+    parser.add_argument("change_dir", metavar="CHANGE_DIR")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    with open(os.path.join(args.change_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+
+    sides = {"parent": args.parent_dir, "change": args.change_dir}
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    print(f"{args.workload}, seed {args.seed}: {args.pairs} pairs, "
+          f"parent {args.parent_dir} / change {args.change_dir}")
+    print("pair first " + " ".join(f"{m['name']:>24}" for m in end_to_end) + "   failed")
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(sides[side], args.workload, args.seed))
+        cells = []
+        for metric in end_to_end:
+            p, c = (runs[s][-1]["metrics"].get(metric["name"], {}).get("value")
+                    for s in sides)
+            cells.append(f"{p:.5g} -> {c:.5g}" if None not in (p, c) else "-")
+        failed = " -> ".join(
+            f"{runs[s][-1]['failed']}/{runs[s][-1]['attempted']}"
+            for s in sides
+        )
+        print(f"{pair + 1:>4} {order[0]:>6}" + " ".join(f"{c:>24}" for c in cells)
+              + f"   {failed}", flush=True)
+
+    print()
+    print(f"{'metric':<20} {'verdict':<10} {'wins':>5}  {'parent q1 / median / q3':<32} "
+          f"{'change q1 / median / q3':<32} {'change':>8} {'bound':>6}")
+    worst = 0
+    for metric in end_to_end:
+        name = metric["name"]
+        values = {
+            side: [r["metrics"][name]["value"] for r in runs[side] if name in r["metrics"]]
+            for side in sides
+        }
+        if len(values["parent"]) != args.pairs or len(values["change"]) != args.pairs:
+            print(f"{name:<20} {'missing':<10}")
+            worst = 1
+            continue
+        row = verdict(values["parent"], values["change"], metric["better"], metric["bound"])
+        print(
+            f"{name:<20} {row['verdict']:<10} {row['wins']:>2}/{row['pairs']:<2}  "
+            + "{:<32} {:<32}".format(
+                *(" / ".join(f"{v:.5g}" for v in row[side]) for side in sides)
+            )
+            + f" {row['relative_change']:>+8.1%} {metric['bound']:>6.0%}"
+        )
+        if row["verdict"] == "worse":
+            worst = 1
+    failed = {s: sum(r["failed"] for r in runs[s]) for s in sides}
+    attempted = {s: sum(r["attempted"] for r in runs[s]) for s in sides}
+    print("failed share: " + ", ".join(
+        f"{s} {failed[s]}/{attempted[s]}" for s in sides))
+    if failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]:
+        print("the change fails a larger share of its operations: no gain counts")
+        worst = 1
+    return worst
+
+
+if __name__ == "__main__":
+    sys.exit(main())

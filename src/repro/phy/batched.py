@@ -5,9 +5,9 @@ channel-estimation task and one (data symbol, layer) combining task per
 NumPy call — faithful to the paper's task decomposition, but each call
 touches a few-kilobyte array, so interpreter overhead dominates. This
 module provides the same four kernels with the task axes *stacked*: all
-(slot, antenna, layer) estimates of a user — and all users of a subframe
-that share an allocation shape — move through matched filter, IFFT,
-window, FFT, the combiner-weight elimination, antenna combining, and soft
+(slot, antenna, layer) estimates of a user — and all users of a call that
+share an allocation shape — move through matched filter, IFFT, window,
+FFT, the combiner-weight elimination, antenna combining, and soft
 demapping as single NumPy calls over 3-D/4-D arrays (the shape the Vienna
 LTE-A simulator and srsLTE use for their hot loops).
 
@@ -23,6 +23,18 @@ passes ``(slots, ...)`` arrays, a user group passes ``(users, slots,
 ...)`` arrays. All kernels coerce inputs to the canonical dtypes of
 :mod:`repro.phy.dtypes` so a stray ``complex64`` (or ``longdouble``)
 input cannot silently change the precision of a whole batch.
+
+Only the two FFT kernels need a batch to agree on a subcarrier count, and
+:mod:`repro.uplink.vectorized` calls only those two from here, once per
+``(antennas, subcarriers, layers)`` *front group*. The combiner and the
+demapper are element-wise along their last axis, so that backend lays
+users of *different* widths end to end along it and calls
+:func:`repro.phy.equalizer.mmse_combiner` and
+:func:`repro.phy.modulation.soft_demap` directly, once per layer count and
+once per modulation; :func:`batched_combiner_weights` and
+:func:`batched_soft_demap` are the same two functions in the rectangular
+one-shape form, which is what the golden vectors and ``perf/``'s kernel
+probes pin.
 """
 
 from __future__ import annotations
@@ -196,6 +208,8 @@ def batched_combine_symbols(
     weights:
         Slot combiner weights, shape ``(..., layers, antennas,
         subcarriers)`` (same leading batch dimensions as ``received``).
+        With ``(users, slots)`` leading, both slots of a subframe go
+        through one einsum and one IFFT.
 
     Returns
     -------

@@ -3,8 +3,10 @@
 After channel estimation the receiver computes, per subcarrier, weights
 that merge the antennas and undo the channel (Fig. 3's "combiner weight
 calculation" and "antenna combining"). :func:`mmse_combiner` is the one
-implementation of that join: the serial chain calls it per slot, the
-batched chain once per shape group.
+implementation of that join: the serial chain calls it per slot with that
+slot's scalar noise, the batched chain once for all the users of a call
+that share ``(antennas, layers)`` — whatever their widths, laid end to end
+along the subcarrier axis with a noise variance per subcarrier.
 """
 
 from __future__ import annotations
@@ -41,8 +43,14 @@ def mmse_combiner(
     channel:
         Channel estimates, shape ``(..., antennas, layers, subcarriers)``.
     noise_variance:
-        Per-antenna complex noise variance σ² of each batch element, shape
-        ``(...)`` (a scalar for an unbatched call).
+        Per-antenna complex noise variance σ². Shape ``(...)`` — one value
+        per batch element, a scalar for an unbatched call (what the serial
+        ``combiner_stage`` passes per slot) — or ``(..., subcarriers)``, one
+        value per subcarrier: the *ragged* use, where the subcarrier axis
+        holds several users' allocations end to end, each with its own σ².
+        The arithmetic is the same either way (σ² only ever broadcasts
+        along the subcarriers), so a user's columns are bit-identical to
+        that user passed alone with its scalar.
 
     Returns
     -------
@@ -59,13 +67,16 @@ def mmse_combiner(
     num_antennas, num_layers, num_sc = channel.shape[-3:]
     if num_layers > num_antennas:
         raise ValueError("cannot separate more layers than antennas")
-    noise_variance = np.asarray(noise_variance, dtype=REAL_DTYPE)
-    if noise_variance.shape != batch:
+    sigma2 = np.asarray(noise_variance, dtype=REAL_DTYPE)
+    if sigma2.shape == batch:
+        sigma2 = sigma2[..., None]
+    elif sigma2.shape != (*batch, num_sc):
         raise ValueError(
-            "noise_variance must carry one value per batch element "
-            f"(expected shape {batch}, got {noise_variance.shape})"
+            "noise_variance must carry one value per batch element or one "
+            f"per subcarrier (expected shape {batch} or {(*batch, num_sc)}, "
+            f"got {sigma2.shape})"
         )
-    if noise_variance.size and noise_variance.min() < 0:
+    if sigma2.size and sigma2.min() < 0:
         raise ValueError("noise_variance must be >= 0")
 
     # Entry-major working layout: the matrix indices lead and the batch sits
@@ -90,7 +101,7 @@ def mmse_combiner(
             gram += np.multiply(
                 solution[:, None, a], h[None, :, a], out=scratch[:, :num_layers]
             )
-        regularizer = (noise_variance + 1e-12)[..., None]
+        regularizer = sigma2 + 1e-12
         for k in range(num_layers):
             gram[k, k] += regularizer
         # Forward elimination: scale row k by its (real) pivot, then clear
@@ -118,7 +129,7 @@ def mmse_combiner(
             power += squares[:, a]
         per_layer = noise_after.transpose(n, *range(n), n + 1)
         np.add(power[..., 0::2], power[..., 1::2], out=per_layer)
-        per_layer *= noise_variance[..., None]
+        per_layer *= sigma2
     return weights, noise_after
 
 

@@ -1,64 +1,76 @@
-"""Batched vectorized backend: whole subframes through stacked kernels.
+"""Batched vectorized backend: whole calls through stage-major kernels.
 
 The serial backend (:mod:`repro.uplink.serial`) walks the Fig. 5 task
 graph one small NumPy call at a time. This backend keeps the *chain*
-identical but fuses the task axes: for every group of users that share an
-allocation shape ``(subcarriers, layers, modulation)``, all of the
-group's (user, slot, antenna, layer) channel-estimation tasks run as one
-:func:`repro.phy.batched.batched_chest` call, every per-subcarrier MMSE
-system of the whole group is eliminated in one
-:func:`repro.phy.equalizer.mmse_combiner` call (the serial chain's own
-function, element-wise along the subcarriers), all (user, symbol, layer)
-combining tasks run as one einsum + one IFFT, and the groups' soft demaps
-run as one stacked call.
+identical but runs it **stage-major**: :func:`process_subframes` collects
+the users of every subframe it is given once, then runs each stage over
+all of them, batching along whichever axis that stage's kernel is
+element-wise in. Only the FFTs need users to agree on a width:
 
-Results are **bit-exact** with the serial reference (the batched NumPy
-kernels process rows independently with the same primitives), which the
-differential suite in ``tests/differential`` enforces across the full
-seeded scenario matrix. A user whose combiner system is singular gets NaN
-weights and fails its CRC; the rest of its group is unaffected.
+* **chest** — one call per *front group* ``(antennas, subcarriers,
+  layers)``, users along a leading axis (matched filter, IFFT, window, FFT);
+* **combiner** — one call per ``(antennas, layers)``: the users' channels
+  laid end to end along the subcarrier axis, ``(slots, antennas, layers,
+  ΣK)``, with a noise variance per subcarrier;
+* **symbol** — one call per front group, leading ``(users, slots)`` axes:
+  both slots in one einsum + one IFFT;
+* **finalize** — one call per modulation: the users' deinterleaved symbol
+  streams laid end to end through one soft demap and one hard decision.
 
-Because rows are independent, a group need not stop at one subframe:
-:func:`process_subframes` is the one implementation of both single-thread
-backends and stacks same-shape users of *every* subframe it is given, so a
-caller with several subframes in hand (the inline runtime under backlog)
-pays a group's fixed cost once per call. ``process_subframe`` and
-:func:`process_subframe_vectorized` are that function over a list of one;
-``tests/uplink/test_process_subframes.py`` pins that how subframes are
+So the paper's traffic, where almost every user has its own PRB count,
+pays the combiner's and the demapper's fixed cost once per layer count and
+once per modulation, not once per user.
+
+Results are **bit-exact** with the serial reference *by construction*, not
+by tolerance: :func:`repro.phy.equalizer.mmse_combiner` (the serial chain's
+own function) is element-wise along the subcarriers, so a column is the
+same wherever it sits in the run; the demap stream was already flat; the
+fused einsum still sums antennas in index order per output element; the
+noise means still reduce a user's contiguous last axis
+(``tests/differential``, ``tests/uplink/test_ragged_batching.py``). A user
+whose combiner system is singular gets NaN weights in its own columns and
+fails its CRC; nobody else in its call is affected.
+
+Users are independent in every stage, so a call need not stop at one
+subframe: :func:`process_subframes` is the one implementation of both
+single-thread backends, and ``process_subframe``,
+:func:`process_subframe_vectorized`, :func:`process_group` (the
+multiprocess worker's entry) and :func:`process_user_vectorized` are the
+same staged chain over one subframe, one group, one user;
+``tests/uplink/test_process_subframes.py`` pins that how users are
 partitioned into calls never changes a bit of any result.
 
 The module is deterministic-scope clean: it never reads the host clock.
-Callers that want per-kernel wall-clock attribution (``repro bench``)
-pass a ``stage_timer`` context-manager factory instead.
+Callers that want per-kernel wall-clock attribution (``repro bench``,
+``perf/``) pass a ``stage_timer`` context-manager factory instead.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from ..phy.batched import (
-    batched_chest,
-    batched_combine_symbols,
-    batched_combiner_weights,
-    batched_soft_demap,
-)
+from ..phy.batched import batched_chest, batched_combine_symbols
 from ..phy.chain import UserResult
 from ..phy.chest import ChestConfig
 from ..phy.crc import CRC24A, crc_check, crc_check_rows
-from ..phy.dtypes import REAL_DTYPE, ensure_complex
+from ..phy.dtypes import ensure_complex
+from ..phy.equalizer import mmse_combiner
 from ..phy.interleaver import deinterleave_indices
+from ..phy.modulation import soft_demap
 from ..phy.params import (
     DATA_SYMBOLS_PER_SLOT,
     DATA_SYMBOLS_PER_SUBFRAME,
     REFERENCE_SYMBOL_INDEX,
     SLOTS_PER_SUBFRAME,
     SYMBOLS_PER_SLOT,
+    Modulation,
 )
 from ..phy.scrambling import descramble_llrs
-from ..phy.transmitter import UserAllocation, data_symbol_indices
+from ..phy.transmitter import UserAllocation
 from ..phy.turbo import PassThroughTurbo
 from .serial import FUNCTIONAL_BACKENDS, SubframeResult, process_subframe_serial
 from .subframe import SubframeInput, UserSlice
@@ -71,15 +83,17 @@ __all__ = [
     "process_subframe_vectorized",
 ]
 
-_REF_SYMBOLS = tuple(
-    slot * SYMBOLS_PER_SLOT + REFERENCE_SYMBOL_INDEX
-    for slot in range(SLOTS_PER_SUBFRAME)
+#: A slot's data symbols: every symbol but the DMRS in the middle.
+_DATA_IN_SLOT = np.array(
+    [s for s in range(SYMBOLS_PER_SLOT) if s != REFERENCE_SYMBOL_INDEX]
 )
 
 
 def _shape_key(user_slice: UserSlice) -> tuple[int, int, str]:
     """The one definition of "same batchable shape": users agreeing on it
-    stack into one :func:`process_group` call."""
+    may share a :func:`process_group` call, which is how the multiprocess
+    parent shards a subframe. Without the modulation it is (with the
+    antenna count) the key of a *front group*."""
     user = user_slice.user
     return (user.num_subcarriers, user.layers, user.modulation.value)
 
@@ -111,114 +125,278 @@ def _tail_gather(layers: int, num_sc: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices of the serial tail for one allocation shape.
 
     ``symbols``: position ``k`` of a user's deinterleaved stream comes
-    from flat index ``symbols[k]`` of its ``(layers, 12, subcarriers)``
-    despread block — the layer demapping (stream position ``m`` holds layer
-    ``m % layers``, sample ``m // layers``) composed with the
-    deinterleaver, so the data moves once. ``noise``: the same position's
-    index into the user's flat ``(layers, slots)`` noise table. Both are
-    kept in the narrowest dtype that holds them: the paper's mix has a
-    couple of hundred shapes, and ``np.take`` widening an index per call
-    costs less time than 8-byte entries would cost memory.
+    from flat index ``symbols[k]`` of its ``(slots, layers, 6,
+    subcarriers)`` despread block, exactly as the symbol stage leaves it —
+    the layer demapping (stream position ``m`` holds layer ``m % layers``,
+    sample ``m // layers`` of that layer's 12 data symbols) composed with
+    the deinterleaver, so the data moves once. ``noise``: the same
+    position's index into the user's flat ``(slots, layers)`` noise table.
+    Both are kept in the narrowest dtype that holds them: the paper's mix
+    has a couple of hundred shapes, and ``np.take`` widening an index per
+    call costs less time than 8-byte entries would cost memory.
     """
-    per_layer = DATA_SYMBOLS_PER_SUBFRAME * num_sc
-    stream = deinterleave_indices(layers * per_layer)
-    flat = (stream % layers) * per_layer + stream // layers
-    symbols = flat.astype(np.int32)
-    # Layer l, slot s owns flat samples [(2l+s)·per_slot, (2l+s+1)·per_slot).
-    noise = (flat // (DATA_SYMBOLS_PER_SLOT * num_sc)).astype(np.uint8)
+    per_slot = DATA_SYMBOLS_PER_SLOT * num_sc
+    stream = deinterleave_indices(layers * DATA_SYMBOLS_PER_SUBFRAME * num_sc)
+    slot, within = np.divmod(stream // layers, per_slot)
+    noise = slot * layers + stream % layers
+    symbols = (noise * per_slot + within).astype(np.int32)
+    noise = noise.astype(np.uint8)
     symbols.setflags(write=False)
     noise.setflags(write=False)
     return symbols, noise
 
 
-def _finalize_group(
-    allocation: UserAllocation,
-    layer_symbols: np.ndarray,
-    noise_per_layer_slot: np.ndarray,
-    user_ids: list[int],
+class _Row(NamedTuple):
+    """One user of a front group: where its result goes, and what the tail
+    needs to know about it."""
+
+    out: list
+    position: int
+    user_id: int
+    modulation: Modulation
+    c_init: int | None
+
+
+class _FrontGroup:
+    """The users of one call that share ``(antennas, subcarriers, layers)``
+    — all the FFT stages need to stack them."""
+
+    def __init__(self, num_sc: int, layers: int, grids) -> None:
+        self.num_sc = num_sc
+        self.layers = layers
+        #: ``(users, antennas, 14, subcarriers)``; a list of per-user views
+        #: of their subframes' grids until the chest stage stacks it.
+        self.grids = grids
+        self.rows: list[_Row] = []
+        #: What the last stage left for the next one. Replaced, not added
+        #: to, so a call holds one stage's arrays at a time.
+        self.carry: tuple = ()
+
+
+def _end_to_end(rows: list[np.ndarray]) -> np.ndarray:
+    """``rows`` flattened into one stream (a lone array is not copied)."""
+    return rows[0].reshape(-1) if len(rows) == 1 else np.concatenate(rows, axis=None)
+
+
+def _combine_bundle(bundle: list[_FrontGroup], trace) -> None:
+    """Combiner stage for the front groups sharing ``(antennas, layers)``.
+
+    The elimination is element-wise along the subcarriers, so the bundle's
+    channels go through **one** :func:`mmse_combiner` call laid end to end
+    along that axis, ``(slots, antennas, layers, ΣK)``, each user's columns
+    carrying its own per-slot noise. A bundle of one front group passes its
+    ``(users, slots, ...)`` arrays as they are, without that copy.
+    """
+    if trace is not None:
+        for group in bundle:
+            users, slots, antennas, layers, num_sc = group.carry[0].shape
+            trace.record(
+                "combiner_weights", subcarriers=num_sc, layers=layers,
+                antennas=antennas, batch=users * slots,
+            )
+    if len(bundle) == 1:
+        [group] = bundle
+        weights, noise_after = mmse_combiner(*group.carry)
+        group.carry = (weights, noise_after.mean(axis=-1))
+        return
+    weights, noise_after = mmse_combiner(
+        np.concatenate(
+            [user for group in bundle for user in group.carry[0]], axis=-1
+        ),
+        np.concatenate(
+            [
+                np.repeat(noise.T, channel.shape[-1], axis=1)
+                for channel, noise in (group.carry for group in bundle)
+            ],
+            axis=1,
+        ),
+    )
+    slots, layers, antennas, _ = weights.shape
+    lo = 0
+    for group in bundle:
+        num_sc = group.carry[0].shape[-1]
+        hi = lo + len(group.rows) * num_sc
+        # Splitting a run of columns into (users, K) stays a view; the
+        # noise mean reduces each user's contiguous K as it would alone.
+        user_weights = weights[..., lo:hi].reshape(slots, layers, antennas, -1, num_sc)
+        user_noise = noise_after[..., lo:hi].reshape(slots, layers, -1, num_sc)
+        group.carry = (
+            user_weights.transpose(3, 0, 1, 2, 4),
+            user_noise.mean(axis=-1).transpose(2, 0, 1),
+        )
+        lo = hi
+
+
+def _finalize_stream(
+    modulation: Modulation,
+    blocks: list[tuple[_FrontGroup, list[int]]],
     codec,
     trace,
-    scrambling_c_inits: list[int | None] | None = None,
-) -> list[UserResult]:
-    """Batched serial tail for one shape group: deinterleave → demap → CRC.
+) -> None:
+    """Batched serial tail for every user of one modulation.
 
-    ``layer_symbols`` is ``(users, layers, 12, subcarriers)``;
-    ``noise_per_layer_slot`` is ``(users, layers, 2)``.
+    ``blocks`` are ``(front group, its rows of this modulation)``. Each
+    block is deinterleaved through its shape's gather table; the gathered
+    streams then run end to end through **one** soft demap (element-wise per
+    symbol) and one hard decision, and each block's equal-length rows are
+    CRC-checked together.
     """
-    codec = codec or PassThroughTurbo()
-    num_users = layer_symbols.shape[0]
-    layers = allocation.layers
-    num_sc = allocation.num_subcarriers
-    layer_symbols = ensure_complex(layer_symbols)
-    if layer_symbols.shape != (
-        num_users,
-        layers,
-        DATA_SYMBOLS_PER_SLOT * SLOTS_PER_SUBFRAME,
-        num_sc,
-    ):
-        raise ValueError("layer_symbols shape mismatch")
-
-    # Invert the transmitter's layer mapping and interleaver in one gather
-    # per user row; the per-symbol noise follows the data through the same
-    # reordering, read straight from the small clamped table.
-    symbol_index, noise_index = _tail_gather(layers, num_sc)
-    if trace is not None:
-        trace.record("deinterleave", symbols=symbol_index.size, batch=num_users)
-    symbols = np.take(layer_symbols.reshape(num_users, -1), symbol_index, axis=1)
-    noise_table = np.maximum(
-        np.asarray(noise_per_layer_slot, dtype=REAL_DTYPE), 1e-12
-    ).reshape(num_users, -1)
-    noise = np.take(noise_table, noise_index, axis=1)
-
-    llrs_rows = batched_soft_demap(
-        symbols, allocation.modulation, noise, trace=trace
-    )
-
-    if codec.rate_denominator == 1:
-        num_info_with_crc = useful_bits = llrs_rows.shape[1]
-    else:
-        num_info_with_crc = (llrs_rows.shape[1] - 12) // 3
-        useful_bits = 3 * num_info_with_crc + 12
-    # A NaN LLR hard-decides to bit 0 and the all-zero block passes CRC24A,
-    # so a user with a non-finite soft bit fails outright (one reduction a
-    # group: a row's sum is non-finite exactly when some LLR in it is).
-    finite_rows = np.isfinite(llrs_rows.sum(axis=1))
-    c_inits = scrambling_c_inits or [None] * num_users
-    if type(codec) is PassThroughTurbo and all(c is None for c in c_inits):
-        # The pass-through decoder is a hard decision on every LLR, so the
-        # whole group decodes and checks as one array each.
-        hard = llrs_rows < 0
-        decoded_rows = hard.astype(np.int64)
-        ok_rows = crc_check_rows(hard, CRC24A)
-    else:
-        llrs_rows = [
-            llrs if c_init is None else descramble_llrs(llrs, c_init)
-            for llrs, c_init in zip(llrs_rows, c_inits)
-        ]
-        decoded_rows = [
-            codec.decode(llrs[:useful_bits], num_info_with_crc)
-            for llrs in llrs_rows
-        ]
-        ok_rows = [crc_check(decoded, CRC24A) for decoded in decoded_rows]
-
-    results: list[UserResult] = []
-    for row, user_id in enumerate(user_ids):
-        decoded = decoded_rows[row]
+    bits_per_symbol = modulation.bits_per_symbol
+    gathered, noises, shapes = [], [], []
+    for group, rows in blocks:
+        symbols, noise_table = group.carry  # (users, slots, layers[, 6, K])
+        symbol_index, noise_index = _tail_gather(group.layers, symbols.shape[-1])
+        # Invert the transmitter's layer mapping and interleaver in one
+        # gather per user row; the per-symbol noise follows the data
+        # through the same reordering, read from the small clamped table.
+        symbols = symbols.reshape(len(symbols), -1)
+        noise_table = np.maximum(noise_table.reshape(len(symbols), -1), 1e-12)
+        if len(rows) == len(symbols):
+            group.carry = ()
+        else:
+            symbols, noise_table = symbols[rows], noise_table[rows]
+        gathered.append(np.take(symbols, symbol_index, axis=1))
+        noises.append(np.take(noise_table, noise_index, axis=1))
+        shapes.append((len(rows), symbol_index.size * bits_per_symbol))
         if trace is not None:
-            trace.record("turbo_decode", bits=useful_bits)
-            trace.record("crc_check", bits=decoded.size)
-        results.append(
-            UserResult(
-                user_id=user_id,
-                payload=decoded[: -CRC24A.width],
-                crc_ok=bool(ok_rows[row] and finite_rows[row]),
-                llrs=llrs_rows[row],
+            trace.record("deinterleave", symbols=symbol_index.size, batch=len(rows))
+            trace.record(
+                "soft_demap", symbols=symbol_index.size,
+                bits_per_symbol=bits_per_symbol, batch=len(rows),
             )
+    llrs = soft_demap(_end_to_end(gathered), modulation, _end_to_end(noises))
+    del symbols, noise_table, gathered, noises  # before the bit arrays exist
+
+    whole_stream = type(codec) is PassThroughTurbo and all(
+        group.rows[row].c_init is None for group, rows in blocks for row in rows
+    )
+    if whole_stream:
+        # The pass-through decoder is a hard decision on every LLR, so the
+        # stream decodes as one array.
+        hard = llrs < 0
+        decoded = hard.astype(np.int64)
+    lo = 0
+    for (group, rows), shape in zip(blocks, shapes):
+        hi = lo + shape[0] * shape[1]
+        llrs_rows = llrs[lo:hi].reshape(shape)
+        if codec.rate_denominator == 1:
+            num_info_with_crc = useful_bits = shape[1]
+        else:
+            num_info_with_crc = (shape[1] - 12) // 3
+            useful_bits = 3 * num_info_with_crc + 12
+        # A NaN LLR hard-decides to bit 0 and the all-zero block passes
+        # CRC24A, so a user with a non-finite soft bit fails outright (one
+        # reduction a block: a row's sum is non-finite exactly when some
+        # LLR in it is).
+        finite_rows = np.isfinite(llrs_rows.sum(axis=1))
+        if whole_stream:
+            decoded_rows = decoded[lo:hi].reshape(shape)
+            ok_rows = crc_check_rows(hard[lo:hi].reshape(shape), CRC24A)
+        else:
+            llrs_rows = [
+                llrs if group.rows[row].c_init is None
+                else descramble_llrs(llrs, group.rows[row].c_init)
+                for llrs, row in zip(llrs_rows, rows)
+            ]
+            decoded_rows = [
+                codec.decode(llrs[:useful_bits], num_info_with_crc)
+                for llrs in llrs_rows
+            ]
+            ok_rows = [crc_check(decoded, CRC24A) for decoded in decoded_rows]
+        for index, row in enumerate(rows):
+            user = group.rows[row]
+            if trace is not None:
+                trace.record("turbo_decode", bits=useful_bits)
+                trace.record("crc_check", bits=decoded_rows[index].size)
+            user.out[user.position] = UserResult(
+                user_id=user.user_id,
+                payload=decoded_rows[index][: -CRC24A.width],
+                crc_ok=bool(ok_rows[index] and finite_rows[index]),
+                llrs=llrs_rows[index],
+            )
+        lo = hi
+
+
+def _chest_group(group: _FrontGroup, config: ChestConfig | None, trace) -> None:
+    """Chest stage: all (user, slot, antenna, layer) estimates of one front
+    group as one matched filter + IFFT + window + FFT."""
+    if isinstance(group.grids, list):  # one view is not copied
+        views = group.grids
+        group.grids = views[0][None] if len(views) == 1 else np.stack(views)
+    if group.grids.shape[2:] != (SLOTS_PER_SUBFRAME * SYMBOLS_PER_SLOT, group.num_sc):
+        raise ValueError(
+            "received grids must hold 14 SC-FDMA symbols of the allocation's "
+            "subcarrier width"
         )
-    return results
+    refs = group.grids[:, :, REFERENCE_SYMBOL_INDEX::SYMBOLS_PER_SLOT, :]
+    channel, noise = batched_chest(
+        refs.transpose(0, 2, 1, 3), group.layers, config, trace=trace
+    )
+    # Per-(user, slot) noise estimate: mean over the (antenna, layer) task
+    # grid, matching the serial join's np.mean over its list.
+    noise = noise.reshape(len(noise), SLOTS_PER_SUBFRAME, -1).mean(axis=-1)
+    group.carry = (channel, noise)
 
 
-def _process_group(
+def _symbol_group(group: _FrontGroup, trace) -> None:
+    """Symbol stage: antenna combining + SC-FDMA IFFT of one front group's
+    data symbols, both slots in one einsum and one IFFT."""
+    users, antennas, _, num_sc = group.grids.shape
+    data = group.grids.reshape(
+        users, antennas, SLOTS_PER_SUBFRAME, SYMBOLS_PER_SLOT, num_sc
+    )[:, :, :, _DATA_IN_SLOT]
+    if trace is not None:
+        # The logical unit stays a slot's worth of tasks.
+        batch = users * DATA_SYMBOLS_PER_SLOT * group.layers
+        for _ in range(SLOTS_PER_SUBFRAME):
+            trace.record("antenna_combine", subcarriers=num_sc, batch=batch)
+            trace.record("data_ifft", subcarriers=num_sc, batch=batch)
+    weights, noise_table = group.carry
+    # (users, slots, layers, 6, K): the layout _tail_gather indexes.
+    symbols = batched_combine_symbols(data.transpose(0, 2, 1, 3, 4), weights)
+    group.carry = (symbols, noise_table)
+    group.grids = None
+
+
+def _run_stages(
+    groups: list[_FrontGroup],
+    config: ChestConfig | None,
+    codec,
+    trace,
+    stage_timer,
+) -> None:
+    """The batched chain over all of a call's front groups, stage-major:
+    each stage batches along whichever axis its kernel is element-wise in
+    (module docstring). Every user's result lands where its row says."""
+    for group in groups:
+        with stage_timer("chest", len(group.rows)):
+            _chest_group(group, config, trace)
+
+    bundles: dict[tuple[int, int], list[_FrontGroup]] = {}
+    for group in groups:
+        bundles.setdefault((group.grids.shape[1], group.layers), []).append(group)
+    for bundle in bundles.values():
+        with stage_timer("combiner", sum(len(group.rows) for group in bundle)):
+            _combine_bundle(bundle, trace)
+
+    for group in groups:
+        with stage_timer("symbol", len(group.rows)):
+            _symbol_group(group, trace)
+
+    streams: dict[Modulation, list[tuple[_FrontGroup, list[int]]]] = {}
+    for group in groups:
+        rows_of: dict[Modulation, list[int]] = {}
+        for row, user in enumerate(group.rows):
+            rows_of.setdefault(user.modulation, []).append(row)
+        for modulation, rows in rows_of.items():
+            streams.setdefault(modulation, []).append((group, rows))
+    codec = codec or PassThroughTurbo()
+    for modulation, blocks in streams.items():
+        with stage_timer("finalize", sum(len(rows) for _, rows in blocks)):
+            _finalize_stream(modulation, blocks, codec, trace)
+
+
+def process_group(
     grids: np.ndarray,
     allocation: UserAllocation,
     user_ids: list[int],
@@ -231,65 +409,18 @@ def _process_group(
     """Run the batched chain over one shape group.
 
     ``grids`` is the stacked received data, shape ``(users, antennas, 14,
-    subcarriers)``.
+    subcarriers)``. The multiprocess runtime's workers execute exactly this
+    per dispatched group — :func:`process_subframes`' staged chain over a
+    call of one front group — so the parallel backends share one batched
+    code path (and its bit-exactness proofs).
     """
-    num_users = grids.shape[0]
-    layers = allocation.layers
-
-    # --- stage 1: channel estimation over (users, slots, antennas, layers)
-    refs = grids[:, :, _REF_SYMBOLS, :].transpose(0, 2, 1, 3)
-    with stage_timer("chest", num_users):
-        channel, noise = batched_chest(refs, layers, config, trace=trace)
-        # Per-(user, slot) noise estimate: mean over the (antenna, layer)
-        # task grid, matching the serial join's np.mean over its list.
-        noise_variance = noise.reshape(num_users, SLOTS_PER_SUBFRAME, -1).mean(
-            axis=-1
-        )
-
-    # --- stage 2: combiner weights for every (user, slot, subcarrier)
-    with stage_timer("combiner", num_users):
-        weights, noise_after = batched_combiner_weights(
-            channel, noise_variance, trace=trace
-        )
-
-    # --- stage 3: antenna combining + SC-FDMA IFFT for all data symbols
-    with stage_timer("symbol", num_users):
-        data_idx = data_symbol_indices()
-        data = grids[:, :, data_idx, :]  # (users, antennas, 12, sc)
-        per_slot_symbols = []
-        for slot in range(SLOTS_PER_SUBFRAME):
-            sym_lo = slot * DATA_SYMBOLS_PER_SLOT
-            per_slot_symbols.append(
-                batched_combine_symbols(
-                    data[:, :, sym_lo : sym_lo + DATA_SYMBOLS_PER_SLOT, :],
-                    weights[:, slot],
-                    trace=trace,
-                )
-            )
-        # (users, layers, 12, sc) in data-symbol order.
-        layer_symbols = np.concatenate(per_slot_symbols, axis=2)
-        if layer_symbols.shape[2] != DATA_SYMBOLS_PER_SUBFRAME:
-            raise AssertionError("data symbol concatenation mismatch")
-
-    # --- stage 4: serial tail, batched across the group
-    with stage_timer("finalize", num_users):
-        # (users, slots, layers) -> (users, layers, slots).
-        noise_per_layer_slot = noise_after.mean(axis=-1).transpose(0, 2, 1)
-        return _finalize_group(
-            allocation,
-            layer_symbols,
-            noise_per_layer_slot,
-            user_ids,
-            codec,
-            trace,
-            scrambling_c_inits,
-        )
-
-
-#: Public name for the shape-group chain: the multiprocess runtime's
-#: workers execute exactly this per dispatched group, so the parallel
-#: backends share one batched code path (and its bit-exactness proofs).
-process_group = _process_group
+    results: list = [None] * len(user_ids)
+    group = _FrontGroup(allocation.num_subcarriers, allocation.layers, grids)
+    c_inits = scrambling_c_inits or [None] * len(user_ids)
+    for row, (user_id, c_init) in enumerate(zip(user_ids, c_inits)):
+        group.rows.append(_Row(results, row, user_id, allocation.modulation, c_init))
+    _run_stages([group], config, codec, trace, stage_timer)
+    return results
 
 
 def process_user_vectorized(
@@ -305,16 +436,12 @@ def process_user_vectorized(
 
     Accepts the same ``(antennas, 14 symbols, subcarriers)`` grid and
     returns a bit-exact :class:`UserResult`; all of the user's tasks run
-    as stacked kernels.
+    as stacked kernels (:func:`process_group` over a group of one).
     """
     received = ensure_complex(received)
     if received.ndim != 3:
         raise ValueError("received grid must be (antennas, symbols, subcarriers)")
-    if received.shape[1] != SLOTS_PER_SUBFRAME * SYMBOLS_PER_SLOT:
-        raise ValueError("received grid must hold 14 SC-FDMA symbols")
-    if received.shape[2] != allocation.num_subcarriers:
-        raise ValueError("received grid subcarrier width mismatch")
-    results = _process_group(
+    [result] = process_group(
         received[None],
         allocation,
         [user_id],
@@ -324,7 +451,7 @@ def process_user_vectorized(
         _null_timer,
         [scrambling_c_init],
     )
-    return results[0]
+    return result
 
 
 def process_subframes(
@@ -338,18 +465,20 @@ def process_subframes(
     """Process ``subframes`` on a single-thread backend, one result each.
 
     ``backend="serial"`` walks the per-task reference chain one subframe
-    after another. ``backend="vectorized"`` stacks the users of *all* the
-    given subframes that share an allocation shape and runs the batched
-    chain once per shape, so the fixed cost of a group is paid per call
-    rather than per subframe. Either way every result is bit-exact with
-    processing its subframe alone (the batched kernels treat rows
-    independently), with ``user_results`` in slice order.
+    after another. ``backend="vectorized"`` collects the users of *all*
+    the given subframes once and runs the batched chain stage by stage
+    over them (module docstring), so a stage's fixed cost is paid per call
+    and per batching key rather than per subframe and per shape. Either way
+    every result is bit-exact with processing its subframe alone (the
+    batched kernels treat rows and subcarriers independently), with
+    ``user_results`` in slice order.
 
     ``stage_timer(kernel, batch)`` is an optional context-manager factory
     for per-kernel wall-clock attribution (``kernel`` is one of
-    :data:`repro.uplink.tasks.KERNEL_KINDS`); the default is a no-op,
-    keeping this module free of host-clock reads. ``trace`` and
-    ``stage_timer`` apply to the vectorized backend only.
+    :data:`repro.uplink.tasks.KERNEL_KINDS`, ``batch`` the users in that
+    stage call); the default is a no-op, keeping this module free of
+    host-clock reads. ``trace`` and ``stage_timer`` apply to the vectorized
+    backend only.
     """
     if backend == "serial":
         return [process_subframe_serial(s, config, codec) for s in subframes]
@@ -357,34 +486,26 @@ def process_subframes(
         raise ValueError(
             f"unknown backend {backend!r} (choose from {FUNCTIONAL_BACKENDS})"
         )
-    timer = stage_timer or _null_timer
-    # Per shape, in order of first appearance: where each member's result
-    # goes (subframe number, slice position), its slice and its view of its
-    # own subframe's grid. Subframes of different cells may differ in
-    # antenna count, which a stacked grid cannot, so it joins the key.
-    groups: dict[tuple, tuple[list, list[UserSlice], list[np.ndarray]]] = {}
-    for number, subframe in enumerate(subframes):
+    # Front groups in order of first appearance. Subframes of different
+    # cells may differ in antenna count, which a stacked grid cannot, so it
+    # joins the key.
+    ordered: list[list] = [[None] * len(s.slices) for s in subframes]
+    groups: dict[tuple, _FrontGroup] = {}
+    for subframe, results in zip(subframes, ordered):
         grid = subframe.grid
         for position, user_slice in enumerate(subframe.slices):
-            where, slices, views = groups.setdefault(
-                (grid.shape[0], *_shape_key(user_slice)), ([], [], [])
+            user = user_slice.user
+            key = (grid.shape[0], user.num_subcarriers, user.layers)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = _FrontGroup(*key[1:], [])
+            group.grids.append(user_slice.view(grid))
+            group.rows.append(
+                _Row(results, position, user.user_id, user.modulation, None)
             )
-            where.append((number, position))
-            slices.append(user_slice)
-            views.append(user_slice.view(grid))
-    ordered: list[list] = [[None] * len(s.slices) for s in subframes]
-    for where, slices, views in groups.values():
-        results = _process_group(
-            np.stack(views),
-            slices[0].user.allocation,
-            [s.user.user_id for s in slices],
-            config,
-            codec,
-            trace,
-            timer,
-        )
-        for (number, position), result in zip(where, results):
-            ordered[number][position] = result
+    _run_stages(
+        list(groups.values()), config, codec, trace, stage_timer or _null_timer
+    )
     return [
         SubframeResult(subframe_index=s.subframe_index, user_results=users)
         for s, users in zip(subframes, ordered)

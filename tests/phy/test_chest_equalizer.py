@@ -320,6 +320,68 @@ class TestMmseWeights:
                 assert np.array_equal(serial.weights, alone_w)
                 assert np.array_equal(serial.noise_after_combining, alone_n)
 
+    #: Three users' allocations laid end to end along the subcarrier axis.
+    RAGGED_WIDTHS = (24, 25, 300)
+
+    def _ragged(self, layers, seed):
+        """Per-user ``(slots, antennas, layers, K)`` channels with per-slot
+        noise, and the same laid end to end with per-subcarrier noise."""
+        rng = np.random.default_rng(seed)
+        channels = [_random_channel(rng, 2, 4, layers, k) for k in self.RAGGED_WIDTHS]
+        noises = [rng.uniform(0.0, 0.2, 2) for _ in channels]
+        noise = np.concatenate(
+            [np.repeat(n[:, None], k, axis=1) for n, k in zip(noises, self.RAGGED_WIDTHS)],
+            axis=1,
+        )
+        return channels, noises, np.concatenate(channels, axis=-1), noise
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    def test_per_subcarrier_noise_equals_the_users_alone(self, layers):
+        """The ragged use: piecewise-constant ``(slots, ΣK)`` noise over
+        blocks of different widths == the three ``(slots,)``-noise calls
+        concatenated — `array_equal`, weights and `noise_after`."""
+        channels, noises, channel, noise = self._ragged(layers, seed=40 + layers)
+        weights, noise_after = mmse_combiner(channel, noise)
+        alone = [mmse_combiner(c, n) for c, n in zip(channels, noises)]
+        assert weights.shape == (2, layers, 4, sum(self.RAGGED_WIDTHS))
+        assert np.array_equal(weights, np.concatenate([w for w, _ in alone], axis=-1))
+        assert np.array_equal(noise_after, np.concatenate([n for _, n in alone], axis=-1))
+        # ... and without a batch: one slot, noise of shape (ΣK,).
+        slot_w, slot_n = mmse_combiner(channel[1], noise[1])
+        assert np.array_equal(slot_w, weights[1])
+        assert np.array_equal(slot_n, noise_after[1])
+
+    def test_singular_block_is_nan_in_its_own_columns_only(self):
+        """An exactly singular middle user (every subcarrier, slot 0) comes
+        out NaN in its 25 columns of that slot; the users laid on either
+        side of it are bit-identical to running alone, and nothing warns."""
+        channels, noises, channel, noise = self._ragged(2, seed=50)
+        lo, hi = 24, 24 + 25
+        noise[0, lo:hi] = 0.0
+        channel[0, :, 0, lo:hi] = 1024.0
+        channel[0, :, 1, lo:hi] = 1024.0 * (1 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, noise_after = mmse_combiner(channel, noise)
+        bad = np.zeros(weights.shape, dtype=bool)
+        bad[0, :, :, lo:hi] = True
+        assert np.all(np.isnan(weights[bad])) and np.all(np.isfinite(weights[~bad]))
+        assert np.all(np.isnan(noise_after[0, :, lo:hi]))
+        for user, start in ((0, 0), (2, hi)):
+            alone_w, alone_n = mmse_combiner(channels[user], noises[user])
+            stop = start + self.RAGGED_WIDTHS[user]
+            assert np.array_equal(weights[..., start:stop], alone_w)
+            assert np.array_equal(noise_after[..., start:stop], alone_n)
+
+    def test_per_subcarrier_noise_is_validated(self):
+        _, _, channel, noise = self._ragged(2, seed=60)
+        for wrong in (noise[:, :-1], noise[0], noise.T, noise[None]):
+            with pytest.raises(ValueError, match="one per subcarrier"):
+                mmse_combiner(channel, wrong)
+        noise[1, 30] = -1e-3
+        with pytest.raises(ValueError, match="noise_variance must be >= 0"):
+            mmse_combiner(channel, noise)
+
     def test_foreign_dtype_and_layout_come_out_canonical(self):
         rng = np.random.default_rng(11)
         narrow = _random_channel(rng, 2, 4, 2, 24).astype(np.complex64)

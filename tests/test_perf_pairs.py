@@ -1,0 +1,86 @@
+"""The verdict rule of ``scripts/perf_pairs.py`` on canned run lists.
+
+``perf/README.md`` "Stating a claim", steps 3-4: a gain needs >= 9/10 pair
+wins *and* a median gap beyond the parent's own inter-quartile distance;
+"no worse" needs the medians within the bound *and* a spread narrow enough
+to tell, else the metric is "unresolved".
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "perf_pairs", Path(__file__).parents[1] / "scripts" / "perf_pairs.py"
+)
+perf_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perf_pairs)
+verdict = perf_pairs.verdict
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+
+
+def shifted(values, factor, swap=()):
+    """``values`` scaled by ``factor``, except the pairs in ``swap``, which
+    lose by the same factor."""
+    return [v / factor if i in swap else v * factor for i, v in enumerate(values)]
+
+
+def test_quartiles_are_counted_among_the_runs():
+    assert perf_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert perf_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
+    row = verdict(PARENT, shifted(PARENT, 1.2), "higher", 0.25)
+    assert row["verdict"] == "gain" and row["wins"] == 10
+    assert row["relative_change"] == pytest.approx(0.2)
+    # Nine wins are enough, eight are not.
+    assert verdict(PARENT, shifted(PARENT, 1.2, swap={3}), "higher", 0.25)[
+        "verdict"
+    ] == "gain"
+    assert verdict(PARENT, shifted(PARENT, 1.2, swap={3, 6}), "higher", 0.25)[
+        "verdict"
+    ] == "no worse"
+    # 10/10 wins, but by less than the parent's own quartile distance.
+    row = verdict(PARENT, shifted(PARENT, 1.005), "higher", 0.25)
+    assert row["wins"] == 10 and row["verdict"] == "no worse"
+
+
+def test_direction_and_ties():
+    latency = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    assert verdict(latency, shifted(latency, 0.8), "lower", 0.25)["verdict"] == "gain"
+    assert verdict(latency, shifted(latency, 1.3), "lower", 0.25)["verdict"] == "worse"
+    # A tie is a win for neither side: 8 wins + 2 ties is not nine tenths.
+    change = shifted(PARENT, 1.2)
+    change[0], change[1] = PARENT[0], PARENT[1]
+    row = verdict(PARENT, change, "higher", 0.25)
+    assert row["wins"] == 8 and row["verdict"] == "no worse"
+
+
+def test_worse_is_a_median_beyond_the_bound():
+    assert verdict(PARENT, shifted(PARENT, 0.7), "higher", 0.25)["verdict"] == "worse"
+    assert verdict(PARENT, shifted(PARENT, 0.8), "higher", 0.25)["verdict"] == "no worse"
+    assert verdict(PARENT, shifted(PARENT, 0.8), "higher", 0.15)["verdict"] == "worse"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    noisy = [100.0, 160.0, 60.0, 150.0, 70.0, 100.0, 155.0, 65.0, 100.0, 140.0]
+    row = verdict(noisy, shifted(noisy, 0.95), "higher", 0.25)
+    assert row["spread"] > 0.25 and row["verdict"] == "unresolved"
+    # The change's own runs can be the noisy side.
+    assert verdict(PARENT, shifted(noisy, 0.95), "higher", 0.25)["verdict"] == "unresolved"
+    # ... unless every run of the change beats every run of the parent.
+    ahead = [v + 200.0 for v in noisy]
+    assert min(ahead) > max(PARENT)
+    assert verdict(PARENT, ahead, "higher", 0.25)["verdict"] in ("gain", "no worse")
+
+
+def test_malformed_input_is_rejected():
+    with pytest.raises(ValueError, match="same, non-zero number"):
+        verdict(PARENT, PARENT[:-1], "higher", 0.25)
+    with pytest.raises(ValueError, match="same, non-zero number"):
+        verdict([], [], "higher", 0.25)
+    with pytest.raises(ValueError, match="higher"):
+        verdict(PARENT, PARENT, "faster", 0.25)

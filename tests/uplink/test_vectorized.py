@@ -157,17 +157,27 @@ class TestFinalizeRoutes:
         ]
 
     def test_tail_trace_records_are_per_user(self, subframe):
-        """The cost model is fed from these: kinds, order and sizes."""
+        """The cost model is fed from these: kinds, order and sizes. The
+        records are *logical* (one front group's worth each, whatever the
+        call that computed them batched together) and come in stage order:
+        every group's chest, then every combiner, every symbol stage, and
+        the tails modulation by modulation."""
         from repro.phy import KernelTrace
 
         trace = KernelTrace()
         process_subframe_vectorized(subframe, trace=trace)
-        tail = [
-            (name, work)
-            for name, work in trace.events
-            if name in ("deinterleave", "soft_demap", "turbo_decode", "crc_check")
-        ]
-        # Second group: users 1 and 2, 2 layers x 16QAM.
+        kinds = [name for name, _ in trace.events]
+        chest = ["matched_filter", "chest_ifft", "chest_window", "chest_fft"]
+        symbol = ["antenna_combine", "data_ifft"] * 2
+        groups = 3  # three front groups, layer counts and modulations
+        assert kinds[: 9 * groups] == (
+            chest * groups + ["combiner_weights"] * groups + symbol * groups
+        )
+        tail = trace.events[9 * groups :]
+        assert {name for name, _ in tail} == {
+            "deinterleave", "soft_demap", "turbo_decode", "crc_check",
+        }
+        # Second stream: users 1 and 2, 2 layers x 16QAM.
         symbols = 12 * subframe.slices[1].num_subcarriers * 2
         start = next(
             i for i, (_, work) in enumerate(tail) if work.get("batch") == 2
@@ -181,6 +191,49 @@ class TestFinalizeRoutes:
             ("crc_check", {"bits": 4 * symbols}),
         ]
         assert trace.count("crc_check") == len(subframe.slices)
+
+    def test_trace_multiset_is_one_record_set_per_shape_group(self, subframe):
+        """What the group-major chain recorded, as a multiset: per shape
+        group of ``n`` users, the four chest kinds over its ``n x 2 slots x
+        antennas x layers`` tasks, one combiner join, a slot's worth of
+        combining tasks twice, one gather, one demap, and a decode + CRC
+        per user. Stage-major batching keeps exactly that (no two users
+        here differ only in modulation, so front groups are shape groups)."""
+        from collections import Counter
+
+        from repro.phy import KernelTrace
+
+        def frozen(name, **work):
+            return (name, tuple(sorted(work.items())))
+
+        antennas = subframe.grid.shape[0]
+        expected = Counter()
+        for group in group_slices_by_shape(subframe.slices):
+            n, user = len(group), group[0][1].user
+            sc, layers, bps = (
+                user.num_subcarriers, user.layers, user.modulation.bits_per_symbol,
+            )
+            for kind in ("matched_filter", "chest_ifft", "chest_window", "chest_fft"):
+                expected[frozen(kind, subcarriers=sc, batch=n * 2 * antennas * layers)] += 1
+            expected[
+                frozen(
+                    "combiner_weights", subcarriers=sc, layers=layers,
+                    antennas=antennas, batch=n * 2,
+                )
+            ] += 1
+            for kind in ("antenna_combine", "data_ifft"):
+                expected[frozen(kind, subcarriers=sc, batch=n * 6 * layers)] += 2
+            symbols = 12 * sc * layers
+            expected[frozen("deinterleave", symbols=symbols, batch=n)] += 1
+            expected[
+                frozen("soft_demap", symbols=symbols, bits_per_symbol=bps, batch=n)
+            ] += 1
+            expected[frozen("turbo_decode", bits=symbols * bps)] += n
+            expected[frozen("crc_check", bits=symbols * bps)] += n
+
+        trace = KernelTrace()
+        process_subframe_vectorized(subframe, trace=trace)
+        assert Counter(frozen(name, **work) for name, work in trace.events) == expected
 
 
 class TestSingularUser:
@@ -296,10 +349,56 @@ class TestStageTimer:
         process_subframe_vectorized(subframe, stage_timer=stage_timer)
         kernels = {kernel for kernel, _ in seen}
         assert kernels == set(KERNEL_KINDS)
-        # One timed span per stage per shape group (three groups here).
+        # One timed span per stage call: three front groups, three layer
+        # counts, three modulations here.
         assert len(seen) == 4 * 3
         # The shared-shape group reports batch=2.
         assert max(batch for _, batch in seen) == 2
+
+    def test_every_stage_accounts_for_every_user_once(self):
+        """``stage_timer`` is entered with the four kernel kinds only, once
+        per stage call (chest and symbol per front group, combiner per
+        layer count, finalize per modulation), and each stage's ``batch``
+        values add up to the call's users."""
+        from collections import Counter
+
+        users = [
+            UserParameters(0, 2, 1, Modulation.QPSK),
+            UserParameters(1, 6, 2, Modulation.QPSK),
+            UserParameters(2, 6, 2, Modulation.QAM16),  # same front group as 1
+            UserParameters(3, 10, 2, Modulation.QAM16),
+            UserParameters(4, 4, 1, Modulation.QAM16),
+            UserParameters(5, 4, 1, Modulation.QAM16),
+        ]
+        subframe = SubframeFactory(seed=2).synthesize(users, 0)
+        seen = []
+
+        def stage_timer(kernel, batch):
+            seen.append((kernel, batch))
+            return nullcontext()
+
+        timed = process_subframe_vectorized(subframe, stage_timer=stage_timer)
+        assert {kernel for kernel, _ in seen} == set(KERNEL_KINDS)
+        # Stage-major: a stage is done with every user before the next starts.
+        assert [kernel for kernel, _ in seen] == sorted(
+            (kernel for kernel, _ in seen), key=KERNEL_KINDS.index
+        )
+        batches = Counter()
+        for kernel, batch in seen:
+            batches[kernel] += batch
+        assert batches == dict.fromkeys(KERNEL_KINDS, len(users))
+        spans = Counter(kernel for kernel, _ in seen)
+        assert spans == {"chest": 4, "combiner": 2, "symbol": 4, "finalize": 2}
+
+        # Neither hook changes a bit of any result.
+        from repro.phy import KernelTrace
+
+        plain = process_subframe_vectorized(subframe)
+        traced = process_subframe_vectorized(subframe, trace=KernelTrace())
+        for other in (timed, traced):
+            assert plain.equals(other)
+            for a, b in zip(plain.user_results, other.user_results):
+                assert np.array_equal(a.llrs, b.llrs)
 
 
 class TestBackendSelection:
