@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow test-invariants perf-quick perf-pairs bench bench-smoke chaos-smoke multiprocess-smoke serve-smoke supervision-smoke lint lint-strict repro-lint ruff mypy all
+.PHONY: test test-slow test-invariants perf-quick perf-pairs paper-benches chaos-smoke multiprocess-smoke serve-smoke supervision-smoke lint lint-strict repro-lint ruff mypy all
 
 all: test lint
 
@@ -30,20 +30,19 @@ perf-quick:
 # A performance claim (perf/README.md "Stating a claim"): ten alternating
 # pairs of perf/run.py on a `git clone` of the parent commit and on this
 # checkout, with a verdict per end-to-end metric from BENCHMARK.json's bounds.
-#   make perf-pairs PARENT=/path/to/parent-clone WORKLOAD=paper_mix SEED=1
-WORKLOAD ?= paper_mix
+# Without WORKLOAD= every workload of BENCHMARK.json runs (~1 h): what a
+# change that claims no gain has to show.
+#   make perf-pairs PARENT=/path/to/parent-clone [WORKLOAD=paper_mix] SEED=1
 SEED ?= 1
 PAIRS ?= 10
 perf-pairs:
-	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<clone of the parent commit> [WORKLOAD=$(WORKLOAD) SEED=$(SEED) PAIRS=$(PAIRS)]"; exit 2; }
-	$(PYTHON) scripts/perf_pairs.py $(PARENT) . --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<clone of the parent commit> [WORKLOAD=<one workload; default all> SEED=$(SEED) PAIRS=$(PAIRS)]"; exit 2; }
+	$(PYTHON) scripts/perf_pairs.py $(PARENT) . $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(SEED) --pairs $(PAIRS)
 
-bench:
-	$(PYTHON) -m repro bench --scale default
-
-bench-smoke:
-	$(PYTHON) -m repro bench --scale smoke --out BENCH_smoke.json \
-		--compare benchmarks/baseline_smoke.json --deterministic-only
+# The paper figure/table checks and the overhead gates (not tier-1, ~2.5 min).
+paper-benches:
+	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m repro top --once --subframes 60
 
 chaos-smoke:
 	$(PYTHON) -m repro chaos --scale smoke --seeds 5 --timeout 480

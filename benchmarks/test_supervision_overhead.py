@@ -7,8 +7,7 @@ heartbeat/pending probe per pump. As with the fault-overhead bound,
 shared-runner wall-clock deltas are noisier than the budget itself, so
 the asserted number is built from measured unit costs times the counts
 the scenario actually performs; the end-to-end supervised-vs-off delta
-is printed and loosely guarded. The serve-facing trend number lives in
-``repro bench`` (``supervision_overhead_pct``).
+is printed and loosely guarded.
 """
 
 import time

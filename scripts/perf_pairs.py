@@ -1,12 +1,15 @@
 """Paired parent/change runs of the benchmark, with a verdict per metric.
 
-    python scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N [--pairs 10]
+    python scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --seed N [--workload W]... [--pairs 10]
 
-Runs ``python perf/run.py --workload W --seed N --trace 0`` in the two
-checkouts alternately (which side goes first alternates too, so a slow phase
-of the host hits both sides of a pair), prints every run, then every
-end-to-end metric's medians, quartiles and wins, and applies ``perf/README.md``
-"Stating a claim" steps 3-4 with the bounds of ``BENCHMARK.json``:
+For each workload W (repeat ``--workload``; without it, every workload of
+``CHANGE_DIR/BENCHMARK.json`` in file order, which is what a change that
+claims no gain has to show) runs ``python perf/run.py --workload W --seed N
+--trace 0`` in the two checkouts alternately (which side goes first
+alternates too, so a slow phase of the host hits both sides of a pair),
+prints every run, then every end-to-end metric's medians, quartiles and
+wins, and applies ``perf/README.md`` "Stating a claim" steps 3-4 with the
+bounds of ``BENCHMARK.json``:
 
 * **gain** — the change wins at least nine tenths of the pairs (ties count
   for neither) and the medians differ by more than the parent's own
@@ -18,7 +21,9 @@ end-to-end metric's medians, quartiles and wins, and applies ``perf/README.md``
   beats every run of the parent);
 * **no worse** — otherwise.
 
-It drives the benchmark from outside and imports nothing from ``perf/``.
+Exits 1 when any metric of any workload is **worse** or missing from a run,
+or the change fails a larger share of its operations. It drives the
+benchmark from outside and imports nothing from ``perf/``.
 """
 
 from __future__ import annotations
@@ -89,40 +94,32 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
          "--seed", str(seed), "--trace", "0"],
         cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=False,
     )
-    lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"perf_pairs: no output from perf/run.py in {checkout}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if not isinstance(result, dict):
+        raise SystemExit(f"perf_pairs: run in {checkout} printed no result "
+                         f"object (exit {done.returncode})")
     if done.returncode != 0 or not result["correct"]:
         print(f"perf_pairs: run in {checkout} was not correct "
               f"(exit {done.returncode})", file=sys.stderr)
     return result
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawTextHelpFormatter
-    )
-    parser.add_argument("parent_dir", metavar="PARENT_DIR")
-    parser.add_argument("change_dir", metavar="CHANGE_DIR")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    with open(os.path.join(args.change_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-
-    sides = {"parent": args.parent_dir, "change": args.change_dir}
+def run_pairs(
+    sides: dict[str, str], workload: str, seed: int, pairs: int, end_to_end: list[dict]
+) -> int:
+    """``pairs`` alternating pairs of one workload, every run and the verdict
+    table printed; 1 if a metric is worse or missing or more operations fail."""
     runs: dict[str, list[dict]] = {side: [] for side in sides}
-    print(f"{args.workload}, seed {args.seed}: {args.pairs} pairs, "
-          f"parent {args.parent_dir} / change {args.change_dir}")
+    print(f"{workload}, seed {seed}: {pairs} pairs, "
+          f"parent {sides['parent']} / change {sides['change']}")
     print("pair first " + " ".join(f"{m['name']:>24}" for m in end_to_end) + "   failed")
-    for pair in range(args.pairs):
+    for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, args.seed))
+            runs[side].append(run_once(sides[side], workload, seed))
         cells = []
         for metric in end_to_end:
             p, c = (runs[s][-1]["metrics"].get(metric["name"], {}).get("value")
@@ -145,7 +142,7 @@ def main(argv=None) -> int:
             side: [r["metrics"][name]["value"] for r in runs[side] if name in r["metrics"]]
             for side in sides
         }
-        if len(values["parent"]) != args.pairs or len(values["change"]) != args.pairs:
+        if len(values["parent"]) != pairs or len(values["change"]) != pairs:
             print(f"{name:<20} {'missing':<10}")
             worst = 1
             continue
@@ -166,6 +163,32 @@ def main(argv=None) -> int:
     if failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]:
         print("the change fails a larger share of its operations: no gain counts")
         worst = 1
+    return worst
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter
+    )
+    parser.add_argument("parent_dir", metavar="PARENT_DIR")
+    parser.add_argument("change_dir", metavar="CHANGE_DIR")
+    parser.add_argument("--workload", action="append")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    with open(os.path.join(args.change_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    sides = {"parent": args.parent_dir, "change": args.change_dir}
+    worst = 0
+    for number, workload in enumerate(workloads):
+        if number:
+            print()
+        worst |= run_pairs(
+            sides, workload, args.seed, args.pairs, benchmark["end_to_end"]
+        )
     return worst
 
 

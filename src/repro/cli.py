@@ -28,11 +28,6 @@ Commands mirror the benchmark binary and the evaluation drivers:
 ``metrics``
     Run the simulator with the metrics collector attached and print the
     scheduler-metrics summary (counters, gauges, histograms).
-``bench``
-    Run the pinned benchmark scenario matrix (serial reference, threaded
-    runtime, simulator under NONAP and NAP+IDLE) with profiling attached
-    and write a machine-readable ``BENCH_<rev>.json``; ``--compare``
-    exits nonzero on regression against a baseline report.
 ``lint``
     Run the project's AST-based static analyzers (lock discipline,
     sim determinism, obs schema consistency — see
@@ -44,7 +39,7 @@ Commands mirror the benchmark binary and the evaluation drivers:
     faults SIGKILL real processes) and print a survival report; exits
     nonzero when any scenario fails a survival check.
 
-``run``, ``bench``, and ``chaos`` accept ``--timeout SECONDS``: a
+``run``, ``serve``, and ``chaos`` accept ``--timeout SECONDS``: a
 ``faulthandler``-based hang guard that dumps all-thread tracebacks and
 exits if the command wedges. Ctrl-C aborts cleanly (workers shut down,
 traces flush) instead of leaving threads behind.
@@ -420,83 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="atomically write the repro-serve/1 report to FILE",
     )
     _add_timeout(serve)
-
-    bench = sub.add_parser(
-        "bench", help="run the pinned benchmark matrix, write BENCH_<rev>.json"
-    )
-    bench.add_argument(
-        "--scale",
-        choices=["smoke", "default", "paper"],
-        default="default",
-        help="pinned scenario-matrix size (default: default)",
-    )
-    bench.add_argument("--seed", type=int, default=0, help="workload seed")
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="report path (default BENCH_<git rev>.json)",
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        choices=[
-            "serial",
-            "vectorized",
-            "threaded",
-            "multiprocess",
-            "sim-nonap",
-            "sim-nap-idle",
-            "serve",
-        ],
-        default=None,
-        metavar="NAME",
-        help="run a subset of the matrix (repeatable; default: all seven)",
-    )
-    bench.add_argument(
-        "--no-overhead",
-        action="store_true",
-        help="skip the observability-overhead measurement",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a baseline report; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.30,
-        help="wall-clock throughput regression threshold (default 0.30)",
-    )
-    bench.add_argument(
-        "--det-threshold",
-        type=float,
-        default=0.10,
-        help="deterministic (cycle-count) regression threshold (default 0.10)",
-    )
-    bench.add_argument(
-        "--deterministic-only",
-        action="store_true",
-        help="compare only machine-independent metrics (for CI)",
-    )
-    bench.add_argument(
-        "--history",
-        nargs="?",
-        const=".",
-        default=None,
-        metavar="DIR",
-        help="instead of running: aggregate the committed BENCH_*.json "
-        "trajectory under DIR (default .) into a per-scenario trend "
-        "table, flagging regressions between consecutive snapshots",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="with --history: emit the trend table as JSON",
-    )
-    _add_timeout(bench)
 
     chaos = sub.add_parser(
         "chaos", help="run the seeded fault-matrix campaign, print survival report"
@@ -996,119 +914,6 @@ def cmd_top(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .faults import hang_guard
-
-    with hang_guard(args.timeout):
-        try:
-            return _bench_impl(args)
-        except KeyboardInterrupt:
-            print("\ninterrupted — no report written", file=sys.stderr)
-            return 130
-
-
-def _bench_impl(args) -> int:
-    import json
-
-    from .bench import (
-        compare_reports,
-        default_report_path,
-        new_scenario_rows,
-        run_bench,
-        validate_bench_report,
-        write_bench_report,
-    )
-
-    if args.history is not None:
-        from .bench import find_history_regressions, format_history, history_table, load_history
-
-        reports = load_history(args.history)
-        if not reports:
-            print(f"no BENCH_*.json snapshots under {args.history}")
-            return 2
-        history = history_table(reports, threshold=args.threshold)
-        if args.json:
-            print(json.dumps(history, indent=2))
-        else:
-            print(format_history(history))
-        return 1 if find_history_regressions(history) else 0
-
-    baseline = None
-    if args.compare is not None:
-        try:
-            with open(args.compare, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.compare}: {exc}")
-            return 2
-        issues = validate_bench_report(baseline)
-        if issues:
-            for issue in issues:
-                print(f"baseline invalid: {issue}")
-            return 2
-
-    scenarios = tuple(args.scenario) if args.scenario else None
-    report = run_bench(
-        scale=args.scale,
-        seed=args.seed,
-        scenarios=scenarios,
-        include_overhead=not args.no_overhead,
-    )
-    issues = validate_bench_report(report)
-    if issues:
-        for issue in issues:
-            print(f"report invalid: {issue}")
-        return 2
-
-    out = args.out or default_report_path()
-    write_bench_report(report, out)
-    print(f"bench scale={args.scale} seed={args.seed} rev={report['revision']}")
-    for name, scenario in report["scenarios"].items():
-        line = (f"  {name:>12}: {scenario['throughput_sf_per_s']:9.1f} sf/s "
-                f"({scenario['wall_s']:.3f} s wall)")
-        det = scenario.get("deterministic")
-        if det:
-            line += f", deadline-miss {det['deadline_miss_rate'] * 100:.1f}%"
-        top = max(
-            scenario["kernel_breakdown"].items(),
-            key=lambda kv: kv[1]["share"],
-            default=None,
-        )
-        if top:
-            line += f", top kernel {top[0]} ({top[1]['share'] * 100:.0f}%)"
-        print(line)
-    if report.get("obs_overhead_pct") is not None:
-        print(f"  observability overhead: {report['obs_overhead_pct']:.1f}%")
-    if report.get("fault_overhead_pct") is not None:
-        print(f"  resilience (zero-fault) overhead: "
-              f"{report['fault_overhead_pct']:.1f}%")
-    if report.get("supervision_overhead_pct") is not None:
-        print(f"  supervision (zero-death) overhead: "
-              f"{report['supervision_overhead_pct']:.1f}%")
-    print(f"report written to {out}")
-
-    if baseline is not None:
-        # Candidate-only rows are reported, not silently skipped: a
-        # freshly-added backend shows up as "new" until the baseline is
-        # regenerated (informational, never a regression).
-        for name in new_scenario_rows(baseline, report):
-            print(f"  scenario {name}: new (absent from baseline, not compared)")
-        regressions = compare_reports(
-            baseline,
-            report,
-            threshold=args.threshold,
-            det_threshold=args.det_threshold,
-            deterministic_only=args.deterministic_only,
-        )
-        if regressions:
-            print(f"REGRESSION vs {args.compare}:")
-            for problem in regressions:
-                print(f"  {problem}")
-            return 1
-        print(f"no regression vs {args.compare}")
-    return 0
-
-
 def cmd_report(args) -> int:
     import json
 
@@ -1310,7 +1115,6 @@ _COMMANDS = {
     "metrics": cmd_metrics,
     "top": cmd_top,
     "serve": cmd_serve,
-    "bench": cmd_bench,
     "report": cmd_report,
     "lint": cmd_lint,
     "chaos": cmd_chaos,

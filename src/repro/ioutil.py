@@ -2,7 +2,7 @@
 
 A report that a SIGKILL (or power loss) can truncate is worse than no
 report: ``repro top --from`` and the CI validators would choke on half a
-JSON document. Every writer of a machine-readable artifact — bench
+JSON document. Every writer of a machine-readable artifact — serve
 reports, fault plans, serve checkpoints — funnels through
 :func:`atomic_write_text`: the bytes land in a temporary file in the
 *same directory*, are fsynced to stable storage, and only then replace

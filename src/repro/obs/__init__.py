@@ -12,7 +12,7 @@ over :class:`repro.sim.machine.MachineSimulator` and
 ``REPRO_LOCKDEP=1`` to make every :func:`tracked_lock` in the runtimes
 report acquisition orders to the lock-order witness (``lockdep``). See
 ``docs/observability.md`` for the event schema and CLI usage
-(``repro trace`` / ``repro metrics`` / ``repro bench``).
+(``repro trace`` / ``repro metrics`` / ``repro top``).
 """
 
 from .events import Event, EventKind

@@ -16,7 +16,7 @@ events into the trace:
 * ``SLO_RESOLVED`` — a previously firing alert stopped firing.
 
 ``slo_report()`` returns the machine-readable section that
-``repro run/bench/chaos --json`` embed: per-target observations, burn
+``repro run/chaos --json`` embed: per-target observations, burn
 rates, breach/alert counts, and the windowed latency/miss/power series
 the paper's Figs. 13-16 are built from.
 """
@@ -244,7 +244,7 @@ class SLOEngine:
 
     # ------------------------------------------------------------- report
     def slo_report(self) -> dict:
-        """Machine-readable SLO section for run/bench/chaos JSON output."""
+        """Machine-readable SLO section for run/chaos JSON output."""
         tel = self.telemetry
         latency = tel.sketch("subframe_latency")
         targets = []

@@ -1,7 +1,7 @@
 """Streaming base-station service mode: the async serve loop.
 
-Batch drivers (``repro run``/``repro bench``) push a fixed worklist
-through a backend as fast as it will go. A base station does not get
+The batch driver (``repro run``) pushes a fixed worklist through a
+backend as fast as it will go. A base station does not get
 that luxury: subframes *arrive*, one per cell per DELTA (the paper's
 5 ms cadence), whether or not the receiver is keeping up. This module
 is that arrival side. :func:`serve` runs an asyncio ingest loop with
@@ -150,7 +150,7 @@ class ServeConfig:
     #: JSONL trace path (line-flushed; ``repro top --follow`` tails it).
     trace_path: str | None = None
     #: Optional processor override (``SubframeInput -> SubframeResult``)
-    #: for serial/vectorized cells — the bench harness injects a
+    #: for serial/vectorized cells — ``perf/`` and the tests inject a
     #: stage-timed processor here to attribute per-kernel wall clock.
     processor: Any = None
     #: Close the SLO burn-rate loop into admission: AIMD load shedding

@@ -41,8 +41,8 @@ same staged chain over one subframe, one group, one user;
 partitioned into calls never changes a bit of any result.
 
 The module is deterministic-scope clean: it never reads the host clock.
-Callers that want per-kernel wall-clock attribution (``repro bench``,
-``perf/``) pass a ``stage_timer`` context-manager factory instead.
+Callers that want per-kernel wall-clock attribution (``perf/``) pass a
+``stage_timer`` context-manager factory instead.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.sched.multiprocess import MultiprocessRuntime
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
 from repro.uplink.subframe import SubframeFactory
+from repro.uplink.tasks import KERNEL_KINDS
 
 NUM_SUBFRAMES = 4
 SEED = 3
@@ -55,14 +56,13 @@ def test_bit_exact_vs_serial_with_process_lanes(workload):
     pids = {e.data.get("process_id") for e in recorder.events if e.data}
     pids.discard(None)
     assert len(pids) >= 2
-    # Stage spans are attributed to worker pids, not the parent's.
+    # Stage spans are attributed to worker pids, not the parent's, and
+    # tagged with the canonical kernel kinds a Profiler breaks down by.
     worker_pids = set(runtime.process_ids)
-    kernel_pids = {
-        e.data.get("process_id")
-        for e in recorder.events
-        if e.kind.value == "task-start"
-    }
+    task_starts = [e for e in recorder.events if e.kind.value == "task-start"]
+    kernel_pids = {e.data.get("process_id") for e in task_starts}
     assert kernel_pids and kernel_pids <= worker_pids
+    assert {e.data.get("kernel") for e in task_starts} == set(KERNEL_KINDS)
 
 
 def test_worker_death_is_reclaimed_and_retried(workload):

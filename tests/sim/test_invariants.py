@@ -13,6 +13,7 @@ from repro.obs import (
     EventRecorder,
     InvariantViolation,
     MetricsCollector,
+    Profiler,
     SchedulerInvariantChecker,
 )
 from repro.power.estimator import calibrate_from_cost_model
@@ -91,6 +92,46 @@ class TestDequeSwapPreservesSchedule:
         assert result.tasks_executed == expected_tasks
         assert result.steals == expected_steals
         assert result.users_processed == expected_users
+
+
+class TestFixedSeedCyclesPinned:
+    """Every deterministic output of a fixed-seed run, pinned exactly.
+
+    Everything the simulator computes is a pure function of the
+    ``CostModel``, the scheduler and the workload seed, so a change to a
+    kernel cost, the task graph, the steal order or the parameter model
+    moves these literals — that is what this test catches, and nothing
+    else checks it (the paper-figure checks in ``benchmarks/`` are shape
+    checks with tolerances). A change that means to move them re-captures
+    the literals and says why.
+    """
+
+    KERNEL_CYCLES = {
+        "chest": 50_464_808,
+        "combiner": 8_104_704,
+        "symbol": 211_071_552,
+        "finalize": 40_817_695,
+    }
+    #: The policy changes who runs a task, never which tasks run.
+    STEALS = {"NONAP": 2_190, "NAP+IDLE": 596}
+
+    @pytest.mark.parametrize("policy", sorted(STEALS))
+    def test_seed_zero_run_reproduces_every_counter(self, policy):
+        profiler = Profiler(keep_spans=False)
+        sim = build_sim(policy, observers=[profiler])
+        model = RandomizedParameterModel(total_subframes=NUM_SUBFRAMES, seed=0)
+        result = sim.run(model, num_subframes=NUM_SUBFRAMES)
+        assert result.tasks_executed == 7_980
+        assert result.users_processed == 430
+        assert result.steals == self.STEALS[policy]
+        assert result.subframe_cycles.sum() == 310_458_759
+        kernel_cycles = {
+            name: entry["total"]
+            for name, entry in profiler.kernel_breakdown("tasks").items()
+        }
+        assert kernel_cycles == self.KERNEL_CYCLES
+        assert profiler.deadline_miss_rate() == 0.0
+        assert result.mean_activity() == pytest.approx(0.1108781282142857, rel=1e-12)
 
 
 def buggy_distribute_work(self, t):

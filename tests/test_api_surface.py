@@ -13,7 +13,8 @@ PACKAGES = [
     "repro.power",
     "repro.experiments",
     "repro.obs",
-    "repro.bench",
+    "repro.faults",
+    "repro.analysis",
     "repro.serve",
 ]
 
@@ -35,6 +36,18 @@ def test_all_names_resolve(package):
 def test_all_is_sorted_uniquely(package):
     module = importlib.import_module(package)
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_bench_subcommand_is_gone():
+    """``perf/`` is the one measuring instrument: no alias, no stub."""
+    import re
+
+    from repro.cli import build_parser, main
+
+    assert not re.search(r"\bbench\b", build_parser().format_help())
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
 
 
 def test_version():

@@ -1,4 +1,5 @@
-"""The verdict rule of ``scripts/perf_pairs.py`` on canned run lists.
+"""The verdict rule of ``scripts/perf_pairs.py`` on canned run lists, and
+its driver loop over a stand-in ``perf/run.py``.
 
 ``perf/README.md`` "Stating a claim", steps 3-4: a gain needs >= 9/10 pair
 wins *and* a median gap beyond the parent's own inter-quartile distance;
@@ -7,6 +8,7 @@ to tell, else the metric is "unresolved".
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,65 @@ def test_malformed_input_is_rejected():
         verdict([], [], "higher", 0.25)
     with pytest.raises(ValueError, match="higher"):
         verdict(PARENT, PARENT, "faster", 0.25)
+
+
+# A stand-in for ``perf/run.py``: a log line, then the result object —
+# except that workload "alpha" never reports ``latency_p50_ms`` and
+# workload "dies" exits 3 after a last line that is not JSON.
+_FAKE_RUN = '''\
+import json, sys
+workload = sys.argv[sys.argv.index("--workload") + 1]
+print("warming up", workload)
+if workload == "dies":
+    print("Traceback (most recent call last):")
+    sys.exit(3)
+metrics = {"subframes_per_s": {"value": 100.0}, "latency_p50_ms": {"value": 5.0}}
+if workload == "alpha":
+    del metrics["latency_p50_ms"]
+print(json.dumps({"workload": workload, "correct": True, "failed": 0,
+                  "attempted": 5, "metrics": metrics}))
+'''
+
+
+@pytest.fixture
+def checkout(tmp_path):
+    (tmp_path / "perf").mkdir()
+    (tmp_path / "perf" / "run.py").write_text(_FAKE_RUN)
+    benchmark = {
+        "workloads": [{"name": "beta"}, {"name": "gamma"}],
+        "end_to_end": [
+            {"name": "subframes_per_s", "better": "higher", "bound": 0.25},
+            {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+        ],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return str(tmp_path)
+
+
+def _tables(out):
+    return [line.split(",")[0] for line in out.splitlines() if ", seed 1: " in line]
+
+
+def test_without_workload_every_workload_of_benchmark_json_runs(checkout, capsys):
+    assert perf_pairs.main([checkout, checkout, "--seed", "1", "--pairs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert _tables(out) == ["beta", "gamma"]  # file order, one table each
+    assert out.count("no worse") == 4 and out.count("failed share") == 2
+
+
+def test_workload_is_repeatable_and_one_missing_row_fails_the_lot(checkout, capsys):
+    argv = [checkout, checkout, "--seed", "1", "--pairs", "1"]
+    assert perf_pairs.main(argv + ["--workload", "gamma"]) == 0
+    assert _tables(capsys.readouterr().out) == ["gamma"]
+    assert perf_pairs.main(argv + ["--workload", "alpha", "--workload", "beta"]) == 1
+    out = capsys.readouterr().out
+    assert _tables(out) == ["alpha", "beta"]
+    assert out.count("missing") == 1 and out.count("no worse") == 3
+
+
+def test_a_run_that_prints_no_result_object_is_reported_not_a_traceback(checkout):
+    with pytest.raises(SystemExit) as excinfo:
+        perf_pairs.run_once(checkout, "dies", 1)
+    assert excinfo.value.code == (
+        f"perf_pairs: run in {checkout} printed no result object (exit 3)"
+    )
