@@ -49,7 +49,9 @@ chaos-smoke:
 
 multiprocess-smoke:
 	$(PYTHON) -m pytest -x -q tests/sched/test_runtime_contract.py \
-		tests/sched/test_multiprocess.py tests/test_spawn_safety.py
+		tests/sched/test_multiprocess.py tests/sched/test_mp_telemetry.py \
+		tests/test_spawn_safety.py
+	$(PYTHON) -m repro run --backend multiprocess --workers 2 --subframes 8 --verify
 	$(PYTHON) -m pytest -m slow -q tests/differential/test_backends.py -k multiprocess
 	$(PYTHON) -m repro chaos --backend multiprocess --scale smoke --seeds 2 --timeout 600
 

@@ -548,10 +548,10 @@ def _run_impl(args) -> int:
     import time
 
     from .obs import SLOEngine
+    from .sched import make_runtime
     from .uplink import (
         RandomizedParameterModel,
         SubframeFactory,
-        process_subframe,
         process_subframe_serial,
     )
 
@@ -566,29 +566,23 @@ def _run_impl(args) -> int:
         for i in range(args.subframes)
     ]
     engine = SLOEngine() if args.json else None
-    start = time.perf_counter()
-    if args.backend in ("threaded", "multiprocess"):
-        from .sched import make_runtime
-
-        runtime = make_runtime(
-            args.backend,
-            num_workers=args.workers,
-            observers=[engine] if engine else None,
-        )
+    runtime = make_runtime(
+        args.backend,
+        num_workers=args.workers,
+        observers=[engine] if engine else None,
+    )
+    if engine is not None:
+        engine.telemetry.workers = runtime.num_workers
+    # Workers are started before the clock: spawning a pool is set-up, not
+    # throughput. (Its children finish importing NumPy after start()
+    # returns; perf/ waits for them, this short run does not.)
+    runtime.start()
+    try:
+        start = time.perf_counter()
         results = runtime.run(subframes)
-    else:
-        # Serial/vectorized emit no scheduler events — drive the
-        # collector's direct feed with per-subframe wall timings instead.
-        results = []
-        for subframe in subframes:
-            begin_ns = time.monotonic_ns()
-            results.append(process_subframe(subframe, backend=args.backend))
-            end_ns = time.monotonic_ns()
-            if engine is not None:
-                engine.telemetry.record_subframe(end_ns, end_ns - begin_ns)
-                engine.telemetry.record_busy(end_ns, end_ns - begin_ns)
-                engine.evaluate(end_ns)
-    wall_s = time.perf_counter() - start
+        wall_s = time.perf_counter() - start
+    finally:
+        runtime.close()
     num_users = sum(len(r.user_results) for r in results)
     crc_ok = sum(1 for r in results for u in r.user_results if u.crc_ok)
     throughput = len(results) / wall_s if wall_s else 0.0
@@ -604,12 +598,6 @@ def _run_impl(args) -> int:
         ]
         verified = not mismatches
     if engine is not None:
-        if engine.telemetry.workers is None:
-            engine.telemetry.workers = (
-                args.workers
-                if args.backend in ("threaded", "multiprocess")
-                else 1
-            )
         engine.evaluate(engine.telemetry._last_t)
         payload = {
             "backend": args.backend,

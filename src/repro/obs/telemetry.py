@@ -421,9 +421,6 @@ class TelemetryCollector:
     ``merge_shard`` folds a multiprocess worker's locally-built sketch
     shard in (exact merge); the multiprocess runtime calls it
     automatically for any attached observer exposing the method.
-
-    Serial/vectorized backends emit no events; drive
-    :meth:`record_subframe` directly instead (``repro run --json`` does).
     """
 
     def __init__(
@@ -605,9 +602,8 @@ class TelemetryCollector:
     def record_subframe(self, t: float, latency: float) -> None:
         """Record one completed subframe's latency at time ``t``.
 
-        The event path calls this from ``SUBFRAME_TERMINAL``; backends
-        that emit no events (serial/vectorized) call it directly with
-        wall-clock nanoseconds.
+        The event path calls this from ``SUBFRAME_TERMINAL``; a caller
+        with no event stream may feed it directly.
         """
         latency = float(latency)
         self.sketch("subframe_latency").observe(latency)

@@ -52,19 +52,13 @@ from .sequences import dmrs_for_layer
 
 __all__ = [
     "dmrs_bank",
-    "seed_dmrs_bank",
     "batched_chest",
     "batched_combiner_weights",
     "batched_combine_symbols",
     "batched_soft_demap",
 ]
 
-#: Computed (or seeded) DMRS banks keyed by ``(subcarriers, layers)``. A
-#: plain dict rather than ``lru_cache`` so :func:`seed_dmrs_bank` can
-#: install externally-owned (e.g. shared-memory-backed) arrays.
-_DMRS_BANKS: dict[tuple[int, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def dmrs_bank(num_subcarriers: int, layers: int) -> np.ndarray:
     """``(layers, subcarriers)`` conjugated DMRS bank (cached, read-only).
 
@@ -74,33 +68,14 @@ def dmrs_bank(num_subcarriers: int, layers: int) -> np.ndarray:
     """
     if layers < 1:
         raise ValueError("layers must be >= 1")
-    key = (int(num_subcarriers), int(layers))
-    bank = _DMRS_BANKS.get(key)
-    if bank is None:
-        bank = np.stack(
-            [np.conj(dmrs_for_layer(key[0], layer)) for layer in range(key[1])]
-        )
-        bank.setflags(write=False)
-        _DMRS_BANKS[key] = bank
-    return bank
-
-
-def seed_dmrs_bank(num_subcarriers: int, layers: int, bank: np.ndarray) -> None:
-    """Install a precomputed DMRS bank into this process's cache.
-
-    Multiprocess workers call this with zero-copy views over the parent's
-    shared-memory bank slab, so no worker recomputes (or privately
-    stores) a sequence the parent already built. The array must match the
-    ``(layers, subcarriers)`` shape :func:`dmrs_bank` would produce; it is
-    marked read-only in place.
-    """
-    bank = np.asarray(bank)
-    if bank.shape != (int(layers), int(num_subcarriers)):
-        raise ValueError(
-            f"bank shape {bank.shape} != ({int(layers)}, {int(num_subcarriers)})"
-        )
+    bank = np.stack(
+        [
+            np.conj(dmrs_for_layer(int(num_subcarriers), layer))
+            for layer in range(int(layers))
+        ]
+    )
     bank.setflags(write=False)
-    _DMRS_BANKS[(int(num_subcarriers), int(layers))] = bank
+    return bank
 
 
 @lru_cache(maxsize=128)

@@ -206,7 +206,7 @@ class SubframeTracker:
         self, pending: Pending, key: Hashable, user_ids: list[int], reason: str,
         worker: int = -1, **tags,
     ) -> bool:
-        """Bounded retry of a failed work unit (a user, a shape group).
+        """Bounded retry of a failed work unit (a user, a whole subframe).
 
         ``True``: ``key`` has budget left and the transport requeues the
         unit. ``False``: its users were aborted — or the subframe was

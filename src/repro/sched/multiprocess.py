@@ -3,31 +3,34 @@
 The threaded runtime (:mod:`repro.sched.threaded`) proves functional
 correctness of the parallel decomposition but is GIL-capped: its wall
 clock never beats one core's worth of Python. This runtime escapes the
-GIL the way real SDR stacks do — a ``spawn``-based process pool where
-each worker owns a whole *shape group* (the batching unit of
-:mod:`repro.uplink.vectorized`) and runs the batched NumPy chain on it,
-so throughput scales with cores while results stay bit-exact with the
-serial reference.
+GIL the way real SDR stacks do (§IV-B dispatches *subframes* to workers)
+— a ``spawn``-based process pool where each worker takes a whole
+subframe and makes the same
+``process_subframes([subframe], backend="vectorized")`` call the inline
+runtime makes, so throughput scales with cores while results stay
+bit-exact with the serial reference.
 
-Data movement is engineered around ``multiprocessing.shared_memory``:
+Data movement is engineered around ``multiprocessing.shared_memory``,
+two kinds of segment:
 
 * **received grids** — the parent copies each subframe's complex grid
   into a shared segment once (deduplicated by grid identity, so pooled
   grids are shared, not re-copied per subframe); workers attach and read
   zero-copy. Segments are reference-counted and unlinked when the last
   subframe using one resolves.
-* **DMRS banks** — conjugated Zadoff–Chu banks for every allocation
-  shape in flight are packed into shared slabs and *seeded* into each
-  worker's :func:`repro.phy.batched.seed_dmrs_bank` cache, so no worker
-  recomputes (or privately copies) a sequence the parent already built.
 * **results** — each worker owns one shared output slab; decoded
   payloads and LLRs are written there and only small descriptors travel
   over the control pipe (with an inline fallback, counted in
-  ``stats.slab_overflows``, when a group outgrows the slab).
+  ``stats.slab_overflows``, when a subframe outgrows the slab).
+
+Everything else a worker needs (DMRS banks, windows, gather tables) it
+caches on first use, exactly as the in-process backends do.
 
 Control flow is a single-threaded parent event loop over per-worker
 duplex pipes plus process sentinels (``multiprocessing.connection.wait``
-covers both). Per-worker pipes — not a shared queue — because a
+covers both), carrying two kinds of message: ``task`` (one subframe: its
+index, grid segment and user slices) and ``forget`` (grid segments to
+unmap). Per-worker pipes — not a shared queue — because a
 ``SIGKILL``-ed worker must not be able to corrupt a stream other workers
 share, and ``Connection.send`` has no feeder thread to die mid-write.
 One task is outstanding per worker at a time, which also serializes
@@ -37,10 +40,10 @@ This module is *transport* only — shared segments, pipes, sentinels and the
 supervisor. What it means to run a subframe to its terminal state (ledger,
 retry budget, deadlines, events, ``run``/``drain``/``collect_results``/
 ``abort``) is :mod:`repro.sched.core`'s, shared with every other backend;
-the work unit here is one *shape group*, charged per user. Worker death is
+the work unit here is the whole subframe, charged per user. Worker death is
 *real*: a planned ``WORKER_DEATH`` fault makes the worker ``SIGKILL``
 itself, the parent detects the corpse via its sentinel and hands the
-orphaned shape group back to the tracker (requeued within the retry
+orphaned subframe back to the tracker (requeued within the retry
 budget), so every dispatched subframe still reaches exactly one terminal
 state. By default
 dead workers are not respawned (matching the threaded runtime); when the
@@ -48,7 +51,7 @@ last one dies, outstanding subframes are aborted loudly. The opt-in
 ``respawn=`` knob attaches a
 :class:`~repro.serve.supervisor.WorkerSupervisor` that turns the pool
 into a self-healing service: dead slots are respawned with exponential
-backoff under a rolling restart budget, orphaned groups stay queued for
+backoff under a rolling restart budget, orphaned subframes stay queued for
 the replacement, and crash-loop detection degrades back to the fail-stop
 semantics above when the budget is exhausted. Replay fingerprints of
 existing chaos scenarios are unaffected because the default stays
@@ -85,12 +88,11 @@ from ..faults.watchdog import (
     ns_from_s,
 )
 from ..obs.events import Event, EventKind
-from ..phy.batched import dmrs_bank, seed_dmrs_bank
 from ..phy.chain import UserResult
 from ..phy.chest import ChestConfig
 from ..phy.dtypes import COMPLEX_DTYPE
-from ..uplink.subframe import UserSlice
-from ..uplink.vectorized import group_slices_by_shape, process_group
+from ..uplink.subframe import SubframeInput
+from ..uplink.vectorized import process_subframes
 from .core import Pending, Runtime
 from .threaded import RuntimeStats
 
@@ -100,9 +102,9 @@ __all__ = [
     "MultiprocessStats",
 ]
 
-#: Per-worker shared output slab size. Sized for the largest default
-#: scenario group (tens of users × ~1 MB of LLRs each) with headroom;
-#: overflowing groups fall back to inline pickles and are counted.
+#: Per-worker shared output slab size. A full 200-PRB, 4-layer, 64-QAM
+#: subframe writes ~5.5 MB of LLRs; a subframe that still overflows falls
+#: back to inline pickles and is counted.
 DEFAULT_SLAB_BYTES = 16 << 20
 
 _ALIGN = 16  # complex128 itemsize; keeps every array offset aligned
@@ -149,15 +151,6 @@ class _StageSpan:
     def __exit__(self, *exc) -> bool:
         self.out.append((self.kernel, self.begin, monotonic_ns(), self.batch))
         return False
-
-
-def _seed_banks(name: str, index: dict) -> SharedMemory:
-    """Install the parent's shared DMRS banks into this worker's cache."""
-    shm = _attach_shm(name)
-    for (num_sc, layers), (offset, shape) in index.items():
-        view = np.ndarray(shape, dtype=COMPLEX_DTYPE, buffer=shm.buf, offset=offset)
-        seed_dmrs_bank(num_sc, layers, view)
-    return shm
 
 
 def _pack_results(
@@ -239,11 +232,11 @@ def _execute_task(
     slab: SharedMemory,
     telemetry: dict | None = None,
 ) -> tuple:
-    """Run one shape group against the shared grid; reply over the pipe."""
+    """Run one subframe against the shared grid; reply over the pipe."""
     task_id = task["task_id"]
     if task.get("die"):
         # Real worker death, not an exception: the parent must detect the
-        # corpse via the process sentinel and reclaim the orphaned group.
+        # corpse via the process sentinel and reclaim the orphaned subframe.
         os.kill(os.getpid(), signal.SIGKILL)
     try:
         name, shape = task["grid"]
@@ -262,21 +255,16 @@ def _execute_task(
             time.sleep(hang_s)
         if task.get("raise_exc"):
             return ("err", task_id, "InjectedTaskError: planned task failure", True)
-        slices = [
-            UserSlice(user=user, subcarrier_offset=offset)
-            for user, offset in task["users"]
-        ]
-        stacked = np.stack([s.view(grid) for s in slices])
+        subframe = SubframeInput(task["subframe"], grid, task["slices"])
         stage_ns: list[tuple[str, int, int, int]] = []
-        results = process_group(
-            stacked,
-            slices[0].user.allocation,
-            [s.user.user_id for s in slices],
+        [result] = process_subframes(
+            [subframe],
             config,
             codec,
-            None,
-            lambda kernel, batch: _StageSpan(kernel, batch, stage_ns),
+            "vectorized",
+            stage_timer=lambda kernel, batch: _StageSpan(kernel, batch, stage_ns),
         )
+        results = result.user_results
         packed, overflowed = _pack_results(results, slab)
         shard = (
             _build_shard(results, stage_ns, telemetry)
@@ -292,7 +280,6 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     """Spawn entry point: serve tasks from the parent until told to stop."""
     slab = _attach_shm(init["slab"])
     grids: dict[str, tuple[SharedMemory, np.ndarray]] = {}
-    banks: list[SharedMemory] = []
     config = init["config"]
     codec = init["codec"]
     telemetry = init.get("telemetry")
@@ -302,9 +289,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             if message is None:
                 break
             kind = message[0]
-            if kind == "banks":
-                banks.append(_seed_banks(message[1], message[2]))
-            elif kind == "forget":
+            if kind == "forget":
                 for name in message[1]:
                     entry = grids.pop(name, None)
                     if entry is not None:
@@ -323,8 +308,6 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     finally:
         for shm, _ in grids.values():
             shm.close()
-        for shm in banks:
-            shm.close()
         slab.close()
         conn.close()
 
@@ -337,8 +320,9 @@ class MultiprocessStats(RuntimeStats):
     :class:`~repro.sched.threaded.RuntimeStats` plus the pool's own
     counters. Only the single-threaded parent event loop mutates them, so
     beyond the inherited ``retries``/``aborted_users`` (the tracker's, per
-    *user*: a reclaimed shape group charges each of its users once) nothing
-    here takes the lock; ``steals`` stays zero.
+    *user*: a reclaimed subframe charges each of its users once) nothing
+    here takes the lock; ``steals`` stays zero. ``tasks_executed`` counts
+    the kernel stage calls a worker ran, ``users_processed`` its users.
     """
 
     worker_deaths: int = 0
@@ -400,7 +384,7 @@ class MultiprocessRuntime(Runtime):
         bare :class:`~repro.faults.plan.FaultPlan`). ``WORKER_DEATH``
         becomes a real self-``SIGKILL`` in the target worker;
         ``WORKER_HANG`` sleeps inside the worker; ``TASK_EXCEPTION``
-        fails the dispatched group without executing it.
+        fails the dispatched subframe without executing it.
     resilience:
         Retry budget, per-subframe wall deadline, poll cadence, and
         drain timeout (:class:`~repro.faults.watchdog.ResilienceConfig`).
@@ -465,11 +449,6 @@ class MultiprocessRuntime(Runtime):
         #: The shared grid each unresolved subframe holds a reference on.
         self._grid_of: dict[int, _GridShare] = {}
         self._tracker.listeners.append(self._release_grid)
-        self._bank_shms: list[SharedMemory] = []
-        self._shipped_banks: set[tuple[int, int]] = set()
-        # Every ("banks", name, index) broadcast ever made, retained so a
-        # respawned worker — which missed them all — can be re-seeded.
-        self._bank_shipments: list[tuple[str, dict]] = []
         self._worker_init: dict = {}
         #: The attached :class:`WorkerSupervisor`, or ``None``.
         self.supervisor = None
@@ -554,12 +533,6 @@ class MultiprocessRuntime(Runtime):
             worker.conn.close()
             worker.slab.close()
             worker.slab.unlink()
-        for shm in self._bank_shms:
-            shm.close()
-            shm.unlink()
-        self._bank_shms.clear()
-        self._shipped_banks.clear()
-        self._bank_shipments.clear()
         for share in self._grid_shares.values():
             share.shm.close()
             share.shm.unlink()
@@ -569,34 +542,25 @@ class MultiprocessRuntime(Runtime):
         self._queue.clear()
 
     def _enqueue(self, pending: Pending) -> None:
-        """Share the subframe's grid, enqueue its shape groups."""
+        """Share the subframe's grid, enqueue it as one task."""
         subframe = pending.subframe
-        index = subframe.subframe_index
         share = self._share_grid(subframe.grid)
         share.refs += 1
-        self._grid_of[index] = share
-        self._ship_banks(subframe.slices)
-        for group in group_slices_by_shape(subframe.slices):
-            positions = [position for position, _ in group]
-            slices = [user_slice for _, user_slice in group]
-            task_id = self._next_task_id
-            self._next_task_id += 1
-            self._queue.append(
-                {
+        self._grid_of[pending.index] = share
+        task_id = self._next_task_id
+        self._next_task_id += 1
+        self._queue.append(
+            {
+                "task_id": task_id,
+                "pending": pending,
+                "wire": {
                     "task_id": task_id,
-                    "pending": pending,
-                    "positions": positions,
-                    "slices": slices,
-                    "wire": {
-                        "task_id": task_id,
-                        "subframe": index,
-                        "grid": (share.shm.name, subframe.grid.shape),
-                        "users": [
-                            (s.user, s.subcarrier_offset) for s in slices
-                        ],
-                    },
-                }
-            )
+                    "subframe": pending.index,
+                    "grid": (share.shm.name, subframe.grid.shape),
+                    "slices": subframe.slices,
+                },
+            }
+        )
         self.poll(0.0)
 
     def await_respawns(self, timeout_s: float = 5.0) -> bool:
@@ -631,8 +595,8 @@ class MultiprocessRuntime(Runtime):
         Single-threaded by design: ``submit``, ``poll`` and ``drain`` must
         all come from one thread (the serve loop's, or the batch caller's).
         """
-        # Deadlines first, so an expired subframe's queued groups are
-        # skipped instead of dispatched.
+        # Deadlines first, so an expired subframe is skipped instead of
+        # dispatched.
         self._tracker.expire_deadlines()
         self._service_supervisor()
         self._dispatch_ready()
@@ -706,7 +670,7 @@ class MultiprocessRuntime(Runtime):
                     wire["raise_exc"] = True
         if self.emit is not None:
             now = monotonic_ns()
-            for user_slice in task["slices"]:
+            for user_slice in task["pending"].subframe.slices:
                 self._worker_event(
                     EventKind.USER_START, now, worker,
                     subframe=index, user=user_slice.user.user_id,
@@ -741,9 +705,7 @@ class MultiprocessRuntime(Runtime):
                 self.supervisor.note_progress(worker.worker_id)
             self.stats.slab_overflows += overflowed
             self.stats.tasks_executed[worker.worker_id] += len(stage_ns)
-            self.stats.users_processed[worker.worker_id] += len(
-                task["positions"]
-            )
+            self.stats.users_processed[worker.worker_id] += len(packed)
             self._complete_task(worker, task, packed, stage_ns, shard)
         else:  # ("err", task_id, error, injected)
             self._reclaim(worker, task, message[2])
@@ -758,26 +720,24 @@ class MultiprocessRuntime(Runtime):
     ) -> None:
         pending = task["pending"]
         index = pending.index
-        self._emit_stage_events(worker, index, len(task["positions"]), stage_ns)
+        self._emit_stage_events(worker, index, len(packed), stage_ns)
         results = self._unpack_results(worker, packed)
-        if pending.resolved:  # late: the tracker only counts it
-            self._tracker.complete(pending, task["positions"], results)
-            return
-        # Merge after the late-completion gate: a task whose subframe was
-        # already resolved (deadline abort) must not contribute, so every
-        # user's work is counted exactly once — killed workers never
-        # reply, and their retried task re-sketches on another worker.
-        if shard is not None:
-            for observer in self._merge_observers:
-                observer.merge_shard(shard)
-        if self.emit is not None:
-            now = monotonic_ns()
-            for result in results:
-                self._worker_event(
-                    EventKind.USER_FINISH, now, worker,
-                    subframe=index, user=result.user_id,
-                )
-        self._tracker.complete(pending, task["positions"], results)
+        # A subframe already resolved (deadline abort) contributes neither
+        # shard nor USER_FINISH, so every user's work is counted exactly
+        # once — killed workers never reply, and their retried subframe
+        # re-sketches on another worker. The tracker counts it as late.
+        if not pending.resolved:
+            if shard is not None:
+                for observer in self._merge_observers:
+                    observer.merge_shard(shard)
+            if self.emit is not None:
+                now = monotonic_ns()
+                for result in results:
+                    self._worker_event(
+                        EventKind.USER_FINISH, now, worker,
+                        subframe=index, user=result.user_id,
+                    )
+        self._tracker.complete(pending, range(len(results)), results)
 
     def _worker_event(
         self, kind: EventKind, t: int, worker: _WorkerHandle, **data
@@ -837,7 +797,7 @@ class MultiprocessRuntime(Runtime):
 
     # --------------------------------------------------- faults / retries
     def _handle_worker_death(self, worker: _WorkerHandle) -> None:
-        """A pool process died: record it, reclaim its orphaned group."""
+        """A pool process died: record it, reclaim its orphaned subframe."""
         if worker.dead:
             return
         worker.dead = True
@@ -945,23 +905,14 @@ class MultiprocessRuntime(Runtime):
                     },
                 )
             )
-        # The replacement missed every DMRS-bank broadcast this pool has
-        # made; re-seed it so its cache matches its siblings'. A send
-        # failure routes through the death handler like any other.
-        for name, index in self._bank_shipments:
-            if not self._send(replacement, ("banks", name, index)):
-                return
 
     def _reclaim(self, worker: _WorkerHandle, task: dict, reason: str) -> None:
-        """A shape group failed or lost its worker: the tracker retries it
+        """A subframe failed or lost its worker: the tracker retries it
         within the budget (each of its users charged once) or aborts it."""
-        user_ids = [s.user.user_id for s in task["slices"]]
+        pending = task["pending"]
+        user_ids = [s.user.user_id for s in pending.subframe.slices]
         if self._tracker.fail(
-            task["pending"],
-            task["task_id"],
-            user_ids,
-            reason,
-            worker.worker_id,
+            pending, None, user_ids, reason, worker.worker_id,
             process_id=worker.pid,
         ):
             # Reclaimed work goes to the queue head so recovery from a
@@ -996,30 +947,6 @@ class MultiprocessRuntime(Runtime):
         self._broadcast(("forget", [share.shm.name]))
         share.shm.close()
         share.shm.unlink()
-
-    def _ship_banks(self, slices: list[UserSlice]) -> None:
-        """Share DMRS banks for any allocation shape not yet shipped."""
-        keys = {
-            (s.num_subcarriers, s.user.layers) for s in slices
-        } - self._shipped_banks
-        if not keys:
-            return
-        banks = {key: dmrs_bank(*key) for key in sorted(keys)}
-        total = sum(_aligned(bank.nbytes) for bank in banks.values())
-        shm = SharedMemory(create=True, size=max(total, _ALIGN))
-        index: dict[tuple[int, int], tuple[int, tuple]] = {}
-        cursor = 0
-        for key, bank in banks.items():
-            view = np.ndarray(
-                bank.shape, dtype=COMPLEX_DTYPE, buffer=shm.buf, offset=cursor
-            )
-            view[...] = bank
-            index[key] = (cursor, bank.shape)
-            cursor += _aligned(bank.nbytes)
-        self._bank_shms.append(shm)
-        self._shipped_banks |= keys
-        self._bank_shipments.append((shm.name, index))
-        self._broadcast(("banks", shm.name, index))
 
     def _broadcast(self, message: tuple) -> None:
         for worker in self._workers:

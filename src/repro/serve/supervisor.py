@@ -23,7 +23,7 @@ opt-in alternative:
 The supervisor never touches processes itself; the runtime owns spawn
 and reap. All methods are called from the runtime's single pump thread
 (the serve loop task or the draining caller), so no lock is needed.
-Ledger accounting is unaffected either way: orphaned shape groups are
+Ledger accounting is unaffected either way: orphaned subframes are
 requeued through the runtime's existing bounded-retry path and every
 subframe still resolves exactly once.
 """

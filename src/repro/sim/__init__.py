@@ -6,18 +6,12 @@ state-occupancy traces consumed by the power model.
 from .cost import DEFAULT_MACHINE, CostModel, MachineSpec
 from .engine import EventEngine
 from .machine import AlwaysOnPolicy, MachineSimulator, SimConfig, SimResult
-from .memory import CacheModel, CacheSpec
-from .noc import MeshTopology, NocModel
 from .trace import CoreState, OccupancyTrace
 
 __all__ = [
     "DEFAULT_MACHINE",
     "CostModel",
     "MachineSpec",
-    "CacheModel",
-    "CacheSpec",
-    "MeshTopology",
-    "NocModel",
     "EventEngine",
     "AlwaysOnPolicy",
     "MachineSimulator",

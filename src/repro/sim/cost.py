@@ -113,9 +113,6 @@ class CostModel:
     machine: MachineSpec = field(default_factory=MachineSpec)
     saturation_fraction: float = 0.98
     task_overhead_cycles: int = 6_000
-    #: Optional :class:`repro.sim.memory.CacheModel`; adds working-set
-    #: overflow cycles on top of the calibrated per-PRB units.
-    cache: object | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.saturation_fraction <= 1.0:
@@ -191,10 +188,7 @@ class CostModel:
             )
         else:
             raise ValueError(f"unknown task kind {task.kind!r}")
-        cycles = int(round(units * self._scale)) + self.task_overhead_cycles
-        if self.cache is not None:
-            cycles += self.cache.extra_cycles(task)
-        return cycles
+        return int(round(units * self._scale)) + self.task_overhead_cycles
 
     def user_cycles(self, user: UserParameters, antennas: int = 4) -> int:
         """Total compute cycles of one user (all tasks + joins)."""
@@ -210,7 +204,7 @@ class CostModel:
 
         Same stage work as :meth:`user_cycles`, but charged as four fused
         tasks, so the difference between the two is exactly
-        ``(num_tasks - 4) * task_overhead_cycles`` (minus cache effects).
+        ``(num_tasks - 4) * task_overhead_cycles``.
         """
         return sum(
             self.task_cycles(t) for t in describe_user_tasks_batched(user, antennas)

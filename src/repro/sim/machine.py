@@ -100,7 +100,6 @@ class _Job:
         "outstanding",
         "user_core",
         "continuation_pending",
-        "steal_lines",
         "stage_opened_at",
         "stage_kind",
         "cancelled",
@@ -112,7 +111,6 @@ class _Job:
         subframe_index: int,
         cost: CostModel,
         antennas: int,
-        cache=None,
         slot_pipelined: bool = False,
     ):
         chest, combiner, data, finalize = describe_user_tasks(user, antennas)
@@ -122,32 +120,30 @@ class _Job:
         combiner_cycles = cost.task_cycles(combiner)
         symbol_cycles = [cost.task_cycles(t) for t in data]
         finalize_cycles = cost.task_cycles(finalize)
-        chest_lines = cache.payload_lines(chest[0]) if cache is not None else 0
-        data_lines = cache.payload_lines(data[0]) if cache is not None else 0
-        # The stage program: ("par", [task cycles...], steal lines, kernel)
-        # fans out to thieves; ("ser", cycles, kernel) runs on the user
-        # thread. The trailing kernel name (one of
+        # The stage program: ("par", [task cycles...], kernel) fans out to
+        # thieves; ("ser", cycles, kernel) runs on the user thread. The
+        # trailing kernel name (one of
         # :data:`repro.uplink.tasks.KERNEL_KINDS`) labels the stage's
         # task events for the profiling layer. The default is the paper's
         # whole-subframe sequence; slot-pipelined splits channel
         # estimation / combining / demodulation per slot.
         if not slot_pipelined:
             self.stages: list[tuple] = [
-                ("par", chest_cycles, chest_lines, "chest"),
+                ("par", chest_cycles, "chest"),
                 ("ser", combiner_cycles, "combiner"),
-                ("par", symbol_cycles, data_lines, "symbol"),
+                ("par", symbol_cycles, "symbol"),
                 ("ser", finalize_cycles, "finalize"),
             ]
         else:
             half_comb = combiner_cycles // 2
             half_data = len(symbol_cycles) // 2
             self.stages = [
-                ("par", [c // 2 for c in chest_cycles], chest_lines, "chest"),
+                ("par", [c // 2 for c in chest_cycles], "chest"),
                 ("ser", half_comb, "combiner"),
-                ("par", symbol_cycles[:half_data], data_lines, "symbol"),
-                ("par", [c - c // 2 for c in chest_cycles], chest_lines, "chest"),
+                ("par", symbol_cycles[:half_data], "symbol"),
+                ("par", [c - c // 2 for c in chest_cycles], "chest"),
                 ("ser", combiner_cycles - half_comb, "combiner"),
-                ("par", symbol_cycles[half_data:], data_lines, "symbol"),
+                ("par", symbol_cycles[half_data:], "symbol"),
                 ("ser", finalize_cycles, "finalize"),
             ]
         self.stage_index = -1
@@ -155,7 +151,6 @@ class _Job:
         # Owner pops from the right (LIFO), thieves pop from the left
         # (FIFO) — a deque keeps both ends O(1) on the hot steal path.
         self.ready: deque[int] = deque()
-        self.steal_lines = 0
         self.outstanding = 0
         self.user_core: "_Core | None" = None
         self.continuation_pending = False
@@ -286,8 +281,6 @@ class MachineSimulator:
         cost: CostModel,
         policy=None,
         config: SimConfig | None = None,
-        noc=None,
-        cache=None,
         slot_pipelined: bool = False,
         observers=None,
         faults=None,
@@ -299,12 +292,6 @@ class MachineSimulator:
         self.machine = cost.machine
         self.policy = policy or AlwaysOnPolicy(self.machine.num_workers)
         self.config = config or SimConfig()
-        #: Optional :class:`repro.sim.noc.NocModel`: charges stolen tasks a
-        #: distance-dependent mesh latency (thief ↔ the job's user core).
-        self.noc = noc
-        #: Optional :class:`repro.sim.memory.CacheModel`: sizes the data a
-        #: thief pulls across the mesh (only used together with ``noc``).
-        self.cache = cache
         #: Split each user's processing per slot (chest/combine/demodulate
         #: slot 0, then slot 1) instead of the default whole-subframe
         #: stages — an ablation on the Fig. 5 structure.
@@ -542,7 +529,6 @@ class MachineSimulator:
                         index,
                         self.cost,
                         self._antennas,
-                        cache=self.cache,
                         slot_pipelined=self.slot_pipelined,
                     )
                 )
@@ -698,7 +684,6 @@ class MachineSimulator:
                     index,
                     self.cost,
                     self._antennas,
-                    cache=self.cache,
                     slot_pipelined=self.slot_pipelined,
                 )
             )
@@ -1083,10 +1068,6 @@ class MachineSimulator:
         core.busy = True
         self._set_state(core, CoreState.COMPUTE, t)
         self._tasks_executed += 1
-        if stolen and self.noc is not None and job.user_core is not None:
-            cycles += self.noc.steal_penalty(
-                core.index, job.user_core.index, payload_lines=job.steal_lines
-            )
         if core.slow_factor != 1.0:
             cycles = max(1, int(cycles * core.slow_factor))
         kernel = job.stage_kind
@@ -1171,9 +1152,7 @@ class MachineSimulator:
         stage = job.stages[job.stage_index]
         job.stage_kind = stage[-1]
         if stage[0] == "par":
-            _, cycles_list, lines, _kind = stage
-            job.ready = deque(cycles_list)
-            job.steal_lines = lines
+            job.ready = deque(stage[1])
             job.outstanding = len(job.ready)
             if not job.ready:  # degenerate empty fan-out
                 return self._advance_stage(job, t)

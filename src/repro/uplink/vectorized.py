@@ -33,10 +33,10 @@ fails its CRC; nobody else in its call is affected.
 
 Users are independent in every stage, so a call need not stop at one
 subframe: :func:`process_subframes` is the one implementation of both
-single-thread backends, and ``process_subframe``,
-:func:`process_subframe_vectorized`, :func:`process_group` (the
-multiprocess worker's entry) and :func:`process_user_vectorized` are the
-same staged chain over one subframe, one group, one user;
+single-thread backends and of the multiprocess workers, and
+``process_subframe``, :func:`process_subframe_vectorized` and
+:func:`process_user_vectorized` are the same staged chain over one
+subframe, one user;
 ``tests/uplink/test_process_subframes.py`` pins that how users are
 partitioned into calls never changes a bit of any result.
 
@@ -73,11 +73,9 @@ from ..phy.scrambling import descramble_llrs
 from ..phy.transmitter import UserAllocation
 from ..phy.turbo import PassThroughTurbo
 from .serial import FUNCTIONAL_BACKENDS, SubframeResult, process_subframe_serial
-from .subframe import SubframeInput, UserSlice
+from .subframe import SubframeInput
 
 __all__ = [
-    "group_slices_by_shape",
-    "process_group",
     "process_user_vectorized",
     "process_subframes",
     "process_subframe_vectorized",
@@ -87,33 +85,6 @@ __all__ = [
 _DATA_IN_SLOT = np.array(
     [s for s in range(SYMBOLS_PER_SLOT) if s != REFERENCE_SYMBOL_INDEX]
 )
-
-
-def _shape_key(user_slice: UserSlice) -> tuple[int, int, str]:
-    """The one definition of "same batchable shape": users agreeing on it
-    may share a :func:`process_group` call, which is how the multiprocess
-    parent shards a subframe. Without the modulation it is (with the
-    antenna count) the key of a *front group*."""
-    user = user_slice.user
-    return (user.num_subcarriers, user.layers, user.modulation.value)
-
-
-def group_slices_by_shape(
-    slices: list[UserSlice],
-) -> list[list[tuple[int, UserSlice]]]:
-    """Group a subframe's user slices by batchable allocation shape.
-
-    Users sharing ``(num_subcarriers, layers, modulation)`` stack into one
-    batch; each entry keeps its original position so results can be
-    emitted in dispatch order. Group order follows first appearance, so
-    the grouping itself is deterministic.
-    """
-    groups: dict[tuple[int, int, str], list[tuple[int, UserSlice]]] = {}
-    for position, user_slice in enumerate(slices):
-        groups.setdefault(_shape_key(user_slice), []).append(
-            (position, user_slice)
-        )
-    return list(groups.values())
 
 
 def _null_timer(kernel: str, batch: int):
@@ -396,33 +367,6 @@ def _run_stages(
             _finalize_stream(modulation, blocks, codec, trace)
 
 
-def process_group(
-    grids: np.ndarray,
-    allocation: UserAllocation,
-    user_ids: list[int],
-    config: ChestConfig | None,
-    codec,
-    trace,
-    stage_timer,
-    scrambling_c_inits: list[int | None] | None = None,
-) -> list[UserResult]:
-    """Run the batched chain over one shape group.
-
-    ``grids`` is the stacked received data, shape ``(users, antennas, 14,
-    subcarriers)``. The multiprocess runtime's workers execute exactly this
-    per dispatched group — :func:`process_subframes`' staged chain over a
-    call of one front group — so the parallel backends share one batched
-    code path (and its bit-exactness proofs).
-    """
-    results: list = [None] * len(user_ids)
-    group = _FrontGroup(allocation.num_subcarriers, allocation.layers, grids)
-    c_inits = scrambling_c_inits or [None] * len(user_ids)
-    for row, (user_id, c_init) in enumerate(zip(user_ids, c_inits)):
-        group.rows.append(_Row(results, row, user_id, allocation.modulation, c_init))
-    _run_stages([group], config, codec, trace, stage_timer)
-    return results
-
-
 def process_user_vectorized(
     allocation: UserAllocation,
     received: np.ndarray,
@@ -436,22 +380,18 @@ def process_user_vectorized(
 
     Accepts the same ``(antennas, 14 symbols, subcarriers)`` grid and
     returns a bit-exact :class:`UserResult`; all of the user's tasks run
-    as stacked kernels (:func:`process_group` over a group of one).
+    as stacked kernels (the staged chain over a front group of one).
     """
     received = ensure_complex(received)
     if received.ndim != 3:
         raise ValueError("received grid must be (antennas, symbols, subcarriers)")
-    [result] = process_group(
-        received[None],
-        allocation,
-        [user_id],
-        config,
-        codec,
-        trace,
-        _null_timer,
-        [scrambling_c_init],
+    results: list = [None]
+    group = _FrontGroup(allocation.num_subcarriers, allocation.layers, received[None])
+    group.rows.append(
+        _Row(results, 0, user_id, allocation.modulation, scrambling_c_init)
     )
-    return result
+    _run_stages([group], config, codec, trace, _null_timer)
+    return results[0]
 
 
 def process_subframes(

@@ -2,20 +2,23 @@
 
 Workers sketch locally (per-kernel durations and per-user payload bits)
 and ship the shard back on the existing duplex reply pipe; the parent
-merges exactly once per completed task. The payload-bits sketch is
+merges exactly once per completed task (one task is one whole subframe). The payload-bits sketch is
 deterministic — the same subframes decode to the same payload sizes in
 any process — so the parent's merged sketch must be *bucket-identical*
 to a serial reference, which pins the exactly-once guarantee: a dropped
 shard, a double merge, or a replayed retry all change bucket counts.
 
 The SIGKILL test is the hard case: a killed worker's in-flight task is
-requeued and re-sketched on a surviving worker, and the dead worker
+requeued whole and re-sketched on a surviving worker, and the dead worker
 never ships a shard — the merged result must still match exactly.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.obs.events import EventKind
 from repro.obs.slo import SLOEngine
 from repro.obs.telemetry import QuantileSketch, TelemetryCollector
 from repro.sched.multiprocess import MultiprocessRuntime
@@ -61,7 +64,10 @@ def assert_bucket_identical(merged, reference):
 def test_worker_shards_merge_to_serial_reference(workload):
     subframes, reference = workload
     telemetry = TelemetryCollector()
-    runtime = MultiprocessRuntime(num_workers=2, observers=[telemetry])
+    events = []
+    runtime = MultiprocessRuntime(
+        num_workers=2, observers=[telemetry, events.append]
+    )
     results = runtime.run(subframes)
     assert runtime.ledger.ok
     merged = telemetry.sketches.get("mp_user_payload_bits")
@@ -70,17 +76,27 @@ def test_worker_shards_merge_to_serial_reference(workload):
         merged, payload_reference(results, merged.relative_accuracy)
     )
     assert merged.count == sum(len(r.user_results) for r in results)
+    # One task is one whole subframe: the workers counted as many tasks as
+    # the ledger resolved ok, and as many users as came back.
+    assert telemetry.counters["mp_worker_tasks"] == runtime.ledger.counts()["ok"]
+    assert telemetry.counters["mp_worker_tasks"] == NUM_SUBFRAMES
+    assert telemetry.counters["mp_worker_users"] == merged.count
     # Worker-side kernel sketches arrived under the mp_ prefix (distinct
     # from the parent's event-derived kernel_* sketches — no double
-    # counting) and cover every task the ledger completed.
+    # counting) and hold one observation per stage window the parent
+    # replayed as a TASK_FINISH event.
+    replayed = Counter(
+        event.data["kernel"]
+        for event in events
+        if event.kind is EventKind.TASK_FINISH
+    )
     kernels = {
-        name: s.count
+        name.removeprefix("mp_kernel_"): s.count
         for name, s in telemetry.sketches.items()
         if name.startswith("mp_kernel_")
     }
     assert kernels, "no kernel shards"
-    for name, count in kernels.items():
-        assert count == telemetry.counters["mp_worker_tasks"], name
+    assert kernels == dict(replayed)
     for result, expected in zip(results, reference):
         assert result.equals(expected)
 

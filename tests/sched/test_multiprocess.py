@@ -14,11 +14,14 @@ import pytest
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig
 from repro.obs.recorder import EventRecorder
+from repro.phy.params import Modulation
 from repro.sched.multiprocess import MultiprocessRuntime
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
 from repro.uplink.subframe import SubframeFactory
 from repro.uplink.tasks import KERNEL_KINDS
+from repro.uplink.user import UserParameters
+from repro.uplink.vectorized import process_subframes
 
 NUM_SUBFRAMES = 4
 SEED = 3
@@ -93,6 +96,61 @@ def test_worker_death_is_reclaimed_and_retried(workload):
     assert any(f.injected for f in runtime.failures)
     kinds = {e.kind.value for e in recorder.events}
     assert "fault" in kinds and "user-retry" in kinds
+
+
+def test_a_multi_shape_subframe_is_one_task_and_retries_whole():
+    """The work unit is the subframe: three shapes travel as one task and
+    one reply, equal to the in-process call; a worker death requeues the
+    whole subframe once, each of its users charged once."""
+    users = [
+        UserParameters(0, 2, 1, Modulation.QPSK),
+        UserParameters(1, 6, 2, Modulation.QAM16),
+        UserParameters(2, 4, 4, Modulation.QAM64),
+        UserParameters(3, 6, 2, Modulation.QAM16),
+    ]
+    factory = SubframeFactory(seed=SEED)
+    subframes = [factory.synthesize(users, index) for index in range(2)]
+    plan = FaultPlan(
+        specs=(
+            FaultSpec(kind=FaultKind.WORKER_DEATH, subframe=0, target=0, seed=0),
+        ),
+        seed=0,
+    )
+    recorder = EventRecorder()
+    runtime = MultiprocessRuntime(
+        num_workers=2,
+        faults=plan,
+        observers=[recorder],
+        resilience=ResilienceConfig(max_retries=2, drain_timeout_s=60.0),
+    )
+    results = runtime.run(subframes)
+
+    def batches(kind):
+        """Per subframe, the user ids of each dispatch (USER_START) or reply
+        (USER_FINISH): one batch shares a timestamp and a worker lane."""
+        found = {}
+        for event in recorder.events:
+            if event.kind.value == kind:
+                key = (event.data["subframe"], event.t, event.core)
+                found.setdefault(key, []).append(event.data["user"])
+        return sorted((key[0], sorted(ids)) for key, ids in found.items())
+
+    everyone = [user.user_id for user in users]
+    # Subframe 0 went to worker 0, which died holding it, and then whole to
+    # the survivor; subframe 1 was one dispatch. One reply each.
+    assert batches("user-start") == [(0, everyone), (0, everyone), (1, everyone)]
+    assert batches("user-finish") == [(0, everyone), (1, everyone)]
+    assert runtime.stats.worker_deaths == 1
+    assert runtime.stats.retries == len(users)
+    retried = [
+        e.data["user"] for e in recorder.events if e.kind.value == "user-retry"
+    ]
+    assert sorted(retried) == everyone
+    assert runtime.ledger.ok and runtime.ledger.counts()["ok"] == 2
+    for result, expected in zip(
+        results, process_subframes(subframes, backend="vectorized")
+    ):
+        assert result.equals(expected)
 
 
 def test_task_exception_without_retries_aborts_one_subframe(workload):

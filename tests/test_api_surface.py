@@ -50,6 +50,37 @@ def test_bench_subcommand_is_gone():
     assert excinfo.value.code == 2
 
 
+def test_the_pools_old_seams_and_unused_sim_models_are_gone():
+    """Removed on purpose with the subframe-granular pool: the shape-group
+    seams and the bank seeding existed only for its parent; the mesh and
+    cache models changed no reported figure."""
+    import inspect
+
+    from repro import sim
+    from repro.phy import batched
+    from repro.sched.multiprocess import MultiprocessRuntime
+    from repro.sim import CostModel, MachineSimulator
+    from repro.uplink import vectorized
+
+    for module, names in (
+        (vectorized, ("process_group", "group_slices_by_shape")),
+        (batched, ("seed_dmrs_bank",)),
+        (sim, ("NocModel", "MeshTopology", "CacheModel", "CacheSpec")),
+    ):
+        for name in names:
+            assert name not in module.__all__ and not hasattr(module, name)
+    for name in ("repro.sim.noc", "repro.sim.memory"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)
+    assert not {"noc", "cache"} & set(inspect.signature(MachineSimulator).parameters)
+    assert "cache" not in inspect.signature(CostModel).parameters
+    # ... and the pool grew no parameter to select the old unit.
+    assert list(inspect.signature(MultiprocessRuntime).parameters) == [
+        "num_workers", "config", "codec", "observers", "emit_spans", "faults",
+        "resilience", "ledger", "slab_bytes", "respawn",
+    ]
+
+
 def test_version():
     import repro
 
@@ -78,8 +109,6 @@ def test_submodules_not_in_init_are_still_importable():
         "repro.phy.frontend",
         "repro.phy.scrambling",
         "repro.phy.mcs",
-        "repro.sim.noc",
-        "repro.sim.memory",
         "repro.power.energy",
         "repro.power.dvfs",
         "repro.experiments.latency",

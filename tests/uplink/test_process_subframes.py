@@ -12,7 +12,6 @@ hypothesis sweep over orders and cut points carries the ``slow`` mark.
 import dataclasses
 import functools
 import warnings
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from repro.phy import (
     transmit_subframe,
 )
 from repro.phy.params import Modulation
+from repro.phy.scrambling import descramble_llrs
 from repro.phy.transmitter import payload_capacity
 from repro.uplink import (
     FUNCTIONAL_BACKENDS,
@@ -37,7 +37,7 @@ from repro.uplink import (
     process_subframes,
 )
 from repro.uplink.subframe import assign_offsets
-from repro.uplink.vectorized import process_group
+from repro.uplink.vectorized import process_user_vectorized
 
 try:
     from hypothesis import given, strategies as st
@@ -223,34 +223,21 @@ def test_singular_user_does_not_touch_neighbours_in_other_subframes(scenario):
 
 
 def test_scrambled_route_is_batch_invariant():
-    """A scrambling seed on any user sends its whole group down the per-user
-    tail; each row still equals the same user as a group of one."""
+    """A scrambling seed sends a user down the per-user tail instead of the
+    whole-stream one: the soft values are the same ones, descrambled."""
     rng = np.random.default_rng(5)
     allocation = UserAllocation(num_prb=4, layers=2, modulation=Modulation.QAM16)
     channel = ChannelModel(num_rx_antennas=4, num_taps=1, snr_db=30.0)
-    c_inits = [None, 4321, 77]
-    grids = []
-    for c_init in c_inits:
+    for c_init in (4321, 77):
         tx = transmit_subframe(
             allocation, random_payload(allocation, rng), rng,
             scrambling_c_init=c_init,
         )
-        grids.append(
-            channel.realize(2, allocation.num_subcarriers, rng).apply(tx.grid, rng)
-        )
-    grids = np.stack(grids)
-
-    def group(rows):
-        return process_group(
-            grids[rows], allocation, rows, None, None, None,
-            lambda kernel, batch: nullcontext(), [c_inits[r] for r in rows],
-        )
-
-    together = group([0, 1, 2])
-    for row, result in enumerate(together):
-        [single] = group([row])
-        assert result.crc_ok and result.equals(single)
-        assert np.array_equal(result.llrs, single.llrs)
+        grid = channel.realize(2, allocation.num_subcarriers, rng).apply(tx.grid, rng)
+        seeded = process_user_vectorized(allocation, grid, scrambling_c_init=c_init)
+        whole_stream = process_user_vectorized(allocation, grid)
+        assert seeded.crc_ok
+        assert np.array_equal(seeded.llrs, descramble_llrs(whole_stream.llrs, c_init))
 
 
 if given is not None:

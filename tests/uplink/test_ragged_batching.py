@@ -10,7 +10,6 @@ kernels are called exactly as often as the batching keys say.
 
 import dataclasses
 import warnings
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from repro.uplink import (
     process_subframe_vectorized,
     process_subframes,
 )
-from repro.uplink.vectorized import process_group, process_user_vectorized
+from repro.uplink.vectorized import process_user_vectorized
 
 QPSK, QAM16, QAM64 = Modulation.QPSK, Modulation.QAM16, Modulation.QAM64
 
@@ -187,22 +186,15 @@ class TestKernelCallCounts:
 
 class TestOneGroupCallers:
     def test_process_group_equals_the_ragged_call(self):
-        """``process_group`` (the multiprocess worker's entry) and
-        ``process_user_vectorized`` are the staged chain over one group:
-        the same users inside a ragged call come out the same."""
+        """A subframe of one front group (what a multiprocess worker gets
+        when a subframe holds one shape) and ``process_user_vectorized`` are
+        the staged chain over one group: the same users inside a ragged
+        call come out the same."""
         subframe = synthesize(SEVEN_USERS)
         ragged = process_subframe_vectorized(subframe).user_results
-        pair = subframe.slices[5:7]  # the two users sharing a shape
-        results = process_group(
-            np.stack([s.view(subframe.grid) for s in pair]),
-            pair[0].user.allocation,
-            [s.user.user_id for s in pair],
-            None,
-            None,
-            None,
-            lambda kernel, batch: nullcontext(),
-        )
-        for got, want in zip(results, ragged[5:7]):
+        pair = dataclasses.replace(subframe, slices=subframe.slices[5:7])
+        [alone] = process_subframes([pair], backend="vectorized")
+        for got, want in zip(alone.user_results, ragged[5:7]):
             assert_same_user(got, want)
         for user_slice, want in zip(subframe.slices, ragged):
             got = process_user_vectorized(

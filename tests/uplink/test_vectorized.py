@@ -23,7 +23,6 @@ from repro.uplink.subframe import SubframeFactory
 from repro.uplink.tasks import KERNEL_KINDS, UserJob
 from repro.uplink.user import UserParameters
 from repro.uplink.vectorized import (
-    group_slices_by_shape,
     process_subframe_vectorized,
     process_user_vectorized,
 )
@@ -96,19 +95,16 @@ class TestFinalizeRoutes:
     everything else user by user; both must equal the serial chain."""
 
     def test_scrambled_group_matches_process_user(self):
-        """A seed on one user sends the whole group down the per-user route."""
+        """A scrambling seed sends the user down the per-user route."""
         from repro.phy import UserAllocation, process_user
-        from repro.uplink.vectorized import process_group
 
         rng = np.random.default_rng(5)
         allocation = UserAllocation(num_prb=4, layers=2, modulation=Modulation.QAM16)
-        c_inits = [None, 4321, 77]
-        grids = np.stack([_received(allocation, rng, c_init=c) for c in c_inits])
-        results = process_group(
-            grids, allocation, [7, 8, 9], None, None, None,
-            lambda kernel, batch: nullcontext(), c_inits,
-        )
-        for grid, c_init, user_id, result in zip(grids, c_inits, (7, 8, 9), results):
+        for user_id, c_init in zip((7, 8, 9), (None, 4321, 77)):
+            grid = _received(allocation, rng, c_init=c_init)
+            result = process_user_vectorized(
+                allocation, grid, user_id=user_id, scrambling_c_init=c_init
+            )
             expected = process_user(
                 allocation, grid, user_id=user_id, scrambling_c_init=c_init
             )
@@ -208,11 +204,11 @@ class TestFinalizeRoutes:
 
         antennas = subframe.grid.shape[0]
         expected = Counter()
-        for group in group_slices_by_shape(subframe.slices):
-            n, user = len(group), group[0][1].user
-            sc, layers, bps = (
-                user.num_subcarriers, user.layers, user.modulation.bits_per_symbol,
-            )
+        shapes = Counter(
+            (s.num_subcarriers, s.user.layers, s.user.modulation.bits_per_symbol)
+            for s in subframe.slices
+        )
+        for (sc, layers, bps), n in shapes.items():
             for kind in ("matched_filter", "chest_ifft", "chest_window", "chest_fft"):
                 expected[frozen(kind, subcarriers=sc, batch=n * 2 * antennas * layers)] += 1
             expected[
@@ -321,18 +317,6 @@ class TestNonFiniteLlrs:
             result = process_subframe(subframe, backend=backend).user_results[0]
         assert not np.isfinite(result.llrs).all()
         assert not result.crc_ok
-
-
-class TestGrouping:
-    def test_same_shape_users_share_a_group(self, subframe):
-        groups = group_slices_by_shape(subframe.slices)
-        sizes = sorted(len(g) for g in groups)
-        assert sizes == [1, 1, 2]
-
-    def test_positions_cover_all_slices(self, subframe):
-        groups = group_slices_by_shape(subframe.slices)
-        positions = sorted(p for g in groups for p, _ in g)
-        assert positions == list(range(len(subframe.slices)))
 
 
 class TestStageTimer:
