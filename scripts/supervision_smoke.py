@@ -78,7 +78,7 @@ def main() -> int:
     assert full_report["backpressure_hits"] == 0, "config must not backpressure"
     full_map = full_report["terminal_states"]
 
-    print("victim run (SIGKILL after first periodic snapshot) ...", flush=True)
+    print("victim run (SIGKILL after the first non-empty snapshot) ...", flush=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH")) if p
@@ -89,9 +89,15 @@ def main() -> int:
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
+    # Midway means at least one resolved subframe on disk: the first
+    # periodic snapshots can precede the first terminal.
     deadline = time.monotonic() + 60.0
-    while not os.path.exists(ckpt) and victim.poll() is None:
-        assert time.monotonic() < deadline, "no snapshot appeared within 60s"
+    while victim.poll() is None:
+        if os.path.exists(ckpt) and any(
+            record["states"] for record in load_checkpoint(ckpt)["cells"]
+        ):
+            break
+        assert time.monotonic() < deadline, "no non-empty snapshot within 60s"
         time.sleep(0.005)
     assert victim.poll() is None, "victim finished before it could be killed"
     victim.send_signal(signal.SIGKILL)

@@ -15,8 +15,7 @@ import sys
 from typing import Any
 
 from .baseline import Baseline
-from .cache import AnalysisCache
-from .driver import LintResult, LintUsageError, changed_files, lint_paths
+from .driver import LintResult, LintUsageError, lint_paths
 from .findings import Severity
 from .registry import default_rules, rule_catalogue
 
@@ -30,7 +29,6 @@ def result_to_json(result: LintResult) -> dict[str, Any]:
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
         "baselined": result.baselined,
-        "cache_hits": result.cache_hits,
         "findings": [f.to_dict() for f in result.findings],
     }
 
@@ -106,17 +104,9 @@ def run_lint(args) -> int:
             print(f"repro lint: cannot load baseline: {exc}", file=sys.stderr)
             return 2
 
-    cache = None
-    cache_path = getattr(args, "cache", None)
-    if cache_path:
-        cache = AnalysisCache(cache_path)
-
     try:
-        only = changed_files() if getattr(args, "changed", False) else None
         rules = default_rules(select)
-        result = lint_paths(
-            args.paths, rules=rules, baseline=baseline, cache=cache, only=only
-        )
+        result = lint_paths(args.paths, rules=rules, baseline=baseline)
     except (LintUsageError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"repro lint: {message}", file=sys.stderr)

@@ -9,13 +9,11 @@ filter inline/file suppressions and the optional baseline.
 
 from __future__ import annotations
 
-import subprocess
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baseline import Baseline
-from .cache import AnalysisCache
 from .context import ModuleContext
 from .findings import Finding, Severity
 from .registry import ProjectRule, Rule, default_rules
@@ -23,7 +21,6 @@ from .registry import ProjectRule, Rule, default_rules
 __all__ = [
     "LintUsageError",
     "LintResult",
-    "changed_files",
     "collect_files",
     "lint_paths",
 ]
@@ -44,7 +41,6 @@ class LintResult:
     files_checked: int = 0
     suppressed: int = 0
     baselined: int = 0
-    cache_hits: int = 0
 
     @property
     def ok(self) -> bool:
@@ -80,69 +76,16 @@ def _relpath(path: Path) -> str:
         return str(path)
 
 
-def changed_files(root: str | Path = ".") -> set[Path]:
-    """Resolved paths of files git considers changed or untracked.
-
-    "Changed" is relative to HEAD (staged and unstaged edits both count),
-    plus untracked files that are not ignored — exactly the set a
-    pre-push lint should look at.
-    """
-    root = Path(root)
-    commands = [
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ]
-    out: set[Path] = set()
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command,
-                cwd=root,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = ""
-            stderr = getattr(exc, "stderr", "") or ""
-            if stderr.strip():
-                detail = f": {stderr.strip().splitlines()[0]}"
-            raise LintUsageError(
-                f"--changed requires a git checkout ({' '.join(command)} "
-                f"failed{detail})"
-            ) from exc
-        for line in proc.stdout.splitlines():
-            if line.strip():
-                out.add((root / line.strip()).resolve())
-    return out
-
-
 def lint_paths(
     paths: Sequence[str | Path],
     rules: Sequence[Rule] | None = None,
     baseline: Baseline | None = None,
-    cache: AnalysisCache | None = None,
-    only: set[Path] | None = None,
 ) -> LintResult:
-    """Lint ``paths`` with ``rules`` (default: every registered rule).
-
-    ``only`` restricts the collected files to those whose resolved path is
-    in the set (the ``--changed`` selection). Project rules always see
-    every collected file regardless of the cache — their findings depend
-    on cross-file state — but ``only`` narrows what is collected in the
-    first place, trading whole-tree visibility for speed.
-
-    ``cache`` short-circuits per-file rules for files whose content and
-    rule set match a previous run; suppressions and the baseline are
-    applied after the cache, so they stay live even on a full cache hit.
-    """
+    """Lint ``paths`` with ``rules`` (default: every registered rule)."""
     files = collect_files(paths)
-    if only is not None:
-        files = [f for f in files if f.resolve() in only]
     active_rules = list(rules) if rules is not None else default_rules()
     file_rules = [r for r in active_rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in active_rules if isinstance(r, ProjectRule)]
-    rules_token = ",".join(sorted(r.rule_id for r in file_rules))
     result = LintResult(files_checked=len(files))
     contexts: list[ModuleContext] = []
     raw_findings: list[Finding] = []
@@ -163,18 +106,6 @@ def lint_paths(
                 )
             )
             continue
-        if cache is not None:
-            cached = cache.lookup(relpath, source, rules_token)
-            if cached is not None:
-                result.cache_hits += 1
-                raw_findings.extend(cached)
-                # Project rules and suppression filtering still need the
-                # AST; a parse failure would already be in the cache.
-                try:
-                    contexts.append(ModuleContext.parse(path, relpath, source))
-                except (SyntaxError, ValueError):
-                    pass
-                continue
         try:
             ctx = ModuleContext.parse(path, relpath, source)
         except (SyntaxError, ValueError) as exc:
@@ -188,16 +119,10 @@ def lint_paths(
                 severity=Severity.ERROR,
             )
             raw_findings.append(finding)
-            if cache is not None:
-                cache.store(relpath, source, rules_token, [finding])
             continue
         contexts.append(ctx)
-        file_findings: list[Finding] = []
         for rule in file_rules:
-            file_findings.extend(rule.check_module(ctx))
-        raw_findings.extend(file_findings)
-        if cache is not None:
-            cache.store(relpath, source, rules_token, file_findings)
+            raw_findings.extend(rule.check_module(ctx))
 
     for rule in project_rules:
         raw_findings.extend(rule.check_project(contexts))
@@ -216,6 +141,4 @@ def lint_paths(
             result.baselined += 1
             continue
         result.findings.append(finding)
-    if cache is not None:
-        cache.save()
     return result

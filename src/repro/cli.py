@@ -48,6 +48,7 @@ traces flush) instead of leaving threads behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 
@@ -70,6 +71,41 @@ def _add_scale(parser: argparse.ArgumentParser, default: int) -> None:
         help=f"evaluation length in subframes (default {default}; paper: 68000)",
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
+
+
+def _flag_fields(config_cls) -> list:
+    """The fields of a config dataclass that declare a command-line flag."""
+    return [f for f in dataclasses.fields(config_cls) if "flag" in f.metadata]
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, config_cls) -> None:
+    """One option per flag-bearing field of ``config_cls``, in field order.
+
+    A ``bool`` field is a switch; anything else takes a value of its
+    default's type (of the declared ``type`` when the default is None).
+    """
+    for f in _flag_fields(config_cls):
+        kwargs = dict(f.metadata["parser"], help=f.metadata["help"])
+        if isinstance(f.default, bool):
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["default"] = f.default
+            if f.default is not None:
+                kwargs["type"] = type(f.default)
+        parser.add_argument(f.metadata["flag"], **kwargs)
+
+
+def _config_from_flags(config_cls, args, **hooks):
+    """Build ``config_cls`` from the flags :func:`_add_config_flags` added;
+    a set switch toggles its field's default (``--no-pace`` clears ``pace``).
+    """
+    values = {}
+    for f in _flag_fields(config_cls):
+        value = getattr(args, f.metadata["flag"].lstrip("-").replace("-", "_"))
+        if isinstance(f.default, bool):
+            value = value != f.default
+        values[f.name] = value
+    return config_cls(**values, **hooks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,175 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="streaming service mode: multi-cell subframe arrivals at "
         "DELTA cadence with backpressure and admission shedding",
     )
-    serve.add_argument(
-        "--cells", type=int, default=4, help="number of cells (default 4)"
-    )
-    serve.add_argument(
-        "--subframes",
-        type=int,
-        default=200,
-        help="ticks (subframe slots) per cell (default 200)",
-    )
-    serve.add_argument(
-        "--delta",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="arrival cadence per cell (default 0.005 = the paper's DELTA)",
-    )
-    serve.add_argument(
-        "--arrival",
-        choices=["constant", "poisson", "diurnal", "mmtc"],
-        default="constant",
-        help="offered-load process (default constant)",
-    )
-    serve.add_argument(
-        "--rate",
-        type=float,
-        default=4.0,
-        help="mean offered users/subframe (poisson; mmtc base rate)",
-    )
-    serve.add_argument(
-        "--daily-users",
-        type=float,
-        default=50_000.0,
-        help="total daily users for --arrival diurnal (default 50000)",
-    )
-    serve.add_argument(
-        "--subframes-per-hour",
-        type=int,
-        default=100,
-        help="diurnal time compression: ticks per simulated hour",
-    )
-    serve.add_argument(
-        "--burst-size",
-        type=float,
-        default=60.0,
-        help="mMTC mean users per synchronized burst window",
-    )
-    serve.add_argument(
-        "--burst-period",
-        type=int,
-        default=100,
-        help="mMTC burst period in ticks (default 100)",
-    )
-    serve.add_argument(
-        "--burst-window",
-        type=int,
-        default=10,
-        help="mMTC burst window length in ticks (default 10)",
-    )
-    serve.add_argument(
-        "--mix",
-        choices=["mmtc", "mixed"],
-        default="mmtc",
-        help="device mix for random arrivals (default mmtc: 2-PRB QPSK)",
-    )
-    serve.add_argument(
-        "--users",
-        type=int,
-        default=4,
-        help="cap on users per subframe (default 4, matches repro run)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=["serial", "vectorized", "threaded", "multiprocess"],
-        default="vectorized",
-        help="per-cell execution backend (default vectorized)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="workers per cell shard (threaded/multiprocess)",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=8,
-        help="bounded in-flight subframes per cell (default 8)",
-    )
-    serve.add_argument(
-        "--backpressure",
-        choices=["shed", "block"],
-        default="shed",
-        help="policy at full queue: shed the subframe or block the "
-        "producer (default shed)",
-    )
-    serve.add_argument(
-        "--no-pace",
-        action="store_true",
-        help="disable DELTA pacing: offer arrivals as fast as possible "
-        "(flood test)",
-    )
-    serve.add_argument(
-        "--synthesize",
-        action="store_true",
-        help="synthesize IQ grids per subframe (CRCs pass; slower) "
-        "instead of the paper's pre-generated pool",
-    )
-    serve.add_argument(
-        "--max-activity",
-        type=float,
-        default=0.9,
-        help="admission budget: Eq. 4 activity ceiling (default 0.9)",
-    )
-    serve.add_argument("--seed", type=int, default=0, help="workload seed")
-    serve.add_argument(
-        "--faults",
-        action="store_true",
-        help="chaos variant: inject worker deaths, task exceptions, and "
-        "overload windows; the run must degrade via shedding",
-    )
-    serve.add_argument(
-        "--respawn",
-        action="store_true",
-        help="supervised worker respawn (multiprocess backend): heal "
-        "worker deaths under a bounded restart budget instead of "
-        "aborting the shard",
-    )
-    serve.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="SLO-driven adaptive admission: AIMD load shedding with "
-        "hysteresis driven by the burn-rate engine",
-    )
-    serve.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="write crash-safe repro-ckpt/1 snapshots to FILE "
-        "(atomic tmp+fsync+rename)",
-    )
-    serve.add_argument(
-        "--checkpoint-every",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="seconds between periodic checkpoint snapshots (default 1.0)",
-    )
-    serve.add_argument(
-        "--resume",
-        default=None,
-        metavar="FILE",
-        help="resume a killed run from its checkpoint (config signature "
-        "must match; already-resolved subframes are not re-run)",
-    )
-    serve.add_argument(
-        "--max-wall",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock guard: stop producing after SECONDS, drain, and "
-        "exit 124 (resumable when --checkpoint is set)",
-    )
-    serve.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a line-flushed JSONL event trace (tail it live with "
-        "'repro top --from FILE --follow')",
-    )
+    from .serve import ServeConfig
+
+    _add_config_flags(serve, ServeConfig)
     serve.add_argument(
         "--json",
         action="store_true",
@@ -472,17 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
-    )
-    lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files git reports as modified or untracked",
-    )
-    lint.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="content-hash result cache; speeds up repeated runs",
     )
     lint.add_argument(
         "--baseline",
@@ -732,7 +591,11 @@ def cmd_trace(args) -> int:
         # Convert an existing JSONL trace. Records stay plain dicts all the
         # way through, so kinds written by newer (or older) revisions that
         # this build does not know are passed through, not rejected.
-        records = read_jsonl(args.from_path)
+        try:
+            records = read_jsonl(args.from_path)
+        except OSError as exc:
+            print(f"trace: cannot read {args.from_path}: {exc}", file=sys.stderr)
+            return 2
         out = args.out or "trace.json"
         if args.format != "chrome":
             print("--from requires --format chrome (JSONL->JSONL is a copy)")
@@ -956,37 +819,8 @@ def cmd_serve(args) -> int:
     from .faults import hang_guard
     from .serve import ServeConfig, serve, validate_serve_report
 
-    config = ServeConfig(
-        cells=args.cells,
-        subframes=args.subframes,
-        delta_s=args.delta,
-        arrival=args.arrival,
-        rate=args.rate,
-        daily_users=args.daily_users,
-        subframes_per_hour=args.subframes_per_hour,
-        burst_size=args.burst_size,
-        burst_period=args.burst_period,
-        burst_window=args.burst_window,
-        mix=args.mix,
-        max_users=args.users,
-        backend=args.backend,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        backpressure=args.backpressure,
-        pace=not args.no_pace,
-        synthesize=args.synthesize,
-        max_activity=args.max_activity,
-        seed=args.seed,
-        faults=args.faults,
-        trace_path=args.trace,
-        keep_results=False,
-        adaptive=args.adaptive,
-        respawn=args.respawn,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every_s=args.checkpoint_every,
-        resume_path=args.resume,
-        max_wall_s=args.max_wall,
-    )
+    # A long run would hold every decoded payload.
+    config = _config_from_flags(ServeConfig, args, keep_results=False)
     with hang_guard(args.timeout):
         try:
             result = serve(config)

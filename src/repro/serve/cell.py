@@ -1,7 +1,7 @@
 """Per-cell scheduler shards for the serve loop.
 
-Each simulated cell owns one :class:`CellShard`: its arrival process, a
-:class:`~repro.uplink.subframe.SubframeFactory`, a per-cell
+Each simulated cell owns one :class:`CellShard`: its arrival process, the
+run's one :class:`~repro.uplink.subframe.SubframeFactory`, a per-cell
 :class:`~repro.faults.admission.AdmissionController` (the Eq. 3-4
 estimator shedding against the DELTA budget), a bounded in-flight queue,
 and one :class:`~repro.sched.core.Runtime` from
@@ -20,6 +20,7 @@ synthesis RNG is keyed on the subframe id).
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable
 
 from ..faults.accounting import SubframeLedger
@@ -33,7 +34,7 @@ from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeFactory, SubframeInput
 from ..uplink.user import UserParameters
 
-__all__ = ["CELL_STRIDE", "CellShard", "offset_plan"]
+__all__ = ["CELL_STRIDE", "CellShard", "UserCounters", "offset_plan"]
 
 #: Global-id stride between cells: cell ``c``, tick ``k`` dispatches as
 #: subframe id ``c * CELL_STRIDE + k``. Wide enough that no bounded serve
@@ -61,6 +62,23 @@ def offset_plan(plan: FaultPlan, offset: int) -> FaultPlan:
     return FaultPlan(specs=specs, seed=plan.seed)
 
 
+@dataclass
+class UserCounters:
+    """User-level totals over a cell's *resolved* subframes.
+
+    One field per counter key of the per-cell report row, the report's
+    fleet totals and the checkpoint record: :meth:`CellShard.note_terminal`
+    is the only place that adds to them.
+    """
+
+    offered_users: int = 0
+    admitted_users: int = 0
+    shed_users: int = 0
+    served_users: int = 0
+    crc_ok_users: int = 0
+    backpressure_hits: int = 0
+
+
 class CellShard:
     """One cell's arrival stream, admission control, and backend.
 
@@ -76,7 +94,7 @@ class CellShard:
         self,
         cell_id: int,
         arrivals: Any,
-        seed: int = 0,
+        factory: SubframeFactory,
         backend: str = "vectorized",
         workers: int = 2,
         queue_depth: int = 8,
@@ -98,7 +116,9 @@ class CellShard:
         self.backend = backend
         self.queue_depth = queue_depth
         self.synthesize = synthesize
-        self.factory = SubframeFactory(seed=seed)
+        #: Shared by every cell of the run: synthesis and the grid pool
+        #: are keyed on the global subframe id, not on the cell.
+        self.factory = factory
         self.admission = AdmissionController(
             calibrate_from_cost_model(CostModel()), max_activity=max_activity
         )
@@ -127,12 +147,7 @@ class CellShard:
         self.inflight = 0
         self.max_depth = 0
         self.dispatched = 0
-        self.offered_users = 0
-        self.admitted_users = 0
-        self.shed_users = 0
-        self.backpressure_hits = 0
-        self.served_users = 0
-        self.crc_ok_users = 0
+        self.counters = UserCounters()
         self.terminal_counts: dict[str, int] = {}
         self.last_tick: int | None = None
         self.monotone = True
@@ -209,14 +224,15 @@ class CellShard:
         offered, shed, backpressure, tick = self._meta.pop(
             gid, (0, 0, 0, gid - self.cell_id * CELL_STRIDE)
         )
-        self.offered_users += offered
-        self.admitted_users += users
-        self.shed_users += shed
-        self.backpressure_hits += backpressure
+        counters = self.counters
+        counters.offered_users += offered
+        counters.admitted_users += users
+        counters.shed_users += shed
+        counters.backpressure_hits += backpressure
         self.resolved_ticks[tick] = state
         if state in ("ok", "crc_failed"):
-            self.served_users += users
-            self.crc_ok_users += crc_ok
+            counters.served_users += users
+            counters.crc_ok_users += crc_ok
         return users
 
     @property
@@ -237,12 +253,7 @@ class CellShard:
             "states": {str(t): s for t, s in self.resolved_ticks.items()},
             "counters": {
                 "dispatched": self.resolved,
-                "offered_users": self.offered_users,
-                "admitted_users": self.admitted_users,
-                "shed_users": self.shed_users,
-                "served_users": self.served_users,
-                "crc_ok_users": self.crc_ok_users,
-                "backpressure_hits": self.backpressure_hits,
+                **asdict(self.counters),
                 "terminal_counts": dict(sorted(self.terminal_counts.items())),
             },
         }
@@ -261,12 +272,9 @@ class CellShard:
             int(tick): state for tick, state in record["states"].items()
         }
         self.dispatched = int(counters["dispatched"])
-        self.offered_users = int(counters["offered_users"])
-        self.admitted_users = int(counters["admitted_users"])
-        self.shed_users = int(counters["shed_users"])
-        self.served_users = int(counters["served_users"])
-        self.crc_ok_users = int(counters["crc_ok_users"])
-        self.backpressure_hits = int(counters["backpressure_hits"])
+        self.counters = UserCounters(
+            **{f.name: int(counters[f.name]) for f in fields(UserCounters)}
+        )
         self.terminal_counts = dict(counters["terminal_counts"])
 
     def summary(self) -> dict:
@@ -276,12 +284,7 @@ class CellShard:
             "backend": self.backend,
             "dispatched": self.dispatched,
             "terminal_counts": dict(sorted(self.terminal_counts.items())),
-            "offered_users": self.offered_users,
-            "admitted_users": self.admitted_users,
-            "shed_users": self.shed_users,
-            "served_users": self.served_users,
-            "crc_ok_users": self.crc_ok_users,
-            "backpressure_hits": self.backpressure_hits,
+            **asdict(self.counters),
             "max_queue_depth": self.max_depth,
             "last_tick": self.last_tick,
             "monotone_ids": self.monotone,

@@ -23,6 +23,7 @@ intact, never a torn file.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -30,7 +31,6 @@ from ..ioutil import atomic_write_json
 
 __all__ = [
     "CKPT_SCHEMA",
-    "SIGNATURE_FIELDS",
     "build_checkpoint",
     "config_signature",
     "load_checkpoint",
@@ -40,38 +40,21 @@ __all__ = [
 
 CKPT_SCHEMA = "repro-ckpt/1"
 
-#: ServeConfig fields that must match between the checkpointing run and
-#: the resuming run: together they determine the arrival draws, subframe
-#: synthesis, admission decisions, and id space. Anything outside this
-#: tuple (trace paths, checkpoint cadence, wall guards) may differ.
-SIGNATURE_FIELDS = (
-    "seed",
-    "cells",
-    "subframes",
-    "delta_s",
-    "arrival",
-    "rate",
-    "daily_users",
-    "subframes_per_hour",
-    "burst_size",
-    "burst_period",
-    "burst_window",
-    "mix",
-    "max_users",
-    "backend",
-    "workers",
-    "queue_depth",
-    "backpressure",
-    "synthesize",
-    "cell_seed_stride",
-    "max_activity",
-    "faults",
-)
-
 
 def config_signature(config: Any) -> dict:
-    """The resume-compatibility signature of a ServeConfig."""
-    return {field: getattr(config, field) for field in SIGNATURE_FIELDS}
+    """The resume-compatibility signature of a ServeConfig.
+
+    The fields its declaration marks ``signature``: together they
+    determine the arrival draws, subframe synthesis, admission decisions
+    and id space, so they must match between the checkpointing run and
+    the resuming run. Anything else (trace paths, checkpoint cadence,
+    wall guards) may differ.
+    """
+    return {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if f.metadata.get("signature")
+    }
 
 
 def build_checkpoint(
@@ -105,12 +88,15 @@ def load_checkpoint(path: str | Path) -> dict:
     A torn or truncated file cannot occur through
     :func:`write_checkpoint` (tmp + rename), but a user can hand
     ``--resume`` any path — fail with the schema name rather than a
-    ``KeyError`` three layers deeper.
+    ``KeyError`` three layers deeper, and with a ``ValueError`` (the CLI's
+    exit 2) rather than a traceback when the file cannot be read at all.
     """
     import json
 
     try:
         snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"checkpoint {path} is not valid JSON: {exc}")
     if not isinstance(snapshot, dict) or snapshot.get("schema") != CKPT_SCHEMA:
@@ -135,12 +121,11 @@ def validate_checkpoint(snapshot: dict, config: Any) -> list[str]:
     if not isinstance(signature, dict):
         problems.append("checkpoint has no config signature")
         return problems
-    current = config_signature(config)
-    for field in SIGNATURE_FIELDS:
-        if signature.get(field) != current[field]:
+    for name, current in config_signature(config).items():
+        if signature.get(name) != current:
             problems.append(
-                f"config mismatch on {field!r}: checkpoint "
-                f"{signature.get(field)!r} != current {current[field]!r}"
+                f"config mismatch on {name!r}: checkpoint "
+                f"{signature.get(name)!r} != current {current!r}"
             )
     records = snapshot.get("cells")
     if not isinstance(records, list):

@@ -46,7 +46,7 @@ import asyncio
 import contextlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Any
 
 from ..faults.accounting import LedgerError, SubframeLedger, TerminalState
@@ -64,8 +64,9 @@ from ..obs.slo import SLOEngine
 from ..obs.telemetry import TelemetryCollector
 from ..sched import WorkerFailuresError, runtime_class
 from ..uplink.serial import SubframeResult
+from ..uplink.subframe import SubframeFactory
 from .arrivals import ARRIVAL_KINDS, make_arrivals
-from .cell import CellShard
+from .cell import CellShard, UserCounters
 from .checkpoint import (
     build_checkpoint,
     load_checkpoint,
@@ -93,88 +94,218 @@ BACKPRESSURE_POLICIES = ("shed", "block")
 #: core ``c * _CORE_STRIDE + k`` so per-core telemetry stays distinct.
 _CORE_STRIDE = 256
 
+#: Cell ``c`` draws its arrivals with seed ``seed + c * _CELL_SEED_STRIDE``
+#: (and its fault plan one above), so no two cells share a stream.
+_CELL_SEED_STRIDE = 1_000_003
+
+#: Ticks an injected overload window stays active.
+_OVERLOAD_WINDOW = 20
+
+#: Per-subframe watchdog deadline under ``faults`` (seconds).
+_FAULTS_DEADLINE_S = 2.0
+
+#: Drain timeout for runtime shards at shutdown (seconds).
+_DRAIN_TIMEOUT_S = 60.0
+
+
+def _flag(
+    default: Any,
+    flag: str,
+    help: str,
+    *,
+    signature: bool = True,
+    arrival: bool = False,
+    **parser: Any,
+) -> Any:
+    """A :class:`ServeConfig` field that ``repro serve`` exposes as ``flag``.
+
+    The field is the option's only declaration: ``repro.cli`` builds the
+    ``serve`` sub-parser and the config from this metadata (a ``bool``
+    field is a switch that toggles its default, so ``--no-pace`` clears
+    ``pace``; any other field parses as its default's type, and ``parser``
+    carries ``choices`` / ``metavar`` / ``type``). A ``signature`` field
+    must match between a checkpointing run and the run that resumes it
+    (:func:`repro.serve.checkpoint.config_signature`): every option is one
+    unless it only changes how the run is paced, healed, observed or
+    persisted. ``arrival`` fields are passed by name to
+    :func:`~repro.serve.arrivals.make_arrivals`.
+    """
+    metadata = dict(
+        flag=flag, help=help, signature=signature, arrival=arrival, parser=parser
+    )
+    return field(default=default, metadata=metadata)
+
 
 @dataclass
 class ServeConfig:
-    """One serve run's shape (all knobs the CLI exposes, plus test hooks)."""
+    """One serve run's shape: every ``repro serve`` option, in ``--help``
+    order, then the three hooks only callers in code set."""
 
-    #: Number of cells; each owns an arrival process and a backend shard.
-    cells: int = 4
-    #: Ticks (subframe slots) per cell.
-    subframes: int = 200
-    #: Arrival cadence in seconds (the paper's DELTA = 5 ms).
-    delta_s: float = 0.005
-    #: Arrival process kind (see :data:`repro.serve.arrivals.ARRIVAL_KINDS`).
-    arrival: str = "constant"
-    #: Mean offered users per subframe (poisson / mmtc base rate).
-    rate: float = 4.0
-    #: Total daily users for the diurnal process.
-    daily_users: float = 50_000.0
-    #: Diurnal time compression: ticks per simulated hour.
-    subframes_per_hour: int = 100
-    #: mMTC synchronized-burst shape.
-    burst_size: float = 60.0
-    burst_period: int = 100
-    burst_window: int = 10
-    #: Device mix for the random processes ("mmtc" or "mixed").
-    mix: str = "mmtc"
-    #: Cap on users per subframe (matches ``repro run --users`` default).
-    max_users: int = 4
-    #: Execution backend for every cell shard.
-    backend: str = "vectorized"
-    #: Workers per runtime shard (threaded/multiprocess only).
-    workers: int = 2
-    #: Bounded in-flight queue depth per cell.
-    queue_depth: int = 8
-    #: Backpressure policy at full queue: "shed" drops, "block" waits.
-    backpressure: str = "shed"
-    #: Pace arrivals at DELTA (False = as-fast-as-possible, for tests).
-    pace: bool = True
-    #: Synthesize IQ grids per subframe (True) or draw from the pool.
-    synthesize: bool = False
-    #: Base seed; cell ``c`` draws arrivals with ``seed + c * stride``.
-    seed: int = 0
-    cell_seed_stride: int = 1_000_003
-    #: Admission budget (Eq. 4 activity ceiling).
-    max_activity: float = 0.9
-    #: Chaos mode: inject worker deaths / task exceptions / overload.
-    faults: bool = False
-    #: Ticks an injected overload window stays active.
-    overload_window: int = 20
-    #: Per-subframe watchdog deadline under --faults (seconds).
-    faults_deadline_s: float = 2.0
-    #: Drain timeout for runtime shards at shutdown (seconds).
-    drain_timeout_s: float = 60.0
-    #: Keep per-subframe results (differential tests; off for long runs).
+    cells: int = _flag(4, "--cells", "number of cells (default 4)")
+    subframes: int = _flag(
+        200, "--subframes", "ticks (subframe slots) per cell (default 200)"
+    )
+    delta_s: float = _flag(
+        0.005,
+        "--delta",
+        "arrival cadence per cell (default 0.005 = the paper's DELTA)",
+        metavar="SECONDS",
+    )
+    arrival: str = _flag(
+        "constant",
+        "--arrival",
+        "offered-load process (default constant)",
+        choices=ARRIVAL_KINDS,
+    )
+    rate: float = _flag(
+        4.0,
+        "--rate",
+        "mean offered users/subframe (poisson; mmtc base rate)",
+        arrival=True,
+    )
+    daily_users: float = _flag(
+        50_000.0,
+        "--daily-users",
+        "total daily users for --arrival diurnal (default 50000)",
+        arrival=True,
+    )
+    subframes_per_hour: int = _flag(
+        100,
+        "--subframes-per-hour",
+        "diurnal time compression: ticks per simulated hour",
+        arrival=True,
+    )
+    burst_size: float = _flag(
+        60.0,
+        "--burst-size",
+        "mMTC mean users per synchronized burst window",
+        arrival=True,
+    )
+    burst_period: int = _flag(
+        100, "--burst-period", "mMTC burst period in ticks (default 100)", arrival=True
+    )
+    burst_window: int = _flag(
+        10,
+        "--burst-window",
+        "mMTC burst window length in ticks (default 10)",
+        arrival=True,
+    )
+    mix: str = _flag(
+        "mmtc",
+        "--mix",
+        "device mix for random arrivals (default mmtc: 2-PRB QPSK)",
+        arrival=True,
+        choices=("mmtc", "mixed"),
+    )
+    max_users: int = _flag(
+        4,
+        "--users",
+        "cap on users per subframe (default 4, matches repro run)",
+        arrival=True,
+    )
+    backend: str = _flag(
+        "vectorized",
+        "--backend",
+        "per-cell execution backend (default vectorized)",
+        choices=SERVE_BACKENDS,
+    )
+    workers: int = _flag(
+        2, "--workers", "workers per cell shard (threaded/multiprocess)"
+    )
+    queue_depth: int = _flag(
+        8, "--queue-depth", "bounded in-flight subframes per cell (default 8)"
+    )
+    backpressure: str = _flag(
+        "shed",
+        "--backpressure",
+        "policy at full queue: shed the subframe or block the producer (default shed)",
+        choices=BACKPRESSURE_POLICIES,
+    )
+    pace: bool = _flag(
+        True,
+        "--no-pace",
+        "disable DELTA pacing: offer arrivals as fast as possible (flood test)",
+        signature=False,
+    )
+    synthesize: bool = _flag(
+        False,
+        "--synthesize",
+        "synthesize IQ grids per subframe (CRCs pass; slower) "
+        "instead of the paper's pre-generated pool",
+    )
+    max_activity: float = _flag(
+        0.9, "--max-activity", "admission budget: Eq. 4 activity ceiling (default 0.9)"
+    )
+    seed: int = _flag(0, "--seed", "workload seed")
+    faults: bool = _flag(
+        False,
+        "--faults",
+        "chaos variant: inject worker deaths, task exceptions, and "
+        "overload windows; the run must degrade via shedding",
+    )
+    respawn: bool = _flag(
+        False,
+        "--respawn",
+        "supervised worker respawn (multiprocess backend): heal worker deaths "
+        "under a bounded restart budget instead of aborting the shard",
+        signature=False,
+    )
+    adaptive: bool = _flag(
+        False,
+        "--adaptive",
+        "SLO-driven adaptive admission: AIMD load shedding with "
+        "hysteresis driven by the burn-rate engine",
+        signature=False,
+    )
+    checkpoint_path: str | None = _flag(
+        None,
+        "--checkpoint",
+        "write crash-safe repro-ckpt/1 snapshots to FILE (atomic tmp+fsync+rename)",
+        signature=False,
+        metavar="FILE",
+    )
+    checkpoint_every_s: float = _flag(
+        1.0,
+        "--checkpoint-every",
+        "seconds between periodic checkpoint snapshots (default 1.0)",
+        signature=False,
+        metavar="SECONDS",
+    )
+    resume_path: str | None = _flag(
+        None,
+        "--resume",
+        "resume a killed run from its checkpoint (config signature "
+        "must match; already-resolved subframes are not re-run)",
+        signature=False,
+        metavar="FILE",
+    )
+    max_wall_s: float | None = _flag(
+        None,
+        "--max-wall",
+        "wall-clock guard: stop producing after SECONDS, drain, and "
+        "exit 124 (resumable when --checkpoint is set)",
+        signature=False,
+        type=float,
+        metavar="SECONDS",
+    )
+    trace_path: str | None = _flag(
+        None,
+        "--trace",
+        "write a line-flushed JSONL event trace (tail it live with "
+        "'repro top --from FILE --follow')",
+        signature=False,
+        metavar="FILE",
+    )
+    #: Keep per-subframe results (differential tests; the CLI turns it
+    #: off, a long run would hold every decoded payload).
     keep_results: bool = True
-    #: JSONL trace path (line-flushed; ``repro top --follow`` tails it).
-    trace_path: str | None = None
     #: Optional processor override (``SubframeInput -> SubframeResult``)
     #: for serial/vectorized cells — ``perf/`` and the tests inject a
     #: stage-timed processor here to attribute per-kernel wall clock.
     processor: Any = None
-    #: Close the SLO burn-rate loop into admission: AIMD load shedding
-    #: with hysteresis (see :mod:`repro.serve.overload`). Opt-in.
-    adaptive: bool = False
-    #: Optional :class:`~repro.serve.overload.AimdConfig` override.
-    adaptive_config: Any = None
-    #: Supervised worker respawn (multiprocess backend only): heal
-    #: worker deaths under a bounded restart budget instead of aborting
-    #: the shard (see :mod:`repro.serve.supervisor`). Opt-in.
-    respawn: bool = False
-    #: Optional :class:`~repro.serve.supervisor.RespawnPolicy` override.
+    #: Optional :class:`~repro.serve.supervisor.RespawnPolicy` override
+    #: for ``respawn`` (tests shrink the restart budget).
     respawn_policy: Any = None
-    #: Crash-safe checkpoint path (``repro-ckpt/1``, atomic writes).
-    checkpoint_path: str | None = None
-    #: Seconds between periodic checkpoint snapshots.
-    checkpoint_every_s: float = 1.0
-    #: Resume from a prior run's checkpoint (validated against this
-    #: config's signature before any state is adopted).
-    resume_path: str | None = None
-    #: Wall-clock guard: producers stop after this many seconds and the
-    #: run drains; the CLI maps a tripped guard to exit code 124
-    #: (``timeout(1)``'s convention).
-    max_wall_s: float | None = None
 
     def validate(self) -> None:
         if self.cells < 1:
@@ -183,14 +314,11 @@ class ServeConfig:
             raise ValueError("subframes must be >= 1")
         if self.delta_s <= 0:
             raise ValueError("delta_s must be positive")
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ValueError(f"unknown arrival process {self.arrival!r}")
-        if self.backend not in SERVE_BACKENDS:
-            raise ValueError(f"unknown serve backend {self.backend!r}")
-        if self.backpressure not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown backpressure policy {self.backpressure!r}"
-            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            choices = f.metadata.get("parser", {}).get("choices")
+            if choices and value not in choices:
+                raise ValueError(f"unknown {f.name} {value!r} (choose from {choices})")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.max_users < 1:
@@ -222,7 +350,10 @@ class _JsonlTraceSink:
     """Line-flushed JSONL event sink (tailable while being written)."""
 
     def __init__(self, path: str) -> None:
-        self._fh: IO[str] = open(path, "w", encoding="utf-8")
+        try:
+            self._fh: IO[str] = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write trace {path}: {exc}") from exc
         # Runtime worker threads emit concurrently with the loop thread.
         self._lock = tracked_lock("_JsonlTraceSink._lock")
 
@@ -286,6 +417,9 @@ class _Server:
     def __init__(self, config: ServeConfig) -> None:
         config.validate()
         self.config = config
+        # A checkpoint that cannot be resumed fails here, before the trace
+        # file is opened or any runtime is built.
+        snapshot = self._resumable_snapshot()
         self.errors: list[str] = []
         self.results: dict[int, SubframeResult] = {}
         self.ledger = SubframeLedger()
@@ -295,21 +429,20 @@ class _Server:
         self.engine = SLOEngine(TelemetryCollector(), sink=self.trace_sink)
         self.telemetry = self.engine.telemetry
         self.overload: OverloadController | None = (
-            OverloadController(
-                self.engine, config=config.adaptive_config, sink=self.emit
-            )
+            OverloadController(self.engine, sink=self.emit)
             if config.adaptive
             else None
         )
         resilience = None
         if config.faults:
             resilience = ResilienceConfig(
-                deadline_s=config.faults_deadline_s,
-                drain_timeout_s=config.drain_timeout_s,
+                deadline_s=_FAULTS_DEADLINE_S,
+                drain_timeout_s=_DRAIN_TIMEOUT_S,
             )
         respawn_policy = None
         if config.respawn:
             respawn_policy = config.respawn_policy or RespawnPolicy()
+        factory = SubframeFactory(seed=config.seed)
         self.cells: list[CellShard] = []
         self.overloads: list[tuple[FaultSpec, ...]] = []
         for cell_id in range(config.cells):
@@ -317,7 +450,7 @@ class _Server:
             cell = CellShard(
                 cell_id,
                 self._cell_arrivals(cell_id),
-                seed=config.seed,
+                factory,
                 backend=config.backend,
                 workers=config.workers,
                 queue_depth=config.queue_depth,
@@ -353,16 +486,23 @@ class _Server:
         self._ckpt_telemetry_misses = 0
         self._max_wall_hit = False
         self._producers_done = False
-        if config.resume_path:
-            self._restore(load_checkpoint(config.resume_path))
+        if snapshot is not None:
+            self._restore(snapshot)
 
-    def _restore(self, snapshot: dict) -> None:
-        """Adopt a validated ``repro-ckpt/1`` snapshot before running."""
+    def _resumable_snapshot(self) -> dict | None:
+        """The ``repro-ckpt/1`` snapshot ``resume_path`` names, validated."""
+        if not self.config.resume_path:
+            return None
+        snapshot = load_checkpoint(self.config.resume_path)
         problems = validate_checkpoint(snapshot, self.config)
         if problems:
             raise ValueError(
                 "checkpoint not resumable: " + "; ".join(problems)
             )
+        return snapshot
+
+    def _restore(self, snapshot: dict) -> None:
+        """Adopt a validated snapshot before running."""
         records = sorted(
             snapshot["cells"], key=lambda record: record.get("cell", 0)
         )
@@ -378,18 +518,16 @@ class _Server:
     # ------------------------------------------------------------ factories
     def _cell_arrivals(self, cell_id: int) -> Any:
         config = self.config
+        knobs = {
+            f.name: getattr(config, f.name)
+            for f in fields(config)
+            if f.metadata.get("arrival")
+        }
         return make_arrivals(
             config.arrival,
-            seed=config.seed + config.cell_seed_stride * cell_id,
-            rate=config.rate,
-            max_users=config.max_users,
+            seed=config.seed + _CELL_SEED_STRIDE * cell_id,
             total_subframes=max(2, config.subframes),
-            daily_users=config.daily_users,
-            subframes_per_hour=config.subframes_per_hour,
-            burst_size=config.burst_size,
-            burst_period=config.burst_period,
-            burst_window=config.burst_window,
-            mix=config.mix,
+            **knobs,
         )
 
     def _cell_plan(self, cell_id: int) -> FaultPlan:
@@ -402,7 +540,7 @@ class _Server:
             # respawn; without one they would just abort the shard.
             kinds += (FaultKind.CRASH_LOOP, FaultKind.RESPAWN_STORM)
         return FaultPlan.generate(
-            seed=config.seed + config.cell_seed_stride * cell_id + 1,
+            seed=config.seed + _CELL_SEED_STRIDE * cell_id + 1,
             num_subframes=config.subframes,
             num_workers=max(1, config.workers),
             kinds=kinds,
@@ -411,10 +549,9 @@ class _Server:
 
     def _overload_factor(self, cell_id: int, tick: int) -> float | None:
         """Active injected overload multiplier at ``tick``, else None."""
-        window = self.config.overload_window
         factor: float | None = None
         for spec in self.overloads[cell_id]:
-            if spec.subframe <= tick < spec.subframe + window:
+            if spec.subframe <= tick < spec.subframe + _OVERLOAD_WINDOW:
                 factor = max(factor or 1.0, spec.param)
         return factor
 
@@ -424,24 +561,27 @@ class _Server:
         if self.trace_sink is not None:
             self.trace_sink(event)
 
+    def _cell_event(
+        self, kind: EventKind, t: int, cell: CellShard, gid: int, **data: Any
+    ) -> None:
+        """Emit one loop-side event tagged with its cell and subframe id."""
+        self.emit(
+            Event(kind, t, -1, {"cell": cell.cell_id, "subframe": gid, **data})
+        )
+
     # ------------------------------------------------------------ terminals
     def _finish(
         self, cell: CellShard, gid: int, state: str, t: int, crc_ok: int = 0
     ) -> None:
         """Loop-thread terminal accounting + uniform serve terminal event."""
         cell.note_terminal(gid, state, crc_ok)
-        self.emit(
-            Event(
-                EventKind.SUBFRAME_TERMINAL,
-                t,
-                -1,
-                {
-                    "subframe": gid,
-                    "state": state,
-                    "cell": cell.cell_id,
-                    "cell_subframe": gid - cell.global_id(0),
-                },
-            )
+        self._cell_event(
+            EventKind.SUBFRAME_TERMINAL,
+            t,
+            cell,
+            gid,
+            state=state,
+            cell_subframe=gid - cell.global_id(0),
         )
         if self.overload is not None:
             # Terminals are what advance the SLO measurement window, so
@@ -479,7 +619,6 @@ class _Server:
         self,
         cell: CellShard,
         tick: int,
-        gid: int,
         users: int,
         reason: str,
         backpressure: int = 0,
@@ -489,6 +628,7 @@ class _Server:
         ``users`` is the tick's full offered count; whole-subframe sheds
         stage ``offered == shed`` so the counters fold at the terminal.
         """
+        gid = cell.global_id(tick)
         self.ledger.dispatch(gid, users)
         self.ledger.resolve(gid, TerminalState.SHED, reason=reason)
         cell.note_dispatch(
@@ -539,19 +679,14 @@ class _Server:
             users = cell.arrivals.users_for(tick)
             gid = cell.global_id(tick)
             offered = len(users)
-            self.emit(
-                Event(
-                    EventKind.ARRIVAL,
-                    now,
-                    -1,
-                    {
-                        "cell": cell.cell_id,
-                        "subframe": gid,
-                        "users": offered,
-                        "lag_ns": lag_ns,
-                        "queue_depth": cell.inflight,
-                    },
-                )
+            self._cell_event(
+                EventKind.ARRIVAL,
+                now,
+                cell,
+                gid,
+                users=offered,
+                lag_ns=lag_ns,
+                queue_depth=cell.inflight,
             )
             if not users:
                 continue
@@ -567,22 +702,17 @@ class _Server:
                 shed_surge = min(offered, int(burst_count(tick)))
                 if shed_surge:
                     users = users[: offered - shed_surge]
-                    self.emit(
-                        Event(
-                            EventKind.SHED,
-                            now,
-                            -1,
-                            {
-                                "cell": cell.cell_id,
-                                "subframe": gid,
-                                "users": shed_surge,
-                                "surge": True,
-                                "load_factor": self.overload.load_factor,
-                            },
-                        )
+                    self._cell_event(
+                        EventKind.SHED,
+                        now,
+                        cell,
+                        gid,
+                        users=shed_surge,
+                        surge=True,
+                        load_factor=self.overload.load_factor,
                     )
                     if not users:
-                        self._shed_whole(cell, tick, gid, offered, "surge")
+                        self._shed_whole(cell, tick, offered, "surge")
                         continue
             depth = cell.queue_depth
             if self.overload is not None:
@@ -590,30 +720,18 @@ class _Server:
             backpressured = 0
             if cell.inflight >= depth:
                 backpressured = 1
-                self.emit(
-                    Event(
-                        EventKind.BACKPRESSURE,
-                        now,
-                        -1,
-                        {
-                            "cell": cell.cell_id,
-                            "subframe": gid,
-                            "users": len(users),
-                            "queue_depth": cell.inflight,
-                            "threshold": depth,
-                            "policy": config.backpressure,
-                        },
-                    )
+                self._cell_event(
+                    EventKind.BACKPRESSURE,
+                    now,
+                    cell,
+                    gid,
+                    users=len(users),
+                    queue_depth=cell.inflight,
+                    threshold=depth,
+                    policy=config.backpressure,
                 )
                 if config.backpressure == "shed":
-                    self._shed_whole(
-                        cell,
-                        tick,
-                        gid,
-                        offered,
-                        "backpressure",
-                        backpressure=1,
-                    )
+                    self._shed_whole(cell, tick, offered, "backpressure", 1)
                     continue
                 await self._await_capacity(cell)
                 now = monotonic_ns()
@@ -626,44 +744,27 @@ class _Server:
                     factor = None
             decision = cell.admit(users, load_factor=factor)
             if decision.shed:
-                self.emit(
-                    Event(
-                        EventKind.SHED,
-                        now,
-                        -1,
-                        {
-                            "cell": cell.cell_id,
-                            "subframe": gid,
-                            "users": len(decision.shed),
-                            "estimated_activity": decision.estimated_activity,
-                            "budget_activity": decision.budget_activity,
-                        },
-                    )
+                self._cell_event(
+                    EventKind.SHED,
+                    now,
+                    cell,
+                    gid,
+                    users=len(decision.shed),
+                    estimated_activity=decision.estimated_activity,
+                    budget_activity=decision.budget_activity,
                 )
             admitted = list(decision.admitted)
             shed_users = shed_surge + len(decision.shed)
             if not admitted:
-                self._shed_whole(
-                    cell,
-                    tick,
-                    gid,
-                    offered,
-                    "admission",
-                    backpressure=backpressured,
-                )
+                self._shed_whole(cell, tick, offered, "admission", backpressured)
                 continue
             subframe = cell.make_subframe(tick, admitted)
-            self.emit(
-                Event(
-                    EventKind.DISPATCH,
-                    monotonic_ns(),
-                    -1,
-                    {
-                        "subframe": gid,
-                        "users": len(admitted),
-                        "cell": cell.cell_id,
-                    },
-                )
+            self._cell_event(
+                EventKind.DISPATCH,
+                monotonic_ns(),
+                cell,
+                gid,
+                users=len(admitted),
             )
             cell.note_dispatch(
                 tick,
@@ -772,7 +873,7 @@ class _Server:
             try:
                 # Blocking in the loop thread is fine here: pacing is
                 # over and terminal callbacks queue until drain returns.
-                cell.runtime.drain(timeout=self.config.drain_timeout_s)
+                cell.runtime.drain(timeout=_DRAIN_TIMEOUT_S)
             except (WorkerFailuresError, RuntimeHung) as exc:
                 self.errors.append(
                     f"cell {cell.cell_id} drain: {exc!r}"
@@ -873,15 +974,15 @@ class _Server:
                 counts[state] = counts.get(state, 0) + n
         dispatched = sum(c.dispatched for c in self.cells)
         wall_s = max(1e-9, self._resumed_wall_s + wall_s)
-        offered = sum(c.offered_users for c in self.cells)
-        admitted = sum(c.admitted_users for c in self.cells)
-        shed = sum(c.shed_users for c in self.cells)
-        served = sum(c.served_users for c in self.cells)
-        crc_ok = sum(c.crc_ok_users for c in self.cells)
-        backpressure = sum(c.backpressure_hits for c in self.cells)
+        users = {
+            f.name: sum(getattr(c.counters, f.name) for c in self.cells)
+            for f in fields(UserCounters)
+        }
         snapshot = self.telemetry.snapshot()
         shedding_engaged = bool(
-            shed or backpressure or counts.get(TerminalState.SHED.value, 0)
+            users["shed_users"]
+            or users["backpressure_hits"]
+            or counts.get(TerminalState.SHED.value, 0)
         )
         report = {
             "schema": "repro-serve/1",
@@ -899,14 +1000,9 @@ class _Server:
             "dispatched": dispatched,
             "terminal_counts": {k: v for k, v in sorted(counts.items())},
             "ledger_ok": bool(self.ledger.ok),
-            "offered_users": offered,
-            "admitted_users": admitted,
-            "shed_users": shed,
-            "backpressure_hits": backpressure,
-            "served_users": served,
-            "crc_ok_users": crc_ok,
+            **users,
             "throughput_sf_per_s": dispatched / wall_s,
-            "users_per_hour": served / wall_s * 3600.0,
+            "users_per_hour": users["served_users"] / wall_s * 3600.0,
             "arrival_lag": snapshot["sketches"].get("arrival_lag", {}),
             "queue_depth_series": snapshot["series"].get("queue_depth", []),
             "per_cell": [cell.summary() for cell in self.cells],

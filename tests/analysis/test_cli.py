@@ -176,96 +176,3 @@ def test_github_format_warning_severity(fixture_file, capsys):
     path = fixture_file(source)
     assert main(["lint", str(path), "--format", "github"]) == 1
     assert "::warning " in capsys.readouterr().out
-
-
-def test_cache_hits_on_second_run(fixture_file, tmp_path, capsys):
-    path = fixture_file(CLEAN)
-    cache = tmp_path / "cache.json"
-    assert main(["lint", str(path), "--cache", str(cache), "--format", "json"]) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert first["cache_hits"] == 0
-    assert cache.exists()
-    assert main(["lint", str(path), "--cache", str(cache), "--format", "json"]) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert second["cache_hits"] == 1
-
-
-def test_cache_invalidated_by_edit(fixture_file, tmp_path, capsys):
-    path = fixture_file(VIOLATION)
-    cache = tmp_path / "cache.json"
-    assert main(["lint", str(path), "--cache", str(cache)]) == 1
-    capsys.readouterr()
-    path.write_text(
-        path.read_text(encoding="utf-8") + "\nEXTRA = 1\n", encoding="utf-8"
-    )
-    assert main(["lint", str(path), "--cache", str(cache), "--format", "json"]) == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["cache_hits"] == 0
-    assert [f["rule"] for f in document["findings"]] == ["REP201"]
-
-
-def test_cached_findings_match_fresh_findings(fixture_file, tmp_path, capsys):
-    path = fixture_file(VIOLATION)
-    cache = tmp_path / "cache.json"
-    main(["lint", str(path), "--format", "json"])
-    fresh = json.loads(capsys.readouterr().out)
-    main(["lint", str(path), "--cache", str(cache), "--format", "json"])
-    capsys.readouterr()
-    main(["lint", str(path), "--cache", str(cache), "--format", "json"])
-    cached = json.loads(capsys.readouterr().out)
-    assert cached["findings"] == fresh["findings"]
-    assert cached["cache_hits"] == 1
-
-
-def test_corrupt_cache_is_ignored(fixture_file, tmp_path):
-    path = fixture_file(CLEAN)
-    cache = tmp_path / "cache.json"
-    cache.write_text("{definitely not json", encoding="utf-8")
-    assert main(["lint", str(path), "--cache", str(cache)]) == 0
-
-
-def _git(tmp_path, *argv):
-    import subprocess
-
-    subprocess.run(
-        ["git", *argv],
-        cwd=tmp_path,
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@t",
-            "HOME": str(tmp_path),
-            "PATH": __import__("os").environ["PATH"],
-        },
-    )
-
-
-def test_changed_lints_only_modified_files(tmp_path, capsys, monkeypatch):
-    tree = tmp_path / "repo"
-    tree.mkdir()
-    (tree / "stale.py").write_text("A = 1\n", encoding="utf-8")
-    (tree / "touched.py").write_text("B = 2\n", encoding="utf-8")
-    _git(tree, "init", "-q")
-    _git(tree, "add", ".")
-    _git(tree, "commit", "-qm", "seed")
-    (tree / "touched.py").write_text("B = 3\n", encoding="utf-8")
-    (tree / "fresh.py").write_text("C = 4\n", encoding="utf-8")
-    monkeypatch.chdir(tree)
-    assert main(["lint", ".", "--changed", "--format", "json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    # touched.py (modified) and fresh.py (untracked), never stale.py.
-    assert document["files_checked"] == 2
-
-
-def test_changed_outside_git_exits_two(tmp_path, capsys, monkeypatch):
-    tree = tmp_path / "plain"
-    tree.mkdir()
-    (tree / "a.py").write_text("A = 1\n", encoding="utf-8")
-    monkeypatch.chdir(tree)
-    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-    monkeypatch.setenv("GIT_DIR", str(tree / "no-such-dir"))
-    assert main(["lint", ".", "--changed"]) == 2
-    assert "--changed requires a git checkout" in capsys.readouterr().err

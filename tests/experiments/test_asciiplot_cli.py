@@ -125,6 +125,15 @@ class TestCli:
         assert len(out_path.read_text().splitlines()) == 100
         assert "dropped by ring buffer" in capsys.readouterr().out
 
+    def test_trace_from_a_missing_file_exits_two(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.jsonl")
+        out_path = tmp_path / "trace.json"
+        argv = ["trace", "--from", missing, "--format", "chrome"]
+        assert main(argv + ["--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trace: cannot read") and missing in err
+        assert "Traceback" not in err and not out_path.exists()
+
     def test_metrics_prints_summary(self, capsys):
         assert main(["metrics", "--policy", "idle", "--subframes", "30"]) == 0
         out = capsys.readouterr().out

@@ -181,6 +181,50 @@ class TestCrcAccountingAtTheTerminal:
         ).report["terminal_states"]
 
 
+class TestSignatureComesFromTheFieldDeclarations:
+    SIGNATURE = {
+        "seed", "cells", "subframes", "delta_s", "arrival", "rate", "daily_users",
+        "subframes_per_hour", "burst_size", "burst_period", "burst_window", "mix",
+        "max_users", "backend", "workers", "queue_depth", "backpressure",
+        "synthesize", "max_activity", "faults",
+    }
+
+    def test_signature_is_exactly_the_fields_marked_signature(self):
+        import dataclasses
+
+        from repro.serve.checkpoint import config_signature
+
+        config = ServeConfig(**BASE)
+        assert set(config_signature(config)) == self.SIGNATURE
+        marked = {
+            f.name
+            for f in dataclasses.fields(ServeConfig)
+            if f.metadata.get("signature")
+        }
+        assert marked == self.SIGNATURE
+        assert all(config_signature(config)[k] == getattr(config, k) for k in marked)
+
+    def test_a_checkpoint_written_by_the_parent_commit_still_resumes(
+        self, uninterrupted
+    ):
+        """``fixtures/parent_cut.ckpt.json`` is a max-wall cut of ``BASE``
+        written before ``cell_seed_stride`` stopped being an option: its
+        signature still carries that key, which must not block a resume."""
+        from pathlib import Path
+
+        path = Path(__file__).parent / "fixtures" / "parent_cut.ckpt.json"
+        snapshot = load_checkpoint(str(path))
+        assert snapshot["signature"]["cell_seed_stride"] == 1_000_003
+        assert not snapshot["completed"]
+        assert validate_checkpoint(snapshot, ServeConfig(**BASE)) == []
+        resumed = _serve(resume_path=str(path))
+        assert resumed.ok, resumed.errors
+        full = uninterrupted.report
+        assert resumed.report["terminal_states"] == full["terminal_states"]
+        for key in ("offered_users", "served_users", "dispatched", "terminal_counts"):
+            assert resumed.report[key] == full[key], key
+
+
 class TestSnapshotGuards:
     def test_signature_mismatch_names_the_field(self, tmp_path):
         ckpt = str(tmp_path / "sig.json")

@@ -1,11 +1,12 @@
 """CLI tests for ``repro serve``: exit codes, --json schema, --faults."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
-from repro.serve import validate_serve_report
+from repro.cli import _config_from_flags, build_parser, main
+from repro.serve import ServeConfig, validate_serve_report
 
 BASE = [
     "serve",
@@ -53,6 +54,105 @@ class TestParser:
     def test_bad_choices_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+
+FLAG_FIELDS = [f for f in dataclasses.fields(ServeConfig) if "flag" in f.metadata]
+
+
+def _config(argv):
+    """What ``repro serve <argv>`` would run (the CLI never keeps results)."""
+    args = build_parser().parse_args(["serve", *argv])
+    return _config_from_flags(ServeConfig, args, keep_results=False)
+
+
+def _another_value(field):
+    """A valid value for the field's flag that is not its default."""
+    choices = field.metadata["parser"].get("choices")
+    if choices:
+        return next(c for c in choices if c != field.default)
+    if field.default is None:
+        return 1.5 if field.metadata["parser"].get("type") is float else "some/file"
+    return type(field.default)(field.default + 1)
+
+
+class TestOptionsAreDeclaredOnce:
+    """``ServeConfig`` is the flag table: the parser and the config the CLI
+    builds both come from its field metadata, so neither can drift."""
+
+    def test_every_option_but_the_three_hooks_has_a_flag(self):
+        names = [f.name for f in dataclasses.fields(ServeConfig)]
+        assert len(names) == 31
+        assert set(names) - {f.name for f in FLAG_FIELDS} == {
+            "keep_results", "processor", "respawn_policy",
+        }
+        flags = [f.metadata["flag"] for f in FLAG_FIELDS]
+        assert len(set(flags)) == len(flags) == 28
+
+    def test_no_flags_yield_the_dataclass_defaults(self):
+        assert _config([]) == ServeConfig(keep_results=False)
+
+    @pytest.mark.parametrize("field", FLAG_FIELDS, ids=lambda f: f.metadata["flag"])
+    def test_a_flag_alone_changes_exactly_its_field(self, field):
+        flag = field.metadata["flag"]
+        if isinstance(field.default, bool):
+            argv, expected = [flag], not field.default
+        else:
+            expected = _another_value(field)
+            argv = [flag, str(expected)]
+        defaults, got = _config([]), _config(argv)
+        changed = {
+            f.name: getattr(got, f.name)
+            for f in dataclasses.fields(ServeConfig)
+            if getattr(got, f.name) != getattr(defaults, f.name)
+        }
+        assert changed == {field.name: expected}
+
+    def test_spellings_that_differ_from_their_field(self):
+        config = _config(["--users", "7", "--delta", "0.01", "--no-pace"])
+        assert (config.max_users, config.delta_s, config.pace) == (7, 0.01, False)
+
+    def test_the_keywords_perf_passes_are_still_fields(self):
+        """``perf/workloads.py`` and ``perf/layers.py`` build the config by
+        keyword and may not be edited: these names are frozen."""
+        ServeConfig(
+            cells=2, subframes=200, delta_s=0.005, arrival="poisson", rate=2.0,
+            mix="mmtc", max_users=10, backend="vectorized", keep_results=False,
+            seed=1, pace=False, backpressure="block", queue_depth=8,
+            trace_path=None, processor=None,
+        ).validate()
+
+    def test_the_five_never_set_knobs_are_not_options(self):
+        removed = {
+            "cell_seed_stride", "overload_window", "faults_deadline_s",
+            "drain_timeout_s", "adaptive_config",
+        }
+        assert not removed & {f.name for f in dataclasses.fields(ServeConfig)}
+
+
+class TestBadPathsExitTwo:
+    """A path that cannot be read or written is a configuration error:
+    one ``serve:`` line and exit 2, not a traceback."""
+
+    def test_resume_from_a_missing_checkpoint(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ckpt")
+        assert main(BASE + ["--resume", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: cannot read checkpoint") and missing in err
+        assert "Traceback" not in err
+
+    def test_trace_into_a_missing_directory(self, tmp_path, capsys):
+        path = str(tmp_path / "no" / "such" / "dir" / "x.jsonl")
+        assert main(BASE + ["--trace", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: cannot write trace") and path in err
+        assert "Traceback" not in err
+
+    def test_a_bad_resume_leaves_no_trace_file_behind(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        argv = BASE + ["--resume", str(tmp_path / "missing"), "--trace", str(trace)]
+        assert main(argv) == 2
+        capsys.readouterr()
+        assert not trace.exists()
 
 
 class TestServeCommand:

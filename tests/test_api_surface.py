@@ -81,6 +81,31 @@ def test_the_pools_old_seams_and_unused_sim_models_are_gone():
     ]
 
 
+def test_lint_cache_and_changed_are_gone(capsys):
+    """A full ``repro lint src`` takes about two seconds and neither CI nor
+    the Makefile ever passed either flag: no alias, no stub."""
+    import dataclasses
+    import inspect
+
+    from repro.analysis import driver
+    from repro.cli import main
+
+    for argv in (["lint", "--cache", "c.json"], ["lint", "--changed"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.analysis.cache")
+    assert not hasattr(driver, "changed_files")
+    assert list(inspect.signature(driver.lint_paths).parameters) == [
+        "paths", "rules", "baseline",
+    ]
+    assert "cache_hits" not in {
+        f.name for f in dataclasses.fields(driver.LintResult)
+    }
+
+
 def test_version():
     import repro
 
