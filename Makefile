@@ -52,6 +52,8 @@ multiprocess-smoke:
 		tests/sched/test_multiprocess.py tests/sched/test_mp_telemetry.py \
 		tests/test_spawn_safety.py
 	$(PYTHON) -m repro run --backend multiprocess --workers 2 --subframes 8 --verify
+	@leaked=$$(ls /dev/shm 2>/dev/null | grep '^psm_'); test -z "$$leaked" || \
+		{ echo "shared-memory segments left behind: $$leaked"; exit 1; }
 	$(PYTHON) -m pytest -m slow -q tests/differential/test_backends.py -k multiprocess
 	$(PYTHON) -m repro chaos --backend multiprocess --scale smoke --seeds 2 --timeout 600
 

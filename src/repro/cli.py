@@ -433,8 +433,7 @@ def _run_impl(args) -> int:
     if engine is not None:
         engine.telemetry.workers = runtime.num_workers
     # Workers are started before the clock: spawning a pool is set-up, not
-    # throughput. (Its children finish importing NumPy after start()
-    # returns; perf/ waits for them, this short run does not.)
+    # throughput (start() returns once its children have imported NumPy).
     runtime.start()
     try:
         start = time.perf_counter()

@@ -13,28 +13,39 @@ bit-exact with the serial reference.
 Data movement is engineered around ``multiprocessing.shared_memory``,
 two kinds of segment:
 
-* **received grids** — the parent copies each subframe's complex grid
-  into a shared segment once (deduplicated by grid identity, so pooled
-  grids are shared, not re-copied per subframe); workers attach and read
-  zero-copy. Segments are reference-counted and unlinked when the last
-  subframe using one resolves.
+* **received grids** — the parent copies a subframe's complex grid into a
+  shared segment when it dispatches it; the worker attaches and reads
+  zero-copy. Segments are *recycled*: when its subframe resolves, a segment
+  goes onto a byte-capped idle list, still mapped on both sides, and the
+  next grid that fits is copied into it. A fixed set of buffers circulates
+  (one per worker and one in hand, plus one per retry waiting in the queue)
+  and steady state creates, unlinks, attaches and faults in nothing. Only
+  a segment a live worker's outstanding task still names (a straggler the
+  deadline gave up on), the overflow past the cap and everything at
+  ``close()`` are unlinked.
 * **results** — each worker owns one shared output slab; decoded
-  payloads and LLRs are written there and only small descriptors travel
-  over the control pipe (with an inline fallback, counted in
-  ``stats.slab_overflows``, when a subframe outgrows the slab).
+  payloads and LLRs are written there, beside (never over) the previous
+  task's, and only small descriptors travel over the control pipe (with
+  an inline fallback, counted in ``stats.slab_overflows``, when a subframe
+  does not fit beside its predecessor).
 
 Everything else a worker needs (DMRS banks, windows, gather tables) it
 caches on first use, exactly as the in-process backends do.
 
 Control flow is a single-threaded parent event loop over per-worker
 duplex pipes plus process sentinels (``multiprocessing.connection.wait``
-covers both), carrying two kinds of message: ``task`` (one subframe: its
-index, grid segment and user slices) and ``forget`` (grid segments to
-unmap). Per-worker pipes — not a shared queue — because a
+covers both), carrying two kinds of message down: ``task`` (one subframe:
+its index, grid segment and user slices) and ``forget`` (unlinked grid
+segments to unmap), and two up: one ``ready`` per worker once it has
+imported the chain (``start()`` waits for the first generation's) and one
+reply per task. Per-worker pipes — not a shared queue — because a
 ``SIGKILL``-ed worker must not be able to corrupt a stream other workers
 share, and ``Connection.send`` has no feeder thread to die mid-write.
-One task is outstanding per worker at a time, which also serializes
-reuse of that worker's output slab.
+One task is outstanding per worker at a time; a worker that replies is
+sent its next subframe *before* the parent copies the finished one out of
+the slab, which is safe because a task's results never overwrite its
+predecessor's and the single-threaded loop has copied those out before it
+reads the next reply.
 
 This module is *transport* only — shared segments, pipes, sentinels and the
 supervisor. What it means to run a subframe to its terminal state (ledger,
@@ -103,9 +114,15 @@ __all__ = [
 ]
 
 #: Per-worker shared output slab size. A full 200-PRB, 4-layer, 64-QAM
-#: subframe writes ~5.5 MB of LLRs; a subframe that still overflows falls
-#: back to inline pickles and is counted.
-DEFAULT_SLAB_BYTES = 16 << 20
+#: subframe writes ~11 MB (5.5 MB of LLRs plus 5.5 MB of int64 payload) and
+#: must fit beside its predecessor's results; a subframe that still
+#: overflows falls back to inline pickles and is counted.
+DEFAULT_SLAB_BYTES = 24 << 20
+
+#: Cap on the idle grid segments kept mapped for reuse. The pool needs one
+#: per worker and one in hand (a full-band 4-antenna grid is 2.15 MB); past
+#: the cap a segment is unlinked as before: it bounds memory, costs only speed.
+_IDLE_GRID_BYTES = 64 << 20
 
 _ALIGN = 16  # complex128 itemsize; keeps every array offset aligned
 
@@ -154,24 +171,34 @@ class _StageSpan:
 
 
 def _pack_results(
-    results: list[UserResult], slab: SharedMemory
+    results: list[UserResult], slab: SharedMemory, live: list[int]
 ) -> tuple[list[dict], int]:
     """Write result arrays into the worker's slab; descriptors travel.
 
+    ``live`` is the ``[start, end)`` extent of the previous task's results,
+    which the parent may still be copying out. Tasks alternate between the
+    two ends of the slab — up from offset 0 to where the previous results
+    start, or at the top end above where they stop — so two consecutive
+    tasks never overlap, and only what they need is ever touched. ``live``
+    becomes this task's extent.
     Returns ``(descriptors, overflow_count)``. When the slab runs out,
     remaining users fall back to inline ndarray pickles — correctness is
     never traded for the zero-copy path.
     """
-    cursor = 0
-    size = slab.size
+    needs = [_aligned(r.payload.nbytes) + _aligned(r.llrs.nbytes) for r in results]
+    if live[0]:
+        cursor, limit = 0, live[0]
+    else:
+        top = (slab.size - sum(needs)) & ~(_ALIGN - 1)
+        cursor, limit = max(live[1], top), slab.size
+    start = cursor
     packed: list[dict] = []
     overflowed = 0
-    for result in results:
+    for result, need in zip(results, needs):
         payload = np.ascontiguousarray(result.payload)
         llrs = np.ascontiguousarray(result.llrs)
-        need = _aligned(payload.nbytes) + _aligned(llrs.nbytes)
         entry = {"user": result.user_id, "crc_ok": bool(result.crc_ok)}
-        if cursor + need > size:
+        if cursor + need > limit:
             entry["inline"] = (payload, llrs)
             overflowed += 1
             packed.append(entry)
@@ -184,6 +211,7 @@ def _pack_results(
             entry[label] = (cursor, array.shape, str(array.dtype))
             cursor += _aligned(array.nbytes)
         packed.append(entry)
+    live[:] = start, cursor
     return packed, overflowed
 
 
@@ -230,6 +258,7 @@ def _execute_task(
     config: ChestConfig | None,
     codec,
     slab: SharedMemory,
+    live: list[int],
     telemetry: dict | None = None,
 ) -> tuple:
     """Run one subframe against the shared grid; reply over the pipe."""
@@ -241,8 +270,10 @@ def _execute_task(
     try:
         name, shape = task["grid"]
         entry = grids.get(name)
-        if entry is None:
-            shm = _attach_shm(name)
+        if entry is None or entry[1].shape != tuple(shape):
+            # A recycled segment keeps its name and this mapping, but may
+            # carry a grid of another shape than the cached view's.
+            shm = entry[0] if entry else _attach_shm(name)
             view = np.ndarray(tuple(shape), dtype=COMPLEX_DTYPE, buffer=shm.buf)
             view.setflags(write=False)
             entry = grids[name] = (shm, view)
@@ -265,7 +296,7 @@ def _execute_task(
             stage_timer=lambda kernel, batch: _StageSpan(kernel, batch, stage_ns),
         )
         results = result.user_results
-        packed, overflowed = _pack_results(results, slab)
+        packed, overflowed = _pack_results(results, slab, live)
         shard = (
             _build_shard(results, stage_ns, telemetry)
             if telemetry is not None
@@ -279,11 +310,14 @@ def _execute_task(
 def _worker_main(worker_id: int, conn, init: dict) -> None:
     """Spawn entry point: serve tasks from the parent until told to stop."""
     slab = _attach_shm(init["slab"])
+    live = [0, 0]  # slab extent of the previous task's results
     grids: dict[str, tuple[SharedMemory, np.ndarray]] = {}
     config = init["config"]
     codec = init["codec"]
     telemetry = init.get("telemetry")
     try:
+        # Slab attached, chain imported (with this module): start() may return.
+        conn.send(("ready",))
         while True:
             message = conn.recv()
             if message is None:
@@ -297,7 +331,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
             else:  # ("task", {...})
                 conn.send(
                     _execute_task(
-                        message[1], grids, config, codec, slab, telemetry
+                        message[1], grids, config, codec, slab, live, telemetry
                     )
                 )
     except (EOFError, BrokenPipeError, KeyboardInterrupt) as exc:
@@ -331,15 +365,6 @@ class MultiprocessStats(RuntimeStats):
 
 
 @dataclass
-class _GridShare:
-    """One shared grid segment, reference-counted across subframes."""
-
-    shm: SharedMemory
-    key: int  # id() of the source ndarray while any referencing run lives
-    refs: int = 0
-
-
-@dataclass
 class _WorkerHandle:
     worker_id: int
     # Any, not object: the spawn context's Process/Connection classes are
@@ -349,6 +374,7 @@ class _WorkerHandle:
     pid: int
     slab: SharedMemory
     busy: dict | None = None  # the task currently dispatched to it
+    ready: bool = False  # its ``ready`` message arrived
     dead: bool = False
     expect_death: bool = False  # a die-task was sent: death is planned
     busy_since_ns: int = 0  # when the current task was dispatched
@@ -445,9 +471,10 @@ class MultiprocessRuntime(Runtime):
         self._spawned_pids: list[int] = []
         self._queue: deque[dict] = deque()
         self._next_task_id = 0
-        self._grid_shares: dict[int, _GridShare] = {}
-        #: The shared grid each unresolved subframe holds a reference on.
-        self._grid_of: dict[int, _GridShare] = {}
+        #: The grid segment of each dispatched, still unresolved subframe.
+        self._grid_of: dict[int, SharedMemory] = {}
+        #: Segments whose subframe resolved, kept mapped for the next grid.
+        self._idle_grids: list[SharedMemory] = []
         self._tracker.listeners.append(self._release_grid)
         self._worker_init: dict = {}
         #: The attached :class:`WorkerSupervisor`, or ``None``.
@@ -469,7 +496,8 @@ class MultiprocessRuntime(Runtime):
 
     # ------------------------------------------------------------ transport
     def _start(self) -> None:
-        """Spawn the worker pool (expensive: each child re-imports NumPy)."""
+        """Spawn the worker pool and wait until every worker is ready
+        (expensive: each child re-imports NumPy)."""
         init = {"config": self.config, "codec": self.codec}
         if self._merge_observers:
             accuracy = min(
@@ -481,12 +509,19 @@ class MultiprocessRuntime(Runtime):
         try:
             for worker_id in range(self.num_workers):
                 self._workers.append(self._spawn_worker(worker_id))
+            self._spawned_pids = [worker.pid for worker in self._workers]
+            # Bounded: a host too loaded to import in time starts unready, as
+            # it always did; a worker that dies first is found by this poll.
+            deadline = monotonic_ns() + ns_from_s(self._resilience.join_timeout_s)
+            while monotonic_ns() < deadline and not all(
+                worker.ready or worker.dead for worker in self._workers
+            ):
+                self.poll(self._resilience.watchdog_poll_s)
         except BaseException:
             # A later spawn failed: release the slabs of the workers that
             # *did* start, or they would leak. Found by dogfooding REP511.
             self._close()
             raise
-        self._spawned_pids = [worker.pid for worker in self._workers]
 
     def _spawn_worker(self, worker_id: int) -> _WorkerHandle:
         """Spawn one worker process into the given slot id."""
@@ -533,20 +568,17 @@ class MultiprocessRuntime(Runtime):
             worker.conn.close()
             worker.slab.close()
             worker.slab.unlink()
-        for share in self._grid_shares.values():
-            share.shm.close()
-            share.shm.unlink()
-        self._grid_shares.clear()
+        for shm in [*self._grid_of.values(), *self._idle_grids]:
+            shm.close()
+            shm.unlink()
         self._grid_of.clear()
+        self._idle_grids.clear()
         self._workers.clear()
         self._queue.clear()
 
     def _enqueue(self, pending: Pending) -> None:
-        """Share the subframe's grid, enqueue it as one task."""
-        subframe = pending.subframe
-        share = self._share_grid(subframe.grid)
-        share.refs += 1
-        self._grid_of[pending.index] = share
+        """Enqueue the subframe as one task (its grid is shared at dispatch,
+        so the segments in rotation are bounded by the pool, not the backlog)."""
         task_id = self._next_task_id
         self._next_task_id += 1
         self._queue.append(
@@ -556,8 +588,7 @@ class MultiprocessRuntime(Runtime):
                 "wire": {
                     "task_id": task_id,
                     "subframe": pending.index,
-                    "grid": (share.shm.name, subframe.grid.shape),
-                    "slices": subframe.slices,
+                    "slices": pending.subframe.slices,
                 },
             }
         )
@@ -646,8 +677,11 @@ class MultiprocessRuntime(Runtime):
         return None
 
     def _dispatch(self, worker: _WorkerHandle, task: dict) -> None:
+        pending = task["pending"]
+        index = pending.index
+        if "grid" not in task["wire"]:  # a retried task keeps its segment
+            task["wire"]["grid"] = self._share_grid(index, pending.subframe.grid)
         wire = dict(task["wire"])  # fault flags are per-dispatch
-        index = wire["subframe"]
         faults = self.faults
         if faults is not None:
             fault = partial(
@@ -670,7 +704,7 @@ class MultiprocessRuntime(Runtime):
                     wire["raise_exc"] = True
         if self.emit is not None:
             now = monotonic_ns()
-            for user_slice in task["pending"].subframe.slices:
+            for user_slice in pending.subframe.slices:
                 self._worker_event(
                     EventKind.USER_START, now, worker,
                     subframe=index, user=user_slice.user.user_id,
@@ -689,6 +723,9 @@ class MultiprocessRuntime(Runtime):
             self._handle_reply(worker, message)
 
     def _handle_reply(self, worker: _WorkerHandle, message: tuple) -> None:
+        if message[0] == "ready":
+            worker.ready = True
+            return
         task = worker.busy
         worker.busy = None
         if task is None or task["task_id"] != message[1]:
@@ -698,6 +735,12 @@ class MultiprocessRuntime(Runtime):
                 "was outstanding"
             )
         if message[0] == "ok":
+            # Its next subframe first, so the worker computes while this one
+            # is copied out: the next results land beside these, not on them.
+            # (A failed task keeps the old order: reclaim, then poll's dispatch.)
+            following = self._next_task()
+            if following is not None:
+                self._dispatch(worker, following)
             _, _, packed, overflowed, stage_ns, shard = message
             if self.supervisor is not None:
                 # Completed real work: reset this slot's consecutive-death
@@ -920,38 +963,47 @@ class MultiprocessRuntime(Runtime):
             self._queue.appendleft(task)
 
     # --------------------------------------------------------- shared memory
-    def _share_grid(self, grid: np.ndarray) -> _GridShare:
-        key = id(grid)
-        share = self._grid_shares.get(key)
-        if share is None:
-            source = np.ascontiguousarray(grid, dtype=COMPLEX_DTYPE)
+    def _share_grid(self, index: int, grid: np.ndarray) -> tuple[str, tuple]:
+        """Copy ``grid`` into a segment owned by subframe ``index`` until it
+        resolves; the ``(name, shape)`` a worker needs to view it."""
+        source = np.ascontiguousarray(grid, dtype=COMPLEX_DTYPE)
+        # Most recently idled first: the likeliest to be mapped and warm in
+        # both workers, and it keeps the set in rotation small.
+        shm = next(
+            (s for s in reversed(self._idle_grids) if s.size >= source.nbytes), None
+        )
+        if shm is None:
             shm = SharedMemory(create=True, size=source.nbytes)
-            view = np.ndarray(source.shape, dtype=COMPLEX_DTYPE, buffer=shm.buf)
-            view[...] = source
-            share = _GridShare(shm=shm, key=key)
-            self._grid_shares[key] = share
-        return share
+        else:
+            self._idle_grids.remove(shm)
+        self._grid_of[index] = shm
+        np.ndarray(source.shape, dtype=COMPLEX_DTYPE, buffer=shm.buf)[...] = source
+        return shm.name, source.shape
 
     def _release_grid(self, result, state, t_ns: int) -> None:
-        """Terminal listener: drop the resolved subframe's grid reference."""
-        share = self._grid_of.pop(result.subframe_index, None)
-        if share is None:
+        """Terminal listener: recycle the resolved subframe's grid segment."""
+        index = result.subframe_index
+        shm = self._grid_of.pop(index, None)
+        if shm is None:
             return
-        share.refs -= 1
-        if share.refs > 0:
+        # A straggler (its subframe resolved by deadline or abort while the
+        # worker still holds the task) reads this segment: never rewrite it.
+        held = any(
+            worker.busy is not None and worker.busy["pending"].index == index
+            for worker in self._workers
+        )
+        idle_bytes = sum(idle.size for idle in self._idle_grids)
+        if not held and idle_bytes + shm.size <= _IDLE_GRID_BYTES:
+            self._idle_grids.append(shm)
             return
-        self._grid_shares.pop(share.key, None)
         # Workers drop their cached mapping at the next message; Linux
         # keeps an unlinked segment alive until the last mapping closes,
-        # so a straggler task on this grid still reads valid memory.
-        self._broadcast(("forget", [share.shm.name]))
-        share.shm.close()
-        share.shm.unlink()
-
-    def _broadcast(self, message: tuple) -> None:
+        # so the straggler still reads valid memory.
         for worker in self._workers:
             if not worker.dead:
-                self._send(worker, message)
+                self._send(worker, ("forget", [shm.name]))
+        shm.close()
+        shm.unlink()
 
     def _send(self, worker: _WorkerHandle, message) -> bool:
         try:

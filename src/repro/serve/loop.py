@@ -913,6 +913,10 @@ class _Server:
         try:
             for cell in self.cells:
                 cell.runtime.start()
+            # ``wall_s`` and the ``max_wall_s`` budget are one clock, started
+            # when the runtimes are up (a pool's start() waits for its
+            # children's imports).
+            self._wall_begin = time.perf_counter()
             pump_task = self.loop.create_task(self._pump_runtimes())
             if self.config.checkpoint_path:
                 ckpt_task = self.loop.create_task(self._checkpoint_loop())

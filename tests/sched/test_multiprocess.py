@@ -9,12 +9,18 @@ retry budget, deadlines, ``abort``/``drain``) in
 ``tests/sched/test_runtime_contract.py``.
 """
 
+import os
+import time
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.faults.accounting import TerminalState
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig
 from repro.obs.recorder import EventRecorder
-from repro.phy.params import Modulation
+from repro.phy.params import CellConfig, Modulation
 from repro.sched.multiprocess import MultiprocessRuntime
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
@@ -208,3 +214,171 @@ def test_tiny_output_slab_falls_back_to_inline_results(workload):
     assert runtime.stats.slab_overflows > 0
     for result, expected in zip(results, reference):
         assert result.equals(expected)
+
+
+# ------------------------------------------------- grid-segment lifecycle
+def shm_names() -> set[str]:
+    """Python shared-memory segments on this host (Linux names them psm_*)."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("needs /dev/shm to see segment names")
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def same_bits(result, expected) -> bool:
+    """``equals`` (under whatever index the subframe was resubmitted) plus
+    the LLRs, which travel through the slab too."""
+    expected = replace(expected, subframe_index=result.subframe_index)
+    return result.equals(expected) and all(
+        np.array_equal(got.llrs, want.llrs)
+        for got, want in zip(result.user_results, expected.user_results)
+    )
+
+
+def test_steady_state_recycles_grid_segments(workload):
+    """A fixed set of segments circulates: windows of work create at most
+    one grid segment per worker plus one (a worker's next subframe is shared
+    before its last one's segment is released) and unlink none — so no
+    ``forget`` is ever due; ``close()`` unlinks them all, idle ones included."""
+    subframes, reference = workload
+    before = shm_names()
+    runtime = MultiprocessRuntime(num_workers=2)
+    runtime.start()
+    try:
+        seen = shm_names() - before
+        assert len(seen) == 2  # the result slabs
+        for window in range(4):
+            for subframe in subframes:
+                index = window * NUM_SUBFRAMES + subframe.subframe_index
+                runtime.submit(replace(subframe, subframe_index=index))
+            runtime.drain()
+            results = runtime.collect_results()
+            assert all(same_bits(r, e) for r, e in zip(results, reference))
+            now = shm_names() - before
+            assert now >= seen, "a segment was unlinked in steady state"
+            seen = now
+        # Idle now, and still there for the next window.
+        assert 2 < len(seen) <= 2 + runtime.num_workers + 1
+    finally:
+        runtime.close()
+    assert shm_names() == before
+
+
+def test_start_returns_with_the_workers_ready(workload):
+    """``start()`` waits for the children's imports (0.3-0.6 s here), so
+    the very first subframe (~10 ms) meets a deadline shorter than them."""
+    subframes, reference = workload
+    runtime = MultiprocessRuntime(
+        num_workers=2,
+        resilience=ResilienceConfig(
+            max_retries=0, deadline_s=0.2, watchdog_poll_s=0.01,
+            drain_timeout_s=60.0,
+        ),
+    )
+    [result] = runtime.run(subframes[:1])
+    assert runtime.ledger.state_of(0) is TerminalState.OK
+    assert same_bits(result, reference[0])
+
+
+def test_a_stragglers_segment_is_never_recycled(workload):
+    """A hung worker still reads the grid of the subframe its deadline gave
+    up on: that segment is unlinked (the old path), not kept for the next
+    subframe, and the straggler finishes late on valid memory."""
+    subframes, reference = workload
+    hung = 2
+    plan = FaultPlan(
+        specs=(FaultSpec(kind=FaultKind.WORKER_HANG, subframe=hung, param=1.5),)
+    )
+    runtime = MultiprocessRuntime(
+        num_workers=2,
+        faults=plan,
+        resilience=ResilienceConfig(
+            max_retries=0, deadline_s=0.5, watchdog_poll_s=0.01,
+            drain_timeout_s=60.0,
+        ),
+    )
+    runtime.start()
+    try:
+        for subframe in subframes[:hung]:  # warm both workers' caches
+            runtime.submit(subframe)
+        runtime.drain()
+        warm = shm_names()
+        runtime.submit(subframes[hung])
+        runtime.drain()
+        assert runtime.ledger.state_of(hung) is TerminalState.ABORTED
+        # It took a recycled segment, and that one is gone while the worker
+        # that reads it is still asleep; a recycled segment would have stayed.
+        assert runtime.late_completions == 0
+        assert len(warm - shm_names()) == 1
+        for i in range(4):
+            runtime.submit(replace(subframes[i % hung], subframe_index=10 + i))
+        runtime.drain()
+        for i, result in enumerate(runtime.collect_results()[-4:]):
+            assert same_bits(result, reference[i % hung])
+        users = len(subframes[hung].slices)
+        give_up = time.monotonic() + 20.0
+        while runtime.late_completions < users and time.monotonic() < give_up:
+            runtime.poll(0.02)
+        assert runtime.late_completions == users
+    finally:
+        runtime.close()
+
+
+def test_a_recycled_segment_can_carry_a_grid_of_another_shape():
+    """The worker keeps its mapping of a recycled segment and rebuilds the
+    view when the next grid in it has fewer antennas."""
+    users = [UserParameters(0, 4, 2, Modulation.QAM16)]
+    wide = SubframeFactory(seed=SEED).synthesize(users, 0)
+    narrow = SubframeFactory(
+        cell=CellConfig(num_rx_antennas=2), seed=SEED
+    ).synthesize(users, 1)
+    assert narrow.grid.nbytes < wide.grid.nbytes
+    sequence = [wide, narrow, replace(wide, subframe_index=2)]
+    runtime = MultiprocessRuntime(num_workers=1)
+    runtime.start()
+    try:
+        names = None
+        for subframe in sequence:
+            runtime.submit(subframe)
+            runtime.drain()
+            # One slab, one grid segment: every grid travelled in the first's.
+            names = names or shm_names()
+            assert shm_names() == names
+        for result, subframe in zip(runtime.collect_results(), sequence):
+            assert same_bits(result, process_subframe_serial(subframe))
+    finally:
+        runtime.close()
+
+
+# ------------------------------------------------------ result-slab extents
+def test_one_worker_pipeline_keeps_every_result_intact(workload):
+    """The worker is sent subframe k+1 before k is copied out of the slab:
+    k's results (LLRs included) must still be serial's after k+1 and k+2
+    completed behind it."""
+    subframes, reference = workload
+    backlog = [
+        replace(subframes[i % NUM_SUBFRAMES], subframe_index=i) for i in range(12)
+    ]
+    runtime = MultiprocessRuntime(num_workers=1)
+    results = runtime.run(backlog)
+    assert runtime.stats.slab_overflows == 0
+    for i, result in enumerate(results):
+        assert same_bits(result, reference[i % NUM_SUBFRAMES]), f"sf{i} differs"
+
+
+def test_results_that_do_not_fit_beside_their_predecessor_overflow():
+    """A subframe's results may not overwrite the previous subframe's: when
+    the slab holds one but not two, the second rides the pipe, counted."""
+    users = [UserParameters(0, 8, 2, Modulation.QAM16)]
+    one = SubframeFactory(seed=SEED).synthesize(users, 0)
+    expected = process_subframe_serial(one)
+    need = sum(
+        -(-array.nbytes // 16) * 16
+        for user in expected.user_results
+        for array in (user.payload, user.llrs)
+    )
+    backlog = [replace(one, subframe_index=i) for i in range(3)]
+    for slab_bytes, overflows in ((need * 3 // 2, True), (need * 2 + 4096, False)):
+        runtime = MultiprocessRuntime(num_workers=1, slab_bytes=slab_bytes)
+        results = runtime.run(backlog)
+        assert bool(runtime.stats.slab_overflows) is overflows
+        assert all(same_bits(result, expected) for result in results)
