@@ -12,7 +12,7 @@ export PYTHONPATH := src
 all: test lint
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 test-slow:
 	$(PYTHON) -m pytest -m slow -q tests/differential tests/properties \

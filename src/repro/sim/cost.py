@@ -21,6 +21,18 @@ Every task also carries a constant scheduling/locality overhead
 (``task_overhead_cycles``) that is *not* proportional to PRBs — this is
 what the paper's origin-through linear estimator (Eq. 3) cannot see, and
 one source of its small estimation error (Fig. 12).
+
+The price of a user *shape* — ``(num_prb, layers, modulation, antennas)``
+— is computed once per :class:`CostModel` and looked up afterwards
+(:meth:`CostModel.stage_cycles`), as the paper's own estimator looks up
+``k_{L,M}`` (Eqs. 3-4): a power study prices every user of every subframe
+under every policy, out of at most 100 × 4 × 3 shapes. The table is per
+instance because the scale and the per-task overhead are, and both are
+fixed at construction.
+``machine`` is deliberately not part of the key and is never read again
+after calibration: re-assigning ``cost.machine`` changes the dispatch
+interval a simulator runs at, not what a task costs
+(``benchmarks/test_ablation_delta.py`` depends on exactly that).
 """
 
 from __future__ import annotations
@@ -125,6 +137,9 @@ class CostModel:
         units = self._user_units(max_user.num_prb, 4, Modulation.QAM64, antennas=4)
         budget = self.saturation_fraction * self.machine.cycles_per_subframe_budget
         self._scale = budget / units
+        self._stage_cycles: dict[
+            tuple[int, int, Modulation, int], tuple[int, int, int, int, int, int]
+        ] = {}
 
     # -------------------------------------------------------------- units
     @staticmethod
@@ -190,14 +205,36 @@ class CostModel:
             raise ValueError(f"unknown task kind {task.kind!r}")
         return int(round(units * self._scale)) + self.task_overhead_cycles
 
+    def stage_cycles(
+        self, user: UserParameters, antennas: int = 4
+    ) -> tuple[int, int, int, int, int, int]:
+        """``(chest, n_chest, combiner, symbol, n_symbol, finalize)``.
+
+        Per-task cycles and fan-out of each Fig. 5 stage for this user's
+        shape, priced through :func:`describe_user_tasks` and
+        :meth:`task_cycles` the first time the shape is seen (the tasks of
+        one stage are identical, so one is priced) and looked up after.
+        """
+        key = (user.num_prb, user.layers, user.modulation, antennas)
+        entry = self._stage_cycles.get(key)
+        if entry is None:
+            chest, combiner, data, finalize = describe_user_tasks(user, antennas)
+            entry = self._stage_cycles[key] = (
+                self.task_cycles(chest[0]),
+                len(chest),
+                self.task_cycles(combiner),
+                self.task_cycles(data[0]),
+                len(data),
+                self.task_cycles(finalize),
+            )
+        return entry
+
     def user_cycles(self, user: UserParameters, antennas: int = 4) -> int:
         """Total compute cycles of one user (all tasks + joins)."""
-        chest, combiner, data, finalize = describe_user_tasks(user, antennas)
-        total = sum(self.task_cycles(t) for t in chest)
-        total += self.task_cycles(combiner)
-        total += sum(self.task_cycles(t) for t in data)
-        total += self.task_cycles(finalize)
-        return total
+        chest, n_chest, combiner, symbol, n_symbol, finalize = self.stage_cycles(
+            user, antennas
+        )
+        return chest * n_chest + combiner + symbol * n_symbol + finalize
 
     def user_cycles_batched(self, user: UserParameters, antennas: int = 4) -> int:
         """Total compute cycles of one user on the vectorized backend.

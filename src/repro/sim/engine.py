@@ -33,24 +33,14 @@ class EventEngine:
             raise ValueError("delay must be >= 0")
         self.schedule(self.now + delay, callback)
 
-    def run_until(self, end_time: int) -> None:
-        """Process events up to and including ``end_time``."""
-        while self._heap and self._heap[0][0] <= end_time:
-            time, _, callback = heapq.heappop(self._heap)
-            self.now = time
-            callback(time)
-        self.now = max(self.now, end_time)
-
     def run_until_idle(self, hard_limit: int | None = None) -> None:
         """Process all events (optionally bounded by a hard time limit)."""
-        while self._heap:
-            if hard_limit is not None and self._heap[0][0] > hard_limit:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            if hard_limit is not None and heap[0][0] > hard_limit:
                 self.now = hard_limit
                 return
-            time, _, callback = heapq.heappop(self._heap)
+            time, _, callback = pop(heap)
             self.now = time
             callback(time)
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)

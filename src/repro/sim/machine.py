@@ -40,7 +40,6 @@ from ..faults.plan import FaultKind, FaultSpec
 from ..faults.watchdog import ResilienceConfig
 from ..obs.events import Event, EventKind
 from ..uplink.parameter_model import ParameterModel
-from ..uplink.tasks import describe_user_tasks
 from ..uplink.user import UserParameters
 from .cost import CostModel, MachineSpec
 from .engine import EventEngine
@@ -113,13 +112,11 @@ class _Job:
         antennas: int,
         slot_pipelined: bool = False,
     ):
-        chest, combiner, data, finalize = describe_user_tasks(user, antennas)
+        chest, n_chest, combiner, symbol, n_symbol, finalize = cost.stage_cycles(
+            user, antennas
+        )
         self.user = user
         self.subframe_index = subframe_index
-        chest_cycles = [cost.task_cycles(t) for t in chest]
-        combiner_cycles = cost.task_cycles(combiner)
-        symbol_cycles = [cost.task_cycles(t) for t in data]
-        finalize_cycles = cost.task_cycles(finalize)
         # The stage program: ("par", [task cycles...], kernel) fans out to
         # thieves; ("ser", cycles, kernel) runs on the user thread. The
         # trailing kernel name (one of
@@ -129,22 +126,22 @@ class _Job:
         # estimation / combining / demodulation per slot.
         if not slot_pipelined:
             self.stages: list[tuple] = [
-                ("par", chest_cycles, "chest"),
-                ("ser", combiner_cycles, "combiner"),
-                ("par", symbol_cycles, "symbol"),
-                ("ser", finalize_cycles, "finalize"),
+                ("par", [chest] * n_chest, "chest"),
+                ("ser", combiner, "combiner"),
+                ("par", [symbol] * n_symbol, "symbol"),
+                ("ser", finalize, "finalize"),
             ]
         else:
-            half_comb = combiner_cycles // 2
-            half_data = len(symbol_cycles) // 2
+            half_comb = combiner // 2
+            half_data = n_symbol // 2
             self.stages = [
-                ("par", [c // 2 for c in chest_cycles], "chest"),
+                ("par", [chest // 2] * n_chest, "chest"),
                 ("ser", half_comb, "combiner"),
-                ("par", symbol_cycles[:half_data], "symbol"),
-                ("par", [c - c // 2 for c in chest_cycles], "chest"),
-                ("ser", combiner_cycles - half_comb, "combiner"),
-                ("par", symbol_cycles[half_data:], "symbol"),
-                ("ser", finalize_cycles, "finalize"),
+                ("par", [symbol] * half_data, "symbol"),
+                ("par", [chest - chest // 2] * n_chest, "chest"),
+                ("ser", combiner - half_comb, "combiner"),
+                ("par", [symbol] * (n_symbol - half_data), "symbol"),
+                ("ser", finalize, "finalize"),
             ]
         self.stage_index = -1
         self.stage_kind = ""
@@ -191,9 +188,11 @@ class _Core:
         # Bumped on crash so the in-flight task's scheduled finish
         # callback (already in the event heap) knows it went stale.
         self.epoch = 0
-        # (job, cycles) of the task currently executing, for crash
-        # accounting; None when idle or stalling.
-        self.running: tuple[_Job, int] | None = None
+        # (job, cycles charged, un-slowed cycles) of the task currently
+        # executing, for crash accounting; None when idle or stalling. A
+        # crash reports the first count and hands back the second: the
+        # thief that redoes a stolen task applies its own slow_factor.
+        self.running: tuple[_Job, int, int] | None = None
 
 
 @dataclass
@@ -735,7 +734,7 @@ class MachineSimulator:
             core.running = None
             core.busy = False
             if running is not None:
-                lost_job, lost_cycles = running
+                lost_job, lost_cycles, redo_cycles = running
                 if self._emit is not None:
                     self._emit(
                         Event(
@@ -753,7 +752,7 @@ class MachineSimulator:
                 if lost_job is not core.job and not lost_job.cancelled:
                     # A stolen task: hand it back to the stage for a live
                     # core to redo (outstanding was never decremented).
-                    lost_job.ready.appendleft(lost_cycles)
+                    lost_job.ready.appendleft(redo_cycles)
                     self._jobs_with_ready.append(lost_job)
             elif self._emit is not None:
                 self._emit(
@@ -1068,10 +1067,11 @@ class MachineSimulator:
         core.busy = True
         self._set_state(core, CoreState.COMPUTE, t)
         self._tasks_executed += 1
+        nominal = cycles
         if core.slow_factor != 1.0:
             cycles = max(1, int(cycles * core.slow_factor))
         kernel = job.stage_kind
-        core.running = (job, cycles)
+        core.running = (job, cycles, nominal)
         epoch = core.epoch
         if self._emit is not None:
             self._emit(
@@ -1188,7 +1188,7 @@ class MachineSimulator:
         if core.slow_factor != 1.0:
             cycles = max(1, int(cycles * core.slow_factor))
         kernel = stage[2]
-        core.running = (job, cycles)
+        core.running = (job, cycles, stage[1])
         epoch = core.epoch
         if self._emit is not None:
             self._emit(

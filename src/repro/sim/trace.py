@@ -27,6 +27,10 @@ class CoreState(enum.Enum):
     DISABLED = "disabled"  # proactively napped by the NAP governor
 
 
+#: Row of ``OccupancyTrace._bins`` per state, in declaration order.
+_ROW = {state: row for row, state in enumerate(CoreState)}
+
+
 @dataclass
 class OccupancyTrace:
     """Accumulates core-state segments into fixed windows.
@@ -64,7 +68,7 @@ class OccupancyTrace:
         # last) in the single-window branch below.
         if end <= start:
             return
-        row = list(CoreState).index(state)
+        row = _ROW[state]
         first = start // self.window_cycles
         last = (end - 1) // self.window_cycles
         if first == last:
@@ -79,7 +83,7 @@ class OccupancyTrace:
     # ------------------------------------------------------------- queries
     def occupancy_cycles(self, state: CoreState) -> np.ndarray:
         """Per-window core-cycles spent in ``state``."""
-        return self._bins[list(CoreState).index(state)].copy()
+        return self._bins[_ROW[state]].copy()
 
     def occupancy_fraction(self, state: CoreState) -> np.ndarray:
         """Per-window occupancy as a fraction of all worker cycles."""

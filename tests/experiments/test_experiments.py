@@ -183,3 +183,43 @@ class TestPowerStudy:
 
     def test_format_series_empty(self):
         assert "(empty)" in format_series("x", [], [])
+
+
+class TestPowerStudyPinned:
+    """The whole study at 60 subframes, seed 0, as literals.
+
+    Everything ``run_power_study`` reports is a pure function of the cost
+    model, the scheduler, the four policies, the power model and the seed;
+    the other power-study tests assert orderings and bands, and ``perf/``
+    compares watts only with themselves. A change that means to move these
+    re-captures them and says why.
+    """
+
+    #: policy -> (tasks_executed, steals)
+    COUNTS = {
+        "NONAP": (7_980, 7_092),
+        "IDLE": (7_980, 5_443),
+        "NAP": (7_980, 3_650),
+        "NAP+IDLE": (7_980, 3_414),
+    }
+    #: Table II rows, mean total watts.
+    MEAN_POWER_W = {
+        "NONAP": 24.09582120799728,
+        "IDLE": 17.11531390253609,
+        "NAP": 16.61340579170286,
+        "NAP+IDLE": 16.316275515059587,
+        "PowerGating": 13.676275515059586,
+    }
+
+    def test_seed_zero_study_reproduces_counts_and_watts(self):
+        from repro.experiments.power_study import run_power_study
+
+        study = run_power_study(num_subframes=60, seed=0)
+        counts = {
+            name: (run.sim.tasks_executed, run.sim.steals)
+            for name, run in study.runs.items()
+        }
+        assert counts == self.COUNTS
+        watts = {name: total_w for name, total_w, _, _ in study.table2()}
+        assert list(watts) == list(self.MEAN_POWER_W)
+        assert watts == pytest.approx(self.MEAN_POWER_W, rel=1e-12)

@@ -16,6 +16,7 @@ from repro.faults import (
     SubframeLedger,
 )
 from repro.obs import SchedulerInvariantChecker
+from repro.obs.events import EventKind
 from repro.power.estimator import calibrate_from_cost_model
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
@@ -32,12 +33,13 @@ def small_cost():
 
 
 def run_sim(faults=None, resilience=None, admission=None, ledger=None,
-            num_subframes=NUM_SUBFRAMES, seed=7, check_invariants=True):
+            num_subframes=NUM_SUBFRAMES, seed=7, check_invariants=True,
+            observers=()):
     checker = SchedulerInvariantChecker()
     sim = MachineSimulator(
         small_cost(),
         config=SimConfig(drain_margin_s=0.2),
-        observers=[checker] if check_invariants else None,
+        observers=[*([checker] if check_invariants else []), *observers],
         faults=faults,
         resilience=resilience,
         admission=admission,
@@ -124,6 +126,50 @@ class TestStallAndSlowdown:
         # A slower core changes timing, never the amount of work done.
         assert result.tasks_executed == clean.tasks_executed
         assert result.users_processed == clean.users_processed
+
+
+class TestSlowdownThenCrash:
+    """A slowed core that dies hands its stolen task back un-slowed.
+
+    Regression: the crash re-queued the cycle count the dead core had been
+    charged (already ×4), so a healthy thief redid the task at 4× its
+    price — and a slowed thief at 16×.
+    """
+
+    @staticmethod
+    def task_starts(seed, faults=None):
+        events = []
+        run_sim(
+            faults=faults,
+            resilience=ResilienceConfig(max_retries=2),
+            seed=seed,
+            observers=[events.append],
+        )
+        return [e for e in events if e.kind is EventKind.TASK_START]
+
+    # Each of these (seed, target) pairs has the slowed core executing a
+    # *stolen* task when it dies, which is the only case that hands back.
+    @pytest.mark.parametrize("seed, target", [(0, 6), (0, 7), (2, 6)])
+    def test_healthy_cores_only_run_clean_prices(self, seed, target):
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(kind=FaultKind.CORE_SLOWDOWN, subframe=2,
+                          target=target, param=4.0),
+                FaultSpec(kind=FaultKind.CORE_CRASH, subframe=6, target=target),
+            )
+        )
+        clean = {e.data["cycles"] for e in self.task_starts(seed)}
+        faulted = self.task_starts(seed, plan)
+        slowed = [e for e in faulted if e.core == target]
+        assert any(e.data["cycles"] not in clean for e in slowed), (
+            "the slowdown never took hold; the plan no longer tests anything"
+        )
+        alien = [
+            (e.core, e.data["kernel"], e.data["cycles"])
+            for e in faulted
+            if e.core != target and e.data["cycles"] not in clean
+        ]
+        assert alien == []
 
 
 class TestDeadline:

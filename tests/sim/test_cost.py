@@ -143,6 +143,66 @@ class TestTaskCycles:
         )
 
 
+class TestStageTable:
+    """``stage_cycles``: a shape is priced once, through the one task graph
+    and the one price, and looked up afterwards."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mod", ALL_MODULATIONS)
+    @given(half_prb=st.integers(1, 100), antennas=st.integers(1, 8))
+    @settings(max_examples=15, deadline=None)
+    def test_lookup_equals_per_descriptor_prices(self, layers, mod, half_prb, antennas):
+        cost = CostModel()
+        u = user(2 * half_prb, layers, mod)
+        chest, combiner, data, finalize = describe_user_tasks(u, antennas)
+        chest_cycles = [cost.task_cycles(t) for t in chest]
+        symbol_cycles = [cost.task_cycles(t) for t in data]
+        for _ in range(2):  # the miss that fills the entry, then the hit
+            c, n_c, comb, s, n_s, fin = cost.stage_cycles(u, antennas)
+            assert [c] * n_c == chest_cycles
+            assert comb == cost.task_cycles(combiner)
+            assert [s] * n_s == symbol_cycles
+            assert fin == cost.task_cycles(finalize)
+            assert cost.user_cycles(u, antennas) == (
+                sum(chest_cycles) + comb + sum(symbol_cycles) + fin
+            )
+
+    def test_users_of_one_shape_share_an_entry(self):
+        cost = CostModel()
+        a = cost.stage_cycles(UserParameters(0, 40, 2, Modulation.QAM16))
+        b = cost.stage_cycles(UserParameters(7, 40, 2, Modulation.QAM16))
+        assert a is b
+        assert cost.stage_cycles(UserParameters(7, 40, 2, Modulation.QAM16), 2) is not a
+        assert cost.stage_cycles(UserParameters(7, 42, 2, Modulation.QAM16)) is not a
+
+    @pytest.mark.parametrize(
+        "other", [dict(task_overhead_cycles=0), dict(saturation_fraction=0.5)]
+    )
+    def test_cost_models_do_not_share_entries(self, other):
+        u = user(40, 2, Modulation.QAM16)
+        default, changed = CostModel(), CostModel(**other)
+        assert default.stage_cycles(u) != changed.stage_cycles(u)
+        # Filling one instance's table left the other's prices alone.
+        assert default.stage_cycles(u) == CostModel().stage_cycles(u)
+        chest, combiner, data, finalize = describe_user_tasks(u)
+        assert changed.user_cycles(u) == sum(
+            changed.task_cycles(t) for t in [*chest, combiner, *data, finalize]
+        )
+
+    def test_reassigning_machine_does_not_change_a_price(self):
+        """The scale is fixed at construction: ``cost.machine`` afterwards
+        sets the dispatch interval a simulator runs at, not what a task
+        costs (``benchmarks/test_ablation_delta.py`` relies on it) — for
+        shapes priced before the swap and for shapes first seen after."""
+        cost = CostModel()
+        seen, unseen = user(40, 2, Modulation.QAM16), user(60, 4, Modulation.QAM64)
+        before = cost.stage_cycles(seen)
+        cost.machine = MachineSpec(subframe_period_s=2.5e-3, num_workers=8)
+        assert cost.stage_cycles(seen) == before
+        assert cost.stage_cycles(unseen) == CostModel().stage_cycles(unseen)
+        assert cost.user_cycles(unseen) == CostModel().user_cycles(unseen)
+
+
 @given(
     prb=st.integers(1, 99),
     layers=st.integers(1, 4),

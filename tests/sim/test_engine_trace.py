@@ -40,15 +40,6 @@ class TestEventEngine:
         engine.run_until_idle()
         assert seen == [0, 10, 20, 30, 40, 50]
 
-    def test_run_until_stops_at_bound(self):
-        engine = EventEngine()
-        seen = []
-        for t in (10, 20, 30):
-            engine.schedule(t, seen.append)
-        engine.run_until(20)
-        assert seen == [10, 20]
-        assert engine.pending == 1
-
     def test_hard_limit_leaves_future_events(self):
         engine = EventEngine()
         seen = []

@@ -5,7 +5,7 @@ import pytest
 
 from repro.phy.params import Modulation
 from repro.sim.cost import CostModel, MachineSpec
-from repro.sim.machine import MachineSimulator, SimConfig
+from repro.sim.machine import MachineSimulator, SimConfig, _Job
 from repro.sim.trace import CoreState
 from repro.uplink.parameter_model import SteadyStateParameterModel, TraceParameterModel
 from repro.uplink.user import UserParameters
@@ -31,6 +31,27 @@ class TestSlotPipelined:
         b = results[True].trace.total_cycles(CoreState.COMPUTE)
         assert a == pytest.approx(b, rel=1e-12)
         assert results[True].users_processed == 4
+
+    @pytest.mark.parametrize(
+        "user",
+        [
+            UserParameters(0, 2, 1, Modulation.QPSK),
+            UserParameters(0, 40, 2, Modulation.QAM16),
+            UserParameters(0, 34, 3, Modulation.QAM64),
+            UserParameters(0, 200, 4, Modulation.QAM64),
+        ],
+    )
+    def test_stage_programs_sum_to_the_same_cycles(self, user):
+        """Both programs are built from the same six numbers of the cost
+        model's table; odd task prices must not lose a cycle in the split."""
+        cost = small_cost()
+        totals = []
+        for pipelined in (False, True):
+            job = _Job(user, 0, cost, 4, slot_pipelined=pipelined)
+            totals.append(
+                sum(sum(s[1]) if s[0] == "par" else s[1] for s in job.stages)
+            )
+        assert totals[0] == totals[1] == cost.user_cycles(user, 4)
 
     def test_more_stages_more_scheduled_units(self):
         cost = small_cost()
