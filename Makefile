@@ -16,7 +16,7 @@ test:
 
 test-slow:
 	$(PYTHON) -m pytest -m slow -q tests/differential tests/properties \
-		tests/uplink/test_process_subframes.py
+		tests/uplink/test_process_subframes.py tests/experiments/test_full_scale.py
 
 test-invariants:
 	REPRO_INVARIANTS=1 $(PYTHON) -m pytest -x -q tests/sim tests/obs tests/power tests/experiments

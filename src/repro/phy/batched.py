@@ -18,6 +18,17 @@ stacking changes neither operation order nor rounding, and the combiner
 differential suite (``tests/differential``) enforces this against the
 serial and threaded backends.
 
+**What is overwritten.** A stage holds one stage-sized array, not one per
+step: :func:`batched_chest` builds the matched-filter product and then runs
+the IFFT, the window multiply and the FFT *into that same array*
+(``out=``), reading the guard-band noise after the IFFT and before the
+window; :func:`batched_combine_symbols` runs the IFFT and the ``√K`` scale
+into the einsum's output. Each of those arrays is created inside the call
+and returned from it, so nothing a caller passed is ever written — the
+pool's workers pass read-only views of the shared grid — and an in-place
+ufunc or pocketfft transform computes each element exactly as the
+out-of-place one does (``tests/phy/test_in_place.py`` pins both).
+
 Shapes use leading *batch* dimensions written ``(...,)``: a single user
 passes ``(slots, ...)`` arrays, a user group passes ``(users, slots,
 ...)`` arrays. All kernels coerce inputs to the canonical dtypes of
@@ -115,16 +126,17 @@ def batched_chest(
     config = config or ChestConfig()
     refs = ensure_complex(refs)
     num_sc = refs.shape[-1]
-    batch = int(np.prod(refs.shape[:-1], dtype=np.int64)) * layers
     if trace is not None:
+        batch = int(np.prod(refs.shape[:-1], dtype=np.int64)) * layers
         trace.record("matched_filter", subcarriers=num_sc, batch=batch)
         trace.record("chest_ifft", subcarriers=num_sc, batch=batch)
         trace.record("chest_window", subcarriers=num_sc, batch=batch)
         trace.record("chest_fft", subcarriers=num_sc, batch=batch)
     bank = dmrs_bank(num_sc, layers)  # (layers, sc), already conjugated
-    # Matched filter: (..., antennas, 1, sc) * (layers, sc).
-    raw = refs[..., :, None, :] * bank
-    impulse = np.fft.ifft(raw, axis=-1)
+    # Matched filter: (..., antennas, 1, sc) * (layers, sc) — a fresh array,
+    # which every later step of the stage overwrites.
+    impulse = refs[..., :, None, :] * bank
+    np.fft.ifft(impulse, axis=-1, out=impulse)
     # Noise: mean power of the guard span between the kept window and the
     # next layer offset — computed on the *pre-window* impulse response,
     # exactly as estimate_noise_variance does with its fresh IFFT.
@@ -136,10 +148,11 @@ def batched_chest(
     if guard.shape[-1] == 0:
         noise = np.zeros(impulse.shape[:-1], dtype=REAL_DTYPE)
     else:
-        noise = (np.abs(guard) ** 2).mean(axis=-1) * num_sc
-    channel = np.fft.fft(impulse * _window_cached(num_sc, keep, back, taper), axis=-1)
-    # channel is (..., antennas, layers, sc) already.
-    return channel, noise
+        # add.reduce / n is what ndarray.mean computes, minus its wrapper.
+        noise = np.add.reduce(np.abs(guard) ** 2, axis=-1) / guard.shape[-1] * num_sc
+    # Only now, with the guard span read, may the window overwrite it.
+    np.multiply(impulse, _window_cached(num_sc, keep, back, taper), out=impulse)
+    return np.fft.fft(impulse, axis=-1, out=impulse), noise
 
 
 def batched_combiner_weights(
@@ -207,8 +220,10 @@ def batched_combine_symbols(
         trace.record("antenna_combine", subcarriers=num_sc, batch=batch)
         trace.record("data_ifft", subcarriers=num_sc, batch=batch)
     combined = np.einsum("...lak,...ask->...lsk", weights, received)
-    # Inverse transform precoding: undo the transmitter's DFT.
-    return np.fft.ifft(combined, axis=-1) * np.sqrt(num_sc)
+    # Inverse transform precoding: undo the transmitter's DFT, then the √K
+    # scale, both over the einsum's own output.
+    np.fft.ifft(combined, axis=-1, out=combined)
+    return np.multiply(combined, np.sqrt(num_sc), out=combined)
 
 
 def batched_soft_demap(

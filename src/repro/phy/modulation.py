@@ -160,9 +160,9 @@ def soft_demap(
         bit 0 is more likely (the conventional LLR = log P(b=0)/P(b=1)).
     """
     symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    noise = np.broadcast_to(
-        np.asarray(noise_variance, dtype=np.float64), symbols.shape
-    )
+    noise = np.asarray(noise_variance, dtype=np.float64)
+    if noise.shape != symbols.shape:
+        noise = np.broadcast_to(noise, symbols.shape)
     if np.any(noise <= 0):
         raise ValueError("noise_variance must be positive")
     bps = modulation.bits_per_symbol
@@ -204,7 +204,12 @@ def soft_demap(
             for t in range(1, half):
                 pairs = tree[t - 1].reshape(-1, 2, width)
                 np.minimum(pairs[:, 0], pairs[:, 1], out=tree[t])
-            for j in range(half):
+            # The axis's leading bit: the top of the tree is its two minima
+            # already (a min over one row pair would be a copy).
+            top = tree[half - 1]
+            np.subtract(top[1], top[0], out=diff)
+            np.divide(diff, noise[lo:hi], out=llrs[lo:hi, offset])
+            for j in range(1, half):
                 # tree[half-1-j] rows are indexed by this axis's leading
                 # j+1 bits; axis 0 below spans the leading bits, axis 1 is
                 # the bit being demapped (transmitted at position

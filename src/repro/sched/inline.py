@@ -51,10 +51,15 @@ __all__ = ["InlineRuntime"]
 #: Flooding a bare runtime (medians of 7 alternating runs; none / 1 024 /
 #: 2 048 / 4 096 / 8 192): 2 000 mMTC subframes 1 780 / 7 640 / 7 960 /
 #: 8 400 / 9 310 a second with a median call of 0.5 / 2.1 / 3.9 / 7.7 /
-#: 13 ms; 120 paper_mix subframes 107-126 a second at every setting (no
-#: shape to share) with calls of 7.6 / 8.1 / 10.8 / 15.7 / 23.6 ms. 4 096
-#: keeps 90 % of what 8 192 reaches in calls of ~1.5 DELTA instead of
-#: 2.5-5. A constant, not a parameter: batching never changes a bit.
+#: 13 ms (PR 17's chain). 120 paper_mix subframes, re-measured at PR 24
+#: the same way, twice: 170-180 / 167-190 / 180-186 / 194 / 193-201 a
+#: second in calls of 5.3 / 5.4 / 6.4 / 9.1 / 15.8 ms holding 1.0 / 1.0 /
+#: 1.2 / 1.9 / 3.2 subframes — no front group to share, but since PR 18
+#: the combiner and the demapper batch across subframes, so 2-6 subframes
+#: a call cost 0-10 % less a subframe than one (process_subframes called
+#: directly). 4 096 keeps 90 % of what 8 192 reaches on mMTC, and all of
+#: it on paper_mix, in calls of ~1.5-2 DELTA instead of 2.5-5. A
+#: constant, not a parameter: batching never changes a bit.
 _BATCH_ELEMENTS = 4096
 
 

@@ -31,6 +31,13 @@ noise means still reduce a user's contiguous last axis
 whose combiner system is singular gets NaN weights in its own columns and
 fails its CRC; nobody else in its call is affected.
 
+No stage writes to what it was given: the chest and symbol kernels
+overwrite only arrays they build themselves (:mod:`repro.phy.batched`,
+"What is overwritten"), and grids are sliced, transposed and gathered but
+never assigned to — so a caller may pass read-only grids, as the
+multiprocess workers do with their views of shared memory. The noise means
+are ``np.add.reduce(x, axis=-1) / n``: ``ndarray.mean`` without its wrapper.
+
 Users are independent in every stage, so a call need not stop at one
 subframe: :func:`process_subframes` is the one implementation of both
 single-thread backends and of the multiprocess workers, and
@@ -64,6 +71,8 @@ from ..phy.modulation import soft_demap
 from ..phy.params import (
     DATA_SYMBOLS_PER_SLOT,
     DATA_SYMBOLS_PER_SUBFRAME,
+    MAX_LAYERS,
+    MAX_PRB_PER_SLOT,
     REFERENCE_SYMBOL_INDEX,
     SLOTS_PER_SUBFRAME,
     SYMBOLS_PER_SLOT,
@@ -91,7 +100,7 @@ def _null_timer(kernel: str, batch: int):
     return nullcontext()
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=MAX_LAYERS * MAX_PRB_PER_SLOT)
 def _tail_gather(layers: int, num_sc: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices of the serial tail for one allocation shape.
 
@@ -102,9 +111,14 @@ def _tail_gather(layers: int, num_sc: int) -> tuple[np.ndarray, np.ndarray]:
     sample ``m // layers`` of that layer's 12 data symbols) composed with
     the deinterleaver, so the data moves once. ``noise``: the same
     position's index into the user's flat ``(slots, layers)`` noise table.
-    Both are kept in the narrowest dtype that holds them: the paper's mix
-    has a couple of hundred shapes, and ``np.take`` widening an index per
-    call costs less time than 8-byte entries would cost memory.
+    Both are kept in the narrowest dtype that holds them: ``np.take``
+    widening an index per call costs less time than 8-byte entries would
+    cost memory. The cache is sized to the shape space it serves, 4 layer
+    counts x 100 widths — a 1 200-subframe paper ramp visits 320-330 of
+    the 400, and a table costs 0.05-3.4 ms to rebuild — which at 5 bytes
+    for each of a shape's ``layers * 144 * PRBs`` symbols is 36.4 MB once
+    every shape has been seen (26 MB after that ramp, 9.5 MB after the
+    189 shapes of a 120-subframe one).
     """
     per_slot = DATA_SYMBOLS_PER_SLOT * num_sc
     stream = deinterleave_indices(layers * DATA_SYMBOLS_PER_SUBFRAME * num_sc)
@@ -168,7 +182,8 @@ def _combine_bundle(bundle: list[_FrontGroup], trace) -> None:
     if len(bundle) == 1:
         [group] = bundle
         weights, noise_after = mmse_combiner(*group.carry)
-        group.carry = (weights, noise_after.mean(axis=-1))
+        num_sc = noise_after.shape[-1]
+        group.carry = (weights, np.add.reduce(noise_after, axis=-1) / num_sc)
         return
     weights, noise_after = mmse_combiner(
         np.concatenate(
@@ -193,7 +208,7 @@ def _combine_bundle(bundle: list[_FrontGroup], trace) -> None:
         user_noise = noise_after[..., lo:hi].reshape(slots, layers, -1, num_sc)
         group.carry = (
             user_weights.transpose(3, 0, 1, 2, 4),
-            user_noise.mean(axis=-1).transpose(2, 0, 1),
+            (np.add.reduce(user_noise, axis=-1) / num_sc).transpose(2, 0, 1),
         )
         lo = hi
 
@@ -305,7 +320,8 @@ def _chest_group(group: _FrontGroup, config: ChestConfig | None, trace) -> None:
     )
     # Per-(user, slot) noise estimate: mean over the (antenna, layer) task
     # grid, matching the serial join's np.mean over its list.
-    noise = noise.reshape(len(noise), SLOTS_PER_SUBFRAME, -1).mean(axis=-1)
+    noise = noise.reshape(len(noise), SLOTS_PER_SUBFRAME, -1)
+    noise = np.add.reduce(noise, axis=-1) / noise.shape[-1]
     group.carry = (channel, noise)
 
 

@@ -25,8 +25,6 @@ def study(reproduction):
 
 @pytest.fixture(scope="module")
 def estimation(reproduction):
-    # 1200 subframes: with the 200-subframe probability step the triangle
-    # actually reaches probability 1.0 at the half-way point.
     return reproduction.estimation
 
 
@@ -84,13 +82,16 @@ class TestEstimation:
         assert estimation.max_underestimation() >= estimation.max_overestimation()
 
     def test_triangle_shape(self, estimation):
-        """Activity ramps up to ~1 mid-run and back down."""
+        """Activity ramps up to ~1 mid-run and back down, window by window.
+        (How far down depends on the scale: the last window sits one
+        probability step, 400/N of the ramp, above the floor.)"""
         measured = estimation.measured
         peak = measured.argmax()
         assert 0.3 < peak / measured.size < 0.7
         assert measured.max() > 0.9
         assert measured[0] < 0.35
-        assert measured[-1] < 0.35
+        assert np.all(np.diff(measured[: peak + 1]) > 0)
+        assert np.all(np.diff(measured[peak:]) < 0)
 
     def test_estimated_tracks_measured(self, estimation):
         corr = np.corrcoef(estimation.measured, estimation.estimated)[0, 1]

@@ -41,7 +41,7 @@ class TestFullReproduction:
         path = write_report(report, tmp_path / "report.json")
         loaded = json.loads(path.read_text())
         assert loaded["scale"]["paper_num_subframes"] == 68_000
-        assert loaded["scale"]["num_subframes"] == 1200
+        assert loaded["scale"]["num_subframes"] == report["scale"]["num_subframes"]
         assert loaded["table2"]["NONAP"]["total_power_w"] == pytest.approx(
             report["table2"]["NONAP"]["total_power_w"]
         )

@@ -100,6 +100,32 @@ def dft(x, inverse=False):
     return x @ dft_matrix(x.shape[-1], inverse)
 
 
+def mmse_weights(channel, noise_variance):
+    """Unbiased MMSE combiner, one LAPACK solve per subcarrier.
+
+    ``channel`` is ``(antennas, layers, subcarriers)``, ``noise_variance``
+    a scalar or one value per subcarrier. Per subcarrier ``k``, with ``H``
+    its ``antennas x layers`` channel: ``W = (HᴴH + (σ² + 1e-12)·I)⁻¹ Hᴴ``,
+    each layer's row divided by its gain ``Σ_a W[l, a]·H[a, l]`` (bias
+    removal), and the post-combining noise ``σ²·Σ_a |W[l, a]|²``. Returns
+    ``(layers, antennas, subcarriers)`` and ``(layers, subcarriers)``.
+    """
+    channel = np.asarray(channel, dtype=np.complex128)
+    antennas, layers, subcarriers = channel.shape
+    sigma2 = np.broadcast_to(np.asarray(noise_variance, dtype=float), (subcarriers,))
+    weights = np.empty((layers, antennas, subcarriers), dtype=np.complex128)
+    noise_after = np.empty((layers, subcarriers))
+    for k in range(subcarriers):
+        h = channel[:, :, k]
+        gram = h.conj().T @ h + (sigma2[k] + 1e-12) * np.eye(layers)
+        w = np.linalg.solve(gram, h.conj().T)
+        for layer in range(layers):
+            w[layer] /= w[layer] @ h[:, layer]
+        weights[:, :, k] = w
+        noise_after[:, k] = sigma2[k] * (np.abs(w) ** 2).sum(axis=1)
+    return weights, noise_after
+
+
 def bit_reversed_columns(num_columns=32):
     """The TS 36.212 Table 5.1.4-1 inter-column permutation: column ``j``
     of the permuted matrix is column bit-reverse(``j``) of the original."""

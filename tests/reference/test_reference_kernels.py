@@ -3,8 +3,7 @@
 differential matrix (``tests/differential/test_backends.py``): bits must
 agree exactly, floats to a tolerance stated from the arithmetic.
 
-The MMSE combiner and the whole ``process_user`` chain are not covered
-yet (ROADMAP item 1.1).
+The whole ``process_user`` chain is not covered yet (ROADMAP item 1.1).
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ import reference_kernels as ref
 from repro.phy.batched import batched_chest, batched_combine_symbols, dmrs_bank
 from repro.phy.chest import ChestConfig
 from repro.phy.crc import crc_attach, crc_check
+from repro.phy.equalizer import mmse_combiner
 from repro.phy.fftutil import wraparound_window
 from repro.phy.interleaver import deinterleave, deinterleave_indices, interleave
 from repro.phy.modulation import soft_demap
@@ -134,6 +134,59 @@ class TestFftSitesByExplicitMatrix:
         assert channel.shape == expected.shape == (2, 4, layers, n)
         peak = np.abs(matched).max()
         assert np.abs(channel - expected).max() <= 8 * n * EPS * peak
+
+
+class TestMmseCombinerByLapackSolve:
+    """``mmse_combiner`` (elimination without pivoting, no LAPACK) against
+    one ``np.linalg.solve`` per subcarrier. Both solvers are backward
+    stable on the Hermitian positive-definite ``HᴴH + σ²I``, so each is
+    within a small multiple of ``cond · eps`` of the true weights; 16 covers
+    the antenna sums and the bias division on top (measured: <= 5)."""
+
+    ANTENNAS = 4
+    #: The differential matrix's layer counts, and the 3 of its mixed row.
+    LAYERS = (1, 2, 3, 4)
+
+    @staticmethod
+    def _channel(rng, *shape):
+        real, imag = rng.standard_normal((2, *shape))
+        return (real + 1j * imag) / np.sqrt(2)
+
+    @classmethod
+    def _assert_agrees(cls, channel, sigma2, weights, noise_after):
+        layers, n = channel.shape[-2:]
+        expected_w, expected_n = ref.mmse_weights(channel, sigma2)
+        assert weights.shape == expected_w.shape == (layers, cls.ANTENNAS, n)
+        assert noise_after.shape == expected_n.shape == (layers, n)
+        sigma2 = np.broadcast_to(sigma2, (n,))
+        for k in range(n):
+            h = channel[:, :, k]
+            gram = h.conj().T @ h + (sigma2[k] + 1e-12) * np.eye(layers)
+            bound = 16 * np.linalg.cond(gram) * EPS
+            for got, expected in ((weights, expected_w), (noise_after, expected_n)):
+                error = np.abs(got[..., k] - expected[..., k]).max()
+                assert error <= bound * np.abs(expected[..., k]).max()
+
+    @pytest.mark.parametrize("layers", LAYERS)
+    @pytest.mark.parametrize("prb", PRB_COUNTS)
+    def test_scalar_noise(self, prb, layers):
+        rng = np.random.default_rng((prb, layers))
+        channel = self._channel(rng, self.ANTENNAS, layers, _subcarriers(prb))
+        self._assert_agrees(channel, 0.05, *mmse_combiner(channel, 0.05))
+
+    @pytest.mark.parametrize("layers", LAYERS)
+    def test_ragged_noise_per_subcarrier(self, layers):
+        """What the batched chain passes: ``(slots, antennas, layers, ΣK)``,
+        users of every width end to end, each with its own σ² per slot."""
+        rng = np.random.default_rng(layers)
+        widths = [_subcarriers(prb) for prb in PRB_COUNTS]
+        channel = self._channel(rng, 2, self.ANTENNAS, layers, sum(widths))
+        sigma2 = np.repeat(rng.uniform(0.01, 0.5, (2, len(widths))), widths, axis=1)
+        weights, noise_after = mmse_combiner(channel, sigma2)
+        for slot in range(2):
+            self._assert_agrees(
+                channel[slot], sigma2[slot], weights[slot], noise_after[slot]
+            )
 
 
 class TestDeinterleaverByIndexFormula:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.phy.params import Modulation
 from repro.uplink.benchmark import DRIVER_BACKENDS, BenchmarkConfig, BenchmarkDriver
-from repro.uplink.parameter_model import TraceParameterModel
+from repro.uplink.parameter_model import RandomizedParameterModel, TraceParameterModel
 from repro.uplink.serial import (
     FUNCTIONAL_BACKENDS,
     SerialBenchmark,
@@ -23,6 +23,7 @@ from repro.uplink.subframe import SubframeFactory
 from repro.uplink.tasks import KERNEL_KINDS, UserJob
 from repro.uplink.user import UserParameters
 from repro.uplink.vectorized import (
+    _tail_gather,
     process_subframe_vectorized,
     process_user_vectorized,
 )
@@ -425,6 +426,26 @@ class TestBackendSelection:
         assert len(results) == 2
         for got, want in zip(results, reference):
             assert want.equals(got)
+
+
+def test_tail_gather_cache_holds_a_full_ramp():
+    """A 1 200-subframe paper ramp has more than 256 distinct shapes: the
+    second pass over it must not rebuild a single gather table."""
+    model = RandomizedParameterModel(total_subframes=1200, seed=1)
+    shapes = [
+        (user.layers, user.num_subcarriers)
+        for index in range(1200)
+        for user in model.uplink_parameters(index)
+    ]
+    assert len(set(shapes)) > 256
+    _tail_gather.cache_clear()
+    for shape in shapes:
+        _tail_gather(*shape)
+    first = _tail_gather.cache_info()
+    assert first.misses == len(set(shapes))
+    for shape in shapes:
+        _tail_gather(*shape)
+    assert _tail_gather.cache_info().misses == first.misses
 
 
 class TestVectorizedIsClockFree:
