@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow test-invariants perf-quick perf-pairs paper-benches chaos-smoke multiprocess-smoke serve-smoke supervision-smoke lint lint-strict repro-lint ruff mypy all
+.PHONY: test test-slow test-invariants perf-quick perf-pairs paper-benches chaos-smoke multiprocess-smoke serve-smoke supervision-smoke lint repro-lint ruff mypy all
 
 all: test lint
 
@@ -109,15 +109,10 @@ supervision-smoke:
 		% (sup['deaths'], sup['respawns']))"
 	$(PYTHON) scripts/supervision_smoke.py
 
-lint: repro-lint lint-strict ruff mypy
+lint: repro-lint ruff mypy
 
 repro-lint:
 	$(PYTHON) -m repro lint src
-
-lint-strict:
-	$(PYTHON) -m repro lint src/repro \
-		--select REP501,REP502,REP511,REP512,REP521,REP522 \
-		--baseline lint-strict-baseline.json
 
 ruff:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then \

@@ -14,32 +14,24 @@ Rule families (full catalogue: ``repro lint --list-rules`` and
 * ``REP3xx`` obs event-schema consistency (:mod:`repro.analysis.schema`);
 * ``REP4xx`` robustness — no swallowed failures in the runtimes
   (:mod:`repro.analysis.robustness`);
-* ``REP5xx`` concurrency safety — whole-program lock-order analysis
-  (:mod:`repro.analysis.concurrency`), shared-memory segment lifecycle
-  (:mod:`repro.analysis.shm`), and spawn/pickle boundaries
-  (:mod:`repro.analysis.spawn`); cross-checked at runtime by
-  :mod:`repro.obs.lockdep`.
+* ``REP51x`` shared-memory segment lifecycle (:mod:`repro.analysis.shm`).
 
 Importing this package registers all built-in rules.
 """
 
 from . import (  # noqa: F401  (rule registration)
-    concurrency,
     determinism,
     locks,
     robustness,
     schema,
     shm,
-    spawn,
 )
-from .baseline import Baseline
 from .context import ModuleContext
 from .driver import LintResult, LintUsageError, collect_files, lint_paths
 from .findings import Finding, Severity
 from .registry import ProjectRule, Rule, default_rules, register, rule_catalogue
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "LintUsageError",

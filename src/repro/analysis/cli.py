@@ -2,10 +2,9 @@
 
 Exit codes (stable, CI depends on them):
 
-* ``0`` — no findings (after suppressions and baseline), or
-  ``--update-baseline`` / ``--list-rules`` ran;
+* ``0`` — no findings (after suppressions), or ``--list-rules`` ran;
 * ``1`` — at least one finding;
-* ``2`` — usage error (nonexistent path, unknown rule id, bad baseline).
+* ``2`` — usage error (nonexistent path, unknown rule id).
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import json
 import sys
 from typing import Any
 
-from .baseline import Baseline
 from .driver import LintResult, LintUsageError, lint_paths
-from .findings import Severity
 from .registry import default_rules, rule_catalogue
 
 __all__ = ["run_lint", "result_to_json"]
@@ -28,7 +25,6 @@ def result_to_json(result: LintResult) -> dict[str, Any]:
         "version": 1,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "findings": [f.to_dict() for f in result.findings],
     }
 
@@ -42,17 +38,14 @@ def _escape_annotation(value: str, *, property: bool = False) -> str:
 
 
 def _print_github(result: LintResult) -> None:
-    """``::error``/``::warning`` workflow commands, one per finding.
+    """``::error`` workflow commands, one per finding.
 
     GitHub Actions turns these into inline PR annotations; everything else
     (the summary line) goes to stderr so it never parses as a command.
     """
     for finding in result.findings:
-        command = (
-            "warning" if finding.severity is Severity.WARNING else "error"
-        )
         print(
-            f"::{command} "
+            "::error "
             f"file={_escape_annotation(finding.path, property=True)},"
             f"line={finding.line},"
             f"col={finding.col},"
@@ -73,13 +66,8 @@ def _print_text(result: LintResult) -> None:
         f"{result.files_checked} file(s) checked, "
         f"{len(result.findings)} finding(s)"
     )
-    extras = []
     if result.suppressed:
-        extras.append(f"{result.suppressed} suppressed")
-    if result.baselined:
-        extras.append(f"{result.baselined} baselined")
-    if extras:
-        tail += f" ({', '.join(extras)})"
+        tail += f" ({result.suppressed} suppressed)"
     print(tail)
 
 
@@ -94,36 +82,12 @@ def run_lint(args) -> int:
     if getattr(args, "select", None):
         select = [r.strip() for r in args.select.split(",") if r.strip()]
 
-    baseline = None
-    baseline_path = getattr(args, "baseline", None)
-    update_baseline = getattr(args, "update_baseline", False)
-    if baseline_path and not update_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro lint: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-
     try:
-        rules = default_rules(select)
-        result = lint_paths(args.paths, rules=rules, baseline=baseline)
+        result = lint_paths(args.paths, rules=default_rules(select))
     except (LintUsageError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"repro lint: {message}", file=sys.stderr)
         return 2
-
-    if update_baseline:
-        if not baseline_path:
-            print(
-                "repro lint: --update-baseline requires --baseline PATH",
-                file=sys.stderr,
-            )
-            return 2
-        Baseline.from_findings(result.findings).save(baseline_path)
-        count = len(result.findings)
-        noun = "entry" if count == 1 else "entries"
-        print(f"baseline written to {baseline_path} ({count} {noun})")
-        return 0
 
     if args.format == "json":
         print(json.dumps(result_to_json(result), indent=2))

@@ -113,8 +113,6 @@ def in_deterministic_scope(ctx: ModuleContext) -> bool:
 
 
 class _ScopedRule(Rule):
-    packages = DETERMINISTIC_PACKAGES
-
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not in_deterministic_scope(ctx):
             return

@@ -4,7 +4,7 @@
 wrapper): expand paths to ``*.py`` files, parse each into a
 :class:`~repro.analysis.context.ModuleContext`, run every per-file rule
 on every context and every project rule once over the whole set, then
-filter inline/file suppressions and the optional baseline.
+filter inline/file suppressions.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import Baseline
 from .context import ModuleContext
 from .findings import Finding, Severity
 from .registry import ProjectRule, Rule, default_rules
@@ -40,7 +39,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -79,7 +77,6 @@ def _relpath(path: Path) -> str:
 def lint_paths(
     paths: Sequence[str | Path],
     rules: Sequence[Rule] | None = None,
-    baseline: Baseline | None = None,
 ) -> LintResult:
     """Lint ``paths`` with ``rules`` (default: every registered rule)."""
     files = collect_files(paths)
@@ -137,8 +134,5 @@ def lint_paths(
             if finding.rule_id in ctx.suppressed_rules(finding.line):
                 result.suppressed += 1
                 continue
-        if baseline is not None and baseline.contains(finding):
-            result.baselined += 1
-            continue
         result.findings.append(finding)
     return result

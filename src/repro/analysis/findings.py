@@ -2,8 +2,7 @@
 
 A :class:`Finding` is one rule violation at one source location. Findings
 are value objects: hashable, totally ordered by location, and round-trip
-through plain dicts for the ``--format json`` output and the baseline
-file.
+through plain dicts for the ``--format json`` output.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ class Severity(str, enum.Enum):
     """How bad a finding is. Values double as the JSON ``severity`` field."""
 
     ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True, order=True)
@@ -67,10 +65,6 @@ class Finding:
             message=record["message"],
             severity=Severity(record.get("severity", "error")),
         )
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-independent identity used by the baseline (survives drift)."""
-        return (self.rule_id, self.path, self.message)
 
     def render(self) -> str:
         return (

@@ -27,7 +27,6 @@ __all__ = [
     "register",
     "default_rules",
     "rule_catalogue",
-    "rules_covering",
 ]
 
 
@@ -37,12 +36,6 @@ class Rule:
     rule_id: str = ""
     severity: Severity = Severity.ERROR
     description: str = ""
-    #: Package scope this rule is restricted to; empty means every file.
-    #: This is *metadata* — scoped rules still enforce their own scope in
-    #: check_module — but it is what :func:`rules_covering` audits, so a
-    #: rule that filters by package without declaring it here fails the
-    #: scope-coverage test, not silently narrows.
-    packages: tuple[str, ...] = ()
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -96,23 +89,6 @@ def default_rules(select: Iterable[str] | None = None) -> list[Rule]:
         for rule_id, cls in sorted(_REGISTRY.items())
         if wanted is None or rule_id in wanted
     ]
-
-
-def rules_covering(module: str) -> list[str]:
-    """Rule ids whose declared scope includes ``module``.
-
-    Unscoped rules (``packages == ()``) cover everything. This powers the
-    scope-coverage regression test: every runtime module must stay under
-    at least one concurrency/robustness rule even as packages move.
-    """
-    covered = []
-    for rule_id, cls in sorted(_REGISTRY.items()):
-        if not cls.packages or any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in cls.packages
-        ):
-            covered.append(rule_id)
-    return covered
 
 
 def rule_catalogue() -> list[tuple[str, str, str]]:

@@ -35,9 +35,8 @@ from .registry import Rule, register
 __all__ = ["ROBUST_PACKAGES", "BareExceptRule", "SwallowedExceptionRule"]
 
 #: Packages where a swallowed exception becomes a hang or a silent wedge.
-#: ``repro.obs`` is included: a swallowed error in an observer or in the
-#: lockdep witness silently blinds the very diagnostics that would have
-#: reported it.
+#: ``repro.obs`` is included: a swallowed error in an observer silently
+#: blinds the very diagnostics that would have reported it.
 ROBUST_PACKAGES: tuple[str, ...] = (
     "repro.sched",
     "repro.sim",
@@ -55,8 +54,6 @@ def in_robust_scope(ctx: ModuleContext) -> bool:
 
 
 class _ScopedRule(Rule):
-    packages = ROBUST_PACKAGES
-
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not in_robust_scope(ctx):
             return

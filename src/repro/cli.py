@@ -344,17 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="JSON baseline of accepted findings to filter out",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline from the current findings and exit 0",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     return parser
@@ -682,10 +671,28 @@ def cmd_top(args) -> int:
 
     from .obs import SLOEngine, TelemetryCollector, render_dashboard
 
+    # Both sources feed this one engine: a trace through the tailer, a
+    # simulation as an observer.
+    engine = SLOEngine(TelemetryCollector())
+    title = "repro top"
+    if args.from_path is not None:
+        title += f" · {args.from_path}"
+
+    def frame(clear: bool = False) -> None:
+        if clear:
+            print("\x1b[H\x1b[2J", end="")
+        print(
+            render_dashboard(
+                engine.telemetry.snapshot(),
+                engine.slo_report(),
+                width=args.width,
+                title=title,
+            )
+        )
+
     if args.from_path is not None:
         from .obs.dashboard import TraceTailer
 
-        engine = SLOEngine(TelemetryCollector())
         try:
             # Binary mode: a live writer can leave a partial multi-byte
             # UTF-8 sequence at EOF, which a text-mode read() would
@@ -696,15 +703,7 @@ def cmd_top(args) -> int:
                 if args.follow and not args.once:
                     try:
                         while True:
-                            print("\x1b[H\x1b[2J", end="")
-                            print(
-                                render_dashboard(
-                                    tailer.snapshot(),
-                                    tailer.slo_report(),
-                                    width=args.width,
-                                    title=f"repro top · {args.from_path}",
-                                )
-                            )
+                            frame(clear=True)
                             time.sleep(max(0.05, args.interval))
                             tailer.advance()
                     except KeyboardInterrupt:
@@ -713,21 +712,13 @@ def cmd_top(args) -> int:
         except OSError as exc:
             print(f"cannot read {args.from_path}: {exc}", file=sys.stderr)
             return 2
-        print(
-            render_dashboard(
-                tailer.snapshot(),
-                tailer.slo_report(),
-                width=args.width,
-                title=f"repro top · {args.from_path}",
-            )
-        )
+        frame()
         print(
             f"{tailer.records} events replayed"
             + (f", {tailer.skipped} skipped" if tailer.skipped else "")
         )
         return 0
 
-    engine = SLOEngine(TelemetryCollector())
     observers = [engine]
     if not args.once:
         # Live mode: piggyback a throttled re-render on the event stream.
@@ -737,14 +728,7 @@ def cmd_top(args) -> int:
             now = time.monotonic()
             if now - last_render[0] >= max(0.05, args.interval):
                 last_render[0] = now
-                print("\x1b[H\x1b[2J", end="")
-                print(
-                    render_dashboard(
-                        engine.telemetry.snapshot(),
-                        engine.slo_report(),
-                        width=args.width,
-                    )
-                )
+                frame(clear=True)
 
         observers.append(live_render)
     try:
@@ -752,15 +736,7 @@ def cmd_top(args) -> int:
     except KeyboardInterrupt:
         print()
         return 130
-    if not args.once:
-        print("\x1b[H\x1b[2J", end="")
-    print(
-        render_dashboard(
-            engine.telemetry.snapshot(),
-            engine.slo_report(),
-            width=args.width,
-        )
-    )
+    frame(clear=not args.once)
     return 0
 
 

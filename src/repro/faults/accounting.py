@@ -22,6 +22,7 @@ simulator, and is thread-safe.
 from __future__ import annotations
 
 import enum
+import threading
 from typing import ClassVar
 
 __all__ = ["TerminalState", "LedgerError", "SubframeLedger"]
@@ -55,11 +56,7 @@ class SubframeLedger:
     }
 
     def __init__(self) -> None:
-        # Imported here, not at module level: repro.obs pulls in
-        # repro.sim, which imports this module back (TerminalState).
-        from ..obs.lockdep import tracked_lock
-
-        self.lock = tracked_lock("SubframeLedger.lock")
+        self.lock = threading.Lock()
         self._dispatched: dict[int, int] = {}  # subframe -> user count
         self._resolved: dict[int, tuple[TerminalState, str]] = {}
         self._late: list[tuple[int, TerminalState, str]] = []

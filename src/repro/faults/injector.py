@@ -18,6 +18,7 @@ because its injection points live inside the event loop.
 
 from __future__ import annotations
 
+import threading
 from typing import ClassVar
 
 import numpy as np
@@ -122,11 +123,8 @@ class ThreadFaultInjector:
     }
 
     def __init__(self, plan: FaultPlan) -> None:
-        # Deferred import: repro.obs -> repro.sim -> repro.faults cycle.
-        from ..obs.lockdep import tracked_lock
-
         self.plan = plan
-        self.lock = tracked_lock("ThreadFaultInjector.lock")
+        self.lock = threading.Lock()
         self._armed: list[FaultSpec] = [
             s
             for s in plan.specs

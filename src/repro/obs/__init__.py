@@ -8,9 +8,7 @@ over :class:`repro.sim.machine.MachineSimulator` and
 :class:`repro.sched.threaded.ThreadedRuntime`. Attach observers via the
 ``observers=`` constructor argument of either backend; set
 ``REPRO_INVARIANTS=1`` to auto-attach a strict
-:class:`SchedulerInvariantChecker` to every simulator run, and
-``REPRO_LOCKDEP=1`` to make every :func:`tracked_lock` in the runtimes
-report acquisition orders to the lock-order witness (``lockdep``). See
+:class:`SchedulerInvariantChecker` to every simulator run. See
 ``docs/observability.md`` for the event schema and CLI usage
 (``repro trace`` / ``repro metrics`` / ``repro top``).
 """
@@ -31,12 +29,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .invariants import InvariantViolation, SchedulerInvariantChecker
-from .lockdep import (
-    LockdepError,
-    LockOrderWitness,
-    TrackedLock,
-    tracked_lock,
-)
 from .profiling import KernelStats, Profiler, Span
 from .slo import SLOEngine, SLOTarget, default_targets
 from .dashboard import TraceTailer, render_dashboard, sparkline
@@ -57,8 +49,6 @@ __all__ = [
     "Histogram",
     "InvariantViolation",
     "KernelStats",
-    "LockOrderWitness",
-    "LockdepError",
     "MetricsCollector",
     "MetricsRegistry",
     "Profiler",
@@ -69,7 +59,6 @@ __all__ = [
     "Span",
     "TelemetryCollector",
     "TraceTailer",
-    "TrackedLock",
     "WindowRing",
     "chrome_trace_events",
     "default_targets",
@@ -79,6 +68,5 @@ __all__ = [
     "render_dashboard",
     "render_prometheus",
     "sparkline",
-    "tracked_lock",
     "write_chrome_trace",
 ]

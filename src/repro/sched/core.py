@@ -34,7 +34,6 @@ from ..faults.watchdog import (
     ns_from_s,
 )
 from ..obs.events import Event, EventKind
-from ..obs.lockdep import tracked_lock
 from ..phy.chain import UserResult
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeInput
@@ -102,7 +101,7 @@ class SubframeTracker:
         self.idle.set()
         self._resilience: ResilienceConfig = resilience
         self._stats = stats  # retries / aborted_users, under stats.lock
-        self._lock = tracked_lock("SubframeTracker._lock")
+        self._lock = threading.Lock()
         self._pending: dict[int, Pending] = {}  # guarded-by: _lock
         self._completed: list[SubframeResult] = []  # guarded-by: _lock
         self._failures: list[WorkerFailure] = []  # guarded-by: _lock

@@ -14,10 +14,9 @@ behaviour is identical.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from typing import Generic, TypeVar
-
-from ..obs.lockdep import tracked_lock
 
 T = TypeVar("T")
 
@@ -29,7 +28,7 @@ class WorkStealingDeque(Generic[T]):
 
     def __init__(self) -> None:
         self._items: deque[T] = deque()  # guarded-by: _lock
-        self._lock = tracked_lock("WorkStealingDeque._lock")
+        self._lock = threading.Lock()
 
     def push(self, item: T) -> None:
         """Owner: push a task at the bottom."""
@@ -70,7 +69,7 @@ class GlobalQueue(Generic[T]):
 
     def __init__(self) -> None:
         self._items: deque[T] = deque()  # guarded-by: _lock
-        self._lock = tracked_lock("GlobalQueue._lock")
+        self._lock = threading.Lock()
 
     def put_subframe(self, users: list[T]) -> None:
         """Dispatch a whole subframe's users atomically."""

@@ -38,7 +38,6 @@ from ..faults.watchdog import (
     ns_from_s,
 )
 from ..obs.events import Event, EventKind
-from ..obs.lockdep import tracked_lock
 from ..phy.chest import ChestConfig
 from ..uplink.subframe import UserSlice
 from ..uplink.tasks import UserJob
@@ -73,7 +72,7 @@ class RuntimeStats:
     retries: int = 0
     aborted_users: int = 0
     lock: threading.Lock = field(
-        default_factory=lambda: tracked_lock("RuntimeStats.lock"),
+        default_factory=threading.Lock,
         repr=False,
         compare=False,
     )
@@ -94,7 +93,7 @@ class _Latch:
 
     def __init__(self, count: int) -> None:
         self._count = count  # guarded-by: _lock
-        self._lock = tracked_lock("_Latch._lock")
+        self._lock = threading.Lock()
         self._event = threading.Event()
         if count == 0:
             self._event.set()
@@ -184,7 +183,7 @@ class ThreadedRuntime(Runtime):
         self._shutdown = threading.Event()
         self._threads: list[threading.Thread] = []
         self._dead_workers: set[int] = set()  # guarded-by: _dead_lock
-        self._dead_lock = tracked_lock("ThreadedRuntime._dead_lock")
+        self._dead_lock = threading.Lock()
 
     # ------------------------------------------------------------ transport
     def _start(self) -> None:

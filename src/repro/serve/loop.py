@@ -45,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import IO, Any
@@ -59,7 +60,6 @@ from ..faults.watchdog import (
 )
 from ..ioutil import fsync_file
 from ..obs.events import Event, EventKind
-from ..obs.lockdep import tracked_lock
 from ..obs.slo import SLOEngine
 from ..obs.telemetry import TelemetryCollector
 from ..sched import WorkerFailuresError, runtime_class
@@ -355,7 +355,7 @@ class _JsonlTraceSink:
         except OSError as exc:
             raise ValueError(f"cannot write trace {path}: {exc}") from exc
         # Runtime worker threads emit concurrently with the loop thread.
-        self._lock = tracked_lock("_JsonlTraceSink._lock")
+        self._lock = threading.Lock()
 
     def __call__(self, event: Event) -> None:
         line = json.dumps(event.to_dict()) + "\n"

@@ -1,3 +1,3 @@
-"""Committed lint fixtures: each file deliberately violates one REP5xx
-rule family and is asserted to keep triggering it (the rules' living
-documentation). Never imported at runtime."""
+"""Committed lint fixtures: each file deliberately violates a rule and is
+asserted to keep triggering it (the rules' living documentation). Never
+imported at runtime."""

@@ -1,9 +1,8 @@
-"""Suppression-comment parsing edge cases and baseline path sensitivity."""
+"""Suppression-comment parsing edge cases."""
 
 import textwrap
 from pathlib import Path
 
-from repro.analysis import Baseline, lint_paths
 from repro.analysis.context import ModuleContext
 
 
@@ -97,100 +96,30 @@ def test_file_level_directive_with_prose():
 
 # ------------------------------------------------------- end-to-end checks
 SWALLOW = """
-    # repro-lint: concurrency-scope
-    import threading
-
-    class Runtime:
-        def __init__(self):
-            self.a = threading.Lock()
-            self.b = threading.Lock()
-
-        def work(self):
-            with self.a:
-                with self.b:  {comment}
-                    pass
+    def close_all(handles):
+        for handle in handles:
+            try:
+                handle.close()
+            except OSError:  {comment}
+                pass
 """
 
 
-def test_inline_suppression_applies_end_to_end(lint_snippet):
-    noisy = SWALLOW.format(comment="")
-    assert not lint_paths_ok(lint_snippet, noisy)
-    quiet = SWALLOW.format(comment="# repro-lint: disable=REP502")
-    assert lint_paths_ok(lint_snippet, quiet)
+def _runtime_module(source):
+    # __init__.py markers resolve the file to repro.sched.pool: REP402 scope.
+    return {
+        "repro/__init__.py": "",
+        "repro/sched/__init__.py": "",
+        "repro/sched/pool.py": source,
+    }
 
 
-def lint_paths_ok(lint_snippet, source):
-    return lint_snippet(source, select=["REP502"]).ok
-
-
-# ------------------------------------------------------- baseline renames
-def test_baseline_is_path_sensitive_across_rename(tmp_path):
-    source = textwrap.dedent(
-        """
-        # repro-lint: deterministic-scope
-        import time
-
-        def now():
-            return time.time()
-        """
+def test_inline_suppression_applies_end_to_end(lint_tree):
+    noisy = lint_tree(_runtime_module(SWALLOW.format(comment="")), ["REP402"])
+    assert [f.rule_id for f in noisy.findings] == ["REP402"]
+    # Same paths, rewritten with the pragma on the handler line.
+    quiet = lint_tree(
+        _runtime_module(SWALLOW.format(comment="# repro-lint: disable=REP402")),
+        ["REP402"],
     )
-    original = tmp_path / "original.py"
-    original.write_text(source, encoding="utf-8")
-
-    first = lint_paths([original])
-    assert [f.rule_id for f in first.findings] == ["REP201"]
-    baseline = Baseline.from_findings(first.findings)
-
-    # Accepted via baseline: clean.
-    masked = lint_paths([original], baseline=baseline)
-    assert masked.ok and masked.baselined == 1
-
-    # Renaming the file changes the fingerprint: the finding resurfaces
-    # (a baseline grandfathers specific sites, not the defect class).
-    renamed = tmp_path / "renamed.py"
-    original.rename(renamed)
-    resurfaced = lint_paths([renamed], baseline=baseline)
-    assert [f.rule_id for f in resurfaced.findings] == ["REP201"]
-    assert resurfaced.baselined == 0
-
-
-def test_baseline_round_trips_through_disk(tmp_path):
-    source = textwrap.dedent(
-        """
-        # repro-lint: deterministic-scope
-        import time
-
-        def now():
-            return time.time()
-        """
-    )
-    path = tmp_path / "module.py"
-    path.write_text(source, encoding="utf-8")
-    result = lint_paths([path])
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(result.findings).save(baseline_path)
-    reloaded = Baseline.load(baseline_path)
-    assert lint_paths([path], baseline=reloaded).ok
-
-
-def test_line_shift_does_not_resurface_baselined_finding(tmp_path):
-    # Fingerprints are line-independent: adding code above the accepted
-    # site must not resurface it.
-    source = textwrap.dedent(
-        """
-        # repro-lint: deterministic-scope
-        import time
-
-        def now():
-            return time.time()
-        """
-    )
-    path = tmp_path / "module.py"
-    path.write_text(source, encoding="utf-8")
-    baseline = Baseline.from_findings(lint_paths([path]).findings)
-    path.write_text(
-        source.replace("import time", "import time\n\nPAD = 1"),
-        encoding="utf-8",
-    )
-    shifted = lint_paths([path], baseline=baseline)
-    assert shifted.ok and shifted.baselined == 1
+    assert quiet.ok and quiet.suppressed == 1

@@ -98,12 +98,46 @@ def test_lint_cache_and_changed_are_gone(capsys):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.analysis.cache")
     assert not hasattr(driver, "changed_files")
-    assert list(inspect.signature(driver.lint_paths).parameters) == [
-        "paths", "rules", "baseline",
-    ]
     assert "cache_hits" not in {
         f.name for f in dataclasses.fields(driver.LintResult)
     }
+
+
+def test_lock_order_spawn_rules_and_lint_baseline_are_gone(capsys):
+    """No lock in ``src/repro`` is acquired while another is held, so the
+    lock-order analyzer and its runtime witness never had an edge to
+    check; the spawn rules guarded one ``Process(`` call; the baseline's
+    only caller ran against an empty file. No alias, no stub."""
+    import dataclasses
+    import inspect
+
+    import repro.obs
+    from repro.analysis import Severity, driver
+    from repro.cli import main
+
+    for argv in (["lint", "--baseline", "x"], ["lint", "--update-baseline"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    capsys.readouterr()
+    for name in (
+        "repro.obs.lockdep",
+        "repro.analysis.concurrency",
+        "repro.analysis.spawn",
+        "repro.analysis.baseline",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)
+    assert list(inspect.signature(driver.lint_paths).parameters) == [
+        "paths", "rules",
+    ]
+    assert "baselined" not in {
+        f.name for f in dataclasses.fields(driver.LintResult)
+    }
+    assert not {
+        "LockOrderWitness", "LockdepError", "TrackedLock", "tracked_lock",
+    } & set(repro.obs.__all__)
+    assert [s.name for s in Severity] == ["ERROR"]
 
 
 def test_version():
