@@ -43,14 +43,14 @@ perf-pairs:
 paper-benches:
 	$(PYTHON) -m pytest benchmarks -q
 	$(PYTHON) -m repro top --once --subframes 60
+	$(PYTHON) -m repro metrics --format prometheus --subframes 60
 
 chaos-smoke:
 	$(PYTHON) -m repro chaos --scale smoke --seeds 5 --timeout 480
 
 multiprocess-smoke:
 	$(PYTHON) -m pytest -x -q tests/sched/test_runtime_contract.py \
-		tests/sched/test_multiprocess.py tests/sched/test_mp_telemetry.py \
-		tests/test_spawn_safety.py
+		tests/sched/test_multiprocess.py tests/test_spawn_safety.py
 	$(PYTHON) -m repro run --backend multiprocess --workers 2 --subframes 8 --verify
 	@leaked=$$(ls /dev/shm 2>/dev/null | grep '^psm_'); test -z "$$leaked" || \
 		{ echo "shared-memory segments left behind: $$leaked"; exit 1; }

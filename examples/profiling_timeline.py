@@ -59,10 +59,10 @@ def simulator_profile() -> None:
         )
     utilization = ", ".join(f"{u:.2f}" for u in profiler.per_core_utilization)
     print(f"per-core utilization: [{utilization}]")
-    slack = profiler.registry.histogram("deadline_slack")
+    slack = profiler.sketch("deadline_slack")
     print(
-        f"deadline slack (cycles): p50 {slack.percentile(50):,.0f}, "
-        f"min {slack.percentile(0):,.0f}; "
+        f"deadline slack (cycles): p50 {slack.quantile(0.5):,.0f}, "
+        f"min {slack.min:,.0f}; "
         f"miss rate {profiler.deadline_miss_rate() * 100:.1f}%"
     )
 

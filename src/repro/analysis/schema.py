@@ -1,8 +1,8 @@
 """Cross-file consistency of the observability event schema.
 
 ``repro.obs.events.EventKind`` is the contract between the emitters
-(simulator, threaded runtime) and the consumers (invariant checker,
-metrics, recorders). Schema drift is silent at runtime — an event kind
+(simulator, runtimes, serve) and the consumers (invariant checker, the
+telemetry fold, recorders). Schema drift is silent at runtime — an event kind
 nobody emits just never shows up, and a kind the invariant checker does
 not know about is silently skipped — so this rule cross-checks the three
 parties statically over the whole linted tree:

@@ -218,14 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale(metrics, 100)
     _add_obs_run(metrics)
     metrics.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
-    metrics.add_argument(
         "--format",
         choices=["text", "json", "prometheus"],
-        default=None,
-        help="output format (prometheus: text exposition for scrapers; "
-        "default text, or json when --json is given)",
+        default="text",
+        help="output format (prometheus: text exposition for scrapers)",
     )
 
     top = sub.add_parser(
@@ -650,19 +646,19 @@ def cmd_metrics(args) -> int:
     import json
 
     from .experiments import format_metrics
-    from .obs import MetricsCollector
+    from .obs import TelemetryCollector
 
-    fmt = args.format or ("json" if args.json else "text")
-    collector = MetricsCollector()
+    collector = TelemetryCollector()
     _run_observed_sim(args, [collector])
-    if fmt == "json":
-        print(json.dumps(collector.registry.summary(), indent=2))
-    elif fmt == "prometheus":
+    snapshot = collector.snapshot()
+    if args.format == "json":
+        print(json.dumps(snapshot, indent=2))
+    elif args.format == "prometheus":
         from .obs import render_prometheus
 
-        print(render_prometheus(collector.registry), end="")
+        print(render_prometheus(snapshot), end="")
     else:
-        print(format_metrics(collector.registry))
+        print(format_metrics(snapshot))
     return 0
 
 

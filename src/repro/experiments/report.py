@@ -97,27 +97,24 @@ def format_table2(study: PowerStudyResult) -> str:
     return "\n".join(lines)
 
 
-def format_metrics(registry) -> str:
-    """Scheduler metrics (:class:`repro.obs.MetricsRegistry`) as text.
+def format_metrics(snapshot: dict) -> str:
+    """Scheduler metrics (a :meth:`repro.obs.TelemetryCollector.snapshot`)
+    as text.
 
-    Counters first, then gauge extremes, then histogram percentiles —
-    the same numbers ``repro metrics`` prints after a simulated run.
+    Counters first, then sketch percentiles (in the run's native clock),
+    then per-core utilization — the numbers ``repro metrics`` prints after
+    a simulated run.
     """
-    summary = registry.summary()
     lines = ["Scheduler metrics"]
-    if summary["counters"]:
+    if snapshot["counters"]:
         lines.append("  counters:")
-        for name, value in summary["counters"].items():
+        for name, value in snapshot["counters"].items():
             lines.append(f"    {name:<28} {value:>12}")
-    if summary["gauges"]:
-        lines.append("  gauges (last/min/max):")
-        for name, g in summary["gauges"].items():
-            lines.append(
-                f"    {name:<28} {g['value']:>12g} {g['min']:>10g} {g['max']:>10g}"
-            )
-    if summary["histograms"]:
-        lines.append("  histograms (count/mean/p50/p90/p99/max):")
-        for name, h in summary["histograms"].items():
+    if snapshot["sketches"]:
+        lines.append(
+            f"  sketches in {snapshot['clock']} (count/mean/p50/p90/p99/max):"
+        )
+        for name, h in snapshot["sketches"].items():
             if h["count"] == 0:
                 lines.append(f"    {name:<28} (empty)")
                 continue
@@ -126,6 +123,10 @@ def format_metrics(registry) -> str:
                 f"{h['p50']:>10.3g} {h['p90']:>10.3g} {h['p99']:>10.3g} "
                 f"{h['max']:>10.3g}"
             )
+    utilization = snapshot["per_core_utilization"]
+    if utilization:
+        cores = " ".join(f"{u:.2f}" for u in utilization)
+        lines.append(f"  per-core utilization: {cores}")
     return "\n".join(lines)
 
 

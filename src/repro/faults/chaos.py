@@ -388,12 +388,7 @@ def _run_runtime(scenario: ChaosScenario) -> tuple:
     One runner for every :func:`~repro.sched.make_runtime` backend.
     On ``multiprocess`` the WORKER_DEATH faults SIGKILL real pool
     processes, so the run proves orphan reclamation and bounded retry
-    against genuine process loss; its attached SLO engine also opts the
-    workers into local telemetry sketching, and the report then carries an
-    ``mp_merge_check`` comparing the parent-merged payload-bits sketch
-    against a serial reference built from the delivered results (they must
-    agree exactly — bucket-level merge, retries counted once, killed
-    workers never reply).
+    against genuine process loss.
     """
     from ..obs.invariants import SchedulerInvariantChecker
     from ..obs.slo import SLOEngine
@@ -477,37 +472,7 @@ def _run_runtime(scenario: ChaosScenario) -> tuple:
         # dispatch count depends on interleaving) even though terminal
         # states are not.
         fingerprint["supervisor"] = runtime.supervisor.summary()
-    slo = engine.slo_report()
-    merged = engine.telemetry.sketches.get("mp_user_payload_bits")
-    if merged is not None:
-        slo["mp_merge_check"] = _merge_check(engine, merged, results)
-    return fingerprint, runtime.ledger, checker, slo
-
-
-def _merge_check(engine, merged, results) -> dict:
-    """Worker-merged payload-bits sketch vs. one built from ``results``."""
-    from ..obs.telemetry import QuantileSketch
-
-    reference = QuantileSketch(relative_accuracy=engine.relative_accuracy)
-    for result in results:
-        for user in result.user_results:
-            reference.observe(float(user.payload.size))
-    quantiles = (0.0, 0.5, 0.9, 0.99, 1.0)
-    return {
-        "merged_count": merged.count,
-        "reference_count": reference.count,
-        "merged_quantiles": {str(q): merged.quantile(q) for q in quantiles},
-        "reference_quantiles": {
-            str(q): reference.quantile(q) for q in quantiles
-        },
-        "exact": bool(
-            merged.count == reference.count
-            and all(
-                merged.quantile(q) == reference.quantile(q)
-                for q in quantiles
-            )
-        ),
-    }
+    return fingerprint, runtime.ledger, checker, engine.slo_report()
 
 
 _RUNNERS = {

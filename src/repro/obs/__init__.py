@@ -1,35 +1,25 @@
-"""Observability and correctness tooling for both execution backends.
+"""Observability and correctness tooling for every execution backend.
 
-Structured event tracing (``events``/``recorder``), scheduler metrics
-(``metrics``), hierarchical profiling spans with per-kernel breakdowns
-(``profiling``), Chrome ``trace_event``/Perfetto timeline export
-(``timeline``), and gem5-style runtime invariant checking (``invariants``)
-over :class:`repro.sim.machine.MachineSimulator` and
-:class:`repro.sched.threaded.ThreadedRuntime`. Attach observers via the
-``observers=`` constructor argument of either backend; set
-``REPRO_INVARIANTS=1`` to auto-attach a strict
-:class:`SchedulerInvariantChecker` to every simulator run. See
-``docs/observability.md`` for the event schema and CLI usage
-(``repro trace`` / ``repro metrics`` / ``repro top``).
+Structured event tracing (``events``/``recorder``); the one fold of the
+event stream into bounded, mergeable aggregates (``telemetry``:
+:class:`TelemetryCollector`), read as per-kernel profiling breakdowns
+(``profiling``: :class:`Profiler`), SLO burn rates (``slo``), the live
+dashboard (``dashboard``) and the Prometheus exposition (``prometheus``);
+Chrome ``trace_event``/Perfetto timeline export (``timeline``); and
+gem5-style runtime invariant checking (``invariants``) over
+:class:`repro.sim.machine.MachineSimulator` and the
+:mod:`repro.sched` runtimes. Attach observers via the ``observers=``
+constructor argument of any backend; set ``REPRO_INVARIANTS=1`` to
+auto-attach a strict :class:`SchedulerInvariantChecker` to every
+simulator run. See ``docs/observability.md`` for the event schema and CLI
+usage (``repro trace`` / ``repro metrics`` / ``repro top``).
 """
 
 from .events import Event, EventKind
 from .recorder import EventRecorder, read_jsonl
-from .telemetry import (
-    EwmaRate,
-    QuantileSketch,
-    TelemetryCollector,
-    WindowRing,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsCollector,
-    MetricsRegistry,
-)
+from .telemetry import QuantileSketch, TelemetryCollector, WindowRing
 from .invariants import InvariantViolation, SchedulerInvariantChecker
-from .profiling import KernelStats, Profiler, Span
+from .profiling import Profiler, Span
 from .slo import SLOEngine, SLOTarget, default_targets
 from .dashboard import TraceTailer, render_dashboard, sparkline
 from .prometheus import parse_prometheus, render_prometheus
@@ -40,17 +30,10 @@ from .timeline import (
 )
 
 __all__ = [
-    "Counter",
     "Event",
     "EventKind",
     "EventRecorder",
-    "EwmaRate",
-    "Gauge",
-    "Histogram",
     "InvariantViolation",
-    "KernelStats",
-    "MetricsCollector",
-    "MetricsRegistry",
     "Profiler",
     "QuantileSketch",
     "SLOEngine",

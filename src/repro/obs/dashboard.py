@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import IO, Any
 
-from .events import Event, EventKind
+from .events import Event, EventKind, split_record
 from .slo import SLOEngine
 from .telemetry import TelemetryCollector
 
@@ -285,14 +285,11 @@ class TraceTailer:
         if not isinstance(record, dict):
             return False
         try:
-            kind = EventKind(record["kind"])
-        except (KeyError, ValueError):
+            name, t, core, data = split_record(record)
+            kind = EventKind(name)
+        except (TypeError, ValueError):
             return False
-        data = {
-            k: v for k, v in record.items() if k not in ("kind", "t", "core")
-        }
-        event = Event(kind, record.get("t", 0), record.get("core", -1), data)
-        self.observer(event)
+        self.observer(Event(kind, t, core, data))
         return True
 
     def snapshot(self) -> dict:

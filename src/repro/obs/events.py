@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Event", "EventKind"]
+__all__ = ["Event", "EventKind", "split_record"]
 
 
 class EventKind(str, enum.Enum):
@@ -135,3 +135,24 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Event({self.kind.value}, t={self.t}, core={self.core}, {self.data})"
+
+
+_HEADER = ("kind", "t", "core")
+
+
+def split_record(record: Event | dict) -> tuple[str, int, int, dict]:
+    """``(kind, t, core, payload)`` of a live :class:`Event` or of one
+    JSONL record (the flat dict :meth:`Event.to_dict` writes).
+
+    ``kind`` stays a string, so a record of a kind this build does not
+    know is split like any other; each reader decides what to do with it.
+    """
+    if isinstance(record, Event):
+        return record.kind.value, record.t, record.core, record.data or {}
+    payload = {k: v for k, v in record.items() if k not in _HEADER}
+    return (
+        str(record.get("kind", "?")),
+        int(record.get("t", 0)),
+        int(record.get("core", -1)),
+        payload,
+    )

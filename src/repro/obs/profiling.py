@@ -2,38 +2,35 @@
 
 The paper's argument rests on knowing where cycles go: per-kernel costs
 feed the k_LM estimator (Eqs. 1-4) and per-subframe occupancy feeds the
-NAP/PowerGating policies (Eqs. 5-9). The :class:`Profiler` observer folds
-the structured event stream of either backend into that hierarchy:
+NAP/PowerGating policies (Eqs. 5-9). :class:`Profiler` reports that
+hierarchy from the one fold of the event stream — it *is* a
+:class:`~repro.obs.telemetry.TelemetryCollector` — and can keep every
+closed :class:`Span`:
 
 * **kernel spans** — one per executed task, attributed to the Fig. 5
   kernel carried in the ``kernel`` payload field (``chest``, ``combiner``,
   ``symbol``, ``finalize``); durations are simulated cycles on
   :class:`~repro.sim.machine.MachineSimulator` and wall nanoseconds on
-  :class:`~repro.sched.threaded.ThreadedRuntime`. The threaded runtime
-  additionally emits join-level ``span-begin``/``span-end`` events around
-  each stage (fork to join on the user thread), aggregated separately so
-  task time and stage wait time are not conflated;
+  the runtimes. The threaded and multiprocess runtimes additionally emit
+  join-level ``span-begin``/``span-end`` events around each stage,
+  aggregated separately so task time and stage wait time are not
+  conflated;
 * **user spans** — ``user-start`` to ``user-finish``;
-* **subframe spans** — dispatch to last user completion, with a
-  deadline-slack histogram against DELTA (one subframe period).
+* **subframe spans** — dispatch to the subframe's terminal event, scored
+  against the fold's deadline (DELTA, one subframe period).
 
 Durations stay in the backend's native clock; callers convert via
 ``clock_hz`` (bound automatically from the simulator in ``on_run_start``).
-Like the other bundled observers, concurrent calls from worker threads
-are safe under the GIL (plain list/dict updates).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from ..uplink.tasks import KERNEL_KINDS
-from .events import EventKind
-from .metrics import MetricsRegistry
+from .telemetry import TelemetryCollector
 
-__all__ = ["KernelStats", "Profiler", "Span"]
+__all__ = ["Profiler", "Span"]
 
 
 class Span:
@@ -62,22 +59,6 @@ class Span:
         self.end = end
         self.data = data
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.begin
-
-    def to_dict(self) -> dict:
-        record = {
-            "name": self.name,
-            "cat": self.cat,
-            "core": self.core,
-            "begin": int(self.begin),
-            "end": int(self.end),
-        }
-        if self.data:
-            record.update(self.data)
-        return record
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.cat}/{self.name}, core={self.core}, "
@@ -85,272 +66,109 @@ class Span:
         )
 
 
-class KernelStats:
-    """Accumulated time of one kernel (native clock units)."""
-
-    __slots__ = ("name", "count", "total", "stolen")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0
-        self.stolen = 0
-
-    def add(self, duration: int, stolen: bool = False) -> None:
-        self.count += 1
-        self.total += int(duration)
-        if stolen:
-            self.stolen += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total": int(self.total),
-            "mean": self.mean,
-            "stolen": self.stolen,
-        }
-
-
-def _ordered_kernels(stats: dict[str, KernelStats]) -> list[KernelStats]:
-    """Fig. 5 stage order first, then any extra attribution keys."""
-    ordered = [stats[k] for k in KERNEL_KINDS if k in stats]
-    ordered.extend(
-        stats[name] for name in sorted(stats) if name not in KERNEL_KINDS
-    )
-    return ordered
-
-
-class Profiler:
-    """Observer that builds the span hierarchy and per-kernel breakdowns.
+class Profiler(TelemetryCollector):
+    """The fold, read as per-kernel breakdowns, plus the optional spans.
 
     Parameters
     ----------
-    registry:
-        Optional shared :class:`~repro.obs.metrics.MetricsRegistry`; the
-        profiler feeds per-kernel histograms (``kernel_<name>``), the
-        ``user_span`` / ``subframe_span`` / ``deadline_slack`` histograms,
-        and the ``deadline_misses`` / ``subframes_completed`` counters.
     keep_spans:
         Retain every closed :class:`Span` in ``spans`` (default). Disable
         for long runs where only the aggregates matter.
     deadline:
         Per-subframe deadline in native clock units. Bound automatically
         to DELTA (one subframe period in cycles) when attached to a
-        :class:`~repro.sim.machine.MachineSimulator`; pass
-        ``5e-3 * 1e9`` ns explicitly for the threaded runtime.
+        :class:`~repro.sim.machine.MachineSimulator`; 5 ms in
+        nanoseconds otherwise.
     """
 
     def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        keep_spans: bool = True,
-        deadline: float | None = None,
+        self, keep_spans: bool = True, deadline: float | None = None
     ) -> None:
-        self.registry = registry or MetricsRegistry()
+        super().__init__(deadline=deadline)
         self.keep_spans = keep_spans
-        self.deadline = deadline
-        self.clock_hz: float | None = None
         self.spans: list[Span] = []
-        #: Task-level kernel attribution (both backends).
-        self.kernels: dict[str, KernelStats] = {}
-        #: Join-level (fork-to-join) kernel attribution from span events.
-        self.span_kernels: dict[str, KernelStats] = {}
-        #: Core -> OS pid, populated when events carry a ``process_id``
-        #: payload (multiprocess runtime); empty for sim/threaded runs.
-        self.process_ids: dict[int, int] = {}
-        self.per_core_utilization: list[float] = []
-        self._open_tasks: dict[int, tuple[int, str | None, bool]] = {}
-        self._span_stack: dict[int, list[tuple[str, int, dict]]] = {}
-        self._open_users: dict[tuple[int, int], tuple[int, int]] = {}
-        self._sf_begin: dict[int, int] = {}
-        self._busy: np.ndarray | None = None
-        # Hot-path handle cache: kernel name -> histogram (skips the
-        # f-string + registry lookup on every task/span close).
-        self._kernel_hists: dict[str, Any] = {}
-        self._span_hists: dict[str, Any] = {}
 
-    # ------------------------------------------------------------ observer
-    def on_run_start(self, sim: Any) -> None:
-        self.clock_hz = sim.machine.clock_hz
-        if self.deadline is None:
-            self.deadline = float(sim.machine.subframe_period_cycles)
-        self._busy = np.zeros(sim.machine.num_workers, dtype=np.int64)
-        self.per_core_utilization = []
-
-    def __call__(self, event: Any) -> None:
-        kind = event.kind
-        data = event.data or {}
-        if event.core >= 0 and "process_id" in data:
-            self.process_ids[event.core] = int(data["process_id"])
-        if kind is EventKind.TASK_START:
-            self._open_tasks[event.core] = (
-                event.t,
-                data.get("kernel"),
-                bool(data.get("stolen")),
+    # ------------------------------------------------------------ closers
+    def _task_finish(self, event: Any, data: dict) -> float | None:
+        duration = super()._task_finish(event, data)
+        if duration is not None and self.keep_spans:
+            self.spans.append(
+                Span(data.get("kernel") or "task", "task", event.core,
+                     event.t - duration, event.t,
+                     {"stolen": bool(data.get("stolen"))})
             )
-        elif kind is EventKind.TASK_FINISH:
-            self._close_task(event, data)
-        elif kind is EventKind.SPAN_BEGIN:
-            stack = self._span_stack.setdefault(event.core, [])
-            stack.append((data.get("name", "?"), event.t, data))
-        elif kind is EventKind.SPAN_END:
-            self._close_span(event, data)
-        elif kind is EventKind.USER_START:
-            key = (data.get("subframe", -1), data.get("user", -1))
-            self._open_users[key] = (event.t, event.core)
-        elif kind is EventKind.USER_FINISH:
-            self._close_user(event, data)
-        elif kind is EventKind.DISPATCH:
-            self._sf_begin[data.get("subframe", -1)] = event.t
+        return duration
 
-    def on_run_end(self, sim: Any, result: Any) -> None:
-        horizon = getattr(sim, "_horizon", 0)
-        if self._busy is not None and horizon > 0:
-            self.per_core_utilization = (self._busy / horizon).tolist()
-            hist = self.registry.histogram("core_utilization")
-            for value in self.per_core_utilization:
-                hist.observe(value)
-
-    # ------------------------------------------------------------- closers
-    def _record(self, span: Span) -> None:
-        if self.keep_spans:
-            self.spans.append(span)
-
-    def _close_task(self, event: Any, data: dict) -> None:
-        opened = self._open_tasks.pop(event.core, None)
-        kernel = data.get("kernel")
-        stolen = bool(data.get("stolen"))
-        if "cycles" in data:
-            duration = int(data["cycles"])
-            begin = event.t - duration
-        elif opened is not None:
-            begin, opened_kernel, opened_stolen = opened
-            duration = event.t - begin
-            kernel = kernel or opened_kernel
-            stolen = stolen or opened_stolen
-        else:
-            return  # finish with no start (ring-buffer tail): unattributable
-        name = kernel or "task"
-        stats = self.kernels.get(name)
-        if stats is None:
-            stats = self.kernels[name] = KernelStats(name)
-        stats.add(duration, stolen)
-        hist = self._kernel_hists.get(name)
-        if hist is None:
-            hist = self._kernel_hists[name] = self.registry.histogram(
-                f"kernel_{name}"
+    def _span_end(self, event: Any, data: dict) -> tuple | None:
+        opened = super()._span_end(event, data)
+        if opened is not None and self.keep_spans:
+            name, begin, begin_data = opened
+            self.spans.append(
+                Span(name, "kernel", event.core, begin, event.t, begin_data)
             )
-        hist.observe(duration)
-        if self._busy is not None and event.core >= 0:
-            self._busy[event.core] += duration
-        if self.keep_spans:
-            self._record(
-                Span(name, "task", event.core, begin, event.t,
-                     {"stolen": stolen})
-            )
+        return opened
 
-    def _close_span(self, event: Any, data: dict) -> None:
-        name = data.get("name", "?")
-        stack = self._span_stack.get(event.core)
-        if not stack:
-            return
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i][0] == name:
-                _, begin, begin_data = stack.pop(i)
-                break
-        else:
-            return  # unmatched end: dropped begin (ring buffer) — skip
-        cat = data.get("cat") or begin_data.get("cat") or "kernel"
-        if self.keep_spans:
-            self._record(
-                Span(name, cat, event.core, begin, event.t, begin_data)
-            )
-        if cat == "kernel":
-            stats = self.span_kernels.get(name)
-            if stats is None:
-                stats = self.span_kernels[name] = KernelStats(name)
-            stats.add(event.t - begin)
-            hist = self._span_hists.get(name)
-            if hist is None:
-                hist = self._span_hists[name] = self.registry.histogram(
-                    f"span_{name}"
-                )
-            hist.observe(event.t - begin)
-        elif cat == "subframe":
-            self._close_subframe(data.get("subframe", -1), event.t)
-
-    def _close_user(self, event: Any, data: dict) -> None:
-        subframe = data.get("subframe", -1)
-        key = (subframe, data.get("user", -1))
-        opened = self._open_users.pop(key, None)
-        if opened is not None:
+    def _user_finish(self, event: Any, data: dict) -> tuple | None:
+        opened = super()._user_finish(event, data)
+        if opened is not None and self.keep_spans:
             begin, core = opened
-            self.registry.histogram("user_span").observe(event.t - begin)
-            if self.keep_spans:
-                self._record(
-                    Span(f"user {key[1]}", "user", core, begin, event.t, data)
-                )
-        # The simulator marks subframe completion on the last user out
-        # (the threaded runtime emits an explicit subframe span-end).
-        if data.get("pending") == 0:
-            self._close_subframe(subframe, event.t)
-
-    def _close_subframe(self, subframe: int, end: int) -> None:
-        begin = self._sf_begin.pop(subframe, None)
-        if begin is None:
-            return
-        duration = end - begin
-        self.registry.counter("subframes_completed").inc()
-        self.registry.histogram("subframe_span").observe(duration)
-        if self.keep_spans:
-            self._record(
-                Span(f"subframe {subframe}", "subframe", -1, begin, end)
+            self.spans.append(
+                Span(f"user {data.get('user', -1)}", "user", core, begin,
+                     event.t, data)
             )
-        if self.deadline is not None:
-            slack = self.deadline - duration
-            self.registry.histogram("deadline_slack").observe(slack)
-            if slack < 0:
-                self.registry.counter("deadline_misses").inc()
+        return opened
+
+    def _terminal(self, event: Any, data: dict) -> float | None:
+        begin = super()._terminal(event, data)
+        if begin is not None and self.keep_spans:
+            self.spans.append(
+                Span(f"subframe {data.get('subframe', -1)}", "subframe", -1,
+                     begin, event.t)
+            )
+        return begin
 
     # -------------------------------------------------------------- report
     def kernel_breakdown(self, source: str = "tasks") -> dict[str, dict]:
         """Per-kernel totals in Fig. 5 stage order.
 
         ``source="tasks"`` (default) is the task-level attribution that
-        exists on both backends; ``source="spans"`` is the join-level
-        view from the threaded runtime's stage spans. Each entry carries
+        exists on every backend; ``source="spans"`` is the join-level
+        view from the runtimes' stage spans. Each entry carries
         ``count``/``total``/``mean``/``stolen`` plus ``share`` of the
         summed total.
         """
-        stats = self.kernels if source == "tasks" else self.span_kernels
-        ordered = _ordered_kernels(stats)
-        grand = sum(s.total for s in ordered)
-        return {
-            s.name: {**s.to_dict(), "share": s.total / grand if grand else 0.0}
-            for s in ordered
+        prefix = "kernel_" if source == "tasks" else "span_"
+        stats = {
+            name[len(prefix):]: sketch
+            for name, sketch in self.sketches.items()
+            if name.startswith(prefix)
         }
-
-    def deadline_miss_rate(self) -> float:
-        """Fraction of completed subframes that exceeded the deadline."""
-        completed = self.registry.counter("subframes_completed").value
-        if not completed:
-            return 0.0
-        return self.registry.counter("deadline_misses").value / completed
+        order = [k for k in KERNEL_KINDS if k in stats]
+        order += sorted(k for k in stats if k not in KERNEL_KINDS)
+        grand = sum(stats[k].sum for k in order)
+        return {
+            k: {
+                "count": stats[k].count,
+                "total": stats[k].sum,
+                "mean": stats[k].mean(),
+                "stolen": (
+                    self.counters.get("stolen_" + k, 0)
+                    if source == "tasks"
+                    else 0
+                ),
+                "share": stats[k].sum / grand if grand else 0.0,
+            }
+            for k in order
+        }
 
     def summary(self) -> dict:
         """Nested plain-data summary (JSON-serializable)."""
         return {
             "clock_hz": self.clock_hz,
-            "deadline": self.deadline,
+            "deadline": self._deadline(),
             "kernels": self.kernel_breakdown("tasks"),
             "span_kernels": self.kernel_breakdown("spans"),
-            "subframes_completed": self.registry.counter(
-                "subframes_completed"
-            ).value,
+            "subframes_completed": self.counters.get("subframes", 0),
             "deadline_miss_rate": self.deadline_miss_rate(),
             "per_core_utilization": list(self.per_core_utilization),
             "process_ids": dict(sorted(self.process_ids.items())),

@@ -143,14 +143,11 @@ class SLOEngine:
                 self.evaluate(event.t)
 
     def on_run_end(self, sim: Any, result: Any) -> None:
+        self.telemetry.on_run_end(sim, result)
         self.evaluate(self.telemetry._last_t)
 
-    @property
-    def relative_accuracy(self) -> float:
-        return self.telemetry.relative_accuracy
-
     def merge_shard(self, shard: dict) -> None:
-        """Forward a multiprocess worker shard to the wrapped collector."""
+        """Forward a checkpoint's telemetry cut to the wrapped collector."""
         self.telemetry.merge_shard(shard)
 
     # --------------------------------------------------------- evaluation

@@ -1,33 +1,25 @@
-"""Bounded, mergeable streaming telemetry over the event stream.
+"""The one fold of the event stream: bounded, mergeable aggregates.
 
-The paper tells its whole power-management story through *windowed* time
-series — 100 ms RMS power windows, per-subframe deadline slack, activity
-per DELTA (Figs. 13-16) — while the original metrics layer buffered every
-observation and summarized once at exit. This module provides the
-streaming substrate:
+The paper's power-management argument rests on one set of aggregates:
+per-kernel cycles feed the k_LM estimator (Eqs. 1-4) and per-window busy
+time feeds the 100 ms power series (Figs. 13-16). :class:`TelemetryCollector`
+is the only observer that folds events into them; the profiler
+(:class:`~repro.obs.profiling.Profiler` is a subclass), the SLO engine,
+``repro metrics`` and ``repro top`` read it. Its building blocks:
 
 * :class:`QuantileSketch` — a DDSketch-style log-bucketed quantile sketch
   with a documented *relative* accuracy guarantee, bounded memory, and an
   **exact merge**: merging two sketches built from disjoint observation
-  sets yields bucket-for-bucket the sketch of the union (so multiprocess
-  workers can sketch locally and the parent merge losslessly);
-* :class:`EwmaRate` — exponentially-weighted event rates;
+  sets yields bucket-for-bucket the sketch of the union (a checkpoint's
+  telemetry cut merges into a resumed run losslessly);
 * :class:`WindowRing` — fixed-width time windows (the paper's 100 ms RMS
-  cadence) holding count/sum/min/max per window in a bounded ring;
-* :class:`TelemetryCollector` — an observer for any event-emitting
-  backend that folds the stream into sketches and rings live: subframe
-  latency, deadline slack, per-kernel durations, shed/retry/fault/abort
-  counts, and a per-window busy-time series that
-  :meth:`TelemetryCollector.power_windows` converts into the paper's
-  windowed power estimate via
-  :func:`repro.power.model.power_from_busy_fraction`.
+  cadence) holding count/sum/min/max per window in a bounded ring.
 
 Timestamps stay in the emitting backend's native clock (simulator cycles
 or ``monotonic_ns``); ``window`` and ``deadline`` are bound automatically
 from the simulator in ``on_run_start`` and default to the paper's 100 ms
-window / 5 ms DELTA in nanoseconds otherwise. Like the other bundled
-observers, concurrent calls from worker threads are safe under the GIL
-(plain list/dict updates).
+window / 5 ms DELTA in nanoseconds otherwise. Concurrent calls from worker
+threads are safe under the GIL (plain list/dict updates).
 """
 
 from __future__ import annotations
@@ -42,7 +34,6 @@ __all__ = [
     "DEFAULT_RELATIVE_ACCURACY",
     "DEFAULT_WINDOW_NS",
     "DEFAULT_DEADLINE_NS",
-    "EwmaRate",
     "QuantileSketch",
     "TelemetryCollector",
     "WindowRing",
@@ -209,10 +200,6 @@ class QuantileSketch:
                 return min(max(self._bucket_value(key), self._min), self._max)
         return self._max
 
-    def percentile(self, p: float) -> float:
-        """Value at percentile ``p`` in [0, 100] (see :meth:`quantile`)."""
-        return self.quantile(p / 100.0)
-
     # -------------------------------------------------------------- merge
     def merge(self, other: QuantileSketch) -> None:
         """Fold ``other`` into this sketch (exact: bucket counts add)."""
@@ -281,42 +268,6 @@ class QuantileSketch:
             "p99": self.quantile(0.99),
             "max": self.max,
         }
-
-
-class EwmaRate:
-    """Exponentially-weighted event rate in the native clock.
-
-    ``observe(t, n)`` decays the running level with half-life
-    ``halflife`` (native clock units) and adds ``n``;
-    :meth:`rate` converts the level to events per native unit
-    (``level * ln 2 / halflife``), optionally decayed to ``now``.
-    """
-
-    __slots__ = ("halflife", "_level", "_t")
-
-    def __init__(self, halflife: float) -> None:
-        if halflife <= 0:
-            raise ValueError("halflife must be positive")
-        self.halflife = float(halflife)
-        self._level = 0.0
-        self._t: float | None = None
-
-    def observe(self, t: float, count: float = 1.0) -> None:
-        if self._t is None:
-            self._level = count
-        else:
-            dt = max(0.0, t - self._t)
-            self._level = self._level * 0.5 ** (dt / self.halflife) + count
-        self._t = t
-
-    def rate(self, now: float | None = None) -> float:
-        """Events per native clock unit (0.0 before any observation)."""
-        if self._t is None:
-            return 0.0
-        level = self._level
-        if now is not None and now > self._t:
-            level *= 0.5 ** ((now - self._t) / self.halflife)
-        return level * math.log(2.0) / self.halflife
 
 
 class WindowRing:
@@ -401,26 +352,34 @@ class WindowRing:
 
 
 class TelemetryCollector:
-    """Observer folding the event stream into streaming aggregates.
+    """The one observer folding the event stream into aggregates.
 
     Works on every event-emitting backend: bound to a
     :class:`~repro.sim.machine.MachineSimulator` run it adopts the
     simulated clock (cycles; window = 0.1 s, deadline = DELTA); on the
-    threaded/multiprocess runtimes timestamps are ``monotonic_ns`` and
-    the defaults are the paper's 100 ms window and 5 ms deadline.
+    runtimes timestamps are ``monotonic_ns`` and the defaults are the
+    paper's 100 ms window and 5 ms deadline.
 
-    Maintains:
+    Every subframe ends at its ``SUBFRAME_TERMINAL``: its latency is
+    measured from its ``DISPATCH`` and scored against ``deadline``. The
+    fold keeps:
 
     * sketches — ``subframe_latency``, ``deadline_slack`` (negative on
-      misses), and ``kernel_<name>`` durations;
+      misses), per-kernel task durations ``kernel_<name>`` (a task with no
+      kernel counts as ``task``), join-level stage durations
+      ``span_<name>`` from ``SPAN_BEGIN``/``SPAN_END``, ``user_span``,
+      ``steal_wait``, ``dispatch_queue_depth``, ``governor_target`` and,
+      in serve, ``arrival_lag``;
+    * counters — subframes, deadline misses, tasks, ``stolen_<kernel>``,
+      steals, wake checks and hits, ``transitions_to_<state>``, and the
+      shed/retry/fault/abort/backpressure/respawn counts;
     * rings — per-window subframe latency, deadline misses, dispatched
       users, shed/retry/fault/abort counts, and busy time (the basis of
       :meth:`power_windows`);
-    * counters and EWMA rates for subframe completions and misses.
+    * per-core busy time, and per-core utilization at ``on_run_end``.
 
-    ``merge_shard`` folds a multiprocess worker's locally-built sketch
-    shard in (exact merge); the multiprocess runtime calls it
-    automatically for any attached observer exposing the method.
+    ``merge_shard`` folds a checkpoint's telemetry cut back in (exact
+    sketch merge) when serve resumes.
     """
 
     def __init__(
@@ -428,27 +387,24 @@ class TelemetryCollector:
         window: float | None = None,
         deadline: float | None = None,
         workers: int | None = None,
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-        ring_windows: int = 64,
-        power_params: Any = None,
     ) -> None:
         self.window = window
         self.deadline = deadline
         self.workers = workers
-        self.relative_accuracy = relative_accuracy
-        self.ring_windows = ring_windows
-        self.power_params = power_params
         self.clock: str = "ns"
         self.clock_hz: float | None = None
         self.sketches: dict[str, QuantileSketch] = {}
         self.counters: dict[str, int] = {}
-        self.rates: dict[str, EwmaRate] = {}
         self.rings: dict[str, WindowRing] = {}
         self.terminal_counts: dict[str, int] = {}
         self.process_ids: dict[int, int] = {}
         self.core_busy: dict[int, float] = {}
+        #: Busy fraction of the run horizon per worker (simulator runs).
+        self.per_core_utilization: list[float] = []
         self._sf_begin: dict[int, float] = {}
         self._open_tasks: dict[int, float] = {}
+        self._open_spans: dict[int, list[tuple[str, float, dict]]] = {}
+        self._open_users: dict[tuple[int, int], tuple[float, int]] = {}
         self._last_t: float = 0.0
         #: Serve-wide admission load factor from the last DEGRADE/RECOVER
         #: event (1.0 = full admission; see ``repro.serve.overload``).
@@ -458,25 +414,14 @@ class TelemetryCollector:
     def sketch(self, name: str) -> QuantileSketch:
         sketch = self.sketches.get(name)
         if sketch is None:
-            sketch = self.sketches[name] = QuantileSketch(
-                self.relative_accuracy
-            )
+            sketch = self.sketches[name] = QuantileSketch()
         return sketch
 
     def ring(self, name: str) -> WindowRing:
         ring = self.rings.get(name)
         if ring is None:
-            ring = self.rings[name] = WindowRing(
-                self._window(), self.ring_windows
-            )
+            ring = self.rings[name] = WindowRing(self._window())
         return ring
-
-    def rate(self, name: str) -> EwmaRate:
-        rate = self.rates.get(name)
-        if rate is None:
-            # Half-life of one window: "recent" means the current window.
-            rate = self.rates[name] = EwmaRate(self._window())
-        return rate
 
     def _count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
@@ -503,6 +448,15 @@ class TelemetryCollector:
         if self.workers is None:
             self.workers = machine.num_workers
 
+    def on_run_end(self, sim: Any, result: Any) -> None:
+        horizon = getattr(sim, "_horizon", 0)
+        if horizon > 0:
+            busy = self.core_busy
+            self.per_core_utilization = [
+                busy.get(core, 0.0) / horizon
+                for core in range(sim.machine.num_workers)
+            ]
+
     def __call__(self, event: Any) -> None:
         kind = event.kind
         t = event.t
@@ -510,6 +464,7 @@ class TelemetryCollector:
         data = event.data or {}
         if event.core >= 0 and "process_id" in data:
             self.process_ids[event.core] = int(data["process_id"])
+        # The kinds serve emits come first: they are its hot path.
         if kind is EventKind.TASK_START:
             self._open_tasks[event.core] = t
         elif kind is EventKind.TASK_FINISH:
@@ -517,8 +472,15 @@ class TelemetryCollector:
         elif kind is EventKind.DISPATCH:
             self._sf_begin[data.get("subframe", -1)] = t
             self.ring("users").add(t, data.get("users", 0))
+            depth = data.get("queue_depth")
+            if depth is not None:
+                self.sketch("dispatch_queue_depth").observe(depth)
         elif kind is EventKind.SUBFRAME_TERMINAL:
             self._terminal(event, data)
+        elif kind is EventKind.ARRIVAL:
+            self._count("arrivals")
+            self.sketch("arrival_lag").observe(float(data.get("lag_ns", 0)))
+            self.ring("queue_depth").add(t, float(data.get("queue_depth", 0)))
         elif kind is EventKind.SHED:
             shed = data.get("users", 0)
             self._count("shed_users", shed)
@@ -532,10 +494,6 @@ class TelemetryCollector:
         elif kind is EventKind.USER_ABORTED:
             self._count("aborted_users")
             self.ring("aborted_users").add(t)
-        elif kind is EventKind.ARRIVAL:
-            self._count("arrivals")
-            self.sketch("arrival_lag").observe(float(data.get("lag_ns", 0)))
-            self.ring("queue_depth").add(t, float(data.get("queue_depth", 0)))
         elif kind is EventKind.BACKPRESSURE:
             # A backpressure drop is shedding too: fold its users into the
             # shed accounting so the shed-rate SLO reflects *all* load the
@@ -555,8 +513,38 @@ class TelemetryCollector:
         elif kind is EventKind.WORKER_RESPAWN:
             self._count("respawns")
             self.ring("respawns").add(t)
+        elif kind is EventKind.SPAN_BEGIN:
+            # Only stage spans are folded; a subframe's span ends at its
+            # terminal event, like every other subframe.
+            if data.get("cat", "kernel") == "kernel":
+                self._open_spans.setdefault(event.core, []).append(
+                    (data.get("name", "?"), t, data)
+                )
+        elif kind is EventKind.SPAN_END:
+            self._span_end(event, data)
+        elif kind is EventKind.USER_START:
+            key = (data.get("subframe", -1), data.get("user", -1))
+            self._open_users[key] = (t, event.core)
+        elif kind is EventKind.USER_FINISH:
+            self._user_finish(event, data)
+        elif kind is EventKind.STATE_TRANSITION:
+            self._count("transitions_to_" + str(data.get("to", "?")))
+        elif kind is EventKind.STEAL:
+            self._count("steals")
+            if "wait" in data:
+                self.sketch("steal_wait").observe(data["wait"])
+        elif kind is EventKind.WAKE_CHECK:
+            self._count("wake_checks")
+            if data.get("took_work"):
+                self._count("wake_hits")
+        elif kind is EventKind.GOVERNOR:
+            self.sketch("governor_target").observe(data.get("target", 0))
 
-    def _task_finish(self, event: Any, data: dict) -> None:
+    # The closers below return what they closed (``None`` for an unpaired
+    # end, e.g. the tail of a ring-buffered trace) so a subclass can keep
+    # the span.
+    def _task_finish(self, event: Any, data: dict) -> float | None:
+        """Fold one task; returns its duration."""
         # Hottest handler (one call per task per kernel stage): dict
         # operations are inlined rather than routed through the lazy
         # sketch()/ring()/_count() factories.
@@ -566,17 +554,19 @@ class TelemetryCollector:
         else:
             begin = self._open_tasks.pop(event.core, None)
             if begin is None:
-                return
+                return None
             duration = float(event.t - begin)
         counters = self.counters
         counters["tasks"] = counters.get("tasks", 0) + 1
-        kernel = data.get("kernel")
-        if kernel:
-            name = "kernel_" + kernel
-            sketch = self.sketches.get(name)
-            if sketch is None:
-                sketch = self.sketch(name)
-            sketch.observe(duration)
+        kernel = data.get("kernel") or "task"
+        name = "kernel_" + kernel
+        sketch = self.sketches.get(name)
+        if sketch is None:
+            sketch = self.sketch(name)
+        sketch.observe(duration)
+        if data.get("stolen"):
+            name = "stolen_" + kernel
+            counters[name] = counters.get(name, 0) + 1
         ring = self.rings.get("busy")
         if ring is None:
             ring = self.ring("busy")
@@ -585,27 +575,42 @@ class TelemetryCollector:
         if core >= 0:
             busy = self.core_busy
             busy[core] = busy.get(core, 0.0) + duration
+        return duration
 
-    def _terminal(self, event: Any, data: dict) -> None:
+    def _span_end(self, event: Any, data: dict) -> tuple | None:
+        """Fold one stage span; returns its ``(name, begin, begin_data)``."""
+        stack = self._open_spans.get(event.core)
+        if not stack:
+            return None
+        name = data.get("name", "?")
+        for i in range(len(stack) - 1, -1, -1):
+            if stack[i][0] == name:
+                opened = stack.pop(i)
+                break
+        else:
+            return None
+        self.sketch("span_" + name).observe(float(event.t - opened[1]))
+        return opened
+
+    def _user_finish(self, event: Any, data: dict) -> tuple | None:
+        """Fold one user span; returns its ``(begin, core)``."""
+        key = (data.get("subframe", -1), data.get("user", -1))
+        opened = self._open_users.pop(key, None)
+        if opened is not None:
+            self.sketch("user_span").observe(float(event.t - opened[0]))
+        return opened
+
+    def _terminal(self, event: Any, data: dict) -> float | None:
+        """Fold one subframe's terminal; returns its dispatch time."""
         t = event.t
         state = data.get("state", "ok")
         self.terminal_counts[state] = self.terminal_counts.get(state, 0) + 1
         self._count("subframes")
-        self.rate("subframes").observe(t)
         self.ring("subframes").add(t)
         begin = self._sf_begin.pop(data.get("subframe", -1), None)
         if begin is None:
-            return
-        self.record_subframe(t, t - begin)
-
-    # --------------------------------------------------------- direct feed
-    def record_subframe(self, t: float, latency: float) -> None:
-        """Record one completed subframe's latency at time ``t``.
-
-        The event path calls this from ``SUBFRAME_TERMINAL``; a caller
-        with no event stream may feed it directly.
-        """
-        latency = float(latency)
+            return None
+        latency = float(t - begin)
         self.sketch("subframe_latency").observe(latency)
         self.ring("latency").add(t, latency)
         slack = self._deadline() - latency
@@ -613,28 +618,13 @@ class TelemetryCollector:
         if slack < 0:
             self._count("deadline_misses")
             self.ring("deadline_misses").add(t)
-            self.rate("deadline_misses").observe(t)
-
-    def record_busy(self, t: float, duration: float) -> None:
-        """Account ``duration`` of busy time ending at ``t`` (direct feed)."""
-        self.ring("busy").add(t, float(duration))
+        return begin
 
     # -------------------------------------------------------------- merge
     def merge_shard(self, shard: dict) -> None:
-        """Fold one worker's telemetry shard in (exact sketch merge).
-
-        The first shard for a name is adopted as-is (keeping the shard's
-        own accuracy); later shards for the same name merge into it, so
-        all workers of one pool must share one accuracy — the runtime's
-        init handshake guarantees that.
-        """
+        """Fold a telemetry cut (``sketches``/``counters``) in exactly."""
         for name, payload in shard.get("sketches", {}).items():
-            incoming = QuantileSketch.from_dict(payload)
-            existing = self.sketches.get(name)
-            if existing is None:
-                self.sketches[name] = incoming
-            else:
-                existing.merge(incoming)
+            self.sketch(name).merge(QuantileSketch.from_dict(payload))
         for name, amount in shard.get("counters", {}).items():
             self._count(name, int(amount))
 
@@ -646,16 +636,19 @@ class TelemetryCollector:
     def deadline_miss_rate(self, last: int | None = None) -> float:
         """Missed fraction of completed subframes (optionally windowed).
 
-        Both rings are aligned on the clock's current window so a miss
-        recorded ``last`` windows ago ages out even though the sparse
-        miss ring gained no newer entries since.
+        Over the whole run it is the ``deadline_misses`` / ``subframes``
+        counters. Windowed, both rings are aligned on the clock's current
+        window so a miss recorded ``last`` windows ago ages out even
+        though the sparse miss ring gained no newer entries since.
         """
-        ref = self._current_window() if last is not None else None
-        subframes, _ = self.ring("subframes").totals(last, ref)
-        if not subframes:
-            return 0.0
-        misses, _ = self.ring("deadline_misses").totals(last, ref)
-        return misses / subframes
+        if last is None:
+            subframes = self.counters.get("subframes", 0)
+            misses = self.counters.get("deadline_misses", 0)
+        else:
+            ref = self._current_window()
+            subframes, _ = self.ring("subframes").totals(last, ref)
+            misses, _ = self.ring("deadline_misses").totals(last, ref)
+        return misses / subframes if subframes else 0.0
 
     def shed_rate(self, last: int | None = None) -> float:
         """Shed users as a fraction of all dispatched + shed users."""
@@ -693,9 +686,7 @@ class TelemetryCollector:
                     "t": entry["t"],
                     "busy_fraction": busy_frac,
                     "power_w": float(
-                        power_from_busy_fraction(
-                            busy_frac, workers, self.power_params
-                        )
+                        power_from_busy_fraction(busy_frac, workers)
                     ),
                 }
             )
@@ -706,10 +697,7 @@ class TelemetryCollector:
         if not windows:
             from ..power.model import power_from_busy_fraction
 
-            return float(
-                power_from_busy_fraction(0.0, self.workers or 1,
-                                         self.power_params)
-            )
+            return float(power_from_busy_fraction(0.0, self.workers or 1))
         return sum(w["power_w"] for w in windows) / len(windows)
 
     # ------------------------------------------------------------ snapshot
@@ -742,6 +730,7 @@ class TelemetryCollector:
             },
             "power_windows": self.power_windows(),
             "core_busy": dict(sorted(self.core_busy.items())),
+            "per_core_utilization": list(self.per_core_utilization),
             "process_ids": dict(sorted(self.process_ids.items())),
             "last_t": self._last_t,
         }

@@ -34,7 +34,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from ..power.gating import PowerGatingModel, PowerGatingParams
-from .events import Event, EventKind
+from .events import Event, EventKind, split_record
 
 __all__ = [
     "chrome_trace_events",
@@ -54,17 +54,6 @@ _PID_GATING = 3
 _PID_WORKER_BASE = 10
 
 _DEFAULT_CLOCK_HZ = 700e6
-
-
-def _normalize(record: Any) -> tuple[str, int, int, dict]:
-    """(kind, t, core, payload) from an Event or a JSONL dict."""
-    if isinstance(record, Event):
-        return record.kind.value, record.t, record.core, record.data or {}
-    kind = str(record.get("kind", "?"))
-    t = int(record.get("t", 0))
-    core = int(record.get("core", -1))
-    data = {k: v for k, v in record.items() if k not in ("kind", "t", "core")}
-    return kind, t, core, data
 
 
 class _TraceBuilder:
@@ -338,7 +327,7 @@ def chrome_trace_events(
         raise ValueError(f"unknown clock {clock!r} (use 'cycles' or 'ns')")
     builder = _TraceBuilder(to_us)
     for record in records:
-        kind, t, core, data = _normalize(record)
+        kind, t, core, data = split_record(record)
         builder.add(kind, t, core, data)
     return builder.finish()
 

@@ -215,43 +215,6 @@ def _pack_results(
     return packed, overflowed
 
 
-def _build_shard(
-    results: list[UserResult],
-    stage_ns: list[tuple[str, int, int, int]],
-    telemetry: dict,
-) -> dict:
-    """Sketch this task's work locally; the parent exact-merges shards.
-
-    Sketches live in an ``mp_``-prefixed namespace so they never collide
-    with the parent's event-derived sketches (the parent re-emits stage
-    events, which would double-count otherwise). ``mp_user_payload_bits``
-    is deterministic (payload sizes, not timings), which is what the
-    differential suite compares against a serial reference.
-    """
-    from ..obs.telemetry import QuantileSketch
-
-    accuracy = telemetry.get("relative_accuracy", 0.01)
-    sketches: dict[str, QuantileSketch] = {}
-
-    def sketch(name: str) -> QuantileSketch:
-        found = sketches.get(name)
-        if found is None:
-            found = sketches[name] = QuantileSketch(accuracy)
-        return found
-
-    for kernel, begin, end, _batch in stage_ns:
-        sketch(f"mp_kernel_{kernel}").observe(float(end - begin))
-    for result in results:
-        sketch("mp_user_payload_bits").observe(float(result.payload.size))
-    return {
-        "sketches": {name: s.to_dict() for name, s in sketches.items()},
-        "counters": {
-            "mp_worker_tasks": 1,
-            "mp_worker_users": len(results),
-        },
-    }
-
-
 def _execute_task(
     task: dict,
     grids: dict[str, tuple[SharedMemory, np.ndarray]],
@@ -259,7 +222,6 @@ def _execute_task(
     codec,
     slab: SharedMemory,
     live: list[int],
-    telemetry: dict | None = None,
 ) -> tuple:
     """Run one subframe against the shared grid; reply over the pipe."""
     task_id = task["task_id"]
@@ -297,12 +259,7 @@ def _execute_task(
         )
         results = result.user_results
         packed, overflowed = _pack_results(results, slab, live)
-        shard = (
-            _build_shard(results, stage_ns, telemetry)
-            if telemetry is not None
-            else None
-        )
-        return ("ok", task_id, packed, overflowed, stage_ns, shard)
+        return ("ok", task_id, packed, overflowed, stage_ns)
     except Exception as exc:
         return ("err", task_id, f"{type(exc).__name__}: {exc}", False)
 
@@ -314,7 +271,6 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
     grids: dict[str, tuple[SharedMemory, np.ndarray]] = {}
     config = init["config"]
     codec = init["codec"]
-    telemetry = init.get("telemetry")
     try:
         # Slab attached, chain imported (with this module): start() may return.
         conn.send(("ready",))
@@ -330,9 +286,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
                         entry[0].close()
             else:  # ("task", {...})
                 conn.send(
-                    _execute_task(
-                        message[1], grids, config, codec, slab, live, telemetry
-                    )
+                    _execute_task(message[1], grids, config, codec, slab, live)
                 )
     except (EOFError, BrokenPipeError, KeyboardInterrupt) as exc:
         # Parent vanished or interactive interrupt: nothing to report to
@@ -458,14 +412,6 @@ class MultiprocessRuntime(Runtime):
         self.config = config
         self.codec = codec
         self.slab_bytes = slab_bytes
-        # Observers exposing merge_shard (TelemetryCollector, SLOEngine)
-        # opt the workers into local sketching; shards ride the existing
-        # reply pipe and are exact-merged here in the parent.
-        self._merge_observers = [
-            observer
-            for observer in self.observers
-            if hasattr(observer, "merge_shard")
-        ]
         self._ctx = get_context("spawn")
         self._workers: list[_WorkerHandle] = []
         self._spawned_pids: list[int] = []
@@ -498,14 +444,7 @@ class MultiprocessRuntime(Runtime):
     def _start(self) -> None:
         """Spawn the worker pool and wait until every worker is ready
         (expensive: each child re-imports NumPy)."""
-        init = {"config": self.config, "codec": self.codec}
-        if self._merge_observers:
-            accuracy = min(
-                getattr(observer, "relative_accuracy", 0.01)
-                for observer in self._merge_observers
-            )
-            init["telemetry"] = {"relative_accuracy": accuracy}
-        self._worker_init = init
+        self._worker_init = {"config": self.config, "codec": self.codec}
         try:
             for worker_id in range(self.num_workers):
                 self._workers.append(self._spawn_worker(worker_id))
@@ -741,7 +680,7 @@ class MultiprocessRuntime(Runtime):
             following = self._next_task()
             if following is not None:
                 self._dispatch(worker, following)
-            _, _, packed, overflowed, stage_ns, shard = message
+            _, _, packed, overflowed, stage_ns = message
             if self.supervisor is not None:
                 # Completed real work: reset this slot's consecutive-death
                 # backoff so a much-later crash starts from the initial one.
@@ -749,7 +688,7 @@ class MultiprocessRuntime(Runtime):
             self.stats.slab_overflows += overflowed
             self.stats.tasks_executed[worker.worker_id] += len(stage_ns)
             self.stats.users_processed[worker.worker_id] += len(packed)
-            self._complete_task(worker, task, packed, stage_ns, shard)
+            self._complete_task(worker, task, packed, stage_ns)
         else:  # ("err", task_id, error, injected)
             self._reclaim(worker, task, message[2])
 
@@ -759,27 +698,22 @@ class MultiprocessRuntime(Runtime):
         task: dict,
         packed: list[dict],
         stage_ns: list,
-        shard: dict | None = None,
     ) -> None:
         pending = task["pending"]
         index = pending.index
         self._emit_stage_events(worker, index, len(packed), stage_ns)
         results = self._unpack_results(worker, packed)
-        # A subframe already resolved (deadline abort) contributes neither
-        # shard nor USER_FINISH, so every user's work is counted exactly
-        # once — killed workers never reply, and their retried subframe
-        # re-sketches on another worker. The tracker counts it as late.
-        if not pending.resolved:
-            if shard is not None:
-                for observer in self._merge_observers:
-                    observer.merge_shard(shard)
-            if self.emit is not None:
-                now = monotonic_ns()
-                for result in results:
-                    self._worker_event(
-                        EventKind.USER_FINISH, now, worker,
-                        subframe=index, user=result.user_id,
-                    )
+        # A subframe already resolved (deadline abort) emits no USER_FINISH,
+        # so every user is finished exactly once — killed workers never
+        # reply, and their retried subframe replies from another worker.
+        # The tracker counts it as late.
+        if not pending.resolved and self.emit is not None:
+            now = monotonic_ns()
+            for result in results:
+                self._worker_event(
+                    EventKind.USER_FINISH, now, worker,
+                    subframe=index, user=result.user_id,
+                )
         self._tracker.complete(pending, range(len(results)), results)
 
     def _worker_event(

@@ -407,9 +407,6 @@ class _RuntimeWatcher:
         data.setdefault("cell", self._cell_id)
         self._server.emit(Event(kind, event.t, core, data))
 
-    def merge_shard(self, shard: dict) -> None:
-        self._server.engine.merge_shard(shard)
-
 
 class _Server:
     """One serve run: cells, producers, drains, and the final report."""

@@ -166,44 +166,6 @@ def test_multiprocess_randomized_workload_slice(mp_pool, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_multiprocess_telemetry_merge_matches_serial_sketch(seed):
-    """Worker-merged telemetry sketches equal a serial-built reference.
-
-    The payload-bits observation set is deterministic across backends,
-    so the parent's shard-merged ``mp_user_payload_bits`` sketch must be
-    bucket-identical to one built serially from the same results —
-    the differential analogue of the bit-exactness gate, for telemetry.
-    Needs its own pool: shards only flow when the pool starts with a
-    merge-capable observer attached.
-    """
-    from repro.obs.telemetry import QuantileSketch, TelemetryCollector
-    from repro.uplink.parameter_model import RandomizedParameterModel
-
-    model = RandomizedParameterModel(total_subframes=64, seed=seed)
-    factory = SubframeFactory(seed=seed)
-    subframes = [
-        factory.synthesize(model.uplink_parameters(model_index), next(_MP_INDEX))
-        for model_index in range(24, 36)
-    ]
-    telemetry = TelemetryCollector()
-    runtime = MultiprocessRuntime(num_workers=2, observers=[telemetry])
-    results = runtime.run(subframes)
-    assert runtime.ledger.ok
-
-    reference = QuantileSketch(telemetry.relative_accuracy)
-    for result in results:
-        for user in result.user_results:
-            reference.observe(float(user.payload.size))
-    merged = telemetry.sketches.get("mp_user_payload_bits")
-    assert merged is not None
-    a, b = merged.to_dict(), reference.to_dict()
-    for key in ("pos", "neg", "zeros", "count", "min", "max"):
-        assert a[key] == b[key], f"sketch {key} differs (seed={seed})"
-    for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-        assert merged.quantile(q) == reference.quantile(q)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_randomized_workload_slice(seed):
     """The paper's randomized parameter model, straight through both paths."""
     from repro.uplink.parameter_model import RandomizedParameterModel

@@ -138,13 +138,18 @@ class TestCli:
         assert main(["metrics", "--policy", "idle", "--subframes", "30"]) == 0
         out = capsys.readouterr().out
         assert "Scheduler metrics" in out
-        assert "tasks_finished" in out
-        assert "subframe_latency_ms" in out
+        assert "tasks" in out and "steals" in out
+        assert "subframe_latency" in out
+        assert "per-core utilization" in out
 
     def test_metrics_json_output(self, capsys):
         import json
 
-        assert main(["metrics", "--subframes", "20", "--json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["counters"]["subframes_dispatched"] == 20
-        assert "subframe_latency_ms" in summary["histograms"]
+        assert main(["metrics", "--subframes", "20", "--format", "json"]) == 0
+        snapshot = json.loads(capsys.readouterr().out)
+        assert snapshot["counters"]["subframes"] == 20
+        assert snapshot["sketches"]["subframe_latency"]["count"] == 20
+        # The old alias is gone: one way to ask for JSON.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", "--subframes", "20", "--json"])
+        assert excinfo.value.code == 2

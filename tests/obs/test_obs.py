@@ -9,9 +9,8 @@ from repro.obs import (
     EventKind,
     EventRecorder,
     InvariantViolation,
-    MetricsCollector,
-    MetricsRegistry,
     SchedulerInvariantChecker,
+    TelemetryCollector,
     read_jsonl,
 )
 
@@ -78,24 +77,10 @@ class TestEventRecorder:
 
 
 class TestMetricsRegistry:
-    def test_counter_is_monotone(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(2)
-        assert reg.counter("c").value == 3
-        with pytest.raises(ValueError):
-            reg.counter("c").inc(-1)
-
-    def test_gauge_tracks_extremes(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        for v in (3, 9, 1):
-            g.set(v)
-        assert (g.value, g.min, g.max) == (1, 1, 9)
+    """The fold's named sketches are the registry its histograms live in."""
 
     def test_histogram_percentiles(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
+        h = TelemetryCollector().sketch("lat")
         for v in range(1, 101):
             h.observe(v)
         assert h.count == 100
@@ -103,36 +88,10 @@ class TestMetricsRegistry:
         # quantile sketch, accurate to its documented ±1% relative error
         # (3% tolerance leaves headroom for interpolation differences).
         assert h.mean() == pytest.approx(50.5)
-        assert h.percentile(50) == pytest.approx(50.5, rel=0.03)
+        assert h.quantile(0.50) == pytest.approx(50.5, rel=0.03)
         summary = h.summary()
         assert summary["max"] == 100
         assert summary["p90"] == pytest.approx(90.1, rel=0.03)
-
-    def test_summary_is_json_serializable(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.gauge("b").set(2.5)
-        reg.histogram("c").observe(1.0)
-        json.dumps(reg.summary())
-
-    def test_empty_histogram_summary(self):
-        assert MetricsRegistry().histogram("x").summary() == {"count": 0}
-
-
-class TestMetricsCollector:
-    def test_folds_events_into_registry(self):
-        collector = MetricsCollector()
-        collector(ev(EventKind.DISPATCH, t=0, subframe=0, users=4, queue_depth=4))
-        collector(ev(EventKind.TASK_START, t=1, core=0, cycles=10))
-        collector(ev(EventKind.TASK_FINISH, t=11, core=0, cycles=10))
-        collector(ev(EventKind.STEAL, t=5, core=1, victim=0, wait=5))
-        collector(ev(EventKind.WAKE_CHECK, t=6, core=2, took_work=True))
-        counters = collector.registry.summary()["counters"]
-        assert counters["users_dispatched"] == 4
-        assert counters["tasks_finished"] == 1
-        assert counters["steals"] == 1
-        assert counters["wake_hits"] == 1
-        assert collector.registry.histogram("steal_wait_cycles").count == 1
 
 
 class TestSchedulerInvariantChecker:

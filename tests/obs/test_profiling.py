@@ -35,20 +35,21 @@ class TestProfilerSynthetic:
         prof(ev(EventKind.TASK_START, t=0, core=1, kernel="combiner"))
         prof(ev(EventKind.TASK_FINISH, t=500, core=1, kernel="combiner",
                 cycles=90))
-        assert prof.kernels["combiner"].total == 90
+        assert prof.kernel_breakdown()["combiner"]["total"] == 90
 
     def test_unpaired_finish_is_dropped(self):
         # Ring-buffer truncation can leave a finish with no start.
         prof = Profiler()
         prof(ev(EventKind.TASK_FINISH, t=10, core=0, kernel="chest"))
-        assert prof.kernels == {}
+        assert prof.kernel_breakdown() == {}
 
     def test_span_events_aggregate_separately(self):
         prof = Profiler()
         prof(ev(EventKind.SPAN_BEGIN, t=0, core=0, name="chest", cat="kernel"))
         prof(ev(EventKind.SPAN_END, t=70, core=0, name="chest", cat="kernel"))
-        assert prof.span_kernels["chest"].total == 70
-        assert prof.kernels == {}  # join-level view never pollutes tasks
+        assert prof.kernel_breakdown("spans")["chest"]["total"] == 70
+        # The join-level view never pollutes tasks.
+        assert prof.kernel_breakdown("tasks") == {}
 
     def test_span_matching_pops_innermost_same_name(self):
         prof = Profiler()
@@ -56,9 +57,9 @@ class TestProfilerSynthetic:
         prof(ev(EventKind.SPAN_BEGIN, t=10, core=0, name="chest", cat="kernel"))
         prof(ev(EventKind.SPAN_END, t=15, core=0, name="chest", cat="kernel"))
         prof(ev(EventKind.SPAN_END, t=40, core=0, name="chest", cat="kernel"))
-        stats = prof.span_kernels["chest"]
-        assert stats.count == 2
-        assert stats.total == (15 - 10) + (40 - 0)
+        stats = prof.kernel_breakdown("spans")["chest"]
+        assert stats["count"] == 2
+        assert stats["total"] == (15 - 10) + (40 - 0)
 
     def test_deadline_slack_and_miss_rate(self):
         prof = Profiler(deadline=100)
@@ -67,21 +68,25 @@ class TestProfilerSynthetic:
             prof(ev(EventKind.DISPATCH, t=begin, subframe=index, users=1))
             prof(ev(EventKind.USER_START, t=begin, core=0,
                     subframe=index, user=0))
-            prof(ev(EventKind.USER_FINISH, t=begin + duration, core=0,
+            prof(ev(EventKind.USER_FINISH, t=begin + duration - 10, core=0,
                     subframe=index, user=0, pending=0))
-        assert prof.registry.counter("subframes_completed").value == 3
-        assert prof.registry.counter("deadline_misses").value == 1
+            # The subframe ends at its terminal, not at its last user.
+            prof(ev(EventKind.SUBFRAME_TERMINAL, t=begin + duration,
+                    subframe=index, state="ok"))
+        assert prof.counters["subframes"] == 3
+        assert prof.counters["deadline_misses"] == 1
         assert prof.deadline_miss_rate() == pytest.approx(1 / 3)
-        slack = prof.registry.histogram("deadline_slack")
+        slack = prof.sketch("deadline_slack")
         assert slack.count == 3
-        assert slack.percentile(0) == -20 and slack.percentile(100) == 20
+        assert slack.quantile(0) == -20 and slack.quantile(1) == 20
+        assert [s.cat for s in prof.spans] == ["user", "subframe"] * 3
 
     def test_keep_spans_false_still_aggregates(self):
         prof = Profiler(keep_spans=False)
         prof(ev(EventKind.TASK_START, t=0, core=0, kernel="chest"))
         prof(ev(EventKind.TASK_FINISH, t=5, core=0, kernel="chest"))
         assert prof.spans == []
-        assert prof.kernels["chest"].count == 1
+        assert prof.kernel_breakdown()["chest"]["count"] == 1
 
 
 class TestProfilerOnSimulator:
@@ -117,7 +122,7 @@ class TestProfilerOnSimulator:
         prof, result = profiled_run
         assert prof.deadline == result.machine.subframe_period_cycles
         assert prof.clock_hz == result.machine.clock_hz
-        assert prof.registry.counter("subframes_completed").value == 30
+        assert prof.summary()["subframes_completed"] == 30
 
     def test_per_core_utilization_computed_on_run_end(self, profiled_run):
         prof, result = profiled_run
@@ -150,4 +155,4 @@ class TestProfilerOnThreadedRuntime:
         # One stage span per user per kernel.
         assert all(e["count"] == len(subframes) * len(users)
                    for e in breakdown.values())
-        assert prof.registry.counter("subframes_completed").value == 3
+        assert prof.summary()["subframes_completed"] == 3

@@ -162,11 +162,13 @@ class TestReport:
         engine = SLOEngine(_collector())
         sketch = QuantileSketch()
         sketch.observe(4.0)
-        engine.merge_shard({"sketches": {"mp_payload": sketch.to_dict()}})
-        assert engine.telemetry.sketch("mp_payload").count == 1
-        assert engine.relative_accuracy == (
-            engine.telemetry.relative_accuracy
+        # Serve resumes a checkpoint's telemetry cut through the engine.
+        engine.merge_shard(
+            {"sketches": {"subframe_latency": sketch.to_dict()},
+             "counters": {"subframes": 1}}
         )
+        assert engine.telemetry.sketch("subframe_latency").count == 1
+        assert engine.telemetry.counters["subframes"] == 1
 
     def test_sim_run_emits_report_end_to_end(self):
         from repro.phy.params import Modulation

@@ -1,9 +1,9 @@
-"""Streaming telemetry: sketch accuracy/merge, rings, rates, collector.
+"""The fold of the event stream: sketch accuracy/merge, rings, collector.
 
 The sketch tests pin the two guarantees everything downstream leans on:
 the documented relative-accuracy bound on quantiles and the *exact*
-bucket merge (the multiprocess parent merges worker shards and must get
-the same sketch a serial run would have built). The memory test is the
+bucket merge (a resumed serve run merges its checkpoint's telemetry cut
+and must get the same sketch an uninterrupted run would have built). The memory test is the
 regression guard for the unbounded-Histogram bug: one million
 observations must not grow the bucket store past ``max_bins``.
 """
@@ -17,7 +17,6 @@ from repro.obs.events import Event, EventKind
 from repro.obs.telemetry import (
     DEFAULT_DEADLINE_NS,
     DEFAULT_WINDOW_NS,
-    EwmaRate,
     QuantileSketch,
     TelemetryCollector,
     WindowRing,
@@ -49,6 +48,9 @@ class TestQuantileSketch:
         assert sketch.quantile(0.0) == 1.0
         assert sketch.quantile(1.0) == 9.0
         assert sketch.mean() == pytest.approx(sum(values) / len(values))
+
+    def test_empty_summary(self):
+        assert QuantileSketch().summary() == {"count": 0}
 
     def test_negative_and_zero_values(self):
         # Deadline slack goes negative on misses; zeros get a dedicated
@@ -151,20 +153,6 @@ class TestWindowRing:
         assert ring.totals(last=2) == (2, 2.0)
 
 
-class TestEwmaRate:
-    def test_steady_stream_approaches_true_rate(self):
-        rate = EwmaRate(halflife=100.0)
-        for t in range(0, 10_000, 10):  # one event per 10 units
-            rate.observe(float(t))
-        assert rate.rate() == pytest.approx(0.1, rel=0.05)
-
-    def test_decays_toward_zero_when_idle(self):
-        rate = EwmaRate(halflife=10.0)
-        rate.observe(0.0)
-        busy = rate.rate(now=1.0)
-        assert rate.rate(now=1_000.0) < busy / 1e6
-
-
 def _event(kind, t, core=-1, **data):
     return Event(kind, t, core, data)
 
@@ -212,11 +200,44 @@ class TestTelemetryCollector:
         assert tel.process_ids[1] == 42
         assert tel.ring("busy").totals() == (1, 25.0)
 
+    def test_folds_scheduler_events(self):
+        tel = TelemetryCollector()
+        tel(_event(EventKind.DISPATCH, 0, subframe=0, users=4, queue_depth=4))
+        tel(_event(EventKind.GOVERNOR, 0, subframe=0, target=3))
+        tel(_event(EventKind.USER_START, 0, core=0, subframe=0, user=7))
+        tel(_event(EventKind.STEAL, 5, core=1, victim=0, wait=5))
+        tel(_event(EventKind.TASK_FINISH, 11, core=1, kernel="chest",
+                   cycles=10, stolen=True))
+        tel(_event(EventKind.WAKE_CHECK, 6, core=2, took_work=True))
+        tel(_event(EventKind.STATE_TRANSITION, 6, core=2,
+                   **{"from": "nap", "to": "compute"}))
+        tel(_event(EventKind.USER_FINISH, 30, core=0, subframe=0, user=7))
+        counters = tel.counters
+        assert counters["tasks"] == 1 and counters["stolen_chest"] == 1
+        assert counters["steals"] == 1 and counters["wake_hits"] == 1
+        assert counters["transitions_to_compute"] == 1
+        assert tel.sketch("steal_wait").count == 1
+        assert tel.sketch("dispatch_queue_depth").max == 4
+        assert tel.sketch("governor_target").max == 3
+        assert tel.sketch("user_span").max == 30
+
+    def test_snapshot_is_json_serializable(self):
+        import json
+
+        tel = TelemetryCollector()
+        tel(_event(EventKind.DISPATCH, 0, subframe=0, users=1))
+        tel(_event(EventKind.TASK_FINISH, 3, core=0, cycles=3))
+        tel(_event(EventKind.SUBFRAME_TERMINAL, 4, subframe=0, state="ok"))
+        snapshot = json.loads(json.dumps(tel.snapshot()))
+        assert snapshot["counters"] == {"subframes": 1, "tasks": 1}
+        assert snapshot["sketches"]["kernel_task"]["count"] == 1
+
     def test_power_windows_use_busy_fraction(self):
         from repro.power.model import power_from_busy_fraction
 
         tel = TelemetryCollector(window=100.0, workers=2)
-        tel.record_busy(50.0, 100.0)  # half of the 200-unit capacity
+        # One 100-unit task: half of the window's 200-unit capacity.
+        tel(_event(EventKind.TASK_FINISH, 50.0, core=0, cycles=100.0))
         windows = tel.power_windows()
         assert len(windows) == 1
         assert windows[0]["busy_fraction"] == pytest.approx(0.5)
@@ -237,17 +258,17 @@ class TestTelemetryCollector:
                 sketch.observe(v)
             shards.append(
                 {
-                    "sketches": {"mp_payload": sketch.to_dict()},
-                    "counters": {"mp_worker_tasks": len(values[lane::2])},
+                    "sketches": {"subframe_latency": sketch.to_dict()},
+                    "counters": {"subframes": len(values[lane::2])},
                 }
             )
         tel = TelemetryCollector()
         for shard in shards:
             tel.merge_shard(shard)
-        merged = tel.sketch("mp_payload")
+        merged = tel.sketch("subframe_latency")
         assert merged.to_dict()["pos"] == serial.to_dict()["pos"]
         assert merged.count == serial.count
-        assert tel.counters["mp_worker_tasks"] == len(values)
+        assert tel.counters["subframes"] == len(values)
 
     def test_defaults_are_the_paper_constants(self):
         tel = TelemetryCollector()

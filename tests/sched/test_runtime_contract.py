@@ -14,6 +14,7 @@ import signal
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -25,6 +26,7 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig, RuntimeHung
 from repro.obs.events import EventKind
 from repro.obs.recorder import EventRecorder
+from repro.obs.telemetry import TelemetryCollector
 from repro.phy.params import Modulation
 from repro.sched import Runtime, WorkerFailuresError, make_runtime
 from repro.uplink.parameter_model import RandomizedParameterModel
@@ -76,6 +78,25 @@ def runtime_for(backend, workers=2, **kwargs) -> Runtime:
     return make_runtime(backend, num_workers=workers, **kwargs)
 
 
+def assert_fold_counts_the_run(fold, recorder, ledger):
+    """The fold counts what the run did: one terminal per subframe the
+    ledger resolved, one kernel observation per TASK_FINISH emitted."""
+    ledger.check()
+    resolved = {state: n for state, n in ledger.counts().items() if n}
+    assert fold.terminal_counts == resolved
+    finished = Counter(
+        event.data.get("kernel") or "task"
+        for event in recorder.filter(EventKind.TASK_FINISH)
+    )
+    kernels = {
+        name.removeprefix("kernel_"): sketch.count
+        for name, sketch in fold.sketches.items()
+        if name.startswith("kernel_")
+    }
+    assert kernels and kernels == dict(finished)
+    assert sum(kernels.values()) == fold.counters["tasks"]
+
+
 class _Bug(BaseException):
     """Not an injected fault: what a real bug in a worker looks like."""
 
@@ -112,6 +133,16 @@ class TestRuntimeContract:
                 TerminalState.OK if clean else TerminalState.CRC_FAILED
             )
         assert runtime.failures == [] and runtime.late_completions == 0
+
+    def test_fold_matches_the_ledger(self, backend, workload):
+        """The fold counts each subframe and each emitted task once."""
+        subframes, _ = workload
+        fold, recorder = TelemetryCollector(), EventRecorder()
+        runtime = runtime_for(backend, observers=[fold, recorder])
+        runtime.run(subframes)
+        assert fold.counters["subframes"] == NUM_SUBFRAMES
+        assert fold.sketch("subframe_latency").count == NUM_SUBFRAMES
+        assert_fold_counts_the_run(fold, recorder, runtime.ledger)
 
     def test_on_terminal_observer_takes_delivery_of_results(
         self, backend, workload
@@ -307,6 +338,24 @@ class TestRuntimeContract:
         # Loud, and still accounted: nothing is left unresolved.
         runtime.ledger.check()
         assert runtime.ledger.counts()["aborted"] == len(one_user)
+
+
+def test_the_fold_counts_the_run_across_a_sigkilled_worker(workload):
+    """A killed worker never replies, so its subframe's stage events are
+    replayed once, by the worker that retries it: the fold still counts
+    every subframe once and every task the parent emitted."""
+    subframes, reference = workload
+    plan = FaultPlan(
+        specs=(FaultSpec(kind=FaultKind.WORKER_DEATH, subframe=0, target=0),)
+    )
+    fold, recorder = TelemetryCollector(), EventRecorder()
+    runtime = runtime_for("multiprocess", faults=plan, observers=[fold, recorder])
+    results = runtime.run(subframes)
+    assert runtime.stats.worker_deaths == 1 and runtime.stats.retries >= 1
+    assert fold.counters["subframes"] == NUM_SUBFRAMES
+    assert_fold_counts_the_run(fold, recorder, runtime.ledger)
+    for result, expected in zip(results, reference):
+        assert result.equals(expected)
 
 
 # --------------------------------------------------------------------------

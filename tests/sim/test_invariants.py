@@ -12,9 +12,9 @@ import pytest
 from repro.obs import (
     EventRecorder,
     InvariantViolation,
-    MetricsCollector,
     Profiler,
     SchedulerInvariantChecker,
+    TelemetryCollector,
 )
 from repro.power.estimator import calibrate_from_cost_model
 from repro.power.governor import make_policy
@@ -214,18 +214,17 @@ class TestEnvVarAutoAttach:
 
 class TestMetricsOverSimulator:
     def test_collector_agrees_with_sim_counters(self):
-        collector = MetricsCollector()
+        collector = TelemetryCollector()
         sim = build_sim("IDLE", observers=[collector])
         model = RandomizedParameterModel(total_subframes=20, seed=3)
         result = sim.run(model, num_subframes=20)
-        counters = collector.registry.summary()["counters"]
-        assert counters["tasks_finished"] == result.tasks_executed
+        counters = collector.counters
+        assert counters["tasks"] == result.tasks_executed
         assert counters["steals"] == result.steals
-        assert counters["users_finished"] == result.users_processed
-        assert counters["subframes_dispatched"] == 20
+        assert collector.sketch("user_span").count == result.users_processed
+        assert counters["subframes"] == 20
+        assert collector.terminal_counts == {"ok": 20}
         # Per-core utilization covers every worker and lies in [0, 1].
         assert len(collector.per_core_utilization) == NUM_WORKERS
         assert all(0.0 <= u <= 1.0 for u in collector.per_core_utilization)
-        assert (
-            collector.registry.histogram("subframe_latency_ms").count == 20
-        )
+        assert collector.sketch("subframe_latency").count == 20

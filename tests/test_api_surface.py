@@ -140,6 +140,35 @@ def test_lock_order_spawn_rules_and_lint_baseline_are_gone(capsys):
     assert [s.name for s in Severity] == ["ERROR"]
 
 
+def test_metrics_registry_and_worker_sketching_are_gone():
+    """The event stream has one fold, ``TelemetryCollector``: the metrics
+    registry and the profiler's own bookkeeping folded it twice more, and
+    pool workers sketched what the parent already replays as task events.
+    No alias, no stub, and the pool's signature did not move."""
+    import inspect
+
+    import repro.obs
+    from repro.obs import slo, telemetry
+    from repro.sched import multiprocess
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.metrics")
+    assert not {
+        "Counter", "Gauge", "Histogram", "MetricsCollector",
+        "MetricsRegistry", "KernelStats", "EwmaRate",
+    } & set(repro.obs.__all__)
+    assert not hasattr(telemetry, "EwmaRate")
+    for name in ("rates", "rate", "record_busy"):
+        assert not hasattr(telemetry.TelemetryCollector(), name)
+    assert not hasattr(slo.SLOEngine, "relative_accuracy")
+    assert not hasattr(multiprocess, "_build_shard")
+    assert issubclass(repro.obs.Profiler, repro.obs.TelemetryCollector)
+    assert list(inspect.signature(multiprocess.MultiprocessRuntime).parameters) == [
+        "num_workers", "config", "codec", "observers", "emit_spans", "faults",
+        "resilience", "ledger", "slab_bytes", "respawn",
+    ]
+
+
 def test_version():
     import repro
 
