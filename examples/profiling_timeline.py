@@ -94,7 +94,7 @@ def threaded_profile() -> None:
     ]
     factory = SubframeFactory(seed=0)
     subframes = [factory.synthesize(users, index) for index in range(4)]
-    profiler = Profiler(keep_spans=False, deadline=5e-3 * 1e9)  # DELTA in ns
+    profiler = Profiler(keep_spans=False)  # deadline: 3 x the 5 ms DELTA, in ns
     runtime = ThreadedRuntime(num_workers=4, observers=[profiler])
     runtime.run(subframes)
     print("join-level stage breakdown (wall time):")

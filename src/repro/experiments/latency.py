@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs.telemetry import IN_FLIGHT_BOUND
 from ..sim.machine import SimResult
 
 __all__ = ["DeadlineReport", "deadline_report", "IN_FLIGHT_BOUND"]
-
-#: "no more than two to three subframes concurrently" → 3 dispatch periods.
-IN_FLIGHT_BOUND = 3
 
 
 @dataclass
@@ -59,8 +57,9 @@ def deadline_report(
         deadline_s = IN_FLIGHT_BOUND * result.machine.subframe_period_s
     if deadline_s <= 0:
         raise ValueError("deadline_s must be positive")
+    # Dispatch → terminal, like the telemetry fold: empty subframes report
+    # zero latency, horizon-truncated ones run to the horizon.
     latency = np.asarray(result.subframe_latency_s, dtype=np.float64)
-    # Empty subframes report zero latency; they trivially meet deadlines.
     misses = int(np.count_nonzero(latency > deadline_s))
     return DeadlineReport(
         deadline_s=deadline_s,

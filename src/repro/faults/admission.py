@@ -1,6 +1,6 @@
 """Overload admission control: shed work the machine provably cannot finish.
 
-The paper's real-time contract is one subframe's work per DELTA (1 ms).
+The paper's real-time contract is one subframe's work per DELTA (5 ms).
 The Eq. 3-4 estimator already predicts a subframe's activity share before
 any of it executes — the same prediction the NAP governor uses to *shrink*
 the machine (Eq. 5) can tell an overloaded dispatcher the opposite: the

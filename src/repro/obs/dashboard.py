@@ -21,8 +21,6 @@ import json
 from typing import IO, Any
 
 from .events import Event, EventKind, split_record
-from .slo import SLOEngine
-from .telemetry import TelemetryCollector
 
 __all__ = [
     "SPARK_CHARS",
@@ -291,16 +289,3 @@ class TraceTailer:
             return False
         self.observer(Event(kind, t, core, data))
         return True
-
-    def snapshot(self) -> dict:
-        telemetry = (
-            self.observer.telemetry
-            if isinstance(self.observer, SLOEngine)
-            else self.observer
-        )
-        return telemetry.snapshot()
-
-    def slo_report(self) -> dict | None:
-        if isinstance(self.observer, SLOEngine):
-            return self.observer.slo_report()
-        return None

@@ -39,10 +39,11 @@ class EventKind(str, enum.Enum):
     USER_START = "user-start"
     #: A user's last stage completed.
     USER_FINISH = "user-finish"
-    #: A hierarchical profiling span opened (payload: ``name``, ``cat``).
+    #: A user's Fig. 5 kernel stage opened on the threaded runtime (payload:
+    #: ``name``, ``cat``). A subframe's span is DISPATCH → SUBFRAME_TERMINAL.
     SPAN_BEGIN = "span-begin"
-    #: A hierarchical profiling span closed (matches the innermost open
-    #: span of the same ``name`` on the same core).
+    #: A kernel stage span closed (matches the innermost open span of the
+    #: same ``name`` on the same core).
     SPAN_END = "span-end"
     #: The analytic power-gating model changed the powered-core count
     #: (gating groups toggled on/off between consecutive subframes).

@@ -33,9 +33,9 @@ and at run end:
   window's occupancies sum to the worker cycle budget);
 * no subframe completes before its own dispatch, and completion cycles
   of completed, non-empty subframes are monotone in dispatch order up to
-  a slack of max(``completion_slack_cycles``, worst observed latency
-  minus DELTA) — under backlog a later, lighter subframe legitimately
-  finishes earlier by up to the straddling subframe's excess latency.
+  a slack of max(DELTA, worst observed latency minus DELTA) — under
+  backlog a later, lighter subframe legitimately finishes earlier by up
+  to the straddling subframe's excess latency.
 
 Set ``REPRO_INVARIANTS=1`` to auto-attach a strict checker to every
 simulator run (used by the CI invariants job).
@@ -125,6 +125,10 @@ IGNORED_EVENT_KINDS = frozenset(
 #: The four legal ``state`` payloads of a ``SUBFRAME_TERMINAL`` event.
 TERMINAL_STATES = frozenset({"ok", "crc_failed", "shed", "aborted"})
 
+#: Violations recorded (non-strict mode) before the rest are dropped, to
+#: bound memory.
+MAX_VIOLATIONS = 1000
+
 
 class InvariantViolation(AssertionError):
     """A scheduler state invariant did not hold."""
@@ -138,23 +142,11 @@ class SchedulerInvariantChecker:
     strict:
         Raise :class:`InvariantViolation` on the first violation (default).
         With ``strict=False`` violations are collected in ``violations``
-        for inspection and the run continues.
-    completion_slack_cycles:
-        Allowed completion-order inversion between overlapping subframes;
-        defaults to one dispatch interval (DELTA) at bind time.
-    max_violations:
-        Stop recording after this many (non-strict mode) to bound memory.
+        (at most ``MAX_VIOLATIONS``) for inspection and the run continues.
     """
 
-    def __init__(
-        self,
-        strict: bool = True,
-        completion_slack_cycles: int | None = None,
-        max_violations: int = 1000,
-    ) -> None:
+    def __init__(self, strict: bool = True) -> None:
         self.strict = strict
-        self.completion_slack_cycles = completion_slack_cycles
-        self.max_violations = max_violations
         self.violations: list[str] = []
         self.events_checked = 0
         self._sim: Any = None
@@ -177,8 +169,6 @@ class SchedulerInvariantChecker:
         self._reset_counters()
         self.violations.clear()
         self.events_checked = 0
-        if self.completion_slack_cycles is None:
-            self.completion_slack_cycles = sim.machine.subframe_period_cycles
 
     def __call__(self, event) -> None:
         self.events_checked += 1
@@ -239,7 +229,7 @@ class SchedulerInvariantChecker:
         return self._sim._engine.now if self._sim._engine else 0
 
     def _record(self, message: str) -> None:
-        if len(self.violations) < self.max_violations:
+        if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(message)
         if self.strict:
             raise InvariantViolation(message)
@@ -396,9 +386,9 @@ class SchedulerInvariantChecker:
         # lat[j] - (i - j) * DELTA: subframe i cannot complete before its
         # own dispatch, and j completed lat[j] after its dispatch. Under
         # overload (latency > DELTA) legitimate inversions therefore grow
-        # with the backlog, so widen the slack to the observed worst-case
-        # latency minus one DELTA; anything beyond that is corrupted
-        # completion bookkeeping, not queueing.
+        # with the backlog, so widen the slack from one DELTA to the
+        # observed worst-case latency minus one DELTA; anything beyond
+        # that is corrupted completion bookkeeping, not queueing.
         delta = sim.machine.subframe_period_cycles
         completed = [
             index
@@ -408,7 +398,6 @@ class SchedulerInvariantChecker:
             if self._sf_users.get(index, 0) != 0
             and sim._pending_users[index] == 0
         ]
-        slack = self.completion_slack_cycles or 0
         max_latency = max(
             (
                 int(sim._complete_cycle[i]) - int(sim._dispatch_cycle[i])
@@ -416,7 +405,7 @@ class SchedulerInvariantChecker:
             ),
             default=0,
         )
-        slack = max(slack, max_latency - delta)
+        slack = max(delta, max_latency - delta)
         running_max = None
         running_index = -1
         for index in completed:

@@ -7,17 +7,17 @@ hierarchy from the one fold of the event stream — it *is* a
 :class:`~repro.obs.telemetry.TelemetryCollector` — and can keep every
 closed :class:`Span`:
 
-* **kernel spans** — one per executed task, attributed to the Fig. 5
+* **task spans** — one per executed task, attributed to the Fig. 5
   kernel carried in the ``kernel`` payload field (``chest``, ``combiner``,
   ``symbol``, ``finalize``); durations are simulated cycles on
   :class:`~repro.sim.machine.MachineSimulator` and wall nanoseconds on
-  the runtimes. The threaded and multiprocess runtimes additionally emit
-  join-level ``span-begin``/``span-end`` events around each stage,
-  aggregated separately so task time and stage wait time are not
-  conflated;
+  the runtimes. The threaded runtime additionally emits join-level
+  ``span-begin``/``span-end`` events around each stage (**kernel
+  spans**), aggregated separately so task time and stage wait time are
+  not conflated;
 * **user spans** — ``user-start`` to ``user-finish``;
-* **subframe spans** — dispatch to the subframe's terminal event, scored
-  against the fold's deadline (DELTA, one subframe period).
+* **subframe spans** — ``dispatch`` to the subframe's terminal event,
+  scored against the fold's deadline (``IN_FLIGHT_BOUND`` × DELTA).
 
 Durations stay in the backend's native clock; callers convert via
 ``clock_hz`` (bound automatically from the simulator in ``on_run_start``).
@@ -38,7 +38,8 @@ class Span:
 
     ``begin``/``end`` are in the emitting backend's native clock (cycles
     or nanoseconds); ``cat`` is ``"subframe"``, ``"user"``, ``"kernel"``,
-    or ``"task"``.
+    or ``"task"``; ``data`` is the payload of the event that opened a
+    kernel span and of the event that closed any other span.
     """
 
     __slots__ = ("name", "cat", "core", "begin", "end", "data")
@@ -74,17 +75,10 @@ class Profiler(TelemetryCollector):
     keep_spans:
         Retain every closed :class:`Span` in ``spans`` (default). Disable
         for long runs where only the aggregates matter.
-    deadline:
-        Per-subframe deadline in native clock units. Bound automatically
-        to DELTA (one subframe period in cycles) when attached to a
-        :class:`~repro.sim.machine.MachineSimulator`; 5 ms in
-        nanoseconds otherwise.
     """
 
-    def __init__(
-        self, keep_spans: bool = True, deadline: float | None = None
-    ) -> None:
-        super().__init__(deadline=deadline)
+    def __init__(self, keep_spans: bool = True) -> None:
+        super().__init__()
         self.keep_spans = keep_spans
         self.spans: list[Span] = []
 
@@ -94,8 +88,7 @@ class Profiler(TelemetryCollector):
         if duration is not None and self.keep_spans:
             self.spans.append(
                 Span(data.get("kernel") or "task", "task", event.core,
-                     event.t - duration, event.t,
-                     {"stolen": bool(data.get("stolen"))})
+                     event.t - duration, event.t, data)
             )
         return duration
 
@@ -123,7 +116,7 @@ class Profiler(TelemetryCollector):
         if begin is not None and self.keep_spans:
             self.spans.append(
                 Span(f"subframe {data.get('subframe', -1)}", "subframe", -1,
-                     begin, event.t)
+                     begin, event.t, data)
             )
         return begin
 
@@ -133,7 +126,7 @@ class Profiler(TelemetryCollector):
 
         ``source="tasks"`` (default) is the task-level attribution that
         exists on every backend; ``source="spans"`` is the join-level
-        view from the runtimes' stage spans. Each entry carries
+        view from the threaded runtime's stage spans. Each entry carries
         ``count``/``total``/``mean``/``stolen`` plus ``share`` of the
         summed total.
         """
@@ -165,7 +158,7 @@ class Profiler(TelemetryCollector):
         """Nested plain-data summary (JSON-serializable)."""
         return {
             "clock_hz": self.clock_hz,
-            "deadline": self._deadline(),
+            "deadline": self.deadline,
             "kernels": self.kernel_breakdown("tasks"),
             "span_kernels": self.kernel_breakdown("spans"),
             "subframes_completed": self.counters.get("subframes", 0),

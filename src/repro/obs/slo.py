@@ -62,24 +62,19 @@ class SLOTarget:
         }
 
 
-def default_targets(
-    deadline: float | None = None,
-    power_budget_w: float = 20.0,
-) -> list[SLOTarget]:
+def default_targets(power_budget_w: float = 20.0) -> list[SLOTarget]:
     """The paper-grounded default targets.
 
-    * p99 subframe latency within the DELTA deadline (the paper's hard
-      real-time bound — ``objective=None``-style deferral is handled by
-      the engine, which substitutes the collector's bound deadline when
-      ``deadline`` is not given here);
+    * p99 subframe latency within the deadline (objective 0: the engine
+      substitutes the collector's ``IN_FLIGHT_BOUND`` × DELTA deadline,
+      the paper's §VI responsiveness bound);
     * deadline-miss rate <= 1%;
     * shed rate <= 5% (admission control is a safety valve, not a diet);
     * mean windowed power within a budget (Fig. 13-16 territory; 20 W
       default sits between the paper's NONAP and NAP+IDLE envelopes).
     """
     targets = [
-        SLOTarget("latency-p99", "subframe_latency_p99",
-                  deadline if deadline is not None else 0.0),
+        SLOTarget("latency-p99", "subframe_latency_p99", 0.0),
         SLOTarget("miss-rate", "deadline_miss_rate", 0.01, 4.0),
         SLOTarget("shed-rate", "shed_rate", 0.05, 2.0),
         SLOTarget("power-budget", "power_w", power_budget_w, 1.5),
@@ -153,8 +148,8 @@ class SLOEngine:
     # --------------------------------------------------------- evaluation
     def _objective(self, target: SLOTarget) -> float:
         if target.metric == "subframe_latency_p99" and target.objective <= 0:
-            # Deferred objective: the collector's bound deadline (DELTA).
-            return self.telemetry._deadline()
+            # Deferred objective: the collector's deadline.
+            return self.telemetry.deadline
         return target.objective
 
     def _observe(self, target: SLOTarget, last: int | None) -> float:

@@ -16,10 +16,11 @@ is the only observer that folds events into them; the profiler
   cadence) holding count/sum/min/max per window in a bounded ring.
 
 Timestamps stay in the emitting backend's native clock (simulator cycles
-or ``monotonic_ns``); ``window`` and ``deadline`` are bound automatically
+or ``monotonic_ns``); ``window`` and ``delta`` are bound automatically
 from the simulator in ``on_run_start`` and default to the paper's 100 ms
-window / 5 ms DELTA in nanoseconds otherwise. Concurrent calls from worker
-threads are safe under the GIL (plain list/dict updates).
+window / 5 ms DELTA in nanoseconds otherwise. A subframe's deadline is
+always ``IN_FLIGHT_BOUND`` periods of that DELTA. Concurrent calls from
+worker threads are safe under the GIL (plain list/dict updates).
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from typing import Any
 from .events import EventKind
 
 __all__ = [
+    "DEFAULT_DELTA_NS",
     "DEFAULT_RELATIVE_ACCURACY",
     "DEFAULT_WINDOW_NS",
-    "DEFAULT_DEADLINE_NS",
+    "IN_FLIGHT_BOUND",
     "QuantileSketch",
     "TelemetryCollector",
     "WindowRing",
@@ -47,9 +49,14 @@ DEFAULT_RELATIVE_ACCURACY = 0.01
 #: for wall-clock backends; the simulator binds 0.1 s in cycles instead.
 DEFAULT_WINDOW_NS = 100_000_000
 
-#: One subframe period (DELTA = 5 ms) in nanoseconds — the default
-#: deadline for wall-clock backends.
-DEFAULT_DEADLINE_NS = 5_000_000
+#: One subframe period (DELTA = 5 ms) in nanoseconds — the default for
+#: wall-clock backends; the simulator binds its period in cycles instead.
+DEFAULT_DELTA_NS = 5_000_000
+
+#: Section VI: "A base station therefore processes no more than two to
+#: three subframes concurrently" — a subframe is late when it reaches its
+#: terminal more than this many DELTA periods after its dispatch.
+IN_FLIGHT_BOUND = 3
 
 
 class QuantileSketch:
@@ -356,13 +363,13 @@ class TelemetryCollector:
 
     Works on every event-emitting backend: bound to a
     :class:`~repro.sim.machine.MachineSimulator` run it adopts the
-    simulated clock (cycles; window = 0.1 s, deadline = DELTA); on the
-    runtimes timestamps are ``monotonic_ns`` and the defaults are the
-    paper's 100 ms window and 5 ms deadline.
+    simulated clock (cycles; window = 0.1 s, ``delta`` = the subframe
+    period); on the runtimes timestamps are ``monotonic_ns`` and the
+    defaults are the paper's 100 ms window and 5 ms DELTA.
 
     Every subframe ends at its ``SUBFRAME_TERMINAL``: its latency is
-    measured from its ``DISPATCH`` and scored against ``deadline``. The
-    fold keeps:
+    measured from its ``DISPATCH`` and scored against ``deadline``
+    (``IN_FLIGHT_BOUND`` × ``delta``). The fold keeps:
 
     * sketches — ``subframe_latency``, ``deadline_slack`` (negative on
       misses), per-kernel task durations ``kernel_<name>`` (a task with no
@@ -385,11 +392,12 @@ class TelemetryCollector:
     def __init__(
         self,
         window: float | None = None,
-        deadline: float | None = None,
+        delta: float | None = None,
         workers: int | None = None,
     ) -> None:
         self.window = window
-        self.deadline = deadline
+        #: One subframe period (DELTA) in the native clock.
+        self.delta = delta
         self.workers = workers
         self.clock: str = "ns"
         self.clock_hz: float | None = None
@@ -431,10 +439,12 @@ class TelemetryCollector:
             self.window = float(DEFAULT_WINDOW_NS)
         return self.window
 
-    def _deadline(self) -> float:
-        if self.deadline is None:
-            self.deadline = float(DEFAULT_DEADLINE_NS)
-        return self.deadline
+    @property
+    def deadline(self) -> float:
+        """The latest on-time latency: ``IN_FLIGHT_BOUND`` × DELTA."""
+        if self.delta is None:
+            self.delta = float(DEFAULT_DELTA_NS)
+        return IN_FLIGHT_BOUND * self.delta
 
     # ----------------------------------------------------------- observer
     def on_run_start(self, sim: Any) -> None:
@@ -443,8 +453,8 @@ class TelemetryCollector:
         self.clock_hz = machine.clock_hz
         if self.window is None:
             self.window = 0.1 * machine.clock_hz
-        if self.deadline is None:
-            self.deadline = float(machine.subframe_period_cycles)
+        if self.delta is None:
+            self.delta = float(machine.subframe_period_cycles)
         if self.workers is None:
             self.workers = machine.num_workers
 
@@ -514,8 +524,9 @@ class TelemetryCollector:
             self._count("respawns")
             self.ring("respawns").add(t)
         elif kind is EventKind.SPAN_BEGIN:
-            # Only stage spans are folded; a subframe's span ends at its
-            # terminal event, like every other subframe.
+            # Only stage spans are folded: a subframe's span is its
+            # dispatch → terminal, even in older traces that also carry a
+            # per-subframe span pair.
             if data.get("cat", "kernel") == "kernel":
                 self._open_spans.setdefault(event.core, []).append(
                     (data.get("name", "?"), t, data)
@@ -613,7 +624,7 @@ class TelemetryCollector:
         latency = float(t - begin)
         self.sketch("subframe_latency").observe(latency)
         self.ring("latency").add(t, latency)
-        slack = self._deadline() - latency
+        slack = self.deadline - latency
         self.sketch("deadline_slack").observe(slack)
         if slack < 0:
             self._count("deadline_misses")
@@ -713,7 +724,7 @@ class TelemetryCollector:
             "clock_hz": self.clock_hz,
             "window": self._window(),
             "window_s": seconds,
-            "deadline": self._deadline(),
+            "deadline": self.deadline,
             "workers": self.workers,
             "counters": dict(sorted(self.counters.items())),
             "load_factor": self.load_factor,

@@ -14,16 +14,19 @@ into the Trace Event Format consumed by Perfetto and ``chrome://tracing``:
 * **gating process (pid 3)** — the analytic power-gating model's
   ``powered_cores`` counter and group on/off toggles, synthesized from a
   run's per-subframe active-core trace (Eqs. 6-7);
-* **machine process (pid 0)** — subframe spans as async slices, the
-  dispatch ``queue_depth`` and governor ``target_workers`` counters;
+* **machine process (pid 0)** — subframe spans (dispatch → terminal) as
+  async slices, the dispatch ``queue_depth`` and governor
+  ``target_workers`` counters;
 * **worker processes (pid 10+)** — when records carry a ``process_id``
-  payload (the multiprocess runtime's worker OS pids), their task/user/
-  kernel slices move onto one Chrome process lane per pool process, so
-  Perfetto shows the true multi-core occupancy.
+  payload (the multiprocess runtime's worker OS pids), their task/user
+  slices move onto one Chrome process lane per pool process, so Perfetto
+  shows the true multi-core occupancy.
 
-Records with *unknown* event kinds (e.g. a JSONL trace written by a newer
-schema) are never an error: they are rendered as generic instant events so
-old traces and future traces both stay loadable.
+The exporter pairs no begin/end events itself: every record goes through
+a :class:`~repro.obs.profiling.Profiler`, and the slices are its closed
+spans. Records with *unknown* event kinds (e.g. a JSONL trace written by
+a newer schema) are never an error: they are rendered as generic instant
+events so old traces and future traces both stay loadable.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 
 from ..power.gating import PowerGatingModel, PowerGatingParams
 from .events import Event, EventKind, split_record
+from .profiling import Profiler, Span
 
 __all__ = [
     "chrome_trace_events",
@@ -55,6 +59,12 @@ _PID_WORKER_BASE = 10
 
 _DEFAULT_CLOCK_HZ = 700e6
 
+#: Kinds the profiler pairs into spans; they render only as those spans.
+_PAIRED_KINDS = frozenset({
+    "task-start", "task-finish", "span-begin", "span-end", "user-start",
+    "user-finish",
+})
+
 
 class _TraceBuilder:
     """Folds normalized records into Chrome trace events."""
@@ -64,9 +74,6 @@ class _TraceBuilder:
         self.out: list[dict] = []
         self.cores: set[int] = set()
         self.max_t = 0
-        self._open_tasks: dict[int, tuple[int, dict]] = {}
-        self._open_spans: dict[int, list[tuple[str, int, dict]]] = {}
-        self._open_users: dict[tuple[int, int], tuple[int, int, int]] = {}
         self._core_state: dict[int, tuple[int, str]] = {}
         self._worker_pids: dict[int, int] = {}  # OS pid -> Chrome pid
         self._worker_cores: dict[int, set[int]] = {}  # Chrome pid -> cores
@@ -138,28 +145,9 @@ class _TraceBuilder:
         self.max_t = max(self.max_t, t)
         if core >= 0:
             self.cores.add(core)
-        if kind == "task-start":
-            self._open_tasks[core] = (t, data)
-        elif kind == "task-finish":
-            self._task_finish(t, core, data)
-        elif kind == "span-begin":
-            self._open_spans.setdefault(core, []).append(
-                (data.get("name", "span"), t, data)
-            )
-        elif kind == "span-end":
-            self._span_end(t, core, data)
-        elif kind == "user-start":
-            key = (data.get("subframe", -1), data.get("user", -1))
-            self._open_users[key] = (t, core, self._sched_pid(data, core))
-        elif kind == "user-finish":
-            key = (data.get("subframe", -1), data.get("user", -1))
-            opened = self._open_users.pop(key, None)
-            if opened is not None:
-                begin, begin_core, begin_pid = opened
-                self._slice(
-                    begin_pid, begin_core, f"user {key[1]}", begin, t, data
-                )
-        elif kind == "state-transition":
+        if kind in _PAIRED_KINDS:
+            return  # rendered from the profiler's closed spans
+        if kind == "state-transition":
             self._state_transition(t, core, data)
         elif kind == "dispatch":
             self._dispatch(t, data)
@@ -183,57 +171,34 @@ class _TraceBuilder:
             # trace loadable instead of failing.
             self._instant(_PID_MACHINE, 0, kind, t, data)
 
-    def _task_finish(self, t: int, core: int, data: dict) -> None:
-        opened = self._open_tasks.pop(core, None)
-        if opened is not None:
-            begin, begin_data = opened
-        elif "cycles" in data:
-            begin = t - int(data["cycles"])
-            begin_data = data
-        else:
-            return  # unpaired finish (ring-buffer tail): drop
-        name = begin_data.get("kernel") or data.get("kernel") or "task"
-        args = {
-            k: begin_data[k]
-            for k in ("subframe", "stolen", "serial", "cycles")
-            if k in begin_data
-        }
-        self._slice(self._sched_pid(begin_data, core), core, name, begin, t, args)
-
-    def _span_end(self, t: int, core: int, data: dict) -> None:
-        stack = self._open_spans.get(core)
-        if not stack:
+    def _span(self, span: Span) -> None:
+        """Render one closed profiler span: a subframe as an async pair,
+        any other span as a slice on its core's lane."""
+        data = span.data or {}
+        if span.cat == "subframe":
+            for ph, ts in (("b", span.begin), ("e", span.end)):
+                self.out.append(
+                    {
+                        "ph": ph,
+                        "pid": _PID_MACHINE,
+                        "tid": 0,
+                        "id": data.get("subframe", -1),
+                        "name": span.name,
+                        "cat": "subframe",
+                        "ts": self.to_us(ts),
+                    }
+                )
             return
-        name = data.get("name", "span")
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i][0] == name:
-                _, begin, begin_data = stack.pop(i)
-                break
-        else:
-            return
-        cat = data.get("cat") or begin_data.get("cat") or "kernel"
-        if cat == "subframe":
-            index = data.get("subframe", -1)
-            self._async(index, name, begin, t)
-        else:
-            self._slice(
-                self._sched_pid(begin_data, core), core,
-                f"{name} stage", begin, t, begin_data,
-            )
-
-    def _async(self, index: int, name: str, begin: int, end: int) -> None:
-        for ph, ts in (("b", begin), ("e", end)):
-            self.out.append(
-                {
-                    "ph": ph,
-                    "pid": _PID_MACHINE,
-                    "tid": 0,
-                    "id": index,
-                    "name": name,
-                    "cat": "subframe",
-                    "ts": self.to_us(ts),
-                }
-            )
+        name, args = span.name, data
+        if span.cat == "task":
+            args = {
+                k: data[k] for k in ("subframe", "stolen", "serial", "cycles")
+                if k in data
+            }
+        elif span.cat == "kernel":
+            name += " stage"
+        pid = self._sched_pid(data, span.core)
+        self._slice(pid, span.core, name, span.begin, span.end, args)
 
     def _state_transition(self, t: int, core: int, data: dict) -> None:
         previous = self._core_state.get(core)
@@ -251,7 +216,9 @@ class _TraceBuilder:
             )
 
     # ------------------------------------------------------------ finalize
-    def finish(self) -> list[dict]:
+    def finish(self, spans: list[Span]) -> list[dict]:
+        for span in spans:
+            self._span(span)
         for core, (begin, state) in sorted(self._core_state.items()):
             if self.max_t > begin:
                 self._slice(_PID_POWER, core, state, begin, self.max_t, {})
@@ -326,10 +293,14 @@ def chrome_trace_events(
     else:
         raise ValueError(f"unknown clock {clock!r} (use 'cycles' or 'ns')")
     builder = _TraceBuilder(to_us)
+    profiler = Profiler()
+    kinds = {kind.value: kind for kind in EventKind}
     for record in records:
         kind, t, core, data = split_record(record)
+        if kind in kinds:
+            profiler(Event(kinds[kind], t, core, data))
         builder.add(kind, t, core, data)
-    return builder.finish()
+    return builder.finish(profiler.spans)
 
 
 def gating_events_from_active_workers(

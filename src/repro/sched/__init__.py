@@ -52,8 +52,8 @@ def make_runtime(
 ) -> Runtime:
     """Build the runtime for ``backend``: ``num_workers`` goes to the pools,
     ``processor`` to the inline transport, ``respawn`` to the multiprocess
-    pool, ``common`` (``observers``, ``emit_spans``, ``faults``,
-    ``resilience``, ``ledger``) to whichever it is."""
+    pool, ``common`` (``observers``, ``faults``, ``resilience``,
+    ``ledger``) to whichever it is."""
     cls = runtime_class(backend)
     if cls is InlineRuntime:
         common.update(backend=backend, processor=processor)

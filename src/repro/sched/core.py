@@ -5,8 +5,9 @@ a subframe, workers run its users, the subframe ends exactly once before
 its deadline. :class:`SubframeTracker` is that contract: the pending map,
 ledger dispatch/resolve, :func:`classify`, first-wins resolution, bounded
 retry, wall-clock deadlines, late-completion and worker-failure accounting,
-results by slice position and every DISPATCH / subframe SPAN /
-SUBFRAME_TERMINAL / USER_RETRY / USER_ABORTED / FAULT event.
+results by slice position and every DISPATCH / SUBFRAME_TERMINAL /
+USER_RETRY / USER_ABORTED / FAULT event (a subframe's span is its
+DISPATCH → SUBFRAME_TERMINAL pair).
 :class:`Runtime` adds ``run`` / ``drain`` / ``collect_results`` / ``abort``,
 the observer fan-out and fault-plan wrapping on top of four transport
 hooks; a backend (:mod:`.threaded`, :mod:`.multiprocess`, :mod:`.inline`)
@@ -83,10 +84,9 @@ class SubframeTracker:
     an emitted event or a listener, so it orders against no other lock.
     """
 
-    def __init__(self, ledger, resilience, stats, emit, emit_spans, tags) -> None:
+    def __init__(self, ledger, resilience, stats, emit, tags) -> None:
         self.ledger: SubframeLedger = ledger
         self.emit: Callable[[Event], None] | None = emit
-        self.emit_spans: bool = emit_spans
         #: Constant payload of the events emitted here (the multiprocess
         #: parent's ``process_id``).
         self.tags: dict = tags or {}
@@ -144,11 +144,6 @@ class SubframeTracker:
         if self.emit is not None:
             self.emit(Event(kind, t, core, {**data, **(tags or self.tags)}))
 
-    def _span_event(self, kind: EventKind, t: int, index: int) -> None:
-        if self.emit_spans:
-            data = {"name": f"subframe {index}", "cat": "subframe", "subframe": index}
-            self._event(kind, t, -1, data)
-
     def fault(self, kind: str, worker: int, subframe: int, **tags) -> None:
         """An injected fault fired on ``worker`` (the FAULT event)."""
         data = {"fault": kind, "subframe": subframe}
@@ -169,9 +164,9 @@ class SubframeTracker:
         with self._lock:
             self._pending[index] = pending
             self.idle.clear()
-        now = monotonic_ns()
-        self._event(EventKind.DISPATCH, now, -1, {"subframe": index, "users": users})
-        self._span_event(EventKind.SPAN_BEGIN, now, index)
+        self._event(
+            EventKind.DISPATCH, monotonic_ns(), -1, {"subframe": index, "users": users}
+        )
         if not users:
             self._resolve(pending)
             return None
@@ -283,7 +278,6 @@ class SubframeTracker:
             return
         self.ledger.resolve(index, state, reason)
         now = monotonic_ns()
-        self._span_event(EventKind.SPAN_END, now, index)
         data = {"subframe": index, "state": state.value,
                 "aborted_users": len(result.aborted_user_ids), "reason": reason}
         self._event(EventKind.SUBFRAME_TERMINAL, now, -1, data)
@@ -313,9 +307,7 @@ class Runtime:
     )
     num_workers: int  # set by the transport
 
-    def __init__(
-        self, stats, observers, emit_spans, faults, resilience, ledger, tags=None
-    ) -> None:
+    def __init__(self, stats, observers, faults, resilience, ledger, tags=None) -> None:
         self.observers = list(observers) if observers is not None else []
         if faults is not None and not hasattr(faults, "check_worker_death"):
             from ..faults.injector import ThreadFaultInjector
@@ -324,7 +316,6 @@ class Runtime:
         #: The armed fault injector (a bare plan is wrapped), or ``None``.
         self.faults = faults
         self.stats = stats
-        self.emit_spans = emit_spans
         fanout = tuple(self.observers)
 
         def emit(event: Event) -> None:
@@ -338,8 +329,7 @@ class Runtime:
         self._external_ledger: SubframeLedger | None = ledger
         self._started = False
         self._tracker = SubframeTracker(
-            ledger or SubframeLedger(), self._resilience, stats, self.emit,
-            emit_spans, tags,
+            ledger or SubframeLedger(), self._resilience, stats, self.emit, tags
         )
         takers = [o.on_terminal for o in fanout if hasattr(o, "on_terminal")]
         self._tracker.listeners += takers

@@ -77,10 +77,10 @@ class InlineRuntime(Runtime):
 
     def __init__(
         self, backend="vectorized", processor=None, observers=None,
-        emit_spans=True, faults=None, resilience=None, ledger=None,
+        faults=None, resilience=None, ledger=None,
     ) -> None:
         stats = RuntimeStats([0], [0], [0])
-        super().__init__(stats, observers, emit_spans, faults, resilience, ledger)
+        super().__init__(stats, observers, faults, resilience, ledger)
         self.backend = backend
         self.num_workers = 1
         self._process: Callable[[list[SubframeInput]], list[SubframeResult]]

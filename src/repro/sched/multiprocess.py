@@ -356,9 +356,6 @@ class MultiprocessRuntime(Runtime):
         Optional event observers; events carry a ``process_id`` payload
         field and are emitted *only from the parent's event loop*, so
         observers here never see concurrent calls.
-    emit_spans:
-        Also emit ``SPAN_BEGIN``/``SPAN_END`` pairs (per subframe and per
-        kernel stage) alongside task/user events.
     faults:
         Optional :class:`~repro.faults.injector.ThreadFaultInjector` (or
         bare :class:`~repro.faults.plan.FaultPlan`). ``WORKER_DEATH``
@@ -388,7 +385,6 @@ class MultiprocessRuntime(Runtime):
         config: ChestConfig | None = None,
         codec=None,
         observers=None,
-        emit_spans: bool = True,
         faults=None,
         resilience: ResilienceConfig | None = None,
         ledger: SubframeLedger | None = None,
@@ -405,7 +401,7 @@ class MultiprocessRuntime(Runtime):
             users_processed=[0] * num_workers,
         )
         super().__init__(
-            stats, observers, emit_spans, faults, resilience, ledger,
+            stats, observers, faults, resilience, ledger,
             tags={"process_id": os.getpid()},
         )
         self.num_workers = num_workers
@@ -701,7 +697,7 @@ class MultiprocessRuntime(Runtime):
     ) -> None:
         pending = task["pending"]
         index = pending.index
-        self._emit_stage_events(worker, index, len(packed), stage_ns)
+        self._emit_stage_events(worker, index, stage_ns)
         results = self._unpack_results(worker, packed)
         # A subframe already resolved (deadline abort) emits no USER_FINISH,
         # so every user is finished exactly once — killed workers never
@@ -725,20 +721,15 @@ class MultiprocessRuntime(Runtime):
             self.emit(Event(kind, t, worker.worker_id, data))
 
     def _emit_stage_events(
-        self, worker: _WorkerHandle, index: int, users: int, stage_ns: list
+        self, worker: _WorkerHandle, index: int, stage_ns: list
     ) -> None:
-        """Replay a reply's worker-side stage windows as task/span events."""
+        """Replay a reply's worker-side stage windows as task events."""
         if self.emit is None:
             return
         for kernel, begin, end, batch in stage_ns:
-            span = dict(name=kernel, cat="kernel", subframe=index, users=users)
             task = dict(kernel=kernel, stolen=False, subframe=index, batch=batch)
-            if self.emit_spans:
-                self._worker_event(EventKind.SPAN_BEGIN, begin, worker, **span)
             self._worker_event(EventKind.TASK_START, begin, worker, **task)
             self._worker_event(EventKind.TASK_FINISH, end, worker, **task)
-            if self.emit_spans:
-                self._worker_event(EventKind.SPAN_END, end, worker, **span)
 
     def _unpack_results(
         self, worker: _WorkerHandle, packed: list[dict]

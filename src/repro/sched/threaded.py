@@ -128,13 +128,8 @@ class ThreadedRuntime(Runtime):
         threads — observers must tolerate concurrent calls (the built-in
         :class:`~repro.obs.recorder.EventRecorder` appends are atomic
         under the GIL). With no observer attached, emission sites cost one
-        identity check.
-    emit_spans:
-        When observers are attached, also emit hierarchical profiling
-        spans (``SPAN_BEGIN``/``SPAN_END`` per subframe and per Fig. 5
-        kernel stage). ``False`` keeps task/user/steal tracing but drops
-        the span edges — the "spans disabled" baseline that
-        ``benchmarks/test_obs_overhead.py`` bounds the span cost against.
+        identity check. With observers, each user's Fig. 5 stages are
+        also bracketed by ``SPAN_BEGIN``/``SPAN_END`` (fork to join).
     faults:
         Optional :class:`~repro.faults.injector.ThreadFaultInjector`
         (or a bare :class:`~repro.faults.plan.FaultPlan`, which is wrapped
@@ -158,7 +153,6 @@ class ThreadedRuntime(Runtime):
         codec=None,
         steal_seed: int = 0,
         observers=None,
-        emit_spans: bool = True,
         faults=None,
         resilience: ResilienceConfig | None = None,
         ledger: SubframeLedger | None = None,
@@ -170,7 +164,7 @@ class ThreadedRuntime(Runtime):
             steals=[0] * num_workers,
             users_processed=[0] * num_workers,
         )
-        super().__init__(stats, observers, emit_spans, faults, resilience, ledger)
+        super().__init__(stats, observers, faults, resilience, ledger)
         self.num_workers = num_workers
         self.config = config
         self.codec = codec
@@ -386,7 +380,7 @@ class ThreadedRuntime(Runtime):
         # events inside carry the same kernel label so both the join-level
         # and task-level views attribute time to the same kernels.
         ids = {"subframe": pending.index, "user": user_slice.user.user_id}
-        emitting = self.emit is not None and self.emit_spans
+        emitting = self.emit is not None
         if emitting:
             self._span_event(worker_id, EventKind.SPAN_BEGIN, "chest", ids)
         self._run_stage(worker_id, job.chest_tasks(), kernel="chest")

@@ -138,7 +138,6 @@ class CellShard:
             processor=processor,
             respawn=respawn,
             observers=observers,
-            emit_spans=False,
             faults=plan,
             resilience=resilience,
             ledger=self.ledger,

@@ -423,7 +423,9 @@ class _Server:
         self.trace_sink: _JsonlTraceSink | None = (
             _JsonlTraceSink(config.trace_path) if config.trace_path else None
         )
-        self.engine = SLOEngine(TelemetryCollector(), sink=self.trace_sink)
+        self.engine = SLOEngine(
+            TelemetryCollector(delta=ns_from_s(config.delta_s)), sink=self.trace_sink
+        )
         self.telemetry = self.engine.telemetry
         self.overload: OverloadController | None = (
             OverloadController(self.engine, sink=self.emit)

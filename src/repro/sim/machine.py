@@ -204,7 +204,8 @@ class SimResult:
     config: SimConfig
     #: Governor decision per subframe (actual worker cap in force).
     active_workers: np.ndarray
-    #: Dispatch-to-last-user-completion latency per subframe, seconds.
+    #: Dispatch-to-terminal latency per subframe, seconds (a subframe the
+    #: horizon truncated runs to the horizon).
     subframe_latency_s: np.ndarray
     #: Per-subframe total compute cycles (from the cost model).
     subframe_cycles: np.ndarray
@@ -499,7 +500,6 @@ class MachineSimulator:
                             )
                         )
             self._dispatch_cycle[index] = t
-            self._complete_cycle[index] = t  # empty subframes: zero latency
             self._pending_users[index] = len(admitted)
             self._subframe_cycles[index] = sum(
                 self.cost.user_cycles(u, self._antennas) for u in admitted
@@ -573,10 +573,12 @@ class MachineSimulator:
         state: TerminalState | None = None,
         reason: str = "",
     ) -> None:
-        """Record one subframe's single terminal state (first call wins)."""
+        """Record one subframe's single terminal state (first call wins);
+        ``t`` is its completion, whatever the state."""
         if index in self._sf_resolved:
             return
         self._sf_resolved.add(index)
+        self._complete_cycle[index] = t
         if state is None:
             if index in self._sf_user_aborted:
                 state = TerminalState.ABORTED
@@ -629,7 +631,6 @@ class MachineSimulator:
                 job.ready.clear()
                 self._abort_user(job, t, was_adopted=True, reason=reason)
         self._pending_users[index] = 0
-        self._complete_cycle[index] = t
         self._sf_user_aborted.add(index)
         self._resolve_subframe(
             index, t, state=TerminalState.ABORTED, reason=reason
@@ -691,7 +692,6 @@ class MachineSimulator:
         self._abort_user(job, t, was_adopted=True, reason=reason)
         self._pending_users[index] -= 1
         if self._pending_users[index] == 0:
-            self._complete_cycle[index] = t
             self._resolve_subframe(
                 index, t, state=TerminalState.ABORTED, reason=reason
             )
@@ -1241,8 +1241,6 @@ class MachineSimulator:
         job.user_core = None
         index = job.subframe_index
         self._pending_users[index] -= 1
-        if self._pending_users[index] == 0:
-            self._complete_cycle[index] = t
         if self._emit is not None:
             self._emit(
                 Event(

@@ -58,6 +58,41 @@ class TestDeadlineReport:
         # Latency grows monotonically with the backlog.
         assert result.subframe_latency_s[-1] > result.subframe_latency_s[0]
 
+    @pytest.mark.parametrize("policy", ["NONAP", "NAP+IDLE"])
+    def test_report_agrees_with_the_fold_past_the_horizon(self, policy):
+        """The power study's own configuration cuts a subframe off at the
+        horizon: it completes there (its ``aborted`` terminal), so the
+        report scores it late just as the telemetry fold does."""
+        from repro.obs import Profiler
+        from repro.power.governor import make_policy
+        from repro.uplink.parameter_model import RandomizedParameterModel
+
+        cost = CostModel()
+        profiler = Profiler(keep_spans=False)
+        result = MachineSimulator(
+            cost,
+            policy=make_policy(
+                policy, cost.machine.num_workers, calibrate_from_cost_model(cost)
+            ),
+            config=SimConfig(drain_margin_s=0.0),
+            observers=[profiler],
+        ).run(RandomizedParameterModel(total_subframes=200, seed=1), 200)
+        truncated = [
+            i for i, s in result.terminal_states.items() if s == "aborted"
+        ]
+        assert truncated
+        horizon = result.trace.num_windows * result.trace.window_cycles
+        for index in truncated:
+            assert result.subframe_latency_s[index] == pytest.approx(
+                (horizon - index * result.machine.subframe_period_cycles)
+                / result.machine.clock_hz
+            )
+        assert profiler.deadline == (
+            IN_FLIGHT_BOUND * result.machine.subframe_period_cycles
+        )
+        report = deadline_report(result)
+        assert report.misses == profiler.counters.get("deadline_misses", 0)
+
     def test_custom_deadline(self):
         report = deadline_report(self._run(), deadline_s=1e-6)
         assert report.misses == report.subframes

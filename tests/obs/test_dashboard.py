@@ -46,7 +46,7 @@ class TestSparkline:
 
 def _populated_engine():
     engine = SLOEngine(
-        TelemetryCollector(window=100.0, deadline=50.0, workers=2)
+        TelemetryCollector(window=100.0, delta=18.0, workers=2)
     )
     for sf in range(5):
         t0 = sf * 100.0
@@ -111,12 +111,11 @@ class TestTraceTailer:
             _record("dispatch", 0, subframe=0, users=2),
             _record("subframe-terminal", 40, subframe=0, state="ok"),
         ]
-        tel = TelemetryCollector(window=100.0, deadline=50.0)
+        tel = TelemetryCollector(window=100.0, delta=18.0)
         tailer = TraceTailer(io.StringIO("\n".join(lines) + "\n"), tel)
         assert tailer.advance() == 2
         assert tel.counters["subframes"] == 1
-        assert tailer.snapshot()["counters"]["subframes"] == 1
-        assert tailer.slo_report() is None  # bare collector, no engine
+        assert tel.snapshot()["counters"]["subframes"] == 1
 
     def test_partial_final_line_is_held_back(self):
         full = _record("dispatch", 0, subframe=0, users=1)
@@ -182,11 +181,10 @@ class TestTraceTailer:
             _record("dispatch", 0, subframe=0, users=2),
             _record("subframe-terminal", 90, subframe=0, state="ok"),
         ]
-        engine = SLOEngine(TelemetryCollector(window=100.0, deadline=50.0))
+        engine = SLOEngine(TelemetryCollector(window=100.0, delta=18.0))
         tailer = TraceTailer(io.StringIO("\n".join(lines) + "\n"), engine)
         tailer.advance()
-        report = tailer.slo_report()
-        assert report is not None
+        report = engine.slo_report()
         assert report["subframes"] == 1
         assert report["deadline_misses"] == 1
-        assert render_dashboard(tailer.snapshot(), report)
+        assert render_dashboard(engine.telemetry.snapshot(), report)

@@ -62,8 +62,9 @@ class TestProfilerSynthetic:
         assert stats["total"] == (15 - 10) + (40 - 0)
 
     def test_deadline_slack_and_miss_rate(self):
-        prof = Profiler(deadline=100)
-        for index, duration in enumerate((80, 120, 90)):
+        prof = Profiler()
+        prof.delta = 40  # deadline = IN_FLIGHT_BOUND x DELTA = 120
+        for index, duration in enumerate((100, 140, 110)):
             begin = index * 1000
             prof(ev(EventKind.DISPATCH, t=begin, subframe=index, users=1))
             prof(ev(EventKind.USER_START, t=begin, core=0,
@@ -120,7 +121,7 @@ class TestProfilerOnSimulator:
 
     def test_deadline_bound_from_machine(self, profiled_run):
         prof, result = profiled_run
-        assert prof.deadline == result.machine.subframe_period_cycles
+        assert prof.deadline == 3 * result.machine.subframe_period_cycles
         assert prof.clock_hz == result.machine.clock_hz
         assert prof.summary()["subframes_completed"] == 30
 
@@ -147,7 +148,7 @@ class TestProfilerOnThreadedRuntime:
             UserParameters(1, 16, 2, Modulation.QAM16),
         ]
         subframes = [factory.synthesize(users, i) for i in range(3)]
-        prof = Profiler(deadline=5e-3 * 1e9)
+        prof = Profiler()
         runtime = ThreadedRuntime(num_workers=2, steal_seed=0, observers=[prof])
         runtime.run(subframes)
         breakdown = prof.kernel_breakdown("spans")
@@ -156,3 +157,5 @@ class TestProfilerOnThreadedRuntime:
         assert all(e["count"] == len(subframes) * len(users)
                    for e in breakdown.values())
         assert prof.summary()["subframes_completed"] == 3
+        # A subframe's span is its dispatch -> terminal pair, one each.
+        assert sum(s.cat == "subframe" for s in prof.spans) == 3

@@ -11,14 +11,15 @@ import pytest
 
 from repro.obs.events import Event, EventKind
 from repro.obs.slo import SLOEngine, SLOTarget, default_targets
-from repro.obs.telemetry import TelemetryCollector
+from repro.obs.telemetry import IN_FLIGHT_BOUND, TelemetryCollector
 
 WINDOW = 100.0
-DEADLINE = 50.0
+DELTA = 18.0
+DEADLINE = IN_FLIGHT_BOUND * DELTA  # 54
 
 
 def _collector():
-    return TelemetryCollector(window=WINDOW, deadline=DEADLINE, workers=1)
+    return TelemetryCollector(window=WINDOW, delta=DELTA, workers=1)
 
 
 def _miss_target(burn=2.0):
@@ -151,7 +152,7 @@ class TestReport:
         assert report["latency"]["count"] == 6
         assert report["latency"]["max"] == pytest.approx(60.0)
         assert len(report["latency_windows"]) == 6
-        # Only the 60-unit latency exceeds the 50-unit deadline.
+        # Only the 60-unit latency exceeds the 54-unit deadline.
         assert report["deadline_misses"] == 1
         assert report["deadline_miss_rate"] == pytest.approx(1 / 6)
         assert report["terminal_counts"] == {"ok": 6}

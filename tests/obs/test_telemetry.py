@@ -15,8 +15,9 @@ import pytest
 
 from repro.obs.events import Event, EventKind
 from repro.obs.telemetry import (
-    DEFAULT_DEADLINE_NS,
+    DEFAULT_DELTA_NS,
     DEFAULT_WINDOW_NS,
+    IN_FLIGHT_BOUND,
     QuantileSketch,
     TelemetryCollector,
     WindowRing,
@@ -159,7 +160,7 @@ def _event(kind, t, core=-1, **data):
 
 class TestTelemetryCollector:
     def test_event_stream_feeds_sketches_and_rings(self):
-        tel = TelemetryCollector(window=100.0, deadline=50.0, workers=2)
+        tel = TelemetryCollector(window=100.0, delta=15.0, workers=2)
         for sf in range(4):
             t0 = sf * 100.0
             tel(_event(EventKind.DISPATCH, t0, subframe=sf, users=3))
@@ -183,7 +184,7 @@ class TestTelemetryCollector:
         assert latency.count == 4
         assert latency.min == 40.0
         assert latency.max == 100.0
-        # Latencies 60..100 exceed the 50-unit deadline.
+        # Latencies 60..100 exceed the 45-unit deadline (3 x DELTA).
         assert tel.counters["deadline_misses"] == 3
         assert tel.deadline_miss_rate() == pytest.approx(0.75)
         assert tel.sketch("kernel_chest").count == 4
@@ -273,7 +274,9 @@ class TestTelemetryCollector:
     def test_defaults_are_the_paper_constants(self):
         tel = TelemetryCollector()
         assert tel._window() == DEFAULT_WINDOW_NS
-        assert tel._deadline() == DEFAULT_DEADLINE_NS
+        assert tel.delta is None  # bound on first use
+        assert tel.deadline == IN_FLIGHT_BOUND * DEFAULT_DELTA_NS == 15_000_000
+        assert tel.delta == DEFAULT_DELTA_NS
 
     def test_sim_run_binds_cycle_clock(self):
         from repro.phy.params import Modulation
@@ -293,6 +296,7 @@ class TestTelemetryCollector:
         )
         assert tel.clock == "cycles"
         assert tel.window == pytest.approx(0.1 * tel.clock_hz)
+        assert tel.deadline == IN_FLIGHT_BOUND * sim.machine.subframe_period_cycles
         assert tel.counters["subframes"] == 20
         assert tel.sketch("subframe_latency").count == 20
         assert tel.power_windows()

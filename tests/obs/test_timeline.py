@@ -51,14 +51,15 @@ class TestChromeTraceEvents:
         assert [e["name"] for e in power] == ["compute", "nap"]
 
     def test_subframe_spans_become_async_pairs(self):
+        # A subframe's span is its dispatch -> terminal pair.
         events = chrome_trace_events([
-            ev(EventKind.SPAN_BEGIN, t=0, name="subframe 7", cat="subframe",
-               subframe=7),
-            ev(EventKind.SPAN_END, t=500, name="subframe 7", cat="subframe",
-               subframe=7),
+            ev(EventKind.DISPATCH, t=0, subframe=7, users=1),
+            ev(EventKind.SUBFRAME_TERMINAL, t=700, subframe=7, state="ok"),
         ])
-        phases = sorted(e["ph"] for e in events if e.get("id") == 7)
-        assert phases == ["b", "e"]
+        pair = sorted(
+            (e["ph"], e["ts"]) for e in events if e.get("id") == 7
+        )
+        assert pair == [("b", 0.0), ("e", pytest.approx(1.0))]
 
     def test_unknown_kind_is_tolerated_as_instant(self):
         # A JSONL record written by a future schema must stay loadable.
@@ -155,6 +156,14 @@ class TestWriteChromeTraceEndToEnd:
         names = {e["name"] for e in tasks}
         assert {"chest", "combiner", "symbol", "finalize"} <= names
         assert all(e["dur"] >= 0 for e in tasks)
+
+    def test_one_async_pair_per_dispatched_subframe(self, trace_document):
+        document, _, _ = trace_document
+        pairs = {}
+        for e in document["traceEvents"]:
+            if e["ph"] in ("b", "e"):
+                pairs.setdefault(e["id"], []).append(e["ph"])
+        assert pairs == {index: ["b", "e"] for index in range(10)}
 
     def test_power_state_rows_exist_per_core(self, trace_document):
         document, _, result = trace_document

@@ -101,6 +101,13 @@ class TestReport:
         result = serve(_config(subframes=10))
         assert result.report["slo"]["schema"] == "repro-slo/1"
 
+    def test_latency_objective_follows_the_cadence(self):
+        """The deadline is IN_FLIGHT_BOUND periods of the run's own
+        ``--delta``, not of the paper's 5 ms."""
+        result = serve(_config(subframes=10, delta_s=0.002))
+        targets = {t["name"]: t for t in result.report["slo"]["targets"]}
+        assert targets["latency-p99"]["objective"] == 6_000_000
+
     def test_multi_cell_ids_never_collide(self):
         result = serve(_config(cells=3, subframes=15, backpressure="block"))
         assert result.ok

@@ -76,9 +76,33 @@ def test_the_pools_old_seams_and_unused_sim_models_are_gone():
     assert "cache" not in inspect.signature(CostModel).parameters
     # ... and the pool grew no parameter to select the old unit.
     assert list(inspect.signature(MultiprocessRuntime).parameters) == [
-        "num_workers", "config", "codec", "observers", "emit_spans", "faults",
+        "num_workers", "config", "codec", "observers", "faults",
         "resilience", "ledger", "slab_bytes", "respawn",
     ]
+
+
+def test_emit_spans_and_free_deadlines_are_gone():
+    """A subframe's span is its dispatch -> terminal pair and its deadline
+    is ``IN_FLIGHT_BOUND`` x DELTA, each defined once: no runtime takes a
+    span switch, and no collector, profiler or SLO default takes a free
+    deadline. No alias, no stub."""
+    import inspect
+
+    from repro.experiments import latency
+    from repro.obs import Profiler, TelemetryCollector, slo, telemetry
+    from repro.sched import (
+        InlineRuntime, MultiprocessRuntime, ThreadedRuntime, make_runtime,
+    )
+
+    for cls in (InlineRuntime, MultiprocessRuntime, ThreadedRuntime):
+        assert "emit_spans" not in inspect.signature(cls).parameters
+    with pytest.raises(TypeError):
+        make_runtime("serial", emit_spans=False)
+    assert not hasattr(telemetry, "DEFAULT_DEADLINE_NS")
+    assert list(inspect.signature(Profiler).parameters) == ["keep_spans"]
+    assert "deadline" not in inspect.signature(TelemetryCollector).parameters
+    assert "deadline" not in inspect.signature(slo.default_targets).parameters
+    assert latency.IN_FLIGHT_BOUND is telemetry.IN_FLIGHT_BOUND
 
 
 def test_lint_cache_and_changed_are_gone(capsys):
@@ -164,7 +188,7 @@ def test_metrics_registry_and_worker_sketching_are_gone():
     assert not hasattr(multiprocess, "_build_shard")
     assert issubclass(repro.obs.Profiler, repro.obs.TelemetryCollector)
     assert list(inspect.signature(multiprocess.MultiprocessRuntime).parameters) == [
-        "num_workers", "config", "codec", "observers", "emit_spans", "faults",
+        "num_workers", "config", "codec", "observers", "faults",
         "resilience", "ledger", "slab_bytes", "respawn",
     ]
 
@@ -236,8 +260,7 @@ def test_process_subframes_is_public():
     from repro.sched import InlineRuntime
 
     assert list(inspect.signature(InlineRuntime).parameters) == [
-        "backend", "processor", "observers", "emit_spans", "faults",
-        "resilience", "ledger",
+        "backend", "processor", "observers", "faults", "resilience", "ledger",
     ]
 
 
