@@ -19,7 +19,8 @@ test-slow:
 		tests/uplink/test_process_subframes.py tests/experiments/test_full_scale.py
 
 test-invariants:
-	REPRO_INVARIANTS=1 $(PYTHON) -m pytest -x -q tests/sim tests/obs tests/power tests/experiments
+	REPRO_INVARIANTS=1 $(PYTHON) -m pytest -x -q tests/sim tests/obs tests/power tests/experiments \
+		tests/faults/test_sim_faults.py tests/faults/test_chaos.py
 
 # The benchmark harness's own tests (not tier-1): a kernel change that
 # breaks its bit-exactness check, budget sums or exact counts fails here,

@@ -3,7 +3,8 @@
 The package has three layers:
 
 * **Injection** — :mod:`repro.faults.plan` describes *what* goes wrong as a
-  seeded, serializable :class:`~repro.faults.plan.FaultPlan`;
+  seeded :class:`~repro.faults.plan.FaultPlan`, replayed by regenerating
+  it from its seed;
   :mod:`repro.faults.injector` carries the thread-side trigger logic and
   payload corruption helpers.
 * **Resilience** — :mod:`repro.faults.watchdog` holds the retry/deadline/

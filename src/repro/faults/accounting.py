@@ -15,8 +15,10 @@ one of four terminal states —
 aborted``: the first resolution wins, late duplicate resolutions are
 counted separately (a hung worker finishing after its subframe was
 deadline-aborted), and :meth:`check` verifies the invariant at end of run.
-The ledger is shared by the serial driver, the threaded runtime, and the
-simulator, and is thread-safe.
+It is the only record of terminal states, shared by every runtime's
+:class:`~repro.sched.core.SubframeTracker`, the simulator (one ledger per
+run, ``SimResult.ledger``) and serve (one per run, which its cells'
+runtimes write into), and is thread-safe.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Seeded, serializable fault plans (the injection half of ``repro.faults``).
+"""Seeded fault plans (the injection half of ``repro.faults``).
 
 A :class:`FaultPlan` is a *static* list of :class:`FaultSpec` records built
 up-front from a seed — never sampled at run time — so the same seed always
-produces the same plan, and a plan written to JSON replays the identical
-fault sequence on any machine (the Vienna LTE-A simulator's reproducible
+produces the same plan, and a plan is replayed by regenerating it from
+its seed on any machine (the Vienna LTE-A simulator's reproducible
 impairment-injection idiom). The adapters in :mod:`repro.faults.injector`
 and the backend hooks (``MachineSimulator(faults=...)``,
 ``ThreadedRuntime(faults=...)``) consume plans; this module only describes
@@ -13,10 +13,8 @@ faults.
 from __future__ import annotations
 
 import enum
-import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 __all__ = ["FaultKind", "FaultSpec", "FaultPlan", "SIM_KINDS", "THREAD_KINDS",
            "PAYLOAD_KINDS", "RESPAWN_KINDS"]
@@ -111,18 +109,6 @@ class FaultSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "FaultSpec":
-        return cls(
-            kind=FaultKind(record["kind"]),
-            subframe=int(record["subframe"]),
-            target=int(record.get("target", -1)),
-            param=float(record.get("param", 0.0)),
-            seed=int(record.get("seed", 0)),
-        )
-
-
-_PLAN_VERSION = 1
 
 #: Default magnitude per kind used by :meth:`FaultPlan.generate`.
 _DEFAULT_PARAMS: dict[FaultKind, float] = {
@@ -145,8 +131,7 @@ class FaultPlan:
     """An ordered, replayable set of planned faults.
 
     Plans are immutable; equality is structural, so
-    ``FaultPlan.generate(seed=s, ...) == FaultPlan.generate(seed=s, ...)``
-    and a JSON round-trip reproduces an identical plan.
+    ``FaultPlan.generate(seed=s, ...) == FaultPlan.generate(seed=s, ...)``.
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -201,41 +186,9 @@ class FaultPlan:
             seed=self.seed,
         )
 
-    @property
-    def max_subframe(self) -> int:
-        return max((s.subframe for s in self.specs), default=-1)
-
-    # ---------------------------------------------------------- persistence
     def to_dict(self) -> dict:
+        """Plain-data view for reports (``repro chaos --json``)."""
         return {
-            "version": _PLAN_VERSION,
             "seed": self.seed,
             "specs": [s.to_dict() for s in self.specs],
         }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "FaultPlan":
-        if record.get("version") != _PLAN_VERSION:
-            raise ValueError(
-                f"unsupported fault-plan version {record.get('version')!r}"
-            )
-        return cls(
-            specs=tuple(FaultSpec.from_dict(s) for s in record["specs"]),
-            seed=int(record.get("seed", 0)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> Path:
-        from ..ioutil import atomic_write_text
-
-        return atomic_write_text(path, self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FaultPlan":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))

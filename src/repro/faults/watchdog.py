@@ -8,15 +8,15 @@ Home of the pieces both backends (and the CLI) share:
   checked on each ``poll``) and by
   :class:`~repro.sim.machine.MachineSimulator` (cycle deadlines,
   deterministic aborts);
-* the monotonic clock helpers (:func:`monotonic_ns`, :func:`ns_from_s`,
-  :func:`s_from_ns`) — the *single* clock the runtimes' deadline and
-  drain paths use, so a deadline computed in nanoseconds is never
-  compared against a ``time.monotonic()`` float from a different code
-  path, and second-to-nanosecond conversion never truncates;
+* the monotonic clock helpers (:func:`monotonic_ns`, :func:`ns_from_s`)
+  — the *single* clock the runtimes' deadline and drain paths use, so a
+  deadline computed in nanoseconds is never compared against a
+  ``time.monotonic()`` float from a different code path, and
+  second-to-nanosecond conversion never truncates;
 * :func:`hang_guard` — a ``faulthandler``-based last line of defence: if
   the guarded block wedges past its timeout, every thread's traceback is
-  dumped to stderr and (optionally) the process exits, so no CLI entry
-  point can hang silently forever;
+  dumped to stderr and the process exits, so no CLI entry point can hang
+  silently forever;
 * :class:`WorkerFailure` / :exc:`RuntimeHung` — how the threaded runtime
   reports dead workers and expired drains *loudly* instead of blocking
   result collection.
@@ -34,15 +34,19 @@ __all__ = [
     "NS_PER_S",
     "ResilienceConfig",
     "RuntimeHung",
+    "WATCHDOG_POLL_S",
     "WorkerFailure",
     "hang_guard",
     "monotonic_ns",
     "ns_from_s",
-    "s_from_ns",
 ]
 
 #: Nanoseconds per second, as an int so conversions stay exact.
 NS_PER_S = 1_000_000_000
+
+#: The longest one ``poll`` blocks while a runtime waits (``drain``,
+#: pool start-up, pending respawns) before re-checking its deadlines.
+WATCHDOG_POLL_S = 0.02
 
 
 def monotonic_ns() -> int:
@@ -65,11 +69,6 @@ def ns_from_s(seconds: float) -> int:
     return round(seconds * NS_PER_S)
 
 
-def s_from_ns(ns: int) -> float:
-    """Convert integer nanoseconds back to float seconds."""
-    return ns / NS_PER_S
-
-
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Tuning knobs for the fault-tolerance layer.
@@ -85,7 +84,6 @@ class ResilienceConfig:
     max_retries: int = 1
     deadline_s: float | None = None
     deadline_subframes: float | None = None
-    watchdog_poll_s: float = 0.02
     join_timeout_s: float = 10.0
     drain_timeout_s: float | None = None
 
@@ -96,8 +94,6 @@ class ResilienceConfig:
             raise ValueError("deadline_s must be positive or None")
         if self.deadline_subframes is not None and self.deadline_subframes <= 0:
             raise ValueError("deadline_subframes must be positive or None")
-        if self.watchdog_poll_s <= 0:
-            raise ValueError("watchdog_poll_s must be positive")
         if self.join_timeout_s <= 0:
             raise ValueError("join_timeout_s must be positive")
         if self.drain_timeout_s is not None and self.drain_timeout_s <= 0:
@@ -123,8 +119,8 @@ class WorkerFailure:
 
 
 @contextmanager
-def hang_guard(timeout_s: float | None, exit_on_hang: bool = True):
-    """Dump all-thread tracebacks (and optionally exit) after ``timeout_s``.
+def hang_guard(timeout_s: float | None):
+    """Dump all-thread tracebacks and exit after ``timeout_s``.
 
     A no-op when ``timeout_s`` is None, so callers can thread an optional
     ``--timeout`` straight through. Re-entrant use simply rearms the
@@ -136,9 +132,7 @@ def hang_guard(timeout_s: float | None, exit_on_hang: bool = True):
         return
     if timeout_s <= 0:
         raise ValueError("timeout_s must be positive or None")
-    faulthandler.dump_traceback_later(
-        timeout_s, exit=exit_on_hang, file=sys.stderr
-    )
+    faulthandler.dump_traceback_later(timeout_s, exit=True, file=sys.stderr)
     try:
         yield
     finally:

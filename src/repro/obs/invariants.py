@@ -25,10 +25,8 @@ end it additionally checks conservation:
 
 and at run end:
 
-* terminal accounting: every dispatched subframe reached exactly one
-  terminal state and ``dispatched == ok + crc_failed + shed + aborted``
-  (the resilience layer's core promise, see ``docs/robustness.md``);
-
+* the run's ledger (``SimResult.ledger``) passes ``check()`` and holds no
+  late resolution: every dispatched subframe ended exactly once;
 * :meth:`repro.sim.trace.OccupancyTrace.check_conservation` holds (every
   window's occupancies sum to the worker cycle budget);
 * no subframe completes before its own dispatch, and completion cycles
@@ -37,20 +35,22 @@ and at run end:
   backlog a later, lighter subframe legitimately finishes earlier by up
   to the straddling subframe's excess latency.
 
-Set ``REPRO_INVARIANTS=1`` to auto-attach a strict checker to every
-simulator run (used by the CI invariants job).
+The checker is bound to one simulator run by ``on_run_start``; an event
+before that is itself a violation. Set ``REPRO_INVARIANTS=1`` to
+auto-attach a strict checker to every simulator run (used by the CI
+invariants job).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from ..faults.accounting import LedgerError
 from ..sim.trace import CoreState
 from .events import EventKind
 
 __all__ = [
     "IGNORED_EVENT_KINDS",
-    "TERMINAL_STATES",
     "InvariantViolation",
     "SchedulerInvariantChecker",
 ]
@@ -79,7 +79,9 @@ __all__ = [
 #: * ``SHED`` — admission control drops users *before* dispatch, so shed
 #:   work never enters the conservation ledger (``DISPATCH`` carries the
 #:   admitted count); the shed outcome itself is validated by the
-#:   terminal-state rule and the :class:`~repro.faults.accounting.SubframeLedger`;
+#:   run's :class:`~repro.faults.accounting.SubframeLedger`;
+#: * ``SUBFRAME_TERMINAL`` — announces what the simulator already recorded
+#:   in the run's ledger, which is checked once, at run end;
 #: * ``SLO_BREACH`` / ``SLO_ALERT`` / ``SLO_RESOLVED`` — pure telemetry
 #:   *outputs* emitted by :class:`repro.obs.slo.SLOEngine` from derived
 #:   windowed aggregates; they describe measurements of scheduler
@@ -111,6 +113,7 @@ IGNORED_EVENT_KINDS = frozenset(
         EventKind.GATING,
         EventKind.FAULT,
         EventKind.SHED,
+        EventKind.SUBFRAME_TERMINAL,
         EventKind.SLO_BREACH,
         EventKind.SLO_ALERT,
         EventKind.SLO_RESOLVED,
@@ -121,9 +124,6 @@ IGNORED_EVENT_KINDS = frozenset(
         EventKind.WORKER_RESPAWN,
     }
 )
-
-#: The four legal ``state`` payloads of a ``SUBFRAME_TERMINAL`` event.
-TERMINAL_STATES = frozenset({"ok", "crc_failed", "shed", "aborted"})
 
 #: Violations recorded (non-strict mode) before the rest are dropped, to
 #: bound memory.
@@ -161,7 +161,6 @@ class SchedulerInvariantChecker:
         self._users_aborted = 0
         self._steals = 0
         self._sf_users: dict[int, int] = {}
-        self._sf_terminal: dict[int, str] = {}
 
     # ------------------------------------------------------------ observer
     def on_run_start(self, sim) -> None:
@@ -173,9 +172,10 @@ class SchedulerInvariantChecker:
     def __call__(self, event) -> None:
         self.events_checked += 1
         if self._sim is None:
-            # Not bound to a MachineSimulator run (e.g. attached to the
-            # threaded runtime, which has no introspectable idle sets):
-            # tally events, skip state checks.
+            self._record(
+                f"t={event.t}: {event.kind.value} event before on_run_start "
+                "(the checker validates MachineSimulator runs only)"
+            )
             return
         kind = event.kind
         if kind is EventKind.TASK_START:
@@ -197,8 +197,6 @@ class SchedulerInvariantChecker:
             self._users_aborted += 1
             if event.data and event.data.get("was_adopted"):
                 self._users_adopted -= 1
-        elif kind is EventKind.SUBFRAME_TERMINAL:
-            self._check_terminal(event)
         elif kind is EventKind.DISPATCH:
             users = event.data.get("users", 0) if event.data else 0
             self._users_dispatched += users
@@ -209,7 +207,7 @@ class SchedulerInvariantChecker:
     def on_run_end(self, sim, result) -> None:
         self._check_state(self._engine_now())
         self._check_conservation(self._engine_now())
-        self._check_terminal_accounting()
+        self._check_ledger(result.ledger)
         if not result.trace.check_conservation(atol_cycles=2.0):
             self._record(
                 "occupancy-trace conservation failed: some window's state "
@@ -284,54 +282,16 @@ class SchedulerInvariantChecker:
                     f"{core.state.value} (NAP/DISABLED cores must never execute)"
                 )
 
-    def _check_terminal(self, event) -> None:
-        data = event.data or {}
-        subframe = data.get("subframe")
-        state = data.get("state")
-        if state not in TERMINAL_STATES:
+    def _check_ledger(self, ledger) -> None:
+        """End of run: every dispatched subframe resolved exactly once."""
+        try:
+            ledger.check()
+        except LedgerError as exc:
+            self._record(str(exc))
+        for subframe, state, _ in ledger.late_resolutions:
             self._record(
-                f"t={event.t}: subframe {subframe} reported unknown terminal "
-                f"state {state!r} (must be one of {sorted(TERMINAL_STATES)})"
-            )
-            return
-        if subframe not in self._sf_users:
-            self._record(
-                f"t={event.t}: subframe {subframe} reached terminal state "
-                f"{state} without ever being dispatched"
-            )
-            return
-        previous = self._sf_terminal.get(subframe)
-        if previous is not None:
-            self._record(
-                f"t={event.t}: subframe {subframe} reached a second terminal "
-                f"state {state} (already {previous}); terminal states are "
-                "exactly-once"
-            )
-            return
-        self._sf_terminal[subframe] = state
-
-    def _check_terminal_accounting(self) -> None:
-        """End of run: ``dispatched == ok + crc_failed + shed + aborted``.
-
-        Every dispatched subframe must have reached exactly one terminal
-        state (exactly-once is enforced per event in ``_check_terminal``;
-        this closes the loop on subframes that never got one at all).
-        """
-        missing = sorted(set(self._sf_users) - set(self._sf_terminal))
-        if missing:
-            self._record(
-                f"{len(missing)} dispatched subframe(s) never reached a "
-                f"terminal state: {missing[:10]}"
-            )
-        counts = {state: 0 for state in sorted(TERMINAL_STATES)}
-        for state in self._sf_terminal.values():
-            counts[state] += 1
-        total = sum(counts.values())
-        if total != len(self._sf_users):
-            self._record(
-                f"terminal accounting broken: {len(self._sf_users)} "
-                "dispatched != "
-                + " + ".join(f"{k}={v}" for k, v in counts.items())
+                f"subframe {subframe} resolved a second time ({state.value}); "
+                "terminal states are exactly-once"
             )
 
     def _check_task_start(self, event) -> None:

@@ -29,6 +29,7 @@ from ..faults.accounting import SubframeLedger, TerminalState
 from ..faults.plan import FaultKind
 from ..faults.watchdog import (
     ResilienceConfig,
+    WATCHDOG_POLL_S,
     RuntimeHung,
     WorkerFailure,
     monotonic_ns,
@@ -397,7 +398,7 @@ class Runtime:
         while (outstanding := self._tracker.outstanding) and (
             deadline is None or monotonic_ns() < deadline
         ):
-            self.poll(self._resilience.watchdog_poll_s)
+            self.poll(WATCHDOG_POLL_S)
         fatal = [f for f in self._tracker.failures if f.fatal]
         if fatal:
             raise WorkerFailuresError(fatal)

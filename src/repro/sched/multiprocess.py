@@ -93,6 +93,7 @@ import numpy as np
 
 from ..faults.accounting import SubframeLedger
 from ..faults.watchdog import (
+    WATCHDOG_POLL_S,
     ResilienceConfig,
     WorkerFailure,
     monotonic_ns,
@@ -451,7 +452,7 @@ class MultiprocessRuntime(Runtime):
             while monotonic_ns() < deadline and not all(
                 worker.ready or worker.dead for worker in self._workers
             ):
-                self.poll(self._resilience.watchdog_poll_s)
+                self.poll(WATCHDOG_POLL_S)
         except BaseException:
             # A later spawn failed: release the slabs of the workers that
             # *did* start, or they would leak. Found by dogfooding REP511.
@@ -541,7 +542,7 @@ class MultiprocessRuntime(Runtime):
             return True
         deadline = monotonic_ns() + ns_from_s(timeout_s)
         while self.supervisor.pending and monotonic_ns() < deadline:
-            self.poll(self._resilience.watchdog_poll_s)
+            self.poll(WATCHDOG_POLL_S)
         return not self.supervisor.pending
 
     @property

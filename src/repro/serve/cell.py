@@ -20,10 +20,11 @@ synthesis RNG is keyed on the subframe id).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable
 
-from ..faults.accounting import SubframeLedger
+from ..faults.accounting import SubframeLedger, TerminalState
 from ..faults.admission import AdmissionController, AdmissionDecision
 from ..faults.plan import RESPAWN_KINDS, FaultKind, FaultPlan, FaultSpec
 from ..faults.watchdog import ResilienceConfig
@@ -147,7 +148,6 @@ class CellShard:
         self.max_depth = 0
         self.dispatched = 0
         self.counters = UserCounters()
-        self.terminal_counts: dict[str, int] = {}
         self.last_tick: int | None = None
         self.monotone = True
         #: Users admitted per in-flight global id (for served accounting).
@@ -160,8 +160,8 @@ class CellShard:
         #: subframes — the consistent cut a crash-safe checkpoint needs.
         self._meta: dict[int, tuple[int, int, int, int]] = {}
         #: Terminal state per resolved local tick (this segment plus any
-        #: restored checkpoint baseline): the checkpoint state map and the
-        #: resume skip set.
+        #: restored checkpoint baseline): the checkpoint state map, the
+        #: resume skip set and the source of ``terminal_counts``.
         self.resolved_ticks: dict[int, str] = {}
 
     # ------------------------------------------------------------- identity
@@ -219,7 +219,6 @@ class CellShard:
             self._unqueued.discard(gid)
         else:
             self.inflight = max(0, self.inflight - 1)
-        self.terminal_counts[state] = self.terminal_counts.get(state, 0) + 1
         offered, shed, backpressure, tick = self._meta.pop(
             gid, (0, 0, 0, gid - self.cell_id * CELL_STRIDE)
         )
@@ -229,7 +228,7 @@ class CellShard:
         counters.shed_users += shed
         counters.backpressure_hits += backpressure
         self.resolved_ticks[tick] = state
-        if state in ("ok", "crc_failed"):
+        if state in (TerminalState.OK, TerminalState.CRC_FAILED):
             counters.served_users += users
             counters.crc_ok_users += crc_ok
         return users
@@ -237,7 +236,12 @@ class CellShard:
     @property
     def resolved(self) -> int:
         """Subframes that reached a terminal state (<= ``dispatched``)."""
-        return sum(self.terminal_counts.values())
+        return len(self.resolved_ticks)
+
+    @property
+    def terminal_counts(self) -> dict[str, int]:
+        """Resolved ticks per terminal state (states seen only), sorted."""
+        return dict(sorted(Counter(self.resolved_ticks.values()).items()))
 
     # ----------------------------------------------------------- checkpoint
     def checkpoint_record(self) -> dict:
@@ -253,7 +257,7 @@ class CellShard:
             "counters": {
                 "dispatched": self.resolved,
                 **asdict(self.counters),
-                "terminal_counts": dict(sorted(self.terminal_counts.items())),
+                "terminal_counts": self.terminal_counts,
             },
         }
 
@@ -262,7 +266,9 @@ class CellShard:
 
         Must run before the first dispatch. ``last_tick`` stays ``None``:
         the monotonicity witness is per-segment (the resumed segment
-        dispatches only the not-yet-resolved ticks, in order).
+        dispatches only the not-yet-resolved ticks, in order). The
+        record's ``terminal_counts`` are not read: they are derived from
+        its state map.
         """
         if self.dispatched:
             raise RuntimeError("cannot restore into a cell that already ran")
@@ -274,7 +280,6 @@ class CellShard:
         self.counters = UserCounters(
             **{f.name: int(counters[f.name]) for f in fields(UserCounters)}
         )
-        self.terminal_counts = dict(counters["terminal_counts"])
 
     def summary(self) -> dict:
         """Per-cell report row (plain data)."""
@@ -282,7 +287,7 @@ class CellShard:
             "cell": self.cell_id,
             "backend": self.backend,
             "dispatched": self.dispatched,
-            "terminal_counts": dict(sorted(self.terminal_counts.items())),
+            "terminal_counts": self.terminal_counts,
             **asdict(self.counters),
             "max_queue_depth": self.max_depth,
             "last_tick": self.last_tick,

@@ -971,7 +971,7 @@ class _Server:
         # Terminal counts aggregate across *all* segments (the restored
         # checkpoint baseline plus this run); the ledger itself is
         # segment-local, so ``ledger_ok`` certifies exactly this run.
-        counts = {"ok": 0, "crc_failed": 0, "shed": 0, "aborted": 0}
+        counts = {state.value: 0 for state in TerminalState}
         for c in self.cells:
             for state, n in c.terminal_counts.items():
                 counts[state] = counts.get(state, 0) + n

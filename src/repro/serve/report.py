@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..faults.accounting import TerminalState
+
 __all__ = ["SERVE_SCHEMA", "validate_serve_report"]
 
 #: Required top-level report fields and their accepted types.
@@ -69,9 +71,6 @@ _CELL_FIELDS = (
     "arrivals",
 )
 
-#: Every terminal-state histogram must carry exactly these keys.
-_TERMINAL_KEYS = frozenset({"ok", "crc_failed", "shed", "aborted"})
-
 
 def validate_serve_report(report: Any) -> list[str]:
     """Return a list of schema violations (empty = valid)."""
@@ -91,11 +90,9 @@ def validate_serve_report(report: Any) -> list[str]:
     if report["schema"] != "repro-serve/1":
         problems.append(f"unknown schema {report['schema']!r}")
     counts = report["terminal_counts"]
-    if set(counts) != _TERMINAL_KEYS:
-        problems.append(
-            f"terminal_counts keys {sorted(counts)} != "
-            f"{sorted(_TERMINAL_KEYS)}"
-        )
+    expected = sorted(state.value for state in TerminalState)
+    if sorted(counts) != expected:
+        problems.append(f"terminal_counts keys {sorted(counts)} != {expected}")
     elif report["dispatched"] != sum(counts.values()):
         problems.append(
             f"dispatched {report['dispatched']} != terminal sum "

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..faults.accounting import TerminalState
+from ..faults.accounting import SubframeLedger, TerminalState
 from ..faults.plan import FaultKind, FaultSpec
 from ..faults.watchdog import ResilienceConfig
 from ..obs.events import Event, EventKind
@@ -212,21 +212,14 @@ class SimResult:
     tasks_executed: int
     steals: int
     users_processed: int
-    #: Terminal state per subframe index ("ok" | "crc_failed" | "shed" |
-    #: "aborted"); every dispatched subframe appears exactly once.
-    terminal_states: dict[int, str] = field(default_factory=dict)
+    #: The run's one record of how each subframe ended (keyed ``start +
+    #: index``): every dispatched subframe resolved exactly once.
+    ledger: SubframeLedger
     #: Injected faults that actually applied, in firing order.
     faults_applied: list[dict] = field(default_factory=list)
     shed_users: int = 0
     aborted_users: int = 0
     retried_users: int = 0
-
-    def terminal_counts(self) -> dict[str, int]:
-        """Histogram over the four terminal states (all keys present)."""
-        out = {state.value: 0 for state in TerminalState}
-        for state in self.terminal_states.values():
-            out[state] += 1
-        return out
 
     @property
     def activity(self) -> np.ndarray:
@@ -271,9 +264,10 @@ class MachineSimulator:
         Optional :class:`~repro.faults.admission.AdmissionController`:
         sheds users at dispatch when the Eq. 4 estimate exceeds the
         activity budget (see ``docs/robustness.md``).
-    ledger:
-        Optional :class:`~repro.faults.accounting.SubframeLedger`
-        mirroring the run's terminal accounting for external checking.
+
+    Each :meth:`run` owns one
+    :class:`~repro.faults.accounting.SubframeLedger`, returned as
+    ``SimResult.ledger``: it is the only record of terminal states.
     """
 
     def __init__(
@@ -286,7 +280,6 @@ class MachineSimulator:
         faults=None,
         resilience: ResilienceConfig | None = None,
         admission=None,
-        ledger=None,
     ) -> None:
         self.cost = cost
         self.machine = cost.machine
@@ -301,7 +294,6 @@ class MachineSimulator:
         self._emit = None
         self.faults = faults
         self.admission = admission
-        self.ledger = ledger
         self._resilience = resilience or ResilienceConfig()
 
     def attach_observer(self, observer):
@@ -356,11 +348,10 @@ class MachineSimulator:
         self._antennas = 4
 
         # --- fault-injection / resilience bookkeeping (repro.faults) ---
-        self._sf_resolved: set[int] = set()
+        self._ledger = SubframeLedger()
         self._sf_shed: set[int] = set()
         self._sf_user_aborted: set[int] = set()
         self._retry_counts: dict[tuple[int, int], int] = {}
-        self._terminal_states: dict[int, str] = {}
         self._faults_applied: list[dict] = []
         self._shed_users = 0
         self._aborted_users = 0
@@ -415,14 +406,13 @@ class MachineSimulator:
         # Subframes the horizon truncated (still pending at the end of the
         # simulated time) are accounted as aborted: no dispatched subframe
         # ever goes missing from the terminal ledger.
-        for index in range(num_subframes):
-            if index not in self._sf_resolved:
-                self._resolve_subframe(
-                    index,
-                    horizon,
-                    state=TerminalState.ABORTED,
-                    reason="horizon truncation",
-                )
+        for subframe in self._ledger.unresolved():
+            self._resolve_subframe(
+                subframe - start,
+                horizon,
+                state=TerminalState.ABORTED,
+                reason="horizon truncation",
+            )
         self._finalize_trace(horizon)
 
         latency = (self._complete_cycle - self._dispatch_cycle) / clock
@@ -436,7 +426,7 @@ class MachineSimulator:
             tasks_executed=self._tasks_executed,
             steals=self._steals,
             users_processed=self._users_processed,
-            terminal_states=dict(self._terminal_states),
+            ledger=self._ledger,
             faults_applied=list(self._faults_applied),
             shed_users=self._shed_users,
             aborted_users=self._aborted_users,
@@ -519,8 +509,7 @@ class MachineSimulator:
                     )
                 )
             self._set_active_workers(target, t)
-            if self.ledger is not None:
-                self.ledger.dispatch(self._start_index + index, len(admitted))
+            self._ledger.dispatch(self._start_index + index, len(admitted))
             for user in admitted:
                 self._user_queue.append(
                     _Job(
@@ -573,12 +562,8 @@ class MachineSimulator:
         state: TerminalState | None = None,
         reason: str = "",
     ) -> None:
-        """Record one subframe's single terminal state (first call wins);
+        """Resolve one subframe in the run's ledger (first call wins);
         ``t`` is its completion, whatever the state."""
-        if index in self._sf_resolved:
-            return
-        self._sf_resolved.add(index)
-        self._complete_cycle[index] = t
         if state is None:
             if index in self._sf_user_aborted:
                 state = TerminalState.ABORTED
@@ -586,9 +571,9 @@ class MachineSimulator:
                 state = TerminalState.SHED
             else:
                 state = TerminalState.OK
-        self._terminal_states[index] = state.value
-        if self.ledger is not None:
-            self.ledger.resolve(self._start_index + index, state, reason)
+        if not self._ledger.resolve(self._start_index + index, state, reason):
+            return
+        self._complete_cycle[index] = t
         if self._emit is not None:
             self._emit(
                 Event(
@@ -601,7 +586,7 @@ class MachineSimulator:
 
     def _make_deadline_check(self, index: int):
         def check(t: int) -> None:
-            if index in self._sf_resolved or self._pending_users[index] <= 0:
+            if self._pending_users[index] <= 0:  # resolved: none pending
                 return
             self._abort_subframe(index, t, reason="deadline expired")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.latency import IN_FLIGHT_BOUND, deadline_report
+from repro.faults import TerminalState
 from repro.phy.params import MAX_PRB, Modulation
 from repro.power.estimator import calibrate_from_cost_model
 from repro.power.governor import NapIdlePolicy, NonapPolicy
@@ -78,7 +79,8 @@ class TestDeadlineReport:
             observers=[profiler],
         ).run(RandomizedParameterModel(total_subframes=200, seed=1), 200)
         truncated = [
-            i for i, s in result.terminal_states.items() if s == "aborted"
+            i for i in range(200)
+            if result.ledger.state_of(i) is TerminalState.ABORTED
         ]
         assert truncated
         horizon = result.trace.num_windows * result.trace.window_cycles

@@ -75,6 +75,9 @@ class TestRunScenario:
         outcome = run_scenario(scenario)
         assert outcome.survived, (outcome.checks, outcome.error)
         assert outcome.dispatched == sum(outcome.counts.values())
+        # The invariant checker validates simulator state only: a runtime
+        # scenario is checked against its ledger, and claims nothing more.
+        assert list(outcome.checks) == ["terminates", "accounts", "replays"]
 
 
 class TestSurvivalReport:
@@ -109,6 +112,8 @@ class TestSurvivalReport:
         assert "SURVIVED" in text
         assert "FAILED" in text
         assert "replays" in text  # the failed check is named
+        assert " disp  ok  crc shed abrt    wall" in text
+        assert "   6   5    1    0    0   0.50s" in text
 
     def test_to_dict_round_trips_through_json(self):
         good, bad = self.outcomes()

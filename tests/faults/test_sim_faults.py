@@ -13,7 +13,6 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     ResilienceConfig,
-    SubframeLedger,
 )
 from repro.obs import SchedulerInvariantChecker
 from repro.obs.events import EventKind
@@ -32,7 +31,7 @@ def small_cost():
     )
 
 
-def run_sim(faults=None, resilience=None, admission=None, ledger=None,
+def run_sim(faults=None, resilience=None, admission=None,
             num_subframes=NUM_SUBFRAMES, seed=7, check_invariants=True,
             observers=()):
     checker = SchedulerInvariantChecker()
@@ -43,7 +42,6 @@ def run_sim(faults=None, resilience=None, admission=None, ledger=None,
         faults=faults,
         resilience=resilience,
         admission=admission,
-        ledger=ledger,
     )
     model = RandomizedParameterModel(total_subframes=num_subframes, seed=seed)
     result = sim.run(model, num_subframes=num_subframes)
@@ -52,7 +50,7 @@ def run_sim(faults=None, resilience=None, admission=None, ledger=None,
 
 def fingerprint(result):
     return (
-        result.terminal_states,
+        result.ledger.summary(),
         result.tasks_executed,
         result.users_processed,
         result.shed_users,
@@ -78,21 +76,18 @@ class TestCrash:
         assert checker.ok, checker.summary()
         kinds = [f["fault"] for f in result.faults_applied]
         assert kinds.count("core-crash") == 2
-        assert len(result.terminal_states) == NUM_SUBFRAMES
+        assert result.ledger.dispatched == NUM_SUBFRAMES
         assert result.retried_users >= 1
 
     def test_crash_accounting_balances(self):
-        ledger = SubframeLedger()
         result, _ = run_sim(
             faults=self.plan(),
             resilience=ResilienceConfig(max_retries=2),
-            ledger=ledger,
         )
-        ledger.check()
-        assert ledger.dispatched == NUM_SUBFRAMES
-        counts = result.terminal_counts()
-        assert sum(counts.values()) == NUM_SUBFRAMES
-        assert counts == ledger.counts()
+        result.ledger.check()
+        assert result.ledger.dispatched == NUM_SUBFRAMES
+        assert sum(result.ledger.counts().values()) == NUM_SUBFRAMES
+        assert result.ledger.late_resolutions == []
 
 
 class TestStallAndSlowdown:
@@ -181,18 +176,16 @@ class TestDeadline:
                       param=2e8)
             for w in range(NUM_WORKERS)
         )
-        ledger = SubframeLedger()
         result, checker = run_sim(
             faults=FaultPlan(specs=specs),
             resilience=ResilienceConfig(max_retries=1, deadline_subframes=3.0),
-            ledger=ledger,
             num_subframes=8,
         )
         assert checker.ok, checker.summary()
-        counts = result.terminal_counts()
+        counts = result.ledger.counts()
         assert counts["aborted"] >= 1
         assert sum(counts.values()) == 8
-        ledger.check()
+        result.ledger.check()
         assert result.aborted_users >= 1
 
 
@@ -208,15 +201,12 @@ class TestOverloadAndShedding:
                           param=1e6),
             )
         )
-        ledger = SubframeLedger()
-        result, checker = run_sim(
-            faults=plan, admission=admission, ledger=ledger
-        )
+        result, checker = run_sim(faults=plan, admission=admission)
         assert checker.ok, checker.summary()
         assert result.shed_users >= 1
-        assert result.terminal_counts()["shed"] >= 1
+        assert result.ledger.counts()["shed"] >= 1
         assert admission.total_shed_subframes >= 1
-        ledger.check()
+        result.ledger.check()
 
     def test_no_overload_no_shedding(self):
         admission = AdmissionController(
@@ -224,7 +214,7 @@ class TestOverloadAndShedding:
         )
         result, _ = run_sim(admission=admission)
         assert result.shed_users == 0
-        assert result.terminal_counts()["shed"] == 0
+        assert result.ledger.counts()["shed"] == 0
 
 
 class TestDeterminism:

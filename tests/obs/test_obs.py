@@ -121,12 +121,18 @@ class TestSchedulerInvariantChecker:
         with pytest.raises(InvariantViolation, match="idle sets overlap"):
             strict.check_now()
 
-    def test_unbound_checker_only_counts(self):
-        """Before on_run_start binds a simulator, events are tallied only."""
-        checker = SchedulerInvariantChecker(strict=True)
-        checker(ev(EventKind.TASK_START, core=0))
+    def test_an_event_before_run_start_is_a_violation(self):
+        """The checker validates one bound simulator run; attached anywhere
+        else it must say so instead of reporting a clean run."""
+        with pytest.raises(InvariantViolation, match="before on_run_start"):
+            SchedulerInvariantChecker(strict=True)(ev(EventKind.TASK_START))
+        checker = SchedulerInvariantChecker(strict=False)
+        checker(ev(EventKind.DISPATCH, t=7))
         assert checker.events_checked == 1
-        assert checker.ok
+        assert checker.violations == [
+            "t=7: dispatch event before on_run_start "
+            "(the checker validates MachineSimulator runs only)"
+        ]
 
     def test_summary_mentions_counts(self):
         checker = SchedulerInvariantChecker(strict=False)

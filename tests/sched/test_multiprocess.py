@@ -270,8 +270,7 @@ def test_start_returns_with_the_workers_ready(workload):
     runtime = MultiprocessRuntime(
         num_workers=2,
         resilience=ResilienceConfig(
-            max_retries=0, deadline_s=0.2, watchdog_poll_s=0.01,
-            drain_timeout_s=60.0,
+            max_retries=0, deadline_s=0.2, drain_timeout_s=60.0,
         ),
     )
     [result] = runtime.run(subframes[:1])
@@ -292,8 +291,7 @@ def test_a_stragglers_segment_is_never_recycled(workload):
         num_workers=2,
         faults=plan,
         resilience=ResilienceConfig(
-            max_retries=0, deadline_s=0.5, watchdog_poll_s=0.01,
-            drain_timeout_s=60.0,
+            max_retries=0, deadline_s=0.5, drain_timeout_s=60.0,
         ),
     )
     runtime.start()

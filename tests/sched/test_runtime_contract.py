@@ -250,7 +250,6 @@ class TestRuntimeContract:
             resilience=ResilienceConfig(
                 max_retries=0,
                 deadline_s=0.1,
-                watchdog_poll_s=0.01,
                 drain_timeout_s=60.0,
             ),
         )
@@ -512,8 +511,7 @@ class TestInlineBatching:
             backend,
             observers=[gate],
             resilience=ResilienceConfig(
-                max_retries=0, deadline_s=0.5, watchdog_poll_s=0.01,
-                drain_timeout_s=60.0,
+                max_retries=0, deadline_s=0.5, drain_timeout_s=60.0,
             ),
         )
         submit_behind_gate(runtime, gate, subframes[:3])

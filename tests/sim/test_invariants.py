@@ -9,6 +9,7 @@ or ``_disabled``).
 
 import pytest
 
+from repro.faults import SubframeLedger, TerminalState
 from repro.obs import (
     EventRecorder,
     InvariantViolation,
@@ -190,6 +191,57 @@ class TestCheckerCatchesHistoricalBug:
         )
         _, checker, _ = run_checked(policy)
         assert checker.ok, checker.summary()
+
+
+class TestCheckerReadsTheRunsLedger:
+    """Terminal accounting is read from ``SimResult.ledger``, not re-derived
+    from ``subframe-terminal`` events: the simulator still emits every
+    event below, so only the ledger shows what went wrong."""
+
+    LOST = 5
+
+    def test_strict_checker_names_a_subframe_the_ledger_never_resolved(
+        self, monkeypatch
+    ):
+        resolve = SubframeLedger.resolve
+
+        def drop_one(ledger, subframe_index, state, reason=""):
+            if subframe_index == self.LOST:
+                return True  # claims the win, records nothing
+            return resolve(ledger, subframe_index, state, reason)
+
+        monkeypatch.setattr(SubframeLedger, "resolve", drop_one)
+        with pytest.raises(
+            InvariantViolation, match=rf"never reached a terminal state: \[{self.LOST}\]"
+        ):
+            run_checked("NONAP", strict=True)
+
+    def test_a_late_resolution_is_a_violation(self, monkeypatch):
+        resolve = SubframeLedger.resolve
+
+        def twice(ledger, subframe_index, state, reason=""):
+            won = resolve(ledger, subframe_index, state, reason)
+            if subframe_index == self.LOST:
+                resolve(ledger, subframe_index, TerminalState.ABORTED, "late")
+            return won
+
+        monkeypatch.setattr(SubframeLedger, "resolve", twice)
+        result, checker, _ = run_checked("NONAP")
+        result.ledger.check()  # the counts still balance ...
+        assert checker.violations == [  # ... but exactly-once did not hold
+            f"subframe {self.LOST} resolved a second time (aborted); "
+            "terminal states are exactly-once"
+        ]
+
+    def test_every_run_owns_a_fresh_ledger(self):
+        sim = build_sim("NONAP")
+        model = RandomizedParameterModel(total_subframes=8, seed=7)
+        first = sim.run(model, num_subframes=4)
+        second = sim.run(model, num_subframes=4, start=4)
+        assert first.ledger is not second.ledger
+        assert [first.ledger.dispatched, second.ledger.dispatched] == [4, 4]
+        assert second.ledger.unresolved() == []
+        assert second.ledger.state_of(4) is TerminalState.OK
 
 
 class TestEnvVarAutoAttach:

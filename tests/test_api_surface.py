@@ -193,6 +193,35 @@ def test_metrics_registry_and_worker_sketching_are_gone():
     ]
 
 
+def test_terminal_states_live_only_in_the_ledger():
+    """How each subframe ended is recorded once, in a ``SubframeLedger``:
+    the simulator owns one per run instead of keeping its own map, the
+    checker reads it instead of re-deriving it, and the plan-file format
+    and the knobs nothing set went with the ``faults/`` audit. No alias,
+    no stub."""
+    import dataclasses
+    import inspect
+
+    from repro.faults import FaultPlan, ResilienceConfig, hang_guard
+    from repro.faults.chaos import ChaosScenario
+    from repro.obs import invariants
+    from repro.sim import MachineSimulator, SimResult
+
+    assert "ledger" not in inspect.signature(MachineSimulator).parameters
+    sim_fields = {f.name for f in dataclasses.fields(SimResult)}
+    assert "ledger" in sim_fields and "terminal_states" not in sim_fields
+    assert not hasattr(SimResult, "terminal_counts")
+    assert not hasattr(invariants, "TERMINAL_STATES")
+    for name in ("save", "load", "to_json", "from_json", "from_dict",
+                 "max_subframe"):
+        assert not hasattr(FaultPlan, name)
+    assert "watchdog_poll_s" not in {
+        f.name for f in dataclasses.fields(ResilienceConfig)
+    }
+    assert "max_activity" not in {f.name for f in dataclasses.fields(ChaosScenario)}
+    assert list(inspect.signature(hang_guard).parameters) == ["timeout_s"]
+
+
 def test_version():
     import repro
 
