@@ -18,7 +18,7 @@ from ..power.governor import POLICY_NAMES, NapIdlePolicy, NapPolicy, make_policy
 from ..power.model import PowerModel, PowerModelParams, PowerTrace
 from ..sim.cost import CostModel
 from ..sim.machine import MachineSimulator, SimConfig, SimResult
-from ..uplink.parameter_model import RandomizedParameterModel
+from ..uplink.parameter_model import RandomizedParameterModel, TraceParameterModel
 
 __all__ = ["PolicyRun", "PowerStudyResult", "run_power_study"]
 
@@ -94,7 +94,9 @@ def run_power_study(
     """
     cost = cost or CostModel()
     estimator = estimator or calibrate_from_cost_model(cost)
-    model = RandomizedParameterModel(total_subframes=num_subframes, seed=seed)
+    draw = RandomizedParameterModel(total_subframes=num_subframes, seed=seed)
+    # Drawn once: every policy replays the same subframes.
+    model = TraceParameterModel(list(draw.iter_subframes(num_subframes)))
     power_model = PowerModel(power_params)
     runs: dict[str, PolicyRun] = {}
     for name in policies:

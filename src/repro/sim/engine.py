@@ -13,19 +13,20 @@ class EventEngine:
     """A heap-ordered event queue.
 
     Events are ``(time, callback)``; ties break in scheduling order so the
-    simulation is fully deterministic.
+    simulation is fully deterministic. A hot caller may push ``(time,
+    next(seq), callback)`` onto ``heap`` itself, skipping the past check.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Callable[[int], None]]] = []
-        self._counter = count()
+        self.heap: list[tuple[int, int, Callable[[int], None]]] = []
+        self.seq = count()
         self.now: int = 0
 
     def schedule(self, time: int, callback: Callable[[int], None]) -> None:
         """Schedule ``callback(time)`` at an absolute time (cycles)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        heapq.heappush(self._heap, (time, next(self._counter), callback))
+        heapq.heappush(self.heap, (time, next(self.seq), callback))
 
     def schedule_in(self, delay: int, callback: Callable[[int], None]) -> None:
         """Schedule ``callback`` after a relative delay (cycles)."""
@@ -35,7 +36,7 @@ class EventEngine:
 
     def run_until_idle(self, hard_limit: int | None = None) -> None:
         """Process all events (optionally bounded by a hard time limit)."""
-        heap = self._heap
+        heap = self.heap
         pop = heapq.heappop
         while heap:
             if hard_limit is not None and heap[0][0] > hard_limit:

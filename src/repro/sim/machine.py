@@ -25,6 +25,11 @@ Periodic nap wake-checks are not simulated as events (that would be ~20 M
 events per run); instead a napping core is woken *at its next periodic
 boundary* when work exists for it, and the wake-check energy overhead is
 charged analytically by the power model from NAP occupancy.
+
+A task's completion is its core's ``finish`` callback, built once per run:
+starting a task records what runs in ``core.running`` and pushes one heap
+entry, and no callable is created per task. A completion that finds its
+core crashed is stale (the crash accounted the work) and does nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappush
 
 import numpy as np
 
@@ -46,6 +53,12 @@ from .engine import EventEngine
 from .trace import CoreState, OccupancyTrace
 
 __all__ = ["SimConfig", "AlwaysOnPolicy", "SimResult", "MachineSimulator"]
+
+# Module-level names for the core states: reading an enum member off its
+# class costs ~0.1 us on CPython 3.11, and the hot path reads one per task.
+_COMPUTE, _SPIN, _NAP, _DISABLED = (
+    CoreState.COMPUTE, CoreState.SPIN, CoreState.NAP, CoreState.DISABLED
+)
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,13 @@ class _Job:
 
 
 class _Core:
-    """One simulated worker core."""
+    """One simulated worker core.
+
+    Its event callbacks are built once, with the core: ``finish`` ends
+    whatever it is running (a task or a serial continuation, described by
+    ``running``), ``wake`` is its periodic nap check and ``enable`` its
+    return from DISABLED. Scheduling one allocates only the heap entry.
+    """
 
     __slots__ = (
         "index",
@@ -169,30 +188,33 @@ class _Core:
         "busy",
         "crashed",
         "slow_factor",
-        "epoch",
         "running",
+        "finish",
+        "wake",
+        "enable",
     )
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, sim: "MachineSimulator") -> None:
         self.index = index
-        self.state = CoreState.SPIN
+        self.state = _SPIN
         self.state_since = 0
         self.job: _Job | None = None
         self.wake_scheduled = False
         self.busy = False
         # --- fault-injection state (repro.faults) ---
         # A crashed core reuses the DISABLED occupancy (the power model
-        # sees a powered-down core) but can never be re-enabled.
+        # sees a powered-down core) but can never be re-enabled, so a
+        # completion that finds it crashed is stale: the crash accounted it.
         self.crashed = False
         self.slow_factor = 1.0
-        # Bumped on crash so the in-flight task's scheduled finish
-        # callback (already in the event heap) knows it went stale.
-        self.epoch = 0
-        # (job, cycles charged, un-slowed cycles) of the task currently
-        # executing, for crash accounting; None when idle or stalling. A
-        # crash reports the first count and hands back the second: the
-        # thief that redoes a stolen task applies its own slow_factor.
-        self.running: tuple[_Job, int, int] | None = None
+        # (job, cycles charged, un-slowed cycles, stolen, kernel, serial)
+        # of what is executing; None when idle or stalling. A crash reports
+        # the charged count and hands back the un-slowed one: the thief
+        # that redoes a stolen task applies its own slow_factor.
+        self.running: tuple[_Job, int, int, bool, str, bool] | None = None
+        self.finish = partial(sim._complete, self)
+        self.wake = partial(sim._wake, self)
+        self.enable = partial(sim._enable, self)
 
 
 @dataclass
@@ -320,12 +342,13 @@ class MachineSimulator:
         horizon = num_windows * window_cycles
 
         self._engine = EventEngine()
+        self._heap, self._seq = self._engine.heap, self._engine.seq
         self._trace = OccupancyTrace(
             window_cycles=window_cycles,
             num_windows=num_windows,
             num_workers=machine.num_workers,
         )
-        self._cores = [_Core(i) for i in range(machine.num_workers)]
+        self._cores = [_Core(i, self) for i in range(machine.num_workers)]
         self._user_queue: deque[_Job] = deque()
         self._jobs_with_ready: deque[_Job] = deque()
         self._idle_spin: set[int] = set(range(machine.num_workers))
@@ -401,7 +424,7 @@ class MachineSimulator:
         # Every core looks for work once at t=0 so idle cores settle into
         # the policy's idle state (spin vs nap vs disabled) immediately.
         for core in self._cores:
-            self._engine.schedule(0, self._make_initial_seek(core))
+            self._engine.schedule(0, partial(self._initial_seek, core))
         self._engine.run_until_idle(hard_limit=horizon)
         # Subframes the horizon truncated (still pending at the end of the
         # simulated time) are accounted as aborted: no dispatched subframe
@@ -712,14 +735,13 @@ class MachineSimulator:
             self._record_fault(False, t, fault="core-crash", core=core.index)
             return
         self._record_fault(True, t, fault="core-crash", core=core.index)
-        core.crashed = True
-        core.epoch += 1  # strand the in-flight finish callback
+        core.crashed = True  # strands the in-flight completion
         if core.busy:
             running = core.running
             core.running = None
             core.busy = False
             if running is not None:
-                lost_job, lost_cycles, redo_cycles = running
+                lost_job, lost_cycles, redo_cycles = running[:3]
                 if self._emit is not None:
                     self._emit(
                         Event(
@@ -757,7 +779,7 @@ class MachineSimulator:
         self._idle_spin.discard(core.index)
         self._idle_nap.pop(core.index, None)
         self._disabled.add(core.index)
-        self._set_state(core, CoreState.DISABLED, t)
+        self._set_state(core, _DISABLED, t)
         if job is not None and not job.cancelled:
             job.cancelled = True
             job.ready.clear()
@@ -769,7 +791,7 @@ class MachineSimulator:
     def _stall_core(self, core: _Core, cycles: int, t: int) -> None:
         """Freeze one core for ``cycles``: it occupies COMPUTE producing
         nothing (a wedged core looks busy to the machine)."""
-        if core.crashed or core.busy or core.state is CoreState.DISABLED:
+        if core.crashed or core.busy or core.state is _DISABLED:
             self._record_fault(
                 False, t, fault="core-stall", core=core.index, cycles=cycles
             )
@@ -781,7 +803,7 @@ class MachineSimulator:
         self._idle_nap.pop(core.index, None)
         core.busy = True
         core.running = None
-        self._set_state(core, CoreState.COMPUTE, t)
+        self._set_state(core, _COMPUTE, t)
         self._tasks_executed += 1
         if self._emit is not None:
             self._emit(
@@ -797,10 +819,9 @@ class MachineSimulator:
                     },
                 )
             )
-        epoch = core.epoch
 
         def finish(end: int) -> None:
-            if core.epoch != epoch:
+            if core.crashed:
                 return  # crashed mid-stall; the crash accounted the task
             if self._emit is not None:
                 self._emit(
@@ -839,32 +860,25 @@ class MachineSimulator:
             for core in self._cores[previous:target]:
                 if core.index in self._disabled and not core.crashed:
                     self._disabled.discard(core.index)
-                    self._engine.schedule_in(
-                        delay, self._make_enable(core)
-                    )
+                    self._engine.schedule_in(delay, core.enable)
         # Shrinking happens lazily: surplus cores disable themselves when
         # they next look for work (they never abandon an owned job).
 
-    def _make_initial_seek(self, core: _Core):
-        def initial_seek(t: int) -> None:
-            if core.busy or core.job is not None:
-                return
-            if core.state is CoreState.SPIN and core.index in self._idle_spin:
-                self._idle_spin.discard(core.index)
-                self._seek_work(core, t)
+    def _initial_seek(self, core: _Core, t: int) -> None:
+        if core.busy or core.job is not None:
+            return
+        if core.state is _SPIN and core.index in self._idle_spin:
+            self._idle_spin.discard(core.index)
+            self._seek_work(core, t)
 
-        return initial_seek
-
-    def _make_enable(self, core: _Core):
-        def enable(t: int) -> None:
-            if core.state is CoreState.DISABLED and not core.crashed:
-                self._set_state(core, CoreState.SPIN, t)
-                # _seek_work either takes work or re-registers the core as
-                # idle; pre-registering here would let _distribute_work
-                # dispatch the same (now busy) core twice.
-                self._seek_work(core, t)
-
-        return enable
+    def _enable(self, core: _Core, t: int) -> None:
+        """``core.enable``: a re-enabled core comes back from DISABLED."""
+        if core.state is _DISABLED and not core.crashed:
+            self._set_state(core, _SPIN, t)
+            # _seek_work either takes work or re-registers the core as
+            # idle; pre-registering here would let _distribute_work
+            # dispatch the same (now busy) core twice.
+            self._seek_work(core, t)
 
     # ----------------------------------------------------------- scheduling
     def _set_state(self, core: _Core, state: CoreState, t: int) -> None:
@@ -925,39 +939,38 @@ class MachineSimulator:
                 periods = elapsed // self._wake_period_cycles + 1
                 wake_at = nap_start + periods * self._wake_period_cycles
                 core.wake_scheduled = True
-                self._engine.schedule(wake_at, self._make_wake(core))
+                self._engine.schedule(wake_at, core.wake)
 
-    def _make_wake(self, core: _Core):
-        def wake(t: int) -> None:
-            core.wake_scheduled = False
-            if core.state is not CoreState.NAP:
-                return
-            self._idle_nap.pop(core.index, None)
-            self._set_state(core, CoreState.SPIN, t)
-            took_work = self._seek_work(core, t)
-            if self._emit is not None:
-                self._emit(
-                    Event(
-                        EventKind.WAKE_CHECK,
-                        t,
-                        core.index,
-                        {"took_work": took_work},
-                    )
+    def _wake(self, core: _Core, t: int) -> None:
+        """``core.wake``: a napping core's periodic check (at most one
+        pending per core, guarded by ``wake_scheduled``)."""
+        core.wake_scheduled = False
+        if core.state is not _NAP:
+            return
+        self._idle_nap.pop(core.index, None)
+        self._set_state(core, _SPIN, t)
+        took_work = self._seek_work(core, t)
+        if self._emit is not None:
+            self._emit(
+                Event(
+                    EventKind.WAKE_CHECK,
+                    t,
+                    core.index,
+                    {"took_work": took_work},
                 )
-
-        return wake
+            )
 
     def _go_idle(self, core: _Core, t: int) -> None:
         """No work found: spin or nap according to the policy."""
         if core.job is None and core.index >= self._active_workers:
-            self._set_state(core, CoreState.DISABLED, t)
+            self._set_state(core, _DISABLED, t)
             self._disabled.add(core.index)
             return
         if self.policy.reactive_nap:
-            self._set_state(core, CoreState.NAP, t)
+            self._set_state(core, _NAP, t)
             self._idle_nap[core.index] = t
         else:
-            self._set_state(core, CoreState.SPIN, t)
+            self._set_state(core, _SPIN, t)
             self._idle_spin.add(core.index)
 
     def _seek_work(self, core: _Core, t: int) -> bool:
@@ -991,9 +1004,9 @@ class MachineSimulator:
             self._start_job(core, new_job, t)
             return True
         # 3. Steal from any job with ready tasks (thief FIFO).
-        victim = self._pop_stealable(exclude=job)
-        if victim is not None:
-            victim_job, cycles = victim
+        victim_job = self._victim(job)
+        if victim_job is not None:
+            cycles = victim_job.ready.popleft()
             self._steals += 1
             if self._emit is not None:
                 owner = victim_job.user_core
@@ -1015,19 +1028,21 @@ class MachineSimulator:
         self._go_idle(core, t)
         return False
 
-    def _pop_stealable(self, exclude: _Job | None) -> tuple[_Job, int] | None:
-        for _ in range(len(self._jobs_with_ready)):
-            job = self._jobs_with_ready[0]
+    def _victim(self, exclude: _Job | None) -> _Job | None:
+        """The first job other than ``exclude`` with a task to steal."""
+        jobs = self._jobs_with_ready
+        for _ in range(len(jobs)):
+            job = jobs[0]
             if not job.ready:
-                self._jobs_with_ready.popleft()
+                jobs.popleft()
                 continue
             if job is exclude:
                 # Rotate: look for a different victim first.
-                if len(self._jobs_with_ready) == 1:
+                if len(jobs) == 1:
                     return None
-                self._jobs_with_ready.rotate(-1)
+                jobs.rotate(-1)
                 continue
-            return job, job.ready.popleft()
+            return job
         return None
 
     def _start_job(self, core: _Core, job: _Job, t: int) -> None:
@@ -1047,64 +1062,66 @@ class MachineSimulator:
             self._seek_work(core, t)
 
     def _execute_task(
-        self, core: _Core, job: _Job, cycles: int, t: int, stolen: bool
+        self,
+        core: _Core,
+        job: _Job,
+        cycles: int,
+        t: int,
+        stolen: bool,
+        serial: bool = False,
     ) -> None:
+        """Start a task of ``job`` (or, ``serial``, its continuation) on
+        ``core``; ``core.finish`` fires when it ends."""
         core.busy = True
-        self._set_state(core, CoreState.COMPUTE, t)
+        if core.state is not _COMPUTE:  # mostly it already is
+            self._set_state(core, _COMPUTE, t)
         self._tasks_executed += 1
         nominal = cycles
         if core.slow_factor != 1.0:
             cycles = max(1, int(cycles * core.slow_factor))
         kernel = job.stage_kind
-        core.running = (job, cycles, nominal)
-        epoch = core.epoch
+        core.running = (job, cycles, nominal, stolen, kernel, serial)
         if self._emit is not None:
-            self._emit(
-                Event(
-                    EventKind.TASK_START,
-                    t,
-                    core.index,
-                    {
-                        "cycles": cycles,
-                        "stolen": stolen,
-                        "kernel": kernel,
-                        "subframe": job.subframe_index,
-                    },
-                )
-            )
+            data = {"cycles": cycles, "stolen": stolen}
+            if serial:
+                data["serial"] = True
+            data["kernel"] = kernel
+            data["subframe"] = job.subframe_index
+            self._emit(Event(EventKind.TASK_START, t, core.index, data))
+        # Same (time, seq) key as EventEngine.schedule, minus its past check.
+        heappush(self._heap, (t + cycles, next(self._seq), core.finish))
 
-        def finish(end: int) -> None:
-            if core.epoch != epoch:
-                return  # the core crashed mid-task; the crash accounted it
-            core.running = None
-            if self._emit is not None:
-                self._emit(
-                    Event(
-                        EventKind.TASK_FINISH,
-                        end,
-                        core.index,
-                        {
-                            "cycles": cycles,
-                            "stolen": stolen,
-                            "kernel": kernel,
-                            "subframe": job.subframe_index,
-                        },
-                    )
-                )
-            self._task_finished(core, job, end)
+    def _complete(self, core: _Core, end: int) -> None:
+        """``core.finish``: what ``core.running`` describes has ended.
 
-        self._engine.schedule(t + cycles, finish)
-
-    def _task_finished(self, core: _Core, job: _Job, t: int) -> None:
-        if job.cancelled:
-            # The job was voided (crash retry / deadline abort) while this
-            # task was in flight: the work is discarded, the core moves on.
-            self._seek_work(core, t)
+        Stale exactly when the core crashed meanwhile: a crashed core never
+        runs again, and the crash already reported the work lost.
+        """
+        if core.crashed:
             return
-        job.outstanding -= 1
-        if job.outstanding == 0 and not job.ready:
-            self._stage_complete(job, t)
-        self._seek_work(core, t)
+        job, cycles, _, stolen, kernel, serial = core.running
+        core.running = None
+        if self._emit is not None:
+            data = {"cycles": cycles}
+            if serial:
+                data["serial"] = True
+            else:
+                data["stolen"] = stolen
+            data["kernel"] = kernel
+            data["subframe"] = job.subframe_index
+            self._emit(Event(EventKind.TASK_FINISH, end, core.index, data))
+        if serial:
+            core.busy = False
+            if job.cancelled or not self._owner_advance(core, job, end):
+                self._seek_work(core, end)
+            return
+        # A task of a job voided meanwhile (crash retry / deadline abort) is
+        # discarded; either way the core moves on.
+        if not job.cancelled:
+            job.outstanding -= 1
+            if job.outstanding == 0 and not job.ready:
+                self._stage_complete(job, end)
+        self._seek_work(core, end)
 
     def _stage_complete(self, job: _Job, t: int) -> None:
         """All tasks of the current parallel stage finished."""
@@ -1150,7 +1167,9 @@ class MachineSimulator:
         """Advance the owned job; True when this call engaged the core."""
         outcome = self._advance_stage(job, t)
         if outcome == "ser":
-            self._run_continuation(core, t)
+            # The serial stage (combiner/finalize) runs on the owner.
+            cycles = job.stages[job.stage_index][1]
+            self._execute_task(core, job, cycles, t, stolen=False, serial=True)
             return True
         if outcome == "done":
             self._finish_job(core, t)
@@ -1159,64 +1178,6 @@ class MachineSimulator:
         # _seek_work lets the owner grab its own first task.
         self._distribute_work(t)
         return False
-
-    def _run_continuation(self, core: _Core, t: int) -> None:
-        """Run the current serial stage (combiner/finalize) on the owner."""
-        job = core.job
-        assert job is not None
-        stage = job.stages[job.stage_index]
-        assert stage[0] == "ser", "continuation outside a serial stage"
-        core.busy = True
-        self._set_state(core, CoreState.COMPUTE, t)
-        self._tasks_executed += 1
-        cycles = stage[1]
-        if core.slow_factor != 1.0:
-            cycles = max(1, int(cycles * core.slow_factor))
-        kernel = stage[2]
-        core.running = (job, cycles, stage[1])
-        epoch = core.epoch
-        if self._emit is not None:
-            self._emit(
-                Event(
-                    EventKind.TASK_START,
-                    t,
-                    core.index,
-                    {
-                        "cycles": cycles,
-                        "stolen": False,
-                        "serial": True,
-                        "kernel": kernel,
-                        "subframe": job.subframe_index,
-                    },
-                )
-            )
-
-        def finish(end: int) -> None:
-            if core.epoch != epoch:
-                return  # the core crashed mid-stage; the crash accounted it
-            core.running = None
-            if self._emit is not None:
-                self._emit(
-                    Event(
-                        EventKind.TASK_FINISH,
-                        end,
-                        core.index,
-                        {
-                            "cycles": cycles,
-                            "serial": True,
-                            "kernel": kernel,
-                            "subframe": job.subframe_index,
-                        },
-                    )
-                )
-            core.busy = False
-            if job.cancelled:
-                self._seek_work(core, end)
-                return
-            if not self._owner_advance(core, job, end):
-                self._seek_work(core, end)
-
-        self._engine.schedule(t + cycles, finish)
 
     def _finish_job(self, core: _Core, t: int) -> None:
         """Bookkeeping when a job's last stage completes (no work seeking)."""

@@ -7,9 +7,18 @@ double-membership bug in ``_distribute_work`` (a core left in
 or ``_disabled``).
 """
 
+import numpy as np
 import pytest
 
-from repro.faults import SubframeLedger, TerminalState
+from repro.experiments.power_study import run_power_study
+from repro.faults import (
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    ResilienceConfig,
+    SubframeLedger,
+    TerminalState,
+)
 from repro.obs import (
     EventRecorder,
     InvariantViolation,
@@ -17,10 +26,12 @@ from repro.obs import (
     SchedulerInvariantChecker,
     TelemetryCollector,
 )
+from repro.obs.events import EventKind
 from repro.power.estimator import calibrate_from_cost_model
 from repro.power.governor import make_policy
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
+from repro.sim.trace import CoreState
 from repro.uplink.parameter_model import RandomizedParameterModel
 
 POLICIES = ["NONAP", "IDLE", "NAP", "NAP+IDLE"]
@@ -28,7 +39,7 @@ NUM_WORKERS = 8
 NUM_SUBFRAMES = 60
 
 
-def build_sim(policy_name, observers=None):
+def build_sim(policy_name, observers=None, **options):
     cost = CostModel(
         machine=MachineSpec(num_cores=NUM_WORKERS + 2, num_workers=NUM_WORKERS)
     )
@@ -38,6 +49,7 @@ def build_sim(policy_name, observers=None):
         policy=make_policy(policy_name, NUM_WORKERS, estimator),
         config=SimConfig(drain_margin_s=0.2),
         observers=observers,
+        **options,
     )
 
 
@@ -135,6 +147,150 @@ class TestFixedSeedCyclesPinned:
         assert result.mean_activity() == pytest.approx(0.1108781282142857, rel=1e-12)
 
 
+#: Slows core 2 and crashes it mid-continuation (subframe 3), stalls core 6,
+#: crashes core 5 mid-task (subframe 6) and core 7 mid-stall (subframe 8).
+FAULTS = FaultPlan(
+    specs=(
+        FaultSpec(FaultKind.CORE_SLOWDOWN, subframe=1, target=2, param=8.0),
+        FaultSpec(FaultKind.CORE_CRASH, subframe=3, target=2),
+        FaultSpec(FaultKind.CORE_STALL, subframe=4, target=6, param=200_000),
+        FaultSpec(FaultKind.CORE_CRASH, subframe=6, target=5),
+        FaultSpec(FaultKind.CORE_STALL, subframe=8, target=7, param=200_000),
+        FaultSpec(FaultKind.CORE_CRASH, subframe=8, target=7),
+    )
+)
+
+
+def run_faulted(observers=()):
+    sim = build_sim(
+        "NONAP",
+        observers=[SchedulerInvariantChecker(strict=True), *observers],
+        faults=FAULTS,
+        resilience=ResilienceConfig(max_retries=2),
+    )
+    model = RandomizedParameterModel(total_subframes=NUM_SUBFRAMES, seed=7)
+    return sim.run(model, num_subframes=20)
+
+
+def run_counters(result):
+    """The integers a scheduling change could move, latency as cycles."""
+    latency = np.rint(result.subframe_latency_s * result.machine.clock_hz)
+    return (
+        result.tasks_executed,
+        result.steals,
+        result.users_processed,
+        result.ledger.counts(),
+        int(latency.sum()),
+    )
+
+
+def all_ok(n, aborted=0):
+    return {"ok": n - aborted, "crc_failed": 0, "shed": 0, "aborted": aborted}
+
+
+class TestCompletionPathsPinned:
+    """Faults, the slot-pipelined graph and the four-policy study, pinned.
+
+    Each path through a task's completion (a task, a serial continuation, a
+    stall, each of them finishing or lost to a crash) is exercised here and
+    its run's counters are fixed literals, captured before completions
+    became one callback per core. Watts are float reductions, so they are
+    pinned to 1e-12 rather than exactly.
+    """
+
+    FAULTS_APPLIED = [
+        {"applied": True, "t": 3_500_000, "fault": "core-slowdown", "core": 2,
+         "factor": 8.0},
+        {"applied": True, "t": 10_500_000, "fault": "core-crash", "core": 2},
+        {"applied": True, "t": 14_000_000, "fault": "core-stall", "core": 6,
+         "cycles": 200_000},
+        {"applied": True, "t": 21_000_000, "fault": "core-crash", "core": 5},
+        {"applied": True, "t": 28_000_000, "fault": "core-stall", "core": 7,
+         "cycles": 200_000},
+        {"applied": True, "t": 28_000_000, "fault": "core-crash", "core": 7},
+    ]
+    #: Per policy: counters, per-window COMPUTE cycles, mean watts.
+    STUDY = {
+        "NONAP": (
+            (14_566, 12_930, 803, all_ok(120), 465_977_959),
+            [671_463_767, 685_609_400, 699_311_405, 680_601_878, 696_435_574,
+             693_908_778],
+            24.09647351539783,
+        ),
+        "IDLE": (
+            (14_566, 10_016, 803, all_ok(120), 517_756_443),
+            [671_463_767, 685_609_400, 698_822_840, 679_979_306, 697_028_742,
+             694_426_747],
+            17.101358897844296,
+        ),
+        "NAP": (
+            (14_566, 6_761, 803, all_ok(120, aborted=1), 640_408_996),
+            [669_755_511, 685_025_894, 700_080_363, 681_838_338, 694_952_535,
+             694_183_642],
+            16.594754743307494,
+        ),
+        "NAP+IDLE": (
+            (14_565, 6_291, 803, all_ok(120, aborted=1), 700_965_725),
+            [669_044_984, 685_534_624, 694_011_397, 679_124_364, 702_948_414,
+             693_713_116],
+            16.300577860627854,
+        ),
+    }
+
+    def test_faulted_run(self):
+        result = run_faulted()
+        assert run_counters(result) == (2_319, 482, 127, all_ok(20), 33_437_161)
+        assert result.faults_applied == self.FAULTS_APPLIED
+
+    def test_slot_pipelined_run(self):
+        sim = build_sim("NONAP", slot_pipelined=True)
+        model = RandomizedParameterModel(total_subframes=NUM_SUBFRAMES, seed=7)
+        result = sim.run(model, num_subframes=NUM_SUBFRAMES)
+        assert run_counters(result) == (8_650, 2_650, 370, all_ok(60), 59_268_552)
+
+    def test_four_policy_power_study(self):
+        study = run_power_study(120, seed=5)
+        assert list(study.runs) == list(self.STUDY)
+        for name, (counters, compute, watts) in self.STUDY.items():
+            run = study.runs[name]
+            assert run_counters(run.sim) == counters, name
+            occupancy = run.sim.trace.occupancy_cycles(CoreState.COMPUTE)
+            assert occupancy.tolist() == compute, name
+            assert run.mean_total_w() == pytest.approx(watts, rel=1e-12), name
+        assert study.mean_power("PowerGating") == pytest.approx(
+            13.680911193961187, rel=1e-12
+        )
+
+
+class TestStaleCompletion:
+    """A crash leaves the dead core's completion in the event heap.
+
+    Firing it must do nothing: the crash already reported the work as one
+    lost ``task-finish`` and handed the job back. Core 2 dies mid-
+    continuation, core 5 mid-task, core 7 mid-stall.
+    """
+
+    def test_a_crashed_core_reports_its_work_lost_once_and_never_runs_again(self):
+        recorder = EventRecorder()
+        run_faulted(observers=[recorder])
+        events = recorder.events
+        crashes = {
+            e.core: i
+            for i, e in enumerate(events)
+            if e.kind is EventKind.FAULT and e.data["fault"] == "core-crash"
+        }
+        assert sorted(crashes) == [2, 5, 7]
+        lost = [
+            (e.core, e.data["kernel"])
+            for e in events
+            if e.kind is EventKind.TASK_FINISH and e.data.get("lost")
+        ]
+        assert sorted(lost) == [(2, "finalize"), (5, "chest"), (7, "stall")]
+        for core, at in crashes.items():
+            after = [e.kind for e in events[at + 1 :] if e.core == core]
+            assert after == [EventKind.TASK_FINISH, EventKind.STATE_TRANSITION]
+
+
 def buggy_distribute_work(self, t):
     """The pre-fix ``_distribute_work``: re-registers every deferred core
     in ``_idle_spin`` even when ``_seek_work`` declined because the core
@@ -160,8 +316,7 @@ def buggy_distribute_work(self, t):
             periods = (t - nap_start) // self._wake_period_cycles + 1
             core.wake_scheduled = True
             self._engine.schedule(
-                nap_start + periods * self._wake_period_cycles,
-                self._make_wake(core),
+                nap_start + periods * self._wake_period_cycles, core.wake
             )
 
 
