@@ -65,6 +65,21 @@ serve-smoke:
 	$(PYTHON) -c "import json; from repro.serve import validate_serve_report; \
 		problems = validate_serve_report(json.load(open('SERVE_smoke.json'))); \
 		assert not problems, problems; print('serve report: schema OK')"
+# Any report resumes: a --max-wall cut's --json-out report is the resume point.
+	$(PYTHON) -m repro serve --cells 4 --subframes 40 --no-pace --arrival poisson \
+		--rate 2.0 --seed 0 --backpressure block --timeout 300 --max-wall 0.05 \
+		--json-out SERVE_cut.json > /dev/null; test $$? -eq 124
+	$(PYTHON) -m repro serve --cells 4 --subframes 40 --no-pace --arrival poisson \
+		--rate 2.0 --seed 0 --backpressure block --timeout 300 --resume SERVE_cut.json \
+		--json-out SERVE_resumed.json > /dev/null
+	$(PYTHON) -c "import json; from repro.serve import validate_serve_report; \
+		cut, done = (json.load(open(f)) for f in ('SERVE_cut.json', 'SERVE_resumed.json')); \
+		problems = validate_serve_report(cut) + validate_serve_report(done); \
+		assert not problems, problems; \
+		assert cut['terminal_states'].items() <= done['terminal_states'].items(); \
+		assert done['checkpoint']['completed'] and done['checkpoint']['segments'] == 2; \
+		print('serve: a --json-out cut of %d subframes resumed to %d' \
+		% (cut['dispatched'], done['dispatched']))"
 	$(PYTHON) -m repro serve --cells 2 --subframes 40 --no-pace \
 		--backend threaded --workers 2 --faults --seed 1 --timeout 300
 # Batching under backlog never shows: a flood that batches (depth 8) and

@@ -3,7 +3,7 @@
 The in-repo test suite cuts runs with ``--max-wall`` (a clean exit);
 this driver validates the *crash* path the checkpoint exists for: a
 ``repro serve`` subprocess is SIGKILLed mid-run — no atexit hooks, no
-final snapshot — and ``--resume`` from whatever ``repro-ckpt/1`` file
+final record — and ``--resume`` from whatever ``repro-serve/2`` cut
 the periodic writer last published must reconstruct the exact
 per-subframe terminal-state map of an uninterrupted run at the same
 seed. The config keeps every admission decision a pure function of
@@ -72,7 +72,7 @@ def main() -> int:
     out = os.path.join(workdir, "resumed.json")
 
     print("uninterrupted reference run ...", flush=True)
-    full = serve(ServeConfig(**CONFIG, checkpoint_path=os.path.join(workdir, "full.json")))
+    full = serve(ServeConfig(**CONFIG))
     assert full.ok, full.errors
     full_report = full.report
     assert full_report["backpressure_hits"] == 0, "config must not backpressure"
@@ -93,9 +93,7 @@ def main() -> int:
     # periodic snapshots can precede the first terminal.
     deadline = time.monotonic() + 60.0
     while victim.poll() is None:
-        if os.path.exists(ckpt) and any(
-            record["states"] for record in load_checkpoint(ckpt)["cells"]
-        ):
+        if os.path.exists(ckpt) and load_checkpoint(ckpt)["terminal_states"]:
             break
         assert time.monotonic() < deadline, "no non-empty snapshot within 60s"
         time.sleep(0.005)
@@ -105,8 +103,8 @@ def main() -> int:
     assert victim.returncode == -signal.SIGKILL
 
     snapshot = load_checkpoint(ckpt)
-    assert snapshot["completed"] is False, "kill landed after completion"
-    done = sum(len(record["states"]) for record in snapshot["cells"])
+    assert snapshot["checkpoint"]["completed"] is False, "kill landed after completion"
+    done = len(snapshot["terminal_states"])
     total = CONFIG["cells"] * CONFIG["subframes"]
     assert 0 < done < total, (done, total)
     print(f"  killed with {done}/{total} subframes resolved", flush=True)
@@ -137,7 +135,7 @@ def main() -> int:
             report[key],
             full_report[key],
         )
-    assert load_checkpoint(ckpt)["completed"] is True
+    assert load_checkpoint(ckpt) == report, "the final checkpoint is the report"
     print(
         f"supervision smoke OK: resumed segment matched {len(full_map)} "
         f"terminal states after SIGKILL at {done}/{total}"

@@ -272,13 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--json",
         action="store_true",
-        help="emit the machine-readable repro-serve/1 report",
+        help="emit the machine-readable repro-serve/2 report",
     )
     serve.add_argument(
         "--json-out",
         default=None,
         metavar="FILE",
-        help="atomically write the repro-serve/1 report to FILE",
+        help="atomically write the repro-serve/2 report to FILE "
+        "(resumable with --resume)",
     )
     _add_timeout(serve)
 
@@ -804,91 +805,70 @@ def cmd_serve(args) -> int:
             print(f"serve: {exc}", file=sys.stderr)
             return 2
     report = result.report
+    flags = report["config"]
     problems = validate_serve_report(report)
     if args.json_out:
         from .ioutil import atomic_write_json
 
         atomic_write_json(args.json_out, report)
+    shedding = report["faults"]["shedding_engaged"]
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        counts = report["terminal_counts"]
-        print(
-            f"served {report['cells']} cells x "
-            f"{report['subframes_per_cell']} subframes "
-            f"({report['arrival']} arrivals, {report['backend']} backend"
-            f"{', paced' if report['paced'] else ', unpaced'}) "
-            f"in {report['wall_s']:.3f} s"
-        )
-        print(
-            f"  {report['dispatched']} dispatched: "
-            + "  ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        )
-        print(
+        counts = "  ".join(f"{k}={v}" for k, v in report["terminal_counts"].items())
+        lines = [
+            f"served {flags['cells']} cells x {flags['subframes']} subframes "
+            f"({flags['arrival']} arrivals, {flags['backend']} backend, "
+            f"{'paced' if flags['pace'] else 'unpaced'}) in {report['wall_s']:.3f} s",
+            f"  {report['dispatched']} dispatched: {counts}",
             f"  users: offered {report['offered_users']}, admitted "
-            f"{report['admitted_users']}, shed {report['shed_users']}, "
-            f"served {report['served_users']} "
-            f"({report['users_per_hour']:,.0f}/hour)"
-        )
-        print(
-            f"  backpressure hits {report['backpressure_hits']}, "
-            f"throughput {report['throughput_sf_per_s']:.1f} sf/s, "
-            f"ledger {'OK' if report['ledger_ok'] else 'BROKEN'}"
-        )
-        if args.faults:
-            print(
-                "  chaos: shedding "
-                + (
-                    "engaged"
-                    if report["faults"]["shedding_engaged"]
-                    else "NOT ENGAGED"
-                )
-                + f", {report['faults']['faults_seen']} fault(s) fired"
+            f"{report['admitted_users']}, shed {report['shed_users']}, served "
+            f"{report['served_users']} ({report['users_per_hour']:,.0f}/hour)",
+            f"  backpressure hits {report['backpressure_hits']}, throughput "
+            f"{report['throughput_sf_per_s']:.1f} sf/s, "
+            f"ledger {'OK' if report['ledger_ok'] else 'BROKEN'}",
+        ]
+        if flags["faults"]:
+            lines.append(
+                f"  chaos: shedding {'engaged' if shedding else 'NOT ENGAGED'}, "
+                f"{report['faults']['faults_seen']} fault(s) fired"
             )
-        supervisor = report["supervisor"]
-        if supervisor.get("enabled"):
-            print(
-                f"  supervisor: {supervisor['deaths']} death(s), "
-                f"{supervisor['respawns']} respawn(s)"
-                + (", FAIL-STOP" if supervisor["fail_stop"] else "")
+        if sup := report["supervisor"]:
+            lines.append(
+                f"  supervisor: {sup['deaths']} death(s), {sup['respawns']} "
+                f"respawn(s){', FAIL-STOP' if sup['fail_stop'] else ''}"
             )
-        adaptive = report["adaptive"]
-        if adaptive.get("enabled"):
-            print(
+        if adaptive := report["adaptive"]:
+            lines.append(
                 f"  adaptive: load_factor {adaptive['load_factor']:.3f}, "
                 f"{adaptive['degrades']} degrade(s), "
                 f"{adaptive['recovers']} recover(s)"
             )
-        ckpt = report["checkpoint"]
-        if ckpt.get("enabled"):
-            print(
-                f"  checkpoint: segment {ckpt['segments']}, "
-                f"{ckpt['writes']} write(s), "
+        if flags["checkpoint_path"] or flags["resume_path"]:
+            ckpt = report["checkpoint"]
+            lines.append(
+                f"  checkpoint: segment {ckpt['segments']}, {ckpt['writes']} "
+                f"periodic write(s), "
                 + ("complete" if ckpt["completed"] else "resumable")
             )
-        if report["max_wall"]["hit"]:
+        print("\n".join(lines))
+        if report["max_wall_hit"]:
             print(
-                f"  max-wall: guard tripped at "
-                f"{report['max_wall']['limit_s']}s — exiting 124",
+                f"  max-wall: guard tripped at {flags['max_wall_s']}s — "
+                "exiting 124 (the report resumes with --resume)",
                 file=sys.stderr,
             )
         for line in result.errors:
             print(f"  error: {line}", file=sys.stderr)
         for line in problems:
             print(f"  report schema: {line}", file=sys.stderr)
-    failed = (
-        not report["ledger_ok"]
-        or bool(problems)
-        or bool(result.errors)
-        or (args.faults and not report["faults"]["shedding_engaged"])
-    )
-    if failed:
+    if not report["ledger_ok"] or problems or result.errors or (
+        flags["faults"] and not shedding
+    ):
         return 1
-    if report["max_wall"]["hit"]:
-        # timeout(1)'s convention: the guard tripped, the run is clean
-        # but incomplete (and resumable when --checkpoint was set).
-        return 124
-    return 0
+    # timeout(1)'s convention: the guard tripped, the run is clean but
+    # incomplete (and its report resumes).
+    return 124 if report["max_wall_hit"] else 0
 
 
 def cmd_lint(args) -> int:

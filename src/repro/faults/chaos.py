@@ -67,18 +67,6 @@ THREADED_GROUPS: tuple[tuple[str, tuple[FaultKind, ...]], ...] = (
 #: does).
 MULTIPROCESS_GROUPS = THREADED_GROUPS
 
-#: Supervised-respawn scenarios (``--backend multiprocess-respawn``): the
-#: pool runs with a :class:`~repro.serve.supervisor.WorkerSupervisor`
-#: attached, so repeated worker kills must end ledger-OK with zero lost
-#: subframes *and* at least one respawn — plus the usual replay check.
-#: Fingerprints of the fail-stop ``multiprocess`` scenarios above are
-#: untouched because respawn stays opt-in.
-RESPAWN_GROUPS: tuple[tuple[str, tuple[FaultKind, ...]], ...] = (
-    ("respawn-death", (FaultKind.WORKER_DEATH,)),
-    ("crash-loop", (FaultKind.CRASH_LOOP,)),
-    ("respawn-storm", (FaultKind.RESPAWN_STORM,)),
-)
-
 #: Campaign sizes. ``smoke`` is the CI gate; ``default`` the local run.
 _SCALES = {
     "smoke": {"num_subframes": 6, "num_workers": 4, "max_users": 3,
@@ -109,7 +97,6 @@ class ChaosScenario:
     num_workers: int
     max_users: int
     resilience: ResilienceConfig
-    respawn: bool = False  # run the pool under a WorkerSupervisor
 
     def to_dict(self) -> dict:
         return {
@@ -119,7 +106,6 @@ class ChaosScenario:
             "plan": self.plan.to_dict(),
             "num_subframes": self.num_subframes,
             "num_workers": self.num_workers,
-            "respawn": self.respawn,
         }
 
 
@@ -137,8 +123,6 @@ class ScenarioOutcome:
     # SLO telemetry of the first run (timing-dependent, so deliberately
     # NOT part of the replay fingerprint).
     slo_report: dict | None = None
-    # WorkerSupervisor.summary() of the first run (respawn scenarios).
-    supervisor: dict | None = None
 
     @property
     def label(self) -> str:
@@ -174,7 +158,6 @@ class SurvivalReport:
                     "wall_s": round(o.wall_s, 3),
                     "error": o.error,
                     "slo_report": o.slo_report,
-                    "supervisor": o.supervisor,
                 }
                 for o in self.outcomes
             ],
@@ -274,16 +257,13 @@ def build_matrix(
     # Pools pinned small (spawn cost) but always one worker larger than
     # the death budget: a survivor must exist, so the terminal-state
     # outcome stays timing-independent and the replay fingerprint check is
-    # meaningful. Respawn scenarios get max_retries=3: the default crash
-    # loop kills one slot's task twice in a row, and both reclaims must
-    # stay inside the retry budget for the same reason.
+    # meaningful.
     mp_workers = max(2, params["faults_per_kind"] + 1)
     # backend -> (fault groups, workers, retry budget)
     table = {
         "sim": (SIM_GROUPS, params["num_workers"], 1),
         "threaded": (THREADED_GROUPS, params["num_workers"], 2),
         "multiprocess": (MULTIPROCESS_GROUPS, mp_workers, 2),
-        "multiprocess-respawn": (RESPAWN_GROUPS, mp_workers, 3),
     }
     scenarios: list[ChaosScenario] = []
     for seed in range(seeds):
@@ -314,7 +294,6 @@ def build_matrix(
                         num_workers=workers,
                         max_users=params["max_users"],
                         resilience=resilience,
-                        respawn=backend == "multiprocess-respawn",
                     )
                 )
     return scenarios
@@ -410,46 +389,14 @@ def _run_runtime(scenario: ChaosScenario) -> tuple:
     ]
     subframes = corrupt_subframes(subframes, scenario.plan)
     engine = SLOEngine()
-    respawn = None
-    if scenario.respawn:
-        from ..serve.supervisor import RespawnPolicy
-
-        # Generous budget and short backoffs: campaigns assert the
-        # respawn *path*, not budget exhaustion (the supervision test
-        # suite covers crash-loop fail-stop directly), and long backoffs
-        # would dominate the matrix wall clock.
-        respawn = RespawnPolicy(
-            max_respawns=64,
-            window_s=60.0,
-            backoff_initial_s=0.02,
-            backoff_max_s=0.25,
-        )
     runtime = make_runtime(
-        scenario.backend.removesuffix("-respawn"),
+        scenario.backend,
         num_workers=scenario.num_workers,
-        respawn=respawn,
         observers=[engine],
         faults=scenario.plan,
         resilience=scenario.resilience,
     )
-    if scenario.respawn:
-        # Explicit lifecycle so pending respawns can be awaited before
-        # close: a kill near the end of the run schedules a respawn whose
-        # backoff may outlive the last subframe, and run() would close
-        # the pool from under it.
-        runtime.start()
-        try:
-            for subframe in subframes:
-                runtime.submit(subframe)
-            runtime.drain()
-            runtime.await_respawns()
-        except BaseException:
-            runtime.abort()
-            raise
-        results = runtime.collect_results()
-        runtime.close()
-    else:
-        results = runtime.run(subframes)
+    results = runtime.run(subframes)
     fingerprint = {
         "counts": runtime.ledger.counts(),
         "ledger": ledger_fingerprint(runtime.ledger),
@@ -465,13 +412,6 @@ def _run_runtime(scenario: ChaosScenario) -> tuple:
             if r.aborted_user_ids
         },
     }
-    if scenario.respawn and runtime.supervisor is not None:
-        # Deliberately popped out of the fingerprint before the replay
-        # comparison (run_scenario): respawn *counts* are timing-shaped
-        # for crash loops (kills fire per dispatch to the slot, and the
-        # dispatch count depends on interleaving) even though terminal
-        # states are not.
-        fingerprint["supervisor"] = runtime.supervisor.summary()
     return fingerprint, runtime.ledger, None, engine.slo_report()
 
 
@@ -479,7 +419,6 @@ _RUNNERS = {
     "sim": _run_sim,
     "threaded": _run_runtime,
     "multiprocess": _run_runtime,
-    "multiprocess-respawn": _run_runtime,
 }
 
 
@@ -500,27 +439,11 @@ def run_scenario(scenario: ChaosScenario) -> ScenarioOutcome:
     outcome.slo_report = slo_report
     outcome.counts = ledger.counts()
     outcome.dispatched = ledger.dispatched
-    # Supervisor counters are timing-shaped (see _run_runtime), so
-    # they ride outside the replay fingerprint.
-    supervisor = fingerprint.pop("supervisor", None)
-    replay_supervisor = replay_fp.pop("supervisor", None)
-    outcome.supervisor = supervisor
     outcome.checks = {"terminates": True, "accounts": ledger.ok}
     if checker is not None:
         outcome.checks["invariants"] = checker.ok
     # Both fingerprints carry their ledger's counts and state map.
     outcome.checks["replays"] = fingerprint == replay_fp
-    if scenario.respawn:
-        # Self-healing scenarios must actually heal: at least one respawn
-        # in both the run and the replay, with the budget never tripped.
-        outcome.checks["respawned"] = bool(
-            supervisor
-            and supervisor["respawns"] > 0
-            and not supervisor["fail_stop"]
-            and replay_supervisor
-            and replay_supervisor["respawns"] > 0
-            and not replay_supervisor["fail_stop"]
-        )
     if checker is not None and not checker.ok:
         outcome.error = checker.summary()
     outcome.survived = all(outcome.checks.values())

@@ -12,13 +12,14 @@ instead of deadline collapse? See ``docs/serving.md``.
   admission, bounded queue, and an execution backend;
 * :mod:`repro.serve.loop` — the asyncio ingest loop, backpressure, and
   ledger-first accounting;
-* :mod:`repro.serve.report` — the ``repro-serve/1`` report schema;
+* :mod:`repro.serve.report` — the one ``repro-serve/2`` record: declared,
+  validated and loaded there, it is the run's report and its checkpoint
+  (every ``--checkpoint-every`` cut and the exit write it; ``--resume``
+  reads any of them, and ``repro-ckpt/1`` files from earlier versions);
 * :mod:`repro.serve.overload` — SLO-driven adaptive admission (AIMD
   with hysteresis, ``--adaptive``);
 * :mod:`repro.serve.supervisor` — bounded worker-respawn policy for the
-  multiprocess backend (``--respawn``, see ``docs/robustness.md``);
-* :mod:`repro.serve.checkpoint` — crash-safe ``repro-ckpt/1`` snapshots
-  and ``--resume`` validation.
+  multiprocess backend (``--respawn``, see ``docs/robustness.md``).
 """
 
 from .arrivals import (
@@ -30,12 +31,6 @@ from .arrivals import (
     make_arrivals,
 )
 from .cell import CELL_STRIDE, CellShard, offset_plan
-from .checkpoint import (
-    CKPT_SCHEMA,
-    load_checkpoint,
-    validate_checkpoint,
-    write_checkpoint,
-)
 from .loop import (
     SERVE_BACKENDS,
     ServeConfig,
@@ -44,7 +39,12 @@ from .loop import (
     serve_async,
 )
 from .overload import AimdConfig, AimdController, OverloadController
-from .report import SERVE_SCHEMA, validate_serve_report
+from .report import (
+    ServeReport,
+    load_checkpoint,
+    validate_checkpoint,
+    validate_serve_report,
+)
 from .supervisor import RespawnPolicy, WorkerSupervisor
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "AimdController",
     "ARRIVAL_KINDS",
     "CELL_STRIDE",
-    "CKPT_SCHEMA",
     "CellShard",
     "ConstantRateArrivals",
     "DiurnalArrivals",
@@ -61,8 +60,8 @@ __all__ = [
     "PoissonArrivals",
     "RespawnPolicy",
     "SERVE_BACKENDS",
-    "SERVE_SCHEMA",
     "ServeConfig",
+    "ServeReport",
     "ServeResult",
     "WorkerSupervisor",
     "load_checkpoint",
@@ -72,5 +71,4 @@ __all__ = [
     "serve_async",
     "validate_checkpoint",
     "validate_serve_report",
-    "write_checkpoint",
 ]

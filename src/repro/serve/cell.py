@@ -20,8 +20,7 @@ synthesis RNG is keyed on the subframe id).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Mapping
 from typing import Any, Callable
 
 from ..faults.accounting import SubframeLedger, TerminalState
@@ -34,8 +33,9 @@ from ..sim import CostModel
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeFactory, SubframeInput
 from ..uplink.user import UserParameters
+from .report import CellRow, sum_counters, terminal_counts
 
-__all__ = ["CELL_STRIDE", "CellShard", "UserCounters", "offset_plan"]
+__all__ = ["CELL_STRIDE", "CellShard", "offset_plan"]
 
 #: Global-id stride between cells: cell ``c``, tick ``k`` dispatches as
 #: subframe id ``c * CELL_STRIDE + k``. Wide enough that no bounded serve
@@ -61,23 +61,6 @@ def offset_plan(plan: FaultPlan, offset: int) -> FaultPlan:
         for spec in plan.specs
     )
     return FaultPlan(specs=specs, seed=plan.seed)
-
-
-@dataclass
-class UserCounters:
-    """User-level totals over a cell's *resolved* subframes.
-
-    One field per counter key of the per-cell report row, the report's
-    fleet totals and the checkpoint record: :meth:`CellShard.note_terminal`
-    is the only place that adds to them.
-    """
-
-    offered_users: int = 0
-    admitted_users: int = 0
-    shed_users: int = 0
-    served_users: int = 0
-    crc_ok_users: int = 0
-    backpressure_hits: int = 0
 
 
 class CellShard:
@@ -114,7 +97,6 @@ class CellShard:
             raise ValueError("queue_depth must be >= 1")
         self.cell_id = cell_id
         self.arrivals = arrivals
-        self.backend = backend
         self.queue_depth = queue_depth
         self.synthesize = synthesize
         #: Shared by every cell of the run: synthesis and the grid pool
@@ -146,8 +128,7 @@ class CellShard:
         # --- loop-owned state (single consumer, no lock needed) ---------
         self.inflight = 0
         self.max_depth = 0
-        self.dispatched = 0
-        self.counters = UserCounters()
+        self.counters = sum_counters([])
         self.last_tick: int | None = None
         self.monotone = True
         #: Users admitted per in-flight global id (for served accounting).
@@ -160,8 +141,8 @@ class CellShard:
         #: subframes — the consistent cut a crash-safe checkpoint needs.
         self._meta: dict[int, tuple[int, int, int, int]] = {}
         #: Terminal state per resolved local tick (this segment plus any
-        #: restored checkpoint baseline): the checkpoint state map, the
-        #: resume skip set and the source of ``terminal_counts``.
+        #: restored baseline): the record's share of ``terminal_states``,
+        #: the resume skip set and the source of every per-cell count.
         self.resolved_ticks: dict[int, str] = {}
 
     # ------------------------------------------------------------- identity
@@ -202,7 +183,6 @@ class CellShard:
         if self.last_tick is not None and tick <= self.last_tick:
             self.monotone = False
         self.last_tick = tick
-        self.dispatched += 1
         self.users_of[gid] = users
         self._meta[gid] = (offered, shed, backpressure, tick)
         if queued:
@@ -223,74 +203,38 @@ class CellShard:
             gid, (0, 0, 0, gid - self.cell_id * CELL_STRIDE)
         )
         counters = self.counters
-        counters.offered_users += offered
-        counters.admitted_users += users
-        counters.shed_users += shed
-        counters.backpressure_hits += backpressure
+        counters["offered_users"] += offered
+        counters["admitted_users"] += users
+        counters["shed_users"] += shed
+        counters["backpressure_hits"] += backpressure
         self.resolved_ticks[tick] = state
         if state in (TerminalState.OK, TerminalState.CRC_FAILED):
-            counters.served_users += users
-            counters.crc_ok_users += crc_ok
+            counters["served_users"] += users
+            counters["crc_ok_users"] += crc_ok
         return users
 
-    @property
-    def resolved(self) -> int:
-        """Subframes that reached a terminal state (<= ``dispatched``)."""
-        return len(self.resolved_ticks)
-
-    @property
-    def terminal_counts(self) -> dict[str, int]:
-        """Resolved ticks per terminal state (states seen only), sorted."""
-        return dict(sorted(Counter(self.resolved_ticks.values()).items()))
-
-    # ----------------------------------------------------------- checkpoint
-    def checkpoint_record(self) -> dict:
-        """Consistent per-cell snapshot covering only resolved subframes.
-
-        ``dispatched`` is deliberately the *resolved* count, not the live
-        one: in-flight subframes at snapshot time have no terminal state
-        yet, and a resumed run will re-dispatch their ticks.
-        """
+    # --------------------------------------------------------------- record
+    def row(self) -> CellRow:
+        """This cell's row of the run's record: only resolved subframes
+        count, so a mid-run cut leaves in-flight ticks to the resume."""
         return {
             "cell": self.cell_id,
-            "states": {str(t): s for t, s in self.resolved_ticks.items()},
-            "counters": {
-                "dispatched": self.resolved,
-                **asdict(self.counters),
-                "terminal_counts": self.terminal_counts,
-            },
-        }
-
-    def restore(self, record: dict) -> None:
-        """Adopt a checkpoint record as this cell's already-done baseline.
-
-        Must run before the first dispatch. ``last_tick`` stays ``None``:
-        the monotonicity witness is per-segment (the resumed segment
-        dispatches only the not-yet-resolved ticks, in order). The
-        record's ``terminal_counts`` are not read: they are derived from
-        its state map.
-        """
-        if self.dispatched:
-            raise RuntimeError("cannot restore into a cell that already ran")
-        counters = record["counters"]
-        self.resolved_ticks = {
-            int(tick): state for tick, state in record["states"].items()
-        }
-        self.dispatched = int(counters["dispatched"])
-        self.counters = UserCounters(
-            **{f.name: int(counters[f.name]) for f in fields(UserCounters)}
-        )
-
-    def summary(self) -> dict:
-        """Per-cell report row (plain data)."""
-        return {
-            "cell": self.cell_id,
-            "backend": self.backend,
-            "dispatched": self.dispatched,
-            "terminal_counts": self.terminal_counts,
-            **asdict(self.counters),
+            "dispatched": len(self.resolved_ticks),
+            "terminal_counts": terminal_counts(self.resolved_ticks.values()),
+            **self.counters,
             "max_queue_depth": self.max_depth,
             "last_tick": self.last_tick,
             "monotone_ids": self.monotone,
-            "arrivals": self.arrivals.describe(),
         }
+
+    def restore(self, row: Mapping[str, Any], states: dict[int, str]) -> None:
+        """Adopt a record's row and terminal states as the done baseline.
+
+        Must run before the first dispatch. ``last_tick`` stays ``None``:
+        the monotonicity witness is per-segment (the resumed segment
+        dispatches only the not-yet-resolved ticks, in order).
+        """
+        if self.last_tick is not None:
+            raise RuntimeError("cannot restore into a cell that already ran")
+        self.resolved_ticks = dict(states)
+        self.counters = sum_counters([row])

@@ -48,7 +48,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import IO, Any
+from typing import IO, Any, Literal, overload
 
 from ..faults.accounting import LedgerError, SubframeLedger, TerminalState
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -58,7 +58,7 @@ from ..faults.watchdog import (
     monotonic_ns,
     ns_from_s,
 )
-from ..ioutil import fsync_file
+from ..ioutil import atomic_write_json, fsync_file
 from ..obs.events import Event, EventKind
 from ..obs.slo import SLOEngine
 from ..obs.telemetry import TelemetryCollector
@@ -66,14 +66,17 @@ from ..sched import WorkerFailuresError, runtime_class
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeFactory
 from .arrivals import ARRIVAL_KINDS, make_arrivals
-from .cell import CellShard, UserCounters
-from .checkpoint import (
-    build_checkpoint,
-    load_checkpoint,
-    validate_checkpoint,
-    write_checkpoint,
-)
+from .cell import CELL_STRIDE, CellShard
 from .overload import OverloadController
+from .report import (
+    SCHEMA,
+    ServeCut,
+    ServeReport,
+    load_checkpoint,
+    sum_counters,
+    terminal_counts,
+    validate_checkpoint,
+)
 from .supervisor import RespawnPolicy
 
 __all__ = [
@@ -123,9 +126,10 @@ def _flag(
     ``serve`` sub-parser and the config from this metadata (a ``bool``
     field is a switch that toggles its default, so ``--no-pace`` clears
     ``pace``; any other field parses as its default's type, and ``parser``
-    carries ``choices`` / ``metavar`` / ``type``). A ``signature`` field
-    must match between a checkpointing run and the run that resumes it
-    (:func:`repro.serve.checkpoint.config_signature`): every option is one
+    carries ``choices`` / ``metavar`` / ``type``), and the run's record
+    echoes it under ``config``. A ``signature`` field must match between a
+    record and the run that resumes it
+    (:func:`repro.serve.report.validate_checkpoint`): every option is one
     unless it only changes how the run is paced, healed, observed or
     persisted. ``arrival`` fields are passed by name to
     :func:`~repro.serve.arrivals.make_arrivals`.
@@ -260,22 +264,23 @@ class ServeConfig:
     checkpoint_path: str | None = _flag(
         None,
         "--checkpoint",
-        "write crash-safe repro-ckpt/1 snapshots to FILE (atomic tmp+fsync+rename)",
+        "write the repro-serve/2 record to FILE at every cut and at exit "
+        "(atomic tmp+fsync+rename)",
         signature=False,
         metavar="FILE",
     )
     checkpoint_every_s: float = _flag(
         1.0,
         "--checkpoint-every",
-        "seconds between periodic checkpoint snapshots (default 1.0)",
+        "seconds between periodic checkpoint cuts (default 1.0)",
         signature=False,
         metavar="SECONDS",
     )
     resume_path: str | None = _flag(
         None,
         "--resume",
-        "resume a killed run from its checkpoint (config signature "
-        "must match; already-resolved subframes are not re-run)",
+        "resume from any repro-serve/2 record: a checkpoint or a --json-out "
+        "report (config signature must match; resolved subframes are not re-run)",
         signature=False,
         metavar="FILE",
     )
@@ -283,7 +288,7 @@ class ServeConfig:
         None,
         "--max-wall",
         "wall-clock guard: stop producing after SECONDS, drain, and "
-        "exit 124 (resumable when --checkpoint is set)",
+        "exit 124 (the report resumes with --resume)",
         signature=False,
         type=float,
         metavar="SECONDS",
@@ -335,7 +340,7 @@ class ServeConfig:
 class ServeResult:
     """What :func:`serve` returns: the report plus test-facing handles."""
 
-    report: dict
+    report: ServeReport
     results: dict[int, SubframeResult] = field(default_factory=dict)
     ledger: SubframeLedger | None = None
     engine: SLOEngine | None = None
@@ -414,9 +419,9 @@ class _Server:
     def __init__(self, config: ServeConfig) -> None:
         config.validate()
         self.config = config
-        # A checkpoint that cannot be resumed fails here, before the trace
+        # A record that cannot be resumed fails here, before the trace
         # file is opened or any runtime is built.
-        snapshot = self._resumable_snapshot()
+        resume = self._resume_point()
         self.errors: list[str] = []
         self.results: dict[int, SubframeResult] = {}
         self.ledger = SubframeLedger()
@@ -474,9 +479,6 @@ class _Server:
         self._pump_stop = False
         self._start_ns = 0
         # --- checkpoint / resume / wall-guard state ---------------------
-        self._skip: list[frozenset[int]] = [
-            frozenset() for _ in self.cells
-        ]
         self._segments = 1
         self._resumed_wall_s = 0.0
         self._wall_begin = 0.0
@@ -485,34 +487,31 @@ class _Server:
         self._ckpt_telemetry_misses = 0
         self._max_wall_hit = False
         self._producers_done = False
-        if snapshot is not None:
-            self._restore(snapshot)
+        if resume is not None:
+            self._restore(resume)
 
-    def _resumable_snapshot(self) -> dict | None:
-        """The ``repro-ckpt/1`` snapshot ``resume_path`` names, validated."""
+    def _resume_point(self) -> dict[str, Any] | None:
+        """The record ``resume_path`` names, validated against the config."""
         if not self.config.resume_path:
             return None
-        snapshot = load_checkpoint(self.config.resume_path)
-        problems = validate_checkpoint(snapshot, self.config)
+        record = load_checkpoint(self.config.resume_path)
+        problems = validate_checkpoint(record, self.config)
         if problems:
-            raise ValueError(
-                "checkpoint not resumable: " + "; ".join(problems)
-            )
-        return snapshot
+            raise ValueError("checkpoint not resumable: " + "; ".join(problems))
+        return record
 
-    def _restore(self, snapshot: dict) -> None:
-        """Adopt a validated snapshot before running."""
-        records = sorted(
-            snapshot["cells"], key=lambda record: record.get("cell", 0)
-        )
-        for cell, record in zip(self.cells, records):
-            cell.restore(record)
-            self._skip[cell.cell_id] = frozenset(cell.resolved_ticks)
-        shard = snapshot.get("telemetry")
-        if shard:
-            self.engine.merge_shard(shard)
-        self._segments = int(snapshot.get("segments", 1)) + 1
-        self._resumed_wall_s = float(snapshot.get("wall_s", 0.0))
+    def _restore(self, record: dict[str, Any]) -> None:
+        """Adopt a validated record before running."""
+        states: dict[int, dict[int, str]] = {}
+        for gid, state in record["terminal_states"].items():
+            cell_id, tick = divmod(int(gid), CELL_STRIDE)
+            states.setdefault(cell_id, {})[tick] = state
+        for cell, row in zip(self.cells, record["per_cell"]):
+            cell.restore(row, states.get(cell.cell_id, {}))
+        if record["telemetry"]:
+            self.engine.merge_shard(record["telemetry"])
+        self._segments = record["checkpoint"]["segments"] + 1
+        self._resumed_wall_s = record["wall_s"]
 
     # ------------------------------------------------------------ factories
     def _cell_arrivals(self, cell_id: int) -> Any:
@@ -644,7 +643,7 @@ class _Server:
     async def _run_cell(self, cell: CellShard) -> None:
         config = self.config
         delta_ns = ns_from_s(config.delta_s)
-        skip = self._skip[cell.cell_id]
+        skip = frozenset(cell.resolved_ticks)  # a resumed record's baseline
         max_wall_ns = (
             ns_from_s(config.max_wall_s)
             if config.max_wall_s is not None
@@ -811,21 +810,22 @@ class _Server:
 
     # ----------------------------------------------------------- checkpoint
     async def _checkpoint_loop(self) -> None:
-        """Periodic crash-safe snapshots while producers run."""
+        """Periodic crash-safe cuts while the run is live."""
         every = self.config.checkpoint_every_s
         while not self._ckpt_stop:
             await asyncio.sleep(every)
             if self._ckpt_stop:
                 break
-            self._write_checkpoint(completed=False)
+            self._write_checkpoint(self._record(final=False))
 
     def _telemetry_shard(self) -> dict | None:
-        """Mergeable telemetry cut for the checkpoint (best effort).
+        """Mergeable telemetry cut for the record (best effort mid-run).
 
-        Runtime observer threads mutate these dicts concurrently with the
-        loop; the ledger-backed per-cell state maps are the *exact* part
-        of a snapshot, so a rare mid-mutation pass here is retried once
-        and then dropped rather than adding a lock to the hot path.
+        The fold is the one thing a mid-run cut reads that the loop does not
+        own: runtime observer threads mutate these dicts concurrently. The
+        terminal-state map is the *exact* part of a cut, so a rare
+        mid-mutation pass here is retried once and then dropped rather than
+        adding a lock to the hot path.
         """
         for _ in range(2):
             try:
@@ -838,30 +838,21 @@ class _Server:
                 }
             except RuntimeError:
                 # Dict mutated during iteration: an observer thread
-                # raced the cut. Counted (report `checkpoint` section)
-                # so a snapshot that persistently lacks telemetry is
+                # raced the cut. Counted (the record's `checkpoint`
+                # section) so a cut that persistently lacks telemetry is
                 # visible, then retried once.
                 self._ckpt_telemetry_misses += 1
                 continue
         return None
 
-    def _write_checkpoint(self, completed: bool) -> None:
+    def _write_checkpoint(self, record: ServeCut) -> None:
+        """Persist ``record`` atomically to ``--checkpoint``, if set: a
+        crash mid-write leaves the previous one intact, never a torn file."""
         path = self.config.checkpoint_path
         if not path:
             return
-        wall = self._resumed_wall_s + max(
-            0.0, time.perf_counter() - self._wall_begin
-        )
-        snapshot = build_checkpoint(
-            self.config,
-            self.cells,
-            self._telemetry_shard(),
-            wall,
-            self._segments,
-            completed,
-        )
         try:
-            write_checkpoint(path, snapshot)
+            atomic_write_json(path, record, indent=None, sort_keys=True)
             self._ckpt_writes += 1
         except OSError as exc:
             self.errors.append(f"checkpoint write: {exc!r}")
@@ -935,9 +926,6 @@ class _Server:
                 pump_task.cancel()
             if ckpt_task is not None:
                 ckpt_task.cancel()
-            # Final snapshot after every terminal has been reconciled —
-            # a graceful max-wall stop leaves a resumable checkpoint.
-            self._write_checkpoint(completed=self._completed)
             for cell in self.cells:
                 try:
                     cell.runtime.close()
@@ -947,8 +935,11 @@ class _Server:
                     )
             if self.trace_sink is not None:
                 self.trace_sink.close()
-        wall_s = max(1e-9, time.perf_counter() - self._wall_begin)
-        report = self._report(wall_s)
+            # Built once every terminal is reconciled and every runtime is
+            # closed; written even when the run is unwinding, so a graceful
+            # max-wall stop or an interrupt leaves a resumable record.
+            report = self._record(final=True)
+            self._write_checkpoint(report)
         # The runtimes' watchers point back at this server: dropping the shards
         # breaks the cycle, so their grid pools are freed now, not at the next GC.
         self.cells.clear()
@@ -961,95 +952,82 @@ class _Server:
         )
 
     # --------------------------------------------------------------- report
-    @property
-    def _completed(self) -> bool:
-        """Every tick this run was asked to serve reached a terminal."""
-        return self._producers_done and not self._max_wall_hit
+    @overload
+    def _record(self, final: Literal[False]) -> ServeCut: ...
 
-    def _report(self, wall_s: float) -> dict:
+    @overload
+    def _record(self, final: Literal[True]) -> ServeReport: ...
+
+    def _record(self, final: bool) -> ServeCut:
+        """This run's ``repro-serve/2`` record.
+
+        Mid-run (``final=False``) it is a cut of what the loop owns plus the
+        telemetry shard; the final one adds what only the end of a run can
+        say, read once no runtime can mutate the fold any more.
+        """
         config = self.config
-        # Terminal counts aggregate across *all* segments (the restored
-        # checkpoint baseline plus this run); the ledger itself is
-        # segment-local, so ``ledger_ok`` certifies exactly this run.
-        counts = {state.value: 0 for state in TerminalState}
-        for c in self.cells:
-            for state, n in c.terminal_counts.items():
-                counts[state] = counts.get(state, 0) + n
-        dispatched = sum(c.dispatched for c in self.cells)
-        wall_s = max(1e-9, self._resumed_wall_s + wall_s)
-        users = {
-            f.name: sum(getattr(c.counters, f.name) for c in self.cells)
-            for f in fields(UserCounters)
-        }
-        snapshot = self.telemetry.snapshot()
-        shedding_engaged = bool(
-            users["shed_users"]
-            or users["backpressure_hits"]
-            or counts.get(TerminalState.SHED.value, 0)
+        wall_s = max(
+            1e-9, self._resumed_wall_s + time.perf_counter() - self._wall_begin
         )
-        report = {
-            "schema": "repro-serve/1",
-            "seed": config.seed,
-            "cells": config.cells,
-            "subframes_per_cell": config.subframes,
-            "delta_s": config.delta_s,
-            "arrival": config.arrival,
-            "backend": config.backend,
-            "workers": config.workers,
-            "paced": config.pace,
-            "backpressure": config.backpressure,
-            "queue_depth": config.queue_depth,
-            "wall_s": wall_s,
-            "dispatched": dispatched,
-            "terminal_counts": {k: v for k, v in sorted(counts.items())},
-            "ledger_ok": bool(self.ledger.ok),
-            **users,
-            "throughput_sf_per_s": dispatched / wall_s,
-            "users_per_hour": users["served_users"] / wall_s * 3600.0,
-            "arrival_lag": snapshot["sketches"].get("arrival_lag", {}),
-            "queue_depth_series": snapshot["series"].get("queue_depth", []),
-            "per_cell": [cell.summary() for cell in self.cells],
-            "faults": {
-                "enabled": config.faults,
-                "shedding_engaged": shedding_engaged,
-                "faults_seen": snapshot["counters"].get("faults", 0),
+        rows = [cell.row() for cell in self.cells]
+        states = {
+            str(cell.global_id(tick)): state
+            for cell in self.cells
+            for tick, state in sorted(cell.resolved_ticks.items())
+        }
+        users = sum_counters(rows)
+        cut: ServeCut = {
+            "schema": SCHEMA,
+            "config": {
+                f.name: getattr(config, f.name)
+                for f in fields(config)
+                if "flag" in f.metadata
             },
-            "adaptive": (
-                self.overload.summary()
-                if self.overload is not None
-                else {"enabled": False}
-            ),
+            "wall_s": wall_s,
+            "dispatched": len(states),
+            "terminal_counts": terminal_counts(states.values()),
+            **users,
+            "throughput_sf_per_s": len(states) / wall_s,
+            "users_per_hour": users["served_users"] / wall_s * 3600.0,
+            "per_cell": rows,
+            "terminal_states": states,
+            "telemetry": self._telemetry_shard(),
+            "adaptive": None if self.overload is None else self.overload.summary(),
             "supervisor": self._supervisor_summary(),
             "checkpoint": {
-                "enabled": bool(
-                    config.checkpoint_path or config.resume_path
-                ),
-                "path": config.checkpoint_path,
-                "resumed_from": config.resume_path,
                 "segments": self._segments,
                 "writes": self._ckpt_writes,
                 "telemetry_misses": self._ckpt_telemetry_misses,
-                "completed": self._completed,
+                # Every tick this run was asked to serve reached a terminal.
+                "completed": final
+                and self._producers_done
+                and not self._max_wall_hit,
             },
-            "max_wall": {
-                "limit_s": config.max_wall_s,
-                "hit": self._max_wall_hit,
+            "max_wall_hit": self._max_wall_hit,
+        }
+        if not final:
+            return cut
+        snapshot = self.telemetry.snapshot()
+        report: ServeReport = {
+            **cut,
+            # The ledger is segment-local: ``ledger_ok`` certifies this run.
+            "ledger_ok": bool(self.ledger.ok),
+            "arrival_lag": snapshot["sketches"].get("arrival_lag", {}),
+            "queue_depth_series": snapshot["series"].get("queue_depth", []),
+            "faults": {
+                "shedding_engaged": bool(
+                    users["shed_users"]
+                    or users["backpressure_hits"]
+                    or cut["terminal_counts"][TerminalState.SHED.value]
+                ),
+                "faults_seen": snapshot["counters"].get("faults", 0),
             },
             "slo": self.engine.slo_report(),
             "errors": list(self.errors),
         }
-        if config.checkpoint_path or config.resume_path:
-            # The per-subframe terminal-state map is the differential
-            # witness: a kill-midway-and-resume run must reproduce the
-            # uninterrupted run's map exactly at the same seed.
-            report["terminal_states"] = {
-                str(cell.global_id(tick)): state
-                for cell in self.cells
-                for tick, state in sorted(cell.resolved_ticks.items())
-            }
         return report
 
-    def _supervisor_summary(self) -> dict:
+    def _supervisor_summary(self) -> dict | None:
         supervisors = [
             supervisor
             for supervisor in (
@@ -1059,9 +1037,8 @@ class _Server:
             if supervisor is not None
         ]
         if not supervisors:
-            return {"enabled": False}
+            return None
         return {
-            "enabled": True,
             "deaths": sum(s.deaths for s in supervisors),
             "respawns": sum(s.respawns for s in supervisors),
             "fail_stop": any(s.fail_stop for s in supervisors),

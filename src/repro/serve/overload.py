@@ -215,9 +215,8 @@ class OverloadController:
 
     # ------------------------------------------------------------- report
     def summary(self) -> dict:
-        """Report section (``repro-serve/1`` ``adaptive`` key)."""
+        """The record's ``adaptive`` section (``repro-serve/2``)."""
         return {
-            "enabled": True,
             "load_factor": self.aimd.load_factor,
             "degraded": self.aimd.degraded,
             "degrades": self.aimd.degrade_count,

@@ -1,29 +1,31 @@
-"""Crash-safe checkpoint/resume (ISSUE 10 tentpole, part 3).
+"""Crash-safe checkpoint/resume: the checkpoint is the ``repro-serve/2`` report.
 
 The acceptance criterion is *differential*: kill a run midway, resume
-from its last ``repro-ckpt/1`` snapshot, and the per-subframe
-terminal-state map must equal an uninterrupted run at the same seed.
+from its last record — a periodic cut, the final checkpoint or a
+``--json-out`` report — and the per-subframe terminal-state map must
+equal an uninterrupted run at the same seed.
 That only holds for configs where every decision is a pure function of
 (seed, tick): backpressure sheds depend on inflight timing relative to
 the checkpoint cut, so the canonical differential config disables
 pacing and sizes the queue so backpressure can never engage
-(``queue_depth >= subframes``). The remaining tests pin the snapshot
-format itself: atomic writes (no torn file is ever visible), the
-config-signature guard, and corrupt-snapshot rejection.
+(``queue_depth >= subframes``). The remaining tests pin the record as a
+checkpoint: atomic writes (no torn file is ever visible), the
+config-signature guard, corrupt-file rejection, and ``repro-ckpt/1``
+snapshots from earlier versions still resuming.
 """
 
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.serve import (
-    CKPT_SCHEMA,
     ServeConfig,
     load_checkpoint,
     serve,
     validate_checkpoint,
+    validate_serve_report,
 )
-from repro.serve.report import validate_serve_report
 
 BASE = dict(
     cells=2,
@@ -50,7 +52,35 @@ def uninterrupted(tmp_path_factory):
     return result
 
 
+#: ``BASE`` as ``repro serve`` flags.
+CLI = [
+    "serve", "--cells", "2", "--subframes", "120", "--backend", "serial",
+    "--no-pace", "--arrival", "poisson", "--rate", "2.0", "--seed", "7",
+    "--queue-depth", "200",
+]
+
+
 class TestResumeDifferential:
+    def test_the_final_checkpoint_is_the_report(self, uninterrupted):
+        record = load_checkpoint(uninterrupted.report["config"]["checkpoint_path"])
+        assert record == json.loads(json.dumps(uninterrupted.report))
+
+    def test_a_json_out_cut_resumes_through_the_cli(
+        self, tmp_path, uninterrupted, capsys
+    ):
+        """No ``--checkpoint`` anywhere: the report of a ``--max-wall`` cut
+        is itself the resume point."""
+        cut, resumed = str(tmp_path / "cut.json"), str(tmp_path / "resumed.json")
+        assert main(CLI + ["--max-wall", "0.02", "--json-out", cut]) == 124
+        assert main(CLI + ["--resume", cut, "--json-out", resumed]) == 0
+        capsys.readouterr()
+        first, second = (json.loads(open(p).read()) for p in (cut, resumed))
+        assert validate_serve_report(first) == validate_serve_report(second) == []
+        full = uninterrupted.report["terminal_states"]
+        assert 0 < len(first["terminal_states"]) < len(full)
+        assert second["terminal_states"] == full
+        assert second["checkpoint"]["segments"] == 2
+
     def test_cut_and_resume_matches_uninterrupted(
         self, tmp_path, uninterrupted
     ):
@@ -68,14 +98,14 @@ class TestResumeDifferential:
             checkpoint_path=ckpt, checkpoint_every_s=0.02, max_wall_s=0.02
         )
         report = cut.report
-        assert report["max_wall"]["hit"] is True
+        assert report["max_wall_hit"] is True
         assert report["ledger_ok"]  # the running segment resolved cleanly
         assert not report["checkpoint"]["completed"]
         cut_map = report["terminal_states"]
         assert 0 < len(cut_map) < len(full_map)
         snapshot = load_checkpoint(ckpt)
-        assert snapshot["schema"] == CKPT_SCHEMA
-        assert snapshot["completed"] is False
+        assert snapshot["schema"] == "repro-serve/2"
+        assert snapshot["checkpoint"]["completed"] is False
         assert validate_checkpoint(snapshot, ServeConfig(**BASE)) == []
 
         resumed = _serve(resume_path=ckpt, checkpoint_path=ckpt)
@@ -83,7 +113,7 @@ class TestResumeDifferential:
         report = resumed.report
         assert validate_serve_report(report) == []
         assert report["checkpoint"]["segments"] == 2
-        assert report["checkpoint"]["resumed_from"] == ckpt
+        assert report["config"]["resume_path"] == ckpt
         # Exactly-once terminal accounting across the cut: the combined
         # map is the uninterrupted map, entry for entry.
         assert report["terminal_states"] == full_map
@@ -96,7 +126,7 @@ class TestResumeDifferential:
             "terminal_counts",
         ):
             assert report[key] == full[key], key
-        assert load_checkpoint(ckpt)["completed"] is True
+        assert load_checkpoint(ckpt)["checkpoint"]["completed"] is True
 
     def test_resume_from_completed_run_is_a_noop_segment(
         self, tmp_path, uninterrupted
@@ -143,25 +173,25 @@ class TestCrcAccountingAtTheTerminal:
         from repro.serve import loop
 
         snapshots = []
-        write = loop.write_checkpoint
+        write = loop.atomic_write_json
 
-        def recording_write(path, snapshot):
-            snapshots.append(json.loads(json.dumps(snapshot)))
-            write(path, snapshot)
+        def recording_write(path, record, **kwargs):
+            snapshots.append(json.loads(json.dumps(record)))
+            write(path, record, **kwargs)
 
-        monkeypatch.setattr(loop, "write_checkpoint", recording_write)
+        monkeypatch.setattr(loop, "atomic_write_json", recording_write)
         result = self._serve(backend, checkpoint_path=str(tmp_path / "c.json"))
         assert result.ok, result.errors
         assert result.report["terminal_counts"]["crc_failed"] == 0
-        periodic = snapshots[:-1]  # the last write is the final snapshot
-        assert all(not snapshot["completed"] for snapshot in periodic)
+        periodic = snapshots[:-1]  # the last write is the final record
+        assert all(not cut["checkpoint"]["completed"] for cut in periodic)
         served = 0
-        for snapshot in periodic:
-            for record in snapshot["cells"]:
-                counters = record["counters"]
-                assert set(record["states"].values()) <= {"ok", "shed"}
-                assert counters["crc_ok_users"] == counters["served_users"]
-                served += counters["served_users"]
+        for cut in periodic:
+            assert set(cut["terminal_states"].values()) <= {"ok", "shed"}
+            assert cut["crc_ok_users"] == cut["served_users"]
+            for row in cut["per_cell"]:
+                assert row["crc_ok_users"] == row["served_users"]
+            served += cut["served_users"]
         assert served > 0, "no periodic snapshot caught a resolved subframe"
 
     def test_cut_and_resume_reproduces_crc_ok_users(self, backend, tmp_path):
@@ -171,16 +201,14 @@ class TestCrcAccountingAtTheTerminal:
         cut = self._serve(
             backend, checkpoint_path=ckpt, max_wall_s=0.4 * full["wall_s"]
         ).report
-        assert cut["max_wall"]["hit"] and cut["ledger_ok"]
+        assert cut["max_wall_hit"] and cut["ledger_ok"]
         assert cut["dispatched"] < full["dispatched"]
         resumed = self._serve(backend, resume_path=ckpt, checkpoint_path=ckpt)
         assert resumed.ok, resumed.errors
         report = resumed.report
         for key in ("crc_ok_users", "served_users", "terminal_counts"):
             assert report[key] == full[key], key
-        assert report["terminal_states"] == self._serve(
-            backend, checkpoint_path=ckpt
-        ).report["terminal_states"]
+        assert report["terminal_states"] == full["terminal_states"]
 
 
 class TestSignatureComesFromTheFieldDeclarations:
@@ -191,33 +219,41 @@ class TestSignatureComesFromTheFieldDeclarations:
         "synthesize", "max_activity", "faults",
     }
 
-    def test_signature_is_exactly_the_fields_marked_signature(self):
+    def test_signature_is_exactly_the_fields_marked_signature(self, uninterrupted):
+        """A record resumes under a config that differs from its own
+        exactly when the difference is in no ``signature`` field."""
         import dataclasses
 
-        from repro.serve.checkpoint import config_signature
-
-        config = ServeConfig(**BASE)
-        assert set(config_signature(config)) == self.SIGNATURE
         marked = {
             f.name
             for f in dataclasses.fields(ServeConfig)
             if f.metadata.get("signature")
         }
         assert marked == self.SIGNATURE
-        assert all(config_signature(config)[k] == getattr(config, k) for k in marked)
+        record = json.loads(json.dumps(uninterrupted.report))
+        rejected = set()
+        for f in dataclasses.fields(ServeConfig):
+            if "flag" not in f.metadata:
+                continue
+            edited = {**record, "config": {**record["config"], f.name: "other"}}
+            if validate_checkpoint(edited, ServeConfig(**BASE)):
+                rejected.add(f.name)
+        assert rejected == self.SIGNATURE
 
     def test_a_checkpoint_written_by_the_parent_commit_still_resumes(
         self, uninterrupted
     ):
-        """``fixtures/parent_cut.ckpt.json`` is a max-wall cut of ``BASE``
-        written before ``cell_seed_stride`` stopped being an option: its
-        signature still carries that key, which must not block a resume."""
+        """``fixtures/parent_cut.ckpt.json`` is a ``repro-ckpt/1`` max-wall
+        cut of ``BASE`` written before ``cell_seed_stride`` stopped being an
+        option: its signature still carries that key, which must not block
+        a resume."""
         from pathlib import Path
 
         path = Path(__file__).parent / "fixtures" / "parent_cut.ckpt.json"
+        assert json.loads(path.read_text())["schema"] == "repro-ckpt/1"
         snapshot = load_checkpoint(str(path))
-        assert snapshot["signature"]["cell_seed_stride"] == 1_000_003
-        assert not snapshot["completed"]
+        assert snapshot["config"]["cell_seed_stride"] == 1_000_003
+        assert not snapshot["checkpoint"]["completed"]
         assert validate_checkpoint(snapshot, ServeConfig(**BASE)) == []
         resumed = _serve(resume_path=str(path))
         assert resumed.ok, resumed.errors
@@ -233,6 +269,17 @@ class TestSnapshotGuards:
         _serve(subframes=8, checkpoint_path=ckpt)
         with pytest.raises(ValueError, match="seed"):
             _serve(subframes=8, seed=8, resume_path=ckpt)
+
+    @pytest.mark.parametrize("key", ["wall_s", "terminal_states", "checkpoint"])
+    def test_a_record_missing_what_resume_reads_is_refused(
+        self, tmp_path, uninterrupted, key
+    ):
+        path = tmp_path / "partial.json"
+        record = json.loads(json.dumps(uninterrupted.report))
+        del record[key]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=f"not resumable.*{key}"):
+            _serve(resume_path=str(path))
 
     def test_corrupt_snapshot_rejected(self, tmp_path):
         path = tmp_path / "torn.json"
@@ -258,7 +305,7 @@ class TestSnapshotGuards:
         )
         leftovers = [p.name for p in tmp_path.iterdir() if p != ckpt]
         assert leftovers == []
-        assert load_checkpoint(str(ckpt))["completed"] is True
+        assert load_checkpoint(str(ckpt))["checkpoint"]["completed"] is True
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -8,11 +8,18 @@ without paying for PHY decoding.
 
 import json
 import time
+from typing import get_type_hints, is_typeddict
 
 import pytest
 
 from repro.faults.accounting import TerminalState
-from repro.serve import ServeConfig, ServeResult, serve, validate_serve_report
+from repro.serve import (
+    ServeConfig,
+    ServeReport,
+    ServeResult,
+    serve,
+    validate_serve_report,
+)
 from repro.uplink.serial import SubframeResult
 
 
@@ -95,7 +102,7 @@ class TestReport:
 
     def test_report_is_json_serializable(self):
         result = serve(_config(subframes=10))
-        assert json.loads(json.dumps(result.report))["schema"] == "repro-serve/1"
+        assert json.loads(json.dumps(result.report))["schema"] == "repro-serve/2"
 
     def test_slo_block_uses_pr8_schema(self):
         result = serve(_config(subframes=10))
@@ -164,7 +171,7 @@ class TestFaultsMode:
         )
         assert result.ok
         report = result.report
-        assert report["faults"]["enabled"] is True
+        assert report["config"]["faults"] is True
         assert sum(report["terminal_counts"].values()) == 60
         assert validate_serve_report(report) == []
 
@@ -198,3 +205,40 @@ def test_terminal_states_cover_the_report_keys():
     states = {state.value for state in TerminalState}
     result = serve(_config(subframes=5))
     assert set(result.report["terminal_counts"]) == states
+
+
+def _declared_paths(declaration, prefix=()):
+    """Every key path ``ServeReport`` declares, nested sections and the
+    per-cell row (as ``per_cell[0]``) included."""
+    for key, hint in get_type_hints(declaration).items():
+        path = (*prefix, key)
+        yield path
+        row = (getattr(hint, "__args__", None) or (None,))[0]
+        if is_typeddict(hint):
+            yield from _declared_paths(hint, path)
+        elif is_typeddict(row):
+            yield from _declared_paths(row, (*path, 0))
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    return json.loads(json.dumps(serve(_config(cells=2, subframes=6)).report))
+
+
+@pytest.mark.parametrize(
+    "path", list(_declared_paths(ServeReport)), ids=lambda p: ".".join(map(str, p))
+)
+@pytest.mark.parametrize("how", ["dropped", "mistyped"])
+def test_the_validator_names_every_declared_key(small_report, path, how):
+    report = json.loads(json.dumps(small_report))
+    *parents, key = path
+    section = report
+    for step in parents:
+        section = section[step]
+    if how == "dropped":
+        del section[key]
+    else:
+        section[key] = object()
+    name = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+    problems = validate_serve_report(report)
+    assert problems and all(repr(name) in p for p in problems), problems

@@ -198,7 +198,7 @@ class TestControllerBridge:
         assert events[0].kind is EventKind.DEGRADE
         assert events[0].data["slo"] == "shed-rate"
         summary = ctl.summary()
-        assert summary["enabled"] and summary["degrades"] == 1
+        assert summary["degrades"] == 1
         assert summary["transitions"][0]["action"] == "degrade"
 
     def test_effective_depth_and_admission_factor(self):

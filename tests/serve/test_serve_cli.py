@@ -166,10 +166,10 @@ class TestServeCommand:
     def test_json_mode_emits_valid_report(self, capsys):
         assert main(BASE + ["--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro-serve/1"
+        assert report["schema"] == "repro-serve/2"
         assert validate_serve_report(report) == []
-        assert report["cells"] == 2
-        assert report["paced"] is False
+        assert report["config"]["cells"] == 2
+        assert report["config"]["pace"] is False
         assert report["slo"]["schema"] == "repro-slo/1"
 
     def test_json_mode_is_seed_deterministic(self, capsys):
@@ -181,7 +181,7 @@ class TestServeCommand:
         assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
         # Wall-clock fields differ run to run; the workload must not.
-        for key in ("dispatched", "offered_users", "terminal_counts", "seed"):
+        for key in ("dispatched", "offered_users", "terminal_counts", "config"):
             assert first[key] == second[key]
 
     def test_faults_variant_survives_with_shedding(self, capsys):

@@ -78,7 +78,7 @@ class TestHeadlessSoak:
     def test_report_validates_and_serializes(self, soak_result):
         assert validate_serve_report(soak_result.report) == []
         round_tripped = json.loads(json.dumps(soak_result.report))
-        assert round_tripped["schema"] == "repro-serve/1"
+        assert round_tripped["schema"] == "repro-serve/2"
 
     def test_user_accounting_balances(self, soak_result):
         report = soak_result.report
@@ -117,5 +117,5 @@ class TestChaosSoak:
         assert report["ledger_ok"] is True
         assert report["dispatched"] == sum(report["terminal_counts"].values())
         assert report["dispatched"] > 0
-        assert report["faults"]["enabled"] is True
+        assert report["config"]["faults"] is True
         assert validate_serve_report(report) == []

@@ -210,7 +210,7 @@ class TestServeRespawn:
         assert not result.errors
         assert validate_serve_report(report) == []
         sup = report["supervisor"]
-        assert sup["enabled"]
+        assert report["config"]["respawn"] and sup is not None
         assert sup["deaths"] >= 1 and sup["respawns"] >= 1
         assert not sup["fail_stop"]
         assert report["dispatched"] == sum(

@@ -222,6 +222,24 @@ def test_terminal_states_live_only_in_the_ledger():
     assert list(inspect.signature(hang_guard).parameters) == ["timeout_s"]
 
 
+def test_a_serve_run_writes_one_record():
+    """The checkpoint is the ``repro-serve/2`` report: the snapshot module,
+    its builder, its per-cell record and both hand-written key tables went
+    into one declaration. No alias, no stub."""
+    import repro.serve
+    from repro.serve import CellShard, report
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.serve.checkpoint")
+    assert not {
+        "CKPT_SCHEMA", "SERVE_SCHEMA", "write_checkpoint", "build_checkpoint",
+    } & set(repro.serve.__all__)
+    for name in ("SERVE_SCHEMA", "_CELL_FIELDS", "build_checkpoint"):
+        assert not hasattr(report, name)
+    for name in ("checkpoint_record", "summary"):
+        assert not hasattr(CellShard, name)
+
+
 def test_version():
     import repro
 
