@@ -40,11 +40,13 @@ perf-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<clone of the parent commit> [WORKLOAD=<one workload; default all> SEED=$(SEED) PAIRS=$(PAIRS)]"; exit 2; }
 	$(PYTHON) scripts/perf_pairs.py $(PARENT) . $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(SEED) --pairs $(PAIRS)
 
-# The paper figure/table checks and the overhead gates (not tier-1, ~2.5 min).
+# The paper figure/table checks and the overhead gates (not tier-1, ~2.5 min),
+# then the profiling walkthrough, run in a temp dir that takes its JSON.
 paper-benches:
 	$(PYTHON) -m pytest benchmarks -q
 	$(PYTHON) -m repro top --once --subframes 60
 	$(PYTHON) -m repro metrics --format prometheus --subframes 60
+	cd "$$(mktemp -d)" && PYTHONPATH="$(CURDIR)/src" $(PYTHON) "$(CURDIR)/examples/profiling_timeline.py"
 
 chaos-smoke:
 	$(PYTHON) -m repro chaos --scale smoke --seeds 5 --timeout 480

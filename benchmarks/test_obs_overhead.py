@@ -6,10 +6,10 @@ plain run must stay within a few percent of the pre-instrumentation cost.
 The acceptance bound here is <5% slowdown hooks-off vs hooks-on serving
 as the reference for what full tracing costs.
 
-The profiling-span tests bound the cost of the threaded runtime's stage
-``SPAN_BEGIN``/``SPAN_END`` edges, which it emits whenever an observer is
-attached: against the observer-free run, the span cost must stay under 5%
-of the run.
+The serial-stage tests bound the cost of the threaded runtime's join
+events — the combiner and finalize ``TASK_START``/``TASK_FINISH`` pairs it
+emits on the user thread whenever an observer is attached: against the
+observer-free run, their cost must stay under 5% of the run.
 """
 
 import time
@@ -24,6 +24,7 @@ from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
 from repro.uplink import SubframeFactory, UserParameters
 from repro.uplink.parameter_model import RandomizedParameterModel
+from repro.uplink.tasks import describe_user_tasks
 
 SUBFRAMES = 1_000
 WORKERS = 16
@@ -79,7 +80,7 @@ def test_disabled_tracing_overhead_under_five_percent():
     assert off_best <= on_best * 1.05
 
 
-def _span_subframes(count: int = 4):
+def _small_subframes(count: int = 4):
     factory = SubframeFactory(seed=0)
     users = [
         UserParameters(0, 24, 2, Modulation.QAM64),
@@ -96,19 +97,19 @@ def _run_threaded(subframes, observers):
     return time.perf_counter() - start
 
 
-def test_profiling_span_overhead_under_five_percent():
-    """Stage span edges must cost <5% of the observer-free run.
+def test_serial_stage_event_overhead_under_five_percent():
+    """Serial-stage (join) task events must cost <5% of the observer-free run.
 
-    The threaded runtime emits its stage spans whenever it has an
+    The threaded runtime emits its joins' task events whenever it has an
     observer, so the baseline is the run with none. Thread-scheduling
     noise on shared runners exceeds 5% run-to-run, so the asserted bound
-    is noise-immune: microbenchmark the true unit cost of one span edge
+    is noise-immune: microbenchmark the true unit cost of one join event
     (clock read + Event allocation + profiler dispatch), multiply by the
-    number of edges the scenario emits, and require that total to stay
-    under 5% of the observer-free wall time. The direct end-to-end delta
-    is printed, and sanity-bounded loosely.
+    number of join events the scenario emits, and require that total to
+    stay under 5% of the observer-free wall time. The direct end-to-end
+    delta is printed, and sanity-bounded loosely.
     """
-    subframes = _span_subframes()
+    subframes = _small_subframes()
     off_times, on_times = [], []
     for _ in range(3):
         off_times.append(_run_threaded(subframes, observers=None))
@@ -116,30 +117,32 @@ def test_profiling_span_overhead_under_five_percent():
         on_times.append(_run_threaded(subframes, observers=[profiler]))
     off_best, on_best = min(off_times), min(on_times)
 
-    # Edges actually emitted: 8 per user (4 kernel stages).
+    # Join events actually emitted: 4 per user (2 serial stages).
     users = sum(len(s.slices) for s in subframes)
-    span_edges = 8 * users
-    assert sum(
-        e["count"] for e in profiler.kernel_breakdown("spans").values()
-    ) == span_edges // 2
+    join_events = 4 * users
+    breakdown = profiler.kernel_breakdown()
+    assert 2 * (
+        breakdown["combiner"]["count"] + breakdown["finalize"]["count"]
+    ) == join_events
 
-    # Unit cost of one edge, end to end (emit site -> profiler update).
+    # Unit cost of one event, end to end (emit site -> profiler update).
     reps = 20_000
-    data = {"name": "chest", "cat": "kernel", "subframe": 0, "user": 0}
+    data = {"stolen": False, "kernel": "combiner", "subframe": 0, "user": 0,
+            "serial": True}
     begin = time.perf_counter()
     for _ in range(reps // 2):
-        profiler(Event(EventKind.SPAN_BEGIN, time.monotonic_ns(), 0, data))
-        profiler(Event(EventKind.SPAN_END, time.monotonic_ns(), 0, data))
-    per_edge_s = (time.perf_counter() - begin) / reps
+        profiler(Event(EventKind.TASK_START, time.monotonic_ns(), 0, data))
+        profiler(Event(EventKind.TASK_FINISH, time.monotonic_ns(), 0, data))
+    per_event_s = (time.perf_counter() - begin) / reps
 
-    span_cost_s = span_edges * per_edge_s
+    join_cost_s = join_events * per_event_s
     print(
         f"\nno observer: {off_best:.3f}s  profiler: {on_best:.3f}s "
         f"(end-to-end ratio {on_best / off_best:.3f}); "
-        f"{span_edges} edges x {per_edge_s * 1e6:.2f}us = "
-        f"{span_cost_s * 1e3:.2f}ms ({span_cost_s / off_best * 100:.2f}%)"
+        f"{join_events} join events x {per_event_s * 1e6:.2f}us = "
+        f"{join_cost_s * 1e3:.2f}ms ({join_cost_s / off_best * 100:.2f}%)"
     )
-    assert span_cost_s < off_best * 0.05
+    assert join_cost_s < off_best * 0.05
     # Gross-regression guard on the measured delta (loose: noise floor on
     # shared runners is ~10% even between identical configurations).
     assert on_best <= off_best * 1.5
@@ -149,7 +152,7 @@ def _paper_size_subframes(count: int = 4):
     """Full-size users (the paper's 20 MHz cell is 100 PRBs).
 
     The telemetry-overhead bound is asserted at representative task
-    granularity: the tiny ``_span_subframes`` users make each task a few
+    granularity: the tiny ``_small_subframes`` users make each task a few
     tens of microseconds, which inflates the event-to-compute ratio an
     order of magnitude past any real workload.
     """
@@ -191,9 +194,10 @@ def test_spans_plus_telemetry_overhead_under_five_percent():
 
     The full service-mode observer stack — profiling spans plus the SLO
     engine's sketch/ring/burn-rate pipeline — against the observer-free
-    baseline. Noise-immune like the span bound, but honest about the
-    event mix: record the scenario's actual stream once (any observer gets
-    the stage spans), then measure the cost of replaying that exact
+    baseline. Noise-immune like the serial-stage bound, but honest about
+    the event mix: record the scenario's actual stream once (any observer
+    gets every task event, joins included), then measure the cost of
+    replaying that exact
     stream through the SLO engine over a profiler (one fold of the stream
     serves both) and require it under 5% of the observer-free wall time.
     """
@@ -209,7 +213,8 @@ def test_spans_plus_telemetry_overhead_under_five_percent():
     engine = SLOEngine(profiler)
     for event in events:
         engine(event)
-    assert sum(e["count"] for e in profiler.kernel_breakdown("spans").values()) > 0
+    breakdown = profiler.kernel_breakdown()
+    assert breakdown["combiner"]["count"] == breakdown["finalize"]["count"] > 0
     assert engine.slo_report()["subframes"] == len(subframes)
     assert profiler.sketch("subframe_latency").count == len(subframes)
     print(
@@ -220,13 +225,25 @@ def test_spans_plus_telemetry_overhead_under_five_percent():
 
 
 def test_profiler_attributes_all_four_kernels():
-    """With an observer, the profiler sees every Fig. 5 kernel stage."""
-    subframes = _span_subframes(count=2)
+    """With an observer, the default breakdown sees every Fig. 5 kernel,
+    with the simulator's task counts (``describe_user_tasks``)."""
+    subframes = _small_subframes(count=2)
     profiler = Profiler(keep_spans=False)
     _run_threaded(subframes, observers=[profiler])
-    breakdown = profiler.kernel_breakdown("spans")
-    assert set(breakdown) == {"chest", "combiner", "symbol", "finalize"}
+    breakdown = profiler.kernel_breakdown()
+    assert list(breakdown) == ["chest", "combiner", "symbol", "finalize"]
     shares = sum(entry["share"] for entry in breakdown.values())
     assert abs(shares - 1.0) < 1e-9
+    expected = {kind: 0 for kind in breakdown}
+    for subframe in subframes:
+        for user_slice in subframe.slices:
+            chest, combiner, data, finalize = describe_user_tasks(
+                user_slice.user
+            )
+            for task in (*chest, combiner, *data, finalize):
+                expected[task.kind] += 1
+    layers = sum(u.user.layers for s in subframes for u in s.slices)
     users = sum(len(s.slices) for s in subframes)
-    assert all(entry["count"] == users for entry in breakdown.values())
+    assert expected == {"chest": 4 * layers, "combiner": users,
+                        "symbol": 12 * layers, "finalize": users}
+    assert {k: e["count"] for k, e in breakdown.items()} == expected

@@ -9,7 +9,8 @@ then exports the run as a Chrome ``trace_event`` timeline — open
 ``profiling_timeline.json`` in https://ui.perfetto.dev or
 ``chrome://tracing`` to see per-core task spans, nap/wake state rows,
 and the analytic power-gating trace. Finally profiles the same workload
-shape on the threaded runtime, where spans carry wall-clock time.
+shape on the threaded runtime: the same four-kernel task breakdown, with
+the combiner and finalize joins as serial tasks, in wall-clock time.
 
 Run:  python examples/profiling_timeline.py
 """
@@ -50,7 +51,7 @@ def simulator_profile() -> None:
     result = sim.run(model, num_subframes=SUBFRAMES)
 
     print("per-kernel breakdown (simulated cycles):")
-    for name, entry in profiler.kernel_breakdown("tasks").items():
+    for name, entry in profiler.kernel_breakdown().items():
         print(
             f"  {name:>9}: {entry['count']:5d} tasks, "
             f"{entry['total'] / 1e6:8.2f} Mcycles, "
@@ -86,7 +87,7 @@ def simulator_profile() -> None:
 
 
 def threaded_profile() -> None:
-    print("=== threaded runtime, 4 workers, wall-clock spans ===")
+    print("=== threaded runtime, 4 workers, wall-clock tasks ===")
     users = [
         UserParameters(0, num_prb=8, layers=1, modulation=Modulation.QPSK),
         UserParameters(1, num_prb=16, layers=2, modulation=Modulation.QAM16),
@@ -97,11 +98,12 @@ def threaded_profile() -> None:
     profiler = Profiler(keep_spans=False)  # deadline: 3 x the 5 ms DELTA, in ns
     runtime = ThreadedRuntime(num_workers=4, observers=[profiler])
     runtime.run(subframes)
-    print("join-level stage breakdown (wall time):")
-    for name, entry in profiler.kernel_breakdown("spans").items():
+    print("per-kernel breakdown (wall time):")
+    for name, entry in profiler.kernel_breakdown().items():
         print(
-            f"  {name:>9}: {entry['count']:3d} spans, "
-            f"{entry['total'] / 1e6:8.2f} ms, {entry['share'] * 100:5.1f}%"
+            f"  {name:>9}: {entry['count']:5d} tasks, "
+            f"{entry['total'] / 1e6:8.2f} ms, {entry['share'] * 100:5.1f}% "
+            f"({entry['stolen']} stolen)"
         )
     print(f"deadline miss rate: {profiler.deadline_miss_rate() * 100:.1f}%")
 

@@ -1,14 +1,14 @@
 """Typed scheduler event records.
 
-The simulator and the threaded runtime emit these through a hook that is
-``None`` when no observer is attached, so disabled tracing costs one
-attribute load and an identity check per emission site — no event objects
-are ever allocated (gem5-style "zero overhead when off" tracing).
+Every backend emits these through a hook that is ``None`` when no
+observer is attached, so disabled tracing costs one attribute load and an
+identity check per emission site — no event objects are ever allocated
+(gem5-style "zero overhead when off" tracing).
 
 Timestamps are clock cycles for :class:`repro.sim.machine.MachineSimulator`
-events and ``time.monotonic_ns()`` for
-:class:`repro.sched.threaded.ThreadedRuntime` events; the ``clock`` field
-of the run-level metadata (see ``docs/observability.md``) disambiguates.
+events and ``time.monotonic_ns()`` for the runtimes' events; the ``clock``
+field of the run-level metadata (see ``docs/observability.md``)
+disambiguates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ class EventKind(str, enum.Enum):
     DISPATCH = "dispatch"
     #: The policy decided the active-worker target for a subframe (Eq. 5).
     GOVERNOR = "governor"
-    #: A core started executing a task (parallel or serial stage).
+    #: A core started executing a task (parallel or serial stage). A
+    #: subframe's span is DISPATCH → SUBFRAME_TERMINAL; a user's stage
+    #: spans are its tasks' (``subframe``, ``user``, ``kernel``) intervals.
     TASK_START = "task-start"
     #: A core finished a task.
     TASK_FINISH = "task-finish"
@@ -39,12 +41,6 @@ class EventKind(str, enum.Enum):
     USER_START = "user-start"
     #: A user's last stage completed.
     USER_FINISH = "user-finish"
-    #: A user's Fig. 5 kernel stage opened on the threaded runtime (payload:
-    #: ``name``, ``cat``). A subframe's span is DISPATCH → SUBFRAME_TERMINAL.
-    SPAN_BEGIN = "span-begin"
-    #: A kernel stage span closed (matches the innermost open span of the
-    #: same ``name`` on the same core).
-    SPAN_END = "span-end"
     #: The analytic power-gating model changed the powered-core count
     #: (gating groups toggled on/off between consecutive subframes).
     GATING = "gating"

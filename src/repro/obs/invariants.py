@@ -67,9 +67,6 @@ __all__ = [
 #:   so an illegal transition is caught at the very next emission;
 #: * ``WAKE_CHECK`` — a napping core's periodic poll carries no state of
 #:   its own beyond the SPIN transition it triggers (validated as above);
-#: * ``SPAN_BEGIN`` / ``SPAN_END`` — pure profiling markers consumed by
-#:   :class:`repro.obs.profiling.Profiler`; they annotate work the
-#:   task/user events already validate and carry no scheduler state;
 #: * ``GATING`` — synthesized post-hoc by the timeline exporter from the
 #:   analytic power-gating model (Eqs. 6-9); it never reflects live
 #:   simulator state, so there is nothing to cross-check per event;
@@ -108,8 +105,6 @@ IGNORED_EVENT_KINDS = frozenset(
         EventKind.GOVERNOR,
         EventKind.STATE_TRANSITION,
         EventKind.WAKE_CHECK,
-        EventKind.SPAN_BEGIN,
-        EventKind.SPAN_END,
         EventKind.GATING,
         EventKind.FAULT,
         EventKind.SHED,

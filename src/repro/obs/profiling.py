@@ -9,12 +9,10 @@ closed :class:`Span`:
 
 * **task spans** — one per executed task, attributed to the Fig. 5
   kernel carried in the ``kernel`` payload field (``chest``, ``combiner``,
-  ``symbol``, ``finalize``); durations are simulated cycles on
-  :class:`~repro.sim.machine.MachineSimulator` and wall nanoseconds on
-  the runtimes. The threaded runtime additionally emits join-level
-  ``span-begin``/``span-end`` events around each stage (**kernel
-  spans**), aggregated separately so task time and stage wait time are
-  not conflated;
+  ``symbol``, ``finalize``; the two joins are ``serial`` tasks on the
+  simulator and on the threaded runtime); durations are simulated cycles
+  on :class:`~repro.sim.machine.MachineSimulator` and wall nanoseconds on
+  the runtimes;
 * **user spans** — ``user-start`` to ``user-finish``;
 * **subframe spans** — ``dispatch`` to the subframe's terminal event,
   scored against the fold's deadline (``IN_FLIGHT_BOUND`` × DELTA).
@@ -37,9 +35,8 @@ class Span:
     """One closed profiling span in the subframe → user → kernel hierarchy.
 
     ``begin``/``end`` are in the emitting backend's native clock (cycles
-    or nanoseconds); ``cat`` is ``"subframe"``, ``"user"``, ``"kernel"``,
-    or ``"task"``; ``data`` is the payload of the event that opened a
-    kernel span and of the event that closed any other span.
+    or nanoseconds); ``cat`` is ``"subframe"``, ``"user"`` or ``"task"``;
+    ``data`` is the payload of the event that closed the span.
     """
 
     __slots__ = ("name", "cat", "core", "begin", "end", "data")
@@ -92,15 +89,6 @@ class Profiler(TelemetryCollector):
             )
         return duration
 
-    def _span_end(self, event: Any, data: dict) -> tuple | None:
-        opened = super()._span_end(event, data)
-        if opened is not None and self.keep_spans:
-            name, begin, begin_data = opened
-            self.spans.append(
-                Span(name, "kernel", event.core, begin, event.t, begin_data)
-            )
-        return opened
-
     def _user_finish(self, event: Any, data: dict) -> tuple | None:
         opened = super()._user_finish(event, data)
         if opened is not None and self.keep_spans:
@@ -122,19 +110,18 @@ class Profiler(TelemetryCollector):
 
     # -------------------------------------------------------------- report
     def kernel_breakdown(self, source: str = "tasks") -> dict[str, dict]:
-        """Per-kernel totals in Fig. 5 stage order.
+        """Per-kernel task totals in Fig. 5 stage order, on every backend.
 
-        ``source="tasks"`` (default) is the task-level attribution that
-        exists on every backend; ``source="spans"`` is the join-level
-        view from the threaded runtime's stage spans. Each entry carries
-        ``count``/``total``/``mean``/``stolen`` plus ``share`` of the
-        summed total.
+        Each entry carries ``count``/``total``/``mean``/``stolen`` plus
+        ``share`` of the summed total. ``source`` accepts only
+        ``"tasks"``, the one view (``perf/layers.py`` still names it).
         """
-        prefix = "kernel_" if source == "tasks" else "span_"
+        if source != "tasks":
+            raise ValueError(f"unknown breakdown source {source!r}")
         stats = {
-            name[len(prefix):]: sketch
+            name[len("kernel_"):]: sketch
             for name, sketch in self.sketches.items()
-            if name.startswith(prefix)
+            if name.startswith("kernel_")
         }
         order = [k for k in KERNEL_KINDS if k in stats]
         order += sorted(k for k in stats if k not in KERNEL_KINDS)
@@ -144,11 +131,7 @@ class Profiler(TelemetryCollector):
                 "count": stats[k].count,
                 "total": stats[k].sum,
                 "mean": stats[k].mean(),
-                "stolen": (
-                    self.counters.get("stolen_" + k, 0)
-                    if source == "tasks"
-                    else 0
-                ),
+                "stolen": self.counters.get("stolen_" + k, 0),
                 "share": stats[k].sum / grand if grand else 0.0,
             }
             for k in order
@@ -159,8 +142,7 @@ class Profiler(TelemetryCollector):
         return {
             "clock_hz": self.clock_hz,
             "deadline": self.deadline,
-            "kernels": self.kernel_breakdown("tasks"),
-            "span_kernels": self.kernel_breakdown("spans"),
+            "kernels": self.kernel_breakdown(),
             "subframes_completed": self.counters.get("subframes", 0),
             "deadline_miss_rate": self.deadline_miss_rate(),
             "per_core_utilization": list(self.per_core_utilization),

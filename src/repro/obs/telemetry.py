@@ -373,10 +373,9 @@ class TelemetryCollector:
 
     * sketches — ``subframe_latency``, ``deadline_slack`` (negative on
       misses), per-kernel task durations ``kernel_<name>`` (a task with no
-      kernel counts as ``task``), join-level stage durations
-      ``span_<name>`` from ``SPAN_BEGIN``/``SPAN_END``, ``user_span``,
-      ``steal_wait``, ``dispatch_queue_depth``, ``governor_target`` and,
-      in serve, ``arrival_lag``;
+      kernel counts as ``task``), ``user_span``, ``steal_wait``,
+      ``dispatch_queue_depth``, ``governor_target`` and, in serve,
+      ``arrival_lag``;
     * counters — subframes, deadline misses, tasks, ``stolen_<kernel>``,
       steals, wake checks and hits, ``transitions_to_<state>``, and the
       shed/retry/fault/abort/backpressure/respawn counts;
@@ -411,7 +410,6 @@ class TelemetryCollector:
         self.per_core_utilization: list[float] = []
         self._sf_begin: dict[int, float] = {}
         self._open_tasks: dict[int, float] = {}
-        self._open_spans: dict[int, list[tuple[str, float, dict]]] = {}
         self._open_users: dict[tuple[int, int], tuple[float, int]] = {}
         self._last_t: float = 0.0
         #: Serve-wide admission load factor from the last DEGRADE/RECOVER
@@ -523,16 +521,6 @@ class TelemetryCollector:
         elif kind is EventKind.WORKER_RESPAWN:
             self._count("respawns")
             self.ring("respawns").add(t)
-        elif kind is EventKind.SPAN_BEGIN:
-            # Only stage spans are folded: a subframe's span is its
-            # dispatch → terminal, even in older traces that also carry a
-            # per-subframe span pair.
-            if data.get("cat", "kernel") == "kernel":
-                self._open_spans.setdefault(event.core, []).append(
-                    (data.get("name", "?"), t, data)
-                )
-        elif kind is EventKind.SPAN_END:
-            self._span_end(event, data)
         elif kind is EventKind.USER_START:
             key = (data.get("subframe", -1), data.get("user", -1))
             self._open_users[key] = (t, event.core)
@@ -587,21 +575,6 @@ class TelemetryCollector:
             busy = self.core_busy
             busy[core] = busy.get(core, 0.0) + duration
         return duration
-
-    def _span_end(self, event: Any, data: dict) -> tuple | None:
-        """Fold one stage span; returns its ``(name, begin, begin_data)``."""
-        stack = self._open_spans.get(event.core)
-        if not stack:
-            return None
-        name = data.get("name", "?")
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i][0] == name:
-                opened = stack.pop(i)
-                break
-        else:
-            return None
-        self.sketch("span_" + name).observe(float(event.t - opened[1]))
-        return opened
 
     def _user_finish(self, event: Any, data: dict) -> tuple | None:
         """Fold one user span; returns its ``(begin, core)``."""

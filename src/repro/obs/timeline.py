@@ -5,9 +5,9 @@ objects or JSONL records loaded with :func:`~repro.obs.recorder.read_jsonl`)
 into the Trace Event Format consumed by Perfetto and ``chrome://tracing``:
 
 * **scheduler process (pid 1)** — one thread row per core: executed tasks
-  as complete (``X``) slices named after their Fig. 5 kernel, user spans
-  and join-level kernel spans nested around them, steal/wake-check
-  instants;
+  (the serial combiner/finalize joins included) as complete (``X``)
+  slices named after their Fig. 5 kernel, user spans nested around them,
+  steal/wake-check instants;
 * **power-states process (pid 2)** — one row per core showing
   compute/spin/nap/disabled segments from ``state-transition`` events
   (the nap/wake timeline of Section V-B);
@@ -25,8 +25,9 @@ into the Trace Event Format consumed by Perfetto and ``chrome://tracing``:
 The exporter pairs no begin/end events itself: every record goes through
 a :class:`~repro.obs.profiling.Profiler`, and the slices are its closed
 spans. Records with *unknown* event kinds (e.g. a JSONL trace written by
-a newer schema) are never an error: they are rendered as generic instant
-events so old traces and future traces both stay loadable.
+a newer schema, or an older one's retired kinds) are never an error: they
+are rendered as generic instant events so old traces and future traces
+both stay loadable.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ _DEFAULT_CLOCK_HZ = 700e6
 
 #: Kinds the profiler pairs into spans; they render only as those spans.
 _PAIRED_KINDS = frozenset({
-    "task-start", "task-finish", "span-begin", "span-end", "user-start",
-    "user-finish",
+    "task-start", "task-finish", "user-start", "user-finish",
 })
 
 
@@ -189,16 +189,15 @@ class _TraceBuilder:
                     }
                 )
             return
-        name, args = span.name, data
+        args = data
         if span.cat == "task":
             args = {
-                k: data[k] for k in ("subframe", "stolen", "serial", "cycles")
+                k: data[k]
+                for k in ("subframe", "user", "stolen", "serial", "cycles")
                 if k in data
             }
-        elif span.cat == "kernel":
-            name += " stage"
         pid = self._sched_pid(data, span.core)
-        self._slice(pid, span.core, name, span.begin, span.end, args)
+        self._slice(pid, span.core, span.name, span.begin, span.end, args)
 
     def _state_transition(self, t: int, core: int, data: dict) -> None:
         previous = self._core_state.get(core)

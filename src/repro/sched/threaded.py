@@ -8,7 +8,11 @@ steal from each other when idle.
 Because of the CPython GIL this runtime demonstrates *correctness* (the
 parallel execution produces bit-identical results to the serial version,
 Section IV-D), not wall-clock scaling; timing behaviour is studied with
-``repro.sim`` instead.
+``repro.sim`` instead. It emits the simulator's task vocabulary: every
+queued task and each of a user's two joins (combiner, finalize, run as
+``serial`` tasks on the user thread) is one ``task-start``/``task-finish``
+pair, so ``tests/sched/test_stage_program.py`` can check that both run
+the same per-user stage program.
 
 This module is *transport* only: the global queue, the per-worker deques,
 the steal policy and the Fig. 5 stage runner. What it means to run a
@@ -27,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, TypeVar
 
 from ..faults.accounting import SubframeLedger
 from ..faults.injector import InjectedTaskError, InjectedWorkerDeath
@@ -46,6 +50,8 @@ from .policy import RandomVictimPolicy
 from .queues import GlobalQueue, WorkStealingDeque
 
 __all__ = ["ThreadedRuntime", "RuntimeStats", "WorkerFailuresError"]
+
+_R = TypeVar("_R")
 
 
 @dataclass
@@ -111,6 +117,10 @@ class _Latch:
                 self._event.wait(timeout=0.0005)
 
 
+#: A queued parallel-stage task, its event payload and its stage's join.
+_Task = tuple[Callable[[], None], dict, _Latch]
+
+
 class ThreadedRuntime(Runtime):
     """Work-stealing execution of the benchmark on real threads.
 
@@ -128,8 +138,9 @@ class ThreadedRuntime(Runtime):
         threads — observers must tolerate concurrent calls (the built-in
         :class:`~repro.obs.recorder.EventRecorder` appends are atomic
         under the GIL). With no observer attached, emission sites cost one
-        identity check. With observers, each user's Fig. 5 stages are
-        also bracketed by ``SPAN_BEGIN``/``SPAN_END`` (fork to join).
+        identity check. Every task event carries ``kernel``,
+        ``subframe``, ``user`` and ``stolen``; the two joins add
+        ``serial``, as on the simulator.
     faults:
         Optional :class:`~repro.faults.injector.ThreadFaultInjector`
         (or a bare :class:`~repro.faults.plan.FaultPlan`, which is wrapped
@@ -171,7 +182,7 @@ class ThreadedRuntime(Runtime):
         self._policy = RandomVictimPolicy(num_workers, seed=steal_seed)
         #: (pending, slice position, user slice) per dispatched user.
         self._global: GlobalQueue = GlobalQueue()
-        self._locals: list[WorkStealingDeque] = [
+        self._locals: list[WorkStealingDeque[_Task]] = [
             WorkStealingDeque() for _ in range(num_workers)
         ]
         self._shutdown = threading.Event()
@@ -245,17 +256,36 @@ class ThreadedRuntime(Runtime):
             )
 
     def _run_task(
-        self, worker_id: int, task: Callable[[], None], stolen: bool
-    ) -> None:
-        kernel = None
+        self,
+        worker_id: int,
+        task: Callable[[], _R],
+        payload: dict,
+        latch: _Latch | None = None,
+        stolen: bool = False,
+    ) -> _R:
+        """Run one Fig. 5 task on this worker and return its value.
+
+        ``payload`` is the task's event payload (``kernel``, ``subframe``,
+        ``user``, and ``serial`` for a join). The task is counted and its
+        ``TASK_FINISH`` emitted even if it raises, so starts and finishes
+        stay paired; a join's exception then reaches the user's retry
+        policy in :meth:`_process_user`. A parallel-stage task counts its
+        stage's ``latch`` down last, so its finish is stamped before the
+        join it releases starts.
+        """
         if self.emit is not None:
-            kernel = getattr(task, "kernel", None)
-            self._event(EventKind.TASK_START, worker_id, stolen=stolen, kernel=kernel)
-        task()
-        with self.stats.lock:
-            self.stats.tasks_executed[worker_id] += 1
-        if self.emit is not None:
-            self._event(EventKind.TASK_FINISH, worker_id, stolen=stolen, kernel=kernel)
+            self._event(EventKind.TASK_START, worker_id, stolen=stolen, **payload)
+        try:
+            return task()
+        finally:
+            with self.stats.lock:
+                self.stats.tasks_executed[worker_id] += 1
+            if self.emit is not None:
+                self._event(
+                    EventKind.TASK_FINISH, worker_id, stolen=stolen, **payload
+                )
+            if latch is not None:
+                latch.count_down()
 
     def _event(self, kind: EventKind, worker_id: int, **data) -> None:
         """Emit one event from a worker thread, stamped now. Hot sites check
@@ -263,13 +293,7 @@ class ThreadedRuntime(Runtime):
         if self.emit is not None:
             self.emit(Event(kind, time.monotonic_ns(), worker_id, data))
 
-    def _span_event(
-        self, worker_id: int, kind: EventKind, name: str, ids: dict
-    ) -> None:
-        """Emit one profiling-span edge from a worker thread."""
-        self._event(kind, worker_id, name=name, cat="kernel", **ids)
-
-    def _steal_task(self, worker_id: int) -> Callable[[], None] | None:
+    def _steal_task(self, worker_id: int) -> _Task | None:
         """Try every victim once; returns the stolen task, if any."""
         for victim in self._policy.victim_order(worker_id):
             task = self._locals[victim].steal()
@@ -286,7 +310,7 @@ class ThreadedRuntime(Runtime):
         # 1. Local tasks first.
         task = self._locals[worker_id].pop()
         if task is not None:
-            self._run_task(worker_id, task, stolen=False)
+            self._run_task(worker_id, *task)
             return True
         # 2. Global user queue beats stealing.
         entry = self._global.get()
@@ -296,7 +320,7 @@ class ThreadedRuntime(Runtime):
         # 3. Steal.
         task = self._steal_task(worker_id)
         if task is not None:
-            self._run_task(worker_id, task, stolen=True)
+            self._run_task(worker_id, *task, stolen=True)
             return True
         return False
 
@@ -371,40 +395,32 @@ class ThreadedRuntime(Runtime):
     def _execute_user_job(
         self, worker_id: int, pending: Pending, user_slice: UserSlice
     ):
-        """Run one user's Fig. 5 stage sequence; returns its UserResult."""
+        """Run one user's Fig. 5 stage program; returns its UserResult.
+
+        The same program as the simulator's: each parallel stage's tasks
+        fan out through this worker's deque (thieves may take them), and
+        each join runs as one serial task on this, the user's, thread.
+        """
         job = UserJob(
             user_slice, pending.subframe.grid, config=self.config, codec=self.codec
         )
-        # Each Fig. 5 stage is bracketed by a kernel span on the user
-        # thread (fork to join for the parallel stages); the per-task
-        # events inside carry the same kernel label so both the join-level
-        # and task-level views attribute time to the same kernels.
         ids = {"subframe": pending.index, "user": user_slice.user.user_id}
-        emitting = self.emit is not None
-        if emitting:
-            self._span_event(worker_id, EventKind.SPAN_BEGIN, "chest", ids)
-        self._run_stage(worker_id, job.chest_tasks(), kernel="chest")
-        if emitting:
-            self._span_event(worker_id, EventKind.SPAN_END, "chest", ids)
-            self._span_event(worker_id, EventKind.SPAN_BEGIN, "combiner", ids)
-        job.run_combiner()
-        if emitting:
-            self._span_event(worker_id, EventKind.SPAN_END, "combiner", ids)
-            self._span_event(worker_id, EventKind.SPAN_BEGIN, "symbol", ids)
-        self._run_stage(worker_id, job.data_tasks(), kernel="symbol")
-        if emitting:
-            self._span_event(worker_id, EventKind.SPAN_END, "symbol", ids)
-            self._span_event(worker_id, EventKind.SPAN_BEGIN, "finalize", ids)
-        result = job.finalize()
-        if emitting:
-            self._span_event(worker_id, EventKind.SPAN_END, "finalize", ids)
-        return result
+        self._run_stage(worker_id, job.chest_tasks(), {"kernel": "chest", **ids})
+        self._run_task(
+            worker_id, job.run_combiner,
+            {"kernel": "combiner", "serial": True, **ids},
+        )
+        self._run_stage(worker_id, job.data_tasks(), {"kernel": "symbol", **ids})
+        return self._run_task(
+            worker_id, job.finalize,
+            {"kernel": "finalize", "serial": True, **ids},
+        )
 
     def _run_stage(
         self,
         worker_id: int,
         tasks: list[Callable[[], None]],
-        kernel: str | None = None,
+        payload: dict,
     ) -> None:
         """Push a stage's tasks locally, process until empty, join.
 
@@ -417,26 +433,21 @@ class ThreadedRuntime(Runtime):
         latch = _Latch(len(tasks))
         failures: list[Exception] = []  # list.append is atomic (GIL)
 
-        def wrap(task: Callable[[], None]) -> Callable[[], None]:
+        def wrap(task: Callable[[], None]) -> _Task:
             def run() -> None:
                 try:
                     task()
                 except Exception as exc:
                     failures.append(exc)
-                finally:
-                    latch.count_down()
 
-            # Function attribute, read back via getattr in _run_task;
-            # setattr keeps the Callable return type honest for mypy.
-            setattr(run, "kernel", kernel)
-            return run
+            return run, payload, latch
 
         self._locals[worker_id].push_all([wrap(t) for t in tasks])
         while True:
             task = self._locals[worker_id].pop()
             if task is None:
                 break
-            self._run_task(worker_id, task, stolen=False)
+            self._run_task(worker_id, *task)
         # Other workers may still hold stolen tasks; help elsewhere while
         # waiting ("the user thread waits until the results from all tasks
         # become available").
@@ -448,6 +459,6 @@ class ThreadedRuntime(Runtime):
         """Steal one task from somewhere while blocked on a join."""
         task = self._steal_task(worker_id)
         if task is not None:
-            self._run_task(worker_id, task, stolen=True)
+            self._run_task(worker_id, *task, stolen=True)
             return True
         return False

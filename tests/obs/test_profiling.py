@@ -6,7 +6,7 @@ from repro.obs import Event, EventKind, Profiler
 from repro.phy import Modulation
 from repro.sched import ThreadedRuntime
 from repro.uplink import SubframeFactory, UserParameters
-from repro.uplink.tasks import KERNEL_KINDS
+from repro.uplink.tasks import KERNEL_KINDS, describe_user_tasks
 
 
 def ev(kind, t=0, core=-1, **data):
@@ -20,7 +20,7 @@ class TestProfilerSynthetic:
         prof(ev(EventKind.TASK_FINISH, t=160, core=0, kernel="chest"))
         prof(ev(EventKind.TASK_START, t=160, core=0, kernel="symbol"))
         prof(ev(EventKind.TASK_FINISH, t=400, core=0, kernel="symbol"))
-        breakdown = prof.kernel_breakdown("tasks")
+        breakdown = prof.kernel_breakdown()
         assert breakdown["chest"]["total"] == 60
         assert breakdown["symbol"]["total"] == 240
         assert breakdown["chest"]["share"] == pytest.approx(0.2)
@@ -42,24 +42,6 @@ class TestProfilerSynthetic:
         prof = Profiler()
         prof(ev(EventKind.TASK_FINISH, t=10, core=0, kernel="chest"))
         assert prof.kernel_breakdown() == {}
-
-    def test_span_events_aggregate_separately(self):
-        prof = Profiler()
-        prof(ev(EventKind.SPAN_BEGIN, t=0, core=0, name="chest", cat="kernel"))
-        prof(ev(EventKind.SPAN_END, t=70, core=0, name="chest", cat="kernel"))
-        assert prof.kernel_breakdown("spans")["chest"]["total"] == 70
-        # The join-level view never pollutes tasks.
-        assert prof.kernel_breakdown("tasks") == {}
-
-    def test_span_matching_pops_innermost_same_name(self):
-        prof = Profiler()
-        prof(ev(EventKind.SPAN_BEGIN, t=0, core=0, name="chest", cat="kernel"))
-        prof(ev(EventKind.SPAN_BEGIN, t=10, core=0, name="chest", cat="kernel"))
-        prof(ev(EventKind.SPAN_END, t=15, core=0, name="chest", cat="kernel"))
-        prof(ev(EventKind.SPAN_END, t=40, core=0, name="chest", cat="kernel"))
-        stats = prof.kernel_breakdown("spans")["chest"]
-        assert stats["count"] == 2
-        assert stats["total"] == (15 - 10) + (40 - 0)
 
     def test_deadline_slack_and_miss_rate(self):
         prof = Profiler()
@@ -114,7 +96,7 @@ class TestProfilerOnSimulator:
 
     def test_all_kernels_attributed_in_cycles(self, profiled_run):
         prof, result = profiled_run
-        breakdown = prof.kernel_breakdown("tasks")
+        breakdown = prof.kernel_breakdown()
         assert set(breakdown) == set(KERNEL_KINDS)
         assert sum(e["share"] for e in breakdown.values()) == pytest.approx(1.0)
         assert sum(e["count"] for e in breakdown.values()) == result.tasks_executed
@@ -141,7 +123,7 @@ class TestProfilerOnSimulator:
 
 
 class TestProfilerOnThreadedRuntime:
-    def test_span_breakdown_covers_every_stage(self):
+    def test_breakdown_covers_every_kernel(self):
         factory = SubframeFactory(seed=1)
         users = [
             UserParameters(0, 8, 1, Modulation.QPSK),
@@ -151,11 +133,21 @@ class TestProfilerOnThreadedRuntime:
         prof = Profiler()
         runtime = ThreadedRuntime(num_workers=2, steal_seed=0, observers=[prof])
         runtime.run(subframes)
-        breakdown = prof.kernel_breakdown("spans")
-        assert set(breakdown) == set(KERNEL_KINDS)
-        # One stage span per user per kernel.
-        assert all(e["count"] == len(subframes) * len(users)
-                   for e in breakdown.values())
+        breakdown = prof.kernel_breakdown()
+        assert list(breakdown) == list(KERNEL_KINDS)
+        # The simulator's stage program, per user: 4*L chest and 12*L
+        # symbol tasks, and each join once, as a serial task.
+        expected = {kind: 0 for kind in KERNEL_KINDS}
+        for user in users:
+            chest, combiner, data, finalize = describe_user_tasks(user)
+            for task in (*chest, combiner, *data, finalize):
+                expected[task.kind] += len(subframes)
+        assert {k: e["count"] for k, e in breakdown.items()} == expected
+        assert expected == {"chest": 36, "combiner": 6, "symbol": 108,
+                            "finalize": 6}
+        assert sum(e["share"] for e in breakdown.values()) == pytest.approx(1.0)
         assert prof.summary()["subframes_completed"] == 3
+        # A subframe's span is its dispatch -> terminal pair, one each.
+        assert sum(s.cat == "subframe" for s in prof.spans) == 3
         # A subframe's span is its dispatch -> terminal pair, one each.
         assert sum(s.cat == "subframe" for s in prof.spans) == 3

@@ -268,3 +268,72 @@ class TestPerProcessLanes:
         ], clock="ns")
         (span,) = [e for e in events if e["ph"] == "X"]
         assert span["name"] == "user 2" and span["pid"] >= 10
+
+
+#: One user of one subframe as the threaded runtime wrote it before its
+#: joins became serial tasks: a span pair around each Fig. 5 stage, and
+#: the two joins with no task events at all.
+_PARENT_FORMAT_TRACE = [
+    {"kind": "dispatch", "t": 0, "core": -1, "subframe": 0, "users": 1},
+    {"kind": "user-start", "t": 10, "core": 1, "subframe": 0, "user": 0},
+    {"kind": "span-begin", "t": 11, "core": 1, "name": "chest",
+     "cat": "kernel", "subframe": 0, "user": 0},
+    {"kind": "task-start", "t": 12, "core": 1, "stolen": False,
+     "kernel": "chest"},
+    {"kind": "task-finish", "t": 20, "core": 1, "stolen": False,
+     "kernel": "chest"},
+    {"kind": "span-end", "t": 21, "core": 1, "name": "chest",
+     "cat": "kernel", "subframe": 0, "user": 0},
+    {"kind": "span-begin", "t": 22, "core": 1, "name": "combiner",
+     "cat": "kernel", "subframe": 0, "user": 0},
+    {"kind": "span-end", "t": 30, "core": 1, "name": "combiner",
+     "cat": "kernel", "subframe": 0, "user": 0},
+    {"kind": "user-finish", "t": 40, "core": 1, "subframe": 0, "user": 0},
+    {"kind": "subframe-terminal", "t": 41, "core": -1, "subframe": 0,
+     "state": "ok"},
+]
+
+
+class TestRetiredSpanKinds:
+    def test_parent_format_trace_converts(self):
+        events = chrome_trace_events(_PARENT_FORMAT_TRACE, clock="ns")
+        # The retired kinds go through the unknown-kind path as instants.
+        instants = [e["name"] for e in events if e["ph"] == "i"]
+        assert instants.count("span-begin") == instants.count("span-end") == 2
+        slices = [e["name"] for e in events if e["ph"] == "X"]
+        assert sorted(slices) == ["chest", "user 0"]
+
+    def test_parent_format_trace_replays_through_the_tailer(self):
+        import io
+
+        from repro.obs import TelemetryCollector, TraceTailer
+
+        text = "\n".join(json.dumps(r) for r in _PARENT_FORMAT_TRACE) + "\n"
+        collector = TelemetryCollector()
+        tailer = TraceTailer(io.StringIO(text), collector)
+        assert tailer.advance() == len(_PARENT_FORMAT_TRACE) - 4
+        assert tailer.skipped == 4
+        assert collector.counters["subframes"] == 1
+        assert collector.sketches["kernel_chest"].count == 1
+
+    def test_threaded_joins_export_as_task_slices_on_the_user_lane(self):
+        from repro.phy import Modulation
+        from repro.sched import ThreadedRuntime
+        from repro.uplink import SubframeFactory, UserParameters
+
+        users = [UserParameters(0, 8, 1, Modulation.QPSK),
+                 UserParameters(1, 16, 2, Modulation.QAM16)]
+        subframe = SubframeFactory(seed=0).synthesize(users, 0)
+        recorder = EventRecorder()
+        ThreadedRuntime(num_workers=2, observers=[recorder]).run([subframe])
+        lanes = {
+            e.data["user"]: e.core
+            for e in recorder.events if e.kind is EventKind.USER_START
+        }
+        events = chrome_trace_events(recorder.events, clock="ns")
+        slices = [e for e in events if e["ph"] == "X" and e["pid"] == 1]
+        assert not [e for e in slices if e["name"].endswith(" stage")]
+        for join in ("combiner", "finalize"):
+            joins = [e for e in slices if e["name"] == join]
+            assert {e["args"]["user"]: e["tid"] for e in joins} == lanes
+            assert all(e["args"]["serial"] for e in joins)

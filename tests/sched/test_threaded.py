@@ -57,13 +57,14 @@ class TestThreadedRuntime:
         _, _, subframes = make_subframes(num=2)
         runtime = ThreadedRuntime(num_workers=4)
         runtime.run(subframes)
-        # chest: antennas*layers, data: 12*layers per user (joins are not
-        # queue tasks — the user thread runs them inline).
+        # chest: antennas*layers, data: 12*layers per user, plus the two
+        # joins (combiner, finalize) the user thread runs as serial tasks
+        # — the simulator's tasks_executed definition.
         expected = 0
         for sub in subframes:
             for user_slice in sub.slices:
                 layers = user_slice.user.layers
-                expected += 4 * layers + 12 * layers
+                expected += 4 * layers + 12 * layers + 2
         assert runtime.stats.total_tasks == expected
         assert sum(runtime.stats.users_processed) == sum(
             len(s.slices) for s in subframes

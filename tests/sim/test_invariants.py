@@ -140,7 +140,7 @@ class TestFixedSeedCyclesPinned:
         assert result.subframe_cycles.sum() == 310_458_759
         kernel_cycles = {
             name: entry["total"]
-            for name, entry in profiler.kernel_breakdown("tasks").items()
+            for name, entry in profiler.kernel_breakdown().items()
         }
         assert kernel_cycles == self.KERNEL_CYCLES
         assert profiler.deadline_miss_rate() == 0.0

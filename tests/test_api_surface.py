@@ -105,6 +105,18 @@ def test_emit_spans_and_free_deadlines_are_gone():
     assert latency.IN_FLIGHT_BOUND is telemetry.IN_FLIGHT_BOUND
 
 
+def test_join_level_span_vocabulary_is_gone():
+    """Every backend's joins are serial tasks, so there is one breakdown:
+    no span event kinds, no span view in the profiler's summary. No
+    alias, no stub."""
+    from repro.obs import EventKind, Profiler
+
+    assert not [kind for kind in EventKind if kind.value.startswith("span")]
+    assert not hasattr(EventKind, "SPAN_BEGIN")
+    assert not hasattr(EventKind, "SPAN_END")
+    assert "span_kernels" not in Profiler().summary()
+
+
 def test_lint_cache_and_changed_are_gone(capsys):
     """A full ``repro lint src`` takes about two seconds and neither CI nor
     the Makefile ever passed either flag: no alias, no stub."""
