@@ -81,7 +81,12 @@ class SlotEstimate:
 
 @dataclass
 class UserResult:
-    """Decoded output for one user in one subframe."""
+    """Decoded output for one user in one subframe.
+
+    ``payload`` is ``uint8``, one 0/1 per decoded bit (CRC stripped). It
+    may be a view into a buffer shared by the users of one call, so a
+    caller that writes to it copies it first.
+    """
 
     user_id: int
     payload: np.ndarray

@@ -222,5 +222,5 @@ def soft_demap(
 
 
 def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
-    """Hard decisions from LLRs (LLR < 0 → bit 1)."""
-    return (np.asarray(llrs) < 0).astype(np.int64)
+    """Hard decisions from LLRs (LLR < 0 → bit 1), one ``uint8`` per bit."""
+    return (np.asarray(llrs) < 0).view(np.uint8)

@@ -41,13 +41,13 @@ class PassThroughTurbo:
         return np.asarray(bits, dtype=np.int64).reshape(-1).copy()
 
     def decode(self, llrs: np.ndarray, num_info_bits: int) -> np.ndarray:
-        """Hard decision on the systematic LLRs."""
+        """Hard decision on the systematic LLRs: one ``uint8`` 0/1 per bit."""
         llrs = np.asarray(llrs, dtype=np.float64).reshape(-1)
         if llrs.size != num_info_bits:
             raise ValueError(
                 f"pass-through decoder expected {num_info_bits} LLRs, got {llrs.size}"
             )
-        return (llrs < 0).astype(np.int64)
+        return (llrs < 0).view(np.uint8)
 
 
 class QppInterleaver:
@@ -187,6 +187,7 @@ class TurboCodec:
 
         ``llrs`` follow the encoder's output layout and the LLR convention
         positive-means-zero used by :func:`repro.phy.modulation.soft_demap`.
+        Returns one ``uint8`` 0/1 per information bit.
         """
         llrs = np.asarray(llrs, dtype=np.float64).reshape(-1)
         k = num_info_bits
@@ -210,7 +211,7 @@ class TurboCodec:
             extrinsic2 = post2 - sys_llr_int - apriori2
             extrinsic = interleaver.deinterleave(extrinsic2)
             final_posterior = sys_llr + extrinsic1 + extrinsic
-        return (final_posterior < 0).astype(np.int64)
+        return (final_posterior < 0).view(np.uint8)
 
 
 class _MaxLogMap:

@@ -115,7 +115,7 @@ __all__ = [
 ]
 
 #: Per-worker shared output slab size. A full 200-PRB, 4-layer, 64-QAM
-#: subframe writes ~11 MB (5.5 MB of LLRs plus 5.5 MB of int64 payload) and
+#: subframe writes ~6.2 MB (5.5 MB of LLRs plus 0.7 MB of uint8 payload) and
 #: must fit beside its predecessor's results; a subframe that still
 #: overflows falls back to inline pickles and is counted.
 DEFAULT_SLAB_BYTES = 24 << 20

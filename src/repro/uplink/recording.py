@@ -110,9 +110,7 @@ def load_results(path: str | Path) -> list[SubframeResult]:
                 user_results = []
                 for user_id in archive[f"sf{subframe_index:08d}/users"]:
                     user_id = int(user_id)
-                    payload = archive[
-                        _key(subframe_index, user_id, "payload")
-                    ].astype(np.int64)
+                    payload = archive[_key(subframe_index, user_id, "payload")]
                     crc_array = archive[_key(subframe_index, user_id, "crc")]
                     if crc_array.size != 1:
                         raise RecordingError(

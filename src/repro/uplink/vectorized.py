@@ -258,9 +258,9 @@ def _finalize_stream(
     )
     if whole_stream:
         # The pass-through decoder is a hard decision on every LLR, so the
-        # stream decodes as one array.
+        # stream decodes as one array; its bytes are the decoded bits.
         hard = llrs < 0
-        decoded = hard.astype(np.int64)
+        decoded = hard.view(np.uint8)
     lo = 0
     for (group, rows), shape in zip(blocks, shapes):
         hi = lo + shape[0] * shape[1]

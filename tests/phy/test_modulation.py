@@ -168,6 +168,7 @@ def test_property_soft_demap_agrees_with_hard_at_high_snr(mod, seed):
     )
     hard = demodulate_hard(noisy, mod)
     soft = llrs_to_bits(soft_demap(noisy, mod, noise_variance=0.02))
+    assert soft.dtype == np.uint8
     assert np.array_equal(hard, soft)
 
 

@@ -47,14 +47,23 @@ def workload():
     return subframes, reference
 
 
+def assert_uint8_payloads(result):
+    """Decoded bits come back from the slab or the pipe as the worker
+    decided them: one ``uint8`` a bit, as every backend hands them out."""
+    for user in result.user_results:
+        assert user.payload.dtype == np.uint8
+
+
 def test_bit_exact_vs_serial_with_process_lanes(workload):
     subframes, reference = workload
     recorder = EventRecorder()
     runtime = MultiprocessRuntime(num_workers=2, observers=[recorder])
     results = runtime.run(subframes)
     assert len(results) == NUM_SUBFRAMES
+    assert runtime.stats.slab_overflows == 0
     for result, expected in zip(results, reference):
         assert result.equals(expected), f"sf{result.subframe_index} differs"
+        assert_uint8_payloads(result)
     assert runtime.ledger.ok
     assert runtime.ledger.counts()["ok"] == NUM_SUBFRAMES
     assert sum(runtime.stats.users_processed) == sum(
@@ -214,6 +223,7 @@ def test_tiny_output_slab_falls_back_to_inline_results(workload):
     assert runtime.stats.slab_overflows > 0
     for result, expected in zip(results, reference):
         assert result.equals(expected)
+        assert_uint8_payloads(result)
 
 
 # ------------------------------------------------- grid-segment lifecycle

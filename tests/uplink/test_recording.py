@@ -40,6 +40,30 @@ class TestSaveLoad:
         for a, b in zip(loaded, sorted(results, key=lambda r: r.subframe_index)):
             assert a.equals(b)
 
+    def test_loads_what_it_stored(self, run, tmp_path):
+        """Payloads come back as the ``uint8`` the archive holds, and an
+        archive saved from ``int64`` payloads (as older runs held them)
+        loads equal to a fresh run."""
+        from dataclasses import replace
+
+        _, _, results = run
+        widened = [
+            replace(
+                result,
+                user_results=[
+                    replace(user, payload=user.payload.astype(np.int64))
+                    for user in result.user_results
+                ],
+            )
+            for result in results
+        ]
+        loaded = load_results(save_results(widened, tmp_path / "wide.npz"))
+        fresh = sorted(results, key=lambda r: r.subframe_index)
+        for a, b in zip(loaded, fresh, strict=True):
+            assert a.equals(b)
+            for user in a.user_results:
+                assert user.payload.dtype == np.uint8
+
     def test_appends_npz_suffix(self, run, tmp_path):
         _, _, results = run
         path = save_results(results, tmp_path / "ref")

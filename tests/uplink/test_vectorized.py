@@ -123,14 +123,16 @@ class TestFinalizeRoutes:
         expected = process_user(allocation, grid, codec=codec)
         result = process_user_vectorized(allocation, grid, codec=codec)
         assert result.equals(expected)
-        assert result.payload.dtype == expected.payload.dtype
+        assert result.payload.dtype == expected.payload.dtype == np.uint8
+        assert set(np.unique(result.payload)) <= {0, 1}
         assert np.array_equal(result.llrs, expected.llrs)
 
     def test_passthrough_payload_dtype_and_crc_type_match_serial(self, subframe):
         serial = process_subframe_serial(subframe)
         vectorized = process_subframe_vectorized(subframe)
         for a, b in zip(serial.user_results, vectorized.user_results):
-            assert b.payload.dtype == a.payload.dtype == np.int64
+            assert b.payload.dtype == a.payload.dtype == np.uint8
+            assert set(np.unique(b.payload)) <= {0, 1}
             assert type(b.crc_ok) is type(a.crc_ok) is bool
             assert b.llrs.dtype == np.float64 and b.llrs.ndim == 1
 
