@@ -25,11 +25,8 @@ def test_low_load_scenario(benchmark, power_study):
         from repro.sim.cost import CostModel
 
         cost = CostModel()
-        # Patch a half-budget workload in via a thin model subclass.
-        class QuarterLoadModel(RandomizedParameterModel):
-            pass
-
-        model = QuarterLoadModel(
+        # The same randomized workload at half the PRB budget.
+        model = RandomizedParameterModel(
             total_subframes=SUBFRAMES, seed=0, max_prb=100, max_users=6
         )
         from repro.power.gating import PowerGatingModel

@@ -17,9 +17,8 @@ scope these rules forbid the three classic leak paths:
   reductions (``len``/``min``/``max``/``sum``/``any``/``all``/
   ``sorted``/``frozenset``) are allowed.
 
-Scope: modules under the packages in :data:`DETERMINISTIC_PACKAGES`
-except :data:`EXCLUDED_MODULES` (``repro.uplink.benchmark`` paces real
-submissions with ``time.monotonic`` by design), plus any file carrying a
+Scope: every module under the packages in
+:data:`DETERMINISTIC_PACKAGES`, plus any file carrying a
 ``# repro-lint: deterministic-scope`` pragma.
 """
 
@@ -34,7 +33,6 @@ from .registry import Rule, register
 
 __all__ = [
     "DETERMINISTIC_PACKAGES",
-    "EXCLUDED_MODULES",
     "WallClockRule",
     "UnseededRngRule",
     "SetOrderRule",
@@ -46,10 +44,6 @@ DETERMINISTIC_PACKAGES: tuple[str, ...] = (
     "repro.phy",
     "repro.uplink",
 )
-
-#: Modules inside the deterministic packages that are deliberately
-#: real-time (the benchmark driver paces submissions on the host clock).
-EXCLUDED_MODULES: tuple[str, ...] = ("repro.uplink.benchmark",)
 
 _WALL_CLOCK_CALLS = frozenset(
     {
@@ -101,11 +95,6 @@ _ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "iter", "enumerate"})
 def in_deterministic_scope(ctx: ModuleContext) -> bool:
     if ctx.has_deterministic_pragma():
         return True
-    if any(
-        ctx.module == excluded or ctx.module.startswith(excluded + ".")
-        for excluded in EXCLUDED_MODULES
-    ):
-        return False
     return any(
         ctx.module == pkg or ctx.module.startswith(pkg + ".")
         for pkg in DETERMINISTIC_PACKAGES

@@ -43,7 +43,7 @@ from ..phy.params import (
     MIN_PRB_PER_USER,
     Modulation,
 )
-from ..uplink.parameter_model import RandomizedParameterModel
+from ..uplink.parameter_model import RandomizedParameterModel, draw_users
 from ..uplink.scenarios import DEFAULT_DIURNAL_PROFILE
 from ..uplink.user import UserParameters
 
@@ -83,48 +83,23 @@ class ArrivalProcess(Protocol):
 
 
 def _draw_users(
-    rng: np.random.Generator, count: int, mix: str, prob: float = 0.5
+    rng: np.random.Generator, count: int, mix: str
 ) -> list[UserParameters]:
     """Materialize ``count`` arriving users under a traffic ``mix``.
 
     ``"mmtc"`` models machine devices: minimum-allocation QPSK
     single-layer uplinks, the dominant population in a synchronized
-    access burst. ``"mixed"`` reuses the paper's Fig. 6 PRB-spread and
-    Fig. 10 layer/modulation draws at a fixed probability, modelling a
-    mixed-traffic cell. Both stop early when the PRB budget is exhausted
-    so the subframe always fits the carrier.
+    access burst. ``"mixed"`` is the paper's Fig. 6 / Fig. 10 draw at a
+    fixed probability of 0.5, modelling a mixed-traffic cell. Both stop
+    early when the PRB budget is exhausted so the subframe always fits
+    the carrier.
     """
-    users: list[UserParameters] = []
-    remaining = MAX_PRB
-    while len(users) < count and remaining >= MIN_PRB_PER_USER:
-        if mix == "mmtc":
-            num_prb = MIN_PRB_PER_USER
-            layers = 1
-            modulation = Modulation.QPSK
-        else:
-            user_prb = MAX_PRB * rng.random()
-            distribution = rng.random()
-            if distribution < 0.4:
-                user_prb /= 8
-            elif distribution < 0.6:
-                user_prb /= 4
-            elif distribution < 0.9:
-                user_prb /= 2
-            num_prb = int(user_prb)
-            num_prb -= num_prb % 2
-            num_prb = max(MIN_PRB_PER_USER, min(num_prb, remaining))
-            layers = RandomizedParameterModel._draw_layers(rng, prob)
-            modulation = RandomizedParameterModel._draw_modulation(rng, prob)
-        remaining -= num_prb
-        users.append(
-            UserParameters(
-                user_id=len(users),
-                num_prb=num_prb,
-                layers=layers,
-                modulation=modulation,
-            )
-        )
-    return users
+    if mix == "mixed":
+        return draw_users(rng, count, MAX_PRB, 0.5)
+    return [
+        UserParameters(user_id, MIN_PRB_PER_USER, 1, Modulation.QPSK)
+        for user_id in range(min(count, _MAX_DEVICES))
+    ]
 
 
 def _validated_mix(mix: str) -> str:

@@ -4,7 +4,6 @@ reference implementation, the Fig. 5 task decomposition, and
 serial-vs-parallel verification.
 """
 
-from .benchmark import DRIVER_BACKENDS, BenchmarkConfig, BenchmarkDriver
 from .parameter_model import (
     DEFAULT_TOTAL_SUBFRAMES,
     ParameterModel,
@@ -12,13 +11,7 @@ from .parameter_model import (
     SteadyStateParameterModel,
     TraceParameterModel,
 )
-from .recording import (
-    RecordingError,
-    load_results,
-    save_results,
-    verify_against_recording,
-)
-from .scenarios import DiurnalParameterModel, ScaledLoadModel
+from .scenarios import DiurnalParameterModel
 from .serial import (
     FUNCTIONAL_BACKENDS,
     SerialBenchmark,
@@ -44,9 +37,6 @@ from .vectorized import (
 from .verification import VerificationReport, verify_against_serial
 
 __all__ = [
-    "BenchmarkConfig",
-    "BenchmarkDriver",
-    "DRIVER_BACKENDS",
     "FUNCTIONAL_BACKENDS",
     "DEFAULT_TOTAL_SUBFRAMES",
     "ParameterModel",
@@ -54,11 +44,6 @@ __all__ = [
     "SteadyStateParameterModel",
     "TraceParameterModel",
     "DiurnalParameterModel",
-    "ScaledLoadModel",
-    "RecordingError",
-    "load_results",
-    "save_results",
-    "verify_against_recording",
     "SerialBenchmark",
     "SubframeResult",
     "process_subframe",

@@ -37,6 +37,7 @@ __all__ = [
     "TraceParameterModel",
     "DEFAULT_TOTAL_SUBFRAMES",
     "PROBABILITY_STEP_SUBFRAMES",
+    "draw_users",
 ]
 
 #: Length of the paper's evaluation run (Figs. 7-9, 12-16): 68 000 subframes.
@@ -48,6 +49,42 @@ PROBABILITY_STEP_SUBFRAMES = 200
 #: Fig. 10's probability ramp runs from 0.6 % to 100 %.
 MIN_PROBABILITY = 0.006
 MAX_PROBABILITY = 1.0
+
+
+def draw_users(
+    rng: np.random.Generator, max_users: int, max_prb: int, prob: float
+) -> list[UserParameters]:
+    """One subframe's users: Fig. 6's PRB-spread loop, Fig. 10's draws.
+
+    Users are added until ``max_users`` or until fewer than
+    :data:`MIN_PRB_PER_USER` of the ``max_prb`` budget remain. Each user
+    draws its PRB count, then three Bernoulli(``prob``) layer increments
+    above 1, then the nested QPSK → 16QAM → 64QAM modulation draws.
+    """
+    users: list[UserParameters] = []
+    remaining_prb = max_prb
+    while len(users) < max_users and remaining_prb >= MIN_PRB_PER_USER:
+        user_prb = max_prb * rng.random()
+        # "Create a larger spread in number of PRBs" (Fig. 6 lines 7-15).
+        distribution = rng.random()
+        if distribution < 0.4:
+            user_prb /= 8
+        elif distribution < 0.6:
+            user_prb /= 4
+        elif distribution < 0.9:
+            user_prb /= 2
+        num_prb = int(user_prb)
+        num_prb -= num_prb % 2  # allocations span both slots (PRB pairs)
+        num_prb = max(MIN_PRB_PER_USER, min(num_prb, remaining_prb))
+        remaining_prb -= num_prb
+        layers = 1 + sum(prob > rng.random() for _ in range(3))
+        modulation = Modulation.QPSK
+        if prob > rng.random():
+            modulation = Modulation.QAM16
+            if prob > rng.random():
+                modulation = Modulation.QAM64
+        users.append(UserParameters(len(users), num_prb, layers, modulation))
+    return users
 
 
 class ParameterModel(Protocol):
@@ -119,52 +156,12 @@ class RandomizedParameterModel:
 
     def uplink_parameters(self, subframe_index: int) -> list[UserParameters]:
         """Generate one subframe's users per the Fig. 6 / Fig. 10 pseudocode."""
-        rng = self._rng_for(subframe_index)
-        prob = self.current_probability(subframe_index)
-        users: list[UserParameters] = []
-        remaining_prb = self.max_prb
-        while len(users) < self.max_users and remaining_prb >= MIN_PRB_PER_USER:
-            user_prb = self.max_prb * rng.random()
-            # "Create a larger spread in number of PRBs" (Fig. 6 lines 7-15).
-            distribution = rng.random()
-            if distribution < 0.4:
-                user_prb /= 8
-            elif distribution < 0.6:
-                user_prb /= 4
-            elif distribution < 0.9:
-                user_prb /= 2
-            num_prb = int(user_prb)
-            num_prb -= num_prb % 2  # allocations span both slots (PRB pairs)
-            num_prb = max(MIN_PRB_PER_USER, min(num_prb, remaining_prb))
-            remaining_prb -= num_prb
-            users.append(
-                UserParameters(
-                    user_id=len(users),
-                    num_prb=num_prb,
-                    layers=self._draw_layers(rng, prob),
-                    modulation=self._draw_modulation(rng, prob),
-                )
-            )
-        return users
-
-    @staticmethod
-    def _draw_layers(rng: np.random.Generator, prob: float) -> int:
-        """Fig. 10 lines 2-11: three Bernoulli(prob) increments above 1."""
-        layers = 1
-        for _ in range(3):
-            if prob > rng.random():
-                layers += 1
-        return layers
-
-    @staticmethod
-    def _draw_modulation(rng: np.random.Generator, prob: float) -> Modulation:
-        """Fig. 10 lines 12-18: QPSK → 16QAM → 64QAM with nested draws."""
-        modulation = Modulation.QPSK
-        if prob > rng.random():
-            modulation = Modulation.QAM16
-            if prob > rng.random():
-                modulation = Modulation.QAM64
-        return modulation
+        return draw_users(
+            self._rng_for(subframe_index),
+            self.max_users,
+            self.max_prb,
+            self.current_probability(subframe_index),
+        )
 
     def iter_subframes(
         self, count: int | None = None, start: int = 0

@@ -4,14 +4,11 @@ The paper motivates power management with the diurnal load cycle
 (Section I: "periods of peak loads (rush hours) and periods of low loads
 (late nights)") and notes that "a typical workload for base stations is
 25 %" with "long periods where the load is much lower (e.g., nights)"
-(Sections VI-B, VIII). These scenario models make those workloads
-runnable:
-
-* :class:`ScaledLoadModel` — the evaluation workload with its PRB budget
-  scaled to hit a target average load (e.g. the 25 % typical case).
-* :class:`DiurnalParameterModel` — a compressed 24-hour cell: an
-  hour-by-hour load envelope modulates the number of schedulable PRBs and
-  users, with rush-hour peaks and a night trough.
+(Sections VI-B, VIII). :class:`DiurnalParameterModel` makes the diurnal
+cycle runnable: a compressed 24-hour cell whose hour-by-hour load envelope
+modulates the number of schedulable PRBs and users, with rush-hour peaks
+and a night trough. (The 25 % case is the randomized model at half the
+PRB budget, ``RandomizedParameterModel(max_prb=100)``.)
 """
 
 from __future__ import annotations
@@ -21,37 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..phy.params import MAX_PRB, MAX_USERS_PER_SUBFRAME, MIN_PRB_PER_USER
-from .parameter_model import RandomizedParameterModel
+from .parameter_model import draw_users
 from .user import UserParameters
 
-__all__ = ["ScaledLoadModel", "DiurnalParameterModel", "DEFAULT_DIURNAL_PROFILE"]
-
-
-class ScaledLoadModel(RandomizedParameterModel):
-    """The paper's randomized workload at a scaled PRB budget.
-
-    ``load_fraction=0.5`` reproduces the paper's ~50 % evaluation;
-    ``0.25`` approximates the "typical" base-station load.
-    """
-
-    def __init__(
-        self,
-        load_fraction: float,
-        total_subframes: int = 4_000,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 < load_fraction <= 1.0:
-            raise ValueError("load_fraction must be in (0, 1]")
-        # The 50%-average evaluation uses the full 200-PRB budget, so the
-        # budget scales as 2x the target load fraction (capped at MAX_PRB).
-        budget = min(MAX_PRB, max(MIN_PRB_PER_USER, int(round(2 * load_fraction * MAX_PRB))))
-        budget -= budget % 2
-        super().__init__(
-            total_subframes=total_subframes,
-            seed=seed,
-            max_prb=max(MIN_PRB_PER_USER, budget),
-        )
-        self.load_fraction = load_fraction
+__all__ = ["DiurnalParameterModel", "DEFAULT_DIURNAL_PROFILE"]
 
 
 #: Relative load per hour of day, 0..23: a night trough, a morning ramp,
@@ -69,10 +39,10 @@ class DiurnalParameterModel:
     """A compressed 24-hour cell load.
 
     The full day is mapped onto ``total_subframes``; within each "hour"
-    the randomized model runs with its PRB budget and user cap scaled by
-    the profile. Layers/modulation probability follows the load as well
-    (busy hours carry more MIMO/high-order traffic), using the underlying
-    model's probability machinery.
+    the Fig. 6 draw (:func:`~repro.uplink.parameter_model.draw_users`)
+    runs with its PRB budget and user cap scaled by the profile. The
+    layers/modulation probability follows the load as well (busy hours
+    carry more MIMO/high-order traffic).
     """
 
     total_subframes: int = 24_000
@@ -99,36 +69,7 @@ class DiurnalParameterModel:
         budget = max(MIN_PRB_PER_USER, int(round(load * MAX_PRB)))
         budget -= budget % 2
         users_cap = max(1, int(round(load * MAX_USERS_PER_SUBFRAME)))
-        inner = RandomizedParameterModel(
-            total_subframes=2,
-            seed=self.seed,
-            max_prb=max(MIN_PRB_PER_USER, budget),
-            max_users=users_cap,
-        )
-        rng = inner._rng_for(subframe_index)
+        rng = np.random.default_rng((self.seed, subframe_index))
         # Busy hours carry heavier per-user traffic (layers/modulation).
         prob = max(0.006, min(1.0, load))
-        users: list[UserParameters] = []
-        remaining = inner.max_prb
-        while len(users) < users_cap and remaining >= MIN_PRB_PER_USER:
-            user_prb = inner.max_prb * rng.random()
-            distribution = rng.random()
-            if distribution < 0.4:
-                user_prb /= 8
-            elif distribution < 0.6:
-                user_prb /= 4
-            elif distribution < 0.9:
-                user_prb /= 2
-            num_prb = int(user_prb)
-            num_prb -= num_prb % 2
-            num_prb = max(MIN_PRB_PER_USER, min(num_prb, remaining))
-            remaining -= num_prb
-            users.append(
-                UserParameters(
-                    user_id=len(users),
-                    num_prb=num_prb,
-                    layers=RandomizedParameterModel._draw_layers(rng, prob),
-                    modulation=RandomizedParameterModel._draw_modulation(rng, prob),
-                )
-            )
-        return users
+        return draw_users(rng, users_cap, budget, prob)

@@ -27,7 +27,7 @@ __all__ = [
 #: Single-thread functional backends selectable via ``backend=``: the
 #: per-task serial reference and the batched vectorized fast path
 #: (``repro.uplink.vectorized``). The threaded runtime lives in
-#: ``repro.sched`` and is selected at the driver/CLI level.
+#: ``repro.sched`` and is selected through ``make_runtime`` or the CLI.
 FUNCTIONAL_BACKENDS = ("serial", "vectorized")
 
 

@@ -102,8 +102,8 @@ def test_wall_clock_from_import_alias_flagged(lint_snippet):
 
 def test_out_of_scope_file_is_ignored(lint_snippet):
     # Same wall-clock call, but no pragma and not under repro.sim/phy/
-    # uplink: the determinism rules must not fire (this is the
-    # uplink.benchmark real-time-pacing situation).
+    # uplink: the determinism rules must not fire (this is serve's and
+    # the runtimes' real-time-pacing situation).
     source = WALL_CLOCK.replace("# repro-lint: deterministic-scope", "")
     assert lint_snippet(source).ok
 

@@ -10,12 +10,11 @@ from repro.power.estimator import calibrate_from_cost_model
 from repro.power.governor import NapIdlePolicy, NonapPolicy
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
-from repro.uplink.parameter_model import SteadyStateParameterModel
-from repro.uplink.scenarios import (
-    DEFAULT_DIURNAL_PROFILE,
-    DiurnalParameterModel,
-    ScaledLoadModel,
+from repro.uplink.parameter_model import (
+    RandomizedParameterModel,
+    SteadyStateParameterModel,
 )
+from repro.uplink.scenarios import DEFAULT_DIURNAL_PROFILE, DiurnalParameterModel
 
 
 class TestDeadlineReport:
@@ -110,7 +109,7 @@ class TestDeadlineReport:
         core count can shorten.)"""
         cost = CostModel()
         estimator = calibrate_from_cost_model(cost)
-        model = ScaledLoadModel(load_fraction=0.4, total_subframes=400, seed=1)
+        model = RandomizedParameterModel(total_subframes=400, seed=1, max_prb=160)
         reports = {}
         for policy in (
             NonapPolicy(cost.machine.num_workers),
@@ -128,22 +127,14 @@ class TestDeadlineReport:
 
 
 class TestScaledLoadModel:
-    def test_budget_scales_with_load(self):
-        half = ScaledLoadModel(0.5)
-        quarter = ScaledLoadModel(0.25)
-        assert half.max_prb == MAX_PRB
-        assert quarter.max_prb == MAX_PRB // 2
-
     def test_generated_totals_respect_budget(self):
-        model = ScaledLoadModel(0.25, total_subframes=400, seed=2)
+        """The 25 % load case is the randomized model at half the PRB
+        budget; every subframe it draws stays inside that budget."""
+        model = RandomizedParameterModel(
+            total_subframes=400, seed=2, max_prb=MAX_PRB // 2
+        )
         for i in range(0, 400, 23):
             assert sum(u.num_prb for u in model.uplink_parameters(i)) <= model.max_prb
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScaledLoadModel(0.0)
-        with pytest.raises(ValueError):
-            ScaledLoadModel(1.5)
 
 
 class TestDiurnalModel:

@@ -131,6 +131,25 @@ class TestReport:
         assert report["users_per_hour"] == pytest.approx(expected)
 
 
+class TestPacing:
+    def test_paces_dispatch_every_delta(self):
+        """Six ticks at DELTA = 30 ms on the threaded runtime take at
+        least 5 x 30 ms: the §IV-B maintenance thread's cadence."""
+        result = serve(
+            _config(
+                subframes=6,
+                delta_s=0.03,
+                pace=True,
+                backend="threaded",
+                backpressure="block",
+                processor=None,
+            )
+        )
+        assert result.ok, result.errors
+        assert result.report["dispatched"] == 6
+        assert result.report["wall_s"] >= 5 * 0.03
+
+
 class TestTrace:
     def test_trace_jsonl_carries_serve_events(self, tmp_path):
         path = tmp_path / "serve.jsonl"

@@ -81,6 +81,35 @@ def test_the_pools_old_seams_and_unused_sim_models_are_gone():
     ]
 
 
+def test_unreached_modules_are_gone():
+    """Removed on purpose: no command, example, benchmark or workload
+    reached the RF front-end, link adaptation, result recording or the
+    second DELTA-paced driver. ``repro serve`` paces on the wall clock,
+    ``repro run --verify`` checks against serial, and the 25 % load is
+    ``RandomizedParameterModel(max_prb=100)``. No alias, no stub."""
+    from repro import uplink
+
+    for name in (
+        "repro.phy.frontend",
+        "repro.phy.mcs",
+        "repro.uplink.recording",
+        "repro.uplink.benchmark",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)
+    for name in (
+        "BenchmarkDriver",
+        "BenchmarkConfig",
+        "DRIVER_BACKENDS",
+        "save_results",
+        "load_results",
+        "verify_against_recording",
+        "RecordingError",
+        "ScaledLoadModel",
+    ):
+        assert name not in uplink.__all__ and not hasattr(uplink, name)
+
+
 def test_emit_spans_and_free_deadlines_are_gone():
     """A subframe's span is its dispatch -> terminal pair and its deadline
     is ``IN_FLIGHT_BOUND`` x DELTA, each defined once: no runtime takes a
@@ -277,9 +306,7 @@ def test_public_entry_points_have_docstrings():
 
 def test_submodules_not_in_init_are_still_importable():
     for module in (
-        "repro.phy.frontend",
         "repro.phy.scrambling",
-        "repro.phy.mcs",
         "repro.power.energy",
         "repro.power.dvfs",
         "repro.experiments.latency",

@@ -14,7 +14,8 @@ classes of import-time landmines would break it:
 The probe runs in a real spawn child: it wraps the ``time`` clocks and
 ``numpy.random.default_rng`` to flag any call made while a ``repro``
 module's top level is still executing, then imports the entire package
-tree.
+tree. It also reports whether any of them imported scipy, which is a
+test-only dependency.
 
 ``_probe`` is module-level on purpose: spawn pickles the callable by
 qualified name, so it must live in an importable module (this test file),
@@ -35,9 +36,9 @@ def _probe(conn) -> None:
 
         def wrapper(*args, **kwargs):
             # Attribute the call to the *innermost* module-level frame:
-            # a repro module importing scipy (which reads clocks during
-            # its own import) is fine; repro's own top level doing it
-            # is the violation.
+            # a repro module importing a library that reads clocks during
+            # its own import is fine; repro's own top level doing it is
+            # the violation.
             for frame in reversed(traceback.extract_stack()[:-1]):
                 if frame.name != "<module>":
                     continue
@@ -67,6 +68,8 @@ def _probe(conn) -> None:
     import pkgutil
 
     failures: list[str] = []
+    import sys
+
     import repro
 
     count = 1
@@ -81,7 +84,14 @@ def _probe(conn) -> None:
             failures.append(f"{info.name}: {type(exc).__name__}: {exc}")
         else:
             count += 1
-    conn.send({"count": count, "violations": violations, "failures": failures})
+    conn.send(
+        {
+            "count": count,
+            "violations": violations,
+            "failures": failures,
+            "scipy": "scipy" in sys.modules,
+        }
+    )
     conn.close()
 
 
@@ -99,3 +109,5 @@ def test_every_repro_module_imports_under_spawn():
     assert not report["violations"], report["violations"]
     # The walk must have covered the real package tree, not a stub.
     assert report["count"] > 40, report["count"]
+    # NumPy is the one run-time dependency: no repro module pulls scipy in.
+    assert not report["scipy"]

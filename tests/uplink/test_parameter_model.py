@@ -1,5 +1,7 @@
 """Tests for the Fig. 6 / Fig. 10 input parameter models."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from repro.uplink.parameter_model import (
     SteadyStateParameterModel,
     TraceParameterModel,
 )
+from repro.serve.arrivals import ARRIVAL_KINDS, make_arrivals
+from repro.uplink.scenarios import DiurnalParameterModel
 from repro.uplink.user import UserParameters
 
 
@@ -73,15 +77,16 @@ class TestProbabilityRamp:
 
 class TestUserGeneration:
     def test_respects_user_and_prb_limits(self):
-        model = RandomizedParameterModel(seed=3)
-        for index in range(0, 68_000, 997):
-            users = model.uplink_parameters(index)
-            assert 1 <= len(users) <= MAX_USERS_PER_SUBFRAME
-            total = sum(u.num_prb for u in users)
-            assert total <= MAX_PRB
-            for user in users:
-                assert MIN_PRB_PER_USER <= user.num_prb <= MAX_PRB
-                assert 1 <= user.layers <= 4
+        for budget in (MAX_PRB, MAX_PRB // 2):
+            model = RandomizedParameterModel(seed=3, max_prb=budget)
+            for index in range(0, 68_000, 997):
+                users = model.uplink_parameters(index)
+                assert 1 <= len(users) <= MAX_USERS_PER_SUBFRAME
+                total = sum(u.num_prb for u in users)
+                assert total <= budget
+                for user in users:
+                    assert MIN_PRB_PER_USER <= user.num_prb <= budget
+                    assert 1 <= user.layers <= 4
 
     def test_deterministic_and_random_access(self):
         a = RandomizedParameterModel(seed=11)
@@ -197,3 +202,36 @@ def test_property_model_always_valid(seed, index):
     for user in users:
         assert user.num_prb % 2 == 0
         assert user.num_prb >= MIN_PRB_PER_USER
+
+
+def _draws_digest() -> str:
+    """One SHA-256 over every Fig. 6 / Fig. 10 user draw in the repo: the
+    randomized model at the full and a 160-PRB budget, the diurnal model,
+    and serve's four arrival kinds under both traffic mixes, seeds 0-2."""
+    draws = []
+    for seed in range(3):
+        for max_prb in (MAX_PRB, 160):
+            model = RandomizedParameterModel(1_200, seed=seed, max_prb=max_prb)
+            draws.append(model.uplink_parameters)
+        draws.append(DiurnalParameterModel(2_400, seed=seed).uplink_parameters)
+        for kind in ARRIVAL_KINDS:
+            for mix in ("mmtc", "mixed"):
+                arrivals = make_arrivals(kind, seed, total_subframes=1_200, mix=mix)
+                draws.append(arrivals.users_for)
+    digest = hashlib.sha256()
+    for draw in draws:
+        for index in range(0, 2_400, 37):
+            for user in draw(index):
+                digest.update(
+                    f"{index}:{user.user_id}:{user.num_prb}:{user.layers}:"
+                    f"{user.modulation.value};".encode()
+                )
+    return digest.hexdigest()
+
+
+def test_every_user_draw_is_pinned():
+    """The randomized, diurnal and serve ``mixed`` draws share one Fig. 6
+    loop; any change to its RNG consumption order changes this digest."""
+    assert _draws_digest() == (
+        "c0fb6ece58e2ac9add008d6f204f6a8c429cfc7dc70b6fba32e9c34dcf9c2bf5"
+    )

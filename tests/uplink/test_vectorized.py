@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.phy.params import Modulation
-from repro.uplink.benchmark import DRIVER_BACKENDS, BenchmarkConfig, BenchmarkDriver
 from repro.uplink.parameter_model import RandomizedParameterModel, TraceParameterModel
 from repro.uplink.serial import (
     FUNCTIONAL_BACKENDS,
@@ -413,21 +412,6 @@ class TestBackendSelection:
         model = TraceParameterModel([mixed_users()])
         with pytest.raises(ValueError, match="unknown backend"):
             SerialBenchmark(model, backend="gpu")
-
-    def test_driver_backend_validation(self):
-        assert set(FUNCTIONAL_BACKENDS) < set(DRIVER_BACKENDS)
-        with pytest.raises(ValueError, match="unknown backend"):
-            BenchmarkConfig(backend="simd")
-
-    def test_driver_runs_vectorized_inline(self):
-        model = TraceParameterModel([mixed_users()] * 2)
-        factory = SubframeFactory(seed=11)
-        config = BenchmarkConfig(delta_s=1e-4, backend="vectorized", synthesize=True)
-        results = BenchmarkDriver(model, factory=factory, config=config).run(2)
-        reference = SerialBenchmark(model, factory=factory, synthesize=True).run(2)
-        assert len(results) == 2
-        for got, want in zip(results, reference):
-            assert want.equals(got)
 
 
 def test_tail_gather_cache_holds_a_full_ramp():
