@@ -24,7 +24,6 @@ from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
 from repro.uplink import SubframeFactory, UserParameters
 from repro.uplink.parameter_model import RandomizedParameterModel
-from repro.uplink.tasks import describe_user_tasks
 
 SUBFRAMES = 1_000
 WORKERS = 16
@@ -226,7 +225,7 @@ def test_spans_plus_telemetry_overhead_under_five_percent():
 
 def test_profiler_attributes_all_four_kernels():
     """With an observer, the default breakdown sees every Fig. 5 kernel,
-    with the simulator's task counts (``describe_user_tasks``)."""
+    with the simulator's task counts (``CostModel.stage_program``)."""
     subframes = _small_subframes(count=2)
     profiler = Profiler(keep_spans=False)
     _run_threaded(subframes, observers=[profiler])
@@ -235,13 +234,11 @@ def test_profiler_attributes_all_four_kernels():
     shares = sum(entry["share"] for entry in breakdown.values())
     assert abs(shares - 1.0) < 1e-9
     expected = {kind: 0 for kind in breakdown}
+    cost = CostModel()
     for subframe in subframes:
         for user_slice in subframe.slices:
-            chest, combiner, data, finalize = describe_user_tasks(
-                user_slice.user
-            )
-            for task in (*chest, combiner, *data, finalize):
-                expected[task.kind] += 1
+            for kind, cycles, kernel in cost.stage_program(user_slice.user):
+                expected[kernel] += len(cycles) if kind == "par" else 1
     layers = sum(u.user.layers for s in subframes for u in s.slices)
     users = sum(len(s.slices) for s in subframes)
     assert expected == {"chest": 4 * layers, "combiner": users,

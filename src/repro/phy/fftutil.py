@@ -3,8 +3,8 @@
 The paper's channel estimator transforms the matched-filter output to the
 time domain (IFFT), applies a window that keeps only the span where the
 channel's impulse response can live, and transforms back (FFT). This module
-provides those primitives plus a self-contained radix-2 FFT used by the
-test suite to cross-check numpy.
+provides those windows plus a self-contained radix-2 FFT used by the test
+suite to cross-check numpy.
 """
 
 from __future__ import annotations
@@ -13,25 +13,16 @@ import numpy as np
 
 __all__ = [
     "is_power_of_two",
-    "next_power_of_two",
     "fft_radix2",
     "ifft_radix2",
     "time_domain_window",
     "wraparound_window",
-    "denoise_time_domain",
 ]
 
 
 def is_power_of_two(n: int) -> bool:
     """True when ``n`` is a positive power of two."""
     return n > 0 and (n & (n - 1)) == 0
-
-
-def next_power_of_two(n: int) -> int:
-    """Smallest power of two greater than or equal to ``n``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 1 << (n - 1).bit_length()
 
 
 def fft_radix2(x: np.ndarray) -> np.ndarray:
@@ -108,36 +99,3 @@ def wraparound_window(
     if keep_back:
         window[-keep_back:] = 1.0
     return window
-
-
-def denoise_time_domain(
-    freq_response: np.ndarray, keep_fraction: float = 0.125, taper_fraction: float = 0.0
-) -> np.ndarray:
-    """IFFT → window → FFT denoising of a raw frequency response.
-
-    This is the paper's three-kernel tail of channel estimation. The raw
-    per-subcarrier estimate from the matched filter is noisy; confining the
-    impulse response to its physically plausible leading span averages the
-    noise down without biasing the channel estimate.
-
-    Parameters
-    ----------
-    freq_response:
-        Raw frequency-domain channel estimate (1-D).
-    keep_fraction:
-        Fraction of time-domain samples retained.
-    taper_fraction:
-        Fraction of samples used for the raised-cosine edge.
-    """
-    freq_response = np.asarray(freq_response, dtype=np.complex128).reshape(-1)
-    n = freq_response.size
-    if n < 2:
-        raise ValueError("frequency response must have at least 2 samples")
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must be in (0, 1]")
-    keep = max(1, int(round(keep_fraction * n)))
-    taper = int(round(taper_fraction * n))
-    taper = min(taper, n - keep)
-    impulse = np.fft.ifft(freq_response)
-    impulse *= time_domain_window(n, keep, taper)
-    return np.fft.fft(impulse)

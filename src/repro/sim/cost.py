@@ -22,10 +22,11 @@ Every task also carries a constant scheduling/locality overhead
 what the paper's origin-through linear estimator (Eq. 3) cannot see, and
 one source of its small estimation error (Fig. 12).
 
-The price of a user *shape* — ``(num_prb, layers, modulation, antennas)``
-— is computed once per :class:`CostModel` and looked up afterwards
-(:meth:`CostModel.stage_cycles`), as the paper's own estimator looks up
-``k_{L,M}`` (Eqs. 3-4): a power study prices every user of every subframe
+The priced stage program of a user *shape* — ``(num_prb, layers,
+modulation, antennas)`` — is built once per :class:`CostModel` and looked
+up afterwards (:meth:`CostModel.stage_program`), as the paper's own
+estimator looks up ``k_{L,M}`` (Eqs. 3-4): a power study prices every user
+of every subframe
 under every policy, out of at most 100 × 4 × 3 shapes. The table is per
 instance because the scale and the per-task overhead are, and both are
 fixed at construction.
@@ -39,12 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..phy.params import Modulation
-from ..uplink.tasks import (
-    TaskDescriptor,
-    describe_user_tasks,
-    describe_user_tasks_batched,
-)
+from ..phy.params import DATA_SYMBOLS_PER_SUBFRAME, Modulation
 from ..uplink.user import UserParameters
 
 __all__ = ["MachineSpec", "CostModel", "DEFAULT_MACHINE"]
@@ -103,12 +99,10 @@ _U_DEMAP = {
 }
 _U_PER_BIT = 40.0  # CRC + bit shuffling, per PRB × symbol × layer × bit
 
-_DATA_SYMBOLS = 12
-
 
 @dataclass
 class CostModel:
-    """Maps :class:`TaskDescriptor` work records to cycle costs.
+    """Prices each user shape's Fig. 5 stage program in cycles.
 
     Parameters
     ----------
@@ -137,9 +131,9 @@ class CostModel:
         units = self._user_units(max_user.num_prb, 4, Modulation.QAM64, antennas=4)
         budget = self.saturation_fraction * self.machine.cycles_per_subframe_budget
         self._scale = budget / units
-        self._stage_cycles: dict[
-            tuple[int, int, Modulation, int], tuple[int, int, int, int, int, int]
-        ] = {}
+        # Keyed (num_prb, layers, modulation, antennas[, slot_pipelined]).
+        self._programs: dict[tuple, tuple[tuple, ...]] = {}
+        self._user_cycles: dict[tuple, int] = {}
 
     # -------------------------------------------------------------- units
     @staticmethod
@@ -155,12 +149,10 @@ class CostModel:
         return _U_SYMBOL_PER_PRB * num_prb
 
     @staticmethod
-    def _finalize_units(num_prb: int, layers: int, bits_per_symbol: int) -> float:
-        modulation = {2: Modulation.QPSK, 4: Modulation.QAM16, 6: Modulation.QAM64}[
-            bits_per_symbol
-        ]
-        per_symbol = _U_DEINTERLEAVE + _U_DEMAP[modulation] + _U_PER_BIT * bits_per_symbol
-        return num_prb * _DATA_SYMBOLS * layers * per_symbol
+    def _finalize_units(num_prb: int, layers: int, modulation: Modulation) -> float:
+        bits = modulation.bits_per_symbol
+        per_symbol = _U_DEINTERLEAVE + _U_DEMAP[modulation] + _U_PER_BIT * bits
+        return num_prb * DATA_SYMBOLS_PER_SUBFRAME * layers * per_symbol
 
     def _user_units(
         self, num_prb: int, layers: int, modulation: Modulation, antennas: int
@@ -168,89 +160,82 @@ class CostModel:
         return (
             antennas * layers * self._chest_units(num_prb)
             + self._combiner_units(num_prb, layers, antennas)
-            + _DATA_SYMBOLS * layers * self._symbol_units(num_prb)
-            + self._finalize_units(num_prb, layers, modulation.bits_per_symbol)
+            + DATA_SYMBOLS_PER_SUBFRAME * layers * self._symbol_units(num_prb)
+            + self._finalize_units(num_prb, layers, modulation)
         )
 
     # -------------------------------------------------------------- cycles
-    def task_cycles(self, task: TaskDescriptor) -> int:
-        """Cycle cost of one schedulable task.
-
-        The ``*_batch`` kinds are the vectorized backend's fused stage
-        tasks: each carries the compute units of the whole per-task stage
-        fan-out but only one ``task_overhead_cycles`` — the overhead
-        collapse is the modelled benefit of batching.
-        """
-        if task.kind == "chest":
-            units = self._chest_units(task.num_prb)
-        elif task.kind == "combiner":
-            units = self._combiner_units(task.num_prb, task.layers, task.antennas)
-        elif task.kind == "symbol":
-            units = self._symbol_units(task.num_prb)
-        elif task.kind == "finalize":
-            units = self._finalize_units(
-                task.num_prb, task.layers, task.bits_per_symbol
-            )
-        elif task.kind == "chest_batch":
-            units = task.antennas * task.layers * self._chest_units(task.num_prb)
-        elif task.kind == "combiner_batch":
-            units = self._combiner_units(task.num_prb, task.layers, task.antennas)
-        elif task.kind == "symbol_batch":
-            units = _DATA_SYMBOLS * task.layers * self._symbol_units(task.num_prb)
-        elif task.kind == "finalize_batch":
-            units = self._finalize_units(
-                task.num_prb, task.layers, task.bits_per_symbol
-            )
-        else:
-            raise ValueError(f"unknown task kind {task.kind!r}")
+    def _cycles(self, units: float) -> int:
+        """One task's price: its scaled work plus the per-task overhead."""
         return int(round(units * self._scale)) + self.task_overhead_cycles
 
-    def stage_cycles(
-        self, user: UserParameters, antennas: int = 4
-    ) -> tuple[int, int, int, int, int, int]:
-        """``(chest, n_chest, combiner, symbol, n_symbol, finalize)``.
+    def stage_program(
+        self, user: UserParameters, antennas: int = 4, slot_pipelined: bool = False
+    ) -> tuple[tuple, ...]:
+        """The user's Fig. 5 stage program, priced: what the simulator runs.
 
-        Per-task cycles and fan-out of each Fig. 5 stage for this user's
-        shape, priced through :func:`describe_user_tasks` and
-        :meth:`task_cycles` the first time the shape is seen (the tasks of
-        one stage are identical, so one is priced) and looked up after.
+        Stages in order, each either ``("par", (cycles, ...), kernel)``, a
+        fan-out whose tasks any core may steal, or ``("ser", cycles,
+        kernel)``, a join the user thread runs. ``kernel`` is one of
+        :data:`repro.uplink.tasks.KERNEL_KINDS` and labels the stage's task
+        events. The default is the paper's whole-subframe sequence:
+        ``antennas × layers`` chest tasks, the combiner, ``12 × layers``
+        symbol tasks, finalize. ``slot_pipelined`` estimates, combines and
+        demodulates each slot in turn (an ablation on Fig. 5) without
+        changing the user's total. A shape is priced the first time it is
+        seen; its immutable program is shared by every user of it after.
         """
-        key = (user.num_prb, user.layers, user.modulation, antennas)
-        entry = self._stage_cycles.get(key)
-        if entry is None:
-            chest, combiner, data, finalize = describe_user_tasks(user, antennas)
-            entry = self._stage_cycles[key] = (
-                self.task_cycles(chest[0]),
-                len(chest),
-                self.task_cycles(combiner),
-                self.task_cycles(data[0]),
-                len(data),
-                self.task_cycles(finalize),
+        key = (user.num_prb, user.layers, user.modulation, antennas, slot_pipelined)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = self._price(*key)
+        return program
+
+    def _price(
+        self,
+        num_prb: int,
+        layers: int,
+        modulation: Modulation,
+        antennas: int,
+        slot_pipelined: bool,
+    ) -> tuple[tuple, ...]:
+        chest = self._cycles(self._chest_units(num_prb))
+        combiner = self._cycles(self._combiner_units(num_prb, layers, antennas))
+        symbol = self._cycles(self._symbol_units(num_prb))
+        finalize = self._cycles(self._finalize_units(num_prb, layers, modulation))
+        n_chest = antennas * layers
+        n_symbol = DATA_SYMBOLS_PER_SUBFRAME * layers
+        if not slot_pipelined:
+            return (
+                ("par", (chest,) * n_chest, "chest"),
+                ("ser", combiner, "combiner"),
+                ("par", (symbol,) * n_symbol, "symbol"),
+                ("ser", finalize, "finalize"),
             )
-        return entry
+        # Slot 0 takes the floor half of each chest task and of the
+        # combiner, slot 1 the rest, so an odd price loses no cycle.
+        half_chest, half_comb, half_data = chest // 2, combiner // 2, n_symbol // 2
+        return (
+            ("par", (half_chest,) * n_chest, "chest"),
+            ("ser", half_comb, "combiner"),
+            ("par", (symbol,) * half_data, "symbol"),
+            ("par", (chest - half_chest,) * n_chest, "chest"),
+            ("ser", combiner - half_comb, "combiner"),
+            ("par", (symbol,) * (n_symbol - half_data), "symbol"),
+            ("ser", finalize, "finalize"),
+        )
 
     def user_cycles(self, user: UserParameters, antennas: int = 4) -> int:
-        """Total compute cycles of one user (all tasks + joins)."""
-        chest, n_chest, combiner, symbol, n_symbol, finalize = self.stage_cycles(
-            user, antennas
-        )
-        return chest * n_chest + combiner + symbol * n_symbol + finalize
-
-    def user_cycles_batched(self, user: UserParameters, antennas: int = 4) -> int:
-        """Total compute cycles of one user on the vectorized backend.
-
-        Same stage work as :meth:`user_cycles`, but charged as four fused
-        tasks, so the difference between the two is exactly
-        ``(num_tasks - 4) * task_overhead_cycles``.
-        """
-        return sum(
-            self.task_cycles(t) for t in describe_user_tasks_batched(user, antennas)
-        )
+        """Total compute cycles of one user: the sum over its program."""
+        key = (user.num_prb, user.layers, user.modulation, antennas)
+        total = self._user_cycles.get(key)
+        if total is None:
+            total = self._user_cycles[key] = sum(
+                sum(cycles) if kind == "par" else cycles
+                for kind, cycles, _ in self.stage_program(user, antennas)
+            )
+        return total
 
     def user_activity(self, user: UserParameters, antennas: int = 4) -> float:
         """This user's share of the per-dispatch-interval cycle budget."""
         return self.user_cycles(user, antennas) / self.machine.cycles_per_subframe_budget
-
-    def subframe_cycles(self, users: list[UserParameters], antennas: int = 4) -> int:
-        """Total compute cycles of a whole subframe."""
-        return sum(self.user_cycles(u, antennas) for u in users)

@@ -118,44 +118,13 @@ class _Job:
     )
 
     def __init__(
-        self,
-        user: UserParameters,
-        subframe_index: int,
-        cost: CostModel,
-        antennas: int,
-        slot_pipelined: bool = False,
+        self, user: UserParameters, subframe_index: int, stages: tuple[tuple, ...]
     ):
-        chest, n_chest, combiner, symbol, n_symbol, finalize = cost.stage_cycles(
-            user, antennas
-        )
         self.user = user
         self.subframe_index = subframe_index
-        # The stage program: ("par", [task cycles...], kernel) fans out to
-        # thieves; ("ser", cycles, kernel) runs on the user thread. The
-        # trailing kernel name (one of
-        # :data:`repro.uplink.tasks.KERNEL_KINDS`) labels the stage's
-        # task events for the profiling layer. The default is the paper's
-        # whole-subframe sequence; slot-pipelined splits channel
-        # estimation / combining / demodulation per slot.
-        if not slot_pipelined:
-            self.stages: list[tuple] = [
-                ("par", [chest] * n_chest, "chest"),
-                ("ser", combiner, "combiner"),
-                ("par", [symbol] * n_symbol, "symbol"),
-                ("ser", finalize, "finalize"),
-            ]
-        else:
-            half_comb = combiner // 2
-            half_data = n_symbol // 2
-            self.stages = [
-                ("par", [chest // 2] * n_chest, "chest"),
-                ("ser", half_comb, "combiner"),
-                ("par", [symbol] * half_data, "symbol"),
-                ("par", [chest - chest // 2] * n_chest, "chest"),
-                ("ser", combiner - half_comb, "combiner"),
-                ("par", [symbol] * (n_symbol - half_data), "symbol"),
-                ("ser", finalize, "finalize"),
-            ]
+        # The user's priced program (CostModel.stage_program), shared by
+        # every job of its shape and never mutated.
+        self.stages = stages
         self.stage_index = -1
         self.stage_kind = ""
         # Owner pops from the right (LIFO), thieves pop from the left
@@ -538,9 +507,9 @@ class MachineSimulator:
                     _Job(
                         user,
                         index,
-                        self.cost,
-                        self._antennas,
-                        slot_pipelined=self.slot_pipelined,
+                        self.cost.stage_program(
+                            user, self._antennas, self.slot_pipelined
+                        ),
                     )
                 )
             if self._emit is not None:
@@ -686,15 +655,7 @@ class MachineSimulator:
                         },
                     )
                 )
-            self._user_queue.append(
-                _Job(
-                    job.user,
-                    index,
-                    self.cost,
-                    self._antennas,
-                    slot_pipelined=self.slot_pipelined,
-                )
-            )
+            self._user_queue.append(_Job(job.user, index, job.stages))
             self._distribute_work(t)
             return
         self._abort_user(job, t, was_adopted=True, reason=reason)

@@ -20,14 +20,7 @@ from .serial import (
     process_subframe_serial,
 )
 from .subframe import DEFAULT_POOL_SIZE, SubframeFactory, SubframeInput, UserSlice
-from .tasks import (
-    BATCHED_KERNEL_KINDS,
-    KERNEL_KINDS,
-    TaskDescriptor,
-    UserJob,
-    describe_user_tasks,
-    describe_user_tasks_batched,
-)
+from .tasks import KERNEL_KINDS, UserJob
 from .user import UserParameters
 from .vectorized import (
     process_subframe_vectorized,
@@ -55,12 +48,8 @@ __all__ = [
     "SubframeFactory",
     "SubframeInput",
     "UserSlice",
-    "TaskDescriptor",
     "UserJob",
     "KERNEL_KINDS",
-    "BATCHED_KERNEL_KINDS",
-    "describe_user_tasks",
-    "describe_user_tasks_batched",
     "UserParameters",
     "VerificationReport",
     "verify_against_serial",

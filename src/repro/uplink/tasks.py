@@ -15,15 +15,16 @@ A user's subframe processing is split exactly as the paper describes:
 * **Finalize** — a join step executed by the user thread: deinterleave,
   soft demap, turbo decode (pass-through), CRC.
 
-The same structure is consumed two ways: :class:`UserJob` carries
-executable numpy closures for the functional runtimes, while
-:func:`describe_user_tasks` yields pure :class:`TaskDescriptor` work
-records for the timing simulator's cost model.
+:class:`UserJob` carries the executable numpy closures of this graph for
+the functional runtimes. The timing simulator runs the same graph as a
+priced stage program, :meth:`repro.sim.cost.CostModel.stage_program`;
+``tests/uplink/test_serial_and_tasks.py`` checks that the job's fan-outs
+equal the program's, and ``tests/sched/test_stage_program.py`` that the
+threaded runtime and the simulator run the same tasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,102 +45,15 @@ from ..phy.params import (
 )
 from ..phy.transmitter import data_symbol_indices
 from .subframe import UserSlice
-from .user import UserParameters
 
-__all__ = [
-    "KERNEL_KINDS",
-    "BATCHED_KERNEL_KINDS",
-    "TaskDescriptor",
-    "describe_user_tasks",
-    "describe_user_tasks_batched",
-    "UserJob",
-]
+__all__ = ["KERNEL_KINDS", "UserJob"]
 
 #: The four per-user kernels of Fig. 5, in stage order. This is the
 #: canonical attribution key set for the profiling layer: both backends
-#: label their task/span events with one of these names, and
+#: label their task events with one of these names, and
 #: :meth:`repro.obs.profiling.Profiler.kernel_breakdown` reports in this
 #: order.
 KERNEL_KINDS: tuple[str, ...] = ("chest", "combiner", "symbol", "finalize")
-
-#: Fused-stage task kinds emitted by the batched vectorized backend: each
-#: one covers *all* of a user's tasks for that Fig. 5 stage (e.g. one
-#: ``chest_batch`` task stands for all antennas × layers chest tasks).
-#: The cost model prices them as the summed stage work plus a single
-#: per-task overhead — that overhead collapse is exactly the scheduling
-#: cost the vectorized path saves.
-BATCHED_KERNEL_KINDS: tuple[str, ...] = (
-    "chest_batch",
-    "combiner_batch",
-    "symbol_batch",
-    "finalize_batch",
-)
-
-
-@dataclass(frozen=True)
-class TaskDescriptor:
-    """Pure work record for one schedulable task (consumed by the cost model).
-
-    ``kind`` is one of ``"chest"``, ``"combiner"``, ``"symbol"``,
-    ``"finalize"``. ``num_prb`` is the user's whole-subframe PRB count;
-    per-kind work scaling happens in the cost model.
-    """
-
-    kind: str
-    user_id: int
-    num_prb: int
-    layers: int
-    bits_per_symbol: int
-    antennas: int
-
-
-def describe_user_tasks(
-    user: UserParameters, antennas: int = 4
-) -> tuple[list[TaskDescriptor], TaskDescriptor, list[TaskDescriptor], TaskDescriptor]:
-    """(chest tasks, combiner join, data tasks, finalize join) for a user."""
-    common = dict(
-        user_id=user.user_id,
-        num_prb=user.num_prb,
-        layers=user.layers,
-        bits_per_symbol=user.modulation.bits_per_symbol,
-        antennas=antennas,
-    )
-    chest = [
-        TaskDescriptor(kind="chest", **common)
-        for _ in range(antennas * user.layers)
-    ]
-    combiner = TaskDescriptor(kind="combiner", **common)
-    data = [
-        TaskDescriptor(kind="symbol", **common)
-        for _ in range(DATA_SYMBOLS_PER_SUBFRAME * user.layers)
-    ]
-    finalize = TaskDescriptor(kind="finalize", **common)
-    return chest, combiner, data, finalize
-
-
-def describe_user_tasks_batched(
-    user: UserParameters, antennas: int = 4
-) -> tuple[TaskDescriptor, TaskDescriptor, TaskDescriptor, TaskDescriptor]:
-    """One fused task per Fig. 5 stage, as the vectorized backend runs them.
-
-    Returns ``(chest_batch, combiner_batch, symbol_batch, finalize_batch)``
-    descriptors; each carries the same work as the corresponding stage's
-    whole per-task fan-out in :func:`describe_user_tasks`, but is
-    scheduled (and overhead-charged) once.
-    """
-    common = dict(
-        user_id=user.user_id,
-        num_prb=user.num_prb,
-        layers=user.layers,
-        bits_per_symbol=user.modulation.bits_per_symbol,
-        antennas=antennas,
-    )
-    return (
-        TaskDescriptor(kind="chest_batch", **common),
-        TaskDescriptor(kind="combiner_batch", **common),
-        TaskDescriptor(kind="symbol_batch", **common),
-        TaskDescriptor(kind="finalize_batch", **common),
-    )
 
 
 class UserJob:

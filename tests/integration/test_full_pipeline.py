@@ -114,5 +114,6 @@ class TestEstimatorOnFunctionalTraces:
         for index in range(0, 2000, 97):
             users = model.uplink_parameters(index)
             estimate = estimator.estimate_subframe(users)
-            exact = cost.subframe_cycles(users) / cost.machine.cycles_per_subframe_budget
+            cycles = sum(cost.user_cycles(u) for u in users)
+            exact = cycles / cost.machine.cycles_per_subframe_budget
             assert estimate == pytest.approx(exact, rel=0.12)

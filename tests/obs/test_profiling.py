@@ -5,8 +5,9 @@ import pytest
 from repro.obs import Event, EventKind, Profiler
 from repro.phy import Modulation
 from repro.sched import ThreadedRuntime
+from repro.sim.cost import CostModel
 from repro.uplink import SubframeFactory, UserParameters
-from repro.uplink.tasks import KERNEL_KINDS, describe_user_tasks
+from repro.uplink.tasks import KERNEL_KINDS
 
 
 def ev(kind, t=0, core=-1, **data):
@@ -138,10 +139,12 @@ class TestProfilerOnThreadedRuntime:
         # The simulator's stage program, per user: 4*L chest and 12*L
         # symbol tasks, and each join once, as a serial task.
         expected = {kind: 0 for kind in KERNEL_KINDS}
+        cost = CostModel()
         for user in users:
-            chest, combiner, data, finalize = describe_user_tasks(user)
-            for task in (*chest, combiner, *data, finalize):
-                expected[task.kind] += len(subframes)
+            for kind, cycles, kernel in cost.stage_program(user):
+                expected[kernel] += len(subframes) * (
+                    len(cycles) if kind == "par" else 1
+                )
         assert {k: e["count"] for k, e in breakdown.items()} == expected
         assert expected == {"chest": 36, "combiner": 6, "symbol": 108,
                             "finalize": 6}

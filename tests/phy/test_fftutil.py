@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.fftutil import (
-    denoise_time_domain,
     fft_radix2,
     ifft_radix2,
     is_power_of_two,
-    next_power_of_two,
     time_domain_window,
 )
 
@@ -19,14 +17,6 @@ class TestPowerOfTwo:
     def test_is_power_of_two(self):
         assert all(is_power_of_two(1 << k) for k in range(16))
         assert not any(is_power_of_two(n) for n in (0, 3, 5, 6, 7, 9, 100, -4))
-
-    @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 4), (100, 128), (1025, 2048)])
-    def test_next_power_of_two(self, n, expected):
-        assert next_power_of_two(n) == expected
-
-    def test_next_power_of_two_rejects_zero(self):
-        with pytest.raises(ValueError):
-            next_power_of_two(0)
 
 
 class TestRadix2Fft:
@@ -82,38 +72,6 @@ class TestWindow:
     def test_rejects_overlong_taper(self):
         with pytest.raises(ValueError):
             time_domain_window(16, 12, taper=8)
-
-
-class TestDenoise:
-    def test_preserves_smooth_channel(self):
-        """A channel with a compact impulse response passes unchanged."""
-        n = 128
-        impulse = np.zeros(n, dtype=complex)
-        impulse[:3] = [1.0, 0.5, 0.25j]
-        freq = np.fft.fft(impulse)
-        cleaned = denoise_time_domain(freq, keep_fraction=0.125)
-        assert np.allclose(cleaned, freq, atol=1e-12)
-
-    def test_reduces_noise_power(self):
-        rng = np.random.default_rng(4)
-        n = 256
-        impulse = np.zeros(n, dtype=complex)
-        impulse[0] = 1.0
-        clean = np.fft.fft(impulse)
-        noisy = clean + 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        denoised = denoise_time_domain(noisy, keep_fraction=0.125)
-        err_before = np.mean(np.abs(noisy - clean) ** 2)
-        err_after = np.mean(np.abs(denoised - clean) ** 2)
-        # Keeping 1/8 of the samples keeps ~1/8 of the white noise power.
-        assert err_after < err_before * 0.25
-
-    def test_rejects_bad_keep_fraction(self):
-        with pytest.raises(ValueError):
-            denoise_time_domain(np.ones(16), keep_fraction=0.0)
-
-    def test_rejects_tiny_input(self):
-        with pytest.raises(ValueError):
-            denoise_time_domain(np.ones(1))
 
 
 @given(exp=st.integers(min_value=1, max_value=9), seed=st.integers(0, 2**16))

@@ -1,13 +1,9 @@
-"""Coverage for the wraparound window and remaining fftutil edges."""
+"""Coverage for the wraparound window."""
 
 import numpy as np
 import pytest
 
-from repro.phy.fftutil import (
-    denoise_time_domain,
-    time_domain_window,
-    wraparound_window,
-)
+from repro.phy.fftutil import time_domain_window, wraparound_window
 
 
 class TestWraparoundWindow:
@@ -50,14 +46,3 @@ class TestWraparoundWindow:
         assert kept > 0.98  # sinc sidelobes keep ~1-2 % outside any window
         assert kept > kept_one_sided  # the wrapped lobe is worth keeping
 
-
-class TestDenoiseEdges:
-    def test_taper_fraction_clamped(self):
-        freq = np.fft.fft(np.eye(1, 64)[0])
-        out = denoise_time_domain(freq, keep_fraction=1.0, taper_fraction=0.5)
-        assert np.allclose(out, freq)
-
-    def test_minimum_keep_is_one_sample(self):
-        freq = np.ones(32, dtype=complex)  # impulse at delay 0
-        out = denoise_time_domain(freq, keep_fraction=1e-9)
-        assert np.allclose(out, freq)

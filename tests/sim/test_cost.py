@@ -7,12 +7,22 @@ from hypothesis import strategies as st
 
 from repro.phy.params import ALL_MODULATIONS, Modulation
 from repro.sim.cost import CostModel, MachineSpec
-from repro.uplink.tasks import describe_user_tasks, describe_user_tasks_batched
+from repro.sim.machine import MachineSimulator, SimConfig
+from repro.uplink.parameter_model import TraceParameterModel
 from repro.uplink.user import UserParameters
 
 
 def user(prb, layers=1, mod=Modulation.QPSK):
     return UserParameters(0, prb, layers, mod)
+
+
+def tasks(program):
+    """Every task of a stage program as ``(kernel, cycles)``, in order."""
+    return [
+        (kernel, c)
+        for kind, cycles, kernel in program
+        for c in (cycles if kind == "par" else (cycles,))
+    ]
 
 
 class TestMachineSpec:
@@ -96,84 +106,86 @@ class TestLinearity:
         """Demapping is the only modulation-sensitive kernel (pass-through
         turbo), so chest/combiner/symbol task costs must not change."""
         cost = CostModel()
+        qpsk = cost.stage_program(user(40, 2, Modulation.QPSK))
         for mod in ALL_MODULATIONS:
-            chest, combiner, data, _ = describe_user_tasks(user(40, 2, mod))
-            assert cost.task_cycles(chest[0]) == cost.task_cycles(
-                describe_user_tasks(user(40, 2, Modulation.QPSK))[0][0]
-            )
-            assert cost.task_cycles(combiner) == cost.task_cycles(
-                describe_user_tasks(user(40, 2, Modulation.QPSK))[1]
-            )
+            program = cost.stage_program(user(40, 2, mod))
+            assert program[:-1] == qpsk[:-1]
+            assert program[-1][2] == "finalize"
+            assert (program[-1] == qpsk[-1]) == (mod is Modulation.QPSK)
 
 
 class TestTaskCycles:
     def test_user_cycles_is_sum_of_tasks(self):
         cost = CostModel()
         u = user(30, 3, Modulation.QAM16)
-        chest, combiner, data, finalize = describe_user_tasks(u)
-        total = (
-            sum(cost.task_cycles(t) for t in chest)
-            + cost.task_cycles(combiner)
-            + sum(cost.task_cycles(t) for t in data)
-            + cost.task_cycles(finalize)
-        )
-        assert cost.user_cycles(u) == total
-
-    def test_unknown_kind_rejected(self):
-        from repro.uplink.tasks import TaskDescriptor
-
-        cost = CostModel()
-        bad = TaskDescriptor(
-            kind="mystery", user_id=0, num_prb=10, layers=1, bits_per_symbol=2, antennas=4
-        )
-        with pytest.raises(ValueError):
-            cost.task_cycles(bad)
+        for slot_pipelined in (False, True):
+            program = cost.stage_program(u, slot_pipelined=slot_pipelined)
+            assert cost.user_cycles(u) == sum(c for _, c in tasks(program))
 
     def test_every_task_has_positive_cost(self):
         cost = CostModel()
-        chest, combiner, data, finalize = describe_user_tasks(user(2, 1))
-        for task in [*chest, combiner, *data, finalize]:
-            assert cost.task_cycles(task) > 0
+        for slot_pipelined in (False, True):
+            program = cost.stage_program(user(2, 1), slot_pipelined=slot_pipelined)
+            assert all(c > 0 for _, c in tasks(program))
 
     def test_subframe_cycles_sums_users(self):
-        cost = CostModel()
-        users = [user(10), user(20, 2, Modulation.QAM64)]
-        assert cost.subframe_cycles(users) == sum(
-            cost.user_cycles(u) for u in users
+        """The simulator's per-subframe total is the sum of its users'."""
+        cost = CostModel(machine=MachineSpec(num_cores=6, num_workers=4))
+        subframes = [[user(10), user(20, 2, Modulation.QAM64)], [user(6, 4)]]
+        result = MachineSimulator(cost, config=SimConfig(drain_margin_s=1.0)).run(
+            TraceParameterModel(subframes), num_subframes=2
         )
+        assert result.subframe_cycles.tolist() == [
+            sum(cost.user_cycles(u) for u in users) for users in subframes
+        ]
 
 
 class TestStageTable:
-    """``stage_cycles``: a shape is priced once, through the one task graph
-    and the one price, and looked up afterwards."""
+    """``stage_program``: a shape is priced once, through one price per
+    task, and looked up afterwards."""
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 4])
     @pytest.mark.parametrize("mod", ALL_MODULATIONS)
     @given(half_prb=st.integers(1, 100), antennas=st.integers(1, 8))
     @settings(max_examples=15, deadline=None)
     def test_lookup_equals_per_descriptor_prices(self, layers, mod, half_prb, antennas):
-        cost = CostModel()
+        """The Fig. 5 program: ``antennas × layers`` identical chest tasks,
+        the combiner join, ``12 × layers`` identical symbol tasks, the
+        finalize join; every task is its scaled work plus one overhead."""
+        cost, bare = CostModel(), CostModel(task_overhead_cycles=0)
         u = user(2 * half_prb, layers, mod)
-        chest, combiner, data, finalize = describe_user_tasks(u, antennas)
-        chest_cycles = [cost.task_cycles(t) for t in chest]
-        symbol_cycles = [cost.task_cycles(t) for t in data]
-        for _ in range(2):  # the miss that fills the entry, then the hit
-            c, n_c, comb, s, n_s, fin = cost.stage_cycles(u, antennas)
-            assert [c] * n_c == chest_cycles
-            assert comb == cost.task_cycles(combiner)
-            assert [s] * n_s == symbol_cycles
-            assert fin == cost.task_cycles(finalize)
-            assert cost.user_cycles(u, antennas) == (
-                sum(chest_cycles) + comb + sum(symbol_cycles) + fin
-            )
+        program = cost.stage_program(u, antennas)
+        assert [(kind, kernel) for kind, _, kernel in program] == [
+            ("par", "chest"),
+            ("ser", "combiner"),
+            ("par", "symbol"),
+            ("ser", "finalize"),
+        ]
+        assert [kernel for kernel, _ in tasks(program)] == (
+            ["chest"] * antennas * layers
+            + ["combiner"]
+            + ["symbol"] * 12 * layers
+            + ["finalize"]
+        )
+        for kind, cycles, _ in program:
+            if kind == "par":
+                assert len(set(cycles)) == 1
+        overhead = cost.task_overhead_cycles
+        assert [c for _, c in tasks(program)] == [
+            c + overhead for _, c in tasks(bare.stage_program(u, antennas))
+        ]
+        assert cost.stage_program(u, antennas) is program  # the hit
+        assert cost.user_cycles(u, antennas) == sum(c for _, c in tasks(program))
 
     def test_users_of_one_shape_share_an_entry(self):
         cost = CostModel()
-        a = cost.stage_cycles(UserParameters(0, 40, 2, Modulation.QAM16))
-        b = cost.stage_cycles(UserParameters(7, 40, 2, Modulation.QAM16))
+        a = cost.stage_program(UserParameters(0, 40, 2, Modulation.QAM16))
+        b = cost.stage_program(UserParameters(7, 40, 2, Modulation.QAM16))
         assert a is b
-        assert cost.stage_cycles(UserParameters(7, 40, 2, Modulation.QAM16), 2) is not a
-        assert cost.stage_cycles(UserParameters(7, 42, 2, Modulation.QAM16)) is not a
+        same = UserParameters(7, 40, 2, Modulation.QAM16)
+        assert cost.stage_program(same, 2) is not a
+        assert cost.stage_program(same, slot_pipelined=True) is not a
+        assert cost.stage_program(UserParameters(7, 42, 2, Modulation.QAM16)) is not a
 
     @pytest.mark.parametrize(
         "other", [dict(task_overhead_cycles=0), dict(saturation_fraction=0.5)]
@@ -181,12 +193,11 @@ class TestStageTable:
     def test_cost_models_do_not_share_entries(self, other):
         u = user(40, 2, Modulation.QAM16)
         default, changed = CostModel(), CostModel(**other)
-        assert default.stage_cycles(u) != changed.stage_cycles(u)
+        assert default.stage_program(u) != changed.stage_program(u)
         # Filling one instance's table left the other's prices alone.
-        assert default.stage_cycles(u) == CostModel().stage_cycles(u)
-        chest, combiner, data, finalize = describe_user_tasks(u)
+        assert default.stage_program(u) == CostModel().stage_program(u)
         assert changed.user_cycles(u) == sum(
-            changed.task_cycles(t) for t in [*chest, combiner, *data, finalize]
+            c for _, c in tasks(changed.stage_program(u))
         )
 
     def test_reassigning_machine_does_not_change_a_price(self):
@@ -196,10 +207,10 @@ class TestStageTable:
         shapes priced before the swap and for shapes first seen after."""
         cost = CostModel()
         seen, unseen = user(40, 2, Modulation.QAM16), user(60, 4, Modulation.QAM64)
-        before = cost.stage_cycles(seen)
+        before = cost.stage_program(seen)
         cost.machine = MachineSpec(subframe_period_s=2.5e-3, num_workers=8)
-        assert cost.stage_cycles(seen) == before
-        assert cost.stage_cycles(unseen) == CostModel().stage_cycles(unseen)
+        assert cost.stage_program(seen) is before
+        assert cost.stage_program(unseen) == CostModel().stage_program(unseen)
         assert cost.user_cycles(unseen) == CostModel().user_cycles(unseen)
 
 
@@ -215,58 +226,3 @@ def test_property_more_prbs_more_cycles(prb, layers, mod):
     b = cost.user_cycles(user(2 * prb + 2, layers, mod))
     assert b > a
 
-
-class TestBatchedKinds:
-    """The vectorized backend's fused stage tasks in the cost model."""
-
-    @staticmethod
-    def _num_tasks(u, antennas=4):
-        chest, _, data, _ = describe_user_tasks(u, antennas)
-        return len(chest) + 1 + len(data) + 1
-
-    def test_join_stages_price_identically(self):
-        """combiner/finalize are already single tasks; fusing changes nothing."""
-        cost = CostModel()
-        u = user(30, 3, Modulation.QAM64)
-        _, combiner, _, finalize = describe_user_tasks(u)
-        batched = describe_user_tasks_batched(u)
-        assert cost.task_cycles(batched[1]) == cost.task_cycles(combiner)
-        assert cost.task_cycles(batched[3]) == cost.task_cycles(finalize)
-
-    def test_overhead_collapse_is_the_only_difference(self):
-        """Batched user cost = per-task cost - (num_tasks - 4) overheads,
-        up to one rounding step per task."""
-        cost = CostModel()
-        for u in [user(10), user(30, 2, Modulation.QAM16), user(80, 4, Modulation.QAM64)]:
-            num_tasks = self._num_tasks(u)
-            saved = cost.user_cycles(u) - cost.user_cycles_batched(u)
-            expected = (num_tasks - 4) * cost.task_overhead_cycles
-            assert abs(saved - expected) <= num_tasks
-
-    def test_zero_overhead_model_prices_backends_equally(self):
-        """With no per-task overhead the fused stages carry exactly the
-        summed stage work (modulo per-task rounding)."""
-        cost = CostModel(task_overhead_cycles=0)
-        u = user(40, 4, Modulation.QAM64)
-        assert abs(cost.user_cycles(u) - cost.user_cycles_batched(u)) <= self._num_tasks(u)
-
-    def test_batched_is_never_costlier(self):
-        cost = CostModel()
-        for layers in (1, 2, 4):
-            u = user(20, layers, Modulation.QAM16)
-            assert cost.user_cycles_batched(u) < cost.user_cycles(u)
-
-    def test_single_task_stage_degenerates_exactly(self):
-        """At antennas=1, layers=1 the chest stage has one task, so the
-        fused kind must price identically to it."""
-        cost = CostModel()
-        u = user(10, 1, Modulation.QPSK)
-        chest, _, _, _ = describe_user_tasks(u, antennas=1)
-        assert len(chest) == 1
-        batched = describe_user_tasks_batched(u, antennas=1)
-        assert cost.task_cycles(batched[0]) == cost.task_cycles(chest[0])
-
-    def test_all_batched_kinds_positive_and_known(self):
-        cost = CostModel()
-        for task in describe_user_tasks_batched(user(2, 1)):
-            assert cost.task_cycles(task) > 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy.params import ALL_MODULATIONS, Modulation
+from repro.phy.params import ALL_MODULATIONS
 from repro.power.estimator import calibrate_from_cost_model
 from repro.power.governor import IdlePolicy, NapIdlePolicy, NonapPolicy
 from repro.sim.cost import CostModel, MachineSpec
@@ -79,29 +79,3 @@ def test_property_policies_do_not_change_work(subframes):
     assert a.trace.total_cycles(CoreState.COMPUTE) == pytest.approx(
         b.trace.total_cycles(CoreState.COMPUTE), rel=1e-9
     )
-
-
-@given(
-    prb=st.integers(1, 50).map(lambda n: 2 * n),
-    layers=st.integers(1, 4),
-)
-@settings(max_examples=15, deadline=None)
-def test_property_latency_at_least_critical_path(prb, layers):
-    """A subframe can never finish faster than its user's critical path:
-    longest chest task + combiner + longest symbol task + finalize."""
-    from repro.uplink.tasks import describe_user_tasks
-
-    cost = CostModel()
-    user = UserParameters(0, prb, layers, Modulation.QAM16)
-    chest, combiner, data, finalize = describe_user_tasks(user)
-    critical = (
-        max(cost.task_cycles(t) for t in chest)
-        + cost.task_cycles(combiner)
-        + max(cost.task_cycles(t) for t in data)
-        + cost.task_cycles(finalize)
-    )
-    model = TraceParameterModel([[user]])
-    sim = MachineSimulator(cost, config=SimConfig(drain_margin_s=2.0))
-    result = sim.run(model, num_subframes=1)
-    latency_cycles = result.subframe_latency_s[0] * cost.machine.clock_hz
-    assert latency_cycles >= critical - 1

@@ -5,7 +5,7 @@ import pytest
 
 from repro.phy.params import Modulation
 from repro.sim.cost import CostModel, MachineSpec
-from repro.sim.machine import MachineSimulator, SimConfig, _Job
+from repro.sim.machine import MachineSimulator, SimConfig
 from repro.sim.trace import CoreState
 from repro.uplink.parameter_model import SteadyStateParameterModel, TraceParameterModel
 from repro.uplink.user import UserParameters
@@ -42,16 +42,20 @@ class TestSlotPipelined:
         ],
     )
     def test_stage_programs_sum_to_the_same_cycles(self, user):
-        """Both programs are built from the same six numbers of the cost
-        model's table; odd task prices must not lose a cycle in the split."""
+        """Both programs are priced from the same four task prices; odd
+        prices must not lose a cycle in the per-slot split."""
         cost = small_cost()
         totals = []
         for pipelined in (False, True):
-            job = _Job(user, 0, cost, 4, slot_pipelined=pipelined)
+            program = cost.stage_program(user, 4, slot_pipelined=pipelined)
             totals.append(
-                sum(sum(s[1]) if s[0] == "par" else s[1] for s in job.stages)
+                sum(sum(s[1]) if s[0] == "par" else s[1] for s in program)
             )
         assert totals[0] == totals[1] == cost.user_cycles(user, 4)
+        piped = cost.stage_program(user, 4, slot_pipelined=True)
+        assert [s[2] for s in piped] == [
+            "chest", "combiner", "symbol", "chest", "combiner", "symbol", "finalize"
+        ]
 
     def test_more_stages_more_scheduled_units(self):
         cost = small_cost()

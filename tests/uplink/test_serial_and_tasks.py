@@ -7,7 +7,8 @@ from repro.phy.params import Modulation
 from repro.uplink.parameter_model import TraceParameterModel
 from repro.uplink.serial import SerialBenchmark, process_subframe_serial
 from repro.uplink.subframe import SubframeFactory
-from repro.uplink.tasks import UserJob, describe_user_tasks
+from repro.sim.cost import CostModel
+from repro.uplink.tasks import UserJob
 from repro.uplink.user import UserParameters
 from repro.uplink.verification import verify_against_serial
 
@@ -36,29 +37,54 @@ class TestUserParameters:
             UserParameters(0, 0, 1, Modulation.QPSK)
 
 
+def fan_outs(program):
+    """``(kernel, task count)`` per stage of a priced stage program."""
+    return [
+        (kernel, len(cycles) if kind == "par" else 1)
+        for kind, cycles, kernel in program
+    ]
+
+
+def job_fan_outs(user):
+    """The same, counted on :class:`UserJob`'s closures over a real grid."""
+    sub = SubframeFactory(seed=0).synthesize([user], 0)
+    job = UserJob(sub.slices[0], sub.grid)
+    return job.antennas, [
+        ("chest", len(job.chest_tasks())),
+        ("combiner", 1),
+        ("symbol", len(job.data_tasks())),
+        ("finalize", 1),
+    ]
+
+
 class TestDescribeUserTasks:
+    """A user's Fig. 5 tasks: the closures the functional runtimes run and
+    the program the simulator prices fan out alike."""
+
     def test_task_counts_match_paper(self):
         """Section III: antennas × layers chest tasks; 12 × layers data."""
         user = UserParameters(0, 16, 4, Modulation.QAM64)
-        chest, combiner, data, finalize = describe_user_tasks(user, antennas=4)
-        assert len(chest) == 16  # 4 antennas x 4 layers
-        assert len(data) == 48  # 12 data symbols x 4 layers
-        assert combiner.kind == "combiner"
-        assert finalize.kind == "finalize"
+        antennas, job = job_fan_outs(user)
+        assert antennas == 4
+        assert job == fan_outs(CostModel().stage_program(user, antennas))
+        assert job == [("chest", 16), ("combiner", 1), ("symbol", 48), ("finalize", 1)]
 
     def test_single_layer_counts(self):
         user = UserParameters(0, 16, 1, Modulation.QPSK)
-        chest, _, data, _ = describe_user_tasks(user, antennas=4)
-        assert len(chest) == 4
-        assert len(data) == 12
+        antennas, job = job_fan_outs(user)
+        assert job == fan_outs(CostModel().stage_program(user, antennas))
+        assert job == [("chest", 4), ("combiner", 1), ("symbol", 12), ("finalize", 1)]
 
     def test_descriptors_carry_work(self):
-        user = UserParameters(0, 30, 2, Modulation.QAM16)
-        chest, _, _, _ = describe_user_tasks(user, antennas=4)
-        assert chest[0].num_prb == 30
-        assert chest[0].layers == 2
-        assert chest[0].bits_per_symbol == 4
-        assert chest[0].antennas == 4
+        """Every task of the program grows with the PRB count, and the
+        modulation reaches the finalize join."""
+        cost = CostModel()
+        small = cost.stage_program(UserParameters(0, 30, 2, Modulation.QAM16))
+        wide = cost.stage_program(UserParameters(0, 60, 2, Modulation.QAM16))
+        for (_, a, _), (_, b, _) in zip(small, wide):
+            assert b > a
+        qpsk = cost.stage_program(UserParameters(0, 30, 2, Modulation.QPSK))
+        assert qpsk[-1][1] < small[-1][1]
 
 
 class TestUserJobEquivalence:
