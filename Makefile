@@ -48,6 +48,7 @@ paper-benches:
 	$(PYTHON) -m repro top --once --subframes 60
 	$(PYTHON) -m repro metrics --format prometheus --subframes 60
 	cd "$$(mktemp -d)" && PYTHONPATH="$(CURDIR)/src" $(PYTHON) "$(CURDIR)/examples/profiling_timeline.py"
+	$(PYTHON) examples/link_level_ber.py
 
 chaos-smoke:
 	$(PYTHON) -m repro chaos --scale smoke --seeds 5 --timeout 480

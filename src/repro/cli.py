@@ -576,15 +576,18 @@ def cmd_trace(args) -> int:
         # Convert an existing JSONL trace. Records stay plain dicts all the
         # way through, so kinds written by newer (or older) revisions that
         # this build does not know are passed through, not rejected.
+        if args.format != "chrome":
+            print(
+                "trace: --from requires --format chrome (JSONL->JSONL is a copy)",
+                file=sys.stderr,
+            )
+            return 2
         try:
             records = read_jsonl(args.from_path)
         except OSError as exc:
             print(f"trace: cannot read {args.from_path}: {exc}", file=sys.stderr)
             return 2
         out = args.out or "trace.json"
-        if args.format != "chrome":
-            print("--from requires --format chrome (JSONL->JSONL is a copy)")
-            return 2
         written = write_chrome_trace(out, records, clock="cycles")
         kinds = Counter(str(r.get("kind", "?")) for r in records)
         counts = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))

@@ -19,7 +19,7 @@ from .batched import (
     batched_combiner_weights,
     batched_soft_demap,
 )
-from .chain import KernelTrace, UserResult, process_user
+from .chain import UserResult, process_user
 from .channel import ChannelModel, ChannelRealization
 from .dtypes import COMPLEX_DTYPE, REAL_DTYPE, ensure_complex, ensure_real
 from .transmitter import UserAllocation, payload_capacity, random_payload, transmit_subframe
@@ -34,7 +34,6 @@ __all__ = [
     "NUM_RX_ANTENNAS",
     "CellConfig",
     "Modulation",
-    "KernelTrace",
     "UserResult",
     "process_user",
     "batched_chest",

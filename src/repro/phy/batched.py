@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chest import ChestConfig
+from .chest import window_lengths
 from .dtypes import REAL_DTYPE, ensure_complex
 from .equalizer import mmse_combiner
 from .fftutil import wraparound_window
@@ -90,20 +90,13 @@ def dmrs_bank(num_subcarriers: int, layers: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _window_cached(
-    num_subcarriers: int, keep: int, back: int, taper: int
-) -> np.ndarray:
-    window = wraparound_window(num_subcarriers, keep, back, taper)
+def _window_cached(num_subcarriers: int) -> np.ndarray:
+    window = wraparound_window(num_subcarriers, *window_lengths(num_subcarriers))
     window.setflags(write=False)
     return window
 
 
-def batched_chest(
-    refs: np.ndarray,
-    layers: int,
-    config: ChestConfig | None = None,
-    trace=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def batched_chest(refs: np.ndarray, layers: int) -> tuple[np.ndarray, np.ndarray]:
     """All (antenna, layer) channel-estimation tasks in one shot.
 
     Parameters
@@ -123,15 +116,8 @@ def batched_chest(
         ``(..., antennas, layers)``. Both are bit-exact with per-task
         :func:`repro.phy.chain.chest_task` calls.
     """
-    config = config or ChestConfig()
     refs = ensure_complex(refs)
     num_sc = refs.shape[-1]
-    if trace is not None:
-        batch = int(np.prod(refs.shape[:-1], dtype=np.int64)) * layers
-        trace.record("matched_filter", subcarriers=num_sc, batch=batch)
-        trace.record("chest_ifft", subcarriers=num_sc, batch=batch)
-        trace.record("chest_window", subcarriers=num_sc, batch=batch)
-        trace.record("chest_fft", subcarriers=num_sc, batch=batch)
     bank = dmrs_bank(num_sc, layers)  # (layers, sc), already conjugated
     # Matched filter: (..., antennas, 1, sc) * (layers, sc) — a fresh array,
     # which every later step of the stage overwrites.
@@ -140,7 +126,7 @@ def batched_chest(
     # Noise: mean power of the guard span between the kept window and the
     # next layer offset — computed on the *pre-window* impulse response,
     # exactly as estimate_noise_variance does with its fresh IFFT.
-    keep, back, taper = config.window_lengths(num_sc)
+    keep, _ = window_lengths(num_sc)
     lo, hi = keep, max(keep + 1, num_sc // 4)
     guard = impulse[..., lo:hi]
     if guard.shape[-1] == 0:
@@ -151,14 +137,12 @@ def batched_chest(
         # add.reduce / n is what ndarray.mean computes, minus its wrapper.
         noise = np.add.reduce(np.abs(guard) ** 2, axis=-1) / guard.shape[-1] * num_sc
     # Only now, with the guard span read, may the window overwrite it.
-    np.multiply(impulse, _window_cached(num_sc, keep, back, taper), out=impulse)
+    np.multiply(impulse, _window_cached(num_sc), out=impulse)
     return np.fft.fft(impulse, axis=-1, out=impulse), noise
 
 
 def batched_combiner_weights(
-    channel: np.ndarray,
-    noise_variance: np.ndarray,
-    trace=None,
+    channel: np.ndarray, noise_variance: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """MMSE weights + bias removal + post-combining noise, batched.
 
@@ -169,24 +153,10 @@ def batched_combiner_weights(
     returns ``weights``, shape ``(..., layers, antennas, subcarriers)``,
     and ``noise_after``, shape ``(..., layers, subcarriers)``.
     """
-    weights, noise_after = mmse_combiner(channel, noise_variance)
-    if trace is not None:
-        *batch, layers, antennas, num_sc = weights.shape
-        trace.record(
-            "combiner_weights",
-            subcarriers=num_sc,
-            layers=layers,
-            antennas=antennas,
-            batch=int(np.prod(batch, dtype=np.int64)),
-        )
-    return weights, noise_after
+    return mmse_combiner(channel, noise_variance)
 
 
-def batched_combine_symbols(
-    received: np.ndarray,
-    weights: np.ndarray,
-    trace=None,
-) -> np.ndarray:
+def batched_combine_symbols(received: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """All (data symbol, layer) combining + SC-FDMA IFFT tasks at once.
 
     Parameters
@@ -213,12 +183,6 @@ def batched_combine_symbols(
     if received.shape[-1] != weights.shape[-1]:
         raise ValueError("subcarrier count mismatch between data and weights")
     num_sc = received.shape[-1]
-    if trace is not None:
-        batch = int(
-            np.prod(received.shape[:-3], dtype=np.int64)
-        ) * received.shape[-2] * weights.shape[-3]
-        trace.record("antenna_combine", subcarriers=num_sc, batch=batch)
-        trace.record("data_ifft", subcarriers=num_sc, batch=batch)
     combined = np.einsum("...lak,...ask->...lsk", weights, received)
     # Inverse transform precoding: undo the transmitter's DFT, then the √K
     # scale, both over the einsum's own output.
@@ -230,7 +194,6 @@ def batched_soft_demap(
     symbols: np.ndarray,
     modulation,
     noise_variance: np.ndarray,
-    trace=None,
 ) -> np.ndarray:
     """Max-log-MAP soft demapping over a batch of symbol streams.
 
@@ -245,12 +208,5 @@ def batched_soft_demap(
     noise = np.broadcast_to(
         np.asarray(noise_variance, dtype=REAL_DTYPE), symbols.shape
     )
-    if trace is not None:
-        trace.record(
-            "soft_demap",
-            symbols=symbols.shape[-1],
-            bits_per_symbol=modulation.bits_per_symbol,
-            batch=symbols.shape[0],
-        )
     llrs = soft_demap(symbols.reshape(-1), modulation, noise.reshape(-1))
     return llrs.reshape(symbols.shape[0], -1)

@@ -14,9 +14,12 @@ serial reference and the work-stealing runtimes can drive it:
 4. :func:`finalize_user` — the remaining serial tail: deinterleave, soft
    demap, turbo decode (pass-through by default), CRC check.
 
-``process_user`` wires the stages together for serial execution. Every
-stage reports to an optional :class:`KernelTrace` so tests and the cost
-model can observe kernel invocations.
+:func:`process_user` wires the stages together for serial execution. It
+is the serial backend (one call per user) and the link-level chain: the
+one entry point that takes a real turbo codec
+(:class:`~repro.phy.turbo.TurboCodec`) and a scrambling seed. Every other
+backend runs the paper's receiver: the pass-through decoder, no
+scrambling.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interleaver as il
-from .chest import ChestConfig, estimate_channel, estimate_noise_variance
+from .chest import estimate_channel, estimate_noise_variance
 from .crc import CRC24A, crc_check
 from .equalizer import combine_antennas, mmse_combiner
 from .modulation import soft_demap
@@ -40,7 +43,6 @@ from .transmitter import UserAllocation, data_symbol_indices
 from .turbo import PassThroughTurbo
 
 __all__ = [
-    "KernelTrace",
     "SlotEstimate",
     "UserResult",
     "chest_task",
@@ -49,24 +51,6 @@ __all__ = [
     "finalize_user",
     "process_user",
 ]
-
-
-@dataclass
-class KernelTrace:
-    """Records every kernel invocation (name, work descriptor).
-
-    The timing simulator's cost model charges cycles for exactly these
-    kernels; recording them from the functional chain keeps the two views
-    of the benchmark aligned.
-    """
-
-    events: list[tuple[str, dict]] = field(default_factory=list)
-
-    def record(self, kernel: str, **work) -> None:
-        self.events.append((kernel, work))
-
-    def count(self, kernel: str) -> int:
-        return sum(1 for name, _ in self.events if name == kernel)
 
 
 @dataclass
@@ -102,33 +86,18 @@ class UserResult:
         )
 
 
-def chest_task(
-    received_ref: np.ndarray,
-    layer: int,
-    config: ChestConfig | None = None,
-    trace: KernelTrace | None = None,
-) -> tuple[np.ndarray, float]:
+def chest_task(received_ref: np.ndarray, layer: int) -> tuple[np.ndarray, float]:
     """One (antenna, layer) channel-estimation task for one slot.
 
     Returns the frequency-domain channel estimate and a noise-variance
     estimate from the windowed-out time-domain span.
     """
-    n = np.asarray(received_ref).size
-    if trace is not None:
-        trace.record("matched_filter", subcarriers=n)
-        trace.record("chest_ifft", subcarriers=n)
-        trace.record("chest_window", subcarriers=n)
-        trace.record("chest_fft", subcarriers=n)
-    estimate = estimate_channel(received_ref, layer, config)
-    noise = estimate_noise_variance(received_ref, layer, config)
+    estimate = estimate_channel(received_ref, layer)
+    noise = estimate_noise_variance(received_ref, layer)
     return estimate, noise
 
 
-def combiner_stage(
-    channel: np.ndarray,
-    noise_variance: float,
-    trace: KernelTrace | None = None,
-) -> SlotEstimate:
+def combiner_stage(channel: np.ndarray, noise_variance: float) -> SlotEstimate:
     """Combiner-weight computation for one slot (not parallelized).
 
     Computes MMSE weights, removes the MMSE amplitude bias so the output
@@ -138,14 +107,6 @@ def combiner_stage(
     subcarrier system gives NaN weights; it does not raise.
     """
     channel = np.asarray(channel, dtype=np.complex128)
-    num_antennas, num_layers, num_sc = channel.shape
-    if trace is not None:
-        trace.record(
-            "combiner_weights",
-            subcarriers=num_sc,
-            layers=num_layers,
-            antennas=num_antennas,
-        )
     weights, noise_after = mmse_combiner(channel, noise_variance)
     return SlotEstimate(
         channel=channel,
@@ -159,7 +120,6 @@ def symbol_task(
     received_symbol: np.ndarray,
     weights: np.ndarray,
     layer: int,
-    trace: KernelTrace | None = None,
 ) -> np.ndarray:
     """One (data symbol, layer) task: antenna combining + SC-FDMA IFFT.
 
@@ -180,9 +140,6 @@ def symbol_task(
     """
     received_symbol = np.asarray(received_symbol, dtype=np.complex128)
     num_sc = received_symbol.shape[1]
-    if trace is not None:
-        trace.record("antenna_combine", subcarriers=num_sc, layers=1)
-        trace.record("data_ifft", subcarriers=num_sc)
     combined = combine_antennas(received_symbol[:, None, :], weights[layer : layer + 1])
     # Inverse transform precoding: undo the transmitter's DFT.
     return np.fft.ifft(combined[0, 0, :]) * np.sqrt(num_sc)
@@ -194,7 +151,6 @@ def finalize_user(
     noise_per_layer_slot: np.ndarray,
     user_id: int = 0,
     codec=None,
-    trace: KernelTrace | None = None,
     scrambling_c_init: int | None = None,
 ) -> UserResult:
     """Serial tail: deinterleave → soft demap → turbo decode → CRC.
@@ -223,17 +179,9 @@ def finalize_user(
     noise_streams = _noise_stream(noise_per_layer_slot, num_sc)
     interleaved_noise = noise_streams.T.reshape(-1)
 
-    if trace is not None:
-        trace.record("deinterleave", symbols=interleaved.size)
     symbols = il.deinterleave(interleaved)
     noise = il.deinterleave(interleaved_noise)
 
-    if trace is not None:
-        trace.record(
-            "soft_demap",
-            symbols=symbols.size,
-            bits_per_symbol=allocation.modulation.bits_per_symbol,
-        )
     llrs = soft_demap(symbols, allocation.modulation, np.maximum(noise, 1e-12))
     if scrambling_c_init is not None:
         from .scrambling import descramble_llrs
@@ -248,11 +196,7 @@ def finalize_user(
         num_info_with_crc = (capacity - 12) // 3
         num_info = num_info_with_crc - CRC24A.width
         useful = llrs[: 3 * num_info_with_crc + 12]
-    if trace is not None:
-        trace.record("turbo_decode", bits=useful.size)
     decoded = codec.decode(useful, num_info + CRC24A.width)
-    if trace is not None:
-        trace.record("crc_check", bits=decoded.size)
     # A NaN LLR hard-decides to bit 0 and the all-zero block passes CRC24A,
     # so a non-finite soft bit fails the user outright (one reduction: the
     # sum is non-finite exactly when some LLR is).
@@ -282,9 +226,7 @@ def process_user(
     allocation: UserAllocation,
     received: np.ndarray,
     user_id: int = 0,
-    config: ChestConfig | None = None,
     codec=None,
-    trace: KernelTrace | None = None,
     scrambling_c_init: int | None = None,
 ) -> UserResult:
     """Run the whole Fig. 3 chain serially for one user.
@@ -293,6 +235,10 @@ def process_user(
     ----------
     received:
         Received grid, shape ``(antennas, 14 symbols, subcarriers)``.
+    codec, scrambling_c_init:
+        The link-level options of :func:`finalize_user`: a real turbo
+        codec instead of the pass-through decoder, and the transmitter's
+        scrambling seed. The paper's receiver sets neither.
     """
     received = np.asarray(received, dtype=np.complex128)
     num_antennas = received.shape[0]
@@ -310,13 +256,11 @@ def process_user(
         noise_samples = []
         for antenna in range(num_antennas):
             for layer in range(layers):
-                estimate, noise = chest_task(
-                    received[antenna, ref_sym, :], layer, config, trace
-                )
+                estimate, noise = chest_task(received[antenna, ref_sym, :], layer)
                 channel[antenna, layer, :] = estimate
                 noise_samples.append(noise)
         slot_estimates.append(
-            combiner_stage(channel, float(np.mean(noise_samples)), trace)
+            combiner_stage(channel, float(np.mean(noise_samples)))
         )
 
     data_idx = data_symbol_indices()
@@ -328,7 +272,7 @@ def process_user(
         weights = slot_estimates[slot].weights
         for layer in range(layers):
             layer_symbols[layer, row, :] = symbol_task(
-                received[:, sym, :], weights, layer, trace
+                received[:, sym, :], weights, layer
             )
 
     noise_per_layer_slot = np.stack(
@@ -340,6 +284,5 @@ def process_user(
         noise_per_layer_slot,
         user_id=user_id,
         codec=codec,
-        trace=trace,
         scrambling_c_init=scrambling_c_init,
     )

@@ -13,45 +13,32 @@ time-domain span and the other layers' responses to offsets of N/4, N/2,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fftutil import wraparound_window
 from .sequences import dmrs_for_layer
 
-__all__ = ["ChestConfig", "matched_filter", "estimate_channel", "estimate_noise_variance"]
+__all__ = [
+    "KEEP_FRACTION",
+    "BACK_FRACTION",
+    "window_lengths",
+    "matched_filter",
+    "estimate_channel",
+    "estimate_noise_variance",
+]
 
 
-@dataclass(frozen=True)
-class ChestConfig:
-    """Tuning knobs of the channel estimator.
+#: Fraction of the time-domain span kept at positive delays.
+KEEP_FRACTION = 0.125
+#: Fraction kept at wrapped negative delays: the other half of a
+#: fractional-delay main lobe. Both stay below the layer spacing (1/4 of
+#: the span), or cross-layer interference leaks through.
+BACK_FRACTION = 0.0625
 
-    ``keep_fraction`` is the fraction of time-domain samples kept at
-    positive delays; ``back_fraction`` is the fraction kept at wrapped
-    negative delays (the other half of a fractional-delay main lobe). Each
-    must stay below the layer spacing (1/4 of the span) or cross-layer
-    interference leaks through.
-    """
 
-    keep_fraction: float = 0.125
-    back_fraction: float = 0.0625
-    taper_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.keep_fraction <= 0.25:
-            raise ValueError("keep_fraction must be in (0, 0.25]")
-        if not 0.0 <= self.back_fraction < 0.1875:
-            raise ValueError("back_fraction must be in [0, 0.1875)")
-        if self.taper_fraction < 0:
-            raise ValueError("taper_fraction must be >= 0")
-
-    def window_lengths(self, n: int) -> tuple[int, int, int]:
-        """(keep_front, keep_back, taper) sample counts for span ``n``."""
-        keep = max(1, int(round(self.keep_fraction * n)))
-        back = int(round(self.back_fraction * n))
-        taper = min(int(round(self.taper_fraction * n)), n - keep - back)
-        return keep, back, taper
+def window_lengths(n: int) -> tuple[int, int]:
+    """(keep_front, keep_back) sample counts of the window for span ``n``."""
+    return max(1, int(round(KEEP_FRACTION * n))), int(round(BACK_FRACTION * n))
 
 
 def matched_filter(received_ref: np.ndarray, layer: int) -> np.ndarray:
@@ -61,28 +48,20 @@ def matched_filter(received_ref: np.ndarray, layer: int) -> np.ndarray:
     return received_ref * np.conj(reference)
 
 
-def estimate_channel(
-    received_ref: np.ndarray,
-    layer: int,
-    config: ChestConfig | None = None,
-) -> np.ndarray:
+def estimate_channel(received_ref: np.ndarray, layer: int) -> np.ndarray:
     """Estimate one (antenna, layer) channel from a received reference symbol.
 
     Implements the paper's four-kernel chain: matched filter, IFFT to time
     domain, window, FFT back to frequency domain.
     """
-    config = config or ChestConfig()
     raw = matched_filter(received_ref, layer)
     n = raw.size
     impulse = np.fft.ifft(raw)
-    keep, back, taper = config.window_lengths(n)
-    impulse *= wraparound_window(n, keep, back, taper)
+    impulse *= wraparound_window(n, *window_lengths(n))
     return np.fft.fft(impulse)
 
 
-def estimate_noise_variance(
-    received_ref: np.ndarray, layer: int, config: ChestConfig | None = None
-) -> float:
+def estimate_noise_variance(received_ref: np.ndarray, layer: int) -> float:
     """Estimate the noise variance from the discarded time-domain span.
 
     The samples the window throws away contain (almost) no channel energy
@@ -90,11 +69,10 @@ def estimate_noise_variance(
     cross-layer leakage — which is exactly the disturbance the combiner
     should regularize against.
     """
-    config = config or ChestConfig()
     raw = matched_filter(received_ref, layer)
     n = raw.size
     impulse = np.fft.ifft(raw)
-    keep, _, _ = config.window_lengths(n)
+    keep, _ = window_lengths(n)
     # Use the guard region between the kept span and the next layer's
     # expected offset (n/4) — it holds noise only.
     guard = impulse[keep : max(keep + 1, n // 4)]

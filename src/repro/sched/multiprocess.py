@@ -101,7 +101,6 @@ from ..faults.watchdog import (
 )
 from ..obs.events import Event, EventKind
 from ..phy.chain import UserResult
-from ..phy.chest import ChestConfig
 from ..phy.dtypes import COMPLEX_DTYPE
 from ..uplink.subframe import SubframeInput
 from ..uplink.vectorized import process_subframes
@@ -219,8 +218,6 @@ def _pack_results(
 def _execute_task(
     task: dict,
     grids: dict[str, tuple[SharedMemory, np.ndarray]],
-    config: ChestConfig | None,
-    codec,
     slab: SharedMemory,
     live: list[int],
 ) -> tuple:
@@ -253,8 +250,6 @@ def _execute_task(
         stage_ns: list[tuple[str, int, int, int]] = []
         [result] = process_subframes(
             [subframe],
-            config,
-            codec,
             "vectorized",
             stage_timer=lambda kernel, batch: _StageSpan(kernel, batch, stage_ns),
         )
@@ -265,13 +260,11 @@ def _execute_task(
         return ("err", task_id, f"{type(exc).__name__}: {exc}", False)
 
 
-def _worker_main(worker_id: int, conn, init: dict) -> None:
+def _worker_main(worker_id: int, conn, slab_name: str) -> None:
     """Spawn entry point: serve tasks from the parent until told to stop."""
-    slab = _attach_shm(init["slab"])
+    slab = _attach_shm(slab_name)
     live = [0, 0]  # slab extent of the previous task's results
     grids: dict[str, tuple[SharedMemory, np.ndarray]] = {}
-    config = init["config"]
-    codec = init["codec"]
     try:
         # Slab attached, chain imported (with this module): start() may return.
         conn.send(("ready",))
@@ -286,9 +279,7 @@ def _worker_main(worker_id: int, conn, init: dict) -> None:
                     if entry is not None:
                         entry[0].close()
             else:  # ("task", {...})
-                conn.send(
-                    _execute_task(message[1], grids, config, codec, slab, live)
-                )
+                conn.send(_execute_task(message[1], grids, slab, live))
     except (EOFError, BrokenPipeError, KeyboardInterrupt) as exc:
         # Parent vanished or interactive interrupt: nothing to report to
         # (the pipe is gone) — fall through to cleanup and exit 0 so the
@@ -350,9 +341,6 @@ class MultiprocessRuntime(Runtime):
     num_workers:
         Worker process count. Throughput scales with physical cores;
         there is no GIL in the way.
-    config, codec:
-        Forwarded to the batched receiver chain inside each worker (must
-        be picklable — both defaults are).
     observers:
         Optional event observers; events carry a ``process_id`` payload
         field and are emitted *only from the parent's event loop*, so
@@ -383,8 +371,6 @@ class MultiprocessRuntime(Runtime):
     def __init__(
         self,
         num_workers: int = 2,
-        config: ChestConfig | None = None,
-        codec=None,
         observers=None,
         faults=None,
         resilience: ResilienceConfig | None = None,
@@ -406,8 +392,6 @@ class MultiprocessRuntime(Runtime):
             tags={"process_id": os.getpid()},
         )
         self.num_workers = num_workers
-        self.config = config
-        self.codec = codec
         self.slab_bytes = slab_bytes
         self._ctx = get_context("spawn")
         self._workers: list[_WorkerHandle] = []
@@ -419,7 +403,6 @@ class MultiprocessRuntime(Runtime):
         #: Segments whose subframe resolved, kept mapped for the next grid.
         self._idle_grids: list[SharedMemory] = []
         self._tracker.listeners.append(self._release_grid)
-        self._worker_init: dict = {}
         #: The attached :class:`WorkerSupervisor`, or ``None``.
         self.supervisor = None
         if respawn:
@@ -441,7 +424,6 @@ class MultiprocessRuntime(Runtime):
     def _start(self) -> None:
         """Spawn the worker pool and wait until every worker is ready
         (expensive: each child re-imports NumPy)."""
-        self._worker_init = {"config": self.config, "codec": self.codec}
         try:
             for worker_id in range(self.num_workers):
                 self._workers.append(self._spawn_worker(worker_id))
@@ -466,11 +448,7 @@ class MultiprocessRuntime(Runtime):
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(
-                    worker_id,
-                    child_conn,
-                    {**self._worker_init, "slab": slab.name},
-                ),
+                args=(worker_id, child_conn, slab.name),
                 daemon=True,
                 name=f"repro-mp-worker-{worker_id}",
             )

@@ -42,7 +42,6 @@ from ..faults.watchdog import (
     ns_from_s,
 )
 from ..obs.events import Event, EventKind
-from ..phy.chest import ChestConfig
 from ..uplink.subframe import UserSlice
 from ..uplink.tasks import UserJob
 from .core import Pending, Runtime, WorkerFailuresError
@@ -128,8 +127,6 @@ class ThreadedRuntime(Runtime):
     ----------
     num_workers:
         Worker thread count (the paper uses up to 62 on the TILEPro64).
-    config, codec:
-        Forwarded to the per-user receiver chain.
     steal_seed:
         Seed for the random victim policy.
     observers:
@@ -160,8 +157,6 @@ class ThreadedRuntime(Runtime):
     def __init__(
         self,
         num_workers: int = 4,
-        config: ChestConfig | None = None,
-        codec=None,
         steal_seed: int = 0,
         observers=None,
         faults=None,
@@ -177,8 +172,6 @@ class ThreadedRuntime(Runtime):
         )
         super().__init__(stats, observers, faults, resilience, ledger)
         self.num_workers = num_workers
-        self.config = config
-        self.codec = codec
         self._policy = RandomVictimPolicy(num_workers, seed=steal_seed)
         #: (pending, slice position, user slice) per dispatched user.
         self._global: GlobalQueue = GlobalQueue()
@@ -401,9 +394,7 @@ class ThreadedRuntime(Runtime):
         fan out through this worker's deque (thieves may take them), and
         each join runs as one serial task on this, the user's, thread.
         """
-        job = UserJob(
-            user_slice, pending.subframe.grid, config=self.config, codec=self.codec
-        )
+        job = UserJob(user_slice, pending.subframe.grid)
         ids = {"subframe": pending.index, "user": user_slice.user.user_id}
         self._run_stage(worker_id, job.chest_tasks(), {"kernel": "chest", **ids})
         self._run_task(

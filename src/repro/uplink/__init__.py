@@ -22,11 +22,7 @@ from .serial import (
 from .subframe import DEFAULT_POOL_SIZE, SubframeFactory, SubframeInput, UserSlice
 from .tasks import KERNEL_KINDS, UserJob
 from .user import UserParameters
-from .vectorized import (
-    process_subframe_vectorized,
-    process_subframes,
-    process_user_vectorized,
-)
+from .vectorized import process_subframe_vectorized, process_subframes
 from .verification import VerificationReport, verify_against_serial
 
 __all__ = [
@@ -43,7 +39,6 @@ __all__ = [
     "process_subframe_serial",
     "process_subframe_vectorized",
     "process_subframes",
-    "process_user_vectorized",
     "DEFAULT_POOL_SIZE",
     "SubframeFactory",
     "SubframeInput",

@@ -2,19 +2,20 @@
 
 "We implemented the serial version as a reference to verify parallelized
 versions of the benchmark." The serial benchmark processes each dispatched
-subframe's users one at a time, in order, recording every result so
-parallel runs can be compared bit-for-bit (Section IV-D).
+subframe's users one at a time, in order, with
+:func:`repro.phy.chain.process_user`, recording every result so parallel
+runs can be compared bit-for-bit (Section IV-D). It shares the chain's
+stage functions with the threaded runtime's ``UserJob`` closures but none
+of their buffers or stage ordering, so it checks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..phy.chain import UserResult
-from ..phy.chest import ChestConfig
+from ..phy.chain import UserResult, process_user
 from .parameter_model import ParameterModel
 from .subframe import SubframeFactory, SubframeInput
-from .tasks import UserJob
 
 __all__ = [
     "FUNCTIONAL_BACKENDS",
@@ -56,24 +57,24 @@ class SubframeResult:
         return all(a.equals(b) for a, b in zip(mine, theirs))
 
 
-def process_subframe_serial(
-    subframe: SubframeInput,
-    config: ChestConfig | None = None,
-    codec=None,
-) -> SubframeResult:
-    """Process one subframe's users sequentially on the calling thread."""
-    result = SubframeResult(subframe_index=subframe.subframe_index)
-    for user_slice in subframe.slices:
-        job = UserJob(user_slice, subframe.grid, config=config, codec=codec)
-        result.user_results.append(job.run_serially())
-    return result
+def process_subframe_serial(subframe: SubframeInput) -> SubframeResult:
+    """Process one subframe's users sequentially on the calling thread:
+    :func:`~repro.phy.chain.process_user` on each slice, in slice order."""
+    return SubframeResult(
+        subframe_index=subframe.subframe_index,
+        user_results=[
+            process_user(
+                user_slice.user.allocation,
+                user_slice.view(subframe.grid),
+                user_id=user_slice.user.user_id,
+            )
+            for user_slice in subframe.slices
+        ],
+    )
 
 
 def process_subframe(
-    subframe: SubframeInput,
-    config: ChestConfig | None = None,
-    codec=None,
-    backend: str = "serial",
+    subframe: SubframeInput, backend: str = "serial"
 ) -> SubframeResult:
     """One subframe on the selected single-thread backend:
     :func:`repro.uplink.vectorized.process_subframes` over a list of one
@@ -81,7 +82,7 @@ def process_subframe(
     batched fast path, bit-exact with the reference)."""
     from .vectorized import process_subframes  # it imports this module
 
-    return process_subframes([subframe], config, codec, backend)[0]
+    return process_subframes([subframe], backend)[0]
 
 
 class SerialBenchmark:
@@ -106,8 +107,6 @@ class SerialBenchmark:
         model: ParameterModel,
         factory: SubframeFactory | None = None,
         synthesize: bool = False,
-        config: ChestConfig | None = None,
-        codec=None,
         backend: str = "serial",
     ) -> None:
         if backend not in FUNCTIONAL_BACKENDS:
@@ -117,8 +116,6 @@ class SerialBenchmark:
         self.model = model
         self.factory = factory or SubframeFactory()
         self.synthesize = synthesize
-        self.config = config
-        self.codec = codec
         self.backend = backend
 
     def build_subframe(self, subframe_index: int) -> SubframeInput:
@@ -132,11 +129,6 @@ class SerialBenchmark:
         if num_subframes < 1:
             raise ValueError("num_subframes must be >= 1")
         return [
-            process_subframe(
-                self.build_subframe(index),
-                config=self.config,
-                codec=self.codec,
-                backend=self.backend,
-            )
+            process_subframe(self.build_subframe(index), self.backend)
             for index in range(start, start + num_subframes)
         ]

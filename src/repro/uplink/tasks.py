@@ -16,8 +16,11 @@ A user's subframe processing is split exactly as the paper describes:
   soft demap, turbo decode (pass-through), CRC.
 
 :class:`UserJob` carries the executable numpy closures of this graph for
-the functional runtimes. The timing simulator runs the same graph as a
-priced stage program, :meth:`repro.sim.cost.CostModel.stage_program`;
+the threaded runtime. The serial backend does not use them: it runs
+:func:`repro.phy.chain.process_user`, so the job's results are checked
+against an implementation that shares only the stage functions. The timing
+simulator runs the same graph as a priced stage program,
+:meth:`repro.sim.cost.CostModel.stage_program`;
 ``tests/uplink/test_serial_and_tasks.py`` checks that the job's fan-outs
 equal the program's, and ``tests/sched/test_stage_program.py`` that the
 threaded runtime and the simulator run the same tasks.
@@ -36,7 +39,6 @@ from ..phy.chain import (
     finalize_user,
     symbol_task,
 )
-from ..phy.chest import ChestConfig
 from ..phy.params import (
     DATA_SYMBOLS_PER_SUBFRAME,
     REFERENCE_SYMBOL_INDEX,
@@ -67,17 +69,9 @@ class UserJob:
     pre-allocated arrays).
     """
 
-    def __init__(
-        self,
-        user_slice: UserSlice,
-        grid: np.ndarray,
-        config: ChestConfig | None = None,
-        codec=None,
-    ) -> None:
+    def __init__(self, user_slice: UserSlice, grid: np.ndarray) -> None:
         self.user = user_slice.user
         self.received = user_slice.view(grid)
-        self.config = config
-        self.codec = codec
         self.antennas = self.received.shape[0]
         self.layers = self.user.layers
         self.num_sc = user_slice.num_subcarriers
@@ -106,9 +100,7 @@ class UserJob:
         def run() -> None:
             for slot in range(SLOTS_PER_SUBFRAME):
                 ref_sym = slot * SYMBOLS_PER_SLOT + REFERENCE_SYMBOL_INDEX
-                estimate, noise = chest_task(
-                    self.received[antenna, ref_sym, :], layer, self.config
-                )
+                estimate, noise = chest_task(self.received[antenna, ref_sym, :], layer)
                 self._channel[slot, antenna, layer, :] = estimate
                 self._noise[slot, antenna, layer] = noise
 
@@ -154,16 +146,5 @@ class UserJob:
             self._layer_symbols,
             noise_pls,
             user_id=self.user.user_id,
-            codec=self.codec,
         )
         return self.result
-
-    # ----- convenience ---------------------------------------------------
-    def run_serially(self) -> UserResult:
-        """Execute all stages in order on the calling thread."""
-        for task in self.chest_tasks():
-            task()
-        self.run_combiner()
-        for task in self.data_tasks():
-            task()
-        return self.finalize()

@@ -41,11 +41,16 @@ are ``np.add.reduce(x, axis=-1) / n``: ``ndarray.mean`` without its wrapper.
 Users are independent in every stage, so a call need not stop at one
 subframe: :func:`process_subframes` is the one implementation of both
 single-thread backends and of the multiprocess workers, and
-``process_subframe``, :func:`process_subframe_vectorized` and
-:func:`process_user_vectorized` are the same staged chain over one
-subframe, one user;
+``process_subframe`` and :func:`process_subframe_vectorized` are the same
+staged chain over one subframe;
 ``tests/uplink/test_process_subframes.py`` pins that how users are
 partitioned into calls never changes a bit of any result.
+
+This backend runs the paper's receiver and nothing else: the pass-through
+turbo decoder (§IV-C2), no scrambling. Its tail is therefore one hard
+decision over every LLR of a modulation. A real turbo codec or a
+scrambling seed is link-level work, for
+:func:`repro.phy.chain.process_user`.
 
 The module is deterministic-scope clean: it never reads the host clock.
 Callers that want per-kernel wall-clock attribution (``perf/``) pass a
@@ -62,9 +67,7 @@ import numpy as np
 
 from ..phy.batched import batched_chest, batched_combine_symbols
 from ..phy.chain import UserResult
-from ..phy.chest import ChestConfig
-from ..phy.crc import CRC24A, crc_check, crc_check_rows
-from ..phy.dtypes import ensure_complex
+from ..phy.crc import CRC24A, crc_check_rows
 from ..phy.equalizer import mmse_combiner
 from ..phy.interleaver import deinterleave_indices
 from ..phy.modulation import soft_demap
@@ -78,17 +81,10 @@ from ..phy.params import (
     SYMBOLS_PER_SLOT,
     Modulation,
 )
-from ..phy.scrambling import descramble_llrs
-from ..phy.transmitter import UserAllocation
-from ..phy.turbo import PassThroughTurbo
 from .serial import FUNCTIONAL_BACKENDS, SubframeResult, process_subframe_serial
 from .subframe import SubframeInput
 
-__all__ = [
-    "process_user_vectorized",
-    "process_subframes",
-    "process_subframe_vectorized",
-]
+__all__ = ["process_subframes", "process_subframe_vectorized"]
 
 #: A slot's data symbols: every symbol but the DMRS in the middle.
 _DATA_IN_SLOT = np.array(
@@ -139,19 +135,18 @@ class _Row(NamedTuple):
     position: int
     user_id: int
     modulation: Modulation
-    c_init: int | None
 
 
 class _FrontGroup:
     """The users of one call that share ``(antennas, subcarriers, layers)``
     — all the FFT stages need to stack them."""
 
-    def __init__(self, num_sc: int, layers: int, grids) -> None:
+    def __init__(self, num_sc: int, layers: int) -> None:
         self.num_sc = num_sc
         self.layers = layers
         #: ``(users, antennas, 14, subcarriers)``; a list of per-user views
         #: of their subframes' grids until the chest stage stacks it.
-        self.grids = grids
+        self.grids: list | np.ndarray = []
         self.rows: list[_Row] = []
         #: What the last stage left for the next one. Replaced, not added
         #: to, so a call holds one stage's arrays at a time.
@@ -163,7 +158,7 @@ def _end_to_end(rows: list[np.ndarray]) -> np.ndarray:
     return rows[0].reshape(-1) if len(rows) == 1 else np.concatenate(rows, axis=None)
 
 
-def _combine_bundle(bundle: list[_FrontGroup], trace) -> None:
+def _combine_bundle(bundle: list[_FrontGroup]) -> None:
     """Combiner stage for the front groups sharing ``(antennas, layers)``.
 
     The elimination is element-wise along the subcarriers, so the bundle's
@@ -172,13 +167,6 @@ def _combine_bundle(bundle: list[_FrontGroup], trace) -> None:
     carrying its own per-slot noise. A bundle of one front group passes its
     ``(users, slots, ...)`` arrays as they are, without that copy.
     """
-    if trace is not None:
-        for group in bundle:
-            users, slots, antennas, layers, num_sc = group.carry[0].shape
-            trace.record(
-                "combiner_weights", subcarriers=num_sc, layers=layers,
-                antennas=antennas, batch=users * slots,
-            )
     if len(bundle) == 1:
         [group] = bundle
         weights, noise_after = mmse_combiner(*group.carry)
@@ -214,18 +202,15 @@ def _combine_bundle(bundle: list[_FrontGroup], trace) -> None:
 
 
 def _finalize_stream(
-    modulation: Modulation,
-    blocks: list[tuple[_FrontGroup, list[int]]],
-    codec,
-    trace,
+    modulation: Modulation, blocks: list[tuple[_FrontGroup, list[int]]]
 ) -> None:
     """Batched serial tail for every user of one modulation.
 
     ``blocks`` are ``(front group, its rows of this modulation)``. Each
     block is deinterleaved through its shape's gather table; the gathered
     streams then run end to end through **one** soft demap (element-wise per
-    symbol) and one hard decision, and each block's equal-length rows are
-    CRC-checked together.
+    symbol) and one hard decision, the pass-through decoder over the whole
+    stream, and each block's equal-length rows are CRC-checked together.
     """
     bits_per_symbol = modulation.bits_per_symbol
     gathered, noises, shapes = [], [], []
@@ -244,56 +229,26 @@ def _finalize_stream(
         gathered.append(np.take(symbols, symbol_index, axis=1))
         noises.append(np.take(noise_table, noise_index, axis=1))
         shapes.append((len(rows), symbol_index.size * bits_per_symbol))
-        if trace is not None:
-            trace.record("deinterleave", symbols=symbol_index.size, batch=len(rows))
-            trace.record(
-                "soft_demap", symbols=symbol_index.size,
-                bits_per_symbol=bits_per_symbol, batch=len(rows),
-            )
     llrs = soft_demap(_end_to_end(gathered), modulation, _end_to_end(noises))
     del symbols, noise_table, gathered, noises  # before the bit arrays exist
 
-    whole_stream = type(codec) is PassThroughTurbo and all(
-        group.rows[row].c_init is None for group, rows in blocks for row in rows
-    )
-    if whole_stream:
-        # The pass-through decoder is a hard decision on every LLR, so the
-        # stream decodes as one array; its bytes are the decoded bits.
-        hard = llrs < 0
-        decoded = hard.view(np.uint8)
+    # The pass-through decoder is a hard decision on every LLR, so the
+    # stream decodes as one array; its bytes are the decoded bits.
+    hard = llrs < 0
+    decoded = hard.view(np.uint8)
     lo = 0
     for (group, rows), shape in zip(blocks, shapes):
         hi = lo + shape[0] * shape[1]
         llrs_rows = llrs[lo:hi].reshape(shape)
-        if codec.rate_denominator == 1:
-            num_info_with_crc = useful_bits = shape[1]
-        else:
-            num_info_with_crc = (shape[1] - 12) // 3
-            useful_bits = 3 * num_info_with_crc + 12
         # A NaN LLR hard-decides to bit 0 and the all-zero block passes
         # CRC24A, so a user with a non-finite soft bit fails outright (one
         # reduction a block: a row's sum is non-finite exactly when some
         # LLR in it is).
         finite_rows = np.isfinite(llrs_rows.sum(axis=1))
-        if whole_stream:
-            decoded_rows = decoded[lo:hi].reshape(shape)
-            ok_rows = crc_check_rows(hard[lo:hi].reshape(shape), CRC24A)
-        else:
-            llrs_rows = [
-                llrs if group.rows[row].c_init is None
-                else descramble_llrs(llrs, group.rows[row].c_init)
-                for llrs, row in zip(llrs_rows, rows)
-            ]
-            decoded_rows = [
-                codec.decode(llrs[:useful_bits], num_info_with_crc)
-                for llrs in llrs_rows
-            ]
-            ok_rows = [crc_check(decoded, CRC24A) for decoded in decoded_rows]
+        decoded_rows = decoded[lo:hi].reshape(shape)
+        ok_rows = crc_check_rows(hard[lo:hi].reshape(shape), CRC24A)
         for index, row in enumerate(rows):
             user = group.rows[row]
-            if trace is not None:
-                trace.record("turbo_decode", bits=useful_bits)
-                trace.record("crc_check", bits=decoded_rows[index].size)
             user.out[user.position] = UserResult(
                 user_id=user.user_id,
                 payload=decoded_rows[index][: -CRC24A.width],
@@ -303,21 +258,18 @@ def _finalize_stream(
         lo = hi
 
 
-def _chest_group(group: _FrontGroup, config: ChestConfig | None, trace) -> None:
+def _chest_group(group: _FrontGroup) -> None:
     """Chest stage: all (user, slot, antenna, layer) estimates of one front
     group as one matched filter + IFFT + window + FFT."""
-    if isinstance(group.grids, list):  # one view is not copied
-        views = group.grids
-        group.grids = views[0][None] if len(views) == 1 else np.stack(views)
+    views = group.grids  # one view is not copied
+    group.grids = views[0][None] if len(views) == 1 else np.stack(views)
     if group.grids.shape[2:] != (SLOTS_PER_SUBFRAME * SYMBOLS_PER_SLOT, group.num_sc):
         raise ValueError(
             "received grids must hold 14 SC-FDMA symbols of the allocation's "
             "subcarrier width"
         )
     refs = group.grids[:, :, REFERENCE_SYMBOL_INDEX::SYMBOLS_PER_SLOT, :]
-    channel, noise = batched_chest(
-        refs.transpose(0, 2, 1, 3), group.layers, config, trace=trace
-    )
+    channel, noise = batched_chest(refs.transpose(0, 2, 1, 3), group.layers)
     # Per-(user, slot) noise estimate: mean over the (antenna, layer) task
     # grid, matching the serial join's np.mean over its list.
     noise = noise.reshape(len(noise), SLOTS_PER_SUBFRAME, -1)
@@ -325,19 +277,13 @@ def _chest_group(group: _FrontGroup, config: ChestConfig | None, trace) -> None:
     group.carry = (channel, noise)
 
 
-def _symbol_group(group: _FrontGroup, trace) -> None:
+def _symbol_group(group: _FrontGroup) -> None:
     """Symbol stage: antenna combining + SC-FDMA IFFT of one front group's
     data symbols, both slots in one einsum and one IFFT."""
     users, antennas, _, num_sc = group.grids.shape
     data = group.grids.reshape(
         users, antennas, SLOTS_PER_SUBFRAME, SYMBOLS_PER_SLOT, num_sc
     )[:, :, :, _DATA_IN_SLOT]
-    if trace is not None:
-        # The logical unit stays a slot's worth of tasks.
-        batch = users * DATA_SYMBOLS_PER_SLOT * group.layers
-        for _ in range(SLOTS_PER_SUBFRAME):
-            trace.record("antenna_combine", subcarriers=num_sc, batch=batch)
-            trace.record("data_ifft", subcarriers=num_sc, batch=batch)
     weights, noise_table = group.carry
     # (users, slots, layers, 6, K): the layout _tail_gather indexes.
     symbols = batched_combine_symbols(data.transpose(0, 2, 1, 3, 4), weights)
@@ -345,30 +291,24 @@ def _symbol_group(group: _FrontGroup, trace) -> None:
     group.grids = None
 
 
-def _run_stages(
-    groups: list[_FrontGroup],
-    config: ChestConfig | None,
-    codec,
-    trace,
-    stage_timer,
-) -> None:
+def _run_stages(groups: list[_FrontGroup], stage_timer) -> None:
     """The batched chain over all of a call's front groups, stage-major:
     each stage batches along whichever axis its kernel is element-wise in
     (module docstring). Every user's result lands where its row says."""
     for group in groups:
         with stage_timer("chest", len(group.rows)):
-            _chest_group(group, config, trace)
+            _chest_group(group)
 
     bundles: dict[tuple[int, int], list[_FrontGroup]] = {}
     for group in groups:
         bundles.setdefault((group.grids.shape[1], group.layers), []).append(group)
     for bundle in bundles.values():
         with stage_timer("combiner", sum(len(group.rows) for group in bundle)):
-            _combine_bundle(bundle, trace)
+            _combine_bundle(bundle)
 
     for group in groups:
         with stage_timer("symbol", len(group.rows)):
-            _symbol_group(group, trace)
+            _symbol_group(group)
 
     streams: dict[Modulation, list[tuple[_FrontGroup, list[int]]]] = {}
     for group in groups:
@@ -377,54 +317,24 @@ def _run_stages(
             rows_of.setdefault(user.modulation, []).append(row)
         for modulation, rows in rows_of.items():
             streams.setdefault(modulation, []).append((group, rows))
-    codec = codec or PassThroughTurbo()
     for modulation, blocks in streams.items():
         with stage_timer("finalize", sum(len(rows) for _, rows in blocks)):
-            _finalize_stream(modulation, blocks, codec, trace)
-
-
-def process_user_vectorized(
-    allocation: UserAllocation,
-    received: np.ndarray,
-    user_id: int = 0,
-    config: ChestConfig | None = None,
-    codec=None,
-    trace=None,
-    scrambling_c_init: int | None = None,
-) -> UserResult:
-    """Batched twin of :func:`repro.phy.chain.process_user` (one user).
-
-    Accepts the same ``(antennas, 14 symbols, subcarriers)`` grid and
-    returns a bit-exact :class:`UserResult`; all of the user's tasks run
-    as stacked kernels (the staged chain over a front group of one).
-    """
-    received = ensure_complex(received)
-    if received.ndim != 3:
-        raise ValueError("received grid must be (antennas, symbols, subcarriers)")
-    results: list = [None]
-    group = _FrontGroup(allocation.num_subcarriers, allocation.layers, received[None])
-    group.rows.append(
-        _Row(results, 0, user_id, allocation.modulation, scrambling_c_init)
-    )
-    _run_stages([group], config, codec, trace, _null_timer)
-    return results[0]
+            _finalize_stream(modulation, blocks)
 
 
 def process_subframes(
     subframes: list[SubframeInput],
-    config: ChestConfig | None = None,
-    codec=None,
     backend: str = "serial",
-    trace=None,
     stage_timer=None,
 ) -> list[SubframeResult]:
     """Process ``subframes`` on a single-thread backend, one result each.
 
-    ``backend="serial"`` walks the per-task reference chain one subframe
-    after another. ``backend="vectorized"`` collects the users of *all*
-    the given subframes once and runs the batched chain stage by stage
-    over them (module docstring), so a stage's fixed cost is paid per call
-    and per batching key rather than per subframe and per shape. Either way
+    ``backend="serial"`` runs :func:`repro.phy.chain.process_user` on
+    each user, one subframe after another. ``backend="vectorized"``
+    collects the users of *all* the given subframes once and runs the
+    batched chain stage by stage over them (module docstring), so a
+    stage's fixed cost is paid per call and per batching key rather than
+    per subframe and per shape. Either way
     every result is bit-exact with processing its subframe alone (the
     batched kernels treat rows and subcarriers independently), with
     ``user_results`` in slice order.
@@ -433,11 +343,11 @@ def process_subframes(
     for per-kernel wall-clock attribution (``kernel`` is one of
     :data:`repro.uplink.tasks.KERNEL_KINDS`, ``batch`` the users in that
     stage call); the default is a no-op, keeping this module free of
-    host-clock reads. ``trace`` and ``stage_timer`` apply to the vectorized
-    backend only.
+    host-clock reads. ``stage_timer`` applies to the vectorized backend
+    only.
     """
     if backend == "serial":
-        return [process_subframe_serial(s, config, codec) for s in subframes]
+        return [process_subframe_serial(s) for s in subframes]
     if backend != "vectorized":
         raise ValueError(
             f"unknown backend {backend!r} (choose from {FUNCTIONAL_BACKENDS})"
@@ -454,14 +364,12 @@ def process_subframes(
             key = (grid.shape[0], user.num_subcarriers, user.layers)
             group = groups.get(key)
             if group is None:
-                group = groups[key] = _FrontGroup(*key[1:], [])
+                group = groups[key] = _FrontGroup(*key[1:])
             group.grids.append(user_slice.view(grid))
             group.rows.append(
-                _Row(results, position, user.user_id, user.modulation, None)
+                _Row(results, position, user.user_id, user.modulation)
             )
-    _run_stages(
-        list(groups.values()), config, codec, trace, stage_timer or _null_timer
-    )
+    _run_stages(list(groups.values()), stage_timer or _null_timer)
     return [
         SubframeResult(subframe_index=s.subframe_index, user_results=users)
         for s, users in zip(subframes, ordered)
@@ -469,14 +377,8 @@ def process_subframes(
 
 
 def process_subframe_vectorized(
-    subframe: SubframeInput,
-    config: ChestConfig | None = None,
-    codec=None,
-    trace=None,
-    stage_timer=None,
+    subframe: SubframeInput, stage_timer=None
 ) -> SubframeResult:
     """One subframe on the batched vectorized backend:
     ``process_subframes([subframe], backend="vectorized")[0]``."""
-    return process_subframes(
-        [subframe], config, codec, "vectorized", trace, stage_timer
-    )[0]
+    return process_subframes([subframe], "vectorized", stage_timer)[0]

@@ -134,6 +134,17 @@ class TestCli:
         assert err.startswith("trace: cannot read") and missing in err
         assert "Traceback" not in err and not out_path.exists()
 
+    def test_trace_from_without_chrome_format_exits_two(self, capsys, tmp_path):
+        # The format is checked before the file is read: a missing file
+        # reports the format, not the read error, and nothing is written.
+        missing = str(tmp_path / "missing.jsonl")
+        out_path = tmp_path / "trace.json"
+        assert main(["trace", "--from", missing, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("trace: --from requires --format chrome")
+        assert len(captured.err.splitlines()) == 1 and not out_path.exists()
+
     def test_metrics_prints_summary(self, capsys):
         assert main(["metrics", "--policy", "idle", "--subframes", "30"]) == 0
         out = capsys.readouterr().out

@@ -42,7 +42,7 @@ from repro.phy.params import (
 from repro.phy.transmitter import data_symbol_indices
 from repro.uplink.subframe import SubframeFactory
 from repro.uplink.user import UserParameters
-from repro.uplink.vectorized import process_user_vectorized
+from repro.uplink.vectorized import process_subframes
 
 # tests/ is not a package; load the regeneration script by path so the
 # pinned seed/user/fixture-dir constants have exactly one home.
@@ -89,9 +89,13 @@ def golden_user():
 
 
 @pytest.fixture(scope="module")
-def golden_received(golden_user):
-    subframe = SubframeFactory(seed=GOLDEN_SEED).synthesize([golden_user], 0)
-    return subframe.slices[0].view(subframe.grid)
+def golden_subframe(golden_user):
+    return SubframeFactory(seed=GOLDEN_SEED).synthesize([golden_user], 0)
+
+
+@pytest.fixture(scope="module")
+def golden_received(golden_subframe):
+    return golden_subframe.slices[0].view(golden_subframe.grid)
 
 
 class TestFixtureProvenance:
@@ -212,14 +216,11 @@ class TestFinalizeGolden:
 
 
 class TestFullChainGolden:
-    def test_vectorized_chain_hits_golden_tail(self, golden_user, golden_received):
+    def test_vectorized_chain_hits_golden_tail(self, golden_subframe):
         """End to end: the batched backend reproduces the stored outputs."""
         g = _load("finalize")
-        result = process_user_vectorized(
-            golden_user.allocation, golden_received, user_id=0
-        )
-        _assert_golden("process_user_vectorized", "llrs", result.llrs, g["llrs"])
-        _assert_golden(
-            "process_user_vectorized", "payload", result.payload, g["payload"]
-        )
+        [subframe] = process_subframes([golden_subframe], backend="vectorized")
+        [result] = subframe.user_results
+        _assert_golden("process_subframes", "llrs", result.llrs, g["llrs"])
+        _assert_golden("process_subframes", "payload", result.payload, g["payload"])
         assert result.crc_ok

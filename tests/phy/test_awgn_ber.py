@@ -26,7 +26,7 @@ from scipy.stats import binom
 
 from repro.phy import Modulation, UserAllocation, process_user, transmit_subframe
 from repro.phy.channel import ChannelRealization
-from repro.phy.chest import ChestConfig
+from repro.phy.chest import window_lengths
 from repro.phy.transmitter import random_payload
 
 NUM_PRB = 100
@@ -56,7 +56,7 @@ def gray_qam_ber(order: int, snr_db: float) -> float:
 
 def effective_snr_db(snr_db: float, num_subcarriers: int) -> float:
     """ρ_eff in dB for the default estimator's window over the allocation."""
-    keep, back, _ = ChestConfig().window_lengths(num_subcarriers)
+    keep, back = window_lengths(num_subcarriers)
     window = (keep + back) / num_subcarriers
     rho = 10.0 ** (snr_db / 10.0)
     error_variance = window / rho

@@ -5,7 +5,6 @@ import pytest
 
 from repro.phy import (
     ChannelModel,
-    KernelTrace,
     Modulation,
     UserAllocation,
     process_user,
@@ -13,13 +12,12 @@ from repro.phy import (
     transmit_subframe,
 )
 from repro.phy.chain import chest_task, combiner_stage, finalize_user, symbol_task
-from repro.phy.chest import ChestConfig
-from repro.phy.params import DATA_SYMBOLS_PER_SUBFRAME, SYMBOLS_PER_SLOT
+from repro.phy.params import SYMBOLS_PER_SLOT
 from repro.phy.transmitter import data_symbol_indices
 from repro.phy.turbo import TurboCodec
 
 
-def run_link(num_prb, layers, mod, snr_db, seed, num_taps=1, codec=None, trace=None):
+def run_link(num_prb, layers, mod, snr_db, seed, num_taps=1, codec=None):
     """TX → channel → RX for one user; returns (payload, result)."""
     rng = np.random.default_rng(seed)
     alloc = UserAllocation(num_prb=num_prb, layers=layers, modulation=mod)
@@ -28,7 +26,7 @@ def run_link(num_prb, layers, mod, snr_db, seed, num_taps=1, codec=None, trace=N
     chan = ChannelModel(num_rx_antennas=4, num_taps=num_taps, snr_db=snr_db)
     real = chan.realize(layers, alloc.num_subcarriers, rng)
     rx = real.apply(tx.grid, rng)
-    result = process_user(alloc, rx, codec=codec, trace=trace)
+    result = process_user(alloc, rx, codec=codec)
     return payload, result
 
 
@@ -64,22 +62,6 @@ class TestEndToEnd:
             bers.append(float(np.mean(result.payload != payload)))
         assert sorted(bers)[1] < 0.05  # median seed is solid
         assert min(bers) < 0.02  # the well-conditioned case is clean
-
-    def test_trace_counts_match_task_decomposition(self):
-        trace = KernelTrace()
-        _, _ = run_link(8, 2, Modulation.QPSK, snr_db=30.0, seed=1, trace=trace)
-        # Channel estimation: antennas × layers × slots tasks, 4 kernels each.
-        assert trace.count("matched_filter") == 4 * 2 * 2
-        assert trace.count("chest_ifft") == 16
-        assert trace.count("chest_fft") == 16
-        assert trace.count("combiner_weights") == 2  # one per slot
-        # Data: 12 data symbols × layers tasks.
-        assert trace.count("antenna_combine") == DATA_SYMBOLS_PER_SUBFRAME * 2
-        assert trace.count("data_ifft") == DATA_SYMBOLS_PER_SUBFRAME * 2
-        assert trace.count("deinterleave") == 1
-        assert trace.count("soft_demap") == 1
-        assert trace.count("turbo_decode") == 1
-        assert trace.count("crc_check") == 1
 
     def test_with_real_turbo_codec(self):
         codec = TurboCodec(iterations=4)

@@ -3,7 +3,7 @@
 differential matrix (``tests/differential/test_backends.py``): bits must
 agree exactly, floats to a tolerance stated from the arithmetic.
 
-The whole ``process_user`` chain is not covered yet (ROADMAP item 1.1).
+The whole ``process_user`` chain is not covered yet (ROADMAP item 4).
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 import reference_kernels as ref
 
 from repro.phy.batched import batched_chest, batched_combine_symbols, dmrs_bank
-from repro.phy.chest import ChestConfig
+from repro.phy.chest import window_lengths
 from repro.phy.crc import crc_attach, crc_check
 from repro.phy.equalizer import mmse_combiner
 from repro.phy.fftutil import wraparound_window
@@ -129,7 +129,7 @@ class TestFftSitesByExplicitMatrix:
         # Matched filter and window are the estimator's own; only the two
         # transforms around the window are replaced.
         matched = refs[:, :, None, :] * dmrs_bank(n, layers)
-        window = wraparound_window(n, *ChestConfig().window_lengths(n))
+        window = wraparound_window(n, *window_lengths(n))
         expected = ref.dft(ref.dft(matched, inverse=True) * window)
         assert channel.shape == expected.shape == (2, 4, layers, n)
         peak = np.abs(matched).max()

@@ -76,8 +76,8 @@ def test_the_pools_old_seams_and_unused_sim_models_are_gone():
     assert "cache" not in inspect.signature(CostModel).parameters
     # ... and the pool grew no parameter to select the old unit.
     assert list(inspect.signature(MultiprocessRuntime).parameters) == [
-        "num_workers", "config", "codec", "observers", "faults",
-        "resilience", "ledger", "slab_bytes", "respawn",
+        "num_workers", "observers", "faults", "resilience", "ledger",
+        "slab_bytes", "respawn",
     ]
 
 
@@ -229,8 +229,8 @@ def test_metrics_registry_and_worker_sketching_are_gone():
     assert not hasattr(multiprocess, "_build_shard")
     assert issubclass(repro.obs.Profiler, repro.obs.TelemetryCollector)
     assert list(inspect.signature(multiprocess.MultiprocessRuntime).parameters) == [
-        "num_workers", "config", "codec", "observers", "faults",
-        "resilience", "ledger", "slab_bytes", "respawn",
+        "num_workers", "observers", "faults", "resilience", "ledger",
+        "slab_bytes", "respawn",
     ]
 
 
@@ -279,6 +279,58 @@ def test_a_serve_run_writes_one_record():
         assert not hasattr(report, name)
     for name in ("checkpoint_record", "summary"):
         assert not hasattr(CellShard, name)
+
+
+def test_the_receiver_has_one_configuration():
+    """The paper's receiver is the code: fixed channel-estimation windows,
+    the pass-through decoder, no scrambling. No backend, runtime or kernel
+    takes a chest config, a kernel trace or a codec; the link-level chain
+    (``process_user``) keeps the real codec and the scrambling seed. No
+    alias, no stub."""
+    import inspect
+
+    import repro.phy
+    import repro.uplink
+    from repro.phy import batched, chain, chest
+    from repro.sched import InlineRuntime, MultiprocessRuntime, ThreadedRuntime
+    from repro.uplink import (
+        SerialBenchmark,
+        UserJob,
+        process_subframe,
+        process_subframe_serial,
+        process_subframe_vectorized,
+        process_subframes,
+        vectorized,
+    )
+
+    for module, name in (
+        (chest, "ChestConfig"),
+        (chain, "KernelTrace"),
+        (repro.phy, "KernelTrace"),
+        (vectorized, "process_user_vectorized"),
+        (repro.uplink, "process_user_vectorized"),
+    ):
+        assert name not in module.__all__ and not hasattr(module, name)
+    assert not hasattr(UserJob, "run_serially")
+    knobs = {"config", "codec", "trace", "scrambling_c_init"}
+    for callable_ in (
+        InlineRuntime,
+        MultiprocessRuntime,
+        ThreadedRuntime,
+        UserJob,
+        process_subframe,
+        process_subframe_serial,
+        process_subframe_vectorized,
+        process_subframes,
+        SerialBenchmark,
+        *(getattr(batched, name) for name in batched.__all__),
+    ):
+        assert not knobs & set(inspect.signature(callable_).parameters), callable_
+    for function in (chain.process_user, chain.finalize_user):
+        assert {"codec", "scrambling_c_init"} <= set(
+            inspect.signature(function).parameters
+        )
+        assert not {"config", "trace"} & set(inspect.signature(function).parameters)
 
 
 def test_version():
@@ -340,7 +392,7 @@ def test_process_subframes_is_public():
     assert "process_subframes" in vectorized.__all__
     assert uplink.process_subframes is vectorized.process_subframes
     assert list(inspect.signature(uplink.process_subframes).parameters) == [
-        "subframes", "config", "codec", "backend", "trace", "stage_timer",
+        "subframes", "backend", "stage_timer",
     ]
     # ... and the inline runtime grew no parameter for batching.
     from repro.sched import InlineRuntime

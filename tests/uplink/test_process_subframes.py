@@ -16,28 +16,17 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.phy import (
-    ChannelModel,
-    TurboCodec,
-    UserAllocation,
-    random_payload,
-    transmit_subframe,
-)
+from repro.phy import random_payload, transmit_subframe
 from repro.phy.params import Modulation
-from repro.phy.scrambling import descramble_llrs
-from repro.phy.transmitter import payload_capacity
 from repro.uplink import (
     FUNCTIONAL_BACKENDS,
     SubframeFactory,
-    SubframeInput,
     UserParameters,
     process_subframe,
     process_subframe_serial,
     process_subframe_vectorized,
     process_subframes,
 )
-from repro.uplink.subframe import assign_offsets
-from repro.uplink.vectorized import process_user_vectorized
 
 try:
     from hypothesis import given, strategies as st
@@ -144,33 +133,6 @@ class TestPartitionInvariance:
     def test_nothing_in_nothing_out(self, backend):
         assert process_subframes([], backend=backend) == []
 
-    def test_real_turbo_codec_route(self, backend):
-        """A real codec sends the group tail down its per-user route; three
-        same-shape users over two subframes still decode as they do alone."""
-        codec = TurboCodec(iterations=2)
-        rng = np.random.default_rng(6)
-        user = UserParameters(0, 2, 1, Modulation.QPSK)
-        channel = ChannelModel(num_rx_antennas=4, num_taps=1, snr_db=30.0)
-
-        def subframe(index, num_users):
-            users = [dataclasses.replace(user, user_id=u) for u in range(num_users)]
-            slices = assign_offsets(users, SubframeFactory().cell)
-            grids = []
-            for _ in users:
-                payload = rng.integers(0, 2, payload_capacity(user.allocation, codec))
-                tx = transmit_subframe(user.allocation, payload, rng, codec=codec)
-                grids.append(
-                    channel.realize(1, user.num_subcarriers, rng).apply(tx.grid, rng)
-                )
-            return SubframeInput(index, np.concatenate(grids, axis=2), slices)
-
-        subframes = [subframe(0, 2), subframe(1, 1)]
-        alone = [process_subframe(s, codec=codec, backend=backend) for s in subframes]
-        assert all(u.crc_ok for r in alone for u in r.user_results)
-        assert_identical(
-            process_subframes(subframes, codec=codec, backend=backend), alone
-        )
-
 
 def test_unknown_backend_is_rejected(scenario):
     subframes, _ = scenario
@@ -220,24 +182,6 @@ def test_singular_user_does_not_touch_neighbours_in_other_subframes(scenario):
         # Its own subframe's other users equal the unbroken run's.
         for got, want in zip(neighbours, alone[backend][1].user_results[1:]):
             assert got.crc_ok and np.array_equal(got.llrs, want.llrs)
-
-
-def test_scrambled_route_is_batch_invariant():
-    """A scrambling seed sends a user down the per-user tail instead of the
-    whole-stream one: the soft values are the same ones, descrambled."""
-    rng = np.random.default_rng(5)
-    allocation = UserAllocation(num_prb=4, layers=2, modulation=Modulation.QAM16)
-    channel = ChannelModel(num_rx_antennas=4, num_taps=1, snr_db=30.0)
-    for c_init in (4321, 77):
-        tx = transmit_subframe(
-            allocation, random_payload(allocation, rng), rng,
-            scrambling_c_init=c_init,
-        )
-        grid = channel.realize(2, allocation.num_subcarriers, rng).apply(tx.grid, rng)
-        seeded = process_user_vectorized(allocation, grid, scrambling_c_init=c_init)
-        whole_stream = process_user_vectorized(allocation, grid)
-        assert seeded.crc_ok
-        assert np.array_equal(seeded.llrs, descramble_llrs(whole_stream.llrs, c_init))
 
 
 if given is not None:

@@ -18,7 +18,7 @@ import repro.phy.batched
 import repro.phy.equalizer
 import repro.phy.modulation
 import repro.uplink.vectorized
-from repro.phy import process_user, random_payload, transmit_subframe
+from repro.phy import random_payload, transmit_subframe
 from repro.phy.params import Modulation
 from repro.uplink import (
     SubframeFactory,
@@ -27,7 +27,6 @@ from repro.uplink import (
     process_subframe_vectorized,
     process_subframes,
 )
-from repro.uplink.vectorized import process_user_vectorized
 
 QPSK, QAM16, QAM64 = Modulation.QPSK, Modulation.QAM16, Modulation.QAM64
 
@@ -59,21 +58,20 @@ def assert_same_user(got, want):
     assert np.array_equal(got.llrs, want.llrs, equal_nan=True)
 
 
+def vectorized_alone(subframe, user_slice):
+    """``user_slice`` through the vectorized backend in a call of its own."""
+    alone = dataclasses.replace(subframe, slices=[user_slice])
+    [result] = process_subframes([alone], backend="vectorized")
+    return result.user_results[0]
+
+
 def assert_users_equal_alone(subframe, result):
-    """Every user of ``result`` equals ``process_user`` on its own slice and
-    the serial subframe."""
+    """Every user of ``result`` equals the serial subframe, which runs
+    ``process_user`` on each slice alone."""
     serial = process_subframe_serial(subframe)
     assert len(result.user_results) == len(subframe.slices)
-    for user_slice, got, want in zip(
-        subframe.slices, result.user_results, serial.user_results
-    ):
+    for got, want in zip(result.user_results, serial.user_results):
         assert_same_user(got, want)
-        alone = process_user(
-            user_slice.user.allocation,
-            user_slice.view(subframe.grid),
-            user_id=user_slice.user.user_id,
-        )
-        assert_same_user(got, alone)
 
 
 class TestRaggedEqualsAlone:
@@ -123,12 +121,7 @@ class TestSingularUserInABundle:
             warnings.simplefilter("error")
             result = process_subframe_vectorized(broken)
             serial = process_subframe_serial(broken)
-            alone = [
-                process_user_vectorized(
-                    s.user.allocation, s.view(grid), user_id=s.user.user_id
-                )
-                for s in broken.slices
-            ]
+            alone = [vectorized_alone(broken, s) for s in broken.slices]
         assert [r.crc_ok for r in result.user_results] == [
             True, False, True, True, True,
         ]
@@ -187,9 +180,9 @@ class TestKernelCallCounts:
 class TestOneGroupCallers:
     def test_process_group_equals_the_ragged_call(self):
         """A subframe of one front group (what a multiprocess worker gets
-        when a subframe holds one shape) and ``process_user_vectorized`` are
-        the staged chain over one group: the same users inside a ragged
-        call come out the same."""
+        when a subframe holds one shape) and a one-slice subframe are the
+        staged chain over one group: the same users inside a ragged call
+        come out the same."""
         subframe = synthesize(SEVEN_USERS)
         ragged = process_subframe_vectorized(subframe).user_results
         pair = dataclasses.replace(subframe, slices=subframe.slices[5:7])
@@ -197,12 +190,7 @@ class TestOneGroupCallers:
         for got, want in zip(alone.user_results, ragged[5:7]):
             assert_same_user(got, want)
         for user_slice, want in zip(subframe.slices, ragged):
-            got = process_user_vectorized(
-                user_slice.user.allocation,
-                user_slice.view(subframe.grid),
-                user_id=user_slice.user.user_id,
-            )
-            assert_same_user(got, want)
+            assert_same_user(vectorized_alone(subframe, user_slice), want)
 
     def test_grid_of_the_wrong_width_is_rejected(self):
         subframe = synthesize(SEVEN_USERS[:2])

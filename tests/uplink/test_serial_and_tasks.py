@@ -87,6 +87,17 @@ class TestDescribeUserTasks:
         assert qpsk[-1][1] < small[-1][1]
 
 
+def run_stages(job):
+    """Every stage of ``job`` in order on this thread, as one user thread
+    of the threaded runtime would run them without thieves."""
+    for task in job.chest_tasks():
+        task()
+    job.run_combiner()
+    for task in job.data_tasks():
+        task()
+    return job.finalize()
+
+
 class TestUserJobEquivalence:
     def test_job_matches_process_user(self):
         """UserJob stages produce exactly the monolithic chain's result."""
@@ -95,14 +106,14 @@ class TestUserJobEquivalence:
         factory = SubframeFactory(seed=1)
         sub = factory.synthesize(small_users(), 0)
         for user_slice in sub.slices:
-            job = UserJob(user_slice, sub.grid)
-            staged = job.run_serially()
+            staged = run_stages(UserJob(user_slice, sub.grid))
             direct = process_user(
                 user_slice.user.allocation,
                 user_slice.view(sub.grid),
                 user_id=user_slice.user.user_id,
             )
             assert staged.equals(direct)
+            assert np.array_equal(staged.llrs, direct.llrs)
 
     def test_data_task_before_combiner_raises(self):
         factory = SubframeFactory(seed=1)
@@ -116,7 +127,7 @@ class TestUserJobEquivalence:
         factory = SubframeFactory(seed=2)
         sub = factory.synthesize(small_users(), 0)
         for user_slice in sub.slices:
-            result = UserJob(user_slice, sub.grid).run_serially()
+            result = run_stages(UserJob(user_slice, sub.grid))
             assert result.crc_ok
             assert np.array_equal(
                 result.payload, sub.expected_payloads[user_slice.user.user_id]

@@ -18,13 +18,13 @@ from repro.uplink.serial import (
     process_subframe,
     process_subframe_serial,
 )
-from repro.uplink.subframe import SubframeFactory
-from repro.uplink.tasks import KERNEL_KINDS, UserJob
+from repro.uplink.subframe import SubframeFactory, SubframeInput
+from repro.uplink.tasks import KERNEL_KINDS
 from repro.uplink.user import UserParameters
 from repro.uplink.vectorized import (
     _tail_gather,
     process_subframe_vectorized,
-    process_user_vectorized,
+    process_subframes,
 )
 
 
@@ -65,66 +65,24 @@ class TestBitExactness:
         ]
 
     def test_single_user_matches_process_user(self):
+        from repro.phy import process_user
+
         users = [UserParameters(0, 12, 2, Modulation.QAM64)]
         subframe = SubframeFactory(seed=3).synthesize(users, 0)
-        serial = process_subframe_serial(subframe)
         user_slice = subframe.slices[0]
-        result = process_user_vectorized(
+        expected = process_user(
             user_slice.user.allocation, user_slice.view(subframe.grid), user_id=0
         )
-        assert serial.user_results[0].equals(result)
-
-
-def _received(allocation, rng, codec=None, c_init=None):
-    """One user's received grid through a mild single-tap channel."""
-    from repro.phy import ChannelModel, transmit_subframe
-    from repro.phy.transmitter import payload_capacity
-
-    payload = rng.integers(0, 2, payload_capacity(allocation, codec))
-    tx = transmit_subframe(
-        allocation, payload, rng, codec=codec, scrambling_c_init=c_init
-    )
-    channel = ChannelModel(num_rx_antennas=4, num_taps=1, snr_db=30.0)
-    return channel.realize(
-        allocation.layers, allocation.num_subcarriers, rng
-    ).apply(tx.grid, rng)
+        [vectorized] = process_subframes([subframe], backend="vectorized")
+        [result] = vectorized.user_results
+        assert result.equals(expected)
+        assert np.array_equal(result.llrs, expected.llrs)
 
 
 class TestFinalizeRoutes:
-    """The group tail decodes the pass-through codec as whole arrays and
-    everything else user by user; both must equal the serial chain."""
-
-    def test_scrambled_group_matches_process_user(self):
-        """A scrambling seed sends the user down the per-user route."""
-        from repro.phy import UserAllocation, process_user
-
-        rng = np.random.default_rng(5)
-        allocation = UserAllocation(num_prb=4, layers=2, modulation=Modulation.QAM16)
-        for user_id, c_init in zip((7, 8, 9), (None, 4321, 77)):
-            grid = _received(allocation, rng, c_init=c_init)
-            result = process_user_vectorized(
-                allocation, grid, user_id=user_id, scrambling_c_init=c_init
-            )
-            expected = process_user(
-                allocation, grid, user_id=user_id, scrambling_c_init=c_init
-            )
-            assert expected.crc_ok
-            assert result.equals(expected)
-            assert np.array_equal(result.llrs, expected.llrs)
-
-    def test_real_turbo_codec_matches_process_user(self):
-        from repro.phy import TurboCodec, UserAllocation, process_user
-
-        rng = np.random.default_rng(6)
-        codec = TurboCodec(iterations=2)
-        allocation = UserAllocation(num_prb=2, layers=1, modulation=Modulation.QPSK)
-        grid = _received(allocation, rng, codec=codec)
-        expected = process_user(allocation, grid, codec=codec)
-        result = process_user_vectorized(allocation, grid, codec=codec)
-        assert result.equals(expected)
-        assert result.payload.dtype == expected.payload.dtype == np.uint8
-        assert set(np.unique(result.payload)) <= {0, 1}
-        assert np.array_equal(result.llrs, expected.llrs)
+    """The group tail decodes a modulation's whole stream as one hard
+    decision and CRC-checks each block's rows together; every user must
+    equal the serial chain."""
 
     def test_passthrough_payload_dtype_and_crc_type_match_serial(self, subframe):
         serial = process_subframe_serial(subframe)
@@ -153,85 +111,6 @@ class TestFinalizeRoutes:
         assert [r.crc_ok for r in vectorized.user_results] == [
             True, True, False, True,
         ]
-
-    def test_tail_trace_records_are_per_user(self, subframe):
-        """The cost model is fed from these: kinds, order and sizes. The
-        records are *logical* (one front group's worth each, whatever the
-        call that computed them batched together) and come in stage order:
-        every group's chest, then every combiner, every symbol stage, and
-        the tails modulation by modulation."""
-        from repro.phy import KernelTrace
-
-        trace = KernelTrace()
-        process_subframe_vectorized(subframe, trace=trace)
-        kinds = [name for name, _ in trace.events]
-        chest = ["matched_filter", "chest_ifft", "chest_window", "chest_fft"]
-        symbol = ["antenna_combine", "data_ifft"] * 2
-        groups = 3  # three front groups, layer counts and modulations
-        assert kinds[: 9 * groups] == (
-            chest * groups + ["combiner_weights"] * groups + symbol * groups
-        )
-        tail = trace.events[9 * groups :]
-        assert {name for name, _ in tail} == {
-            "deinterleave", "soft_demap", "turbo_decode", "crc_check",
-        }
-        # Second stream: users 1 and 2, 2 layers x 16QAM.
-        symbols = 12 * subframe.slices[1].num_subcarriers * 2
-        start = next(
-            i for i, (_, work) in enumerate(tail) if work.get("batch") == 2
-        )
-        assert tail[start : start + 6] == [
-            ("deinterleave", {"symbols": symbols, "batch": 2}),
-            ("soft_demap", {"symbols": symbols, "bits_per_symbol": 4, "batch": 2}),
-            ("turbo_decode", {"bits": 4 * symbols}),
-            ("crc_check", {"bits": 4 * symbols}),
-            ("turbo_decode", {"bits": 4 * symbols}),
-            ("crc_check", {"bits": 4 * symbols}),
-        ]
-        assert trace.count("crc_check") == len(subframe.slices)
-
-    def test_trace_multiset_is_one_record_set_per_shape_group(self, subframe):
-        """What the group-major chain recorded, as a multiset: per shape
-        group of ``n`` users, the four chest kinds over its ``n x 2 slots x
-        antennas x layers`` tasks, one combiner join, a slot's worth of
-        combining tasks twice, one gather, one demap, and a decode + CRC
-        per user. Stage-major batching keeps exactly that (no two users
-        here differ only in modulation, so front groups are shape groups)."""
-        from collections import Counter
-
-        from repro.phy import KernelTrace
-
-        def frozen(name, **work):
-            return (name, tuple(sorted(work.items())))
-
-        antennas = subframe.grid.shape[0]
-        expected = Counter()
-        shapes = Counter(
-            (s.num_subcarriers, s.user.layers, s.user.modulation.bits_per_symbol)
-            for s in subframe.slices
-        )
-        for (sc, layers, bps), n in shapes.items():
-            for kind in ("matched_filter", "chest_ifft", "chest_window", "chest_fft"):
-                expected[frozen(kind, subcarriers=sc, batch=n * 2 * antennas * layers)] += 1
-            expected[
-                frozen(
-                    "combiner_weights", subcarriers=sc, layers=layers,
-                    antennas=antennas, batch=n * 2,
-                )
-            ] += 1
-            for kind in ("antenna_combine", "data_ifft"):
-                expected[frozen(kind, subcarriers=sc, batch=n * 6 * layers)] += 2
-            symbols = 12 * sc * layers
-            expected[frozen("deinterleave", symbols=symbols, batch=n)] += 1
-            expected[
-                frozen("soft_demap", symbols=symbols, bits_per_symbol=bps, batch=n)
-            ] += 1
-            expected[frozen("turbo_decode", bits=symbols * bps)] += n
-            expected[frozen("crc_check", bits=symbols * bps)] += n
-
-        trace = KernelTrace()
-        process_subframe_vectorized(subframe, trace=trace)
-        assert Counter(frozen(name, **work) for name, work in trace.events) == expected
 
 
 class TestSingularUser:
@@ -264,9 +143,10 @@ class TestSingularUser:
         for a, b in zip(serial.user_results, vectorized.user_results):
             assert np.array_equal(a.llrs, b.llrs, equal_nan=True)
         # The group neighbour is bit-identical to running alone.
-        alone = process_user_vectorized(
-            neighbour.user.allocation, neighbour.view(grid), user_id=1
+        [alone_result] = process_subframes(
+            [SubframeInput(0, grid, [neighbour])], backend="vectorized"
         )
+        [alone] = alone_result.user_results
         assert np.array_equal(vectorized.user_results[1].llrs, alone.llrs)
         assert np.all(np.isfinite(alone.llrs))
 
@@ -376,15 +256,11 @@ class TestStageTimer:
         spans = Counter(kernel for kernel, _ in seen)
         assert spans == {"chest": 4, "combiner": 2, "symbol": 4, "finalize": 2}
 
-        # Neither hook changes a bit of any result.
-        from repro.phy import KernelTrace
-
+        # The hook changes no bit of any result.
         plain = process_subframe_vectorized(subframe)
-        traced = process_subframe_vectorized(subframe, trace=KernelTrace())
-        for other in (timed, traced):
-            assert plain.equals(other)
-            for a, b in zip(plain.user_results, other.user_results):
-                assert np.array_equal(a.llrs, b.llrs)
+        assert plain.equals(timed)
+        for a, b in zip(plain.user_results, timed.user_results):
+            assert np.array_equal(a.llrs, b.llrs)
 
 
 class TestBackendSelection:
