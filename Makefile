@@ -100,11 +100,16 @@ serve-smoke:
 		assert all(a[k] == b[k] for k in keys), [(k, a[k], b[k]) for k in keys]; \
 		assert a['ledger_ok'] and a['crc_ok_users'] == a['served_users'] > 0, a; \
 		print('serve flood: queue depth 8 == queue depth 1 on', ', '.join(keys))"
-# A path that cannot be read or written is a configuration error: one
-# line on stderr and exit 2, never a traceback.
+# A path that cannot be read or written, or an option value a command
+# cannot run with, is a configuration error: one line on stderr and exit
+# 2, never a traceback.
 	for bad in "serve --resume /no/such/run.ckpt" \
 			"serve --trace /no/such/dir/x.jsonl" \
-			"trace --from /no/such/trace.jsonl --format chrome"; do \
+			"trace --from /no/such/trace.jsonl --format chrome" \
+			"run --subframes 0" \
+			"trace --ring 0 --subframes 5" \
+			"metrics --workers 0 --subframes 5" \
+			"top --from /no/such/trace.jsonl"; do \
 		err=$$($(PYTHON) -m repro $$bad 2>&1 >/dev/null); code=$$?; \
 		echo "repro $$bad -> exit $$code: $$err"; \
 		test $$code -eq 2 || exit 1; \

@@ -10,7 +10,7 @@ ablation exposes is the latency side of the trade-off.)
 
 import numpy as np
 
-from repro.power.governor import IdlePolicy
+from repro.power.governor import make_policy
 from repro.sim.cost import CostModel
 from repro.sim.machine import MachineSimulator, SimConfig
 from repro.uplink.parameter_model import RandomizedParameterModel
@@ -26,7 +26,7 @@ def run_period(period_s: float, cost):
     )
     simulator = MachineSimulator(
         cost,
-        policy=IdlePolicy(cost.machine.num_workers),
+        policy=make_policy("IDLE", cost.machine.num_workers),
         config=SimConfig(wake_period_s=period_s, drain_margin_s=0.2),
     )
     sim = simulator.run(model, num_subframes=SUBFRAMES)

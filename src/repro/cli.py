@@ -2,9 +2,6 @@
 
 Commands mirror the benchmark binary and the evaluation drivers:
 
-``quickstart``
-    Decode one synthesized subframe serially and on the thread runtime,
-    verify both agree (Section IV-D).
 ``run``
     Decode a stretch of randomized-workload subframes on a selected
     backend (``--backend serial|vectorized|threaded|multiprocess``);
@@ -42,7 +39,9 @@ Commands mirror the benchmark binary and the evaluation drivers:
 ``run``, ``serve``, and ``chaos`` accept ``--timeout SECONDS``: a
 ``faulthandler``-based hang guard that dumps all-thread tracebacks and
 exits if the command wedges. Ctrl-C aborts cleanly (workers shut down,
-traces flush) instead of leaving threads behind.
+traces flush) instead of leaving threads behind. An option value a
+command cannot run with prints one ``<command>:`` line on stderr and exits
+2, like an unreadable or unwritable path.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import partial
 
 
 def _add_timeout(parser: argparse.ArgumentParser) -> None:
@@ -114,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="LTE Uplink Receiver PHY benchmark & power-management reproduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    quick = sub.add_parser("quickstart", help="decode one subframe, verify runtimes")
-    quick.add_argument("--workers", type=int, default=4)
-    quick.add_argument("--seed", type=int, default=42)
 
     run = sub.add_parser(
         "run", help="decode randomized subframes on a selected backend"
@@ -346,35 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_quickstart(args) -> int:
-    import numpy as np
-
-    from .phy import Modulation
-    from .sched import ThreadedRuntime
-    from .uplink import (
-        SubframeFactory,
-        UserParameters,
-        process_subframe_serial,
-        verify_against_serial,
-    )
-
-    users = [
-        UserParameters(0, 8, 1, Modulation.QPSK),
-        UserParameters(1, 16, 2, Modulation.QAM16),
-    ]
-    subframe = SubframeFactory(seed=args.seed).synthesize(users, 0)
-    serial = process_subframe_serial(subframe)
-    for result in serial.user_results:
-        expected = subframe.expected_payloads[result.user_id]
-        print(
-            f"user {result.user_id}: CRC {'OK' if result.crc_ok else 'FAIL'}, "
-            f"{expected.size} bits, errors "
-            f"{int(np.count_nonzero(result.payload != expected))}"
-        )
-    parallel = ThreadedRuntime(num_workers=args.workers).run([subframe])
-    report = verify_against_serial([serial], parallel)
-    print(report)
-    return 0 if report.passed else 1
+def _bad_value(command: str, problem) -> int:
+    """An option value ``command`` cannot run with: one line, exit 2."""
+    print(f"{command}: {problem}", file=sys.stderr)
+    return 2
 
 
 def cmd_run(args) -> int:
@@ -398,24 +369,30 @@ def _run_impl(args) -> int:
         RandomizedParameterModel,
         SubframeFactory,
         process_subframe_serial,
+        verify_against_serial,
     )
 
-    model = RandomizedParameterModel(
-        total_subframes=max(2, args.subframes),
-        seed=args.seed,
-        max_users=args.users,
-    )
+    if args.subframes < 1:
+        return _bad_value("run", f"--subframes must be >= 1, got {args.subframes}")
+    engine = SLOEngine() if args.json else None
+    try:
+        model = RandomizedParameterModel(
+            total_subframes=max(2, args.subframes),
+            seed=args.seed,
+            max_users=args.users,
+        )
+        runtime = make_runtime(
+            args.backend,
+            num_workers=args.workers,
+            observers=[engine] if engine else None,
+        )
+    except ValueError as exc:
+        return _bad_value("run", exc)
     factory = SubframeFactory(seed=args.seed)
     subframes = [
         factory.synthesize(model.uplink_parameters(i), i)
         for i in range(args.subframes)
     ]
-    engine = SLOEngine() if args.json else None
-    runtime = make_runtime(
-        args.backend,
-        num_workers=args.workers,
-        observers=[engine] if engine else None,
-    )
     if engine is not None:
         engine.telemetry.workers = runtime.num_workers
     # Workers are started before the clock: spawning a pool is set-up, not
@@ -430,17 +407,10 @@ def _run_impl(args) -> int:
     num_users = sum(len(r.user_results) for r in results)
     crc_ok = sum(1 for r in results for u in r.user_results if u.crc_ok)
     throughput = len(results) / wall_s if wall_s else 0.0
-    verified = None
+    report = None
     if args.verify:
-        by_index = {r.subframe_index: r for r in results}
-        mismatches = [
-            subframe.subframe_index
-            for subframe in subframes
-            if not process_subframe_serial(subframe).equals(
-                by_index[subframe.subframe_index]
-            )
-        ]
-        verified = not mismatches
+        serial = [process_subframe_serial(subframe) for subframe in subframes]
+        report = verify_against_serial(serial, results)
     if engine is not None:
         engine.evaluate(engine.telemetry._last_t)
         payload = {
@@ -452,19 +422,19 @@ def _run_impl(args) -> int:
             "throughput_sf_per_s": throughput,
             "slo_report": engine.slo_report(),
         }
-        if verified is not None:
-            payload["bit_exact_vs_serial"] = verified
+        if report is not None:
+            payload["bit_exact_vs_serial"] = report.passed
         print(json.dumps(payload, indent=2))
-        return 0 if verified is not False else 1
+        return 0 if report is None or report.passed else 1
     print(
         f"backend={args.backend}: {len(results)} subframes, "
         f"{num_users} users, CRC OK {crc_ok}/{num_users}, "
         f"{wall_s:.3f} s wall ({throughput:.1f} sf/s)"
     )
-    if verified is None:
+    if report is None:
         return 0
-    if not verified:
-        print(f"VERIFY FAILED: subframes {mismatches} differ from serial")
+    if not report.passed:
+        print(f"VERIFY FAILED: {report}")
         return 1
     print(f"verify: all {len(subframes)} subframes bit-exact vs serial")
     return 0
@@ -539,8 +509,10 @@ def cmd_power_study(args) -> int:
     return 0
 
 
-def _run_observed_sim(args, observers):
-    """Shared driver for ``trace``/``metrics``: one observed simulator run."""
+def _observed_sim(args, observers):
+    """Shared set-up for ``trace``/``metrics``/``top``: one observed
+    simulator run, built (so a bad option value raises ``ValueError``
+    here) but not started; call the result to run it."""
     from .power import calibrate_from_cost_model
     from .power.governor import make_policy
     from .sim import CostModel, MachineSpec
@@ -559,7 +531,7 @@ def _run_observed_sim(args, observers):
         config=SimConfig(drain_margin_s=0.2),
         observers=observers,
     )
-    return sim.run(model, num_subframes=args.subframes)
+    return partial(sim.run, model, num_subframes=args.subframes)
 
 
 def cmd_trace(args) -> int:
@@ -596,10 +568,14 @@ def cmd_trace(args) -> int:
         print(f"{written} Chrome trace events written to {out}")
         return 0
 
-    recorder = EventRecorder(capacity=args.ring)
     checker = SchedulerInvariantChecker(strict=False)
     try:
-        result = _run_observed_sim(args, [recorder, checker])
+        recorder = EventRecorder(capacity=args.ring)
+        run = _observed_sim(args, [recorder, checker])
+    except ValueError as exc:
+        return _bad_value("trace", exc)
+    try:
+        result = run()
     except BaseException as exc:
         # Crash-safe flush: whatever was traced before the failure is
         # still written, so abnormal exits leave a usable partial trace.
@@ -653,7 +629,11 @@ def cmd_metrics(args) -> int:
     from .obs import TelemetryCollector
 
     collector = TelemetryCollector()
-    _run_observed_sim(args, [collector])
+    try:
+        run = _observed_sim(args, [collector])
+    except ValueError as exc:
+        return _bad_value("metrics", exc)
+    run()
     snapshot = collector.snapshot()
     if args.format == "json":
         print(json.dumps(snapshot, indent=2))
@@ -710,7 +690,7 @@ def cmd_top(args) -> int:
                         print()
                         return 130
         except OSError as exc:
-            print(f"cannot read {args.from_path}: {exc}", file=sys.stderr)
+            print(f"top: cannot read {args.from_path}: {exc}", file=sys.stderr)
             return 2
         frame()
         print(
@@ -732,7 +712,11 @@ def cmd_top(args) -> int:
 
         observers.append(live_render)
     try:
-        _run_observed_sim(args, observers)
+        run = _observed_sim(args, observers)
+    except ValueError as exc:
+        return _bad_value("top", exc)
+    try:
+        run()
     except KeyboardInterrupt:
         print()
         return 130
@@ -881,7 +865,6 @@ def cmd_lint(args) -> int:
 
 
 _COMMANDS = {
-    "quickstart": cmd_quickstart,
     "run": cmd_run,
     "workload": cmd_workload,
     "calibrate": cmd_calibrate,

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..power.estimator import WorkloadEstimator, calibrate_from_cost_model
-from ..power.governor import NonapPolicy
 from ..sim.cost import CostModel
-from ..sim.machine import MachineSimulator, SimConfig
+from ..sim.machine import AlwaysOnPolicy, MachineSimulator, SimConfig
 from ..uplink.parameter_model import RandomizedParameterModel
 
 __all__ = ["EstimationResult", "run_estimation_experiment"]
@@ -74,7 +73,7 @@ def run_estimation_experiment(
     window_s = averaging_subframes * cost.machine.subframe_period_s
     simulator = MachineSimulator(
         cost,
-        policy=NonapPolicy(cost.machine.num_workers),
+        policy=AlwaysOnPolicy(cost.machine.num_workers),
         config=SimConfig(window_s=window_s, drain_margin_s=0.0),
     )
     result = simulator.run(model, num_subframes=num_subframes)

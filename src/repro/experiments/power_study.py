@@ -8,13 +8,13 @@ and assembles the two tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..power.estimator import WorkloadEstimator, calibrate_from_cost_model
 from ..power.gating import GatingTrace, PowerGatingModel, PowerGatingParams
-from ..power.governor import POLICY_NAMES, NapIdlePolicy, NapPolicy, make_policy
+from ..power.governor import POLICY_NAMES, NapPolicy, make_policy
 from ..power.model import PowerModel, PowerModelParams, PowerTrace
 from ..sim.cost import CostModel
 from ..sim.machine import MachineSimulator, SimConfig, SimResult
@@ -35,9 +35,6 @@ class PolicyRun:
 
     def mean_total_w(self) -> float:
         return self.power.mean_total()
-
-    def mean_above_base_w(self) -> float:
-        return self.power.mean_above_base()
 
 
 @dataclass
@@ -107,7 +104,7 @@ def run_power_study(
         sim_result = simulator.run(model, num_subframes=num_subframes)
         power = power_model.evaluate(sim_result.trace, cost.machine.clock_hz)
         history = None
-        if isinstance(policy, (NapPolicy, NapIdlePolicy)):
+        if isinstance(policy, NapPolicy):
             history = np.array(policy.active_cores_history, dtype=np.int64)
         runs[name] = PolicyRun(
             name=name,

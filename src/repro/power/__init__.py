@@ -17,10 +17,8 @@ from .gating import GatingTrace, PowerGatingModel, PowerGatingParams
 from .governor import (
     OVER_PROVISION_CORES,
     POLICY_NAMES,
-    IdlePolicy,
     NapIdlePolicy,
     NapPolicy,
-    NonapPolicy,
     estimated_active_cores,
     make_policy,
 )
@@ -45,10 +43,8 @@ __all__ = [
     "PowerGatingParams",
     "OVER_PROVISION_CORES",
     "POLICY_NAMES",
-    "IdlePolicy",
     "NapIdlePolicy",
     "NapPolicy",
-    "NonapPolicy",
     "estimated_active_cores",
     "make_policy",
     "SUPPLY_VOLTAGE_V",

@@ -9,22 +9,22 @@ Four policies, exactly the paper's:
   max_cores + 2``; surplus workers are napped and do not look for work.
 * **NAP+IDLE** — both combined.
 
-Each policy object plugs into :class:`repro.sim.machine.MachineSimulator`
-(``reactive_nap`` flag + ``target_active_workers``).
+NONAP and IDLE are one always-on machine that differs only in whether an
+idle worker naps: both are :class:`repro.sim.machine.AlwaysOnPolicy`
+(``reactive_nap`` False/True). Each policy object plugs into
+:class:`repro.sim.machine.MachineSimulator` (``reactive_nap`` flag +
+``target_active_workers``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..uplink.user import UserParameters
 from .estimator import WorkloadEstimator
 
 __all__ = [
     "OVER_PROVISION_CORES",
-    "NonapPolicy",
-    "IdlePolicy",
     "NapPolicy",
     "NapIdlePolicy",
     "estimated_active_cores",
@@ -47,34 +47,6 @@ def estimated_active_cores(
     if estimated_activity < 0:
         raise ValueError("estimated_activity must be >= 0")
     return int(math.ceil(estimated_activity * max_cores)) + over_provision
-
-
-@dataclass
-class NonapPolicy:
-    """All workers active, idle workers spin (the baseline)."""
-
-    num_workers: int
-    reactive_nap: bool = False
-    name: str = "NONAP"
-
-    def target_active_workers(
-        self, users: list[UserParameters], subframe_index: int
-    ) -> int:
-        return self.num_workers
-
-
-@dataclass
-class IdlePolicy:
-    """Reactive: nap whenever a worker finds nothing to do."""
-
-    num_workers: int
-    reactive_nap: bool = True
-    name: str = "IDLE"
-
-    def target_active_workers(
-        self, users: list[UserParameters], subframe_index: int
-    ) -> int:
-        return self.num_workers
 
 
 class NapPolicy:
@@ -125,11 +97,13 @@ def make_policy(
     over_provision: int = OVER_PROVISION_CORES,
 ):
     """Factory by paper name ("NONAP", "IDLE", "NAP", "NAP+IDLE")."""
+    # Deferred: repro.sim.machine imports repro.obs, which imports this
+    # package.
+    from ..sim.machine import AlwaysOnPolicy
+
     key = name.strip().upper()
-    if key == "NONAP":
-        return NonapPolicy(num_workers)
-    if key == "IDLE":
-        return IdlePolicy(num_workers)
+    if key in ("NONAP", "IDLE"):
+        return AlwaysOnPolicy(num_workers, reactive_nap=key == "IDLE")
     if key in ("NAP", "NAP+IDLE", "NAPIDLE"):
         if estimator is None:
             raise ValueError(f"policy {name!r} requires a WorkloadEstimator")

@@ -96,10 +96,6 @@ class PowerTrace:
     def mean_total(self) -> float:
         return float(self.total_w.mean())
 
-    def mean_above_base(self) -> float:
-        """Average power with the 14 W base subtracted (Table I's view)."""
-        return float((self.total_w - self.base_power_w).mean())
-
 
 def power_from_busy_fraction(
     busy_fraction,

@@ -15,7 +15,7 @@ instead of deadline collapse? See ``docs/serving.md``.
 * :mod:`repro.serve.report` — the one ``repro-serve/2`` record: declared,
   validated and loaded there, it is the run's report and its checkpoint
   (every ``--checkpoint-every`` cut and the exit write it; ``--resume``
-  reads any of them, and ``repro-ckpt/1`` files from earlier versions);
+  reads any of them);
 * :mod:`repro.serve.overload` — SLO-driven adaptive admission (AIMD
   with hysteresis, ``--adaptive``);
 * :mod:`repro.serve.supervisor` — bounded worker-respawn policy for the
@@ -36,7 +36,6 @@ from .loop import (
     ServeConfig,
     ServeResult,
     serve,
-    serve_async,
 )
 from .overload import AimdConfig, AimdController, OverloadController
 from .report import (
@@ -68,7 +67,6 @@ __all__ = [
     "make_arrivals",
     "offset_plan",
     "serve",
-    "serve_async",
     "validate_checkpoint",
     "validate_serve_report",
 ]

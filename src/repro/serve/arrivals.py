@@ -77,10 +77,6 @@ class ArrivalProcess(Protocol):
         """The process's expected arrival count at ``tick``."""
         ...
 
-    def describe(self) -> dict:
-        """Plain-data description for the serve report."""
-        ...
-
 
 def _draw_users(
     rng: np.random.Generator, count: int, mix: str
@@ -129,7 +125,6 @@ class ConstantRateArrivals:
             seed=seed,
             max_users=max_users,
         )
-        self.seed = seed
 
     def users_for(self, tick: int) -> list[UserParameters]:
         return self.model.uplink_parameters(tick)
@@ -138,13 +133,6 @@ class ConstantRateArrivals:
         # The Fig. 6 loop admits users until the PRB budget runs out, so
         # the population is almost always the configured cap.
         return float(self.model.max_users)
-
-    def describe(self) -> dict:
-        return {
-            "kind": "constant",
-            "seed": self.seed,
-            "max_users": self.model.max_users,
-        }
 
 
 class PoissonArrivals:
@@ -181,15 +169,6 @@ class PoissonArrivals:
 
     def expected_users(self, tick: int) -> float:
         return self.rate
-
-    def describe(self) -> dict:
-        return {
-            "kind": "poisson",
-            "seed": self.seed,
-            "rate": self.rate,
-            "mix": self.mix,
-            "max_users": self.max_users,
-        }
 
 
 class DiurnalArrivals:
@@ -247,16 +226,6 @@ class DiurnalArrivals:
 
     def expected_users(self, tick: int) -> float:
         return self.intensity(tick)
-
-    def describe(self) -> dict:
-        return {
-            "kind": "diurnal",
-            "seed": self.seed,
-            "daily_users": self.daily_users,
-            "subframes_per_hour": self.subframes_per_hour,
-            "mix": self.mix,
-            "hours": len(self.profile),
-        }
 
 
 class MmtcBurstArrivals:
@@ -317,17 +286,6 @@ class MmtcBurstArrivals:
         if self.in_burst(tick):
             expected += self.burst_size / self.burst_window
         return expected
-
-    def describe(self) -> dict:
-        return {
-            "kind": "mmtc",
-            "seed": self.seed,
-            "base_rate": self.base_rate,
-            "burst_size": self.burst_size,
-            "burst_period": self.burst_period,
-            "burst_window": self.burst_window,
-            "mix": self.mix,
-        }
 
 
 def make_arrivals(

@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from ..faults.accounting import SubframeLedger, TerminalState
 from ..faults.admission import AdmissionController, AdmissionDecision
-from ..faults.plan import RESPAWN_KINDS, FaultKind, FaultPlan, FaultSpec
+from ..faults.plan import FaultPlan, FaultSpec
 from ..faults.watchdog import ResilienceConfig
 from ..power import calibrate_from_cost_model
 from ..sched import Runtime, make_runtime
@@ -71,7 +71,9 @@ class CellShard:
     The runtime receives the shared ``ledger`` so its dispatch/resolve
     accounting lands in the serve run's global ledger; ``processor``
     replaces ``process_subframes`` on the serial/vectorized transport
-    (one subframe a call: it is never handed a batch).
+    (one subframe a call: it is never handed a batch). ``faults`` is the
+    runtime's plan over local ticks exactly as the serve loop chose its
+    kinds; the shard only rebases it onto the cell's global ids.
     """
 
     def __init__(
@@ -106,15 +108,7 @@ class CellShard:
             calibrate_from_cost_model(CostModel()), max_activity=max_activity
         )
         self.ledger = ledger if ledger is not None else SubframeLedger()
-        plan = None
-        if faults is not None:
-            kinds = {FaultKind.WORKER_DEATH, FaultKind.TASK_EXCEPTION}
-            if respawn is not None:
-                # Repeated-kill kinds only make sense when the pool heals.
-                kinds |= RESPAWN_KINDS
-            plan = offset_plan(
-                faults.of_kinds(frozenset(kinds)), self.global_id(0)
-            )
+        plan = None if faults is None else offset_plan(faults, self.global_id(0))
         self.runtime: Runtime = make_runtime(
             backend,
             num_workers=workers,

@@ -84,7 +84,6 @@ __all__ = [
     "ServeConfig",
     "ServeResult",
     "serve",
-    "serve_async",
 ]
 
 #: Execution backends a serve cell can shard onto.
@@ -204,7 +203,9 @@ class ServeConfig:
     max_users: int = _flag(
         4,
         "--users",
-        "cap on users per subframe (default 4, matches repro run)",
+        "cap on users per subframe of --arrival constant (the randomized "
+        "model's MAX_USERS); other arrivals ignore it (default 4, matches "
+        "repro run)",
         arrival=True,
     )
     backend: str = _flag(
@@ -449,8 +450,15 @@ class _Server:
         factory = SubframeFactory(seed=config.seed)
         self.cells: list[CellShard] = []
         self.overloads: list[tuple[FaultSpec, ...]] = []
+        overload = frozenset({FaultKind.OVERLOAD})
         for cell_id in range(config.cells):
-            plan = self._cell_plan(cell_id) if config.faults else None
+            overloads: tuple[FaultSpec, ...] = ()
+            runtime_plan: FaultPlan | None = None
+            if config.faults:
+                plan = self._cell_plan(cell_id)
+                # OVERLOAD is the loop's to inject; the rest is the runtime's.
+                overloads = plan.of_kinds(overload).specs
+                runtime_plan = plan.of_kinds(frozenset(FaultKind) - overload)
             cell = CellShard(
                 cell_id,
                 self._cell_arrivals(cell_id),
@@ -461,18 +469,14 @@ class _Server:
                 synthesize=config.synthesize,
                 max_activity=config.max_activity,
                 ledger=self.ledger,
-                faults=plan,
+                faults=runtime_plan,
                 resilience=resilience,
                 observers=[_RuntimeWatcher(self, cell_id)],
                 processor=config.processor,
                 respawn=respawn_policy,
             )
             self.cells.append(cell)
-            self.overloads.append(
-                tuple(plan.of_kinds(frozenset({FaultKind.OVERLOAD})).specs)
-                if plan is not None
-                else ()
-            )
+            self.overloads.append(overloads)
         self.telemetry.workers = sum(c.runtime.num_workers for c in self.cells)
         self.loop: Any = None  # bound in run()
         self._capacity: list[asyncio.Event] = []
@@ -1046,11 +1050,6 @@ class _Server:
         }
 
 
-async def serve_async(config: ServeConfig | None = None) -> ServeResult:
-    """Run one serve session on the current event loop."""
-    return await _Server(config or ServeConfig()).run()
-
-
 def serve(config: ServeConfig | None = None) -> ServeResult:
-    """Run one serve session to completion (blocking wrapper)."""
-    return asyncio.run(serve_async(config or ServeConfig()))
+    """Run one serve session to completion."""
+    return asyncio.run(_Server(config or ServeConfig()).run())

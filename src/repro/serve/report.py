@@ -18,8 +18,7 @@ random-access generators keyed ``(seed, stream_id, tick)``, so a resumed
 segment re-draws the remaining ticks byte-identically as long as the config
 fields marked ``signature`` match, which :func:`validate_checkpoint`
 enforces. Nothing about in-flight subframes is stored: a resumed run
-re-dispatches every tick without a terminal state. ``repro-ckpt/1``
-snapshots written by earlier versions still load.
+re-dispatches every tick without a terminal state.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ __all__ = [
 ]
 
 SCHEMA = "repro-serve/2"
-
-#: The snapshot format before the checkpoint became the report.
-_CKPT1 = "repro-ckpt/1"
 
 _STATES = sorted(state.value for state in TerminalState)
 
@@ -193,32 +189,8 @@ def validate_serve_report(report: Any) -> list[str]:
     return problems
 
 
-def _from_ckpt1(old: dict) -> dict:
-    """A ``repro-ckpt/1`` snapshot as the parts of a record a resume reads."""
-    from .cell import CELL_STRIDE
-
-    return {
-        "schema": SCHEMA,
-        "config": old["signature"],
-        "wall_s": old["wall_s"],
-        "per_cell": [record["counters"] for record in old["cells"]],
-        "terminal_states": {
-            str(CELL_STRIDE * record["cell"] + int(tick)): state
-            for record in old["cells"]
-            for tick, state in record["states"].items()
-        },
-        "telemetry": old["telemetry"],
-        "checkpoint": {
-            "segments": old["segments"],
-            "writes": 0,
-            "telemetry_misses": 0,
-            "completed": old["completed"],
-        },
-    }
-
-
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
-    """Read a record (or a ``repro-ckpt/1`` snapshot) to resume from.
+    """Read a record to resume from.
 
     A user can hand ``--resume`` any path: an unreadable file, bad JSON or
     another schema is a ``ValueError`` (the CLI's exit 2) naming the file,
@@ -231,8 +203,6 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     schema = record.get("schema") if isinstance(record, dict) else record
-    if schema == _CKPT1:
-        return _from_ckpt1(record)
     if schema != SCHEMA:
         raise ValueError(
             f"checkpoint {path} has schema {schema!r}, expected {SCHEMA!r}"

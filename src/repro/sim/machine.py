@@ -94,6 +94,10 @@ class AlwaysOnPolicy:
         self.num_workers = num_workers
         self.reactive_nap = reactive_nap
 
+    @property
+    def name(self) -> str:
+        return "IDLE" if self.reactive_nap else "NONAP"
+
     def target_active_workers(
         self, users: list[UserParameters], subframe_index: int
     ) -> int:
@@ -286,11 +290,6 @@ class MachineSimulator:
         self.faults = faults
         self.admission = admission
         self._resilience = resilience or ResilienceConfig()
-
-    def attach_observer(self, observer):
-        """Attach an event observer for subsequent runs; returns it."""
-        self.observers.append(observer)
-        return observer
 
     # ------------------------------------------------------------------ run
     def run(

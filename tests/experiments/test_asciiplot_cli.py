@@ -60,7 +60,6 @@ class TestCli:
     def test_parser_has_all_commands(self):
         parser = build_parser()
         for command in (
-            "quickstart",
             "workload",
             "calibrate",
             "estimate",
@@ -69,19 +68,13 @@ class TestCli:
             "metrics",
         ):
             args = parser.parse_args(
-                [command] if command in ("quickstart", "calibrate") else [command, "--subframes", "400"]
+                [command] if command == "calibrate" else [command, "--subframes", "400"]
             )
             assert args.command == command
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_quickstart_runs(self, capsys):
-        assert main(["quickstart", "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "CRC OK" in out
-        assert "PASSED" in out
 
     def test_workload_runs(self, capsys):
         assert main(["workload", "--subframes", "800", "--stride", "50"]) == 0
@@ -133,6 +126,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("trace: cannot read") and missing in err
         assert "Traceback" not in err and not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--subframes", "0"],
+            ["run", "--subframes", "-3", "--verify"],
+            ["trace", "--ring", "0", "--subframes", "5"],
+            ["trace", "--workers", "0", "--subframes", "5"],
+            ["metrics", "--workers", "0", "--subframes", "5"],
+            ["top", "--workers", "0", "--subframes", "5", "--once"],
+            ["top", "--from", "/no/such/trace.jsonl"],
+        ],
+        ids=[
+            "run-subframes-0",
+            "run-subframes-negative-verify",
+            "trace-ring-0",
+            "trace-workers-0",
+            "metrics-workers-0",
+            "top-workers-0",
+            "top-from-missing-file",
+        ],
+    )
+    def test_a_bad_value_exits_two(self, capsys, tmp_path, argv):
+        # Rejected before anything runs: one ``<command>:`` line, nothing
+        # on stdout and nothing written.
+        out_path = tmp_path / "trace.jsonl"
+        if argv[0] == "trace":
+            argv = [*argv, "--out", str(out_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"{argv[0]}: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_a_value_error_during_a_run_propagates(self, monkeypatch):
+        # Only set-up errors are bad option values; a run's own is a bug.
+        from repro.sim.machine import MachineSimulator
+
+        def fail(self, *args, **kwargs):
+            raise ValueError("raised mid-run")
+
+        monkeypatch.setattr(MachineSimulator, "run", fail)
+        with pytest.raises(ValueError, match="mid-run"):
+            main(["metrics", "--subframes", "5"])
 
     def test_trace_from_without_chrome_format_exits_two(self, capsys, tmp_path):
         # The format is checked before the file is read: a missing file

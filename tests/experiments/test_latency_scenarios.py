@@ -7,7 +7,7 @@ from repro.experiments.latency import IN_FLIGHT_BOUND, deadline_report
 from repro.faults import TerminalState
 from repro.phy.params import MAX_PRB, Modulation
 from repro.power.estimator import calibrate_from_cost_model
-from repro.power.governor import NapIdlePolicy, NonapPolicy
+from repro.power.governor import NapIdlePolicy, make_policy
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
 from repro.uplink.parameter_model import (
@@ -112,7 +112,7 @@ class TestDeadlineReport:
         model = RandomizedParameterModel(total_subframes=400, seed=1, max_prb=160)
         reports = {}
         for policy in (
-            NonapPolicy(cost.machine.num_workers),
+            make_policy("NONAP", cost.machine.num_workers),
             NapIdlePolicy(cost.machine.num_workers, estimator),
         ):
             result = MachineSimulator(

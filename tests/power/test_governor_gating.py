@@ -10,13 +10,12 @@ from repro.power.estimator import WorkloadEstimator
 from repro.power.gating import PowerGatingModel, PowerGatingParams
 from repro.power.governor import (
     OVER_PROVISION_CORES,
-    IdlePolicy,
     NapIdlePolicy,
     NapPolicy,
-    NonapPolicy,
     estimated_active_cores,
     make_policy,
 )
+from repro.sim.machine import AlwaysOnPolicy
 from repro.uplink.user import UserParameters
 
 
@@ -47,10 +46,11 @@ class TestEq5:
 
 class TestPolicies:
     def test_nonap_and_idle_flags(self):
-        assert NonapPolicy(62).reactive_nap is False
-        assert IdlePolicy(62).reactive_nap is True
-        assert NonapPolicy(62).target_active_workers([], 0) == 62
-        assert IdlePolicy(62).target_active_workers([], 0) == 62
+        nonap, idle = make_policy("NONAP", 62), make_policy("IDLE", 62)
+        assert (nonap.reactive_nap, nonap.name) == (False, "NONAP")
+        assert (idle.reactive_nap, idle.name) == (True, "IDLE")
+        assert nonap.target_active_workers([], 0) == 62
+        assert idle.target_active_workers([], 0) == 62
 
     def test_nap_policy_uses_estimate(self):
         policy = NapPolicy(62, flat_estimator(0.005))
@@ -72,8 +72,8 @@ class TestPolicies:
         assert policy.name == "NAP+IDLE"
 
     def test_factory(self):
-        assert isinstance(make_policy("NONAP", 62), NonapPolicy)
-        assert isinstance(make_policy("idle", 62), IdlePolicy)
+        assert isinstance(make_policy("NONAP", 62), AlwaysOnPolicy)
+        assert isinstance(make_policy("idle", 62), AlwaysOnPolicy)
         assert isinstance(make_policy("NAP", 62, flat_estimator()), NapPolicy)
         assert isinstance(
             make_policy("NAP+IDLE", 62, flat_estimator()), NapIdlePolicy

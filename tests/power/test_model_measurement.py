@@ -103,13 +103,6 @@ class TestThermalFeedback:
         )
         assert power.leakage_w.max() < 0.2
 
-    def test_mean_above_base(self):
-        trace = trace_with({CoreState.COMPUTE: 1.0})
-        power = PowerModel().evaluate(trace, clock_hz=700e6)
-        assert power.mean_above_base() == pytest.approx(
-            power.mean_total() - 14.0
-        )
-
     def test_times_axis(self):
         trace = trace_with({CoreState.SPIN: 1.0}, windows=3, window_cycles=70_000_000)
         power = PowerModel().evaluate(trace, clock_hz=700e6)

@@ -10,8 +10,7 @@ the checkpoint cut, so the canonical differential config disables
 pacing and sizes the queue so backpressure can never engage
 (``queue_depth >= subframes``). The remaining tests pin the record as a
 checkpoint: atomic writes (no torn file is ever visible), the
-config-signature guard, corrupt-file rejection, and ``repro-ckpt/1``
-snapshots from earlier versions still resuming.
+config-signature guard, and corrupt-file and unknown-schema rejection.
 """
 
 import json
@@ -240,28 +239,6 @@ class TestSignatureComesFromTheFieldDeclarations:
                 rejected.add(f.name)
         assert rejected == self.SIGNATURE
 
-    def test_a_checkpoint_written_by_the_parent_commit_still_resumes(
-        self, uninterrupted
-    ):
-        """``fixtures/parent_cut.ckpt.json`` is a ``repro-ckpt/1`` max-wall
-        cut of ``BASE`` written before ``cell_seed_stride`` stopped being an
-        option: its signature still carries that key, which must not block
-        a resume."""
-        from pathlib import Path
-
-        path = Path(__file__).parent / "fixtures" / "parent_cut.ckpt.json"
-        assert json.loads(path.read_text())["schema"] == "repro-ckpt/1"
-        snapshot = load_checkpoint(str(path))
-        assert snapshot["config"]["cell_seed_stride"] == 1_000_003
-        assert not snapshot["checkpoint"]["completed"]
-        assert validate_checkpoint(snapshot, ServeConfig(**BASE)) == []
-        resumed = _serve(resume_path=str(path))
-        assert resumed.ok, resumed.errors
-        full = uninterrupted.report
-        assert resumed.report["terminal_states"] == full["terminal_states"]
-        for key in ("offered_users", "served_users", "dispatched", "terminal_counts"):
-            assert resumed.report[key] == full[key], key
-
 
 class TestSnapshotGuards:
     def test_signature_mismatch_names_the_field(self, tmp_path):
@@ -288,10 +265,13 @@ class TestSnapshotGuards:
             load_checkpoint(str(path))
 
     def test_wrong_schema_rejected(self, tmp_path):
+        # repro-ckpt/1, the snapshot before the checkpoint became the
+        # report, is one more unknown schema.
         path = tmp_path / "wrong.json"
-        path.write_text(json.dumps({"schema": "repro-serve/1"}))
-        with pytest.raises(ValueError, match="schema"):
-            load_checkpoint(str(path))
+        for schema in ("repro-serve/1", "repro-ckpt/1"):
+            path.write_text(json.dumps({"schema": schema}))
+            with pytest.raises(ValueError, match="schema"):
+                load_checkpoint(str(path))
 
     def test_checkpoint_write_is_atomic(self, tmp_path):
         # The writer goes through tmp+rename: after any run, the

@@ -5,7 +5,7 @@ import pytest
 
 from repro.phy.params import Modulation
 from repro.power.estimator import calibrate_from_cost_model
-from repro.power.governor import IdlePolicy, NapIdlePolicy, NapPolicy, NonapPolicy
+from repro.power.governor import NapIdlePolicy, NapPolicy
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import AlwaysOnPolicy, MachineSimulator, SimConfig
 from repro.sim.trace import CoreState
@@ -94,14 +94,14 @@ class TestPolicyStates:
         return sim.run(model, num_subframes=subframes)
 
     def test_nonap_idles_in_spin(self):
-        result = self._run(NonapPolicy(8))
+        result = self._run(AlwaysOnPolicy(8))
         trace = result.trace
         assert trace.total_cycles(CoreState.SPIN) > 0
         assert trace.total_cycles(CoreState.NAP) == 0
         assert trace.total_cycles(CoreState.DISABLED) == 0
 
     def test_idle_policy_naps_reactively(self):
-        result = self._run(IdlePolicy(8))
+        result = self._run(AlwaysOnPolicy(8, reactive_nap=True))
         trace = result.trace
         assert trace.total_cycles(CoreState.NAP) > 0
         assert trace.total_cycles(CoreState.DISABLED) == 0
@@ -134,8 +134,8 @@ class TestPolicyStates:
         estimator = calibrate_from_cost_model(cost)
         compute = []
         for policy in (
-            NonapPolicy(8),
-            IdlePolicy(8),
+            AlwaysOnPolicy(8),
+            AlwaysOnPolicy(8, reactive_nap=True),
             NapPolicy(8, estimator),
             NapIdlePolicy(8, estimator),
         ):
@@ -172,7 +172,8 @@ class TestWakeLatency:
         cost = small_cost(4)
         model = SteadyStateParameterModel(8, 1, Modulation.QPSK)
         config = SimConfig(wake_period_s=2e-3, drain_margin_s=0.1)
-        result = MachineSimulator(cost, policy=IdlePolicy(4), config=config).run(
+        policy = AlwaysOnPolicy(4, reactive_nap=True)
+        result = MachineSimulator(cost, policy=policy, config=config).run(
             model, num_subframes=10
         )
         assert result.users_processed == 10

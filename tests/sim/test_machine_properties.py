@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.phy.params import ALL_MODULATIONS
 from repro.power.estimator import calibrate_from_cost_model
-from repro.power.governor import IdlePolicy, NapIdlePolicy, NonapPolicy
+from repro.power.governor import NapIdlePolicy, make_policy
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
 from repro.sim.trace import CoreState
@@ -39,9 +39,9 @@ def test_property_all_work_executes_and_time_is_conserved(subframes, policy_kind
     time is fully accounted across the four states."""
     cost = CostModel(machine=MachineSpec(num_cores=8, num_workers=6))
     if policy_kind == 0:
-        policy = NonapPolicy(6)
+        policy = make_policy("NONAP", 6)
     elif policy_kind == 1:
-        policy = IdlePolicy(6)
+        policy = make_policy("IDLE", 6)
     else:
         policy = NapIdlePolicy(6, calibrate_from_cost_model(cost))
     # Ensure the trace has at least one user so TraceParameterModel accepts it.
@@ -69,7 +69,7 @@ def test_property_policies_do_not_change_work(subframes):
     model = TraceParameterModel(subframes)
     results = []
     for policy in (
-        NonapPolicy(6),
+        make_policy("NONAP", 6),
         NapIdlePolicy(6, calibrate_from_cost_model(cost)),
     ):
         sim = MachineSimulator(cost, policy=policy, config=SimConfig(drain_margin_s=2.0))

@@ -333,6 +333,47 @@ def test_the_receiver_has_one_configuration():
         assert not {"config", "trace"} & set(inspect.signature(function).parameters)
 
 
+def test_each_thing_is_written_once():
+    """NONAP and IDLE are one always-on class told apart by
+    ``reactive_nap``; ``examples/quickstart.py`` is the quickstart;
+    ``repro-serve/2`` is the one checkpoint format; ``serve`` is the one
+    serve entry point; the serve record's ``config`` is the one echo of
+    the arrival options; ``observers=`` is the one way to attach an
+    observer. No alias, no stub."""
+    import repro.power
+    import repro.serve
+    from repro.cli import build_parser
+    from repro.power import governor
+    from repro.serve import arrivals, report
+    from repro.sim import AlwaysOnPolicy, MachineSimulator
+
+    for module in (repro.power, governor):
+        for name in ("NonapPolicy", "IdlePolicy"):
+            assert name not in getattr(module, "__all__", ())
+            assert not hasattr(module, name)
+    for name, reactive_nap in (("NONAP", False), ("IDLE", True)):
+        policy = governor.make_policy(name, 8)
+        assert type(policy) is AlwaysOnPolicy
+        assert (policy.name, policy.reactive_nap) == (name, reactive_nap)
+    commands = next(
+        action.choices
+        for action in build_parser()._actions
+        if action.dest == "command"
+    )
+    assert "quickstart" not in commands
+    assert "serve_async" not in repro.serve.__all__
+    assert not hasattr(repro.serve, "serve_async")
+    for cls in (
+        arrivals.ArrivalProcess,
+        arrivals.ConstantRateArrivals,
+        arrivals.PoissonArrivals,
+        arrivals.DiurnalArrivals,
+        arrivals.MmtcBurstArrivals,
+    ):
+        assert not hasattr(cls, "describe"), cls
+    assert not hasattr(MachineSimulator, "attach_observer")
+    assert not hasattr(report, "_from_ckpt1")
+
 def test_version():
     import repro
 
