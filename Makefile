@@ -133,6 +133,16 @@ supervision-smoke:
 		print('supervision: %d deaths healed by %d respawns, ledger OK' \
 		% (sup['deaths'], sup['respawns']))"
 	$(PYTHON) scripts/supervision_smoke.py
+	$(PYTHON) -m repro serve --cells 2 --subframes 300 --no-pace \
+		--arrival mmtc --adaptive --backpressure block --seed 0 --timeout 300 \
+		--json-out ADAPTIVE_smoke.json
+	$(PYTHON) -c "import json; from repro.serve import validate_serve_report; \
+		r = json.load(open('ADAPTIVE_smoke.json')); \
+		problems = validate_serve_report(r); assert not problems, problems; \
+		ad = r['adaptive']; \
+		assert r['ledger_ok'] and ad['degrades'] >= 1, ad; \
+		print('adaptive: %d degrade(s), %d recover(s), ledger OK' \
+		% (ad['degrades'], ad['recovers']))"
 
 lint: repro-lint ruff mypy
 

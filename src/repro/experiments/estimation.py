@@ -21,6 +21,11 @@ from ..uplink.parameter_model import RandomizedParameterModel
 
 __all__ = ["EstimationResult", "run_estimation_experiment"]
 
+#: The estimation/measurement window: the paper averages over 200
+#: subframes (one second, also the period at which the parameter model's
+#: probability changes).
+AVERAGING_SUBFRAMES = 200
+
 
 @dataclass
 class EstimationResult:
@@ -57,20 +62,15 @@ def run_estimation_experiment(
     seed: int = 0,
     cost: CostModel | None = None,
     estimator: WorkloadEstimator | None = None,
-    averaging_subframes: int = 200,
 ) -> EstimationResult:
-    """Run the Fig. 12 experiment at the given scale.
-
-    ``averaging_subframes`` is the estimation/measurement window; the paper
-    averages over 200 subframes (one second, also the period at which the
-    parameter model's probability changes).
-    """
-    if num_subframes < averaging_subframes:
+    """Run the Fig. 12 experiment at the given scale, averaging over
+    :data:`AVERAGING_SUBFRAMES`-subframe windows."""
+    if num_subframes < AVERAGING_SUBFRAMES:
         raise ValueError("num_subframes must cover at least one averaging window")
     cost = cost or CostModel()
     estimator = estimator or calibrate_from_cost_model(cost)
     model = RandomizedParameterModel(total_subframes=num_subframes, seed=seed)
-    window_s = averaging_subframes * cost.machine.subframe_period_s
+    window_s = AVERAGING_SUBFRAMES * cost.machine.subframe_period_s
     simulator = MachineSimulator(
         cost,
         policy=AlwaysOnPolicy(cost.machine.num_workers),
@@ -86,8 +86,8 @@ def run_estimation_experiment(
         ]
     )
     n_windows = measured.size
-    usable = n_windows * averaging_subframes
-    estimated = estimates[:usable].reshape(n_windows, averaging_subframes).mean(axis=1)
+    usable = n_windows * AVERAGING_SUBFRAMES
+    estimated = estimates[:usable].reshape(n_windows, AVERAGING_SUBFRAMES).mean(axis=1)
     return EstimationResult(
         window_s=window_s, measured=measured, estimated=estimated
     )

@@ -13,14 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..power.estimator import WorkloadEstimator, calibrate_from_cost_model
-from ..power.gating import GatingTrace, PowerGatingModel, PowerGatingParams
+from ..power.gating import GatingTrace, PowerGatingModel
 from ..power.governor import POLICY_NAMES, NapPolicy, make_policy
-from ..power.model import PowerModel, PowerModelParams, PowerTrace
+from ..power.model import PowerModel, PowerTrace
 from ..sim.cost import CostModel
 from ..sim.machine import MachineSimulator, SimConfig, SimResult
 from ..uplink.parameter_model import RandomizedParameterModel, TraceParameterModel
 
 __all__ = ["PolicyRun", "PowerStudyResult", "run_power_study"]
+
+#: The power measurement window: the paper's 100 ms RMS windows.
+WINDOW_S = 0.1
 
 
 @dataclass
@@ -78,10 +81,6 @@ def run_power_study(
     seed: int = 0,
     cost: CostModel | None = None,
     estimator: WorkloadEstimator | None = None,
-    power_params: PowerModelParams | None = None,
-    gating_params: PowerGatingParams | None = None,
-    window_s: float = 0.1,
-    policies: tuple[str, ...] = POLICY_NAMES,
 ) -> PowerStudyResult:
     """Run the full Section VI study at the given scale.
 
@@ -94,12 +93,12 @@ def run_power_study(
     draw = RandomizedParameterModel(total_subframes=num_subframes, seed=seed)
     # Drawn once: every policy replays the same subframes.
     model = TraceParameterModel(list(draw.iter_subframes(num_subframes)))
-    power_model = PowerModel(power_params)
+    power_model = PowerModel()
     runs: dict[str, PolicyRun] = {}
-    for name in policies:
+    for name in POLICY_NAMES:
         policy = make_policy(name, cost.machine.num_workers, estimator)
         simulator = MachineSimulator(
-            cost, policy=policy, config=SimConfig(window_s=window_s, drain_margin_s=0.0)
+            cost, policy=policy, config=SimConfig(window_s=WINDOW_S, drain_margin_s=0.0)
         )
         sim_result = simulator.run(model, num_subframes=num_subframes)
         power = power_model.evaluate(sim_result.trace, cost.machine.clock_hz)
@@ -114,16 +113,13 @@ def run_power_study(
         )
 
     # Power gating rides on NAP+IDLE (Section VI-C / Fig. 16).
-    gating_model = PowerGatingModel(gating_params)
-    reference = runs.get("NAP+IDLE") or runs[list(runs)[-1]]
-    if reference.estimated_active_cores is not None:
-        active = reference.estimated_active_cores
-    else:
-        active = reference.sim.active_workers
+    gating_model = PowerGatingModel()
+    reference = runs["NAP+IDLE"]
+    active = reference.estimated_active_cores
     gating = gating_model.evaluate(active)
     gated = gating_model.apply_to_power(
         reference.power.total_w,
-        window_s,
+        WINDOW_S,
         active,
         cost.machine.subframe_period_s,
     )
@@ -132,5 +128,5 @@ def run_power_study(
         gating=gating,
         gated_power_w=gated,
         estimator=estimator,
-        window_s=window_s,
+        window_s=WINDOW_S,
     )

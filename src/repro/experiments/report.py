@@ -10,6 +10,7 @@ import numpy as np
 
 from .estimation import EstimationResult
 from .power_study import PowerStudyResult
+from .runner import PAPER_VALUES
 from .workload import WorkloadTrace
 
 __all__ = [
@@ -49,26 +50,28 @@ def format_workload_summary(trace: WorkloadTrace) -> str:
 
 def format_estimation(result: EstimationResult) -> str:
     """Fig. 12 series and error statistics, with the paper's numbers."""
+    paper_under = PAPER_VALUES["fig12_max_underestimation"] * 100
+    paper_error = PAPER_VALUES["fig12_mean_abs_error"] * 100
     lines = [
         "Fig. 12 estimated vs measured activity",
         format_series("  measured ", result.times_s, result.measured),
         format_series("  estimated", result.times_s, result.estimated),
         f"  mean measured activity:  {result.mean_measured():.3f}",
-        f"  max underestimation:     {result.max_underestimation() * 100:.1f}%  (paper: 5.4%)",
-        f"  mean absolute error:     {result.mean_absolute_error() * 100:.1f}%  (paper: 1.2%)",
+        f"  max underestimation:     {result.max_underestimation() * 100:.1f}%  (paper: {paper_under:.1f}%)",
+        f"  mean absolute error:     {result.mean_absolute_error() * 100:.1f}%  (paper: {paper_error:.1f}%)",
     ]
     return "\n".join(lines)
 
 
 def format_table1(study: PowerStudyResult) -> str:
     """Table I (power above base) side by side with the paper's rows."""
-    paper ={"NONAP": (11.0, 0.0), "IDLE": (6.7, 0.39), "NAP": (6.5, 0.41), "NAP+IDLE": (5.9, 0.46)}
     lines = [
         "Table I: average power dissipation when not including base power",
         f"  {'Technique':<10} {'Power (W)':>10} {'Reduction':>10}   {'paper W':>8} {'paper red.':>10}",
     ]
     for name, above, reduction in study.table1():
-        pw, pr = paper.get(name, (float('nan'), float('nan')))
+        pw = PAPER_VALUES["table1_power_above_base_w"][name]
+        pr = PAPER_VALUES["table1_reduction"][name]
         lines.append(
             f"  {name:<10} {above:>10.1f} {reduction * 100:>9.0f}%   {pw:>8.1f} {pr * 100:>9.0f}%"
         )
@@ -77,19 +80,13 @@ def format_table1(study: PowerStudyResult) -> str:
 
 def format_table2(study: PowerStudyResult) -> str:
     """Table II (total power + relative columns) next to the paper's."""
-    paper = {
-        "NONAP": (25.0, 0.0, 0.21),
-        "IDLE": (20.7, -0.17, 0.0),
-        "NAP": (20.5, -0.18, -0.01),
-        "NAP+IDLE": (19.9, -0.22, -0.04),
-        "PowerGating": (18.5, -0.26, -0.11),
-    }
     lines = [
         "Table II: average total power dissipation",
         f"  {'Technique':<12} {'Power (W)':>10} {'vs NONAP':>9} {'vs IDLE':>8}   {'paper W':>8} {'paper vs NONAP':>14}",
     ]
     for name, power, vs_nonap, vs_idle in study.table2():
-        pw, pn, _ = paper[name]
+        pw = PAPER_VALUES["table2_total_power_w"][name]
+        pn = PAPER_VALUES["table2_vs_nonap"][name]
         lines.append(
             f"  {name:<12} {power:>10.1f} {vs_nonap * 100:>8.0f}% {vs_idle * 100:>7.0f}%   "
             f"{pw:>8.1f} {pn * 100:>13.0f}%"

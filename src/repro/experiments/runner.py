@@ -34,7 +34,9 @@ __all__ = [
     "write_report",
 ]
 
-#: The paper's published numbers, keyed like the report.
+#: The paper's published numbers, keyed like the report. The relative
+#: columns are transcribed, not derived: Table II prints -22 % for
+#: NAP+IDLE, where 19.9 / 25.0 - 1 is -20.4 %.
 PAPER_VALUES = {
     "table2_total_power_w": {
         "NONAP": 25.0,
@@ -43,11 +45,24 @@ PAPER_VALUES = {
         "NAP+IDLE": 19.9,
         "PowerGating": 18.5,
     },
+    "table2_vs_nonap": {
+        "NONAP": 0.0,
+        "IDLE": -0.17,
+        "NAP": -0.18,
+        "NAP+IDLE": -0.22,
+        "PowerGating": -0.26,
+    },
     "table1_power_above_base_w": {
         "NONAP": 11.0,
         "IDLE": 6.7,
         "NAP": 6.5,
         "NAP+IDLE": 5.9,
+    },
+    "table1_reduction": {
+        "NONAP": 0.0,
+        "IDLE": 0.39,
+        "NAP": 0.41,
+        "NAP+IDLE": 0.46,
     },
     "fig12_max_underestimation": 0.054,
     "fig12_mean_abs_error": 0.012,

@@ -55,29 +55,22 @@ class AdmissionController:
         Admission budget as an activity fraction. 1.0 would admit up to
         the machine's theoretical capacity; the default leaves the same
         kind of headroom Eq. 5 does with its +2 over-provisioned cores.
-    load_factor:
-        Work amplification applied to the estimate (the OVERLOAD fault
-        kind raises it to force shedding in chaos campaigns).
     """
 
     def __init__(
         self,
         estimator: WorkloadEstimator,
         max_activity: float = 0.9,
-        load_factor: float = 1.0,
     ) -> None:
         if max_activity <= 0:
             raise ValueError("max_activity must be positive")
-        if load_factor <= 0:
-            raise ValueError("load_factor must be positive")
         self.estimator = estimator
         self.max_activity = max_activity
-        self.load_factor = load_factor
         self.total_shed_users = 0
         self.total_shed_subframes = 0
 
     def admit(
-        self, users: list[UserParameters], load_factor: float | None = None
+        self, users: list[UserParameters], load_factor: float = 1.0
     ) -> AdmissionDecision:
         """Split one subframe's users into (admitted, shed).
 
@@ -85,19 +78,19 @@ class AdmissionController:
         the eNodeB scheduler admitted last), so the decision is
         deterministic and independent of dict/set ordering.
 
-        A per-call ``load_factor`` override gets the same positivity
-        validation as the constructor: a zero/negative factor would zero
-        (or invert) the estimate and silently admit everything.
+        ``load_factor`` is the work amplification applied to the estimate
+        (an injected OVERLOAD, serve's adaptive controller). It must be
+        positive: a zero/negative factor would zero (or invert) the
+        estimate and silently admit everything.
         """
-        if load_factor is not None and load_factor <= 0:
+        if load_factor <= 0:
             raise ValueError("load_factor must be positive")
-        factor = self.load_factor if load_factor is None else load_factor
         admitted = list(users)
         shed: list[UserParameters] = []
-        estimate = self.estimator.estimate_subframe(admitted) * factor
+        estimate = self.estimator.estimate_subframe(admitted) * load_factor
         while admitted and estimate > self.max_activity:
             shed.append(admitted.pop())
-            estimate = self.estimator.estimate_subframe(admitted) * factor
+            estimate = self.estimator.estimate_subframe(admitted) * load_factor
         shed.reverse()
         if shed:
             self.total_shed_users += len(shed)

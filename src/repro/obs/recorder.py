@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .events import Event, EventKind
 
@@ -20,35 +20,22 @@ __all__ = ["EventRecorder", "read_jsonl"]
 
 
 class EventRecorder:
-    """Records emitted events; optionally bounded, optionally filtered.
+    """Records emitted events; optionally bounded.
 
-    Parameters
-    ----------
-    capacity:
-        ``None`` keeps every event; an integer turns the recorder into a
-        ring buffer of that many newest events (``dropped`` counts what
-        fell off the front).
-    kinds:
-        Optional iterable of :class:`EventKind` to keep; others are
-        discarded before they are stored.
+    ``capacity=None`` keeps every event; an integer turns the recorder
+    into a ring buffer of that many newest events (``dropped`` counts
+    what fell off the front).
     """
 
-    def __init__(
-        self,
-        capacity: int | None = None,
-        kinds: Iterable[EventKind] | None = None,
-    ) -> None:
+    def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self.capacity = capacity
-        self.kinds = frozenset(kinds) if kinds is not None else None
         self._events: deque[Event] = deque(maxlen=capacity)
         self.dropped = 0
 
     # ------------------------------------------------------------- observer
     def __call__(self, event: Event) -> None:
-        if self.kinds is not None and event.kind not in self.kinds:
-            return
         if self.capacity is not None and len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(event)

@@ -15,6 +15,11 @@ events into the trace:
   a blip);
 * ``SLO_RESOLVED`` — a previously firing alert stopped firing.
 
+The engine runs one configuration, the paper's: the four
+:data:`TARGETS` over a fast horizon of :data:`FAST_WINDOWS` and a slow
+one of :data:`SLOW_WINDOWS` measurement windows. Only the wrapped
+collector's window and DELTA can be set.
+
 ``slo_report()`` returns the machine-readable section that
 ``repro run/chaos --json`` embed: per-target observations, burn
 rates, breach/alert counts, and the windowed latency/miss/power series
@@ -62,24 +67,31 @@ class SLOTarget:
         }
 
 
-def default_targets(power_budget_w: float = 20.0) -> list[SLOTarget]:
-    """The paper-grounded default targets.
+#: The paper-grounded targets:
+#:
+#: * p99 subframe latency within the deadline (objective 0: the engine
+#:   substitutes the collector's ``IN_FLIGHT_BOUND`` × DELTA deadline,
+#:   the paper's §VI responsiveness bound);
+#: * deadline-miss rate <= 1%;
+#: * shed rate <= 5% (admission control is a safety valve, not a diet);
+#: * mean windowed power within 20 W (Fig. 13-16 territory: between the
+#:   paper's NONAP and NAP+IDLE envelopes).
+TARGETS = (
+    SLOTarget("latency-p99", "subframe_latency_p99", 0.0),
+    SLOTarget("miss-rate", "deadline_miss_rate", 0.01, 4.0),
+    SLOTarget("shed-rate", "shed_rate", 0.05, 2.0),
+    SLOTarget("power-budget", "power_w", 20.0, 1.5),
+)
 
-    * p99 subframe latency within the deadline (objective 0: the engine
-      substitutes the collector's ``IN_FLIGHT_BOUND`` × DELTA deadline,
-      the paper's §VI responsiveness bound);
-    * deadline-miss rate <= 1%;
-    * shed rate <= 5% (admission control is a safety valve, not a diet);
-    * mean windowed power within a budget (Fig. 13-16 territory; 20 W
-      default sits between the paper's NONAP and NAP+IDLE envelopes).
-    """
-    targets = [
-        SLOTarget("latency-p99", "subframe_latency_p99", 0.0),
-        SLOTarget("miss-rate", "deadline_miss_rate", 0.01, 4.0),
-        SLOTarget("shed-rate", "shed_rate", 0.05, 2.0),
-        SLOTarget("power-budget", "power_w", power_budget_w, 1.5),
-    ]
-    return targets
+#: The two burn-rate horizons, in measurement windows: with the paper's
+#: 100 ms window, 300 ms spike detection confirmed over 1.2 s.
+FAST_WINDOWS = 3
+SLOW_WINDOWS = 12
+
+
+def default_targets() -> list[SLOTarget]:
+    """The engine's targets (:data:`TARGETS`), as a list."""
+    return list(TARGETS)
 
 
 class SLOEngine:
@@ -90,35 +102,24 @@ class SLOEngine:
     collector first, then re-evaluates whenever the subframe window
     index advances. ``sink`` receives the emitted ``SLO_*`` events
     (e.g. an :class:`~repro.obs.trace.EventRecorder` so alerts land in
-    the JSONL trace).
-
-    ``fast_windows``/``slow_windows`` are the two burn-rate horizons in
-    measurement windows (defaults 3 and 12 — with the paper's 100 ms
-    window: 300 ms spike detection confirmed over 1.2 s).
+    the JSONL trace). It evaluates :data:`TARGETS` over the
+    :data:`FAST_WINDOWS`/:data:`SLOW_WINDOWS` horizons.
     """
 
     def __init__(
         self,
         telemetry: TelemetryCollector | None = None,
-        targets: list[SLOTarget] | None = None,
         sink: Callable[[Event], None] | None = None,
-        fast_windows: int = 3,
-        slow_windows: int = 12,
     ) -> None:
         self.telemetry = telemetry if telemetry is not None else (
             TelemetryCollector()
         )
-        self.targets = list(targets) if targets is not None else (
-            default_targets()
-        )
         self.sink = sink
-        self.fast_windows = fast_windows
-        self.slow_windows = slow_windows
-        self.firing: dict[str, bool] = {t.name: False for t in self.targets}
+        self.firing: dict[str, bool] = {t.name: False for t in TARGETS}
         self.breach_counts: dict[str, int] = {
-            t.name: 0 for t in self.targets
+            t.name: 0 for t in TARGETS
         }
-        self.alert_counts: dict[str, int] = {t.name: 0 for t in self.targets}
+        self.alert_counts: dict[str, int] = {t.name: 0 for t in TARGETS}
         self.events: list[Event] = []
         self._last_window: int | None = None
 
@@ -170,18 +171,16 @@ class SLOEngine:
             return tel.deadline_miss_rate(last)
         if metric == "shed_rate":
             return tel.shed_rate(last)
-        if metric == "power_w":
-            return tel.mean_power_w(last)
-        raise ValueError(f"unknown SLO metric: {metric}")
+        return tel.mean_power_w(last)  # "power_w"
 
     def evaluate(self, t: float) -> None:
         """Re-evaluate every target at time ``t``, emitting SLO events."""
-        for target in self.targets:
+        for target in TARGETS:
             objective = self._objective(target)
             if objective <= 0:
                 continue
-            fast = self._observe(target, self.fast_windows)
-            slow = self._observe(target, self.slow_windows)
+            fast = self._observe(target, FAST_WINDOWS)
+            slow = self._observe(target, SLOW_WINDOWS)
             burn_fast = fast / objective
             burn_slow = slow / objective
             payload = {
@@ -211,22 +210,20 @@ class SLOEngine:
         if self.sink is not None:
             self.sink(event)
 
-    def burn_rates(self, windows: int | None = None) -> dict[str, float]:
+    def burn_rates(self) -> dict[str, float]:
         """Current burn rate (observed/objective) per target name.
 
-        Observed over the last ``windows`` measurement windows (the fast
-        horizon by default). Targets whose objective resolves to zero are
-        omitted. This is the read-only signal surface the adaptive
-        admission controller (``repro.serve.overload``) closes its loop
-        on — unlike :meth:`evaluate` it mutates no alert state.
+        Observed over the fast horizon. Targets whose objective resolves
+        to zero are omitted. This is the read-only signal surface the
+        adaptive admission controller (``repro.serve.overload``) closes
+        its loop on — unlike :meth:`evaluate` it mutates no alert state.
         """
-        horizon = windows if windows is not None else self.fast_windows
         rates: dict[str, float] = {}
-        for target in self.targets:
+        for target in TARGETS:
             objective = self._objective(target)
             if objective <= 0:
                 continue
-            rates[target.name] = self._observe(target, horizon) / objective
+            rates[target.name] = self._observe(target, FAST_WINDOWS) / objective
         return rates
 
     @property
@@ -240,10 +237,10 @@ class SLOEngine:
         tel = self.telemetry
         latency = tel.sketch("subframe_latency")
         targets = []
-        for target in self.targets:
+        for target in TARGETS:
             objective = self._objective(target)
-            observed_fast = self._observe(target, self.fast_windows)
-            observed_slow = self._observe(target, self.slow_windows)
+            observed_fast = self._observe(target, FAST_WINDOWS)
+            observed_slow = self._observe(target, SLOW_WINDOWS)
             targets.append(
                 {
                     **target.to_dict(),
@@ -265,8 +262,8 @@ class SLOEngine:
             "schema": "repro-slo/1",
             "clock": tel.clock,
             "window": tel._window(),
-            "fast_windows": self.fast_windows,
-            "slow_windows": self.slow_windows,
+            "fast_windows": FAST_WINDOWS,
+            "slow_windows": SLOW_WINDOWS,
             "targets": targets,
             "subframes": tel.counters.get("subframes", 0),
             "deadline_misses": tel.counters.get("deadline_misses", 0),

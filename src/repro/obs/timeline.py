@@ -37,7 +37,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from ..power.gating import PowerGatingModel, PowerGatingParams
+from ..power.gating import PowerGatingModel
 from .events import Event, EventKind, split_record
 from .profiling import Profiler, Span
 
@@ -305,7 +305,6 @@ def chrome_trace_events(
 def gating_events_from_active_workers(
     active_workers: np.ndarray,
     subframe_period_cycles: int,
-    params: PowerGatingParams | None = None,
 ) -> list[Event]:
     """Synthesize ``gating`` events from a run's active-core trace.
 
@@ -313,7 +312,7 @@ def gating_events_from_active_workers(
     and emits one :class:`Event` per subframe where the powered-core count
     changes (groups toggling on/off), timestamped at the subframe boundary.
     """
-    model = PowerGatingModel(params)
+    model = PowerGatingModel()
     trace = model.evaluate(np.asarray(active_workers))
     group = model.params.group_size
     events: list[Event] = []

@@ -11,7 +11,7 @@ from .estimator import (
     calibrate_from_simulation,
     fit_slope_through_origin,
 )
-from .dvfs import DvfsModel, DvfsParams, DvfsTrace, OperatingPoint
+from .dvfs import DvfsModel, DvfsTrace, OperatingPoint
 from .energy import EnergyReport, energy_report, integrate_energy
 from .gating import GatingTrace, PowerGatingModel, PowerGatingParams
 from .governor import (
@@ -23,7 +23,7 @@ from .governor import (
     make_policy,
 )
 from .measurement import SUPPLY_VOLTAGE_V, currents_from_voltages, rms_windows
-from .model import PowerModel, PowerModelParams, PowerTrace
+from .model import PowerModel, PowerTrace
 
 __all__ = [
     "WorkloadEstimator",
@@ -32,7 +32,6 @@ __all__ = [
     "calibrate_from_simulation",
     "fit_slope_through_origin",
     "DvfsModel",
-    "DvfsParams",
     "DvfsTrace",
     "OperatingPoint",
     "EnergyReport",
@@ -51,6 +50,5 @@ __all__ = [
     "currents_from_voltages",
     "rms_windows",
     "PowerModel",
-    "PowerModelParams",
     "PowerTrace",
 ]

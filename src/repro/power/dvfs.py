@@ -11,6 +11,9 @@ and the chip's *dynamic* power scales by ``(f/f_nom) · (V/V_nom)²``.
 Like Eq. 7, the chosen point is held for the maximum demand over the
 5-subframe visibility window (two ahead known, three in flight), and each
 operating-point switch costs a fixed overhead for one subframe.
+
+The model runs one configuration: the four-step :data:`LADDER`,
+90 % headroom and a 0.2 W switch overhead (the module constants).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OperatingPoint", "DvfsParams", "DvfsTrace", "DvfsModel"]
+__all__ = ["OperatingPoint", "DvfsTrace", "DvfsModel"]
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class OperatingPoint:
 
 
 #: A realistic four-step ladder: voltage falls more slowly than frequency.
-DEFAULT_LADDER = (
+LADDER = (
     OperatingPoint(frequency=0.25, voltage=0.70),
     OperatingPoint(frequency=0.50, voltage=0.80),
     OperatingPoint(frequency=0.75, voltage=0.90),
@@ -53,30 +56,14 @@ DEFAULT_LADDER = (
 )
 
 
-@dataclass(frozen=True)
-class DvfsParams:
-    """Knobs of the analytical DVFS model."""
-
-    ladder: tuple[OperatingPoint, ...] = DEFAULT_LADDER
-    #: Utilization ceiling: pick the slowest point with activity/f below it.
-    headroom: float = 0.9
-    #: Extra power for one subframe on every operating-point switch (W).
-    switch_overhead_w: float = 0.2
-    lookahead_subframes: int = 2
-    lookbehind_subframes: int = 2
-
-    def __post_init__(self) -> None:
-        if not self.ladder:
-            raise ValueError("ladder must contain at least one operating point")
-        freqs = [p.frequency for p in self.ladder]
-        if freqs != sorted(freqs):
-            raise ValueError("ladder must be sorted by ascending frequency")
-        if freqs[-1] != 1.0:
-            raise ValueError("ladder must include the nominal point (f=1.0)")
-        if not 0.0 < self.headroom <= 1.0:
-            raise ValueError("headroom must be in (0, 1]")
-        if self.switch_overhead_w < 0:
-            raise ValueError("switch_overhead_w must be >= 0")
+#: Utilization ceiling: pick the slowest point with activity/f below it.
+HEADROOM = 0.9
+#: Extra power for one subframe on every operating-point switch (W).
+SWITCH_OVERHEAD_W = 0.2
+#: The demand window around each subframe, like Eq. 7's: two subframes
+#: ahead are known, two behind are still in flight.
+LOOKAHEAD_SUBFRAMES = 2
+LOOKBEHIND_SUBFRAMES = 2
 
 
 @dataclass
@@ -94,28 +81,24 @@ class DvfsTrace:
 class DvfsModel:
     """Chooses operating points from estimated activity and scales power."""
 
-    def __init__(self, params: DvfsParams | None = None) -> None:
-        self.params = params or DvfsParams()
-
     def select_point(self, estimated_activity: float) -> OperatingPoint:
         """Slowest ladder point that keeps utilization under the headroom."""
         if estimated_activity < 0:
             raise ValueError("estimated_activity must be >= 0")
-        for point in self.params.ladder:
-            if estimated_activity <= self.params.headroom * point.frequency:
+        for point in LADDER:
+            if estimated_activity <= HEADROOM * point.frequency:
                 return point
-        return self.params.ladder[-1]
+        return LADDER[-1]
 
     def evaluate(self, estimated_activity: np.ndarray) -> DvfsTrace:
         """Per-subframe decisions with the 5-subframe visibility window."""
-        p = self.params
         activity = np.asarray(estimated_activity, dtype=np.float64)
         n = activity.size
         # Hold the maximum demand over [i-2, i+2], like Eq. 7.
         demanded = np.empty(n)
         for i in range(n):
-            lo = max(0, i - p.lookbehind_subframes)
-            hi = min(n, i + p.lookahead_subframes + 1)
+            lo = max(0, i - LOOKBEHIND_SUBFRAMES)
+            hi = min(n, i + LOOKAHEAD_SUBFRAMES + 1)
             demanded[i] = activity[lo:hi].max()
         points = [self.select_point(a) for a in demanded]
         freq = np.array([pt.frequency for pt in points])
@@ -124,7 +107,7 @@ class DvfsModel:
         return DvfsTrace(
             frequency=freq,
             power_factor=factor,
-            switch_overhead_w=switches * p.switch_overhead_w,
+            switch_overhead_w=switches * SWITCH_OVERHEAD_W,
         )
 
     def apply_to_power(

@@ -89,20 +89,21 @@ class WorkloadEstimator:
         return float(sum(self.estimate_user(u) for u in users))
 
 
-def calibrate_from_cost_model(cost: CostModel, reference_prb: int = 200) -> WorkloadEstimator:
-    """Analytic slopes: activity per PRB straight from the cost model.
+#: The allocation the analytic slopes are read at: the full 200 PRBs, so
+#: constant per-task overheads are amortized the same way a
+#: measurement-based fit would amortize them.
+REFERENCE_PRB = 200
 
-    Uses a large reference allocation so constant per-task overheads are
-    amortized the same way a measurement-based fit would amortize them.
-    """
-    if reference_prb < 2:
-        raise ValueError("reference_prb must be >= 2")
+
+def calibrate_from_cost_model(cost: CostModel) -> WorkloadEstimator:
+    """Analytic slopes: activity per PRB straight from the cost model, at
+    :data:`REFERENCE_PRB`."""
     slopes: dict[ConfigKey, float] = {}
     for layers, modulation in all_configurations():
         user = UserParameters(
-            user_id=0, num_prb=reference_prb, layers=layers, modulation=modulation
+            user_id=0, num_prb=REFERENCE_PRB, layers=layers, modulation=modulation
         )
-        slopes[(layers, modulation.value)] = cost.user_activity(user) / reference_prb
+        slopes[(layers, modulation.value)] = cost.user_activity(user) / REFERENCE_PRB
     return WorkloadEstimator(slopes=slopes)
 
 

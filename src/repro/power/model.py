@@ -14,10 +14,11 @@ Total power is decomposed the way the paper's measurements imply:
   TILEPro64's temperature, which increases power" and the elevated tail
   after peak load.
 
-Default per-core powers are calibrated against Tables I and II: at 100 %
-activity dynamic power is ~11.7 W (62 cores × 188 mW) plus thermal
-leakage; busy-spinning costs ~84 % of computing; a reactively napping core
-averages ~24 mW (wake-check duty); a disabled core ~8 mW.
+The model runs one configuration, the paper's platform: the module
+constants below. Its per-core powers are calibrated against Tables I and
+II: at 100 % activity dynamic power is ~11.7 W (62 cores × 188 mW) plus
+thermal leakage; busy-spinning costs ~84 % of computing; a reactively
+napping core averages ~24 mW (wake-check duty); a disabled core ~8 mW.
 """
 
 from __future__ import annotations
@@ -29,53 +30,30 @@ import numpy as np
 from ..sim.trace import CoreState, OccupancyTrace
 
 __all__ = [
-    "PowerModelParams",
     "PowerModel",
     "PowerTrace",
     "power_from_busy_fraction",
 ]
 
 
-@dataclass(frozen=True)
-class PowerModelParams:
-    """All knobs of the power model (watts, seconds, kelvin)."""
-
-    base_power_w: float = 14.0
-    compute_power_w: float = 0.188  # per core at 100 % duty
-    spin_power_w: float = 0.158
-    reactive_nap_power_w: float = 0.024
-    disabled_power_w: float = 0.008
-    # Thermal feedback.
-    thermal_resistance_c_per_w: float = 1.5
-    thermal_time_constant_s: float = 60.0
-    leakage_w_per_c: float = 0.09
-    ambient_c: float = 45.0
-
-    def __post_init__(self) -> None:
-        if self.base_power_w < 0:
-            raise ValueError("base_power_w must be >= 0")
-        for name in (
-            "compute_power_w",
-            "spin_power_w",
-            "reactive_nap_power_w",
-            "disabled_power_w",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not self.disabled_power_w <= self.reactive_nap_power_w <= self.spin_power_w:
-            raise ValueError(
-                "expected disabled <= reactive nap <= spin per-core power"
-            )
-        if self.thermal_time_constant_s <= 0:
-            raise ValueError("thermal_time_constant_s must be positive")
-
-    @property
-    def reference_temperature_c(self) -> float:
-        """Steady-state die temperature when dissipating only base power.
-
-        Leakage is defined as zero at this point (it is already inside the
-        measured 14 W base)."""
-        return self.ambient_c + self.thermal_resistance_c_per_w * self.base_power_w
+#: Chip power with every core napped (W).
+BASE_POWER_W = 14.0
+#: Per-core power by state (W): computing at 100 % duty, busy-spinning,
+#: reactively napping, disabled.
+COMPUTE_POWER_W = 0.188
+SPIN_POWER_W = 0.158
+REACTIVE_NAP_POWER_W = 0.024
+DISABLED_POWER_W = 0.008
+#: Thermal feedback: die-to-ambient resistance, RC time constant,
+#: leakage slope and ambient temperature.
+THERMAL_RESISTANCE_C_PER_W = 1.5
+THERMAL_TIME_CONSTANT_S = 60.0
+LEAKAGE_W_PER_C = 0.09
+AMBIENT_C = 45.0
+#: Steady-state die temperature when dissipating only base power. Leakage
+#: is defined as zero at this point (it is already inside the measured
+#: 14 W base).
+REFERENCE_TEMPERATURE_C = AMBIENT_C + THERMAL_RESISTANCE_C_PER_W * BASE_POWER_W
 
 
 @dataclass
@@ -97,11 +75,7 @@ class PowerTrace:
         return float(self.total_w.mean())
 
 
-def power_from_busy_fraction(
-    busy_fraction,
-    num_workers: int,
-    params: PowerModelParams | None = None,
-):
+def power_from_busy_fraction(busy_fraction, num_workers: int):
     """Windowed power estimate from a busy fraction (no occupancy trace).
 
     The streaming telemetry layer only sees task durations, not per-core
@@ -112,29 +86,24 @@ def power_from_busy_fraction(
     without the thermal feedback loop. Accepts a scalar or array of busy
     fractions (clipped to [0, 1]) and returns watts with matching shape.
     """
-    p = params or PowerModelParams()
     busy = np.clip(np.asarray(busy_fraction, dtype=np.float64), 0.0, 1.0)
     dynamic = num_workers * (
-        busy * p.compute_power_w + (1.0 - busy) * p.reactive_nap_power_w
+        busy * COMPUTE_POWER_W + (1.0 - busy) * REACTIVE_NAP_POWER_W
     )
-    result = p.base_power_w + dynamic
+    result = BASE_POWER_W + dynamic
     return float(result) if result.ndim == 0 else result
 
 
 class PowerModel:
     """Turns a state-occupancy trace into a power trace."""
 
-    def __init__(self, params: PowerModelParams | None = None) -> None:
-        self.params = params or PowerModelParams()
-
     def dynamic_power(self, trace: OccupancyTrace) -> np.ndarray:
         """Per-window dynamic power from state occupancies (no thermal)."""
-        p = self.params
         per_state = {
-            CoreState.COMPUTE: p.compute_power_w,
-            CoreState.SPIN: p.spin_power_w,
-            CoreState.NAP: p.reactive_nap_power_w,
-            CoreState.DISABLED: p.disabled_power_w,
+            CoreState.COMPUTE: COMPUTE_POWER_W,
+            CoreState.SPIN: SPIN_POWER_W,
+            CoreState.NAP: REACTIVE_NAP_POWER_W,
+            CoreState.DISABLED: DISABLED_POWER_W,
         }
         dynamic = np.zeros(trace.num_windows)
         for state, watts in per_state.items():
@@ -143,27 +112,26 @@ class PowerModel:
 
     def evaluate(self, trace: OccupancyTrace, clock_hz: float) -> PowerTrace:
         """Full power trace including the thermal-leakage feedback loop."""
-        p = self.params
         window_s = trace.window_cycles / clock_hz
         dynamic = self.dynamic_power(trace)
         n = dynamic.size
         temperature = np.empty(n)
         leakage = np.empty(n)
         total = np.empty(n)
-        t_now = p.reference_temperature_c
-        alpha = window_s / p.thermal_time_constant_s
+        t_now = REFERENCE_TEMPERATURE_C
+        alpha = window_s / THERMAL_TIME_CONSTANT_S
         for w in range(n):
-            leak = max(0.0, p.leakage_w_per_c * (t_now - p.reference_temperature_c))
-            power = p.base_power_w + dynamic[w] + leak
+            leak = max(0.0, LEAKAGE_W_PER_C * (t_now - REFERENCE_TEMPERATURE_C))
+            power = BASE_POWER_W + dynamic[w] + leak
             # First-order RC toward the equilibrium temperature for this power.
-            t_target = p.ambient_c + p.thermal_resistance_c_per_w * power
+            t_target = AMBIENT_C + THERMAL_RESISTANCE_C_PER_W * power
             t_now = t_now + alpha * (t_target - t_now)
             temperature[w] = t_now
             leakage[w] = leak
             total[w] = power
         return PowerTrace(
             window_s=window_s,
-            base_power_w=p.base_power_w,
+            base_power_w=BASE_POWER_W,
             total_w=total,
             dynamic_w=dynamic,
             leakage_w=leakage,

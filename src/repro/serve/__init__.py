@@ -37,7 +37,7 @@ from .loop import (
     ServeResult,
     serve,
 )
-from .overload import AimdConfig, AimdController, OverloadController
+from .overload import AimdController, OverloadController
 from .report import (
     ServeReport,
     load_checkpoint,
@@ -47,7 +47,6 @@ from .report import (
 from .supervisor import RespawnPolicy, WorkerSupervisor
 
 __all__ = [
-    "AimdConfig",
     "AimdController",
     "ARRIVAL_KINDS",
     "CELL_STRIDE",

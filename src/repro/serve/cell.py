@@ -151,7 +151,7 @@ class CellShard:
         return self.factory.from_pool(users, index)
 
     def admit(
-        self, users: list[UserParameters], load_factor: float | None = None
+        self, users: list[UserParameters], load_factor: float
     ) -> AdmissionDecision:
         return self.admission.admit(users, load_factor=load_factor)
 

@@ -549,12 +549,12 @@ class _Server:
             faults_per_kind=max(1, config.subframes // 100),
         )
 
-    def _overload_factor(self, cell_id: int, tick: int) -> float | None:
-        """Active injected overload multiplier at ``tick``, else None."""
-        factor: float | None = None
+    def _overload_factor(self, cell_id: int, tick: int) -> float:
+        """Active injected overload multiplier at ``tick``, else 1.0."""
+        factor = 1.0
         for spec in self.overloads[cell_id]:
             if spec.subframe <= tick < spec.subframe + _OVERLOAD_WINDOW:
-                factor = max(factor or 1.0, spec.param)
+                factor = max(factor, spec.param)
         return factor
 
     # ------------------------------------------------------------- emission
@@ -605,11 +605,19 @@ class _Server:
         self._finish(cell, gid, state.value, t, crc_ok)
 
     # ------------------------------------------------------------- producer
+    def _queue_depth(self, cell: CellShard) -> int:
+        """The cell's backpressure threshold under the adaptive factor."""
+        if self.overload is None:
+            return cell.queue_depth
+        return self.overload.effective_queue_depth(cell.queue_depth)
+
     async def _await_capacity(self, cell: CellShard) -> None:
+        # The effective depth is read again on every wake: a terminal can
+        # move the adaptive controller while the producer waits.
         event = self._capacity[cell.cell_id]
-        while cell.inflight >= cell.queue_depth:
+        while cell.inflight >= self._queue_depth(cell):
             event.clear()
-            if cell.inflight < cell.queue_depth:
+            if cell.inflight < self._queue_depth(cell):
                 break
             try:
                 await asyncio.wait_for(event.wait(), timeout=0.05)
@@ -716,9 +724,7 @@ class _Server:
                     if not users:
                         self._shed_whole(cell, tick, offered, "surge")
                         continue
-            depth = cell.queue_depth
-            if self.overload is not None:
-                depth = self.overload.effective_queue_depth(depth)
+            depth = self._queue_depth(cell)
             backpressured = 0
             if cell.inflight >= depth:
                 backpressured = 1
@@ -739,11 +745,8 @@ class _Server:
                 now = monotonic_ns()
             factor = self._overload_factor(cell.cell_id, tick)
             if self.overload is not None:
-                # Injected overload and adaptive inflation compose; 1.0
-                # collapses back to None so the static path stays exact.
-                factor = (factor or 1.0) * self.overload.admission_factor()
-                if factor == 1.0:
-                    factor = None
+                # Injected overload and adaptive inflation compose.
+                factor *= self.overload.admission_factor()
             decision = cell.admit(users, load_factor=factor)
             if decision.shed:
                 self._cell_event(

@@ -11,81 +11,70 @@ estimate fit. This module closes that loop: the
 window and drives a serve-wide **load factor** in ``(0, 1]`` with the
 classic AIMD rule:
 
-* **multiplicative decrease** while any watched target burns at or above
-  ``degrade_burn`` (entering this state emits one ``DEGRADE`` event);
-* **additive increase** back toward 1.0, but only after ``hold_windows``
-  *consecutive* windows at or below ``recover_burn`` — the hysteresis
-  band ``(recover_burn, degrade_burn)`` counts for neither side, so a
-  burn rate oscillating around either threshold cannot flap the
-  controller (one ``RECOVER`` event fires when the factor reaches 1.0).
+* **multiplicative decrease** (×0.5, down to a floor of 0.05) while a
+  watched target (miss rate, shed rate) burns at or above 2.0 (entering
+  this state emits one ``DEGRADE`` event);
+* **additive increase** (+0.1) back toward 1.0, but only after 3
+  *consecutive* windows at or below burn 1.0 — the hysteresis band
+  ``(1.0, 2.0)`` counts for neither side, so a burn rate oscillating
+  around either threshold cannot flap the controller (one ``RECOVER``
+  event fires when the factor reaches 1.0).
+
+These thresholds are the module's constants; the controller runs one
+configuration.
 
 The serve loop applies the factor in two places: it *inflates* the
 Eq. 3-4 activity estimate (``estimate / load_factor``) so admission
 sheds earlier, and it *shrinks* each cell's effective backpressure
-threshold (``queue_depth * load_factor``) so the door closes sooner.
-mMTC surge users — the tail the burst process appends beyond the base
-rate — are shed first while degraded, before admission even runs.
+threshold (``queue_depth * load_factor``) so the door closes sooner
+(under ``--backpressure block`` the producer waits for that effective
+depth, read again on every wake). mMTC surge users — the tail the burst
+process appends beyond the base rate — are shed first while degraded,
+before admission even runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..obs.events import Event, EventKind
 from ..obs.slo import SLOEngine
 
-__all__ = ["AimdConfig", "AimdController", "OverloadController"]
+__all__ = ["AimdController", "OverloadController"]
 
 
-@dataclass(frozen=True)
-class AimdConfig:
-    """AIMD shape: cut/recover rates and the hysteresis thresholds.
-
-    ``degrade_burn`` must sit strictly above ``recover_burn``; the gap is
-    the hysteresis band in which the controller holds its current state.
-    """
-
-    #: Multiplicative cut applied to the load factor per burning window.
-    decrease: float = 0.5
-    #: Additive recovery step per clean window (after the hold).
-    increase: float = 0.1
-    #: Lowest load factor the controller will cut to (keeps it > 0).
-    floor: float = 0.05
-    #: Burn rate at/above which a window counts as overloaded.
-    degrade_burn: float = 2.0
-    #: Burn rate at/below which a window counts as clean.
-    recover_burn: float = 1.0
-    #: Consecutive clean windows required before recovery starts.
-    hold_windows: int = 3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decrease < 1.0:
-            raise ValueError("decrease must be in (0, 1)")
-        if self.increase <= 0.0:
-            raise ValueError("increase must be positive")
-        if not 0.0 < self.floor <= 1.0:
-            raise ValueError("floor must be in (0, 1]")
-        if self.recover_burn < 0.0:
-            raise ValueError("recover_burn must be >= 0")
-        if self.degrade_burn <= self.recover_burn:
-            raise ValueError("degrade_burn must exceed recover_burn")
-        if self.hold_windows < 1:
-            raise ValueError("hold_windows must be >= 1")
+#: Multiplicative cut applied to the load factor per burning window.
+DECREASE = 0.5
+#: Additive recovery step per clean window (after the hold).
+INCREASE = 0.1
+#: Lowest load factor the controller will cut to (keeps it > 0).
+FLOOR = 0.05
+#: Burn rate at/above which a window counts as overloaded.
+DEGRADE_BURN = 2.0
+#: Burn rate at/below which a window counts as clean. The gap up to
+#: :data:`DEGRADE_BURN` is the hysteresis band in which the controller
+#: holds its current state.
+RECOVER_BURN = 1.0
+#: Consecutive clean windows required before recovery starts.
+HOLD_WINDOWS = 3
+#: SLO targets whose burn the controller reacts to. The latency/power
+#: targets are deliberately excluded: latency burn is what the
+#: *miss-rate* target already confirms over a window, and power is a
+#: budget, not an overload signal.
+WATCHED_TARGETS = ("miss-rate", "shed-rate")
 
 
 class AimdController:
     """The pure AIMD state machine (one :meth:`observe` per window).
 
-    ``load_factor`` starts at 1.0 and stays in ``[floor, 1.0]``; it only
+    ``load_factor`` starts at 1.0 and stays in ``[FLOOR, 1.0]``; it only
     moves inside :meth:`observe`, so callers on a single thread need no
     lock. ``observe`` returns ``"degrade"`` when the controller *enters*
     the degraded state, ``"recover"`` when it fully leaves it, and
     ``None`` otherwise — sustained burn keeps cutting without re-emitting.
     """
 
-    def __init__(self, config: AimdConfig | None = None) -> None:
-        self.config = config if config is not None else AimdConfig()
+    def __init__(self) -> None:
         self.load_factor = 1.0
         self.degraded = False
         self.degrade_count = 0
@@ -96,22 +85,21 @@ class AimdController:
         """Fold one window's burn rate in; returns the transition, if any."""
         if burn < 0.0:
             raise ValueError("burn rate must be >= 0")
-        cfg = self.config
-        if burn >= cfg.degrade_burn:
+        if burn >= DEGRADE_BURN:
             self._clean_streak = 0
             entered = not self.degraded
             self.degraded = True
-            self.load_factor = max(cfg.floor, self.load_factor * cfg.decrease)
+            self.load_factor = max(FLOOR, self.load_factor * DECREASE)
             if entered:
                 self.degrade_count += 1
                 return "degrade"
             return None
         if not self.degraded:
             return None
-        if burn <= cfg.recover_burn:
+        if burn <= RECOVER_BURN:
             self._clean_streak += 1
-            if self._clean_streak >= cfg.hold_windows:
-                self.load_factor = min(1.0, self.load_factor + cfg.increase)
+            if self._clean_streak >= HOLD_WINDOWS:
+                self.load_factor = min(1.0, self.load_factor + INCREASE)
                 if self.load_factor >= 1.0:
                     self.degraded = False
                     self._clean_streak = 0
@@ -130,29 +118,18 @@ class OverloadController:
     Driven from the serve loop thread only (one :meth:`maybe_update` per
     ``SUBFRAME_TERMINAL``); it samples the engine once per *completed
     measurement window* — the same cadence the engine's own alerting
-    evaluates on — takes the worst burn across the watched targets, and
+    evaluates on — takes the worst burn across :data:`WATCHED_TARGETS`, and
     feeds it to the AIMD state machine. Transitions are emitted as
     ``DEGRADE``/``RECOVER`` events through ``sink``.
     """
 
-    #: SLO targets whose burn the controller reacts to by default. The
-    #: latency/power targets are deliberately excluded: latency burn is
-    #: what the *miss-rate* target already confirms over a window, and
-    #: power is a budget, not an overload signal.
-    DEFAULT_TARGETS = ("miss-rate", "shed-rate")
-
     def __init__(
         self,
         engine: SLOEngine,
-        config: AimdConfig | None = None,
-        targets: tuple[str, ...] | None = None,
         sink: Callable[[Event], None] | None = None,
     ) -> None:
         self.engine = engine
-        self.aimd = AimdController(config)
-        self.targets = tuple(
-            targets if targets is not None else self.DEFAULT_TARGETS
-        )
+        self.aimd = AimdController()
         self.sink = sink
         self.transitions: list[dict[str, Any]] = []
         self._last_window: int | None = None
@@ -184,7 +161,7 @@ class OverloadController:
     def _worst_burn(self) -> tuple[float, str]:
         burn, name = 0.0, ""
         rates = self.engine.burn_rates()
-        for target in self.targets:
+        for target in WATCHED_TARGETS:
             rate = rates.get(target)
             if rate is not None and rate >= burn:
                 burn, name = rate, target
@@ -221,6 +198,6 @@ class OverloadController:
             "degraded": self.aimd.degraded,
             "degrades": self.aimd.degrade_count,
             "recovers": self.aimd.recover_count,
-            "targets": list(self.targets),
+            "targets": list(WATCHED_TARGETS),
             "transitions": list(self.transitions),
         }

@@ -59,7 +59,6 @@ class MachineSpec:
     num_workers: int = 62
     clock_hz: float = 700e6
     subframe_period_s: float = 5e-3  # DELTA: dispatch interval
-    base_power_w: float = 14.0
 
     def __post_init__(self) -> None:
         if not 1 <= self.num_workers <= self.num_cores:

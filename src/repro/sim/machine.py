@@ -459,7 +459,7 @@ class MachineSimulator:
             admitted = list(users)
             if self.admission is not None:
                 decision = self.admission.admit(
-                    admitted, load_factor=self._overload.get(index)
+                    admitted, load_factor=self._overload.get(index, 1.0)
                 )
                 admitted = list(decision.admitted)
                 if decision.shed_any:

@@ -104,7 +104,8 @@ class TestEstimation:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_estimation_experiment(num_subframes=100, averaging_subframes=200)
+            # Fewer subframes than one 200-subframe averaging window.
+            run_estimation_experiment(num_subframes=100)
 
 
 class TestPowerStudy:

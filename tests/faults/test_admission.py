@@ -8,11 +8,9 @@ from repro.sim.cost import CostModel
 from repro.uplink.user import Modulation, UserParameters
 
 
-def make_controller(max_activity=0.9, load_factor=1.0):
+def make_controller(max_activity=0.9):
     estimator = calibrate_from_cost_model(CostModel())
-    return AdmissionController(
-        estimator, max_activity=max_activity, load_factor=load_factor
-    )
+    return AdmissionController(estimator, max_activity=max_activity)
 
 
 def make_users(count=4):
@@ -36,9 +34,9 @@ class TestAdmit:
         assert controller.total_shed_subframes == 0
 
     def test_overload_sheds_from_the_tail(self):
-        controller = make_controller(load_factor=100.0)
+        controller = make_controller()
         users = make_users(4)
-        decision = controller.admit(users)
+        decision = controller.admit(users, load_factor=100.0)
         assert decision.shed_any
         # Tail-first: admitted is a prefix, shed is the complementary suffix.
         kept = len(decision.admitted)
@@ -49,22 +47,22 @@ class TestAdmit:
         assert controller.total_shed_subframes == 1
 
     def test_extreme_overload_sheds_everyone(self):
-        controller = make_controller(load_factor=1e9)
-        decision = controller.admit(make_users(3))
+        controller = make_controller()
+        decision = controller.admit(make_users(3), load_factor=1e9)
         assert decision.admitted == ()
         assert len(decision.shed) == 3
         assert decision.shed_user_ids == (0, 1, 2)
 
     def test_per_call_load_factor_overrides_default(self):
-        controller = make_controller(load_factor=1.0)
+        controller = make_controller()
         users = make_users(4)
-        assert not controller.admit(users).shed_any
+        assert not controller.admit(users).shed_any  # the default is 1.0
         assert controller.admit(users, load_factor=100.0).shed_any
 
     def test_decision_is_deterministic(self):
         users = make_users(5)
-        first = make_controller(load_factor=50.0).admit(users)
-        second = make_controller(load_factor=50.0).admit(users)
+        first = make_controller().admit(users, load_factor=50.0)
+        second = make_controller().admit(users, load_factor=50.0)
         assert first.admitted == second.admitted
         assert first.shed == second.shed
         assert first.estimated_activity == second.estimated_activity
@@ -82,19 +80,16 @@ class TestValidation:
             AdmissionController(estimator, max_activity=0.0)
 
     def test_rejects_nonpositive_load_factor(self):
-        estimator = calibrate_from_cost_model(CostModel())
-        with pytest.raises(ValueError):
-            AdmissionController(estimator, load_factor=-1.0)
+        with pytest.raises(ValueError, match="load_factor"):
+            make_controller().admit(make_users(2), load_factor=-1.0)
 
     def test_rejects_nonpositive_per_call_load_factor(self):
-        # Regression: the per-call override used to skip the positivity
-        # check the constructor enforces — admit(load_factor=0) silently
-        # produced a zero cost estimate and admitted everything.
+        # Regression: admit(load_factor=0) once skipped the positivity
+        # check, produced a zero cost estimate and admitted everything.
         controller = make_controller()
         users = make_users(2)
         with pytest.raises(ValueError, match="load_factor"):
             controller.admit(users, load_factor=0.0)
         with pytest.raises(ValueError, match="load_factor"):
             controller.admit(users, load_factor=-3.0)
-        # None still means "use the configured default".
-        assert controller.admit(users, load_factor=None).admitted == tuple(users)
+        assert controller.admit(users).admitted == tuple(users)

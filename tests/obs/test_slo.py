@@ -10,7 +10,12 @@ deterministic.
 import pytest
 
 from repro.obs.events import Event, EventKind
-from repro.obs.slo import SLOEngine, SLOTarget, default_targets
+from repro.obs.slo import (
+    FAST_WINDOWS,
+    SLOW_WINDOWS,
+    SLOEngine,
+    default_targets,
+)
 from repro.obs.telemetry import IN_FLIGHT_BOUND, TelemetryCollector
 
 WINDOW = 100.0
@@ -22,39 +27,50 @@ def _collector():
     return TelemetryCollector(window=WINDOW, delta=DELTA, workers=1)
 
 
-def _miss_target(burn=2.0):
-    return SLOTarget("miss-rate", "deadline_miss_rate", 0.25, burn)
+def _window(engine, w, latencies):
+    """Dispatch + terminal for each latency, all terminals in window ``w``.
 
-
-def _subframe(engine, sf, latency):
-    """Dispatch + terminal for one subframe, one per window."""
-    t0 = sf * WINDOW
-    engine(Event(EventKind.DISPATCH, t0, -1, {"subframe": sf, "users": 2}))
-    engine(
-        Event(
-            EventKind.SUBFRAME_TERMINAL,
-            t0 + latency,
-            -1,
-            {"subframe": sf, "state": "ok"},
+    Subframe ids are ``1000 * w + i``, so every id is unique.
+    """
+    t0 = w * WINDOW
+    for i, latency in enumerate(latencies):
+        sf = 1000 * w + i
+        end = t0 + 0.1 * i
+        engine(Event(EventKind.DISPATCH, end - latency, -1,
+                     {"subframe": sf, "users": 2}))
+        engine(
+            Event(
+                EventKind.SUBFRAME_TERMINAL, end, -1,
+                {"subframe": sf, "state": "ok"},
+            )
         )
-    )
+
+
+HEALTHY = 10.0
+MISSED = DEADLINE + 30.0  # burns latency-p99 at 1.56x, below its 2x alert
 
 
 class TestBurnRateLifecycle:
+    """The default engine: miss rate <= 1 %, alert at 4x burn over the
+    3-window fast horizon confirmed by >= 1x over the 12-window slow one."""
+
     def test_alert_fires_only_with_slow_window_confirmation(self):
-        engine = SLOEngine(
-            _collector(), targets=[_miss_target()],
-            fast_windows=2, slow_windows=4,
-        )
-        # Two healthy windows: no breach, no alert.
-        _subframe(engine, 0, 10.0)
-        _subframe(engine, 1, 10.0)
+        engine = SLOEngine(_collector())
+        assert (FAST_WINDOWS, SLOW_WINDOWS) == (3, 12)
+        # Nine busy healthy windows, then two light ones.
+        for w in range(9):
+            _window(engine, w, [HEALTHY] * 20)
+        _window(engine, 9, [HEALTHY])
+        _window(engine, 10, [HEALTHY])
         assert engine.breach_counts["miss-rate"] == 0
+        # One miss: the fast window burns at 1/3 / 1 % = 33x, but the
+        # slow window (1 of 183 subframes, 0.55x) does not confirm it.
+        _window(engine, 11, [MISSED])
+        assert engine.breach_counts["miss-rate"] == 1
         assert not engine.firing["miss-rate"]
-        # One missing window breaches the fast window (1/2 = 50% > 25%)
-        # but the slow window (1/3) is above 1.0 burn too -> alert.
-        _subframe(engine, 2, DEADLINE + 30.0)
-        assert engine.breach_counts["miss-rate"] >= 1
+        assert engine.alert_counts["miss-rate"] == 0
+        # A second miss: 2 of 164 subframes over windows 1-12 is 1.2x.
+        _window(engine, 12, [MISSED])
         assert engine.firing["miss-rate"]
         assert engine.alert_counts["miss-rate"] == 1
         kinds = [e.kind for e in engine.events]
@@ -62,51 +78,44 @@ class TestBurnRateLifecycle:
         assert EventKind.SLO_ALERT in kinds
 
     def test_alert_resolves_on_recovery(self):
-        engine = SLOEngine(
-            _collector(), targets=[_miss_target()],
-            fast_windows=2, slow_windows=4,
-        )
-        _subframe(engine, 0, DEADLINE + 30.0)
+        engine = SLOEngine(_collector())
+        _window(engine, 0, [MISSED])
         assert engine.firing["miss-rate"]
-        # Healthy windows push the miss out of the fast window.
-        for sf in range(1, 4):
-            _subframe(engine, sf, 10.0)
+        # Three healthy windows push the miss out of the fast window.
+        for w in range(1, 3):
+            _window(engine, w, [HEALTHY])
+            assert engine.firing["miss-rate"]
+        _window(engine, 3, [HEALTHY])
         assert not engine.firing["miss-rate"]
         assert engine.alert_counts["miss-rate"] == 1
         resolved = [
             e for e in engine.events if e.kind is EventKind.SLO_RESOLVED
         ]
-        assert len(resolved) == 1
-        assert resolved[0].data["slo"] == "miss-rate"
+        assert [e.data["slo"] for e in resolved] == ["miss-rate"]
 
     def test_breach_without_alert_when_fast_burn_below_threshold(self):
-        # Objective 25%, alert at 4x burn = 100% missing. A 50% fast-
-        # window miss rate breaches but must not page.
-        engine = SLOEngine(
-            _collector(), targets=[_miss_target(burn=4.0)],
-            fast_windows=2, slow_windows=4,
-        )
-        _subframe(engine, 0, 10.0)
-        _subframe(engine, 1, DEADLINE + 30.0)
-        assert engine.breach_counts["miss-rate"] >= 1
+        # One miss among 30 fast-window subframes is 3.3 %: it breaches
+        # the 1 % objective but stays under the 4x (4 %) alert burn.
+        engine = SLOEngine(_collector())
+        _window(engine, 0, [HEALTHY] * 15)
+        _window(engine, 1, [HEALTHY] * 14)
+        _window(engine, 2, [MISSED])
+        assert engine.breach_counts["miss-rate"] == 1
         assert engine.alert_counts["miss-rate"] == 0
         assert not engine.firing["miss-rate"]
 
     def test_event_payload_carries_burn_rates(self):
         sink_events = []
-        engine = SLOEngine(
-            _collector(), targets=[_miss_target()],
-            sink=sink_events.append,
-            fast_windows=2, slow_windows=4,
-        )
-        _subframe(engine, 0, DEADLINE + 30.0)
-        assert sink_events
-        data = sink_events[0].data
-        assert data["slo"] == "miss-rate"
+        engine = SLOEngine(_collector(), sink=sink_events.append)
+        _window(engine, 0, [HEALTHY])
+        _window(engine, 1, [MISSED])
+        miss = [e for e in sink_events if e.data["slo"] == "miss-rate"]
+        assert miss
+        data = miss[0].data
         assert data["metric"] == "deadline_miss_rate"
-        assert data["objective"] == pytest.approx(0.25)
+        assert data["objective"] == pytest.approx(0.01)
         assert data["burn_fast"] >= data["burn_slow"] > 0
-        assert sink_events[0].core == -1
+        assert miss[0].core == -1
 
 
 class TestTargets:
@@ -117,29 +126,24 @@ class TestTargets:
         }
         assert targets["miss-rate"].objective == 0.01
         assert targets["power-budget"].metric == "power_w"
+        assert targets["power-budget"].objective == 20.0
 
     def test_latency_objective_defers_to_bound_deadline(self):
-        engine = SLOEngine(_collector(), targets=default_targets())
+        engine = SLOEngine(_collector())
         latency = next(
-            t for t in engine.targets if t.metric == "subframe_latency_p99"
+            t for t in default_targets() if t.metric == "subframe_latency_p99"
         )
         assert engine._objective(latency) == DEADLINE
-
-    def test_unknown_metric_raises(self):
-        engine = SLOEngine(
-            _collector(), targets=[SLOTarget("bogus", "nope", 1.0)]
-        )
-        with pytest.raises(ValueError, match="unknown SLO metric"):
-            engine.evaluate(0.0)
 
 
 class TestReport:
     def test_report_schema_and_series(self):
-        engine = SLOEngine(_collector(), fast_windows=2, slow_windows=4)
-        for sf in range(6):
-            _subframe(engine, sf, 10.0 + 10.0 * sf)
+        engine = SLOEngine(_collector())
+        for w in range(6):
+            _window(engine, w, [10.0 + 10.0 * w])
         report = engine.slo_report()
         assert report["schema"] == "repro-slo/1"
+        assert (report["fast_windows"], report["slow_windows"]) == (3, 12)
         assert report["subframes"] == 6
         assert report["window"] == WINDOW
         assert {t["name"] for t in report["targets"]} == {

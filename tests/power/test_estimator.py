@@ -86,10 +86,6 @@ class TestCostModelCalibration:
         user = UserParameters(0, 200, 4, Modulation.QAM64)
         assert est.estimate_user(user) == pytest.approx(0.98, abs=0.02)
 
-    def test_rejects_bad_reference(self):
-        with pytest.raises(ValueError):
-            calibrate_from_cost_model(CostModel(), reference_prb=1)
-
 
 class TestSimulationCalibration:
     def test_matches_cost_model_calibration(self):

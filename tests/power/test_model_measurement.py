@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.power.measurement import currents_from_voltages, rms_windows
-from repro.power.model import PowerModel, PowerModelParams
+from repro.power import model
+from repro.power.model import PowerModel
 from repro.sim.trace import CoreState, OccupancyTrace
 
 
@@ -24,23 +25,17 @@ def trace_with(fractions: dict, workers=62, windows=4, window_cycles=1000):
 
 class TestParams:
     def test_defaults_ordered(self):
-        p = PowerModelParams()
-        assert p.disabled_power_w < p.reactive_nap_power_w < p.spin_power_w
-        assert p.spin_power_w < p.compute_power_w
-        assert p.base_power_w == 14.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerModelParams(base_power_w=-1)
-        with pytest.raises(ValueError):
-            PowerModelParams(spin_power_w=0.01, reactive_nap_power_w=0.02)
-        with pytest.raises(ValueError):
-            PowerModelParams(thermal_time_constant_s=0)
+        assert (
+            model.DISABLED_POWER_W
+            < model.REACTIVE_NAP_POWER_W
+            < model.SPIN_POWER_W
+            < model.COMPUTE_POWER_W
+        )
+        assert model.BASE_POWER_W == 14.0
 
     def test_reference_temperature(self):
-        p = PowerModelParams()
-        assert p.reference_temperature_c == pytest.approx(
-            p.ambient_c + p.thermal_resistance_c_per_w * 14.0
+        assert model.REFERENCE_TEMPERATURE_C == pytest.approx(
+            model.AMBIENT_C + model.THERMAL_RESISTANCE_C_PER_W * 14.0
         )
 
 
@@ -49,7 +44,7 @@ class TestDynamicPower:
         """62 cores computing ≈ 12 W dynamic (the NONAP peak)."""
         trace = trace_with({CoreState.COMPUTE: 1.0})
         dynamic = PowerModel().dynamic_power(trace)
-        assert dynamic[0] == pytest.approx(62 * PowerModelParams().compute_power_w, rel=1e-6)
+        assert dynamic[0] == pytest.approx(62 * model.COMPUTE_POWER_W, rel=1e-6)
         assert 11.0 < dynamic[0] < 12.5
 
     def test_spin_cheaper_than_compute(self):
@@ -71,9 +66,12 @@ class TestDynamicPower:
         half = trace_with({CoreState.COMPUTE: 0.5, CoreState.SPIN: 0.5})
         full_c = trace_with({CoreState.COMPUTE: 1.0})
         full_s = trace_with({CoreState.SPIN: 1.0})
-        model = PowerModel()
-        assert model.dynamic_power(half)[0] == pytest.approx(
-            0.5 * (model.dynamic_power(full_c)[0] + model.dynamic_power(full_s)[0]),
+        power_model = PowerModel()
+        assert power_model.dynamic_power(half)[0] == pytest.approx(
+            0.5 * (
+                power_model.dynamic_power(full_c)[0]
+                + power_model.dynamic_power(full_s)[0]
+            ),
             rel=0.02,
         )
 
@@ -97,9 +95,8 @@ class TestThermalFeedback:
         trace = trace_with({CoreState.DISABLED: 1.0}, windows=20)
         power = PowerModel().evaluate(trace, clock_hz=700e6)
         # Disabled cores add ~0.5 W; leakage stays near zero.
-        params = PowerModelParams()
         assert power.total_w[-1] == pytest.approx(
-            14.0 + 62 * params.disabled_power_w, abs=0.3
+            14.0 + 62 * model.DISABLED_POWER_W, abs=0.3
         )
         assert power.leakage_w.max() < 0.2
 

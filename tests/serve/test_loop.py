@@ -77,6 +77,37 @@ class TestBackpressure:
             assert cell["max_queue_depth"] <= depth
 
 
+    def test_block_waits_for_the_degraded_depth(self, monkeypatch):
+        """Under ``--adaptive`` a degraded controller shrinks the queue
+        depth, and ``block`` must wait for that depth, not the static one
+        (docs/serving.md, "Adaptive admission")."""
+        from repro.serve import loop
+
+        class Degraded(loop.OverloadController):
+            """Pinned at load factor 0.25: depth 8 becomes 2."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.aimd.load_factor = 0.25
+                self.aimd.degraded = True
+
+            def maybe_update(self, t):
+                return None
+
+        monkeypatch.setattr(loop, "OverloadController", Degraded)
+        result = serve(
+            _config(
+                subframes=60, backend="threaded", workers=2, queue_depth=8,
+                backpressure="block", adaptive=True,
+            )
+        )
+        assert result.ok
+        report = result.report
+        assert report["terminal_counts"]["shed"] == 0
+        assert report["backpressure_hits"] > 0
+        assert report["per_cell"][0]["max_queue_depth"] <= 2
+
+
 class TestAdmissionShedding:
     def test_zero_budget_sheds_every_subframe(self):
         result = serve(

@@ -31,7 +31,6 @@ class TestMachineSpec:
         assert spec.num_cores == 64
         assert spec.num_workers == 62  # one core for drivers, one maintenance
         assert spec.subframe_period_s == pytest.approx(5e-3)
-        assert spec.base_power_w == 14.0
 
     def test_budget(self):
         spec = MachineSpec()

@@ -374,6 +374,71 @@ def test_each_thing_is_written_once():
     assert not hasattr(MachineSimulator, "attach_observer")
     assert not hasattr(report, "_from_ckpt1")
 
+
+def test_every_option_has_a_caller():
+    """A value that only its own range check ever set is a module
+    constant: the SLO targets and horizons, the AIMD shape, the power and
+    DVFS models, the study's window and policies, the Fig. 12 averaging,
+    the calibration allocation. Options that two callers set to different
+    values stay. No alias, no stub."""
+    import dataclasses
+    import inspect
+
+    import repro.power
+    import repro.serve
+    from repro.experiments import estimation, latency, power_study
+    from repro.faults import AdmissionController
+    from repro.obs import EventRecorder, Profiler, TelemetryCollector, slo
+    from repro.obs.timeline import gating_events_from_active_workers
+    from repro.power import (
+        DvfsModel, PowerGatingModel, PowerModel, estimator, governor, model,
+    )
+    from repro.serve import AimdController, OverloadController, ServeConfig
+    from repro.sim import CostModel, MachineSimulator, MachineSpec, SimConfig
+
+    def params(callable_):
+        return set(inspect.signature(callable_).parameters)
+
+    for callable_, gone in (
+        (slo.SLOEngine, {"targets", "fast_windows", "slow_windows"}),
+        (slo.default_targets, {"power_budget_w"}),
+        (AimdController, {"config"}),
+        (OverloadController, {"config", "targets"}),
+        (AdmissionController, {"load_factor"}),
+        (PowerModel, {"params"}),
+        (model.power_from_busy_fraction, {"params"}),
+        (DvfsModel, {"params"}),
+        (power_study.run_power_study,
+         {"power_params", "gating_params", "window_s", "policies"}),
+        (estimation.run_estimation_experiment, {"averaging_subframes"}),
+        (estimator.calibrate_from_cost_model, {"reference_prb"}),
+        (gating_events_from_active_workers, {"params"}),
+        (EventRecorder, {"kinds"}),
+    ):
+        assert not gone & params(callable_), callable_
+    assert not params(slo.default_targets)
+    admit = inspect.signature(AdmissionController.admit).parameters
+    assert admit["load_factor"].default == 1.0
+    for package, name in (
+        (repro.serve, "AimdConfig"),
+        (repro.power, "PowerModelParams"),
+        (repro.power, "DvfsParams"),
+    ):
+        assert name not in package.__all__ and not hasattr(package, name)
+    assert "base_power_w" not in {f.name for f in dataclasses.fields(MachineSpec)}
+    # Stays: two callers set each of these to different values.
+    assert "params" in params(PowerGatingModel)
+    assert "over_provision" in params(governor.NapPolicy)
+    assert {"config", "slot_pipelined"} <= params(MachineSimulator)
+    assert "drain_margin_s" in {f.name for f in dataclasses.fields(SimConfig)}
+    assert "keep_spans" in params(Profiler)
+    assert {"saturation_fraction", "task_overhead_cycles"} <= params(CostModel)
+    assert {"window", "delta", "workers"} <= params(TelemetryCollector)
+    assert "deadline_s" in params(latency.deadline_report)
+    assert "capacity" in params(EventRecorder)
+    assert "max_activity" in params(AdmissionController)
+    assert "queue_depth" in {f.name for f in dataclasses.fields(ServeConfig)}
+
 def test_version():
     import repro
 
