@@ -42,9 +42,12 @@ perf-pairs:
 	$(PYTHON) scripts/perf_pairs.py $(PARENT) . $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(SEED) --pairs $(PAIRS)
 
 # The paper figure/table checks and the overhead gates (not tier-1, ~2.5 min),
-# then the profiling walkthrough, run in a temp dir that takes its JSON.
+# the calibrate and power-study commands (~10 s), then the profiling
+# walkthrough, run in a temp dir that takes its JSON.
 paper-benches:
 	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m repro calibrate
+	$(PYTHON) -m repro power-study --subframes 400
 	$(PYTHON) -m repro top --once --subframes 60
 	$(PYTHON) -m repro metrics --format prometheus --subframes 60
 	cd "$$(mktemp -d)" && PYTHONPATH="$(CURDIR)/src" $(PYTHON) "$(CURDIR)/examples/profiling_timeline.py"
@@ -107,6 +110,7 @@ serve-smoke:
 			"serve --trace /no/such/dir/x.jsonl" \
 			"trace --from /no/such/trace.jsonl --format chrome" \
 			"run --subframes 0" \
+			"run --timeout 0 --subframes 1" \
 			"trace --ring 0 --subframes 5" \
 			"metrics --workers 0 --subframes 5" \
 			"top --from /no/such/trace.jsonl"; do \

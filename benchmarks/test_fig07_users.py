@@ -11,7 +11,7 @@ from repro.experiments.workload import collect_workload_trace
 
 def test_fig07_users(benchmark, workload_model):
     trace = benchmark.pedantic(
-        lambda: collect_workload_trace(workload_model, stride=25),
+        lambda: collect_workload_trace(workload_model),
         rounds=1,
         iterations=1,
     )

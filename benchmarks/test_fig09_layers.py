@@ -10,7 +10,7 @@ from repro.experiments.workload import collect_workload_trace
 
 def test_fig09_layers(benchmark, workload_model):
     trace = benchmark.pedantic(
-        lambda: collect_workload_trace(workload_model, stride=25),
+        lambda: collect_workload_trace(workload_model),
         rounds=1,
         iterations=1,
     )

@@ -19,7 +19,6 @@ def main() -> None:
     print("calibrating k_LM from steady-state simulator sweeps (Fig. 11)...")
     estimator, sweeps = calibrate_from_simulation(
         cost,
-        prb_values=[2, 50, 100, 150, 200],
         settle_subframes=20,
         measure_subframes=60,
     )

@@ -36,20 +36,33 @@ Commands mirror the benchmark binary and the evaluation drivers:
     faults SIGKILL real processes) and print a survival report; exits
     nonzero when any scenario fails a survival check.
 
-``run``, ``serve``, and ``chaos`` accept ``--timeout SECONDS``: a
-``faulthandler``-based hang guard that dumps all-thread tracebacks and
-exits if the command wedges. Ctrl-C aborts cleanly (workers shut down,
-traces flush) instead of leaving threads behind. An option value a
-command cannot run with prints one ``<command>:`` line on stderr and exits
-2, like an unreadable or unwritable path.
+Every command keeps one contract with :func:`main`: ``cmd_<name>(args)``
+does the set-up that can reject its options and returns the run as a
+zero-argument callable. ``main`` arms ``--timeout SECONDS`` (``run``,
+``serve`` and ``chaos``: a ``faulthandler`` guard that dumps all-thread
+tracebacks and exits if the command wedges) around both and maps the
+outcome to one exit code:
+
+* 0 — the command ran and its checks passed;
+* 1 — a check failed (``--verify``, the invariant checker, a chaos
+  scenario, the serve ledger or report, a lint finding);
+* 2 — a bad option value or an unreadable/unwritable path, ``--timeout``
+  <= 0 included: one ``<command>:`` line on stderr, checked before
+  anything runs (a ``ValueError`` raised during a run propagates);
+* 124 — ``serve --max-wall`` stopped the run (its report resumes);
+* 130 — Ctrl-C: workers shut down and traces flush first.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
+from collections.abc import Callable
 from functools import partial
+
+from .serve.config import SERVE_BACKENDS, ServeConfig
 
 
 def _add_timeout(parser: argparse.ArgumentParser) -> None:
@@ -120,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=["serial", "vectorized", "threaded", "multiprocess"],
+        choices=SERVE_BACKENDS,
         default="serial",
         help="execution backend (default serial)",
     )
@@ -155,12 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     workload = sub.add_parser("workload", help="Figs. 7-9 workload summary")
     _add_scale(workload, 6_800)
-    workload.add_argument("--stride", type=int, default=25)
 
-    calibrate = sub.add_parser("calibrate", help="Fig. 11 k_LM calibration")
-    calibrate.add_argument(
-        "--points", type=int, default=5, help="PRB sweep points per configuration"
-    )
+    sub.add_parser("calibrate", help="Fig. 11 k_LM calibration")
 
     estimate = sub.add_parser("estimate", help="Fig. 12 estimated vs measured")
     _add_scale(estimate, 2_000)
@@ -253,17 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="refresh interval for live rendering (default 0.5)",
     )
-    top.add_argument(
-        "--width", type=int, default=78, help="frame width (default 78)"
-    )
 
     serve = sub.add_parser(
         "serve",
         help="streaming service mode: multi-cell subframe arrivals at "
         "DELTA cadence with backpressure and admission shedding",
     )
-    from .serve import ServeConfig
-
     _add_config_flags(serve, ServeConfig)
     serve.add_argument(
         "--json",
@@ -342,24 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bad_value(command: str, problem) -> int:
-    """An option value ``command`` cannot run with: one line, exit 2."""
-    print(f"{command}: {problem}", file=sys.stderr)
-    return 2
-
-
-def cmd_run(args) -> int:
-    from .faults import hang_guard
-
-    with hang_guard(args.timeout):
-        try:
-            return _run_impl(args)
-        except KeyboardInterrupt:
-            print("\ninterrupted — workers shut down cleanly", file=sys.stderr)
-            return 130
-
-
-def _run_impl(args) -> int:
+def cmd_run(args) -> Callable[[], int]:
     import json
     import time
 
@@ -373,140 +360,149 @@ def _run_impl(args) -> int:
     )
 
     if args.subframes < 1:
-        return _bad_value("run", f"--subframes must be >= 1, got {args.subframes}")
+        raise ValueError(f"--subframes must be >= 1, got {args.subframes}")
     engine = SLOEngine() if args.json else None
-    try:
-        model = RandomizedParameterModel(
-            total_subframes=max(2, args.subframes),
-            seed=args.seed,
-            max_users=args.users,
-        )
-        runtime = make_runtime(
-            args.backend,
-            num_workers=args.workers,
-            observers=[engine] if engine else None,
-        )
-    except ValueError as exc:
-        return _bad_value("run", exc)
-    factory = SubframeFactory(seed=args.seed)
-    subframes = [
-        factory.synthesize(model.uplink_parameters(i), i)
-        for i in range(args.subframes)
-    ]
-    if engine is not None:
-        engine.telemetry.workers = runtime.num_workers
-    # Workers are started before the clock: spawning a pool is set-up, not
-    # throughput (start() returns once its children have imported NumPy).
-    runtime.start()
-    try:
-        start = time.perf_counter()
-        results = runtime.run(subframes)
-        wall_s = time.perf_counter() - start
-    finally:
-        runtime.close()
-    num_users = sum(len(r.user_results) for r in results)
-    crc_ok = sum(1 for r in results for u in r.user_results if u.crc_ok)
-    throughput = len(results) / wall_s if wall_s else 0.0
-    report = None
-    if args.verify:
-        serial = [process_subframe_serial(subframe) for subframe in subframes]
-        report = verify_against_serial(serial, results)
-    if engine is not None:
-        engine.evaluate(engine.telemetry._last_t)
-        payload = {
-            "backend": args.backend,
-            "subframes": len(results),
-            "users": num_users,
-            "crc_ok": crc_ok,
-            "wall_s": wall_s,
-            "throughput_sf_per_s": throughput,
-            "slo_report": engine.slo_report(),
-        }
-        if report is not None:
-            payload["bit_exact_vs_serial"] = report.passed
-        print(json.dumps(payload, indent=2))
-        return 0 if report is None or report.passed else 1
-    print(
-        f"backend={args.backend}: {len(results)} subframes, "
-        f"{num_users} users, CRC OK {crc_ok}/{num_users}, "
-        f"{wall_s:.3f} s wall ({throughput:.1f} sf/s)"
+    model = RandomizedParameterModel(
+        total_subframes=max(2, args.subframes),
+        seed=args.seed,
+        max_users=args.users,
     )
-    if report is None:
+    runtime = make_runtime(
+        args.backend,
+        num_workers=args.workers,
+        observers=[engine] if engine else None,
+    )
+
+    def run() -> int:
+        factory = SubframeFactory(seed=args.seed)
+        subframes = [
+            factory.synthesize(model.uplink_parameters(i), i)
+            for i in range(args.subframes)
+        ]
+        if engine is not None:
+            engine.telemetry.workers = runtime.num_workers
+        # Workers are started before the clock: spawning a pool is set-up,
+        # not throughput (start() returns once its children import NumPy).
+        runtime.start()
+        try:
+            start = time.perf_counter()
+            results = runtime.run(subframes)
+            wall_s = time.perf_counter() - start
+        finally:
+            runtime.close()
+        num_users = sum(len(r.user_results) for r in results)
+        crc_ok = sum(1 for r in results for u in r.user_results if u.crc_ok)
+        throughput = len(results) / wall_s if wall_s else 0.0
+        report = None
+        if args.verify:
+            serial = [process_subframe_serial(subframe) for subframe in subframes]
+            report = verify_against_serial(serial, results)
+        if engine is not None:
+            engine.evaluate(engine.telemetry._last_t)
+            payload = {
+                "backend": args.backend,
+                "subframes": len(results),
+                "users": num_users,
+                "crc_ok": crc_ok,
+                "wall_s": wall_s,
+                "throughput_sf_per_s": throughput,
+                "slo_report": engine.slo_report(),
+            }
+            if report is not None:
+                payload["bit_exact_vs_serial"] = report.passed
+            print(json.dumps(payload, indent=2))
+            return 0 if report is None or report.passed else 1
+        print(
+            f"backend={args.backend}: {len(results)} subframes, "
+            f"{num_users} users, CRC OK {crc_ok}/{num_users}, "
+            f"{wall_s:.3f} s wall ({throughput:.1f} sf/s)"
+        )
+        if report is None:
+            return 0
+        if not report.passed:
+            print(f"VERIFY FAILED: {report}")
+            return 1
+        print(f"verify: all {len(subframes)} subframes bit-exact vs serial")
         return 0
-    if not report.passed:
-        print(f"VERIFY FAILED: {report}")
-        return 1
-    print(f"verify: all {len(subframes)} subframes bit-exact vs serial")
-    return 0
+
+    return run
 
 
-def cmd_workload(args) -> int:
+def cmd_workload(args) -> Callable[[], int]:
     from .experiments import collect_workload_trace, format_workload_summary
     from .uplink import RandomizedParameterModel
 
     model = RandomizedParameterModel(total_subframes=args.subframes, seed=args.seed)
-    trace = collect_workload_trace(model, stride=args.stride)
-    print(format_workload_summary(trace))
-    return 0
+
+    def run() -> int:
+        print(format_workload_summary(collect_workload_trace(model)))
+        return 0
+
+    return run
 
 
-def cmd_calibrate(args) -> int:
-    import numpy as np
-
+def cmd_calibrate(args) -> Callable[[], int]:
     from .experiments import format_calibration
     from .power import calibrate_from_simulation
     from .sim import CostModel
 
-    prb_values = [int(p) for p in np.linspace(2, 200, max(2, args.points))]
-    prb_values = sorted({p - p % 2 or 2 for p in prb_values})
-    estimator, sweeps = calibrate_from_simulation(CostModel(), prb_values=prb_values)
-    print(format_calibration(sweeps, estimator.slopes))
-    return 0
+    def run() -> int:
+        estimator, sweeps = calibrate_from_simulation(CostModel())
+        print(format_calibration(sweeps, estimator.slopes))
+        return 0
+
+    return run
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> Callable[[], int]:
     from .experiments import format_estimation, run_estimation_experiment
     from .experiments.asciiplot import render_series
 
-    result = run_estimation_experiment(num_subframes=args.subframes, seed=args.seed)
-    print(
-        render_series(
-            {
-                "measured": (result.times_s, result.measured),
-                "estimated": (result.times_s, result.estimated),
-            },
-            title="Fig. 12 — activity over time",
-            y_min=0.0,
-            y_max=1.0,
+    def run() -> int:
+        result = run_estimation_experiment(num_subframes=args.subframes, seed=args.seed)
+        print(
+            render_series(
+                {
+                    "measured": (result.times_s, result.measured),
+                    "estimated": (result.times_s, result.estimated),
+                },
+                title="Fig. 12 — activity over time",
+                y_min=0.0,
+                y_max=1.0,
+            )
         )
-    )
-    print()
-    print(format_estimation(result))
-    return 0
+        print()
+        print(format_estimation(result))
+        return 0
+
+    return run
 
 
-def cmd_power_study(args) -> int:
+def cmd_power_study(args) -> Callable[[], int]:
     from .experiments import format_table1, format_table2, run_power_study
     from .experiments.asciiplot import render_series
 
-    study = run_power_study(num_subframes=args.subframes, seed=args.seed)
-    times = study.runs["NONAP"].power.times_s
-    print(
-        render_series(
-            {
-                "NONAP": (times, study.runs["NONAP"].power.total_w),
-                "IDLE": (times, study.runs["IDLE"].power.total_w),
-                "NAP+IDLE": (times, study.runs["NAP+IDLE"].power.total_w),
-                "PowerGating": (times, study.gated_power_w),
-            },
-            title="Fig. 16 — power over time (W)",
+    def run() -> int:
+        study = run_power_study(num_subframes=args.subframes, seed=args.seed)
+        times = study.runs["NONAP"].power.times_s
+        print(
+            render_series(
+                {
+                    "NONAP": (times, study.runs["NONAP"].power.total_w),
+                    "IDLE": (times, study.runs["IDLE"].power.total_w),
+                    "NAP+IDLE": (times, study.runs["NAP+IDLE"].power.total_w),
+                    "PowerGating": (times, study.gated_power_w),
+                },
+                title="Fig. 16 — power over time (W)",
+            )
         )
-    )
-    print()
-    print(format_table1(study))
-    print()
-    print(format_table2(study))
-    return 0
+        print()
+        print(format_table1(study))
+        print()
+        print(format_table2(study))
+        return 0
+
+    return run
 
 
 def _observed_sim(args, observers):
@@ -534,7 +530,7 @@ def _observed_sim(args, observers):
     return partial(sim.run, model, num_subframes=args.subframes)
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> Callable[[], int]:
     from collections import Counter
 
     from .obs import (
@@ -544,109 +540,103 @@ def cmd_trace(args) -> int:
         write_chrome_trace,
     )
 
+    out = args.out or ("trace.json" if args.format == "chrome" else "trace.jsonl")
     if args.from_path is not None:
         # Convert an existing JSONL trace. Records stay plain dicts all the
         # way through, so kinds written by newer (or older) revisions that
         # this build does not know are passed through, not rejected.
         if args.format != "chrome":
-            print(
-                "trace: --from requires --format chrome (JSONL->JSONL is a copy)",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError("--from requires --format chrome (JSONL->JSONL is a copy)")
         try:
             records = read_jsonl(args.from_path)
         except OSError as exc:
-            print(f"trace: cannot read {args.from_path}: {exc}", file=sys.stderr)
-            return 2
-        out = args.out or "trace.json"
-        written = write_chrome_trace(out, records, clock="cycles")
-        kinds = Counter(str(r.get("kind", "?")) for r in records)
-        counts = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
-        print(f"{len(records)} events read from {args.from_path}")
-        print(f"event counts: {counts}")
-        print(f"{written} Chrome trace events written to {out}")
-        return 0
+            raise ValueError(f"cannot read {args.from_path}: {exc}") from exc
+
+        def convert() -> int:
+            written = write_chrome_trace(out, records, clock="cycles")
+            kinds = Counter(str(r.get("kind", "?")) for r in records)
+            counts = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
+            print(f"{len(records)} events read from {args.from_path}")
+            print(f"event counts: {counts}")
+            print(f"{written} Chrome trace events written to {out}")
+            return 0
+
+        return convert
 
     checker = SchedulerInvariantChecker(strict=False)
-    try:
-        recorder = EventRecorder(capacity=args.ring)
-        run = _observed_sim(args, [recorder, checker])
-    except ValueError as exc:
-        return _bad_value("trace", exc)
-    try:
-        result = run()
-    except BaseException as exc:
-        # Crash-safe flush: whatever was traced before the failure is
-        # still written, so abnormal exits leave a usable partial trace.
-        out = args.out or ("trace.json" if args.format == "chrome" else "trace.jsonl")
-        partial = out + ".partial.jsonl"
-        written = recorder.write_jsonl(partial)
-        print(
-            f"run failed ({type(exc).__name__}); "
-            f"{written} events flushed to {partial}",
-            file=sys.stderr,
-        )
-        if isinstance(exc, KeyboardInterrupt):
-            return 130
-        raise
-    print(f"policy {args.policy}: {args.subframes} subframes, "
-          f"{result.tasks_executed} tasks")
-    if args.format == "chrome":
-        from .obs import gating_events_from_active_workers
+    recorder = EventRecorder(capacity=args.ring)
+    sim = _observed_sim(args, [recorder, checker])
 
-        out = args.out or "trace.json"
-        machine = result.machine
-        gating = gating_events_from_active_workers(
-            result.active_workers, machine.subframe_period_cycles
-        )
-        written = write_chrome_trace(
-            out,
-            recorder.events,
-            clock="cycles",
-            clock_hz=machine.clock_hz,
-            extra=gating,
-            metadata={"policy": args.policy, "subframes": args.subframes},
-        )
-        print(f"{written} Chrome trace events written to {out} "
-              f"({recorder.dropped} dropped by ring buffer); "
-              f"load in Perfetto or chrome://tracing")
-    else:
-        out = args.out or "trace.jsonl"
-        written = recorder.write_jsonl(out)
-        print(f"{written} events written to {out} "
-              f"({recorder.dropped} dropped by ring buffer)")
-    counts = ", ".join(f"{k}={v}" for k, v in sorted(recorder.counts().items()))
-    print(f"event counts: {counts}")
-    print(checker.summary())
-    return 0 if checker.ok else 1
+    def run() -> int:
+        try:
+            result = sim()
+        except BaseException as exc:
+            # Crash-safe flush: whatever was traced before the failure is
+            # still written, so abnormal exits leave a usable partial trace.
+            flushed = out + ".partial.jsonl"
+            written = recorder.write_jsonl(flushed)
+            print(
+                f"run failed ({type(exc).__name__}); "
+                f"{written} events flushed to {flushed}",
+                file=sys.stderr,
+            )
+            raise
+        print(f"policy {args.policy}: {args.subframes} subframes, "
+              f"{result.tasks_executed} tasks")
+        if args.format == "chrome":
+            from .obs import gating_events_from_active_workers
+
+            machine = result.machine
+            gating = gating_events_from_active_workers(
+                result.active_workers, machine.subframe_period_cycles
+            )
+            written = write_chrome_trace(
+                out,
+                recorder.events,
+                clock="cycles",
+                clock_hz=machine.clock_hz,
+                extra=gating,
+                metadata={"policy": args.policy, "subframes": args.subframes},
+            )
+            print(f"{written} Chrome trace events written to {out} "
+                  f"({recorder.dropped} dropped by ring buffer); "
+                  f"load in Perfetto or chrome://tracing")
+        else:
+            written = recorder.write_jsonl(out)
+            print(f"{written} events written to {out} "
+                  f"({recorder.dropped} dropped by ring buffer)")
+        counts = ", ".join(f"{k}={v}" for k, v in sorted(recorder.counts().items()))
+        print(f"event counts: {counts}")
+        print(checker.summary())
+        return 0 if checker.ok else 1
+
+    return run
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> Callable[[], int]:
     import json
 
     from .experiments import format_metrics
-    from .obs import TelemetryCollector
+    from .obs import TelemetryCollector, render_prometheus
 
     collector = TelemetryCollector()
-    try:
-        run = _observed_sim(args, [collector])
-    except ValueError as exc:
-        return _bad_value("metrics", exc)
-    run()
-    snapshot = collector.snapshot()
-    if args.format == "json":
-        print(json.dumps(snapshot, indent=2))
-    elif args.format == "prometheus":
-        from .obs import render_prometheus
+    sim = _observed_sim(args, [collector])
 
-        print(render_prometheus(snapshot), end="")
-    else:
-        print(format_metrics(snapshot))
-    return 0
+    def run() -> int:
+        sim()
+        snapshot = collector.snapshot()
+        if args.format == "json":
+            print(json.dumps(snapshot, indent=2))
+        elif args.format == "prometheus":
+            print(render_prometheus(snapshot), end="")
+        else:
+            print(format_metrics(snapshot))
+        return 0
+
+    return run
 
 
-def cmd_top(args) -> int:
+def cmd_top(args) -> Callable[[], int]:
     import time
 
     from .obs import SLOEngine, TelemetryCollector, render_dashboard
@@ -663,10 +653,7 @@ def cmd_top(args) -> int:
             print("\x1b[H\x1b[2J", end="")
         print(
             render_dashboard(
-                engine.telemetry.snapshot(),
-                engine.slo_report(),
-                width=args.width,
-                title=title,
+                engine.telemetry.snapshot(), engine.slo_report(), title=title
             )
         )
 
@@ -677,27 +664,26 @@ def cmd_top(args) -> int:
             # Binary mode: a live writer can leave a partial multi-byte
             # UTF-8 sequence at EOF, which a text-mode read() would
             # raise on; the tailer buffers partial lines as bytes.
-            with open(args.from_path, "rb") as fh:
+            fh = open(args.from_path, "rb")
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.from_path}: {exc}") from exc
+
+        def replay() -> int:
+            with fh:
                 tailer = TraceTailer(fh, engine)
                 tailer.advance()
-                if args.follow and not args.once:
-                    try:
-                        while True:
-                            frame(clear=True)
-                            time.sleep(max(0.05, args.interval))
-                            tailer.advance()
-                    except KeyboardInterrupt:
-                        print()
-                        return 130
-        except OSError as exc:
-            print(f"top: cannot read {args.from_path}: {exc}", file=sys.stderr)
-            return 2
-        frame()
-        print(
-            f"{tailer.records} events replayed"
-            + (f", {tailer.skipped} skipped" if tailer.skipped else "")
-        )
-        return 0
+                while args.follow and not args.once:
+                    frame(clear=True)
+                    time.sleep(max(0.05, args.interval))
+                    tailer.advance()
+            frame()
+            print(
+                f"{tailer.records} events replayed"
+                + (f", {tailer.skipped} skipped" if tailer.skipped else "")
+            )
+            return 0
+
+        return replay
 
     observers = [engine]
     if not args.once:
@@ -711,157 +697,146 @@ def cmd_top(args) -> int:
                 frame(clear=True)
 
         observers.append(live_render)
-    try:
-        run = _observed_sim(args, observers)
-    except ValueError as exc:
-        return _bad_value("top", exc)
-    try:
-        run()
-    except KeyboardInterrupt:
-        print()
-        return 130
-    frame(clear=not args.once)
-    return 0
+    sim = _observed_sim(args, observers)
+
+    def run() -> int:
+        sim()
+        frame(clear=not args.once)
+        return 0
+
+    return run
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> Callable[[], int]:
     import json
 
     from .experiments import run_full_reproduction, write_report
 
-    report = run_full_reproduction(num_subframes=args.subframes, seed=args.seed)
-    path = write_report(report, args.output)
-    print(json.dumps(report["shape_checks"], indent=2))
-    print(f"full report written to {path}")
-    return 0 if all(report["shape_checks"].values()) else 1
+    def run() -> int:
+        report = run_full_reproduction(num_subframes=args.subframes, seed=args.seed)
+        path = write_report(report, args.output)
+        print(json.dumps(report["shape_checks"], indent=2))
+        print(f"full report written to {path}")
+        return 0 if all(report["shape_checks"].values()) else 1
+
+    return run
 
 
-def cmd_chaos(args) -> int:
+def cmd_chaos(args) -> Callable[[], int]:
     import json
 
-    from .faults import hang_guard
     from .faults import chaos
 
     backends = ("sim", "threaded") if args.backend == "all" else (args.backend,)
-    with hang_guard(args.timeout):
-        try:
-            progress = None if args.json else print
-            if progress:
-                matrix = chaos.build_matrix(
-                    scale=args.scale, seeds=args.seeds, backends=backends
-                )
-                print(
-                    f"chaos campaign: {len(matrix)} scenarios "
-                    f"(scale={args.scale}, seeds={args.seeds}, "
-                    f"backends={','.join(backends)})"
-                )
-            report = chaos.run_campaign(
-                scale=args.scale,
-                seeds=args.seeds,
-                backends=backends,
-                progress=progress,
+    matrix = chaos.build_matrix(scale=args.scale, seeds=args.seeds, backends=backends)
+
+    def run() -> int:
+        if not args.json:
+            print(
+                f"chaos campaign: {len(matrix)} scenarios "
+                f"(scale={args.scale}, seeds={args.seeds}, "
+                f"backends={','.join(backends)})"
             )
-        except KeyboardInterrupt:
-            print("\ninterrupted — campaign abandoned", file=sys.stderr)
-            return 130
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print()
-        print(report.format())
-    return 0 if report.passed else 1
+        report = chaos.run_campaign(
+            scale=args.scale,
+            seeds=args.seeds,
+            backends=backends,
+            progress=None if args.json else print,
+        )
+        if args.json:
+            print(json.dumps(report.to_dict(), indent=2))
+        else:
+            print()
+            print(report.format())
+        return 0 if report.passed else 1
+
+    return run
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args) -> Callable[[], int]:
     import json
 
-    from .faults import hang_guard
-    from .serve import ServeConfig, serve, validate_serve_report
+    from .serve import validate_serve_report
+    from .serve.loop import _Server
 
     # A long run would hold every decoded payload.
-    config = _config_from_flags(ServeConfig, args, keep_results=False)
-    with hang_guard(args.timeout):
-        try:
-            result = serve(config)
-        except KeyboardInterrupt:
-            print("\ninterrupted — cells shut down cleanly", file=sys.stderr)
-            return 130
-        except ValueError as exc:
-            # Config rejection or a non-resumable checkpoint: exit 2,
-            # the CLI's configuration-error convention.
-            print(f"serve: {exc}", file=sys.stderr)
-            return 2
-    report = result.report
-    flags = report["config"]
-    problems = validate_serve_report(report)
-    if args.json_out:
-        from .ioutil import atomic_write_json
+    server = _Server(_config_from_flags(ServeConfig, args, keep_results=False))
 
-        atomic_write_json(args.json_out, report)
-    shedding = report["faults"]["shedding_engaged"]
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        counts = "  ".join(f"{k}={v}" for k, v in report["terminal_counts"].items())
-        lines = [
-            f"served {flags['cells']} cells x {flags['subframes']} subframes "
-            f"({flags['arrival']} arrivals, {flags['backend']} backend, "
-            f"{'paced' if flags['pace'] else 'unpaced'}) in {report['wall_s']:.3f} s",
-            f"  {report['dispatched']} dispatched: {counts}",
-            f"  users: offered {report['offered_users']}, admitted "
-            f"{report['admitted_users']}, shed {report['shed_users']}, served "
-            f"{report['served_users']} ({report['users_per_hour']:,.0f}/hour)",
-            f"  backpressure hits {report['backpressure_hits']}, throughput "
-            f"{report['throughput_sf_per_s']:.1f} sf/s, "
-            f"ledger {'OK' if report['ledger_ok'] else 'BROKEN'}",
-        ]
-        if flags["faults"]:
-            lines.append(
-                f"  chaos: shedding {'engaged' if shedding else 'NOT ENGAGED'}, "
-                f"{report['faults']['faults_seen']} fault(s) fired"
-            )
-        if sup := report["supervisor"]:
-            lines.append(
-                f"  supervisor: {sup['deaths']} death(s), {sup['respawns']} "
-                f"respawn(s){', FAIL-STOP' if sup['fail_stop'] else ''}"
-            )
-        if adaptive := report["adaptive"]:
-            lines.append(
-                f"  adaptive: load_factor {adaptive['load_factor']:.3f}, "
-                f"{adaptive['degrades']} degrade(s), "
-                f"{adaptive['recovers']} recover(s)"
-            )
-        if flags["checkpoint_path"] or flags["resume_path"]:
-            ckpt = report["checkpoint"]
-            lines.append(
-                f"  checkpoint: segment {ckpt['segments']}, {ckpt['writes']} "
-                f"periodic write(s), "
-                + ("complete" if ckpt["completed"] else "resumable")
-            )
-        print("\n".join(lines))
-        if report["max_wall_hit"]:
-            print(
-                f"  max-wall: guard tripped at {flags['max_wall_s']}s — "
-                "exiting 124 (the report resumes with --resume)",
-                file=sys.stderr,
-            )
-        for line in result.errors:
-            print(f"  error: {line}", file=sys.stderr)
-        for line in problems:
-            print(f"  report schema: {line}", file=sys.stderr)
-    if not report["ledger_ok"] or problems or result.errors or (
-        flags["faults"] and not shedding
-    ):
-        return 1
-    # timeout(1)'s convention: the guard tripped, the run is clean but
-    # incomplete (and its report resumes).
-    return 124 if report["max_wall_hit"] else 0
+    def run() -> int:
+        result = server()
+        report = result.report
+        flags = report["config"]
+        problems = validate_serve_report(report)
+        if args.json_out:
+            from .ioutil import atomic_write_json
+
+            atomic_write_json(args.json_out, report)
+        shedding = report["faults"]["shedding_engaged"]
+        if args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            counts = "  ".join(f"{k}={v}" for k, v in report["terminal_counts"].items())
+            lines = [
+                f"served {flags['cells']} cells x {flags['subframes']} subframes "
+                f"({flags['arrival']} arrivals, {flags['backend']} backend, "
+                f"{'paced' if flags['pace'] else 'unpaced'}) in {report['wall_s']:.3f} s",
+                f"  {report['dispatched']} dispatched: {counts}",
+                f"  users: offered {report['offered_users']}, admitted "
+                f"{report['admitted_users']}, shed {report['shed_users']}, served "
+                f"{report['served_users']} ({report['users_per_hour']:,.0f}/hour)",
+                f"  backpressure hits {report['backpressure_hits']}, throughput "
+                f"{report['throughput_sf_per_s']:.1f} sf/s, "
+                f"ledger {'OK' if report['ledger_ok'] else 'BROKEN'}",
+            ]
+            if flags["faults"]:
+                lines.append(
+                    f"  chaos: shedding {'engaged' if shedding else 'NOT ENGAGED'}, "
+                    f"{report['faults']['faults_seen']} fault(s) fired"
+                )
+            if sup := report["supervisor"]:
+                lines.append(
+                    f"  supervisor: {sup['deaths']} death(s), {sup['respawns']} "
+                    f"respawn(s){', FAIL-STOP' if sup['fail_stop'] else ''}"
+                )
+            if adaptive := report["adaptive"]:
+                lines.append(
+                    f"  adaptive: load_factor {adaptive['load_factor']:.3f}, "
+                    f"{adaptive['degrades']} degrade(s), "
+                    f"{adaptive['recovers']} recover(s)"
+                )
+            if flags["checkpoint_path"] or flags["resume_path"]:
+                ckpt = report["checkpoint"]
+                lines.append(
+                    f"  checkpoint: segment {ckpt['segments']}, {ckpt['writes']} "
+                    f"periodic write(s), "
+                    + ("complete" if ckpt["completed"] else "resumable")
+                )
+            print("\n".join(lines))
+            if report["max_wall_hit"]:
+                print(
+                    f"  max-wall: guard tripped at {flags['max_wall_s']}s — "
+                    "exiting 124 (the report resumes with --resume)",
+                    file=sys.stderr,
+                )
+            for line in result.errors:
+                print(f"  error: {line}", file=sys.stderr)
+            for line in problems:
+                print(f"  report schema: {line}", file=sys.stderr)
+        if not report["ledger_ok"] or problems or result.errors or (
+            flags["faults"] and not shedding
+        ):
+            return 1
+        # timeout(1)'s convention: the guard tripped, the run is clean but
+        # incomplete (and its report resumes).
+        return 124 if report["max_wall_hit"] else 0
+
+    return run
 
 
-def cmd_lint(args) -> int:
+def cmd_lint(args) -> Callable[[], int]:
     from .analysis.cli import run_lint
 
-    return run_lint(args)
+    return partial(run_lint, args)
 
 
 _COMMANDS = {
@@ -881,8 +856,23 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code (see the module docstring)."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        with contextlib.ExitStack() as guard:
+            try:
+                if getattr(args, "timeout", None) is not None:
+                    from .faults.watchdog import hang_guard
+
+                    guard.enter_context(hang_guard(args.timeout))
+                run = _COMMANDS[args.command](args)
+            except ValueError as exc:
+                print(f"{args.command}: {exc}", file=sys.stderr)
+                return 2
+            return run()
+    except KeyboardInterrupt:
+        print(f"{args.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

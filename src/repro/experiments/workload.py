@@ -2,8 +2,8 @@
 
 These only exercise the input parameter model: users per subframe
 (Fig. 7), total/max/min PRBs per subframe (Fig. 8), and max/min layers per
-subframe (Fig. 9), sampled every ``stride`` subframes exactly like the
-paper plots every 25th subframe.
+subframe (Fig. 9), sampled every :data:`PAPER_PLOT_STRIDE` subframes
+exactly like the paper plots every 25th subframe.
 """
 
 from __future__ import annotations
@@ -44,16 +44,10 @@ class WorkloadTrace:
         }
 
 
-def collect_workload_trace(
-    model: RandomizedParameterModel,
-    num_subframes: int | None = None,
-    stride: int = PAPER_PLOT_STRIDE,
-) -> WorkloadTrace:
-    """Sample the model every ``stride`` subframes (Figs. 7-9 data)."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    total = model.total_subframes if num_subframes is None else num_subframes
-    indices = np.arange(0, total, stride)
+def collect_workload_trace(model: RandomizedParameterModel) -> WorkloadTrace:
+    """Sample the model every :data:`PAPER_PLOT_STRIDE` subframes of its
+    run (Figs. 7-9 data)."""
+    indices = np.arange(0, model.total_subframes, PAPER_PLOT_STRIDE)
     num_users = np.empty(indices.size, dtype=np.int64)
     total_prb = np.empty(indices.size, dtype=np.int64)
     max_prb = np.empty(indices.size, dtype=np.int64)

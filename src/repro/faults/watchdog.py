@@ -119,19 +119,15 @@ class WorkerFailure:
 
 
 @contextmanager
-def hang_guard(timeout_s: float | None):
+def hang_guard(timeout_s: float):
     """Dump all-thread tracebacks and exit after ``timeout_s``.
 
-    A no-op when ``timeout_s`` is None, so callers can thread an optional
-    ``--timeout`` straight through. Re-entrant use simply rearms the
-    (process-wide) faulthandler timer; the guard is cancelled on exit from
-    the outermost block that armed it.
+    ``repro.cli.main`` arms it for ``--timeout``. Re-entrant use simply
+    rearms the (process-wide) faulthandler timer; the guard is cancelled on
+    exit from the outermost block that armed it.
     """
-    if timeout_s is None:
-        yield
-        return
     if timeout_s <= 0:
-        raise ValueError("timeout_s must be positive or None")
+        raise ValueError(f"timeout must be positive, got {timeout_s}")
     faulthandler.dump_traceback_later(timeout_s, exit=True, file=sys.stderr)
     try:
         yield

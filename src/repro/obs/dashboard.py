@@ -32,6 +32,9 @@ __all__ = [
 #: Eight-level bar characters, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
+#: Frame width in characters.
+_WIDTH = 78
+
 
 def sparkline(
     values: list[float],
@@ -74,7 +77,6 @@ def _series_values(series: list[dict], key: str = "sum") -> list[float]:
 def render_dashboard(
     snapshot: dict,
     slo_report: dict | None = None,
-    width: int = 78,
     title: str = "repro top",
 ) -> str:
     """Render one dashboard frame from a telemetry snapshot.
@@ -89,10 +91,10 @@ def render_dashboard(
     counters = snapshot.get("counters", {})
     sketches = snapshot.get("sketches", {})
     series = snapshot.get("series", {})
-    spark_w = max(16, width - 46)
+    spark_w = max(16, _WIDTH - 46)
 
     lines: list[str] = []
-    rule = "─" * width
+    rule = "─" * _WIDTH
     window_text = f"{window_s * 1e3:.0f} ms" if window_s else "?"
     lines.append(
         f"{title} · clock={clock} · window={window_text} · "
@@ -196,7 +198,7 @@ def render_dashboard(
         shown = sorted(core_busy.items(), key=lambda kv: int(kv[0]))[:16]
         for core, busy in shown:
             share = busy / total
-            bar_w = max(8, width - 40)
+            bar_w = max(8, _WIDTH - 40)
             bar = "█" * int(share * bar_w)
             pid = process_ids.get(core, process_ids.get(str(core)))
             pid_text = f" pid={pid}" if pid is not None else ""

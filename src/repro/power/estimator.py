@@ -20,6 +20,7 @@ Slopes can be obtained two ways:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,7 @@ def calibrate_from_cost_model(cost: CostModel) -> WorkloadEstimator:
 
 def calibrate_from_simulation(
     cost: CostModel,
-    prb_values: list[int] | None = None,
+    prb_values: Sequence[int] = (2, 50, 100, 150, 200),
     settle_subframes: int = 40,
     measure_subframes: int = 160,
 ) -> tuple[WorkloadEstimator, dict[ConfigKey, tuple[np.ndarray, np.ndarray]]]:
@@ -126,8 +127,6 @@ def calibrate_from_simulation(
     """
     from ..sim.machine import AlwaysOnPolicy, MachineSimulator, SimConfig
 
-    if prb_values is None:
-        prb_values = list(range(2, 201, 18))
     if min(prb_values) < 2 or max(prb_values) > 200:
         raise ValueError("prb_values must lie within [2, 200]")
     slopes: dict[ConfigKey, float] = {}

@@ -6,6 +6,8 @@ DELTA cadence poses: does the receiver *keep up* when subframes arrive
 every 5 ms across many cells, and does overload degrade into shedding
 instead of deadline collapse? See ``docs/serving.md``.
 
+* :mod:`repro.serve.config` — :class:`ServeConfig`, every ``repro serve``
+  option, importable from the standard library alone;
 * :mod:`repro.serve.arrivals` — seeded offered-load processes
   (constant-rate, Poisson, diurnal, mMTC synchronized bursts);
 * :mod:`repro.serve.cell` — per-cell shards: arrival stream, Eq. 3-4
@@ -20,52 +22,43 @@ instead of deadline collapse? See ``docs/serving.md``.
   with hysteresis, ``--adaptive``);
 * :mod:`repro.serve.supervisor` — bounded worker-respawn policy for the
   multiprocess backend (``--respawn``, see ``docs/robustness.md``).
+
+Names resolve on first use (:pep:`562`): importing the package imports
+no submodule, so ``repro.cli`` reads :class:`ServeConfig` without NumPy.
 """
 
-from .arrivals import (
-    ARRIVAL_KINDS,
-    ConstantRateArrivals,
-    DiurnalArrivals,
-    MmtcBurstArrivals,
-    PoissonArrivals,
-    make_arrivals,
-)
-from .cell import CELL_STRIDE, CellShard, offset_plan
-from .loop import (
-    SERVE_BACKENDS,
-    ServeConfig,
-    ServeResult,
-    serve,
-)
-from .overload import AimdController, OverloadController
-from .report import (
-    ServeReport,
-    load_checkpoint,
-    validate_checkpoint,
-    validate_serve_report,
-)
-from .supervisor import RespawnPolicy, WorkerSupervisor
+from __future__ import annotations
 
-__all__ = [
-    "AimdController",
-    "ARRIVAL_KINDS",
-    "CELL_STRIDE",
-    "CellShard",
-    "ConstantRateArrivals",
-    "DiurnalArrivals",
-    "MmtcBurstArrivals",
-    "OverloadController",
-    "PoissonArrivals",
-    "RespawnPolicy",
-    "SERVE_BACKENDS",
-    "ServeConfig",
-    "ServeReport",
-    "ServeResult",
-    "WorkerSupervisor",
-    "load_checkpoint",
-    "make_arrivals",
-    "offset_plan",
-    "serve",
-    "validate_checkpoint",
-    "validate_serve_report",
-]
+import importlib
+from typing import Any
+
+#: The submodule each public name lives in.
+_HOMES = {
+    "config": ("ARRIVAL_KINDS", "SERVE_BACKENDS", "ServeConfig"),
+    "arrivals": (
+        "ConstantRateArrivals",
+        "DiurnalArrivals",
+        "MmtcBurstArrivals",
+        "PoissonArrivals",
+        "make_arrivals",
+    ),
+    "cell": ("CELL_STRIDE", "CellShard", "offset_plan"),
+    "loop": ("ServeResult", "serve"),
+    "overload": ("AimdController", "OverloadController"),
+    "report": (
+        "ServeReport",
+        "load_checkpoint",
+        "validate_checkpoint",
+        "validate_serve_report",
+    ),
+    "supervisor": ("RespawnPolicy", "WorkerSupervisor"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

@@ -46,6 +46,7 @@ from ..phy.params import (
 from ..uplink.parameter_model import RandomizedParameterModel, draw_users
 from ..uplink.scenarios import DEFAULT_DIURNAL_PROFILE
 from ..uplink.user import UserParameters
+from .config import ARRIVAL_KINDS
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -56,10 +57,6 @@ __all__ = [
     "PoissonArrivals",
     "make_arrivals",
 ]
-
-#: Arrival-process names accepted by :func:`make_arrivals` (and the
-#: ``repro serve --arrival`` CLI flag).
-ARRIVAL_KINDS = ("constant", "poisson", "diurnal", "mmtc")
 
 #: Hard cap on users per subframe: an all-mMTC population of
 #: :data:`MIN_PRB_PER_USER`-PRB devices fills the carrier exactly.

@@ -77,7 +77,7 @@ class TestCli:
             build_parser().parse_args([])
 
     def test_workload_runs(self, capsys):
-        assert main(["workload", "--subframes", "800", "--stride", "50"]) == 0
+        assert main(["workload", "--subframes", "800"]) == 0
         assert "users per subframe" in capsys.readouterr().out
 
     def test_estimate_runs(self, capsys):
@@ -137,6 +137,9 @@ class TestCli:
             ["metrics", "--workers", "0", "--subframes", "5"],
             ["top", "--workers", "0", "--subframes", "5", "--once"],
             ["top", "--from", "/no/such/trace.jsonl"],
+            ["run", "--timeout", "0", "--subframes", "1"],
+            ["serve", "--timeout", "0"],
+            ["chaos", "--timeout", "-1"],
         ],
         ids=[
             "run-subframes-0",
@@ -146,6 +149,9 @@ class TestCli:
             "metrics-workers-0",
             "top-workers-0",
             "top-from-missing-file",
+            "run-timeout-0",
+            "serve-timeout-0",
+            "chaos-timeout-negative",
         ],
     )
     def test_a_bad_value_exits_two(self, capsys, tmp_path, argv):
@@ -170,6 +176,24 @@ class TestCli:
         monkeypatch.setattr(MachineSimulator, "run", fail)
         with pytest.raises(ValueError, match="mid-run"):
             main(["metrics", "--subframes", "5"])
+
+    def test_a_failed_trace_run_flushes_a_partial_trace(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # The safety flush runs, then the failure propagates unchanged.
+        from repro.sim.machine import MachineSimulator
+
+        def fail(self, *args, **kwargs):
+            raise RuntimeError("raised mid-run")
+
+        monkeypatch.setattr(MachineSimulator, "run", fail)
+        out_path = tmp_path / "trace.jsonl"
+        with pytest.raises(RuntimeError, match="mid-run"):
+            main(["trace", "--subframes", "5", "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert err.startswith("run failed (RuntimeError); 0 events flushed to")
+        assert (tmp_path / "trace.jsonl.partial.jsonl").exists()
+        assert not out_path.exists()
 
     def test_trace_from_without_chrome_format_exits_two(self, capsys, tmp_path):
         # The format is checked before the file is read: a missing file

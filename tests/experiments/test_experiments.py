@@ -31,7 +31,7 @@ def estimation(reproduction):
 class TestWorkloadTrace:
     def test_collect_shapes(self):
         model = RandomizedParameterModel(total_subframes=2000, seed=0)
-        trace = collect_workload_trace(model, stride=25)
+        trace = collect_workload_trace(model)
         assert trace.subframe_indices.size == 80
         assert trace.num_users.shape == trace.total_prb.shape
 
@@ -60,11 +60,6 @@ class TestWorkloadTrace:
         assert trace.min_layers.min() == 1
         mid = trace.subframe_indices.size // 2
         assert trace.min_layers[mid] == 4  # peak: every user has 4 layers
-
-    def test_stride_validation(self):
-        model = RandomizedParameterModel(total_subframes=2000)
-        with pytest.raises(ValueError):
-            collect_workload_trace(model, stride=0)
 
     def test_summary_and_format(self):
         model = RandomizedParameterModel(total_subframes=2000, seed=1)

@@ -2,11 +2,19 @@
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import _config_from_flags, build_parser, main
 from repro.serve import ServeConfig, validate_serve_report
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 BASE = [
     "serve",
@@ -199,3 +207,33 @@ class TestServeCommand:
         }
         assert "arrival" in kinds
         assert "subframe-terminal" in kinds
+
+
+def test_ctrl_c_exits_130_after_the_trace_is_flushed(tmp_path):
+    """SIGINT mid-run: exit 130, one stderr line, and a trace whose last
+    line is whole JSON (the sink's final flush ran before exit)."""
+    trace = tmp_path / "serve.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = ["serve", "--cells", "1", "--subframes", "100000", "--trace", str(trace)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        # A job started in the background inherits an ignored SIGINT, and
+        # Python only raises KeyboardInterrupt where SIGINT is not ignored.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (trace.exists() and trace.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130, err
+    assert out == "" and err.splitlines() == ["serve: interrupted"]
+    json.loads(trace.read_text().splitlines()[-1])

@@ -439,6 +439,52 @@ def test_every_option_has_a_caller():
     assert "max_activity" in params(AdmissionController)
     assert "queue_depth" in {f.name for f in dataclasses.fields(ServeConfig)}
 
+def test_the_cli_is_a_thin_shell(capsys):
+    """``main`` alone maps set-up errors to exit 2, arms ``--timeout`` and
+    maps Ctrl-C to 130; building the parser imports no NumPy; the flags
+    nothing set (``top --width``, ``calibrate --points``, ``workload
+    --stride``) and the parameters only they fed are gone; ``run
+    --backend`` reads ``SERVE_BACKENDS``. No alias, no stub."""
+    import inspect
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro import cli
+    from repro.experiments import collect_workload_trace
+    from repro.obs import render_dashboard
+    from repro.serve import SERVE_BACKENDS
+
+    code = "import sys, repro.cli; repro.cli.build_parser(); print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    fresh = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert fresh.stdout.split() == ["False"]
+    assert not hasattr(cli, "_bad_value")
+    for name in (name for name in dir(cli) if name.startswith("cmd_")):
+        source = inspect.getsource(getattr(cli, name))
+        for text in ("hang_guard", "except KeyboardInterrupt", "except ValueError"):
+            assert text not in source, (name, text)
+    parser = cli.build_parser()
+    for argv in (
+        ["top", "--width", "60"],
+        ["calibrate", "--points", "3"],
+        ["workload", "--stride", "50"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    capsys.readouterr()
+    assert "width" not in inspect.signature(render_dashboard).parameters
+    assert list(inspect.signature(collect_workload_trace).parameters) == ["model"]
+    run = next(a for a in parser._actions if a.dest == "command").choices["run"]
+    backend = next(a for a in run._actions if a.dest == "backend")
+    assert backend.choices is SERVE_BACKENDS
+
+
 def test_version():
     import repro
 
