@@ -52,6 +52,7 @@ paper-benches:
 	$(PYTHON) -m repro metrics --format prometheus --subframes 60
 	cd "$$(mktemp -d)" && PYTHONPATH="$(CURDIR)/src" $(PYTHON) "$(CURDIR)/examples/profiling_timeline.py"
 	$(PYTHON) examples/link_level_ber.py
+	$(PYTHON) scripts/result_digest.py --workload shared_shape --seed 1
 
 chaos-smoke:
 	$(PYTHON) -m repro chaos --scale smoke --seeds 5 --timeout 480

@@ -2,13 +2,16 @@
 
     PYTHONPATH=src python scripts/result_digest.py --workload paper_mix --seed 1
 
-Runs ``process_subframe(sf, backend="vectorized")`` on every subframe of
-``traffic_for(W, N)`` from ``perf/workloads.py`` and prints one hex digest
-over every user's ``user_id``, ``crc_ok``, payload values (as ``uint8``
-bytes, one a bit, whatever dtype the payload has) and LLR bytes, in
-subframe and user order. Two checkouts decode bit-identically when the
-digests match: run the script from one checkout with ``PYTHONPATH`` set to
-each checkout's ``src`` in turn.
+Runs ``process_subframe(sf, backend=B)`` on every subframe of
+``traffic_for(W, N)`` from ``perf/workloads.py``, once with the vectorized
+backend and once with the serial one, and hashes each run over every
+user's ``user_id``, ``crc_ok``, payload values (as ``uint8`` bytes, one a
+bit, whatever dtype the payload has) and LLR bytes, in subframe and user
+order. When the two backends agree it prints their one hex digest and
+exits 0; when they disagree it prints both to stderr and exits 1. Two
+checkouts decode bit-identically when the digests match: run the script
+from one checkout with ``PYTHONPATH`` set to each checkout's ``src`` in
+turn.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 __all__ = ["result_digest", "main"]
 
 WORKLOADS = ("paper_mix", "shared_shape", "wideband")
+BACKENDS = ("vectorized", "serial")
 
 
 def result_digest(results) -> str:
@@ -51,7 +55,16 @@ def main(argv: list[str] | None = None) -> int:
     from workloads import traffic_for
 
     traffic = traffic_for(args.workload, args.seed)
-    print(result_digest(process_subframe(sf, backend="vectorized") for sf in traffic))
+    digests = {
+        backend: result_digest(process_subframe(sf, backend=backend) for sf in traffic)
+        for backend in BACKENDS
+    }
+    if len(set(digests.values())) > 1:
+        for backend, digest in digests.items():
+            print(f"{backend}: {digest}", file=sys.stderr)
+        print("result_digest: the backends disagree", file=sys.stderr)
+        return 1
+    print(digests["vectorized"])
     return 0
 
 

@@ -19,10 +19,13 @@ differential suite (``tests/differential``) enforces this against the
 serial and threaded backends.
 
 **What is overwritten.** A stage holds one stage-sized array, not one per
-step: :func:`batched_chest` builds the matched-filter product and then runs
-the IFFT, the window multiply and the FFT *into that same array*
-(``out=``), reading the guard-band noise after the IFFT and before the
-window; :func:`batched_combine_symbols` runs the IFFT and the ``√K`` scale
+step: :func:`batched_chest` builds the matched-filter product against the
+width's cached DMRS table and hands it to
+:func:`repro.phy.chest.estimate_in_place` — the pass the serial chain's
+:func:`~repro.phy.chest.chest_task` runs too — which runs the IFFT, the
+window multiply and the FFT *into that same array* (``out=``), reading the
+guard-span noise after the IFFT and before the window;
+:func:`batched_combine_symbols` runs the IFFT and the ``√K`` scale
 into the einsum's output. Each of those arrays is created inside the call
 and returned from it, so nothing a caller passed is ever written — the
 pool's workers pass read-only views of the shared grid — and an in-place
@@ -50,50 +53,20 @@ probes pin.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .chest import window_lengths
+from .chest import dmrs_bank, estimate_in_place
 from .dtypes import REAL_DTYPE, ensure_complex
 from .equalizer import mmse_combiner
-from .fftutil import wraparound_window
 from .modulation import soft_demap
-from .sequences import dmrs_for_layer
+from .params import MAX_LAYERS
 
 __all__ = [
-    "dmrs_bank",
     "batched_chest",
     "batched_combiner_weights",
     "batched_combine_symbols",
     "batched_soft_demap",
 ]
-
-@lru_cache(maxsize=None)
-def dmrs_bank(num_subcarriers: int, layers: int) -> np.ndarray:
-    """``(layers, subcarriers)`` conjugated DMRS bank (cached, read-only).
-
-    The serial chain regenerates the Zadoff–Chu sequence inside every
-    matched-filter call; the bank computes each (width, layer) sequence
-    once per process, which is a large share of the batched speedup.
-    """
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    bank = np.stack(
-        [
-            np.conj(dmrs_for_layer(int(num_subcarriers), layer))
-            for layer in range(int(layers))
-        ]
-    )
-    bank.setflags(write=False)
-    return bank
-
-
-@lru_cache(maxsize=128)
-def _window_cached(num_subcarriers: int) -> np.ndarray:
-    window = wraparound_window(num_subcarriers, *window_lengths(num_subcarriers))
-    window.setflags(write=False)
-    return window
 
 
 def batched_chest(refs: np.ndarray, layers: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +79,7 @@ def batched_chest(refs: np.ndarray, layers: int) -> tuple[np.ndarray, np.ndarray
         — one row per antenna, arbitrary leading batch dimensions (slots,
         users).
     layers:
-        Number of layers to estimate per antenna.
+        Number of layers to estimate per antenna, 1 to ``MAX_LAYERS``.
 
     Returns
     -------
@@ -114,31 +87,15 @@ def batched_chest(refs: np.ndarray, layers: int) -> tuple[np.ndarray, np.ndarray
         ``channel`` has shape ``(..., antennas, layers, subcarriers)``;
         ``noise`` holds the per-task noise-variance estimates with shape
         ``(..., antennas, layers)``. Both are bit-exact with per-task
-        :func:`repro.phy.chain.chest_task` calls.
+        :func:`repro.phy.chest.chest_task` calls.
     """
+    if not 1 <= layers <= MAX_LAYERS:
+        raise ValueError(f"layers {layers} outside [1, {MAX_LAYERS}]")
     refs = ensure_complex(refs)
-    num_sc = refs.shape[-1]
-    bank = dmrs_bank(num_sc, layers)  # (layers, sc), already conjugated
     # Matched filter: (..., antennas, 1, sc) * (layers, sc) — a fresh array,
-    # which every later step of the stage overwrites.
-    impulse = refs[..., :, None, :] * bank
-    np.fft.ifft(impulse, axis=-1, out=impulse)
-    # Noise: mean power of the guard span between the kept window and the
-    # next layer offset — computed on the *pre-window* impulse response,
-    # exactly as estimate_noise_variance does with its fresh IFFT.
-    keep, _ = window_lengths(num_sc)
-    lo, hi = keep, max(keep + 1, num_sc // 4)
-    guard = impulse[..., lo:hi]
-    if guard.shape[-1] == 0:
-        guard = impulse[..., lo:]
-    if guard.shape[-1] == 0:
-        noise = np.zeros(impulse.shape[:-1], dtype=REAL_DTYPE)
-    else:
-        # add.reduce / n is what ndarray.mean computes, minus its wrapper.
-        noise = np.add.reduce(np.abs(guard) ** 2, axis=-1) / guard.shape[-1] * num_sc
-    # Only now, with the guard span read, may the window overwrite it.
-    np.multiply(impulse, _window_cached(num_sc), out=impulse)
-    return np.fft.fft(impulse, axis=-1, out=impulse), noise
+    # which the rest of the pass overwrites.
+    bank = dmrs_bank(refs.shape[-1])[:layers]
+    return estimate_in_place(refs[..., :, None, :] * bank)
 
 
 def batched_combiner_weights(

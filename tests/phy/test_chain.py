@@ -11,7 +11,8 @@ from repro.phy import (
     random_payload,
     transmit_subframe,
 )
-from repro.phy.chain import chest_task, combiner_stage, finalize_user, symbol_task
+from repro.phy.chain import combiner_stage, finalize_user, symbol_task
+from repro.phy.chest import chest_task
 from repro.phy.params import SYMBOLS_PER_SLOT
 from repro.phy.transmitter import data_symbol_indices
 from repro.phy.turbo import TurboCodec

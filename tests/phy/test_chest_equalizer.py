@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.phy.channel import ChannelModel
+from repro.phy import chest, sequences
 from repro.phy.chest import (
-    estimate_channel,
-    estimate_noise_variance,
+    chest_task,
+    dmrs_bank,
     matched_filter,
     window_lengths,
 )
@@ -42,6 +43,58 @@ class TestWindowLengths:
             assert keep + back <= n // 4
 
 
+class TestOnePass:
+    """Each chest task is one matched filter and one IFFT against one
+    cached DMRS table per width, shared with the batched path."""
+
+    def test_one_ifft_and_no_sequence_generation_per_task(self, monkeypatch):
+        ref = np.random.default_rng(0).standard_normal(96) + 0j
+        chest_task(ref, 1)  # warm-up: builds the width's table
+        calls = {"ifft": 0, "dmrs_for_layer": 0}
+        ifft, dmrs_for_layer = np.fft.ifft, sequences.dmrs_for_layer
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np.fft, "ifft", counted("ifft", ifft))
+        monkeypatch.setattr(
+            sequences, "dmrs_for_layer", counted("dmrs_for_layer", dmrs_for_layer)
+        )
+        monkeypatch.setattr(
+            chest, "dmrs_for_layer", counted("dmrs_for_layer", dmrs_for_layer)
+        )
+        chest_task(ref, 1)
+        assert calls == {"ifft": 1, "dmrs_for_layer": 0}
+
+    def test_dmrs_bank_is_keyed_by_width_alone(self):
+        import inspect
+
+        assert list(inspect.signature(dmrs_bank).parameters) == ["num_subcarriers"]
+        bank = dmrs_bank(48)
+        assert bank.shape == (4, 48) and not bank.flags.writeable
+        assert dmrs_bank(48) is bank
+        for layer in range(4):
+            assert np.array_equal(bank[layer], np.conj(dmrs_for_layer(48, layer)))
+
+    def test_one_table_and_one_estimator_remain(self):
+        from repro.phy import batched, chain
+
+        assert not {"estimate_channel", "estimate_noise_variance"} & set(dir(chest))
+        assert "dmrs_bank" not in batched.__all__
+        assert "chest_task" not in chain.__all__
+        assert batched.dmrs_bank is dmrs_bank
+
+    def test_layer_outside_the_table_is_refused(self):
+        ref = dmrs_for_layer(48, 0)
+        for layer in (-1, 4):
+            with pytest.raises(ValueError, match="layer"):
+                matched_filter(ref, layer)
+
+
 class TestMatchedFilter:
     def test_recovers_flat_channel_exactly_noiseless(self):
         n = 48
@@ -65,7 +118,7 @@ class TestEstimateChannel:
         model = ChannelModel(num_rx_antennas=1, num_taps=1, snr_db=30.0)
         real = model.realize(1, 144, rng)
         ref = _received_reference(real.response, 1, real.noise_variance, rng)
-        est = estimate_channel(ref, 0)
+        est, _ = chest_task(ref, 0)
         mse = np.mean(np.abs(est - real.response[0, 0]) ** 2)
         # The window keeps keep+back of the 144 time samples, so the
         # residual error is that fraction of the noise (flat channel passes
@@ -81,7 +134,7 @@ class TestEstimateChannel:
         ref = _received_reference(real.response, 1, real.noise_variance, rng)
         h = real.response[0, 0]
         raw = matched_filter(ref, 0)
-        est = estimate_channel(ref, 0)
+        est, _ = chest_task(ref, 0)
         err_raw = np.mean(np.abs(raw - h) ** 2)
         err_est = np.mean(np.abs(est - h) ** 2)
         assert err_est < err_raw * 0.3
@@ -93,7 +146,7 @@ class TestEstimateChannel:
         real = model.realize(4, 144, rng)
         ref = _received_reference(real.response, 4, real.noise_variance, rng)
         for layer in range(4):
-            est = estimate_channel(ref, layer)
+            est, _ = chest_task(ref, layer)
             h = real.response[0, layer]
             nmse = np.mean(np.abs(est - h) ** 2) / np.mean(np.abs(h) ** 2)
             assert nmse < 0.01, f"layer {layer} nmse {nmse}"
@@ -105,7 +158,7 @@ class TestEstimateChannel:
         estimates = []
         for _ in range(30):
             ref = _received_reference(real.response, 1, real.noise_variance, rng)
-            estimates.append(estimate_noise_variance(ref, 0))
+            estimates.append(chest_task(ref, 0)[1])
         assert np.mean(estimates) == pytest.approx(real.noise_variance, rel=0.35)
 
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import reference_kernels as ref
 
-from repro.phy.batched import batched_chest, batched_combine_symbols, dmrs_bank
-from repro.phy.chest import window_lengths
+from repro.phy.batched import batched_chest, batched_combine_symbols
+from repro.phy.chest import dmrs_bank, window_lengths
 from repro.phy.crc import crc_attach, crc_check
 from repro.phy.equalizer import mmse_combiner
 from repro.phy.fftutil import wraparound_window
@@ -128,7 +128,7 @@ class TestFftSitesByExplicitMatrix:
         channel, _noise = batched_chest(refs, layers)
         # Matched filter and window are the estimator's own; only the two
         # transforms around the window are replaced.
-        matched = refs[:, :, None, :] * dmrs_bank(n, layers)
+        matched = refs[:, :, None, :] * dmrs_bank(n)[:layers]
         window = wraparound_window(n, *window_lengths(n))
         expected = ref.dft(ref.dft(matched, inverse=True) * window)
         assert channel.shape == expected.shape == (2, 4, layers, n)

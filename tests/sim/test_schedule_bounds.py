@@ -259,12 +259,6 @@ def drawable_shapes():
     ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the serial finalize tail alone is ~26 DELTA for "
-    "the 200-PRB 4-layer 64-QAM user, so some users cannot finish within "
-    "IN_FLIGHT_BOUND subframes on any schedule",
-)
 def test_every_drawable_shape_fits_the_in_flight_bound(study_draw):
     cost = CostModel()
     deadline = IN_FLIGHT_BOUND * cost.machine.subframe_period_cycles
@@ -281,11 +275,11 @@ def test_every_drawable_shape_fits_the_in_flight_bound(study_draw):
     assert not late_shapes, f"{share:.1%} of study users exceed the bound"
 
 
-# ------------------------------------------------------- floor = misses
-def test_nonap_misses_are_exactly_the_infeasible_subframes(study_draw):
-    """With no horizon cut, NONAP misses the 3·DELTA deadline on exactly the
-    subframes whose floor max(S, W/P) exceeds it: the scheduler adds no
-    miss of its own."""
+# --------------------------------------------------- infeasible ⊆ misses
+@pytest.fixture(scope="module")
+def nonap_study(study_draw):
+    """``(missed, infeasible)`` subframe indices of NONAP on the study draw,
+    with no horizon cut, against the 3·DELTA deadline."""
     cost = CostModel()
     workers = cost.machine.num_workers
     deadline = IN_FLIGHT_BOUND * cost.machine.subframe_period_cycles
@@ -296,5 +290,27 @@ def test_nonap_misses_are_exactly_the_infeasible_subframes(study_draw):
         work, span_ = bounds(cost, users)
         if span_ > deadline or work > deadline * workers:
             infeasible.add(index)
-    print(f"\nmisses {len(missed)} = infeasible {len(infeasible)}")
-    assert missed == infeasible
+    return missed, infeasible
+
+
+def test_nonap_misses_every_infeasible_subframe(nonap_study):
+    """A subframe whose floor max(S, W/P) exceeds the 3·DELTA deadline is
+    late on any schedule, so NONAP misses it."""
+    missed, infeasible = nonap_study
+    print(f"\nmisses {len(missed)} ⊇ infeasible {len(infeasible)}")
+    assert infeasible <= missed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: NONAP misses 6 feasible subframes of the study "
+    "draw at the load peak (subframes 230-287), so the scheduler adds "
+    "misses of its own; the backlog term of the floor should explain them",
+)
+def test_nonap_misses_only_infeasible_subframes(nonap_study):
+    """The converse, which makes the two sets equal: NONAP misses no
+    subframe that some schedule could finish in time, so the scheduler
+    adds no miss of its own."""
+    missed, infeasible = nonap_study
+    print(f"\nmisses {len(missed)}, of them feasible {len(missed - infeasible)}")
+    assert missed <= infeasible

@@ -1,5 +1,6 @@
 """``scripts/result_digest.py``: the digest hashes bit values, not dtypes,
-and sees a single flipped bit."""
+sees a single flipped bit, and the script checks the serial backend
+against the vectorized one."""
 
 import importlib.util
 import os
@@ -77,3 +78,39 @@ def test_cli_prints_one_digest():
     )
     (line,) = proc.stdout.splitlines()
     assert len(line) == 64 and int(line, 16) >= 0
+
+
+@pytest.fixture
+def backends_called(monkeypatch):
+    """Route the script's ``process_subframe`` through a recorder; a test
+    may set ``flip_serial`` to corrupt one serial payload bit."""
+    import repro.uplink
+
+    real = repro.uplink.process_subframe
+    calls = {"backends": set(), "flip_serial": False}
+
+    def recorded(subframe, backend):
+        calls["backends"].add(backend)
+        result = real(subframe, backend=backend)
+        if backend == "serial" and calls["flip_serial"]:
+            user = result.user_results[0]
+            user.payload = user.payload ^ 1
+        return result
+
+    monkeypatch.setattr(repro.uplink, "process_subframe", recorded)
+    return calls
+
+
+def test_serial_and_vectorized_agree_on_one_digest(backends_called, capsys):
+    assert result_digest.main(["--workload", "shared_shape", "--seed", "1"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert len(line) == 64
+    assert backends_called["backends"] == {"serial", "vectorized"}
+
+
+def test_backends_that_disagree_exit_one(backends_called, capsys):
+    backends_called["flip_serial"] = True
+    assert result_digest.main(["--workload", "shared_shape", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "disagree" in captured.err

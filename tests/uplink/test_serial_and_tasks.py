@@ -77,14 +77,14 @@ class TestDescribeUserTasks:
 
     def test_descriptors_carry_work(self):
         """Every task of the program grows with the PRB count, and the
-        modulation reaches the finalize join."""
+        modulation reaches the symbol tasks."""
         cost = CostModel()
         small = cost.stage_program(UserParameters(0, 30, 2, Modulation.QAM16))
         wide = cost.stage_program(UserParameters(0, 60, 2, Modulation.QAM16))
         for (_, a, _), (_, b, _) in zip(small, wide):
             assert b > a
         qpsk = cost.stage_program(UserParameters(0, 30, 2, Modulation.QPSK))
-        assert qpsk[-1][1] < small[-1][1]
+        assert qpsk[2][2] == "symbol" and qpsk[2][1] < small[2][1]
 
 
 def run_stages(job):
