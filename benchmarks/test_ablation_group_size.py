@@ -6,7 +6,7 @@ the savings. This reruns Eqs. 6-9 over the same NAP+IDLE run with group
 sizes 4, 8 (paper), 16 and 32.
 """
 
-from repro.power.gating import PowerGatingModel, PowerGatingParams
+from repro.power.gating import PowerGatingModel
 
 
 def test_ablation_gating_group_size(benchmark, power_study):
@@ -15,7 +15,7 @@ def test_ablation_gating_group_size(benchmark, power_study):
     def sweep():
         savings = {}
         for group in (4, 8, 16, 32):
-            model = PowerGatingModel(PowerGatingParams(group_size=group))
+            model = PowerGatingModel(group_size=group)
             savings[group] = model.evaluate(active).mean_saving()
         return savings
 

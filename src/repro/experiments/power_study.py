@@ -22,7 +22,7 @@ from ..uplink.parameter_model import RandomizedParameterModel, TraceParameterMod
 
 __all__ = ["PolicyRun", "PowerStudyResult", "run_power_study"]
 
-#: The power measurement window: the paper's 100 ms RMS windows.
+#: The power measurement window: the paper's 100 ms windows.
 WINDOW_S = 0.1
 
 

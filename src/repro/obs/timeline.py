@@ -314,7 +314,7 @@ def gating_events_from_active_workers(
     """
     model = PowerGatingModel()
     trace = model.evaluate(np.asarray(active_workers))
-    group = model.params.group_size
+    group = model.group_size
     events: list[Event] = []
     previous = None
     for index, powered in enumerate(trace.powered):

@@ -3,7 +3,7 @@
 The paper's channel estimator transforms the matched-filter output to the
 time domain (IFFT), applies a window that keeps only the span where the
 channel's impulse response can live, and transforms back (FFT). This module
-provides those windows plus a self-contained radix-2 FFT used by the test
+provides that window plus a self-contained radix-2 FFT used by the test
 suite to cross-check numpy.
 """
 
@@ -15,7 +15,6 @@ __all__ = [
     "is_power_of_two",
     "fft_radix2",
     "ifft_radix2",
-    "time_domain_window",
     "wraparound_window",
 ]
 
@@ -62,40 +61,20 @@ def ifft_radix2(x: np.ndarray) -> np.ndarray:
     return np.conj(fft_radix2(np.conj(x))) / x.size
 
 
-def time_domain_window(length: int, keep: int, taper: int = 0) -> np.ndarray:
-    """Window that keeps the first ``keep`` time-domain samples.
-
-    The channel impulse response of an allocation occupies only a small
-    leading span of the IFFT output (delay spread ≪ symbol length), so the
-    estimator zeroes everything else; an optional raised-cosine taper of
-    ``taper`` samples softens the edge to limit spectral leakage.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if not 0 < keep <= length:
-        raise ValueError("keep must be in (0, length]")
-    if taper < 0 or keep + taper > length:
-        raise ValueError("taper out of range")
-    window = np.zeros(length, dtype=np.float64)
-    window[:keep] = 1.0
-    if taper:
-        ramp = 0.5 * (1.0 + np.cos(np.pi * (np.arange(1, taper + 1)) / (taper + 1)))
-        window[keep : keep + taper] = ramp
-    return window
-
-
-def wraparound_window(
-    length: int, keep_front: int, keep_back: int, taper: int = 0
-) -> np.ndarray:
+def wraparound_window(length: int, keep_front: int, keep_back: int) -> np.ndarray:
     """Window keeping ``[0, keep_front)`` plus the wrapped ``[-keep_back, 0)``.
 
-    A channel impulse response with fractional delay has energy on both
-    sides of delay zero; the negative-delay half wraps to the end of the
-    IFFT buffer, so a one-sided window would discard half the main lobe.
+    The channel impulse response of an allocation occupies only a small
+    span around delay zero of the IFFT output (delay spread ≪ symbol
+    length), so the estimator zeroes everything else. A fractional delay
+    puts energy on both sides of delay zero; the negative-delay half wraps
+    to the end of the IFFT buffer, so a one-sided window would discard half
+    the main lobe.
     """
-    if keep_back < 0 or keep_front + keep_back > length:
-        raise ValueError("keep_front + keep_back must fit in length")
-    window = time_domain_window(length, keep_front, taper)
+    if keep_front < 1 or keep_back < 0 or keep_front + keep_back > length:
+        raise ValueError("keep_front >= 1 and keep_back >= 0 must fit in length")
+    window = np.zeros(length, dtype=np.float64)
+    window[:keep_front] = 1.0
     if keep_back:
         window[-keep_back:] = 1.0
     return window

@@ -1,7 +1,9 @@
 """Power modeling and management: the subframe workload estimator
 (Eqs. 3-4), the NONAP/IDLE/NAP/NAP+IDLE policies (Eq. 5), the chip power
-model with thermal-leakage feedback, DAQ-style RMS measurement helpers,
-and the analytical power-gating model (Eqs. 6-9).
+model (one per-core state-price table, 100 ms window means of state
+occupancy, thermal-leakage feedback), and the analytical power-gating
+model (Eqs. 6-9) with the one Eq. 7 window and per-window fold that the
+DVFS extension shares.
 """
 
 from .estimator import (
@@ -12,8 +14,8 @@ from .estimator import (
     fit_slope_through_origin,
 )
 from .dvfs import DvfsModel, DvfsTrace, OperatingPoint
-from .energy import EnergyReport, energy_report, integrate_energy
-from .gating import GatingTrace, PowerGatingModel, PowerGatingParams
+from .energy import EnergyReport, energy_report
+from .gating import GatingTrace, PowerGatingModel
 from .governor import (
     OVER_PROVISION_CORES,
     POLICY_NAMES,
@@ -22,7 +24,6 @@ from .governor import (
     estimated_active_cores,
     make_policy,
 )
-from .measurement import SUPPLY_VOLTAGE_V, currents_from_voltages, rms_windows
 from .model import PowerModel, PowerTrace
 
 __all__ = [
@@ -36,19 +37,14 @@ __all__ = [
     "OperatingPoint",
     "EnergyReport",
     "energy_report",
-    "integrate_energy",
     "GatingTrace",
     "PowerGatingModel",
-    "PowerGatingParams",
     "OVER_PROVISION_CORES",
     "POLICY_NAMES",
     "NapIdlePolicy",
     "NapPolicy",
     "estimated_active_cores",
     "make_policy",
-    "SUPPLY_VOLTAGE_V",
-    "currents_from_voltages",
-    "rms_windows",
     "PowerModel",
     "PowerTrace",
 ]

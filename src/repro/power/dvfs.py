@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gating import visible_max, window_means
+
 __all__ = ["OperatingPoint", "DvfsTrace", "DvfsModel"]
 
 
@@ -60,10 +62,6 @@ LADDER = (
 HEADROOM = 0.9
 #: Extra power for one subframe on every operating-point switch (W).
 SWITCH_OVERHEAD_W = 0.2
-#: The demand window around each subframe, like Eq. 7's: two subframes
-#: ahead are known, two behind are still in flight.
-LOOKAHEAD_SUBFRAMES = 2
-LOOKBEHIND_SUBFRAMES = 2
 
 
 @dataclass
@@ -92,14 +90,8 @@ class DvfsModel:
 
     def evaluate(self, estimated_activity: np.ndarray) -> DvfsTrace:
         """Per-subframe decisions with the 5-subframe visibility window."""
-        activity = np.asarray(estimated_activity, dtype=np.float64)
-        n = activity.size
-        # Hold the maximum demand over [i-2, i+2], like Eq. 7.
-        demanded = np.empty(n)
-        for i in range(n):
-            lo = max(0, i - LOOKBEHIND_SUBFRAMES)
-            hi = min(n, i + LOOKAHEAD_SUBFRAMES + 1)
-            demanded[i] = activity[lo:hi].max()
+        # Hold the maximum demand over Eq. 7's window.
+        demanded = visible_max(np.asarray(estimated_activity, dtype=np.float64))
         points = [self.select_point(a) for a in demanded]
         freq = np.array([pt.frequency for pt in points])
         factor = np.array([pt.dynamic_power_factor for pt in points])
@@ -122,21 +114,12 @@ class DvfsModel:
         Returns the adjusted dynamic power (base power is unaffected by
         DVFS of the cores and must be added back by the caller).
         """
-        if window_s <= 0 or subframe_period_s <= 0:
-            raise ValueError("window_s and subframe_period_s must be positive")
         trace = self.evaluate(estimated_activity)
-        dynamic = np.asarray(dynamic_power_w, dtype=np.float64)
-        per_window = int(round(window_s / subframe_period_s))
-        if per_window < 1:
-            raise ValueError("window must cover at least one subframe")
-        adjusted = dynamic.copy()
-        for w in range(dynamic.size):
-            lo = w * per_window
-            hi = min(trace.power_factor.size, lo + per_window)
-            if lo >= trace.power_factor.size:
-                break
-            adjusted[w] = (
-                dynamic[w] * trace.power_factor[lo:hi].mean()
-                + trace.switch_overhead_w[lo:hi].mean()
-            )
+        adjusted = np.array(dynamic_power_w, dtype=np.float64)
+        n = adjusted.size
+        factor = window_means(trace.power_factor, n, window_s, subframe_period_s)
+        overhead = window_means(
+            trace.switch_overhead_w, n, window_s, subframe_period_s
+        )
+        adjusted[: factor.size] = adjusted[: factor.size] * factor + overhead
         return adjusted

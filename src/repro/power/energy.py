@@ -2,9 +2,9 @@
 
 The paper argues in watts; operators think in energy ("reduce the
 operational cost, which is a large portion of the base station total
-cost-of-ownership", Section I). These helpers integrate power traces to
-energy and derive the adoption-relevant figures of merit: joules per run,
-kWh per day per cell, and energy per decoded information bit.
+cost-of-ownership", Section I). :func:`energy_report` integrates a power
+trace to energy and derives the adoption-relevant figures of merit:
+joules per run and kWh per day per cell.
 """
 
 from __future__ import annotations
@@ -15,19 +15,9 @@ import numpy as np
 
 from .model import PowerTrace
 
-__all__ = ["EnergyReport", "integrate_energy", "energy_report", "SECONDS_PER_DAY"]
+__all__ = ["EnergyReport", "energy_report", "SECONDS_PER_DAY"]
 
 SECONDS_PER_DAY = 86_400.0
-
-
-def integrate_energy(power_w: np.ndarray, window_s: float) -> float:
-    """Trapezoid-free integration: each window holds its mean power."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    power_w = np.asarray(power_w, dtype=np.float64)
-    if power_w.size == 0:
-        raise ValueError("power trace must be non-empty")
-    return float(power_w.sum() * window_s)
 
 
 @dataclass
@@ -39,8 +29,6 @@ class EnergyReport:
     mean_power_w: float
     #: Projected energy per day at this operating point (kWh).
     daily_kwh: float
-    #: Energy per decoded information bit, if a bit count was supplied.
-    joules_per_bit: float | None = None
 
     def savings_vs(self, baseline: "EnergyReport") -> float:
         """Fractional energy saving relative to a baseline run."""
@@ -50,14 +38,13 @@ class EnergyReport:
 
 
 def energy_report(
-    power: PowerTrace | np.ndarray,
-    window_s: float | None = None,
-    decoded_bits: int | None = None,
+    power: PowerTrace | np.ndarray, window_s: float | None = None
 ) -> EnergyReport:
     """Build an :class:`EnergyReport` from a power trace.
 
     Accepts either a :class:`~repro.power.model.PowerTrace` (window length
-    taken from it) or a raw per-window watts array plus ``window_s``.
+    taken from it) or a raw per-window watts array plus ``window_s``. Each
+    window holds its mean power, so energy is the sum times ``window_s``.
     """
     if isinstance(power, PowerTrace):
         watts = power.total_w
@@ -66,18 +53,16 @@ def energy_report(
         watts = np.asarray(power, dtype=np.float64)
         if window_s is None:
             raise ValueError("window_s is required for raw power arrays")
-    energy = integrate_energy(watts, window_s)
+    if window_s <= 0:
+        raise ValueError("window_s must be positive")
+    if watts.size == 0:
+        raise ValueError("power trace must be non-empty")
+    energy = float(watts.sum() * window_s)
     duration = watts.size * window_s
     mean_power = energy / duration
-    joules_per_bit = None
-    if decoded_bits is not None:
-        if decoded_bits <= 0:
-            raise ValueError("decoded_bits must be positive")
-        joules_per_bit = energy / decoded_bits
     return EnergyReport(
         duration_s=duration,
         energy_j=energy,
         mean_power_w=mean_power,
         daily_kwh=mean_power * SECONDS_PER_DAY / 3.6e6,
-        joules_per_bit=joules_per_bit,
     )

@@ -21,29 +21,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PowerGatingParams", "PowerGatingModel", "GatingTrace"]
+__all__ = ["PowerGatingModel", "GatingTrace", "visible_max", "window_means"]
+
+#: Cores on the chip, all of them gateable (the 62 workers plus two).
+TOTAL_CORES = 64
+#: Static power per core: 25 % of the 14 W base over 64 cores (W).
+STATIC_POWER_PER_CORE_W = 0.055
+#: Eq. 8: toggling one core on or off, charged for one subframe (W).
+TOGGLE_OVERHEAD_PER_CORE_W = 0.015
+#: Eq. 7's reach: two subframes ahead are known, two behind in flight.
+VISIBILITY_SUBFRAMES = 2
 
 
-@dataclass(frozen=True)
-class PowerGatingParams:
-    """Constants of Section VI-C."""
+def visible_max(series: np.ndarray) -> np.ndarray:
+    """Eq. 7's window: each subframe's maximum over ``[i-2, i+2]``."""
+    series = np.asarray(series)
+    out = series.copy()
+    for shift in range(1, VISIBILITY_SUBFRAMES + 1):
+        np.maximum(out[shift:], series[:-shift], out=out[shift:])
+        np.maximum(out[:-shift], series[shift:], out=out[:-shift])
+    return out
 
-    total_cores: int = 64
-    group_size: int = 8
-    static_power_per_core_w: float = 0.055
-    toggle_overhead_per_core_w: float = 0.015
-    lookahead_subframes: int = 2
-    lookbehind_subframes: int = 2
 
-    def __post_init__(self) -> None:
-        if self.total_cores < 1 or self.group_size < 1:
-            raise ValueError("total_cores and group_size must be >= 1")
-        if self.total_cores % self.group_size:
-            raise ValueError("total_cores must be a multiple of group_size")
-        if self.static_power_per_core_w < 0 or self.toggle_overhead_per_core_w < 0:
-            raise ValueError("power constants must be >= 0")
-        if self.lookahead_subframes < 0 or self.lookbehind_subframes < 0:
-            raise ValueError("window extents must be >= 0")
+def window_means(
+    series: np.ndarray,
+    num_windows: int,
+    window_s: float,
+    subframe_period_s: float,
+) -> np.ndarray:
+    """Mean of a per-subframe series inside each power window.
+
+    Window ``w`` holds subframes ``[w·k, (w+1)·k)``, ``k = round(window_s
+    / subframe_period_s)``; the last one may be partial. Returns one mean
+    per window that holds a subframe, at most ``num_windows`` of them.
+    """
+    if window_s <= 0 or subframe_period_s <= 0:
+        raise ValueError("window_s and subframe_period_s must be positive")
+    per_window = int(round(window_s / subframe_period_s))
+    if per_window < 1:
+        raise ValueError("window must cover at least one subframe")
+    series = np.asarray(series, dtype=np.float64)
+    starts = range(0, min(series.size, num_windows * per_window), per_window)
+    return np.array([series[lo : lo + per_window].mean() for lo in starts])
 
 
 @dataclass
@@ -60,37 +79,33 @@ class GatingTrace:
 
 
 class PowerGatingModel:
-    """Applies Eqs. 6-9 to a trace of estimated active core counts."""
+    """Applies Eqs. 6-9 to a trace of estimated active core counts.
 
-    def __init__(self, params: PowerGatingParams | None = None) -> None:
-        self.params = params or PowerGatingParams()
+    ``group_size`` is the cores per power domain: eight in the paper,
+    swept by the group-size ablation.
+    """
+
+    def __init__(self, group_size: int = 8) -> None:
+        if group_size < 1 or TOTAL_CORES % group_size:
+            raise ValueError(f"group_size must divide the {TOTAL_CORES} cores")
+        self.group_size = group_size
 
     def quantize(self, active_cores: np.ndarray) -> np.ndarray:
         """Eq. 6: round up to whole power-gating groups."""
-        p = self.params
-        active = np.ceil(np.asarray(active_cores, dtype=np.float64) / p.group_size)
-        return np.clip(active * p.group_size, 0, p.total_cores).astype(np.int64)
+        active = np.ceil(np.asarray(active_cores, dtype=np.float64) / self.group_size)
+        return np.clip(active * self.group_size, 0, TOTAL_CORES).astype(np.int64)
 
     def powered_window(self, active: np.ndarray) -> np.ndarray:
         """Eq. 7: max over [i-2, i+2] (two ahead known, three in flight)."""
-        p = self.params
-        active = np.asarray(active, dtype=np.int64)
-        n = active.size
-        powered = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            lo = max(0, i - p.lookbehind_subframes)
-            hi = min(n, i + p.lookahead_subframes + 1)
-            powered[i] = active[lo:hi].max()
-        return powered
+        return visible_max(np.asarray(active, dtype=np.int64))
 
     def evaluate(self, active_cores: np.ndarray) -> GatingTrace:
         """Full Eqs. 6-9 pipeline over a per-subframe active-cores trace."""
-        p = self.params
         active = self.quantize(active_cores)
         powered = self.powered_window(active)
         toggles = np.abs(np.diff(powered, prepend=powered[:1]))
-        overhead = toggles * p.toggle_overhead_per_core_w
-        saving = (p.total_cores - powered) * p.static_power_per_core_w - overhead
+        overhead = toggles * TOGGLE_OVERHEAD_PER_CORE_W
+        saving = (TOTAL_CORES - powered) * STATIC_POWER_PER_CORE_W - overhead
         return GatingTrace(
             active=active,
             powered=powered,
@@ -110,18 +125,8 @@ class PowerGatingModel:
         Savings are averaged over the subframes falling inside each power
         window (the paper's Fig. 16 subtracts Eq. 9 from the NAP+IDLE
         measurement)."""
-        if window_s <= 0 or subframe_period_s <= 0:
-            raise ValueError("window_s and subframe_period_s must be positive")
-        trace = self.evaluate(active_cores)
-        power_w = np.asarray(power_w, dtype=np.float64)
-        per_window = int(round(window_s / subframe_period_s))
-        if per_window < 1:
-            raise ValueError("window must cover at least one subframe")
-        gated = power_w.copy()
-        for w in range(power_w.size):
-            lo = w * per_window
-            hi = min(trace.saving_w.size, lo + per_window)
-            if lo >= trace.saving_w.size:
-                break
-            gated[w] -= trace.saving_w[lo:hi].mean()
+        gated = np.array(power_w, dtype=np.float64)
+        saving = self.evaluate(active_cores).saving_w
+        means = window_means(saving, gated.size, window_s, subframe_period_s)
+        gated[: means.size] -= means
         return gated

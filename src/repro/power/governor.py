@@ -96,17 +96,16 @@ def make_policy(
     estimator: WorkloadEstimator | None = None,
     over_provision: int = OVER_PROVISION_CORES,
 ):
-    """Factory by paper name ("NONAP", "IDLE", "NAP", "NAP+IDLE")."""
+    """Factory by paper name, exactly one of :data:`POLICY_NAMES`."""
     # Deferred: repro.sim.machine imports repro.obs, which imports this
     # package.
     from ..sim.machine import AlwaysOnPolicy
 
-    key = name.strip().upper()
-    if key in ("NONAP", "IDLE"):
-        return AlwaysOnPolicy(num_workers, reactive_nap=key == "IDLE")
-    if key in ("NAP", "NAP+IDLE", "NAPIDLE"):
+    if name in ("NONAP", "IDLE"):
+        return AlwaysOnPolicy(num_workers, reactive_nap=name == "IDLE")
+    if name in ("NAP", "NAP+IDLE"):
         if estimator is None:
             raise ValueError(f"policy {name!r} requires a WorkloadEstimator")
-        cls = NapPolicy if key == "NAP" else NapIdlePolicy
+        cls = NapPolicy if name == "NAP" else NapIdlePolicy
         return cls(num_workers, estimator, over_provision)
     raise ValueError(f"unknown policy {name!r}")

@@ -1,6 +1,10 @@
 """Chip power model (substitute for the paper's DAQ measurements).
 
-Total power is decomposed the way the paper's measurements imply:
+The paper samples the supply current at 8 µs and reports its RMS over
+100 ms windows. Here each 100 ms window's power is priced from the mean
+state occupancy of its cores (:data:`STATE_POWER_W`), so a window reports
+a mean, not an RMS, of power. Total power is decomposed the way the
+paper's measurements imply:
 
 * a constant **base power** of 14 W — what the TILEPro64 dissipates with
   all cores napped (Section V-B);
@@ -39,11 +43,14 @@ __all__ = [
 #: Chip power with every core napped (W).
 BASE_POWER_W = 14.0
 #: Per-core power by state (W): computing at 100 % duty, busy-spinning,
-#: reactively napping, disabled.
-COMPUTE_POWER_W = 0.188
-SPIN_POWER_W = 0.158
-REACTIVE_NAP_POWER_W = 0.024
-DISABLED_POWER_W = 0.008
+#: reactively napping, disabled. Every watt the model reports is priced
+#: from this one table.
+STATE_POWER_W = {
+    CoreState.COMPUTE: 0.188,
+    CoreState.SPIN: 0.158,
+    CoreState.NAP: 0.024,
+    CoreState.DISABLED: 0.008,
+}
 #: Thermal feedback: die-to-ambient resistance, RC time constant,
 #: leakage slope and ambient temperature.
 THERMAL_RESISTANCE_C_PER_W = 1.5
@@ -79,16 +86,18 @@ def power_from_busy_fraction(busy_fraction, num_workers: int):
     """Windowed power estimate from a busy fraction (no occupancy trace).
 
     The streaming telemetry layer only sees task durations, not per-core
-    state occupancies, so its per-window power estimate assumes each of
-    ``num_workers`` cores draws compute power for the window's busy
-    fraction and reactive-nap power for the remainder (the NAP policy's
-    steady state) — the live analog of the paper's 100 ms RMS windows,
+    state occupancies. Its estimate is the two-state case of
+    :data:`STATE_POWER_W`: each of ``num_workers`` cores computes for the
+    window's busy fraction and naps reactively for the rest. That is the
+    IDLE policy's steady state: serve's pool has no governor, so its idle
+    workers nap reactively. It is the live analog of the 100 ms windows,
     without the thermal feedback loop. Accepts a scalar or array of busy
     fractions (clipped to [0, 1]) and returns watts with matching shape.
     """
     busy = np.clip(np.asarray(busy_fraction, dtype=np.float64), 0.0, 1.0)
     dynamic = num_workers * (
-        busy * COMPUTE_POWER_W + (1.0 - busy) * REACTIVE_NAP_POWER_W
+        busy * STATE_POWER_W[CoreState.COMPUTE]
+        + (1.0 - busy) * STATE_POWER_W[CoreState.NAP]
     )
     result = BASE_POWER_W + dynamic
     return float(result) if result.ndim == 0 else result
@@ -99,14 +108,8 @@ class PowerModel:
 
     def dynamic_power(self, trace: OccupancyTrace) -> np.ndarray:
         """Per-window dynamic power from state occupancies (no thermal)."""
-        per_state = {
-            CoreState.COMPUTE: COMPUTE_POWER_W,
-            CoreState.SPIN: SPIN_POWER_W,
-            CoreState.NAP: REACTIVE_NAP_POWER_W,
-            CoreState.DISABLED: DISABLED_POWER_W,
-        }
         dynamic = np.zeros(trace.num_windows)
-        for state, watts in per_state.items():
+        for state, watts in STATE_POWER_W.items():
             dynamic += trace.occupancy_fraction(state) * trace.num_workers * watts
         return dynamic
 

@@ -68,7 +68,7 @@ class SimConfig:
     ``wake_period_s`` is how often a napping core wakes to look for work
     (the TILEPro64 nap instruction has no external wake-up, Section V-B);
     ``wake_check_cycles`` is what one check costs; ``window_s`` is the
-    trace/power window (the paper's 100 ms RMS).
+    trace/power window (the paper's 100 ms).
     """
 
     wake_period_s: float = 1e-3

@@ -9,7 +9,7 @@ from repro.phy.fftutil import (
     fft_radix2,
     ifft_radix2,
     is_power_of_two,
-    time_domain_window,
+    wraparound_window,
 )
 
 
@@ -50,28 +50,17 @@ class TestRadix2Fft:
 
 class TestWindow:
     def test_rectangular_window(self):
-        w = time_domain_window(16, 4)
+        w = wraparound_window(16, 4, 0)
         assert w[:4].tolist() == [1.0] * 4
         assert w[4:].tolist() == [0.0] * 12
 
-    def test_tapered_window_monotone_edge(self):
-        w = time_domain_window(32, 8, taper=4)
-        edge = w[8:12]
-        assert np.all(np.diff(edge) < 0)
-        assert np.all((edge > 0) & (edge < 1))
-        assert w[12:].tolist() == [0.0] * 20
-
     def test_full_keep(self):
-        assert np.allclose(time_domain_window(8, 8), 1.0)
+        assert np.allclose(wraparound_window(8, 8, 0), 1.0)
 
     @pytest.mark.parametrize("keep", [0, 17])
     def test_rejects_bad_keep(self, keep):
         with pytest.raises(ValueError):
-            time_domain_window(16, keep)
-
-    def test_rejects_overlong_taper(self):
-        with pytest.raises(ValueError):
-            time_domain_window(16, 12, taper=8)
+            wraparound_window(16, keep, 0)
 
 
 @given(exp=st.integers(min_value=1, max_value=9), seed=st.integers(0, 2**16))

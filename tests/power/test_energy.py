@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.power.energy import EnergyReport, energy_report, integrate_energy
+from repro.power.energy import EnergyReport, energy_report
 from repro.power.model import PowerTrace
 
 
@@ -21,17 +21,21 @@ def make_trace(watts, window_s=0.1):
 
 
 class TestIntegrateEnergy:
+    """Each window holds its mean power: energy is the sum × window."""
+
     def test_constant_power(self):
-        assert integrate_energy(np.full(10, 20.0), 0.1) == pytest.approx(20.0)
+        report = energy_report(np.full(10, 20.0), window_s=0.1)
+        assert report.energy_j == pytest.approx(20.0)
 
     def test_varying_power(self):
-        assert integrate_energy(np.array([10.0, 30.0]), 0.5) == pytest.approx(20.0)
+        report = energy_report(np.array([10.0, 30.0]), window_s=0.5)
+        assert report.energy_j == pytest.approx(20.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            integrate_energy(np.ones(3), 0.0)
+            energy_report(np.ones(3), window_s=0.0)
         with pytest.raises(ValueError):
-            integrate_energy(np.array([]), 0.1)
+            energy_report(np.array([]), window_s=0.1)
 
 
 class TestEnergyReport:
@@ -49,14 +53,6 @@ class TestEnergyReport:
     def test_raw_array_requires_window(self):
         with pytest.raises(ValueError):
             energy_report(np.ones(5))
-
-    def test_joules_per_bit(self):
-        report = energy_report(make_trace(np.full(10, 20.0)), decoded_bits=1_000)
-        assert report.joules_per_bit == pytest.approx(20.0 / 1_000)
-
-    def test_joules_per_bit_requires_positive_bits(self):
-        with pytest.raises(ValueError):
-            energy_report(make_trace(np.ones(4)), decoded_bits=0)
 
     def test_savings_vs_baseline(self):
         nonap = energy_report(make_trace(np.full(10, 25.0)))

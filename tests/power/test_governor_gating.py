@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.phy.params import Modulation
 from repro.power.estimator import WorkloadEstimator
-from repro.power.gating import PowerGatingModel, PowerGatingParams
+from repro.power import gating
+from repro.power.gating import PowerGatingModel, visible_max, window_means
 from repro.power.governor import (
     OVER_PROVISION_CORES,
     NapIdlePolicy,
@@ -73,7 +74,7 @@ class TestPolicies:
 
     def test_factory(self):
         assert isinstance(make_policy("NONAP", 62), AlwaysOnPolicy)
-        assert isinstance(make_policy("idle", 62), AlwaysOnPolicy)
+        assert isinstance(make_policy("IDLE", 62), AlwaysOnPolicy)
         assert isinstance(make_policy("NAP", 62, flat_estimator()), NapPolicy)
         assert isinstance(
             make_policy("NAP+IDLE", 62, flat_estimator()), NapIdlePolicy
@@ -131,15 +132,15 @@ class TestGatingEquations:
         assert np.allclose(trace.saving_w, 0.0)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            PowerGatingParams(total_cores=60, group_size=8)
-        with pytest.raises(ValueError):
-            PowerGatingParams(static_power_per_core_w=-1)
+        """The group size must split the 64 cores into whole domains."""
+        for group in (0, 7, 128):
+            with pytest.raises(ValueError):
+                PowerGatingModel(group_size=group)
+        assert PowerGatingModel(group_size=16).quantize(np.array([17])).tolist() == [32]
 
     def test_paper_static_power_assumption(self):
         """25 % of the 14 W base power over 64 cores = 55 mW/core."""
-        params = PowerGatingParams()
-        assert params.static_power_per_core_w == pytest.approx(
+        assert gating.STATIC_POWER_PER_CORE_W == pytest.approx(
             0.25 * 14.0 / 64, abs=0.001
         )
 
@@ -149,6 +150,19 @@ class TestGatingEquations:
         active = np.full(40, 8)  # 40 subframes @5ms → 2 windows of 0.1s
         gated = model.apply_to_power(power, 0.1, active, 5e-3)
         assert np.allclose(gated, 20.0 - 3.08)
+
+    def test_window_means_fold_partial_and_missing_windows(self):
+        """Window ``w`` averages subframes ``[4w, 4w + 4)``; the last window
+        with a subframe may be partial, and a window with none gets no
+        mean (the caller leaves its power as it is)."""
+        series = np.arange(10.0)
+        means = window_means(series, 5, 0.02, 5e-3)
+        assert means.tolist() == [1.5, 5.5, 8.5]
+        assert window_means(series, 1, 0.02, 5e-3).tolist() == [1.5]
+        power = np.full(5, 20.0)
+        gated = PowerGatingModel().apply_to_power(power, 0.02, np.full(10, 8), 5e-3)
+        assert np.allclose(gated[:3], 20.0 - 3.08)
+        assert gated[3:].tolist() == [20.0, 20.0]
 
     def test_apply_validation(self):
         model = PowerGatingModel()
@@ -169,3 +183,15 @@ def test_property_powered_at_least_active(values):
     assert np.all(powered >= active)
     assert np.all(powered <= 64)
     assert np.all(powered % 8 == 0)
+
+
+@given(
+    values=st.lists(st.floats(0, 2, allow_nan=False), min_size=0, max_size=30),
+)
+@settings(max_examples=50, deadline=None)
+def test_property_visible_max_is_the_eq7_window_max(values):
+    """Eq. 7 from its definition: subframe ``i`` holds the maximum of
+    ``[i-2, i+2]`` clipped to the series."""
+    series = np.array(values, dtype=np.float64)
+    expected = [series[max(0, i - 2) : i + 3].max() for i in range(series.size)]
+    assert visible_max(series).tolist() == expected

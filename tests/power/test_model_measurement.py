@@ -1,9 +1,8 @@
-"""Tests for the chip power model and the DAQ measurement helpers."""
+"""Tests for the chip power model, the substitute for the paper's DAQ."""
 
 import numpy as np
 import pytest
 
-from repro.power.measurement import currents_from_voltages, rms_windows
 from repro.power import model
 from repro.power.model import PowerModel
 from repro.sim.trace import CoreState, OccupancyTrace
@@ -25,11 +24,12 @@ def trace_with(fractions: dict, workers=62, windows=4, window_cycles=1000):
 
 class TestParams:
     def test_defaults_ordered(self):
+        price = model.STATE_POWER_W
         assert (
-            model.DISABLED_POWER_W
-            < model.REACTIVE_NAP_POWER_W
-            < model.SPIN_POWER_W
-            < model.COMPUTE_POWER_W
+            price[CoreState.DISABLED]
+            < price[CoreState.NAP]
+            < price[CoreState.SPIN]
+            < price[CoreState.COMPUTE]
         )
         assert model.BASE_POWER_W == 14.0
 
@@ -44,7 +44,8 @@ class TestDynamicPower:
         """62 cores computing ≈ 12 W dynamic (the NONAP peak)."""
         trace = trace_with({CoreState.COMPUTE: 1.0})
         dynamic = PowerModel().dynamic_power(trace)
-        assert dynamic[0] == pytest.approx(62 * model.COMPUTE_POWER_W, rel=1e-6)
+        compute_w = model.STATE_POWER_W[CoreState.COMPUTE]
+        assert dynamic[0] == pytest.approx(62 * compute_w, rel=1e-6)
         assert 11.0 < dynamic[0] < 12.5
 
     def test_spin_cheaper_than_compute(self):
@@ -96,7 +97,7 @@ class TestThermalFeedback:
         power = PowerModel().evaluate(trace, clock_hz=700e6)
         # Disabled cores add ~0.5 W; leakage stays near zero.
         assert power.total_w[-1] == pytest.approx(
-            14.0 + 62 * model.DISABLED_POWER_W, abs=0.3
+            14.0 + 62 * model.STATE_POWER_W[CoreState.DISABLED], abs=0.3
         )
         assert power.leakage_w.max() < 0.2
 
@@ -105,34 +106,3 @@ class TestThermalFeedback:
         power = PowerModel().evaluate(trace, clock_hz=700e6)
         assert power.times_s.tolist() == pytest.approx([0.05, 0.15, 0.25])
 
-
-class TestMeasurement:
-    def test_currents_from_voltages(self):
-        va = np.array([0.01, 0.02])
-        vb = np.array([0.02, 0.01])
-        currents = currents_from_voltages(va, vb, 0.001, 0.002)
-        assert currents.tolist() == pytest.approx([20.0, 25.0])
-
-    def test_currents_validation(self):
-        with pytest.raises(ValueError):
-            currents_from_voltages(np.ones(2), np.ones(3), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            currents_from_voltages(np.ones(2), np.ones(2), 0.0, 1.0)
-
-    def test_rms_of_constant_signal(self):
-        assert rms_windows(np.full(100, 3.0), 10).tolist() == pytest.approx([3.0] * 10)
-
-    def test_rms_of_square_wave_exceeds_mean(self):
-        signal = np.tile([0.0, 2.0], 50)
-        rms = rms_windows(signal, 100)[0]
-        assert rms == pytest.approx(np.sqrt(2.0))
-        assert rms > signal.mean()
-
-    def test_rms_drops_partial_window(self):
-        assert rms_windows(np.ones(25), 10).size == 2
-
-    def test_rms_validation(self):
-        with pytest.raises(ValueError):
-            rms_windows(np.ones(5), 0)
-        with pytest.raises(ValueError):
-            rms_windows(np.ones(5), 10)

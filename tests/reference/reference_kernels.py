@@ -100,6 +100,44 @@ def dft(x, inverse=False):
     return x @ dft_matrix(x.shape[-1], inverse)
 
 
+def dmrs(num_subcarriers, layer):
+    """One layer's uplink reference sequence over ``num_subcarriers``.
+
+    TS 36.211 §5.5 as the receiver builds it: the root-1 Zadoff–Chu
+    sequence ``x(m) = exp(-i*pi*m*(m+1)/N_zc)`` of the largest prime length
+    ``N_zc`` below the width, cyclically extended to the width, times the
+    phase ramp ``exp(2*pi*i*c*k/12)`` of cyclic shift ``c = 3*layer mod 12``
+    (the layers spread evenly over the 12 shifts). Both exponents are
+    reduced modulo their period first, so each phase is exact to the last
+    bit.
+    """
+    n_zc = max(
+        p for p in range(2, num_subcarriers)
+        if all(p % d for d in range(2, int(p**0.5) + 1))
+    )
+    shift = 3 * layer % 12
+    row = np.empty(num_subcarriers, dtype=np.complex128)
+    for k in range(num_subcarriers):
+        m = k % n_zc
+        chu = np.exp(-1j * np.pi * (m * (m + 1) % (2 * n_zc)) / n_zc)
+        row[k] = chu * np.exp(2j * np.pi * (shift * k % 12) / 12)
+    return row
+
+
+def chest_window(n):
+    """The estimator's time-domain window over an ``n``-sample IFFT: ones
+    on the first ``n/8`` samples (at least one), the channel's positive
+    delays, and on the last ``n/16``, its wrapped negative delays; zeros
+    between, where the other layers' cyclic shifts put their responses
+    (``n/4`` apart)."""
+    window = np.zeros(n)
+    window[: max(1, round(n / 8))] = 1.0
+    back = round(n / 16)
+    if back:
+        window[n - back :] = 1.0
+    return window
+
+
 def mmse_weights(channel, noise_variance):
     """Unbiased MMSE combiner, one LAPACK solve per subcarrier.
 

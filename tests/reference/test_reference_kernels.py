@@ -11,10 +11,9 @@ import pytest
 import reference_kernels as ref
 
 from repro.phy.batched import batched_chest, batched_combine_symbols
-from repro.phy.chest import dmrs_bank, window_lengths
+from repro.phy.chest import dmrs_bank
 from repro.phy.crc import crc_attach, crc_check
 from repro.phy.equalizer import mmse_combiner
-from repro.phy.fftutil import wraparound_window
 from repro.phy.interleaver import deinterleave, deinterleave_indices, interleave
 from repro.phy.modulation import soft_demap
 from repro.phy.params import Modulation
@@ -121,16 +120,28 @@ class TestFftSitesByExplicitMatrix:
     @pytest.mark.parametrize("layers", LAYER_COUNTS)
     @pytest.mark.parametrize("prb", PRB_COUNTS)
     def test_channel_estimator_transform_pair(self, prb, layers):
+        """The conjugated DMRS table against the textbook sequence, then
+        the estimator's matched filter -> IFFT -> window -> FFT against an
+        explicit DFT pair around the textbook window.
+
+        The table computes each phase from an unreduced argument: the
+        Zadoff–Chu one reaches ``pi*(n+1)`` and the cyclic shift's
+        ``2*pi*n``. Each is rounded a few times, to within ``4 * eps`` of
+        itself, and the sines add one ulp more: ``8 * eps`` of the
+        arguments' sum covers both."""
         n = _subcarriers(prb)
+        expected_bank = np.conj([ref.dmrs(n, layer) for layer in range(layers)])
+        phase_tolerance = 8 * EPS * (np.pi * (n + 1) + 2 * np.pi * n)
+        assert np.abs(dmrs_bank(n)[:layers] - expected_bank).max() <= phase_tolerance
+
         rng = np.random.default_rng((prb, layers))
         shape = (2, 4, n)  # (slots, antennas, sc)
         refs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         channel, _noise = batched_chest(refs, layers)
-        # Matched filter and window are the estimator's own; only the two
-        # transforms around the window are replaced.
+        # The matched filter is the estimator's own table, checked above;
+        # the window and the two transforms around it are replaced.
         matched = refs[:, :, None, :] * dmrs_bank(n)[:layers]
-        window = wraparound_window(n, *window_lengths(n))
-        expected = ref.dft(ref.dft(matched, inverse=True) * window)
+        expected = ref.dft(ref.dft(matched, inverse=True) * ref.chest_window(n))
         assert channel.shape == expected.shape == (2, 4, layers, n)
         peak = np.abs(matched).max()
         assert np.abs(channel - expected).max() <= 8 * n * EPS * peak

@@ -375,6 +375,37 @@ def test_each_thing_is_written_once():
     assert not hasattr(report, "_from_ckpt1")
 
 
+def test_power_is_priced_once():
+    """One state-price table, one Eq. 7 window and one per-window fold in
+    ``repro.power``; the DAQ emulation no command reached, the energy
+    helpers only tests set, the gating parameter object and the
+    ``NAPIDLE`` alias are gone. No alias, no stub."""
+    import dataclasses
+    import inspect
+
+    import repro.power
+    from repro.power import dvfs, energy, gating, governor
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.power.measurement")
+    for module, names in (
+        (repro.power, ("PowerGatingParams", "integrate_energy", "rms_windows")),
+        (gating, ("PowerGatingParams",)),
+        (energy, ("integrate_energy",)),
+        (dvfs, ("LOOKAHEAD_SUBFRAMES", "LOOKBEHIND_SUBFRAMES")),
+    ):
+        for name in names:
+            assert name not in getattr(module, "__all__", ()), (module, name)
+            assert not hasattr(module, name), (module, name)
+    assert "joules_per_bit" not in {
+        f.name for f in dataclasses.fields(energy.EnergyReport)
+    }
+    assert "decoded_bits" not in inspect.signature(energy.energy_report).parameters
+    for name in ("NAPIDLE", "nap+idle", " IDLE"):
+        with pytest.raises(ValueError, match="unknown policy"):
+            governor.make_policy(name, 8)
+
+
 def test_every_option_has_a_caller():
     """A value that only its own range check ever set is a module
     constant: the SLO targets and horizons, the AIMD shape, the power and
@@ -427,7 +458,7 @@ def test_every_option_has_a_caller():
         assert name not in package.__all__ and not hasattr(package, name)
     assert "base_power_w" not in {f.name for f in dataclasses.fields(MachineSpec)}
     # Stays: two callers set each of these to different values.
-    assert "params" in params(PowerGatingModel)
+    assert list(params(PowerGatingModel)) == ["group_size"]
     assert "over_provision" in params(governor.NapPolicy)
     assert {"config", "slot_pipelined"} <= params(MachineSimulator)
     assert "drain_margin_s" in {f.name for f in dataclasses.fields(SimConfig)}
