@@ -1,6 +1,7 @@
 """Paired parent/change runs of the benchmark, with a verdict per metric.
 
     python scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --seed N [--workload W]... [--pairs 10]
+        [--json PATH]
 
 For each workload W (repeat ``--workload``; without it, every workload of
 ``CHANGE_DIR/BENCHMARK.json`` in file order, which is what a change that
@@ -22,8 +23,10 @@ bounds of ``BENCHMARK.json``:
 * **no worse** — otherwise.
 
 Exits 1 when any metric of any workload is **worse** or missing from a run,
-or the change fails a larger share of its operations. It drives the
-benchmark from outside and imports nothing from ``perf/``.
+or the change fails a larger share of its operations. ``--json PATH`` also
+writes the verdict tables as one ``perf-pairs/1`` object (see
+:func:`main`). It drives the benchmark from outside and imports nothing
+from ``perf/``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,10 @@ import statistics
 import subprocess
 import sys
 
-__all__ = ["quartiles", "verdict", "main"]
+__all__ = ["SCHEMA", "quartiles", "verdict", "main"]
+
+#: The ``--json`` object's schema name.
+SCHEMA = "perf-pairs/1"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -109,9 +115,11 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
 
 def run_pairs(
     sides: dict[str, str], workload: str, seed: int, pairs: int, end_to_end: list[dict]
-) -> int:
+) -> tuple[int, dict]:
     """``pairs`` alternating pairs of one workload, every run and the verdict
-    table printed; 1 if a metric is worse or missing or more operations fail."""
+    table printed. Returns 1 if a metric is worse or missing or more
+    operations fail (else 0), and the table as the ``--json`` object's
+    entry for the workload."""
     runs: dict[str, list[dict]] = {side: [] for side in sides}
     print(f"{workload}, seed {seed}: {pairs} pairs, "
           f"parent {sides['parent']} / change {sides['change']}")
@@ -136,6 +144,7 @@ def run_pairs(
     print(f"{'metric':<20} {'verdict':<10} {'wins':>5}  {'parent q1 / median / q3':<32} "
           f"{'change q1 / median / q3':<32} {'change':>8} {'bound':>6}")
     worst = 0
+    table: dict[str, dict] = {}
     for metric in end_to_end:
         name = metric["name"]
         values = {
@@ -144,9 +153,21 @@ def run_pairs(
         }
         if len(values["parent"]) != pairs or len(values["change"]) != pairs:
             print(f"{name:<20} {'missing':<10}")
+            table[name] = {"verdict": "missing"}
             worst = 1
             continue
         row = verdict(values["parent"], values["change"], metric["better"], metric["bound"])
+        table[name] = {
+            "verdict": row["verdict"],
+            "wins": row["wins"],
+            "pairs": row["pairs"],
+            **{
+                side: dict(zip(("q1", "median", "q3"), row[side]), runs=values[side])
+                for side in sides
+            },
+            "change_pct": 100.0 * row["relative_change"],
+            "bound": metric["bound"],
+        }
         print(
             f"{name:<20} {row['verdict']:<10} {row['wins']:>2}/{row['pairs']:<2}  "
             + "{:<32} {:<32}".format(
@@ -163,10 +184,22 @@ def run_pairs(
     if failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]:
         print("the change fails a larger share of its operations: no gain counts")
         worst = 1
-    return worst
+    entry = {
+        "metrics": table,
+        "failed": failed,
+        "attempted": attempted,
+    }
+    return worst, entry
 
 
 def main(argv=None) -> int:
+    """The command line above. With ``--json PATH`` the tables also go to
+    ``PATH``: ``{"schema": SCHEMA, "seed", "pairs", "exit", "workloads":
+    {W: {"metrics": {M: row}, "failed": {side: n}, "attempted": {side:
+    n}}}}``, ``side`` being ``parent`` and ``change``; a row is ``{"verdict":
+    "missing"}`` or the verdict, ``wins`` of ``pairs``, each side's ``q1`` /
+    ``median`` / ``q3`` and ``runs`` (pair order), ``change_pct`` (the
+    medians' change, % of the parent's) and the metric's ``bound``."""
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter
     )
@@ -175,6 +208,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the verdict tables to PATH as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -183,12 +218,20 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     worst = 0
+    tables: dict[str, dict] = {}
     for number, workload in enumerate(workloads):
         if number:
             print()
-        worst |= run_pairs(
+        bad, tables[workload] = run_pairs(
             sides, workload, args.seed, args.pairs, benchmark["end_to_end"]
         )
+        worst |= bad
+    if args.json:
+        record = {"schema": SCHEMA, "seed": args.seed, "pairs": args.pairs,
+                  "exit": worst, "workloads": tables}
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
     return worst
 
 

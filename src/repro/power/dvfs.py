@@ -95,7 +95,7 @@ class DvfsModel:
         points = [self.select_point(a) for a in demanded]
         freq = np.array([pt.frequency for pt in points])
         factor = np.array([pt.dynamic_power_factor for pt in points])
-        switches = np.concatenate([[0.0], (np.diff(freq) != 0).astype(float)])
+        switches = (np.diff(freq, prepend=freq[:1]) != 0).astype(float)
         return DvfsTrace(
             frequency=freq,
             power_factor=factor,

@@ -395,14 +395,23 @@ class Runtime:
         if timeout is None:
             timeout = self._resilience.drain_timeout_s
         deadline = None if timeout is None else monotonic_ns() + ns_from_s(timeout)
-        while (outstanding := self._tracker.outstanding) and (
-            deadline is None or monotonic_ns() < deadline
-        ):
+        while self.outstanding and (deadline is None or monotonic_ns() < deadline):
             self.poll(WATCHDOG_POLL_S)
+        self.check_drained(timeout)
+
+    @property
+    def outstanding(self) -> int:
+        """Subframes submitted and not yet at their terminal."""
+        return self._tracker.outstanding
+
+    def check_drained(self, timeout: float | None) -> None:
+        """Raise what :meth:`drain` raises when its wait of ``timeout`` s
+        ends now: for a caller that waits its own way (the serve loop
+        awaits, polling, so its thread keeps running meanwhile)."""
         fatal = [f for f in self._tracker.failures if f.fatal]
         if fatal:
             raise WorkerFailuresError(fatal)
-        if outstanding:
+        if outstanding := self.outstanding:
             raise RuntimeHung(
                 f"drain timed out after {timeout}s with {outstanding} "
                 "subframe(s) outstanding"

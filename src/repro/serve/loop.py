@@ -33,11 +33,14 @@ Threading model: the asyncio loop owns every shard counter and the
 ledger-facing serve paths. There is one terminal path: the runtime's
 tracker resolves a subframe (on a worker thread, or on the loop thread for
 the multiprocess pool), hands state *and* result to the cell's
-``_RuntimeWatcher.on_terminal``, and that marshals them onto the loop with
-one ``call_soon_threadsafe`` — where ``_on_terminal`` does all the
+``_RuntimeWatcher.on_terminal``, and that queues them for the loop, where
+one ``call_soon_threadsafe`` lands every terminal queued meanwhile — a
+batch's terminals in one wakeup — into ``_on_terminal``, which does all the
 accounting. A loop task polls every runtime (``Runtime.poll``): that is
 what pumps the multiprocess pool's replies and expires deadlines, always
-from the loop thread, so no second thread ever calls into a runtime.
+from the loop thread, so no second thread ever calls into a runtime. The
+loop keeps running while the runtimes drain, so terminals land and cuts
+are written up to the end.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import contextlib
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import IO, Any, Literal, overload
 
@@ -98,6 +102,10 @@ _FAULTS_DEADLINE_S = 2.0
 
 #: Drain timeout for runtime shards at shutdown (seconds).
 _DRAIN_TIMEOUT_S = 60.0
+
+#: Pump cadence: every runtime is polled this often (seconds), also while
+#: the loop waits for the runtimes to drain.
+_POLL_S = 0.002
 
 
 @dataclass
@@ -151,7 +159,7 @@ class _RuntimeWatcher:
     GIL-safe, same as every batch runtime observer) with worker cores
     remapped into the cell's core band. The terminal instead arrives
     through :meth:`on_terminal` — state and result together — and is
-    marshaled onto the loop thread, where the shard's counters and the
+    queued for the loop thread, where the shard's counters and the
     backpressure capacity signal live. The runtime's own ``DISPATCH`` and
     ``SUBFRAME_TERMINAL`` events are swallowed: the serve loop emits its
     cell-tagged ones.
@@ -163,9 +171,12 @@ class _RuntimeWatcher:
 
     def on_terminal(self, result: SubframeResult, state: TerminalState, t: int) -> None:
         server = self._server
-        server.loop.call_soon_threadsafe(
-            server._on_terminal, server.cells[self._cell_id], result, state, t
-        )
+        server._landing.append((server.cells[self._cell_id], result, state, t))
+        # One loop wakeup for whatever queues before it runs: a batch's
+        # terminals, resolved back to back, land together.
+        if not server._land_pending:
+            server._land_pending = True
+            server.loop.call_soon_threadsafe(server._land)
 
     def __call__(self, event: Event) -> None:
         kind = event.kind
@@ -244,6 +255,14 @@ class _Server:
             self.overloads.append(overloads)
         self.telemetry.workers = sum(c.runtime.num_workers for c in self.cells)
         self.loop: Any = None  # bound in run()
+        # Terminals the watchers queued for the loop, in resolve order, and
+        # whether a ``_land`` is scheduled to take them (no lock: deque
+        # appends and pops are atomic, and a lost race costs one empty
+        # landing).
+        self._landing: deque[
+            tuple[CellShard, SubframeResult, TerminalState, int]
+        ] = deque()
+        self._land_pending = False
         self._capacity: list[asyncio.Event] = []
         self._pump_stop = False
         self._start_ns = 0
@@ -356,6 +375,15 @@ class _Server:
             self.overload.maybe_update(t)
         self._capacity[cell.cell_id].set()
 
+    def _land(self) -> None:
+        """Loop thread: every queued terminal, in resolve order. The flag
+        drops first, so a terminal queued after the last pop schedules the
+        next landing."""
+        self._land_pending = False
+        landing = self._landing
+        while landing:
+            self._on_terminal(*landing.popleft())
+
     def _on_terminal(
         self, cell: CellShard, result: SubframeResult, state: TerminalState, t: int
     ) -> None:
@@ -441,8 +469,13 @@ class _Server:
                 await asyncio.sleep((scheduled - now) / 1e9)
                 now = monotonic_ns()
             elif not config.pace:
-                # Unpaced runs still yield so terminals/pumps interleave.
-                await asyncio.sleep(0)
+                # Unpaced, the producer yields only at a full queue: a yield
+                # is an epoll call that hands the GIL to the cell's idle
+                # worker, which would then start on a batch of one. So the
+                # queue fills first, and terminals, pumps and cuts run
+                # while it is full (under ``shed``, every tick it is).
+                if cell.inflight >= self._queue_depth(cell):
+                    await asyncio.sleep(0)
                 now = monotonic_ns()
             if (
                 max_wall_ns is not None
@@ -578,7 +611,7 @@ class _Server:
                     self.errors.append(
                         f"cell {cell.cell_id} pump: {exc!r}"
                     )
-            await asyncio.sleep(0.002)
+            await asyncio.sleep(_POLL_S)
 
     # ----------------------------------------------------------- checkpoint
     async def _checkpoint_loop(self) -> None:
@@ -631,11 +664,18 @@ class _Server:
 
     # ---------------------------------------------------------------- drain
     async def _drain(self) -> None:
+        """Wait for every runtime to empty without blocking the loop (the
+        pump keeps polling, terminals land and cuts are written meanwhile),
+        then take each runtime's drain outcome, as ``Runtime.drain`` would."""
+        deadline = monotonic_ns() + ns_from_s(_DRAIN_TIMEOUT_S)
+        while (
+            any(cell.runtime.outstanding for cell in self.cells)
+            and monotonic_ns() < deadline
+        ):
+            await asyncio.sleep(_POLL_S)
         for cell in self.cells:
             try:
-                # Blocking in the loop thread is fine here: pacing is
-                # over and terminal callbacks queue until drain returns.
-                cell.runtime.drain(timeout=_DRAIN_TIMEOUT_S)
+                cell.runtime.check_drained(_DRAIN_TIMEOUT_S)
             except (WorkerFailuresError, RuntimeHung) as exc:
                 self.errors.append(
                     f"cell {cell.cell_id} drain: {exc!r}"
@@ -646,11 +686,10 @@ class _Server:
                     self.errors.append(
                         f"cell {cell.cell_id} abort: {abort_exc!r}"
                     )
-        # Let marshaled terminal callbacks land, bounded.
-        for _ in range(2000):
-            if all(c.inflight == 0 for c in self.cells):
-                break
-            await asyncio.sleep(0.001)
+        # A runtime hands a terminal to its watcher before it stops counting
+        # it as outstanding, so every terminal the runtimes resolved is
+        # queued by now: land them, then force what none resolved.
+        self._land()
         for cell in self.cells:
             self._reconcile(cell)
 
@@ -691,10 +730,10 @@ class _Server:
                 *(self._run_cell(cell) for cell in self.cells)
             )
             self._producers_done = True
+            await self._drain()
             self._pump_stop = True
             await pump_task
             pump_task = None
-            await self._drain()
         finally:
             self._pump_stop = True
             self._ckpt_stop = True

@@ -72,6 +72,12 @@ class TestEvaluate:
         assert np.all(trace.switch_overhead_w == 0)
         assert len(np.unique(trace.frequency)) == 1
 
+    def test_empty_series_gives_empty_traces(self):
+        trace = DvfsModel().evaluate(np.array([]))
+        assert trace.frequency.shape == (0,)
+        assert trace.power_factor.shape == (0,)
+        assert trace.switch_overhead_w.shape == (0,)
+
     def test_power_factor_below_one_at_low_load(self):
         trace = DvfsModel().evaluate(np.full(20, 0.1))
         assert trace.mean_power_factor() < 0.2

@@ -6,7 +6,10 @@ the *control plane* — queueing, shedding, ledger accounting, reporting —
 without paying for PHY decoding.
 """
 
+import asyncio
 import json
+import sys
+import threading
 import time
 from typing import get_type_hints, is_typeddict
 
@@ -179,6 +182,188 @@ class TestPacing:
         assert result.ok, result.errors
         assert result.report["dispatched"] == 6
         assert result.report["wall_s"] >= 5 * 0.03
+
+
+def _gated_processor(gate, gated=lambda index: True, timed_out=None):
+    """A fake processor that holds each subframe ``gated`` selects until
+    ``gate`` opens (at most 5 s; ``timed_out`` collects those that waited
+    that long)."""
+
+    def process(subframe):
+        index = subframe.subframe_index
+        if gated(index) and not gate.wait(timeout=5.0) and timed_out is not None:
+            timed_out.append(index)
+        return SubframeResult(subframe_index=index)
+
+    return process
+
+
+class TestLoopHandoff:
+    """How the serve loop and the runtimes' threads hand over: an unpaced
+    producer fills its queue before it yields, a batch's terminals land in
+    one loop wakeup, and the loop keeps running while the runtimes drain
+    (docs/serving.md, "Threading model")."""
+
+    def test_terminals_queued_while_the_loop_is_busy_land_in_one_wakeup(
+        self, monkeypatch
+    ):
+        from repro.serve import loop
+
+        gate = threading.Event()
+        handed: list[int] = []  # terminals handed to the watcher, in order
+        landed: list[int] = []  # terminals the loop accounted, in order
+        wakeups: list[object] = []  # loop wakeups asked for by the server
+        servers = []
+
+        on_terminal = loop._RuntimeWatcher.on_terminal
+
+        def watch(self, result, state, t):
+            assert threading.current_thread() is not threading.main_thread()
+            on_terminal(self, result, state, t)
+            handed.append(result.subframe_index)
+
+        land = loop._Server._on_terminal
+
+        def account(self, cell, result, state, t):
+            landed.append(result.subframe_index)
+            land(self, cell, result, state, t)
+
+        call_soon_threadsafe = asyncio.BaseEventLoop.call_soon_threadsafe
+
+        def wake(self, callback, *args, **kwargs):
+            if getattr(callback, "__self__", None) in servers:
+                wakeups.append(callback)
+            return call_soon_threadsafe(self, callback, *args, **kwargs)
+
+        run_cell = loop._Server._run_cell
+
+        async def busy_after_dispatch(self, cell):
+            servers.append(self)
+            await run_cell(self, cell)
+            # Keep the loop thread busy until the worker has handed every
+            # terminal over.
+            gate.set()
+            deadline = time.monotonic() + 10.0
+            while len(handed) < 4 and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+        monkeypatch.setattr(loop._RuntimeWatcher, "on_terminal", watch)
+        monkeypatch.setattr(loop._Server, "_on_terminal", account)
+        monkeypatch.setattr(loop._Server, "_run_cell", busy_after_dispatch)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_soon_threadsafe", wake)
+        result = serve(
+            _config(
+                subframes=4, backend="serial", queue_depth=8,
+                backpressure="block", processor=_gated_processor(gate),
+            )
+        )
+        assert result.ok, result.errors
+        assert handed == [0, 1, 2, 3]
+        assert landed == handed  # resolve order, each exactly once
+        assert len(wakeups) == 1
+        assert result.report["terminal_counts"] == result.ledger.counts()
+
+    def test_an_unpaced_producer_fills_its_queue_before_it_yields(
+        self, monkeypatch
+    ):
+        from repro.serve import loop
+
+        seen: list[int] = []
+        run_cell = loop._Server._run_cell
+
+        async def observed(self, cell):
+            self.loop.call_soon(lambda: seen.append(cell.inflight))
+            await run_cell(self, cell)
+
+        monkeypatch.setattr(loop._Server, "_run_cell", observed)
+        result = serve(
+            _config(subframes=12, backend="serial", queue_depth=4,
+                    backpressure="block")
+        )
+        assert result.ok, result.errors
+        assert seen == [4]
+
+    def test_cuts_are_written_while_the_runtimes_drain(
+        self, monkeypatch, tmp_path
+    ):
+        """The last subframes stay outstanding after the last dispatch
+        until a cut is written that holds resolved terminals: only a loop
+        that keeps running during the drain writes one."""
+        from repro.serve import loop
+
+        gate = threading.Event()
+        timed_out: list[int] = []
+        drain_cuts: list[int] = []  # resolved terminals in each such cut
+        write = loop._Server._write_checkpoint
+
+        def cut(self, record):
+            if (
+                self._producers_done
+                and "ledger_ok" not in record  # a cut, not the final report
+                and record["terminal_states"]
+                and not gate.is_set()
+            ):
+                drain_cuts.append(len(record["terminal_states"]))
+                gate.set()
+            write(self, record)
+
+        monkeypatch.setattr(loop._Server, "_write_checkpoint", cut)
+        result = serve(
+            _config(
+                subframes=6, backend="serial", queue_depth=8,
+                backpressure="block", checkpoint_every_s=0.01,
+                checkpoint_path=str(tmp_path / "ckpt.json"),
+                processor=_gated_processor(
+                    gate, gated=lambda index: index >= 3, timed_out=timed_out
+                ),
+            )
+        )
+        assert result.ok, result.errors
+        assert timed_out == []
+        assert len(drain_cuts) == 1 and 0 < drain_cuts[0] < 6
+        assert result.report["terminal_counts"]["ok"] == 6
+
+    def test_no_terminal_is_lost_between_the_workers_and_the_loop(
+        self, monkeypatch
+    ):
+        """Four cells' worker threads (more than this host's cores) queue
+        terminals while the loop takes them, switching threads every 10 us:
+        every terminal lands through ``_on_terminal`` exactly once, and a
+        landing that never comes would stall a ``block`` producer, so the
+        run must end within 60 s."""
+        from collections import Counter
+
+        from repro.serve import loop
+
+        landed: Counter[int] = Counter()
+        on_terminal = loop._Server._on_terminal
+
+        def account(self, cell, result, state, t):
+            landed[result.subframe_index] += 1
+            on_terminal(self, cell, result, state, t)
+
+        monkeypatch.setattr(loop._Server, "_on_terminal", account)
+        config = _config(
+            cells=4, subframes=150, backend="serial", queue_depth=8,
+            backpressure="block", processor=_slow_fake_processor(0.0),
+        )
+        results: list[ServeResult] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(
+                target=lambda: results.append(serve(config)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "a terminal never landed"
+        (result,) = results
+        assert result.ok, result.errors
+        assert len(landed) == 600 and set(landed.values()) == {1}
+        assert result.report["terminal_counts"] == result.ledger.counts()
+        assert result.report["terminal_counts"]["ok"] == 600
 
 
 class TestTrace:

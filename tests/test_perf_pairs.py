@@ -148,3 +148,30 @@ def test_a_run_that_prints_no_result_object_is_reported_not_a_traceback(checkout
     assert excinfo.value.code == (
         f"perf_pairs: run in {checkout} printed no result object (exit 3)"
     )
+
+
+def test_json_writes_the_verdict_tables(checkout, tmp_path, capsys):
+    path = tmp_path / "pairs.json"
+    argv = [checkout, checkout, "--seed", "1", "--pairs", "2", "--json", str(path)]
+    assert perf_pairs.main(argv + ["--workload", "alpha", "--workload", "beta"]) == 1
+    capsys.readouterr()
+    record = json.loads(path.read_text())
+    assert record["schema"] == perf_pairs.SCHEMA == "perf-pairs/1"
+    assert (record["seed"], record["pairs"], record["exit"]) == (1, 2, 1)
+    assert list(record["workloads"]) == ["alpha", "beta"]
+    alpha, beta = record["workloads"]["alpha"], record["workloads"]["beta"]
+    assert alpha["metrics"]["latency_p50_ms"] == {"verdict": "missing"}
+    for entry in (alpha, beta):
+        assert entry["failed"] == {"parent": 0, "change": 0}
+        assert entry["attempted"] == {"parent": 10, "change": 10}
+    row = beta["metrics"]["subframes_per_s"]
+    assert set(row) == {
+        "verdict", "wins", "pairs", "parent", "change", "change_pct", "bound"
+    }
+    assert (row["verdict"], row["wins"], row["pairs"]) == ("no worse", 0, 2)
+    assert (row["change_pct"], row["bound"]) == (0.0, 0.25)
+    for side in ("parent", "change"):
+        assert row[side] == {
+            "q1": 100.0, "median": 100.0, "q3": 100.0, "runs": [100.0, 100.0]
+        }
+    assert beta["metrics"]["latency_p50_ms"]["parent"]["median"] == 5.0
