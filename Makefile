@@ -34,12 +34,12 @@ perf-quick:
 # checkout, with a verdict per end-to-end metric from BENCHMARK.json's bounds.
 # Without WORKLOAD= every workload of BENCHMARK.json runs (~1 h): what a
 # change that claims no gain has to show.
-#   make perf-pairs PARENT=/path/to/parent-clone [WORKLOAD=paper_mix] SEED=1
+#   make perf-pairs PARENT=/path/to/parent-clone [WORKLOAD=paper_mix] SEED=1 [JSON=pairs.json]
 SEED ?= 1
 PAIRS ?= 10
 perf-pairs:
-	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<clone of the parent commit> [WORKLOAD=<one workload; default all> SEED=$(SEED) PAIRS=$(PAIRS)]"; exit 2; }
-	$(PYTHON) scripts/perf_pairs.py $(PARENT) . $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(SEED) --pairs $(PAIRS)
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<clone of the parent commit> [WORKLOAD=<one workload; default all> SEED=$(SEED) PAIRS=$(PAIRS) JSON=<path for the verdict tables>]"; exit 2; }
+	$(PYTHON) scripts/perf_pairs.py $(PARENT) . $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(SEED) --pairs $(PAIRS) $(if $(JSON),--json $(JSON))
 
 # The paper figure/table checks and the overhead gates (not tier-1, ~2.5 min),
 # the calibrate and power-study commands (~10 s), then the profiling

@@ -615,7 +615,9 @@ class _Server:
 
     # ----------------------------------------------------------- checkpoint
     async def _checkpoint_loop(self) -> None:
-        """Periodic crash-safe cuts while the run is live."""
+        """Periodic crash-safe cuts while the run is live, at most one per
+        ``checkpoint_every_s``: the interval is slept after each write, so
+        it is a floor between cuts, not a rate."""
         every = self.config.checkpoint_every_s
         while not self._ckpt_stop:
             await asyncio.sleep(every)

@@ -11,7 +11,10 @@ benchmark is used:
 * :meth:`SubframeFactory.from_pool` — the paper's approach: a fixed pool of
   pre-generated pseudo-random antenna grids, reused round-robin across
   dispatched subframes. Fast, and sufficient because the benchmark's
-  *compute* is data-independent.
+  *compute* is data-independent. The pool of a ``(seed, antennas,
+  subcarriers, pool_size)`` key is built once per process by
+  :func:`_input_pool` and shared, read-only, by every factory with that key,
+  as the paper builds it once "at benchmark initialization".
 * :meth:`SubframeFactory.synthesize` — full TX → channel → RX synthesis per
   user, so decoded CRCs actually pass. Used by examples and correctness
   tests.
@@ -20,6 +23,7 @@ benchmark is used:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +41,10 @@ __all__ = ["UserSlice", "SubframeInput", "SubframeFactory", "DEFAULT_POOL_SIZE"]
 
 #: Paper default: ten unique pre-generated input-data subframes.
 DEFAULT_POOL_SIZE = 10
+
+#: How many pools :func:`_input_pool` keeps (~10.75 MB each at the default
+#: cell and pool size); the least recently used is dropped beyond it.
+_POOL_CACHE_SIZE = 4
 
 _NUM_SYMBOLS = SLOTS_PER_SUBFRAME * SYMBOLS_PER_SLOT
 
@@ -96,8 +104,35 @@ def assign_offsets(users: list[UserParameters], cell: CellConfig) -> list[UserSl
     return slices
 
 
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _input_pool(
+    seed: int, antennas: int, subcarriers: int, pool_size: int
+) -> tuple[np.ndarray, ...]:
+    """The §IV-B1 pool: ``pool_size`` read-only (antennas, 14, subcarriers) grids.
+
+    Built once per process for each key and shared by every
+    :class:`SubframeFactory` with that key. The grids are marked
+    read-only: a consumer that needs to change samples works on a copy
+    (:func:`repro.faults.injector.corrupt_subframes` does).
+    """
+    rng = np.random.default_rng((seed, 0))
+    shape = (antennas, _NUM_SYMBOLS, subcarriers)
+    pool = tuple(
+        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        for _ in range(pool_size)
+    )
+    for grid in pool:
+        grid.flags.writeable = False
+    return pool
+
+
 class SubframeFactory:
     """Builds :class:`SubframeInput` objects for the benchmark.
+
+    :meth:`from_pool` indexes the process-wide :func:`_input_pool` of the
+    factory's seed, cell and pool size: the first factory with that key
+    builds the ten grids, every later one (each ``serve()`` run after the
+    first, say) reuses them. Its grids are read-only.
 
     Parameters
     ----------
@@ -128,32 +163,21 @@ class SubframeFactory:
         self.channel = channel or ChannelModel(
             num_rx_antennas=self.cell.num_rx_antennas, num_taps=3, snr_db=35.0
         )
-        self._pool: list[np.ndarray] | None = None
 
     @property
     def total_subcarriers(self) -> int:
         return self.cell.max_prb_per_slot * SUBCARRIERS_PER_PRB
 
-    def _ensure_pool(self) -> list[np.ndarray]:
-        if self._pool is None:
-            rng = np.random.default_rng((self.seed, 0))
-            shape = (self.cell.num_rx_antennas, _NUM_SYMBOLS, self.total_subcarriers)
-            self._pool = [
-                (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                / np.sqrt(2.0)
-                for _ in range(self.pool_size)
-            ]
-        return self._pool
-
     def from_pool(
         self, users: list[UserParameters], subframe_index: int
     ) -> SubframeInput:
         """Paper mode: reuse one of the pre-generated grids round-robin."""
-        pool = self._ensure_pool()
-        grid = pool[subframe_index % self.pool_size]
+        pool = _input_pool(
+            self.seed, self.cell.num_rx_antennas, self.total_subcarriers, self.pool_size
+        )
         return SubframeInput(
             subframe_index=subframe_index,
-            grid=grid,
+            grid=pool[subframe_index % self.pool_size],
             slices=assign_offsets(users, self.cell),
         )
 

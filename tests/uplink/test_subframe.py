@@ -1,9 +1,12 @@
 """Tests for subframe input data (pool + synthesized)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.phy.params import CellConfig, Modulation
+from repro.uplink import subframe
 from repro.uplink.subframe import (
     DEFAULT_POOL_SIZE,
     SubframeFactory,
@@ -131,6 +134,61 @@ class TestPoolMode:
     def test_rejects_bad_pool_size(self):
         with pytest.raises(ValueError):
             SubframeFactory(pool_size=0)
+
+
+def _pool_digest(factory: SubframeFactory) -> str:
+    digest = hashlib.sha256()
+    for index in range(factory.pool_size):
+        digest.update(factory.from_pool([], index).grid.tobytes())
+    return digest.hexdigest()
+
+
+class TestPoolIsBuiltOncePerProcess:
+    """The §IV-B1 pool is a process-wide read-only table keyed by
+    (seed, antennas, subcarriers, pool size): same bits as ever, built once."""
+
+    #: SHA-256 over the ten default-cell grids' bytes, in pool order.
+    DIGESTS = {
+        0: "d0f6421328d02a5fb8b4b3dc5c1e67847248329f8598f4fdfb436044de31cda0",
+        1: "3096e52386b869b0c0b2bc0a4d0832bbf71e92fb7c43f50491e2a636436b7be2",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_pool_bits_are_pinned(self, seed):
+        assert _pool_digest(SubframeFactory(seed=seed)) == self.DIGESTS[seed]
+
+    def test_same_key_shares_the_arrays(self):
+        a, b = SubframeFactory(seed=11), SubframeFactory(seed=11)
+        for index in range(DEFAULT_POOL_SIZE):
+            assert a.from_pool([], index).grid is b.from_pool([], index).grid
+
+    def test_pool_grids_are_read_only(self):
+        grid = SubframeFactory(seed=11).from_pool(users_fixture(), 0).grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            grid *= 2.0
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(seed=12),
+            dict(seed=11, pool_size=3),
+            dict(seed=11, cell=CellConfig(num_rx_antennas=2)),
+        ],
+        ids=["seed", "pool_size", "antennas"],
+    )
+    def test_another_key_gets_its_own_pool(self, other):
+        base = SubframeFactory(seed=11).from_pool([], 0).grid
+        grid = SubframeFactory(**other).from_pool([], 0).grid
+        assert grid is not base
+        assert not np.shares_memory(grid, base)
+
+    def test_the_table_bound_is_a_module_constant(self):
+        info = subframe._input_pool.cache_info()
+        assert info.maxsize == subframe._POOL_CACHE_SIZE
+        assert 1 <= subframe._POOL_CACHE_SIZE <= 8  # <= ~86 MB of grids
 
 
 class TestSynthesize:
