@@ -1,9 +1,8 @@
 """Zero-death cost of the worker supervisor (must stay under 2%).
 
-With ``respawn=`` attached but no worker dying, the multiprocess pool's
-hot path gains exactly three things: a ``monotonic_ns`` busy-stamp per
-dispatch, a ``note_progress`` per completed reply, and an empty
-heartbeat/pending probe per pump. As with the fault-overhead bound,
+With ``respawn=True`` but no worker dying, the multiprocess pool's hot
+path gains exactly two things: a ``note_progress`` per completed reply
+and an empty ``pending`` probe per pump. As with the fault-overhead bound,
 shared-runner wall-clock deltas are noisier than the budget itself, so
 the asserted number is built from measured unit costs times the counts
 the scenario actually performs; the end-to-end supervised-vs-off delta
@@ -12,10 +11,9 @@ is printed and loosely guarded.
 
 import time
 
-from repro.faults.watchdog import monotonic_ns
 from repro.phy import Modulation
 from repro.sched.multiprocess import MultiprocessRuntime
-from repro.serve import RespawnPolicy, WorkerSupervisor
+from repro.sched.supervisor import WorkerSupervisor
 from repro.uplink import SubframeFactory, UserParameters
 
 WORKERS = 2
@@ -61,12 +59,7 @@ def test_zero_death_supervision_overhead_under_two_percent():
 
     # Unit costs of the supervised hot path, measured directly.
     reps = 20_000
-    begin = time.perf_counter()
-    for _ in range(reps):
-        monotonic_ns()
-    stamp_s = (time.perf_counter() - begin) / reps
-
-    supervisor = WorkerSupervisor(RespawnPolicy(), WORKERS)
+    supervisor = WorkerSupervisor(WORKERS)
     begin = time.perf_counter()
     for _ in range(reps):
         supervisor.note_progress(0)
@@ -74,24 +67,21 @@ def test_zero_death_supervision_overhead_under_two_percent():
 
     begin = time.perf_counter()
     for _ in range(reps):
-        # The per-pump probe with nothing dead: heartbeat config check
-        # plus the pending-respawn test, both constant-time.
-        if supervisor.heartbeat_timeout_ns is None and not supervisor.pending:
+        # The per-pump probe with nothing dead: the constant-time
+        # pending-respawn test.
+        if not supervisor.pending:
             pass
     pump_s = (time.perf_counter() - begin) / reps
 
-    # Counts: one stamp per dispatch, one progress reset per ok reply,
-    # one probe per pump — the drain loop pumps at the 20ms watchdog
-    # cadence, and the serve loop at its own 2ms cadence; bound against
-    # the *faster* cadence so the assertion covers both callers.
+    # Counts: one progress reset per ok reply, one probe per pump — the
+    # drain loop pumps at the 20ms watchdog cadence, and the serve loop at
+    # its own 2ms cadence; bound against the *faster* cadence so the
+    # assertion covers both callers.
     pumps = max(1.0, on_best / 0.002)
-    armed_cost_s = (
-        len(subframes) * stamp_s + len(subframes) * progress_s + pumps * pump_s
-    )
+    armed_cost_s = len(subframes) * progress_s + pumps * pump_s
     print(
         f"\nsupervision off: {off_best:.3f}s  on: {on_best:.3f}s "
         f"(end-to-end ratio {on_best / off_best:.3f}); "
-        f"{len(subframes)} stamps x {stamp_s * 1e6:.2f}us + "
         f"{len(subframes)} resets x {progress_s * 1e6:.2f}us + "
         f"{pumps:.0f} probes x {pump_s * 1e6:.2f}us = "
         f"{armed_cost_s * 1e3:.3f}ms ({armed_cost_s / off_best * 100:.2f}%)"

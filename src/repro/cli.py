@@ -737,12 +737,7 @@ def cmd_chaos(args) -> Callable[[], int]:
                 f"(scale={args.scale}, seeds={args.seeds}, "
                 f"backends={','.join(backends)})"
             )
-        report = chaos.run_campaign(
-            scale=args.scale,
-            seeds=args.seeds,
-            backends=backends,
-            progress=None if args.json else print,
-        )
+        report = chaos.run_campaign(matrix, progress=None if args.json else print)
         if args.json:
             print(json.dumps(report.to_dict(), indent=2))
         else:

@@ -8,8 +8,9 @@ The package has three layers:
   :mod:`repro.faults.injector` carries the thread-side trigger logic and
   payload corruption helpers.
 * **Resilience** — :mod:`repro.faults.watchdog` holds the retry/deadline/
-  join-timeout knobs (:class:`~repro.faults.watchdog.ResilienceConfig`) and
-  the :func:`~repro.faults.watchdog.hang_guard` for CLI entry points;
+  drain knobs (:class:`~repro.faults.watchdog.ResilienceConfig`), the
+  runtimes' join timeout and the
+  :func:`~repro.faults.watchdog.hang_guard` for CLI entry points;
   :mod:`repro.faults.admission` sheds users under overload using the
   paper's Eq. 1-4 activity estimator.
 * **Accounting** — :mod:`repro.faults.accounting` tracks every dispatched

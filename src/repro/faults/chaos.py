@@ -450,15 +450,11 @@ def run_scenario(scenario: ChaosScenario) -> ScenarioOutcome:
     return outcome
 
 
-def run_campaign(
-    scale: str = "default",
-    seeds: int = 3,
-    backends: tuple[str, ...] = ("sim", "threaded"),
-    progress=None,
-) -> SurvivalReport:
-    """Run the full matrix; ``progress`` (if given) is called per scenario."""
+def run_campaign(matrix: list[ChaosScenario], progress=None) -> SurvivalReport:
+    """Run a :func:`build_matrix` matrix; ``progress`` (if given) is called
+    per scenario."""
     outcomes = []
-    for scenario in build_matrix(scale=scale, seeds=seeds, backends=backends):
+    for scenario in matrix:
         outcome = run_scenario(scenario)
         outcomes.append(outcome)
         if progress is not None:

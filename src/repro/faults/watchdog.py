@@ -2,8 +2,8 @@
 
 Home of the pieces both backends (and the CLI) share:
 
-* :class:`ResilienceConfig` — retry budgets, per-subframe deadlines, and
-  join/drain timeouts consumed by every :mod:`repro.sched` runtime through
+* :class:`ResilienceConfig` — retry budgets, per-subframe deadlines and
+  the drain timeout, consumed by every :mod:`repro.sched` runtime through
   its :class:`~repro.sched.core.SubframeTracker` (wall-clock deadlines,
   checked on each ``poll``) and by
   :class:`~repro.sim.machine.MachineSimulator` (cycle deadlines,
@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = [
+    "JOIN_TIMEOUT_S",
     "NS_PER_S",
     "ResilienceConfig",
     "RuntimeHung",
@@ -47,6 +48,10 @@ NS_PER_S = 1_000_000_000
 #: The longest one ``poll`` blocks while a runtime waits (``drain``,
 #: pool start-up, pending respawns) before re-checking its deadlines.
 WATCHDOG_POLL_S = 0.02
+
+#: How long a runtime's ``close`` waits for each worker thread or process
+#: to exit, and pool start-up for its workers' ``ready``; read at each use.
+JOIN_TIMEOUT_S = 10.0
 
 
 def monotonic_ns() -> int:
@@ -84,7 +89,6 @@ class ResilienceConfig:
     max_retries: int = 1
     deadline_s: float | None = None
     deadline_subframes: float | None = None
-    join_timeout_s: float = 10.0
     drain_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -94,8 +98,6 @@ class ResilienceConfig:
             raise ValueError("deadline_s must be positive or None")
         if self.deadline_subframes is not None and self.deadline_subframes <= 0:
             raise ValueError("deadline_subframes must be positive or None")
-        if self.join_timeout_s <= 0:
-            raise ValueError("join_timeout_s must be positive")
         if self.drain_timeout_s is not None and self.drain_timeout_s <= 0:
             raise ValueError("drain_timeout_s must be positive or None")
 

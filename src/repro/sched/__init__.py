@@ -3,7 +3,8 @@
 :mod:`.core` defines what it means to run a subframe to a terminal state
 (:class:`SubframeTracker` under the :class:`Runtime` base); the transports
 are thread-based work stealing (the paper's Pthreads version, GIL-bound),
-spawn-based multiprocess (true multi-core, shared-memory grids) and inline
+spawn-based multiprocess (true multi-core, shared-memory grids, optional
+respawn of dead workers under :mod:`.supervisor`) and inline
 (one thread, whole subframes, for the serial/vectorized backends).
 :func:`make_runtime` is the one place a backend *name* becomes a runtime.
 """
@@ -48,7 +49,11 @@ def runtime_class(backend: str) -> type[Runtime]:
 
 
 def make_runtime(
-    backend: str, num_workers: int = 2, processor=None, respawn=None, **common
+    backend: str,
+    num_workers: int = 2,
+    processor=None,
+    respawn: bool = False,
+    **common,
 ) -> Runtime:
     """Build the runtime for ``backend``: ``num_workers`` goes to the pools,
     ``processor`` to the inline transport, ``respawn`` to the multiprocess

@@ -31,6 +31,7 @@ from collections import deque
 from functools import partial
 from typing import Callable, Iterator
 
+from ..faults import watchdog
 from ..faults.watchdog import WorkerFailure, monotonic_ns
 from ..obs.events import Event, EventKind
 from ..uplink.serial import SubframeResult
@@ -109,7 +110,7 @@ class InlineRuntime(Runtime):
         self._halt.set()
         self._queue.put(None)
         if self._thread is not None:
-            self._thread.join(timeout=self._resilience.join_timeout_s)
+            self._thread.join(timeout=watchdog.JOIN_TIMEOUT_S)
 
     def _work(self) -> None:
         try:

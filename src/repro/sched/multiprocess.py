@@ -48,10 +48,10 @@ predecessor's and the single-threaded loop has copied those out before it
 reads the next reply.
 
 This module is *transport* only — shared segments, pipes, sentinels and the
-supervisor. What it means to run a subframe to its terminal state (ledger,
-retry budget, deadlines, events, ``run``/``drain``/``collect_results``/
-``abort``) is :mod:`repro.sched.core`'s, shared with every other backend;
-the work unit here is the whole subframe, charged per user. Worker death is
+respawn of supervised slots. What it means to run a subframe to its
+terminal state (ledger, retry budget, deadlines, events,
+``run``/``drain``/``collect_results``/``abort``) is
+:mod:`repro.sched.core`'s, shared with every other backend; the work unit here is the whole subframe, charged per user. Worker death is
 *real*: a planned ``WORKER_DEATH`` fault makes the worker ``SIGKILL``
 itself, the parent detects the corpse via its sentinel and hands the
 orphaned subframe back to the tracker (requeued within the retry
@@ -59,8 +59,8 @@ budget), so every dispatched subframe still reaches exactly one terminal
 state. By default
 dead workers are not respawned (matching the threaded runtime); when the
 last one dies, outstanding subframes are aborted loudly. The opt-in
-``respawn=`` knob attaches a
-:class:`~repro.serve.supervisor.WorkerSupervisor` that turns the pool
+``respawn=True`` attaches a
+:class:`~repro.sched.supervisor.WorkerSupervisor` that turns the pool
 into a self-healing service: dead slots are respawned with exponential
 backoff under a rolling restart budget, orphaned subframes stay queued for
 the replacement, and crash-loop detection degrades back to the fail-stop
@@ -91,6 +91,7 @@ from typing import Any
 
 import numpy as np
 
+from ..faults import watchdog
 from ..faults.accounting import SubframeLedger
 from ..faults.watchdog import (
     WATCHDOG_POLL_S,
@@ -105,6 +106,7 @@ from ..phy.dtypes import COMPLEX_DTYPE
 from ..uplink.subframe import SubframeInput
 from ..uplink.vectorized import process_subframes
 from .core import Pending, Runtime
+from .supervisor import WorkerSupervisor
 from .threaded import RuntimeStats
 
 __all__ = [
@@ -113,10 +115,11 @@ __all__ = [
     "MultiprocessStats",
 ]
 
-#: Per-worker shared output slab size. A full 200-PRB, 4-layer, 64-QAM
-#: subframe writes ~6.2 MB (5.5 MB of LLRs plus 0.7 MB of uint8 payload) and
-#: must fit beside its predecessor's results; a subframe that still
-#: overflows falls back to inline pickles and is counted.
+#: Per-worker shared output slab size, read when a slot spawns. A full
+#: 200-PRB, 4-layer, 64-QAM subframe writes ~6.2 MB (5.5 MB of LLRs plus
+#: 0.7 MB of uint8 payload) and must fit beside its predecessor's results;
+#: a subframe that still overflows falls back to inline pickles and is
+#: counted.
 DEFAULT_SLAB_BYTES = 24 << 20
 
 #: Cap on the idle grid segments kept mapped for reuse. The pool needs one
@@ -323,8 +326,6 @@ class _WorkerHandle:
     ready: bool = False  # its ``ready`` message arrived
     dead: bool = False
     expect_death: bool = False  # a die-task was sent: death is planned
-    busy_since_ns: int = 0  # when the current task was dispatched
-    heartbeat_killed: bool = False  # supervisor killed it as wedged
 
 
 class MultiprocessRuntime(Runtime):
@@ -357,15 +358,10 @@ class MultiprocessRuntime(Runtime):
     ledger:
         Optional externally-owned ledger; a fresh one is created at
         :meth:`start` otherwise.
-    slab_bytes:
-        Per-worker shared output slab size (see module docstring).
     respawn:
-        Opt into supervised worker respawn. ``True`` uses the default
-        :class:`~repro.serve.supervisor.RespawnPolicy`; a policy instance
-        customizes backoff/budget/heartbeat; a ready
-        :class:`~repro.serve.supervisor.WorkerSupervisor` (anything with
-        ``record_death``) is used as-is. ``None``/``False`` keeps the
-        historical fail-stop semantics.
+        Opt into supervised worker respawn
+        (:class:`~repro.sched.supervisor.WorkerSupervisor`); ``False``
+        keeps the historical fail-stop semantics.
     """
 
     def __init__(
@@ -375,13 +371,10 @@ class MultiprocessRuntime(Runtime):
         faults=None,
         resilience: ResilienceConfig | None = None,
         ledger: SubframeLedger | None = None,
-        slab_bytes: int = DEFAULT_SLAB_BYTES,
-        respawn=None,
+        respawn: bool = False,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if slab_bytes < 4096:
-            raise ValueError("slab_bytes must be >= 4096")
         stats = MultiprocessStats(
             tasks_executed=[0] * num_workers,
             steals=[0] * num_workers,
@@ -392,7 +385,6 @@ class MultiprocessRuntime(Runtime):
             tags={"process_id": os.getpid()},
         )
         self.num_workers = num_workers
-        self.slab_bytes = slab_bytes
         self._ctx = get_context("spawn")
         self._workers: list[_WorkerHandle] = []
         self._spawned_pids: list[int] = []
@@ -404,21 +396,7 @@ class MultiprocessRuntime(Runtime):
         self._idle_grids: list[SharedMemory] = []
         self._tracker.listeners.append(self._release_grid)
         #: The attached :class:`WorkerSupervisor`, or ``None``.
-        self.supervisor = None
-        if respawn:
-            if hasattr(respawn, "record_death"):
-                self.supervisor = respawn
-            else:
-                # Deferred import: sched must not depend on serve at
-                # module level (serve already imports sched).
-                from ..serve.supervisor import RespawnPolicy, WorkerSupervisor
-
-                policy = (
-                    respawn
-                    if isinstance(respawn, RespawnPolicy)
-                    else RespawnPolicy()
-                )
-                self.supervisor = WorkerSupervisor(policy, num_workers)
+        self.supervisor = WorkerSupervisor(num_workers) if respawn else None
 
     # ------------------------------------------------------------ transport
     def _start(self) -> None:
@@ -430,7 +408,7 @@ class MultiprocessRuntime(Runtime):
             self._spawned_pids = [worker.pid for worker in self._workers]
             # Bounded: a host too loaded to import in time starts unready, as
             # it always did; a worker that dies first is found by this poll.
-            deadline = monotonic_ns() + ns_from_s(self._resilience.join_timeout_s)
+            deadline = monotonic_ns() + ns_from_s(watchdog.JOIN_TIMEOUT_S)
             while monotonic_ns() < deadline and not all(
                 worker.ready or worker.dead for worker in self._workers
             ):
@@ -443,7 +421,7 @@ class MultiprocessRuntime(Runtime):
 
     def _spawn_worker(self, worker_id: int) -> _WorkerHandle:
         """Spawn one worker process into the given slot id."""
-        slab = SharedMemory(create=True, size=self.slab_bytes)
+        slab = SharedMemory(create=True, size=DEFAULT_SLAB_BYTES)
         try:
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
@@ -473,9 +451,8 @@ class MultiprocessRuntime(Runtime):
         for worker in self._workers:
             if not worker.dead:
                 self._send(worker, None)
-        timeout = self._resilience.join_timeout_s
         for worker in self._workers:
-            worker.process.join(timeout=timeout)
+            worker.process.join(timeout=watchdog.JOIN_TIMEOUT_S)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
@@ -508,8 +485,8 @@ class MultiprocessRuntime(Runtime):
         )
         self.poll(0.0)
 
-    def await_respawns(self, timeout_s: float = 5.0) -> bool:
-        """Poll until no respawn is pending (or ``timeout_s`` expires).
+    def await_respawns(self) -> bool:
+        """Poll until no respawn is pending (or 5 s pass).
 
         Lets callers that will :meth:`close` right after :meth:`drain`
         observe a deterministic respawn count: a death near the end of a
@@ -518,7 +495,7 @@ class MultiprocessRuntime(Runtime):
         """
         if self.supervisor is None:
             return True
-        deadline = monotonic_ns() + ns_from_s(timeout_s)
+        deadline = monotonic_ns() + ns_from_s(5.0)
         while self.supervisor.pending and monotonic_ns() < deadline:
             self.poll(WATCHDOG_POLL_S)
         return not self.supervisor.pending
@@ -624,7 +601,6 @@ class MultiprocessRuntime(Runtime):
                     subframe=index, user=user_slice.user.user_id,
                 )
         worker.busy = task
-        worker.busy_since_ns = monotonic_ns()
         self._send(worker, ("task", wire))
 
     def _drain_conn(self, worker: _WorkerHandle) -> None:
@@ -752,23 +728,17 @@ class MultiprocessRuntime(Runtime):
         if injected:
             error = "killed by injected fault (SIGKILL)"
             self.stats.worker_deaths += 1
-        elif worker.heartbeat_killed:
-            error = "killed by supervisor (heartbeat timeout)"
         else:
             exitcode = worker.process.exitcode
             error = f"worker process died unexpectedly (exitcode {exitcode})"
-        supervisor = self.supervisor
         due = None
-        if supervisor is not None:
-            due = supervisor.record_death(worker.worker_id, monotonic_ns())
+        if self.supervisor is not None:
+            due = self.supervisor.record_death(worker.worker_id, monotonic_ns())
         # Under an active supervisor a death is an incident, not a
         # verdict: the slot respawns, so nothing is fatal unless
         # crash-loop detection already degraded the pool to fail-stop
         # (due is None then, restoring the historical semantics).
-        if supervisor is None:
-            fatal = not injected
-        else:
-            fatal = due is None and not injected and not worker.heartbeat_killed
+        fatal = due is None and not injected
         self._tracker.worker_failed(
             WorkerFailure(worker.worker_id, error, fatal=fatal, injected=injected)
         )
@@ -788,12 +758,9 @@ class MultiprocessRuntime(Runtime):
 
     # ------------------------------------------------------------ supervision
     def _service_supervisor(self) -> None:
-        """Heartbeat checks plus any respawns whose backoff expired."""
+        """Respawn every dead slot whose backoff expired."""
         supervisor = self.supervisor
-        if supervisor is None or not self._started:
-            return
-        self._check_heartbeats(supervisor)
-        if not supervisor.pending:
+        if supervisor is None or not self._started or not supervisor.pending:
             return
         now = monotonic_ns()
         for slot, worker in enumerate(self._workers):
@@ -803,24 +770,8 @@ class MultiprocessRuntime(Runtime):
             if due is not None and now >= due:
                 self._respawn_worker(slot, worker, supervisor)
 
-    def _check_heartbeats(self, supervisor) -> None:
-        """SIGKILL workers wedged on one task past the heartbeat budget."""
-        timeout_ns = supervisor.heartbeat_timeout_ns
-        if timeout_ns is None or supervisor.fail_stop:
-            return
-        now = monotonic_ns()
-        for worker in self._workers:
-            if worker.dead or worker.busy is None or worker.expect_death:
-                continue
-            if worker.busy_since_ns and now - worker.busy_since_ns >= timeout_ns:
-                # Presumed wedged. The kill surfaces through the process
-                # sentinel like any other death: the standard path
-                # requeues its task and schedules the respawn.
-                worker.heartbeat_killed = True
-                worker.process.kill()
-
     def _respawn_worker(
-        self, slot: int, corpse: _WorkerHandle, supervisor
+        self, slot: int, corpse: _WorkerHandle, supervisor: WorkerSupervisor
     ) -> None:
         """Replace one dead slot with a fresh process (same worker id)."""
         replacement = self._spawn_worker(corpse.worker_id)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, TypeVar
 
 from ..faults.accounting import SubframeLedger
+from ..faults import watchdog
 from ..faults.injector import InjectedTaskError, InjectedWorkerDeath
 from ..faults.watchdog import (
     ResilienceConfig,
@@ -200,7 +201,7 @@ class ThreadedRuntime(Runtime):
         """Stop the worker threads, joining each with a bounded timeout."""
         self._shutdown.set()
         for thread in self._threads:
-            thread.join(timeout=self._resilience.join_timeout_s)
+            thread.join(timeout=watchdog.JOIN_TIMEOUT_S)
         self._threads.clear()
 
     def _enqueue(self, pending: Pending) -> None:

@@ -19,9 +19,10 @@ instead of deadline collapse? See ``docs/serving.md``.
   (every ``--checkpoint-every`` cut and the exit write it; ``--resume``
   reads any of them);
 * :mod:`repro.serve.overload` — SLO-driven adaptive admission (AIMD
-  with hysteresis, ``--adaptive``);
-* :mod:`repro.serve.supervisor` — bounded worker-respawn policy for the
-  multiprocess backend (``--respawn``, see ``docs/robustness.md``).
+  with hysteresis, ``--adaptive``).
+
+``--respawn`` attaches :class:`repro.sched.supervisor.WorkerSupervisor`,
+the multiprocess pool's bounded worker respawn (``docs/robustness.md``).
 
 Names resolve on first use (:pep:`562`): importing the package imports
 no submodule, so ``repro.cli`` reads :class:`ServeConfig` without NumPy.
@@ -51,7 +52,6 @@ _HOMES = {
         "validate_checkpoint",
         "validate_serve_report",
     ),
-    "supervisor": ("RespawnPolicy", "WorkerSupervisor"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -91,7 +91,7 @@ class CellShard:
         resilience: ResilienceConfig | None = None,
         observers: list | None = None,
         processor: Callable[[SubframeInput], SubframeResult] | None = None,
-        respawn: Any = None,
+        respawn: bool = False,
     ) -> None:
         if cell_id < 0:
             raise ValueError("cell_id must be >= 0")

@@ -59,7 +59,7 @@ def _flag(
 @dataclass
 class ServeConfig:
     """One serve run's shape: every ``repro serve`` option, in ``--help``
-    order, then the three hooks only callers in code set."""
+    order, then the two hooks only callers in code set."""
 
     cells: int = _flag(4, "--cells", "number of cells (default 4)")
     subframes: int = _flag(
@@ -226,9 +226,6 @@ class ServeConfig:
     #: for serial/vectorized cells — ``perf/`` and the tests inject a
     #: stage-timed processor here to attribute per-kernel wall clock.
     processor: Any = None
-    #: Optional :class:`~repro.serve.supervisor.RespawnPolicy` override
-    #: for ``respawn`` (tests shrink the restart budget).
-    respawn_policy: Any = None
 
     def validate(self) -> None:
         if self.cells < 1:

@@ -82,7 +82,6 @@ from .report import (
     terminal_counts,
     validate_checkpoint,
 )
-from .supervisor import RespawnPolicy
 
 __all__ = ["ServeResult", "serve"]
 
@@ -220,9 +219,6 @@ class _Server:
                 deadline_s=_FAULTS_DEADLINE_S,
                 drain_timeout_s=_DRAIN_TIMEOUT_S,
             )
-        respawn_policy = None
-        if config.respawn:
-            respawn_policy = config.respawn_policy or RespawnPolicy()
         factory = SubframeFactory(seed=config.seed)
         self.cells: list[CellShard] = []
         self.overloads: list[tuple[FaultSpec, ...]] = []
@@ -249,7 +245,7 @@ class _Server:
                 resilience=resilience,
                 observers=[_RuntimeWatcher(self, cell_id)],
                 processor=config.processor,
-                respawn=respawn_policy,
+                respawn=config.respawn,
             )
             self.cells.append(cell)
             self.overloads.append(overloads)

@@ -66,21 +66,21 @@ class SimConfig:
     """Simulator tuning knobs.
 
     ``wake_period_s`` is how often a napping core wakes to look for work
-    (the TILEPro64 nap instruction has no external wake-up, Section V-B);
-    ``wake_check_cycles`` is what one check costs; ``window_s`` is the
-    trace/power window (the paper's 100 ms).
+    (the TILEPro64 nap instruction has no external wake-up, Section V-B;
+    what the checks cost is folded into NAP's price in
+    :mod:`repro.power.model`); ``window_s`` is the trace/power window (the
+    paper's 100 ms).
     """
 
     wake_period_s: float = 1e-3
-    wake_check_cycles: int = 500
     window_s: float = 0.1
     drain_margin_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.wake_period_s <= 0 or self.window_s <= 0:
             raise ValueError("wake_period_s and window_s must be positive")
-        if self.wake_check_cycles < 0 or self.drain_margin_s < 0:
-            raise ValueError("wake_check_cycles/drain_margin_s must be >= 0")
+        if self.drain_margin_s < 0:
+            raise ValueError("drain_margin_s must be >= 0")
 
 
 class AlwaysOnPolicy:

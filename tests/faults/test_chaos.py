@@ -203,3 +203,26 @@ class TestLedgerFingerprint:
         from repro.faults.chaos import ledger_fingerprint
 
         json.dumps(ledger_fingerprint(self._ledger([TerminalState.OK])))
+
+
+class TestChaosCommand:
+    def test_the_smoke_campaign_survives_on_one_matrix(self, capsys, monkeypatch):
+        """``repro chaos`` builds its matrix once, to check the options,
+        and runs that matrix."""
+        from repro.cli import main
+        from repro.faults import chaos
+
+        built = []
+        build = chaos.build_matrix
+
+        def counted(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(chaos, "build_matrix", counted)
+        argv = ["chaos", "--scale", "smoke", "--seeds", "1", "--backend", "sim"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(built) == 1 and len(built[0]) == len(SIM_GROUPS) == 6
+        assert "6/6 scenarios survived" in out
+        assert "FAILED" not in out

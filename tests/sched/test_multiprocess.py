@@ -21,6 +21,7 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig
 from repro.obs.recorder import EventRecorder
 from repro.phy.params import CellConfig, Modulation
+from repro.sched import multiprocess
 from repro.sched.multiprocess import MultiprocessRuntime
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
@@ -214,11 +215,12 @@ def test_all_workers_dead_aborts_everything(workload):
     assert runtime.stats.worker_deaths == 2
 
 
-def test_tiny_output_slab_falls_back_to_inline_results(workload):
+def test_tiny_output_slab_falls_back_to_inline_results(workload, monkeypatch):
     subframes, reference = workload
-    runtime = MultiprocessRuntime(num_workers=2, slab_bytes=4096)
+    monkeypatch.setattr(multiprocess, "DEFAULT_SLAB_BYTES", 4096)
+    runtime = MultiprocessRuntime(num_workers=2)
     results = runtime.run(subframes)
-    # Every payload overflows the minimum 4 KiB slab; results ride the
+    # Every payload overflows a 4 KiB slab; results ride the
     # pipe inline instead, still bit-exact, and the fallback is counted.
     assert runtime.stats.slab_overflows > 0
     for result, expected in zip(results, reference):
@@ -373,7 +375,7 @@ def test_one_worker_pipeline_keeps_every_result_intact(workload):
         assert same_bits(result, reference[i % NUM_SUBFRAMES]), f"sf{i} differs"
 
 
-def test_results_that_do_not_fit_beside_their_predecessor_overflow():
+def test_results_that_do_not_fit_beside_their_predecessor_overflow(monkeypatch):
     """A subframe's results may not overwrite the previous subframe's: when
     the slab holds one but not two, the second rides the pipe, counted."""
     users = [UserParameters(0, 8, 2, Modulation.QAM16)]
@@ -386,7 +388,8 @@ def test_results_that_do_not_fit_beside_their_predecessor_overflow():
     )
     backlog = [replace(one, subframe_index=i) for i in range(3)]
     for slab_bytes, overflows in ((need * 3 // 2, True), (need * 2 + 4096, False)):
-        runtime = MultiprocessRuntime(num_workers=1, slab_bytes=slab_bytes)
+        monkeypatch.setattr(multiprocess, "DEFAULT_SLAB_BYTES", slab_bytes)
+        runtime = MultiprocessRuntime(num_workers=1)
         results = runtime.run(backlog)
         assert bool(runtime.stats.slab_overflows) is overflows
         assert all(same_bits(result, expected) for result in results)

@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.faults import watchdog
 from repro.faults.accounting import TerminalState
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig, RuntimeHung
@@ -539,14 +540,11 @@ class TestInlineBatching:
         finally:
             runtime.close()
 
-    def test_close_with_a_backlog(self, backend, flood):
+    def test_close_with_a_backlog(self, backend, flood, monkeypatch):
         subframes, reference = flood
         gate = Gate()
-        runtime = runtime_for(
-            backend,
-            observers=[gate],
-            resilience=ResilienceConfig(join_timeout_s=0.05, drain_timeout_s=60.0),
-        )
+        monkeypatch.setattr(watchdog, "JOIN_TIMEOUT_S", 0.05)
+        runtime = runtime_for(backend, observers=[gate])
         runtime.start()
         runtime.submit(subframes[0])
         assert gate.entered[0].wait(30.0)

@@ -52,6 +52,23 @@ def _config(**overrides):
     return ServeConfig(**base)
 
 
+def _pin_degraded(monkeypatch):
+    """Replace serve's overload controller with one held degraded at load
+    factor 0.25 (queue depth 8 becomes 2)."""
+    from repro.serve import loop
+
+    class Degraded(loop.OverloadController):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.aimd.load_factor = 0.25
+            self.aimd.degraded = True
+
+        def maybe_update(self, t):
+            return None
+
+    monkeypatch.setattr(loop, "OverloadController", Degraded)
+
+
 class TestBackpressure:
     def test_shed_policy_drops_at_full_queue(self):
         result = serve(_config(backpressure="shed"))
@@ -84,20 +101,7 @@ class TestBackpressure:
         """Under ``--adaptive`` a degraded controller shrinks the queue
         depth, and ``block`` must wait for that depth, not the static one
         (docs/serving.md, "Adaptive admission")."""
-        from repro.serve import loop
-
-        class Degraded(loop.OverloadController):
-            """Pinned at load factor 0.25: depth 8 becomes 2."""
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.aimd.load_factor = 0.25
-                self.aimd.degraded = True
-
-            def maybe_update(self, t):
-                return None
-
-        monkeypatch.setattr(loop, "OverloadController", Degraded)
+        _pin_degraded(monkeypatch)
         result = serve(
             _config(
                 subframes=60, backend="threaded", workers=2, queue_depth=8,
@@ -109,6 +113,77 @@ class TestBackpressure:
         assert report["terminal_counts"]["shed"] == 0
         assert report["backpressure_hits"] > 0
         assert report["per_cell"][0]["max_queue_depth"] <= 2
+
+
+class TestSurgeShedding:
+    """docs/serving.md, "Adaptive admission": while degraded, an mMTC
+    cell sheds the burst's surge users before anything is admitted."""
+
+    def test_a_degraded_controller_sheds_the_surge(self, monkeypatch, tmp_path):
+        _pin_degraded(monkeypatch)
+        path = tmp_path / "serve.jsonl"
+        period, window = 20, 10
+        result = serve(
+            _config(
+                subframes=40, arrival="mmtc", rate=0.5, burst_size=30.0,
+                burst_period=period, burst_window=window, queue_depth=8,
+                backpressure="block", adaptive=True, trace_path=str(path),
+            )
+        )
+        assert result.ok, result.errors
+        report = result.report
+        assert report["ledger_ok"]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        surge = [r for r in records if r["kind"] == "shed" and r.get("surge")]
+        assert surge
+        assert all(r["subframe"] % period < window for r in surge)
+        for cell in report["per_cell"]:
+            assert cell["offered_users"] == cell["admitted_users"] + cell["shed_users"]
+        assert report["shed_users"] >= sum(r["users"] for r in surge)
+        offered = {r["subframe"]: r["users"] for r in records if r["kind"] == "arrival"}
+        surge_only = [
+            r["subframe"] for r in surge if r["users"] == offered[r["subframe"]]
+        ]
+        assert surge_only, "expected a burst tick with no background user"
+        for gid in surge_only:
+            assert report["terminal_states"][str(gid)] == "shed"
+        assert report["terminal_counts"]["shed"] == len(surge_only)
+
+
+class TestSubmitFailure:
+    def test_a_refused_submit_ends_aborted_and_is_named(self, monkeypatch):
+        """``serve/loop.py``: a runtime whose ``submit`` raises leaves its
+        subframe ``aborted`` in the ledger and its error in ``errors``."""
+        from repro.serve import cell
+
+        real = cell.make_runtime
+        refused = []
+
+        def make_flaky_runtime(*args, **kwargs):
+            runtime = real(*args, **kwargs)
+            submit = runtime.submit
+
+            def submit_refusing_once(subframe):
+                if not refused:
+                    refused.append(subframe.subframe_index)
+                    raise RuntimeError("transport refused")
+                return submit(subframe)
+
+            runtime.submit = submit_refusing_once
+            return runtime
+
+        monkeypatch.setattr(cell, "make_runtime", make_flaky_runtime)
+        result = serve(_config(subframes=12, backpressure="block"))
+        report = result.report
+        [gid] = refused
+        assert report["terminal_states"][str(gid)] == "aborted"
+        assert report["terminal_counts"]["aborted"] == 1
+        assert len(result.errors) == 1 and not result.ok
+        assert f"submit {gid}" in result.errors[0]
+        assert "transport refused" in result.errors[0]
+        assert report["ledger_ok"]
+        assert report["dispatched"] == sum(report["terminal_counts"].values())
+        assert validate_serve_report(report) == []
 
 
 class TestAdmissionShedding:

@@ -89,9 +89,9 @@ class TestOptionsAreDeclaredOnce:
 
     def test_every_option_but_the_three_hooks_has_a_flag(self):
         names = [f.name for f in dataclasses.fields(ServeConfig)]
-        assert len(names) == 31
+        assert len(names) == 30
         assert set(names) - {f.name for f in FLAG_FIELDS} == {
-            "keep_results", "processor", "respawn_policy",
+            "keep_results", "processor",
         }
         flags = [f.metadata["flag"] for f in FLAG_FIELDS]
         assert len(set(flags)) == len(flags) == 28

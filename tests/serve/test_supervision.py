@@ -1,19 +1,23 @@
-"""Supervised worker respawn (ISSUE 10 tentpole, part 1).
+"""Supervised worker respawn.
 
 Three layers, cheapest first: the :class:`WorkerSupervisor` state
 machine with a synthetic clock (backoff shape, rolling budget,
 crash-loop detection), the multiprocess runtime healing through real
 SIGKILLed workers, and the serve loop's ``respawn=`` plumbing end to
-end under the chaos plan. Spawn-based tests keep the workloads tiny —
-the exhaustive kill-matrix lives in ``tests/sched``.
+end under the chaos plan. The budget and backoff are module constants of
+:mod:`repro.sched.supervisor`; a test that needs another shape
+monkeypatches them. Spawn-based tests keep the workloads tiny — the
+exhaustive kill-matrix lives in ``tests/sched``.
 """
 
 import pytest
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig
+from repro.sched import supervisor
 from repro.sched.multiprocess import MultiprocessRuntime
-from repro.serve import RespawnPolicy, ServeConfig, WorkerSupervisor, serve
+from repro.sched.supervisor import WorkerSupervisor
+from repro.serve import ServeConfig, serve
 from repro.serve.report import validate_serve_report
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
@@ -22,33 +26,31 @@ from repro.uplink.subframe import SubframeFactory
 NS = 1_000_000_000
 
 
-class TestRespawnPolicyValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_respawns": 0},
-            {"window_s": 0.0},
-            {"backoff_initial_s": 0.0},
-            {"backoff_initial_s": 0.5, "backoff_max_s": 0.1},
-            {"heartbeat_timeout_s": 0.0},
-        ],
-    )
-    def test_bad_policy_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RespawnPolicy(**kwargs)
+@pytest.fixture
+def policy(monkeypatch):
+    """Set the supervisor's budget/backoff constants for one test."""
 
+    def set_policy(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(supervisor, name, value)
+
+    return set_policy
+
+
+class TestRespawnPolicyValidation:
     def test_supervisor_needs_workers(self):
         with pytest.raises(ValueError):
-            WorkerSupervisor(RespawnPolicy(), 0)
+            WorkerSupervisor(0)
 
 
 class TestWorkerSupervisorUnit:
-    def _supervisor(self, **kwargs):
-        return WorkerSupervisor(RespawnPolicy(**kwargs), num_workers=2)
+    def _supervisor(self, policy, **constants):
+        policy(**constants)
+        return WorkerSupervisor(num_workers=2)
 
-    def test_backoff_doubles_per_consecutive_death_and_caps(self):
+    def test_backoff_doubles_per_consecutive_death_and_caps(self, policy):
         sup = self._supervisor(
-            backoff_initial_s=0.1, backoff_max_s=0.4, max_respawns=100
+            policy, BACKOFF_INITIAL_S=0.1, BACKOFF_MAX_S=0.4, MAX_RESPAWNS=100
         )
         now = 0
         expected = [0.1, 0.2, 0.4, 0.4]  # doubling, then the ceiling
@@ -61,9 +63,9 @@ class TestWorkerSupervisorUnit:
         assert sup.respawns == len(expected)
         assert not sup.pending
 
-    def test_progress_resets_consecutive_backoff(self):
+    def test_progress_resets_consecutive_backoff(self, policy):
         sup = self._supervisor(
-            backoff_initial_s=0.1, backoff_max_s=10.0, max_respawns=100
+            policy, BACKOFF_INITIAL_S=0.1, BACKOFF_MAX_S=10.0, MAX_RESPAWNS=100
         )
         sup.record_death(0, 0)
         sup.note_respawn(0, 1 * NS)
@@ -72,8 +74,8 @@ class TestWorkerSupervisorUnit:
         sup.note_progress(0)  # slot healed: next death starts over
         assert sup.record_death(0, 4 * NS) == 4 * NS + int(0.1 * NS)
 
-    def test_rolling_budget_trips_crash_loop(self):
-        sup = self._supervisor(max_respawns=2, window_s=30.0)
+    def test_rolling_budget_trips_crash_loop(self, policy):
+        sup = self._supervisor(policy, MAX_RESPAWNS=2, WINDOW_S=30.0)
         for now in (0, 1 * NS):
             due = sup.record_death(0, now)
             assert due is not None
@@ -86,9 +88,10 @@ class TestWorkerSupervisorUnit:
         summary = sup.summary()
         assert summary["fail_stop"] and summary["deaths"] == 4
         assert summary["respawns"] == 2
+        assert (summary["max_respawns"], summary["window_s"]) == (2, 30.0)
 
-    def test_window_prunes_old_respawns(self):
-        sup = self._supervisor(max_respawns=2, window_s=10.0)
+    def test_window_prunes_old_respawns(self, policy):
+        sup = self._supervisor(policy, MAX_RESPAWNS=2, WINDOW_S=10.0)
         for i in range(6):
             now = i * 20 * NS  # spaced wider than the window
             due = sup.record_death(0, now)
@@ -110,8 +113,9 @@ def workload():
 
 
 class TestRuntimeRespawn:
-    def test_killed_workers_respawn_and_finish_bit_exact(self, workload):
+    def test_killed_workers_respawn_and_finish_bit_exact(self, workload, policy):
         subframes, reference = workload
+        policy(BACKOFF_INITIAL_S=0.02, BACKOFF_MAX_S=0.2, MAX_RESPAWNS=8)
         plan = FaultPlan(
             specs=tuple(
                 FaultSpec(
@@ -125,9 +129,7 @@ class TestRuntimeRespawn:
             num_workers=2,
             faults=plan,
             resilience=ResilienceConfig(max_retries=5, drain_timeout_s=60.0),
-            respawn=RespawnPolicy(
-                backoff_initial_s=0.02, backoff_max_s=0.2, max_respawns=8
-            ),
+            respawn=True,
         )
         results = runtime.run(subframes)
         runtime.await_respawns()
@@ -142,8 +144,11 @@ class TestRuntimeRespawn:
         assert not sup.fail_stop
         assert runtime.stats.respawns == sup.respawns
 
-    def test_crash_loop_degrades_to_fail_stop(self, workload):
+    def test_crash_loop_degrades_to_fail_stop(self, workload, policy):
         subframes, _ = workload
+        policy(
+            MAX_RESPAWNS=2, WINDOW_S=60.0, BACKOFF_INITIAL_S=0.01, BACKOFF_MAX_S=0.05
+        )
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -156,12 +161,7 @@ class TestRuntimeRespawn:
             num_workers=1,
             faults=plan,
             resilience=ResilienceConfig(max_retries=8, drain_timeout_s=60.0),
-            respawn=RespawnPolicy(
-                max_respawns=2,
-                window_s=60.0,
-                backoff_initial_s=0.01,
-                backoff_max_s=0.05,
-            ),
+            respawn=True,
         )
         runtime.run(subframes)
         sup = runtime.supervisor
@@ -182,7 +182,10 @@ class TestServeRespawn:
         with pytest.raises(ValueError, match="respawn"):
             serve(ServeConfig(cells=1, subframes=2, respawn=True))
 
-    def test_chaos_serve_heals_and_stays_ledger_ok(self):
+    def test_chaos_serve_heals_and_stays_ledger_ok(self, policy):
+        policy(
+            MAX_RESPAWNS=32, WINDOW_S=60.0, BACKOFF_INITIAL_S=0.02, BACKOFF_MAX_S=0.2
+        )
         result = serve(
             ServeConfig(
                 cells=1,
@@ -197,12 +200,6 @@ class TestServeRespawn:
                 seed=5,
                 faults=True,
                 respawn=True,
-                respawn_policy=RespawnPolicy(
-                    max_respawns=32,
-                    window_s=60.0,
-                    backoff_initial_s=0.02,
-                    backoff_max_s=0.2,
-                ),
             )
         )
         report = result.report

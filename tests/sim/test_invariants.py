@@ -452,6 +452,123 @@ class TestCheckerReadsTheRunsLedger:
         assert second.ledger.state_of(4) is TerminalState.OK
 
 
+def rewrite_events(monkeypatch, rewrite):
+    """Mutate what the simulator reports: every event it emits passes
+    through ``rewrite(event)``, which returns the events to deliver."""
+    resolve_observers = MachineSimulator._resolve_observers
+
+    def resolve(self):
+        observers = resolve_observers(self)
+        emit = self._emit
+
+        def mutated(event):
+            for each in rewrite(event):
+                emit(each)
+
+        self._emit = mutated
+        return observers
+
+    monkeypatch.setattr(MachineSimulator, "_resolve_observers", resolve)
+
+
+def twice(kind):
+    return lambda event: [event, event] if event.kind is kind else [event]
+
+
+class TestCheckerCatchesEachViolation:
+    """One committed mutation per check: each breaks the simulator in the
+    one way its check exists for, and the strict checker must raise with
+    that check's own message (the run is the clean one above)."""
+
+    def test_a_task_start_reported_twice_breaks_task_conservation(
+        self, monkeypatch
+    ):
+        rewrite_events(monkeypatch, twice(EventKind.TASK_START))
+        with pytest.raises(InvariantViolation, match="task conservation violated"):
+            run_checked("NONAP", strict=True)
+
+    def test_a_lost_user_finish_breaks_user_conservation(self, monkeypatch):
+        rewrite_events(
+            monkeypatch,
+            lambda event: [] if event.kind is EventKind.USER_FINISH else [event],
+        )
+        with pytest.raises(InvariantViolation, match="user conservation violated"):
+            run_checked("NONAP", strict=True)
+
+    def test_a_user_adopted_twice_breaks_adoption(self, monkeypatch):
+        rewrite_events(monkeypatch, twice(EventKind.USER_START))
+        with pytest.raises(InvariantViolation, match=r"adopted users \d+ != finished"):
+            run_checked("NONAP", strict=True)
+
+    def test_a_busy_core_outside_compute(self, monkeypatch):
+        execute = MachineSimulator._execute_task
+
+        def back_to_spin(self, core, job, cycles, t, stolen, serial=False):
+            execute(self, core, job, cycles, t, stolen, serial)
+            self._set_state(core, CoreState.SPIN, t)  # still executing
+
+        monkeypatch.setattr(MachineSimulator, "_execute_task", back_to_spin)
+        with pytest.raises(
+            InvariantViolation, match="is executing while in state spin"
+        ):
+            run_checked("NONAP", strict=True)
+
+    def test_a_task_started_outside_compute(self, monkeypatch):
+        set_state = MachineSimulator._set_state
+
+        def never_compute(self, core, state, t):
+            if state is not CoreState.COMPUTE:
+                set_state(self, core, state, t)
+
+        monkeypatch.setattr(MachineSimulator, "_set_state", never_compute)
+        with pytest.raises(
+            InvariantViolation, match=r"task started on core \d+ in state spin"
+        ):
+            run_checked("NONAP", strict=True)
+
+    def test_a_task_started_on_a_core_still_registered_idle(self, monkeypatch):
+        execute = MachineSimulator._execute_task
+
+        def execute_registered(self, core, job, cycles, t, stolen, serial=False):
+            if core.state is CoreState.COMPUTE:  # no transition in between
+                self._idle_spin.add(core.index)
+            execute(self, core, job, cycles, t, stolen, serial)
+
+        monkeypatch.setattr(MachineSimulator, "_execute_task", execute_registered)
+        with pytest.raises(
+            InvariantViolation, match="still registered in an idle set"
+        ):
+            run_checked("NONAP", strict=True)
+
+    def test_a_completion_stamped_before_its_dispatch(self, monkeypatch):
+        resolve = MachineSimulator._resolve_subframe
+
+        def stamped_early(self, index, t, state=None, reason=""):
+            if index >= NUM_SUBFRAMES // 2:
+                t = int(self._dispatch_cycle[index]) - 1
+            resolve(self, index, t, state, reason)
+
+        monkeypatch.setattr(MachineSimulator, "_resolve_subframe", stamped_early)
+        with pytest.raises(InvariantViolation, match="before its own dispatch"):
+            run_checked("NONAP", strict=True)
+
+    def test_stamps_off_the_run_clock_break_completion_order(self, monkeypatch):
+        resolve = MachineSimulator._resolve_subframe
+
+        def slot_relative(self, index, t, state=None, reason=""):
+            resolve(self, index, t, state, reason)
+            if index >= NUM_SUBFRAMES // 2:
+                # Dispatch and completion read from the subframe's own slot
+                # instead of the run's clock: each still looks in order.
+                shift = int(self._dispatch_cycle[index])
+                self._dispatch_cycle[index] -= shift
+                self._complete_cycle[index] -= shift
+
+        monkeypatch.setattr(MachineSimulator, "_resolve_subframe", slot_relative)
+        with pytest.raises(InvariantViolation, match="completion order violated"):
+            run_checked("NONAP", strict=True)
+
+
 class TestEnvVarAutoAttach:
     def test_repro_invariants_attaches_strict_checker(self, monkeypatch):
         monkeypatch.setenv("REPRO_INVARIANTS", "1")

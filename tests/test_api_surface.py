@@ -76,8 +76,7 @@ def test_the_pools_old_seams_and_unused_sim_models_are_gone():
     assert "cache" not in inspect.signature(CostModel).parameters
     # ... and the pool grew no parameter to select the old unit.
     assert list(inspect.signature(MultiprocessRuntime).parameters) == [
-        "num_workers", "observers", "faults", "resilience", "ledger",
-        "slab_bytes", "respawn",
+        "num_workers", "observers", "faults", "resilience", "ledger", "respawn",
     ]
 
 
@@ -229,8 +228,7 @@ def test_metrics_registry_and_worker_sketching_are_gone():
     assert not hasattr(multiprocess, "_build_shard")
     assert issubclass(repro.obs.Profiler, repro.obs.TelemetryCollector)
     assert list(inspect.signature(multiprocess.MultiprocessRuntime).parameters) == [
-        "num_workers", "observers", "faults", "resilience", "ledger",
-        "slab_bytes", "respawn",
+        "num_workers", "observers", "faults", "resilience", "ledger", "respawn",
     ]
 
 
@@ -404,6 +402,51 @@ def test_power_is_priced_once():
     for name in ("NAPIDLE", "nap+idle", " IDLE"):
         with pytest.raises(ValueError, match="unknown policy"):
             governor.make_policy(name, 8)
+
+
+def test_supervised_respawn_has_one_configuration():
+    """Respawn is a switch: the supervisor's budget and backoff are module
+    constants beside the pool it supervises, the hang check nothing turned
+    on went, and so did the join timeout, the slab size and the wake-check
+    cost only tests set. ``repro.sched`` imports nothing from
+    ``repro.serve``. No alias, no stub."""
+    import dataclasses
+    import inspect
+    import pathlib
+    import re
+
+    import repro.sched
+    import repro.serve
+    from repro.faults.watchdog import ResilienceConfig
+    from repro.sched import MultiprocessRuntime, make_runtime, supervisor
+    from repro.serve import CellShard, ServeConfig
+    from repro.sim import SimConfig
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.serve.supervisor")
+    assert not {"RespawnPolicy", "WorkerSupervisor"} & set(repro.serve.__all__)
+    assert not hasattr(supervisor, "RespawnPolicy")
+    assert list(inspect.signature(supervisor.WorkerSupervisor).parameters) == [
+        "num_workers"
+    ]
+    assert not hasattr(supervisor.WorkerSupervisor, "heartbeat_timeout_ns")
+    assert (supervisor.MAX_RESPAWNS, supervisor.WINDOW_S) == (8, 30.0)
+    assert (supervisor.BACKOFF_INITIAL_S, supervisor.BACKOFF_MAX_S) == (0.05, 2.0)
+    for callable_ in (MultiprocessRuntime, make_runtime, CellShard):
+        assert inspect.signature(callable_).parameters["respawn"].default is False
+    assert not hasattr(MultiprocessRuntime, "_check_heartbeats")
+    assert list(inspect.signature(MultiprocessRuntime.await_respawns).parameters) == [
+        "self"
+    ]
+    for config, gone in (
+        (ServeConfig, "respawn_policy"),
+        (ResilienceConfig, "join_timeout_s"),
+        (SimConfig, "wake_check_cycles"),
+    ):
+        assert gone not in {f.name for f in dataclasses.fields(config)}
+    serve_import = re.compile(r"^\s*(from|import)\s+(\.\.serve|repro\.serve)", re.M)
+    for path in pathlib.Path(repro.sched.__file__).parent.glob("*.py"):
+        assert not serve_import.search(path.read_text()), path
 
 
 def test_every_option_has_a_caller():
