@@ -29,7 +29,7 @@ from collections.abc import Iterator
 
 from .context import ModuleContext
 from .findings import Finding, Severity
-from .registry import Rule, register
+from .registry import ScopedRule, register
 
 __all__ = [
     "DETERMINISTIC_PACKAGES",
@@ -92,27 +92,17 @@ _ORDER_INSENSITIVE_CONSUMERS = frozenset(
 _ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "iter", "enumerate"})
 
 
-def in_deterministic_scope(ctx: ModuleContext) -> bool:
-    if ctx.has_deterministic_pragma():
-        return True
-    return any(
-        ctx.module == pkg or ctx.module.startswith(pkg + ".")
-        for pkg in DETERMINISTIC_PACKAGES
-    )
+class _DeterministicRule(ScopedRule):
+    """In scope: the deterministic packages and any file with the pragma."""
 
+    packages = DETERMINISTIC_PACKAGES
 
-class _ScopedRule(Rule):
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not in_deterministic_scope(ctx):
-            return
-        yield from self.check_scoped(ctx)
-
-    def check_scoped(self, ctx: ModuleContext) -> Iterator[Finding]:
-        raise NotImplementedError
+    def in_scope(self, ctx: ModuleContext) -> bool:
+        return ctx.has_deterministic_pragma() or super().in_scope(ctx)
 
 
 @register
-class WallClockRule(_ScopedRule):
+class WallClockRule(_DeterministicRule):
     """REP201: no host-clock reads inside the deterministic scope."""
 
     rule_id = "REP201"
@@ -139,7 +129,7 @@ class WallClockRule(_ScopedRule):
 
 
 @register
-class UnseededRngRule(_ScopedRule):
+class UnseededRngRule(_DeterministicRule):
     """REP202: all randomness must flow from an explicit seed."""
 
     rule_id = "REP202"
@@ -246,7 +236,7 @@ class _SetTypeIndex:
 
 
 @register
-class SetOrderRule(_ScopedRule):
+class SetOrderRule(_DeterministicRule):
     """REP203: scheduling-visible iteration order must not come from sets."""
 
     rule_id = "REP203"

@@ -3,7 +3,8 @@
 Two rule shapes exist:
 
 * :class:`Rule` — per-file: sees one :class:`~repro.analysis.context.ModuleContext`
-  at a time (lock discipline, determinism);
+  at a time (lock discipline, determinism); a :class:`ScopedRule` checks
+  only the modules of the packages it names;
 * :class:`ProjectRule` — whole-tree: sees every context at once (the obs
   event-schema cross-check, which must correlate emit sites in one module
   with handler sites in another).
@@ -23,6 +24,7 @@ from .findings import Finding, Severity
 
 __all__ = [
     "Rule",
+    "ScopedRule",
     "ProjectRule",
     "register",
     "default_rules",
@@ -51,6 +53,25 @@ class Rule:
             message=message,
             severity=self.severity,
         )
+
+
+class ScopedRule(Rule):
+    """A per-file rule that checks only the modules under ``packages``."""
+
+    packages: tuple[str, ...] = ()
+
+    def in_scope(self, ctx: ModuleContext) -> bool:
+        return any(
+            ctx.module == pkg or ctx.module.startswith(pkg + ".")
+            for pkg in self.packages
+        )
+
+    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if self.in_scope(ctx):
+            yield from self.check_scoped(ctx)
+
+    def check_scoped(self, ctx: ModuleContext) -> Iterator[Finding]:
+        raise NotImplementedError
 
 
 class ProjectRule(Rule):

@@ -30,7 +30,7 @@ from collections.abc import Iterator
 
 from .context import ModuleContext
 from .findings import Finding, Severity
-from .registry import Rule, register
+from .registry import ScopedRule, register
 
 __all__ = ["ROBUST_PACKAGES", "BareExceptRule", "SwallowedExceptionRule"]
 
@@ -46,29 +46,13 @@ ROBUST_PACKAGES: tuple[str, ...] = (
 )
 
 
-def in_robust_scope(ctx: ModuleContext) -> bool:
-    return any(
-        ctx.module == pkg or ctx.module.startswith(pkg + ".")
-        for pkg in ROBUST_PACKAGES
-    )
-
-
-class _ScopedRule(Rule):
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not in_robust_scope(ctx):
-            return
-        yield from self.check_scoped(ctx)
-
-    def check_scoped(self, ctx: ModuleContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 @register
-class BareExceptRule(_ScopedRule):
+class BareExceptRule(ScopedRule):
     """REP401: no bare ``except:`` in scheduler/simulator/fault code."""
 
     rule_id = "REP401"
     severity = Severity.ERROR
+    packages = ROBUST_PACKAGES
     description = (
         "bare 'except:' in runtime scope (catches KeyboardInterrupt and "
         "injected worker death; name the exception type)"
@@ -99,11 +83,12 @@ def _is_discard_stmt(stmt: ast.stmt) -> bool:
 
 
 @register
-class SwallowedExceptionRule(_ScopedRule):
+class SwallowedExceptionRule(ScopedRule):
     """REP402: exception handlers must record, recover, or re-raise."""
 
     rule_id = "REP402"
     severity = Severity.ERROR
+    packages = ROBUST_PACKAGES
     description = (
         "exception handler discards the failure (body is only pass/.../"
         "continue); record it, recover, or re-raise"

@@ -58,9 +58,13 @@ def deadline_report(
     if deadline_s <= 0:
         raise ValueError("deadline_s must be positive")
     # Dispatch → terminal, like the telemetry fold: empty subframes report
-    # zero latency, horizon-truncated ones run to the horizon.
+    # zero latency, horizon-truncated ones run to the horizon. An aborted
+    # subframe never delivered, so it misses whatever its latency (a
+    # deadline abort pins it at the deadline).
     latency = np.asarray(result.subframe_latency_s, dtype=np.float64)
-    misses = int(np.count_nonzero(latency > deadline_s))
+    resolved = result.ledger.summary()["resolved"].values()
+    aborted = np.array([entry["state"] == "aborted" for entry in resolved], dtype=bool)
+    misses = int(np.count_nonzero((latency > deadline_s) | aborted))
     return DeadlineReport(
         deadline_s=deadline_s,
         subframes=latency.size,

@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..power.estimator import calibrate_from_cost_model
 from ..sim.cost import CostModel
 from ..uplink.parameter_model import RandomizedParameterModel
@@ -188,17 +186,7 @@ def _shape_checks(report: dict) -> dict:
 
 
 def write_report(report: dict, path: str | Path) -> Path:
-    """Serialize the report to JSON (numpy scalars converted)."""
+    """Serialize the report to JSON (it holds plain Python values only)."""
     path = Path(path)
-
-    def default(value):
-        if isinstance(value, (np.integer,)):
-            return int(value)
-        if isinstance(value, (np.floating,)):
-            return float(value)
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        raise TypeError(f"not JSON-serializable: {type(value)}")
-
-    path.write_text(json.dumps(report, indent=2, default=default))
+    path.write_text(json.dumps(report, indent=2))
     return path

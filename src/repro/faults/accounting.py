@@ -115,6 +115,12 @@ class SubframeLedger:
             entry = self._resolved.get(subframe_index)
         return entry[0] if entry is not None else None
 
+    def reason_of(self, subframe_index: int) -> str:
+        """Why the subframe ended as it did (empty when unresolved or ok)."""
+        with self.lock:
+            entry = self._resolved.get(subframe_index)
+        return entry[1] if entry is not None else ""
+
     def counts(self) -> dict[str, int]:
         """Terminal-state histogram, always carrying all four keys."""
         with self.lock:

@@ -20,9 +20,9 @@ from .recorder import EventRecorder, read_jsonl
 from .telemetry import QuantileSketch, TelemetryCollector, WindowRing
 from .invariants import InvariantViolation, SchedulerInvariantChecker
 from .profiling import Profiler, Span
-from .slo import SLOEngine, SLOTarget, default_targets
+from .slo import SLOEngine, SLOTarget
 from .dashboard import TraceTailer, render_dashboard, sparkline
-from .prometheus import parse_prometheus, render_prometheus
+from .prometheus import render_prometheus
 from .timeline import (
     chrome_trace_events,
     gating_events_from_active_workers,
@@ -44,9 +44,7 @@ __all__ = [
     "TraceTailer",
     "WindowRing",
     "chrome_trace_events",
-    "default_targets",
     "gating_events_from_active_workers",
-    "parse_prometheus",
     "read_jsonl",
     "render_dashboard",
     "render_prometheus",

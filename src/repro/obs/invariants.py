@@ -211,13 +211,6 @@ class SchedulerInvariantChecker:
         self._check_completion_order(sim)
 
     # ------------------------------------------------------------- checks
-    def check_now(self) -> None:
-        """Run the full state check on demand (outside the event stream)."""
-        if self._sim is None:
-            raise RuntimeError("checker is not bound to a simulator run")
-        self._check_state(self._engine_now())
-        self._check_conservation(self._engine_now())
-
     def _engine_now(self) -> int:
         return self._sim._engine.now if self._sim._engine else 0
 

@@ -7,11 +7,8 @@ Prometheus text exposition format (version 0.0.4): the fold's counters as
 ``shed_rate``) as ``gauge``, and its quantile sketches as ``summary``
 metrics with ``quantile``-labelled samples plus ``_sum``/``_count``
 series — so an external scraper can consume a run without touching the
-JSON schema.
-
-:func:`parse_prometheus` parses the same format back into plain dicts;
-the round-trip test pins the output against a committed reference
-fixture so the exposition stays scrape-stable.
+JSON schema. A committed reference fixture pins the exposition so it
+stays scrape-stable.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 
-__all__ = ["parse_prometheus", "render_prometheus"]
+__all__ = ["render_prometheus"]
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -84,50 +81,3 @@ def render_prometheus(snapshot: dict) -> str:
         lines.append(f"{metric}_count {_format_value(count)}")
     return "\n".join(lines) + "\n"
 
-
-_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>\S+)\s*$"
-)
-_LABEL = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>[^"]*)"')
-
-
-def parse_prometheus(text: str) -> dict:
-    """Parse text exposition into ``{types: {...}, samples: [...]}``.
-
-    Each sample is ``{"name", "labels", "value"}``. Only the subset of
-    the format that :func:`render_prometheus` emits is supported — it
-    exists so tests can round-trip the exposition against a fixture.
-    """
-    types: dict[str, str] = {}
-    samples: list[dict] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            types[name] = kind.strip()
-            continue
-        if line.startswith("#"):
-            continue
-        match = _SAMPLE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable exposition line: {raw!r}")
-        labels = {
-            m.group("key"): m.group("value")
-            for m in _LABEL.finditer(match.group("labels") or "")
-        }
-        value_text = match.group("value")
-        if value_text == "+Inf":
-            value = math.inf
-        elif value_text == "-Inf":
-            value = -math.inf
-        else:
-            value = float(value_text)
-        samples.append(
-            {"name": match.group("name"), "labels": labels, "value": value}
-        )
-    return {"types": types, "samples": samples}

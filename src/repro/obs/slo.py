@@ -37,7 +37,6 @@ from .telemetry import TelemetryCollector
 __all__ = [
     "SLOEngine",
     "SLOTarget",
-    "default_targets",
 ]
 
 
@@ -87,11 +86,6 @@ TARGETS = (
 #: 100 ms window, 300 ms spike detection confirmed over 1.2 s.
 FAST_WINDOWS = 3
 SLOW_WINDOWS = 12
-
-
-def default_targets() -> list[SLOTarget]:
-    """The engine's targets (:data:`TARGETS`), as a list."""
-    return list(TARGETS)
 
 
 class SLOEngine:

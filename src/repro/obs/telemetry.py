@@ -165,11 +165,6 @@ class QuantileSketch:
     def max(self) -> float:
         return self._max if self._count else 0.0
 
-    @property
-    def num_bins(self) -> int:
-        """Current bucket count (memory is proportional to this)."""
-        return len(self._pos) + len(self._neg)
-
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
@@ -599,7 +594,8 @@ class TelemetryCollector:
         self.ring("latency").add(t, latency)
         slack = self.deadline - latency
         self.sketch("deadline_slack").observe(slack)
-        if slack < 0:
+        # An aborted subframe never delivered: a miss whatever its latency.
+        if slack < 0 or state == "aborted":
             self._count("deadline_misses")
             self.ring("deadline_misses").add(t)
         return begin

@@ -1,5 +1,5 @@
-"""Gray-mapped QPSK / 16-QAM / 64-QAM modulation, demodulation, and
-max-log-MAP soft demapping.
+"""Gray-mapped QPSK / 16-QAM / 64-QAM modulation and max-log-MAP soft
+demapping.
 
 The constellations follow 3GPP TS 36.211 Table 7.1.x: bits are mapped in
 (I, Q) pairs with Gray labelling, and constellations are normalized to unit
@@ -17,10 +17,8 @@ from .params import Modulation
 __all__ = [
     "constellation",
     "modulate",
-    "demodulate_hard",
     "soft_demap",
     "bits_to_symbols",
-    "symbols_to_bits",
 ]
 
 # TS 36.211 per-axis PAM levels, before normalization. For each axis the
@@ -104,28 +102,10 @@ def bits_to_symbols(bits: np.ndarray, modulation: Modulation) -> np.ndarray:
     return grouped @ weights
 
 
-def symbols_to_bits(labels: np.ndarray, modulation: Modulation) -> np.ndarray:
-    """Expand integer symbol labels back into a flat bit array (MSB first)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    bps = modulation.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1)
-    return ((labels[:, None] >> shifts) & 1).reshape(-1)
-
-
 def modulate(bits: np.ndarray, modulation: Modulation) -> np.ndarray:
     """Map a flat 0/1 bit array onto unit-energy constellation symbols."""
     labels = bits_to_symbols(bits, modulation)
     return constellation(modulation)[labels]
-
-
-def demodulate_hard(symbols: np.ndarray, modulation: Modulation) -> np.ndarray:
-    """Minimum-distance hard demodulation back to a flat bit array."""
-    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    points = constellation(modulation)
-    # Distance from every received symbol to every constellation point.
-    dist = np.abs(symbols[:, None] - points[None, :])
-    labels = np.argmin(dist, axis=1)
-    return symbols_to_bits(labels, modulation)
 
 
 #: Symbols per :func:`soft_demap` block. One block's working set — the
@@ -220,7 +200,3 @@ def soft_demap(
                 np.divide(diff, noise[lo:hi], out=llrs[lo:hi, 2 * j + offset])
     return llrs.reshape(-1)
 
-
-def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
-    """Hard decisions from LLRs (LLR < 0 → bit 1), one ``uint8`` per bit."""
-    return (np.asarray(llrs) < 0).view(np.uint8)

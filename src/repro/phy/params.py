@@ -66,6 +66,9 @@ NUM_RX_ANTENNAS = 4
 #: Maximum spatial-multiplexing layers in the uplink (LTE-Advanced, [12]).
 MAX_LAYERS = 4
 
+#: Size of the front-end FFT grid: the subcarriers available per symbol.
+FFT_SIZE = 2048
+
 
 class Modulation(enum.Enum):
     """Uplink modulation schemes supported by the benchmark."""
@@ -79,23 +82,6 @@ class Modulation(enum.Enum):
         """Number of coded bits carried by one modulated symbol."""
         return _BITS_PER_SYMBOL[self]
 
-    @property
-    def constellation_order(self) -> int:
-        """Constellation size (number of points)."""
-        return 1 << self.bits_per_symbol
-
-    @classmethod
-    def from_name(cls, name: str) -> "Modulation":
-        """Parse a modulation from a human-readable name.
-
-        Accepts the enum value strings ("QPSK", "16QAM", "64QAM") and the
-        enum member names ("QPSK", "QAM16", "QAM64"), case-insensitively.
-        """
-        text = name.strip().upper()
-        for member in cls:
-            if text in (member.value.upper(), member.name.upper()):
-                return member
-        raise ValueError(f"unknown modulation {name!r}")
 
 
 _BITS_PER_SYMBOL = {
@@ -120,16 +106,14 @@ class CellConfig:
         Total PRBs schedulable per subframe (two slots).
     max_users:
         Maximum simultaneously scheduled users per subframe.
-    fft_size:
-        Size of the front-end FFT grid (subcarriers available per symbol).
-        Must be able to hold ``max_prb_per_slot * SUBCARRIERS_PER_PRB``
-        subcarriers.
+
+    One slot's ``max_prb_per_slot * SUBCARRIERS_PER_PRB`` subcarriers must
+    fit the :data:`FFT_SIZE` grid.
     """
 
     num_rx_antennas: int = NUM_RX_ANTENNAS
     max_prb: int = MAX_PRB
     max_users: int = MAX_USERS_PER_SUBFRAME
-    fft_size: int = 2048
 
     def __post_init__(self) -> None:
         if self.num_rx_antennas < 1:
@@ -141,22 +125,15 @@ class CellConfig:
         if self.max_users < 1:
             raise ValueError("max_users must be >= 1")
         needed = (self.max_prb // SLOTS_PER_SUBFRAME) * SUBCARRIERS_PER_PRB
-        if self.fft_size < needed:
+        if FFT_SIZE < needed:
             raise ValueError(
-                f"fft_size {self.fft_size} cannot hold {needed} subcarriers"
+                f"the {FFT_SIZE}-point FFT cannot hold {needed} subcarriers"
             )
 
     @property
     def max_prb_per_slot(self) -> int:
         """PRBs available across frequency within one slot."""
         return self.max_prb // SLOTS_PER_SUBFRAME
-
-
-def prb_subcarriers(num_prb_per_slot: int) -> int:
-    """Number of subcarriers spanned by ``num_prb_per_slot`` PRBs."""
-    if num_prb_per_slot < 1:
-        raise ValueError("num_prb_per_slot must be >= 1")
-    return num_prb_per_slot * SUBCARRIERS_PER_PRB
 
 
 def validate_allocation(num_prb: int, layers: int, modulation: Modulation) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gold_sequence", "scramble_bits", "descramble_llrs", "pusch_c_init"]
+__all__ = ["gold_sequence", "scramble_bits", "descramble_llrs"]
 
 #: TS 36.211 §7.2: the second m-sequence is advanced by Nc = 1600.
 _NC = 1600
@@ -59,18 +59,6 @@ def gold_sequence(c_init: int, length: int) -> np.ndarray:
     x1 = _lfsr_sequence(1, (3,), total)
     x2 = _lfsr_sequence(c_init, (3, 2, 1), total)
     return (x1[_NC:] ^ x2[_NC:]).astype(np.int64)
-
-
-def pusch_c_init(rnti: int, subframe_index: int = 0, cell_id: int = 0) -> int:
-    """TS 36.211 §5.3.1 scrambling seed for a user (RNTI) in a subframe.
-
-    ``c_init = RNTI · 2^14 + floor(ns/2) · 2^9 + cell_id`` with ns the
-    slot number (two slots per subframe).
-    """
-    if rnti < 0 or subframe_index < 0 or cell_id < 0:
-        raise ValueError("rnti, subframe_index, cell_id must be >= 0")
-    ns = (subframe_index % 10) * 2
-    return ((rnti << 14) + ((ns // 2) << 9) + cell_id) & 0x7FFFFFFF
 
 
 def scramble_bits(bits: np.ndarray, c_init: int) -> np.ndarray:

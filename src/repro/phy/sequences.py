@@ -22,6 +22,10 @@ __all__ = [
     "cyclic_shift",
 ]
 
+#: Cyclic shifts of the reference symbol (TS 36.211 §5.5.2.1.1); the layers
+#: spread evenly over them.
+NUM_CYCLIC_SHIFTS = 12
+
 
 def largest_prime_below(n: int) -> int:
     """Largest prime strictly below ``n`` (ZC sequence length selection)."""
@@ -83,23 +87,19 @@ def base_sequence(num_subcarriers: int, group: int = 0) -> np.ndarray:
     return zc[idx]
 
 
-def cyclic_shift(sequence: np.ndarray, shift_index: int, num_shifts: int = 12) -> np.ndarray:
-    """Apply a phase-ramp cyclic shift ``exp(j*2*pi*shift*n/num_shifts)``.
+def cyclic_shift(sequence: np.ndarray, shift_index: int) -> np.ndarray:
+    """Apply a phase-ramp cyclic shift ``exp(j*2*pi*shift*n/NUM_CYCLIC_SHIFTS)``.
 
     Distinct shift indices give (near-)orthogonal reference sequences,
     which is how multiple layers share the reference symbol.
     """
-    if num_shifts < 1:
-        raise ValueError("num_shifts must be >= 1")
     sequence = np.asarray(sequence, dtype=np.complex128)
     n = np.arange(sequence.size)
-    alpha = 2.0 * np.pi * (shift_index % num_shifts) / num_shifts
+    alpha = 2.0 * np.pi * (shift_index % NUM_CYCLIC_SHIFTS) / NUM_CYCLIC_SHIFTS
     return sequence * np.exp(1j * alpha * n)
 
 
-def dmrs_for_layer(
-    num_subcarriers: int, layer: int, group: int = 0, num_shifts: int = 12
-) -> np.ndarray:
+def dmrs_for_layer(num_subcarriers: int, layer: int, group: int = 0) -> np.ndarray:
     """Reference sequence for one transmission layer.
 
     Layers are separated by spreading the available cyclic shifts evenly,
@@ -109,5 +109,5 @@ def dmrs_for_layer(
         raise ValueError("layer must be >= 0")
     base = base_sequence(num_subcarriers, group=group)
     # Spread layers across the shift space for maximal separation.
-    shift = (layer * (num_shifts // 4)) % num_shifts
-    return cyclic_shift(base, shift, num_shifts=num_shifts)
+    shift = (layer * (NUM_CYCLIC_SHIFTS // 4)) % NUM_CYCLIC_SHIFTS
+    return cyclic_shift(base, shift)

@@ -128,11 +128,11 @@ class RscEncoder:
                 self.next_state[state, bit] = ((state >> 1) | (feedback << 2)) & 0b111
                 self.parity_out[state, bit] = parity
 
-    def encode(self, bits: np.ndarray, terminate: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def encode(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Encode ``bits``; returns (parity bits, tail systematic+parity).
 
-        With ``terminate`` the trellis is driven back to state 0 with three
-        tail bit pairs, returned separately.
+        The trellis is driven back to state 0 with three tail bit pairs,
+        returned separately.
         """
         bits = np.asarray(bits, dtype=np.int64).reshape(-1)
         parity = np.empty(bits.size, dtype=np.int64)
@@ -141,13 +141,12 @@ class RscEncoder:
             parity[idx] = self.parity_out[state, bit]
             state = self.next_state[state, bit]
         tail = []
-        if terminate:
-            for _ in range(3):
-                # Input that forces the feedback to zero drains the register.
-                drain_bit = _parity_bits(state & _FEEDBACK)
-                tail.append(drain_bit)
-                tail.append(self.parity_out[state, drain_bit])
-                state = self.next_state[state, drain_bit]
+        for _ in range(3):
+            # Input that forces the feedback to zero drains the register.
+            drain_bit = _parity_bits(state & _FEEDBACK)
+            tail.append(drain_bit)
+            tail.append(self.parity_out[state, drain_bit])
+            state = self.next_state[state, drain_bit]
         return parity, np.array(tail, dtype=np.int64)
 
 

@@ -72,9 +72,6 @@ class DvfsTrace:
     power_factor: np.ndarray
     switch_overhead_w: np.ndarray
 
-    def mean_power_factor(self) -> float:
-        return float(self.power_factor.mean())
-
 
 class DvfsModel:
     """Chooses operating points from estimated activity and scales power."""

@@ -485,21 +485,6 @@ class MultiprocessRuntime(Runtime):
         )
         self.poll(0.0)
 
-    def await_respawns(self) -> bool:
-        """Poll until no respawn is pending (or 5 s pass).
-
-        Lets callers that will :meth:`close` right after :meth:`drain`
-        observe a deterministic respawn count: a death near the end of a
-        run schedules a respawn whose backoff may outlive the last
-        subframe. Returns ``True`` when nothing is left pending.
-        """
-        if self.supervisor is None:
-            return True
-        deadline = monotonic_ns() + ns_from_s(5.0)
-        while self.supervisor.pending and monotonic_ns() < deadline:
-            self.poll(WATCHDOG_POLL_S)
-        return not self.supervisor.pending
-
     @property
     def process_ids(self) -> list[int]:
         """OS pids of the pool, indexed by worker id (for tests/traces).

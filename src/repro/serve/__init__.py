@@ -37,7 +37,6 @@ from typing import Any
 _HOMES = {
     "config": ("ARRIVAL_KINDS", "SERVE_BACKENDS", "ServeConfig"),
     "arrivals": (
-        "ConstantRateArrivals",
         "DiurnalArrivals",
         "MmtcBurstArrivals",
         "PoissonArrivals",

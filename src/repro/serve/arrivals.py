@@ -3,15 +3,17 @@
 The batch entry points replay a fixed workload; a base station instead
 absorbs an *arrival process*: every DELTA it learns which users the
 eNodeB scheduler granted uplink resources in that subframe. This module
-provides the four processes the serve loop dispatches from, all built on
-the same seeded, random-access RNG discipline as
+provides the four processes the serve loop dispatches from. Each is a
+:class:`~repro.uplink.parameter_model.ParameterModel`: it answers
+``uplink_parameters(tick)``, as every batch workload does, on the
+same seeded, random-access RNG discipline as
 :class:`~repro.uplink.parameter_model.RandomizedParameterModel`
 (``np.random.default_rng((seed, tick))``), so a serve run is exactly
 reproducible from its seed and any tick can be queried independently:
 
-* :class:`ConstantRateArrivals` — delegates to the paper's randomized
-  parameter model, so a single-cell constant-rate serve run is bit-exact
-  with the equivalent batch ``repro run`` at the same seed;
+* ``constant`` — the paper's randomized parameter model itself, so a
+  single-cell constant-rate serve run is bit-exact with the equivalent
+  batch ``repro run`` at the same seed;
 * :class:`PoissonArrivals` — independent Poisson(``rate``) user counts
   per subframe, the classic teletraffic arrival model;
 * :class:`DiurnalArrivals` — a Poisson process whose per-tick intensity
@@ -33,8 +35,6 @@ created (spawn-safety: importing this module is side-effect free).
 
 from __future__ import annotations
 
-from typing import Protocol
-
 import numpy as np
 
 from ..phy.params import (
@@ -43,15 +43,17 @@ from ..phy.params import (
     MIN_PRB_PER_USER,
     Modulation,
 )
-from ..uplink.parameter_model import RandomizedParameterModel, draw_users
+from ..uplink.parameter_model import (
+    ParameterModel,
+    RandomizedParameterModel,
+    draw_users,
+)
 from ..uplink.scenarios import DEFAULT_DIURNAL_PROFILE
 from ..uplink.user import UserParameters
 from .config import ARRIVAL_KINDS
 
 __all__ = [
     "ARRIVAL_KINDS",
-    "ArrivalProcess",
-    "ConstantRateArrivals",
     "DiurnalArrivals",
     "MmtcBurstArrivals",
     "PoissonArrivals",
@@ -61,18 +63,6 @@ __all__ = [
 #: Hard cap on users per subframe: an all-mMTC population of
 #: :data:`MIN_PRB_PER_USER`-PRB devices fills the carrier exactly.
 _MAX_DEVICES = MAX_PRB // MIN_PRB_PER_USER
-
-
-class ArrivalProcess(Protocol):
-    """A seeded, random-access source of per-subframe user arrivals."""
-
-    def users_for(self, tick: int) -> list[UserParameters]:
-        """The users arriving in subframe ``tick`` (deterministic)."""
-        ...
-
-    def expected_users(self, tick: int) -> float:
-        """The process's expected arrival count at ``tick``."""
-        ...
 
 
 def _draw_users(
@@ -101,37 +91,6 @@ def _validated_mix(mix: str) -> str:
     return mix
 
 
-class ConstantRateArrivals:
-    """The paper's randomized workload, replayed as an arrival stream.
-
-    Delegates tick-for-tick to
-    :class:`~repro.uplink.parameter_model.RandomizedParameterModel`, so
-    the arrival sequence of cell 0 at seed ``s`` is identical to the
-    subframe sequence ``repro run --seed s`` decodes — the property the
-    serve-vs-batch differential test pins.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        max_users: int = MAX_USERS_PER_SUBFRAME,
-        total_subframes: int = 2,
-    ) -> None:
-        self.model = RandomizedParameterModel(
-            total_subframes=max(2, total_subframes),
-            seed=seed,
-            max_users=max_users,
-        )
-
-    def users_for(self, tick: int) -> list[UserParameters]:
-        return self.model.uplink_parameters(tick)
-
-    def expected_users(self, tick: int) -> float:
-        # The Fig. 6 loop admits users until the PRB budget runs out, so
-        # the population is almost always the configured cap.
-        return float(self.model.max_users)
-
-
 class PoissonArrivals:
     """Independent Poisson(``rate``) arrivals per subframe."""
 
@@ -151,21 +110,10 @@ class PoissonArrivals:
         self.mix = _validated_mix(mix)
         self.max_users = min(max_users, _MAX_DEVICES)
 
-    def _rng(self, tick: int) -> np.random.Generator:
-        return np.random.default_rng((self.seed, 2, tick))
-
-    def count_for(self, tick: int) -> int:
-        if tick < 0:
-            raise ValueError("tick must be >= 0")
-        return int(min(self._rng(tick).poisson(self.rate), self.max_users))
-
-    def users_for(self, tick: int) -> list[UserParameters]:
-        rng = self._rng(tick)
+    def uplink_parameters(self, tick: int) -> list[UserParameters]:
+        rng = np.random.default_rng((self.seed, 2, tick))
         count = int(min(rng.poisson(self.rate), self.max_users))
         return _draw_users(rng, count, self.mix)
-
-    def expected_users(self, tick: int) -> float:
-        return self.rate
 
 
 class DiurnalArrivals:
@@ -173,8 +121,8 @@ class DiurnalArrivals:
 
     One mapped day spans ``subframes_per_hour * len(profile)`` ticks
     (repeating afterwards); the per-tick intensity is the hour's profile
-    weight normalized so that ``sum(expected_users(t))`` over exactly one
-    day equals ``daily_users`` — the "configured daily volume integrates
+    weight normalized so that ``sum(intensity(t))`` over exactly one day
+    equals ``daily_users`` — the "configured daily volume integrates
     exactly" contract the property tests assert.
     """
 
@@ -201,11 +149,6 @@ class DiurnalArrivals:
         self.max_users = min(max_users, _MAX_DEVICES)
         self._weight_sum = float(sum(self.profile))
 
-    @property
-    def day_subframes(self) -> int:
-        """Ticks in one mapped day."""
-        return self.subframes_per_hour * len(self.profile)
-
     def hour_of(self, tick: int) -> int:
         if tick < 0:
             raise ValueError("tick must be >= 0")
@@ -216,13 +159,10 @@ class DiurnalArrivals:
         share = self.profile[self.hour_of(tick)] / self._weight_sum
         return self.daily_users * share / self.subframes_per_hour
 
-    def users_for(self, tick: int) -> list[UserParameters]:
+    def uplink_parameters(self, tick: int) -> list[UserParameters]:
         rng = np.random.default_rng((self.seed, 3, tick))
         count = int(min(rng.poisson(self.intensity(tick)), self.max_users))
         return _draw_users(rng, count, self.mix)
-
-    def expected_users(self, tick: int) -> float:
-        return self.intensity(tick)
 
 
 class MmtcBurstArrivals:
@@ -272,17 +212,11 @@ class MmtcBurstArrivals:
         rng = np.random.default_rng((self.seed, 4, tick))
         return int(rng.poisson(self.burst_size / self.burst_window))
 
-    def users_for(self, tick: int) -> list[UserParameters]:
+    def uplink_parameters(self, tick: int) -> list[UserParameters]:
         rng = np.random.default_rng((self.seed, 5, tick))
         count = int(rng.poisson(self.base_rate)) + self.burst_count(tick)
         count = min(count, self.max_users)
         return _draw_users(rng, count, self.mix)
-
-    def expected_users(self, tick: int) -> float:
-        expected = self.base_rate
-        if self.in_burst(tick):
-            expected += self.burst_size / self.burst_window
-        return expected
 
 
 def make_arrivals(
@@ -297,14 +231,15 @@ def make_arrivals(
     burst_period: int = 100,
     burst_window: int = 10,
     mix: str = "mmtc",
-) -> ArrivalProcess:
+) -> ParameterModel:
     """Build an arrival process by CLI name (see :data:`ARRIVAL_KINDS`)."""
     if kind == "constant":
-        # total_subframes sets the Fig. 10 probability-ramp cycle length,
-        # exactly as ``repro run`` does — required for the serve-vs-batch
-        # differential to stay bit-exact.
-        return ConstantRateArrivals(
-            seed=seed, max_users=max_users, total_subframes=total_subframes
+        # The batch workload itself: total_subframes sets the Fig. 10
+        # probability-ramp cycle length, exactly as ``repro run`` does, so
+        # cell 0's arrivals at seed s are the subframes ``repro run --seed
+        # s`` decodes (the serve-vs-batch differential).
+        return RandomizedParameterModel(
+            total_subframes=max(2, total_subframes), seed=seed, max_users=max_users
         )
     if kind == "poisson":
         return PoissonArrivals(rate=rate, seed=seed, mix=mix)

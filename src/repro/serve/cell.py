@@ -30,6 +30,7 @@ from ..faults.watchdog import ResilienceConfig
 from ..power import calibrate_from_cost_model
 from ..sched import Runtime, make_runtime
 from ..sim import CostModel
+from ..uplink.parameter_model import ParameterModel
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeFactory, SubframeInput
 from ..uplink.user import UserParameters
@@ -79,7 +80,7 @@ class CellShard:
     def __init__(
         self,
         cell_id: int,
-        arrivals: Any,
+        arrivals: ParameterModel,
         factory: SubframeFactory,
         backend: str = "vectorized",
         workers: int = 2,

@@ -67,6 +67,7 @@ from ..obs.events import Event, EventKind
 from ..obs.slo import SLOEngine
 from ..obs.telemetry import TelemetryCollector
 from ..sched import WorkerFailuresError, runtime_class
+from ..uplink.parameter_model import ParameterModel
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeFactory
 from .arrivals import make_arrivals
@@ -298,7 +299,7 @@ class _Server:
         self._resumed_wall_s = record["wall_s"]
 
     # ------------------------------------------------------------ factories
-    def _cell_arrivals(self, cell_id: int) -> Any:
+    def _cell_arrivals(self, cell_id: int) -> ParameterModel:
         config = self.config
         knobs = {
             f.name: getattr(config, f.name)
@@ -308,7 +309,7 @@ class _Server:
         return make_arrivals(
             config.arrival,
             seed=config.seed + _CELL_SEED_STRIDE * cell_id,
-            total_subframes=max(2, config.subframes),
+            total_subframes=config.subframes,
             **knobs,
         )
 
@@ -355,7 +356,9 @@ class _Server:
     def _finish(
         self, cell: CellShard, gid: int, state: str, t: int, crc_ok: int = 0
     ) -> None:
-        """Loop-thread terminal accounting + uniform serve terminal event."""
+        """Loop-thread terminal accounting + uniform serve terminal event,
+        which carries the ledger's reason (``surge``, ``admission``,
+        ``backpressure``, ``submit-failed``, the runtime's; empty for ok)."""
         cell.note_terminal(gid, state, crc_ok)
         self._cell_event(
             EventKind.SUBFRAME_TERMINAL,
@@ -363,6 +366,7 @@ class _Server:
             cell,
             gid,
             state=state,
+            reason=self.ledger.reason_of(gid),
             cell_subframe=gid - cell.global_id(0),
         )
         if self.overload is not None:
@@ -480,7 +484,7 @@ class _Server:
                 self._max_wall_hit = True
                 break
             lag_ns = max(0, now - scheduled) if config.pace else 0
-            users = cell.arrivals.users_for(tick)
+            users = cell.arrivals.uplink_parameters(tick)
             gid = cell.global_id(tick)
             offered = len(users)
             self._cell_event(

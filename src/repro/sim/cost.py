@@ -21,18 +21,17 @@ workers at the observed one-subframe-per-5-ms rate, i.e. its cycles equal
 (just under) ``62 × 5 ms × f_clk``.
 
 Every task also carries a constant scheduling/locality overhead
-(``task_overhead_cycles``) that is *not* proportional to PRBs — this is
+(:data:`TASK_OVERHEAD_CYCLES`) that is *not* proportional to PRBs — this is
 what the paper's origin-through linear estimator (Eq. 3) cannot see, and
 one source of its small estimation error (Fig. 12).
 
 The priced stage program of a user *shape* — ``(num_prb, layers,
-modulation, antennas)`` — is built once per :class:`CostModel` and looked
-up afterwards (:meth:`CostModel.stage_program`), as the paper's own
-estimator looks up ``k_{L,M}`` (Eqs. 3-4): a power study prices every user
-of every subframe
+modulation)`` on the :data:`~repro.phy.params.NUM_RX_ANTENNAS` receive
+antennas — is built once per :class:`CostModel` and looked up afterwards
+(:meth:`CostModel.stage_program`), as the paper's own estimator looks up
+``k_{L,M}`` (Eqs. 3-4): a power study prices every user of every subframe
 under every policy, out of at most 100 × 4 × 3 shapes. The table is per
-instance because the scale and the per-task overhead are, and both are
-fixed at construction.
+instance because the scale is, and it is fixed at construction.
 ``machine`` is deliberately not part of the key and is never read again
 after calibration: re-assigning ``cost.machine`` changes the dispatch
 interval a simulator runs at, not what a task costs
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..phy.params import DATA_SYMBOLS_PER_SUBFRAME, Modulation
+from ..phy.params import DATA_SYMBOLS_PER_SUBFRAME, NUM_RX_ANTENNAS, Modulation
 from ..uplink.user import UserParameters
 
 __all__ = ["MachineSpec", "CostModel", "DEFAULT_MACHINE"]
@@ -104,39 +103,31 @@ _U_DEMAP = {
 }
 _U_PER_BIT = 40.0  # CRC + bit shuffling, per PRB × symbol × layer × bit
 
+#: Fraction of the machine's per-subframe cycle budget the maximum single
+#: user (200 PRB / 4 layers / 64-QAM) consumes: just under 1.0, so the
+#: calibration point sits at ~100 % activity.
+SATURATION_FRACTION = 0.98
+
+#: Constant per-task cost in cycles (scheduling, cache warm-up, steal
+#: traffic).
+TASK_OVERHEAD_CYCLES = 6_000
+
 
 @dataclass
 class CostModel:
     """Prices each user shape's Fig. 5 stage program in cycles.
 
-    Parameters
-    ----------
-    machine:
-        The machine whose budget calibrates the absolute scale.
-    saturation_fraction:
-        Fraction of the machine's per-subframe cycle budget consumed by the
-        maximum single user (200 PRB / 4 layers / 64-QAM). Just under 1.0
-        so the calibration point sits at ~100 % activity.
-    task_overhead_cycles:
-        Constant per-task cost (scheduling, cache warm-up, steal traffic).
+    ``machine`` is the machine whose budget calibrates the absolute scale:
+    the maximum single user consumes :data:`SATURATION_FRACTION` of it.
     """
 
     machine: MachineSpec = field(default_factory=MachineSpec)
-    saturation_fraction: float = 0.98
-    task_overhead_cycles: int = 6_000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.saturation_fraction <= 1.0:
-            raise ValueError("saturation_fraction must be in (0, 1]")
-        if self.task_overhead_cycles < 0:
-            raise ValueError("task_overhead_cycles must be >= 0")
-        max_user = UserParameters(
-            user_id=0, num_prb=200, layers=4, modulation=Modulation.QAM64
-        )
-        units = self._user_units(max_user.num_prb, 4, Modulation.QAM64, antennas=4)
-        budget = self.saturation_fraction * self.machine.cycles_per_subframe_budget
+        units = self._user_units(200, 4, Modulation.QAM64)
+        budget = SATURATION_FRACTION * self.machine.cycles_per_subframe_budget
         self._scale = budget / units
-        # Keyed (num_prb, layers, modulation, antennas[, slot_pipelined]).
+        # Keyed (num_prb, layers, modulation, slot_pipelined).
         self._programs: dict[tuple, tuple[tuple, ...]] = {}
         self._user_cycles: dict[tuple, int] = {}
 
@@ -146,8 +137,10 @@ class CostModel:
         return _U_CHEST_PER_PRB * num_prb
 
     @staticmethod
-    def _combiner_units(num_prb: int, layers: int, antennas: int) -> float:
-        return num_prb * (_U_COMBINER_LA * layers * antennas + _U_COMBINER_L3 * layers**3)
+    def _combiner_units(num_prb: int, layers: int) -> float:
+        return num_prb * (
+            _U_COMBINER_LA * layers * NUM_RX_ANTENNAS + _U_COMBINER_L3 * layers**3
+        )
 
     @staticmethod
     def _symbol_units(num_prb: int, modulation: Modulation) -> float:
@@ -159,13 +152,11 @@ class CostModel:
     def _finalize_units(num_prb: int, layers: int) -> float:
         return num_prb * DATA_SYMBOLS_PER_SUBFRAME * layers * _U_DEINTERLEAVE
 
-    def _user_units(
-        self, num_prb: int, layers: int, modulation: Modulation, antennas: int
-    ) -> float:
+    def _user_units(self, num_prb: int, layers: int, modulation: Modulation) -> float:
         symbols = DATA_SYMBOLS_PER_SUBFRAME * layers
         return (
-            antennas * layers * self._chest_units(num_prb)
-            + self._combiner_units(num_prb, layers, antennas)
+            NUM_RX_ANTENNAS * layers * self._chest_units(num_prb)
+            + self._combiner_units(num_prb, layers)
             + symbols * self._symbol_units(num_prb, modulation)
             + self._finalize_units(num_prb, layers)
         )
@@ -173,10 +164,10 @@ class CostModel:
     # -------------------------------------------------------------- cycles
     def _cycles(self, units: float) -> int:
         """One task's price: its scaled work plus the per-task overhead."""
-        return int(round(units * self._scale)) + self.task_overhead_cycles
+        return int(round(units * self._scale)) + TASK_OVERHEAD_CYCLES
 
     def stage_program(
-        self, user: UserParameters, antennas: int = 4, slot_pipelined: bool = False
+        self, user: UserParameters, slot_pipelined: bool = False
     ) -> tuple[tuple, ...]:
         """The user's Fig. 5 stage program, priced: what the simulator runs.
 
@@ -191,7 +182,7 @@ class CostModel:
         changing the user's total. A shape is priced the first time it is
         seen; its immutable program is shared by every user of it after.
         """
-        key = (user.num_prb, user.layers, user.modulation, antennas, slot_pipelined)
+        key = (user.num_prb, user.layers, user.modulation, slot_pipelined)
         program = self._programs.get(key)
         if program is None:
             program = self._programs[key] = self._price(*key)
@@ -202,14 +193,13 @@ class CostModel:
         num_prb: int,
         layers: int,
         modulation: Modulation,
-        antennas: int,
         slot_pipelined: bool,
     ) -> tuple[tuple, ...]:
         chest = self._cycles(self._chest_units(num_prb))
-        combiner = self._cycles(self._combiner_units(num_prb, layers, antennas))
+        combiner = self._cycles(self._combiner_units(num_prb, layers))
         symbol = self._cycles(self._symbol_units(num_prb, modulation))
         finalize = self._cycles(self._finalize_units(num_prb, layers))
-        n_chest = antennas * layers
+        n_chest = NUM_RX_ANTENNAS * layers
         n_symbol = DATA_SYMBOLS_PER_SUBFRAME * layers
         if not slot_pipelined:
             return (
@@ -231,17 +221,17 @@ class CostModel:
             ("ser", finalize, "finalize"),
         )
 
-    def user_cycles(self, user: UserParameters, antennas: int = 4) -> int:
+    def user_cycles(self, user: UserParameters) -> int:
         """Total compute cycles of one user: the sum over its program."""
-        key = (user.num_prb, user.layers, user.modulation, antennas)
+        key = (user.num_prb, user.layers, user.modulation)
         total = self._user_cycles.get(key)
         if total is None:
             total = self._user_cycles[key] = sum(
                 sum(cycles) if kind == "par" else cycles
-                for kind, cycles, _ in self.stage_program(user, antennas)
+                for kind, cycles, _ in self.stage_program(user)
             )
         return total
 
-    def user_activity(self, user: UserParameters, antennas: int = 4) -> float:
+    def user_activity(self, user: UserParameters) -> float:
         """This user's share of the per-dispatch-interval cycle budget."""
-        return self.user_cycles(user, antennas) / self.machine.cycles_per_subframe_budget
+        return self.user_cycles(user) / self.machine.cycles_per_subframe_budget

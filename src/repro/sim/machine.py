@@ -336,7 +336,6 @@ class MachineSimulator:
         self._subframe_cycles = np.zeros(num_subframes, dtype=np.float64)
         self._start_index = start
         self._num_subframes = num_subframes
-        self._antennas = 4
 
         # --- fault-injection / resilience bookkeeping (repro.faults) ---
         self._ledger = SubframeLedger()
@@ -483,7 +482,7 @@ class MachineSimulator:
             self._dispatch_cycle[index] = t
             self._pending_users[index] = len(admitted)
             self._subframe_cycles[index] = sum(
-                self.cost.user_cycles(u, self._antennas) for u in admitted
+                self.cost.user_cycles(u) for u in admitted
             )
             target = self.policy.target_active_workers(
                 admitted, self._start_index + index
@@ -506,9 +505,7 @@ class MachineSimulator:
                     _Job(
                         user,
                         index,
-                        self.cost.stage_program(
-                            user, self._antennas, self.slot_pipelined
-                        ),
+                        self.cost.stage_program(user, self.slot_pipelined),
                     )
                 )
             if self._emit is not None:

@@ -96,11 +96,6 @@ class OccupancyTrace:
     def total_cycles(self, state: CoreState) -> float:
         return float(self.occupancy_cycles(state).sum())
 
-    def window_times_s(self, clock_hz: float) -> np.ndarray:
-        """Window-center timestamps in seconds."""
-        centers = (np.arange(self.num_windows) + 0.5) * self.window_cycles
-        return centers / clock_hz
-
     def check_conservation(self, atol_cycles: float = 1.0) -> bool:
         """True when every window's occupancies sum to the worker budget.
 

@@ -19,7 +19,7 @@ from .serial import (
     process_subframe,
     process_subframe_serial,
 )
-from .subframe import DEFAULT_POOL_SIZE, SubframeFactory, SubframeInput, UserSlice
+from .subframe import POOL_SIZE, SubframeFactory, SubframeInput, UserSlice
 from .tasks import KERNEL_KINDS, UserJob
 from .user import UserParameters
 from .vectorized import process_subframe_vectorized, process_subframes
@@ -39,7 +39,7 @@ __all__ = [
     "process_subframe_serial",
     "process_subframe_vectorized",
     "process_subframes",
-    "DEFAULT_POOL_SIZE",
+    "POOL_SIZE",
     "SubframeFactory",
     "SubframeInput",
     "UserSlice",

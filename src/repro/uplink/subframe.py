@@ -3,7 +3,8 @@
 Section IV-B1: "At benchmark initialization, input data sets are created
 for multiple subframes and then reused across all dispatched subframes...
 The number of unique input data subframes to generate is configurable
-(with ten as the default)."
+(with ten as the default)." This reproduction runs the default,
+:data:`POOL_SIZE`.
 
 Two ways to obtain input data are provided, matching the two ways the
 benchmark is used:
@@ -12,7 +13,7 @@ benchmark is used:
   pre-generated pseudo-random antenna grids, reused round-robin across
   dispatched subframes. Fast, and sufficient because the benchmark's
   *compute* is data-independent. The pool of a ``(seed, antennas,
-  subcarriers, pool_size)`` key is built once per process by
+  subcarriers)`` key is built once per process by
   :func:`_input_pool` and shared, read-only, by every factory with that key,
   as the paper builds it once "at benchmark initialization".
 * :meth:`SubframeFactory.synthesize` — full TX → channel → RX synthesis per
@@ -37,13 +38,13 @@ from ..phy.params import (
 from ..phy.transmitter import random_payload, transmit_subframe
 from .user import UserParameters
 
-__all__ = ["UserSlice", "SubframeInput", "SubframeFactory", "DEFAULT_POOL_SIZE"]
+__all__ = ["UserSlice", "SubframeInput", "SubframeFactory", "POOL_SIZE"]
 
 #: Paper default: ten unique pre-generated input-data subframes.
-DEFAULT_POOL_SIZE = 10
+POOL_SIZE = 10
 
 #: How many pools :func:`_input_pool` keeps (~10.75 MB each at the default
-#: cell and pool size); the least recently used is dropped beyond it.
+#: cell); the least recently used is dropped beyond it.
 _POOL_CACHE_SIZE = 4
 
 _NUM_SYMBOLS = SLOTS_PER_SUBFRAME * SYMBOLS_PER_SLOT
@@ -105,10 +106,8 @@ def assign_offsets(users: list[UserParameters], cell: CellConfig) -> list[UserSl
 
 
 @lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _input_pool(
-    seed: int, antennas: int, subcarriers: int, pool_size: int
-) -> tuple[np.ndarray, ...]:
-    """The §IV-B1 pool: ``pool_size`` read-only (antennas, 14, subcarriers) grids.
+def _input_pool(seed: int, antennas: int, subcarriers: int) -> tuple[np.ndarray, ...]:
+    """The §IV-B1 pool: :data:`POOL_SIZE` read-only (antennas, 14, subcarriers) grids.
 
     Built once per process for each key and shared by every
     :class:`SubframeFactory` with that key. The grids are marked
@@ -119,7 +118,7 @@ def _input_pool(
     shape = (antennas, _NUM_SYMBOLS, subcarriers)
     pool = tuple(
         (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        for _ in range(pool_size)
+        for _ in range(POOL_SIZE)
     )
     for grid in pool:
         grid.flags.writeable = False
@@ -130,7 +129,7 @@ class SubframeFactory:
     """Builds :class:`SubframeInput` objects for the benchmark.
 
     :meth:`from_pool` indexes the process-wide :func:`_input_pool` of the
-    factory's seed, cell and pool size: the first factory with that key
+    factory's seed and cell: the first factory with that key
     builds the ten grids, every later one (each ``serve()`` run after the
     first, say) reuses them. Its grids are read-only.
 
@@ -138,8 +137,6 @@ class SubframeFactory:
     ----------
     cell:
         Receiver configuration (antenna count, carrier width).
-    pool_size:
-        Number of unique pre-generated input grids (paper default 10).
     seed:
         Seed for pool generation and synthesis.
     channel:
@@ -149,14 +146,10 @@ class SubframeFactory:
     def __init__(
         self,
         cell: CellConfig | None = None,
-        pool_size: int = DEFAULT_POOL_SIZE,
         seed: int = 0,
         channel: ChannelModel | None = None,
     ) -> None:
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
         self.cell = cell or CellConfig()
-        self.pool_size = pool_size
         self.seed = seed
         # Defaults model a well-served cell (35 dB, mild delay spread) so
         # synthesized subframes decode cleanly even at 4 layers.
@@ -172,12 +165,10 @@ class SubframeFactory:
         self, users: list[UserParameters], subframe_index: int
     ) -> SubframeInput:
         """Paper mode: reuse one of the pre-generated grids round-robin."""
-        pool = _input_pool(
-            self.seed, self.cell.num_rx_antennas, self.total_subcarriers, self.pool_size
-        )
+        pool = _input_pool(self.seed, self.cell.num_rx_antennas, self.total_subcarriers)
         return SubframeInput(
             subframe_index=subframe_index,
-            grid=pool[subframe_index % self.pool_size],
+            grid=pool[subframe_index % POOL_SIZE],
             slices=assign_offsets(users, self.cell),
         )
 

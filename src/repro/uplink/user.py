@@ -54,7 +54,3 @@ class UserParameters:
         state = dict(self.__dict__)
         state.pop("allocation", None)
         return state
-
-    def config_key(self) -> tuple[int, str]:
-        """(layers, modulation) key used by the workload estimator's k_LM."""
-        return (self.layers, self.modulation.value)

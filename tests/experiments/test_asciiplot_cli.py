@@ -76,6 +76,28 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_top_replays_a_trace_once(self, capsys, tmp_path):
+        """``repro top --from``: the replay path renders one final frame
+        from a trace ``repro trace`` wrote."""
+        path = tmp_path / "trace.jsonl"
+        assert main(["trace", "--subframes", "5", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["top", "--from", str(path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "slo miss-rate" in out
+        assert out.count("\x1b[2J") == 0  # --once never clears the screen
+        lines = path.read_text().splitlines()
+        assert out.rstrip().endswith(f"{len(lines)} events replayed")
+
+    def test_top_renders_live_frames(self, capsys):
+        """Without ``--once``, ``repro top`` re-renders on the event stream
+        at most every ``--interval`` and once more at the end."""
+        assert main(["top", "--subframes", "5", "--interval", "0.05"]) == 0
+        out = capsys.readouterr().out
+        frames = out.count("\x1b[H\x1b[2J")
+        assert frames >= 2
+        assert out.count("slo miss-rate") == frames
+
     def test_workload_runs(self, capsys):
         assert main(["workload", "--subframes", "800"]) == 0
         assert "users per subframe" in capsys.readouterr().out

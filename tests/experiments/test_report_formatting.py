@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.experiments.report import format_series
+from repro.experiments.report import format_calibration, format_series
+from repro.power import calibrate_from_simulation
+from repro.sim import CostModel
 
 
 class TestFormatSeries:
@@ -25,6 +27,23 @@ class TestFormatSeries:
 
     def test_name_prefix(self):
         assert format_series("abc", [1], [2]).startswith("abc:")
+
+
+class TestFormatCalibration:
+    def test_one_line_per_configuration_with_its_slope(self):
+        """Fig. 11 as ``repro calibrate`` prints it, on a two-PRB sweep."""
+        estimator, sweeps = calibrate_from_simulation(
+            CostModel(), prb_values=(2, 200), settle_subframes=4, measure_subframes=16
+        )
+        out = format_calibration(sweeps, estimator.slopes)
+        lines = out.splitlines()
+        assert lines[0].startswith("Fig. 11 activity vs PRBs")
+        assert len(lines) == 1 + 12
+        for (layers, modulation), slope in estimator.slopes.items():
+            key = [modulation, f"{layers}L:"]
+            [line] = [line for line in lines[1:] if line.split()[:2] == key]
+            assert f"k={slope:.6f}" in line
+            assert "sweep: (2," in line and "(200," in line
 
 
 class TestEstimationResultEdges:

@@ -14,7 +14,8 @@ from repro.faults import (
     FaultSpec,
     ResilienceConfig,
 )
-from repro.obs import SchedulerInvariantChecker
+from repro.experiments.latency import deadline_report
+from repro.obs import SchedulerInvariantChecker, TelemetryCollector
 from repro.obs.events import EventKind
 from repro.power.estimator import calibrate_from_cost_model
 from repro.sim.cost import CostModel, MachineSpec
@@ -176,10 +177,12 @@ class TestDeadline:
                       param=2e8)
             for w in range(NUM_WORKERS)
         )
+        fold = TelemetryCollector()
         result, checker = run_sim(
             faults=FaultPlan(specs=specs),
             resilience=ResilienceConfig(max_retries=1, deadline_subframes=3.0),
             num_subframes=8,
+            observers=[fold],
         )
         assert checker.ok, checker.summary()
         counts = result.ledger.counts()
@@ -187,6 +190,10 @@ class TestDeadline:
         assert sum(counts.values()) == 8
         result.ledger.check()
         assert result.aborted_users >= 1
+        # A deadline abort pins the latency at the deadline, not past it;
+        # the subframe still never delivered, so both scorers count it.
+        assert deadline_report(result).misses == counts["aborted"]
+        assert fold.counters.get("deadline_misses", 0) == counts["aborted"]
 
 
 class TestOverloadAndShedding:

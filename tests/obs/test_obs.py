@@ -90,7 +90,7 @@ class TestMetricsRegistry:
 
 class TestSchedulerInvariantChecker:
     def test_detects_overlapping_idle_sets(self, monkeypatch):
-        """check_now must flag a core in both _idle_spin and _disabled."""
+        """The end-of-run check flags a core in both _idle_spin and _disabled."""
         from repro.sim.machine import MachineSimulator, SimConfig
         from repro.sim.cost import CostModel, MachineSpec
         from repro.uplink.parameter_model import SteadyStateParameterModel
@@ -101,19 +101,20 @@ class TestSchedulerInvariantChecker:
         sim = MachineSimulator(
             cost, config=SimConfig(drain_margin_s=0.1), observers=[checker]
         )
-        sim.run(SteadyStateParameterModel(4, 1, Modulation.QPSK), num_subframes=2)
+        model = SteadyStateParameterModel(4, 1, Modulation.QPSK)
+        result = sim.run(model, num_subframes=2)
         assert checker.ok
-        # Corrupt the final state and re-check explicitly.
+        # Corrupt the final state and run the end-of-run check again.
         sim._idle_spin.add(0)
         sim._disabled.add(0)
-        checker.check_now()
+        checker.on_run_end(sim, result)
         assert not checker.ok
         assert any("_idle_spin and _disabled" in v for v in checker.violations)
         # A strict checker bound to the same corrupted simulator raises.
         strict = SchedulerInvariantChecker(strict=True)
         strict.on_run_start(sim)
         with pytest.raises(InvariantViolation, match="idle sets overlap"):
-            strict.check_now()
+            strict.on_run_end(sim, result)
 
     def test_an_event_before_run_start_is_a_violation(self):
         """The checker validates one bound simulator run; attached anywhere

@@ -1,4 +1,4 @@
-"""Prometheus exposition: render, parse, and fixture-pinned round trip.
+"""Prometheus exposition: render, read back, and fixture-pinned.
 
 The committed ``fixtures/reference.prom`` pins the exact exposition for
 a deterministic snapshot of the fold — counters, gauges, and a
@@ -10,14 +10,11 @@ Regenerate the fixture by running this file as a script.
 
 import math
 import os
+import re
 
 import pytest
 
-from repro.obs.prometheus import (
-    SUMMARY_QUANTILES,
-    parse_prometheus,
-    render_prometheus,
-)
+from repro.obs.prometheus import SUMMARY_QUANTILES, render_prometheus
 from repro.obs.telemetry import TelemetryCollector
 
 FIXTURE = os.path.join(
@@ -39,6 +36,25 @@ def reference_collector() -> TelemetryCollector:
 
 def reference_snapshot() -> dict:
     return reference_collector().snapshot()
+
+
+#: One exposition sample line: ``name{labels} value``.
+SAMPLE = re.compile(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{quantile="([^"]*)"\})? (\S+)$')
+
+
+def read_exposition(text):
+    """``({metric: type}, [(name, quantile or None, value text)])``; every
+    line must be a comment or a legal sample line."""
+    types, samples = {}, []
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            name, kind = line[len("# TYPE "):].split(" ")
+            types[name] = kind
+        elif not line.startswith("#"):
+            match = SAMPLE.match(line)
+            assert match, f"illegal exposition line {line!r}"
+            samples.append(match.groups())
+    return types, samples
 
 
 class TestRender:
@@ -63,8 +79,8 @@ class TestRender:
 class TestRoundTrip:
     def test_parse_recovers_every_sample(self):
         tel = reference_collector()
-        parsed = parse_prometheus(render_prometheus(tel.snapshot()))
-        assert parsed["types"] == {
+        types, samples = read_exposition(render_prometheus(tel.snapshot()))
+        assert types == {
             "repro_subframes_dispatched_total": "counter",
             "repro_crc_failures_total": "counter",
             "repro_deadline_miss_rate": "gauge",
@@ -73,30 +89,33 @@ class TestRoundTrip:
             "repro_subframe_latency_cycles": "summary",
         }
         by_name = {}
-        for sample in parsed["samples"]:
-            by_name.setdefault(sample["name"], []).append(sample)
-        assert by_name["repro_subframes_dispatched_total"][0]["value"] == 12
-        assert by_name["repro_load_factor"][0]["value"] == 0.5
+        for name, quantile, value in samples:
+            by_name.setdefault(name, []).append((quantile, float(value)))
+        assert by_name["repro_subframes_dispatched_total"] == [(None, 12)]
+        assert by_name["repro_load_factor"] == [(None, 0.5)]
         summary = by_name["repro_subframe_latency_cycles"]
-        assert [s["labels"]["quantile"] for s in summary] == [
-            "0.5", "0.9", "0.99",
-        ]
+        assert [quantile for quantile, _ in summary] == ["0.5", "0.9", "0.99"]
         sketch = tel.sketch("subframe_latency_cycles")
-        for sample, q in zip(summary, SUMMARY_QUANTILES):
-            assert sample["value"] == sketch.quantile(q)
-        count = by_name["repro_subframe_latency_cycles_count"][0]
-        assert count["value"] == 100
-        total = by_name["repro_subframe_latency_cycles_sum"][0]
-        assert total["value"] == pytest.approx(5050.0)
+        for (_, value), q in zip(summary, SUMMARY_QUANTILES):
+            assert value == sketch.quantile(q)
+        assert by_name["repro_subframe_latency_cycles_count"] == [(None, 100)]
+        (_, total), = by_name["repro_subframe_latency_cycles_sum"]
+        assert total == pytest.approx(5050.0)
 
     def test_parse_handles_inf(self):
-        parsed = parse_prometheus("repro_x +Inf\nrepro_y -Inf\n")
-        assert parsed["samples"][0]["value"] == math.inf
-        assert parsed["samples"][1]["value"] == -math.inf
+        snapshot = {"deadline_miss_rate": math.inf, "load_factor": -math.inf}
+        _, samples = read_exposition(render_prometheus({**snapshot, "shed_rate": 0.0}))
+        values = {name: float(value) for name, _, value in samples}
+        assert values["repro_deadline_miss_rate"] == math.inf
+        assert values["repro_load_factor"] == -math.inf
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="unparseable"):
-            parse_prometheus("!!! not a metric line")
+        """A counter name that is no legal metric name is sanitized, so
+        the exposition stays readable."""
+        snapshot = reference_snapshot()
+        snapshot["counters"]["!!! not a metric"] = 3
+        _, samples = read_exposition(render_prometheus(snapshot))
+        assert ("repro_" + "____not_a_metric_total", None, "3") in samples
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ from repro.obs.events import Event, EventKind
 from repro.obs.slo import (
     FAST_WINDOWS,
     SLOW_WINDOWS,
+    TARGETS,
     SLOEngine,
-    default_targets,
 )
 from repro.obs.telemetry import IN_FLIGHT_BOUND, TelemetryCollector
 
@@ -120,7 +120,7 @@ class TestBurnRateLifecycle:
 
 class TestTargets:
     def test_default_targets_cover_the_paper_signals(self):
-        targets = {t.name: t for t in default_targets()}
+        targets = {t.name: t for t in TARGETS}
         assert set(targets) == {
             "latency-p99", "miss-rate", "shed-rate", "power-budget",
         }
@@ -131,7 +131,7 @@ class TestTargets:
     def test_latency_objective_defers_to_bound_deadline(self):
         engine = SLOEngine(_collector())
         latency = next(
-            t for t in default_targets() if t.metric == "subframe_latency_p99"
+            t for t in TARGETS if t.metric == "subframe_latency_p99"
         )
         assert engine._objective(latency) == DEADLINE
 

@@ -1,7 +1,13 @@
-"""Tests for modulation mapping, hard demapping, and soft demapping."""
+"""Tests for modulation mapping and soft demapping.
+
+Hard decisions come from ``tests/reference``'s exhaustive max-log demap
+(the minimum-distance point, found by search), which shares no code with
+``repro.phy.modulation``.
+"""
 
 import numpy as np
 import pytest
+import reference_kernels as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,15 +15,24 @@ from repro.phy import modulation as modulation_module
 from repro.phy.modulation import (
     bits_to_symbols,
     constellation,
-    demodulate_hard,
-    llrs_to_bits,
     modulate,
     soft_demap,
-    symbols_to_bits,
 )
 from repro.phy.params import ALL_MODULATIONS, Modulation
 
 MODS = list(ALL_MODULATIONS)
+
+
+def label_bits(labels, bps):
+    """Each integer label as ``bps`` bits, most significant first."""
+    shifts = range(bps - 1, -1, -1)
+    return np.array([[(label >> shift) & 1 for shift in shifts] for label in labels])
+
+
+def demodulate_hard(symbols, mod):
+    """Minimum-distance bits, by exhaustive search (the reference demap)."""
+    llrs = ref.max_log_llrs(symbols, mod.bits_per_symbol, 1.0)
+    return (llrs < 0).astype(np.int64)
 
 
 @pytest.mark.parametrize("mod", MODS)
@@ -31,7 +46,7 @@ class TestConstellation:
         assert len(set(np.round(points, 12))) == points.size
 
     def test_size(self, mod):
-        assert constellation(mod).size == mod.constellation_order
+        assert constellation(mod).size == 1 << mod.bits_per_symbol
 
     def test_gray_labelling_neighbours_differ_by_one_bit(self, mod):
         """Nearest-neighbour constellation points differ in exactly one bit."""
@@ -59,10 +74,12 @@ class TestConstellation:
 class TestModulateDemodulate:
     def test_roundtrip_exhaustive_labels(self, mod):
         bps = mod.bits_per_symbol
-        labels = np.arange(mod.constellation_order)
-        bits = symbols_to_bits(labels, mod)
-        recovered = demodulate_hard(modulate(bits, mod), mod)
-        assert np.array_equal(recovered, bits)
+        labels = np.arange(1 << bps)
+        bits = label_bits(labels, bps).reshape(-1)
+        symbols = modulate(bits, mod)
+        expected = [ref.qam_point(row) for row in bits.reshape(-1, bps)]
+        assert np.allclose(symbols, expected, atol=1e-12)
+        assert np.array_equal(demodulate_hard(symbols, mod), bits)
 
     def test_roundtrip_random(self, mod):
         rng = np.random.default_rng(0)
@@ -94,7 +111,7 @@ class TestBitSymbolConversion:
 
     def test_symbols_to_bits_inverse(self):
         labels = np.arange(64)
-        bits = symbols_to_bits(labels, Modulation.QAM64)
+        bits = label_bits(labels, 6).reshape(-1)
         assert np.array_equal(bits_to_symbols(bits, Modulation.QAM64), labels)
 
     def test_rejects_2d(self):
@@ -108,7 +125,7 @@ class TestSoftDemap:
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, size=300 * mod.bits_per_symbol)
         llrs = soft_demap(modulate(bits, mod), mod, noise_variance=0.1)
-        assert np.array_equal(llrs_to_bits(llrs), bits)
+        assert np.array_equal(llrs < 0, bits)
 
     def test_llr_scales_inversely_with_noise(self, mod):
         bits = np.zeros(mod.bits_per_symbol, dtype=int)
@@ -167,8 +184,7 @@ def test_property_soft_demap_agrees_with_hard_at_high_snr(mod, seed):
         rng.standard_normal(symbols.size) + 1j * rng.standard_normal(symbols.size)
     )
     hard = demodulate_hard(noisy, mod)
-    soft = llrs_to_bits(soft_demap(noisy, mod, noise_variance=0.02))
-    assert soft.dtype == np.uint8
+    soft = soft_demap(noisy, mod, noise_variance=0.02) < 0
     assert np.array_equal(hard, soft)
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.phy import params as p
-from repro.phy.params import CellConfig, Modulation, prb_subcarriers, validate_allocation
+from repro.phy.params import CellConfig, Modulation, validate_allocation
+from repro.uplink.subframe import SubframeFactory
+from repro.uplink.user import UserParameters
 
 
 class TestNumerology:
@@ -40,27 +42,8 @@ class TestModulation:
         assert Modulation.QAM64.bits_per_symbol == 6
 
     def test_constellation_order(self):
-        assert Modulation.QPSK.constellation_order == 4
-        assert Modulation.QAM16.constellation_order == 16
-        assert Modulation.QAM64.constellation_order == 64
-
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("QPSK", Modulation.QPSK),
-            ("qpsk", Modulation.QPSK),
-            ("16QAM", Modulation.QAM16),
-            ("qam16", Modulation.QAM16),
-            ("64qam", Modulation.QAM64),
-            ("QAM64", Modulation.QAM64),
-        ],
-    )
-    def test_from_name(self, name, expected):
-        assert Modulation.from_name(name) is expected
-
-    def test_from_name_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            Modulation.from_name("256QAM")
+        orders = [1 << m.bits_per_symbol for m in p.ALL_MODULATIONS]
+        assert orders == [4, 16, 64]
 
     def test_all_modulations_ordered_by_efficiency(self):
         bits = [m.bits_per_symbol for m in p.ALL_MODULATIONS]
@@ -81,8 +64,10 @@ class TestCellConfig:
             CellConfig(max_prb=199)
 
     def test_rejects_small_fft(self):
-        with pytest.raises(ValueError):
-            CellConfig(fft_size=256)
+        # 200 PRBs a slot need 2400 subcarriers; the FFT grid holds 2048.
+        assert p.FFT_SIZE == 2048
+        with pytest.raises(ValueError, match="FFT"):
+            CellConfig(max_prb=400)
 
     def test_rejects_no_users(self):
         with pytest.raises(ValueError):
@@ -91,12 +76,10 @@ class TestCellConfig:
 
 class TestValidation:
     def test_prb_subcarriers(self):
-        assert prb_subcarriers(1) == 12
-        assert prb_subcarriers(100) == 1200
-
-    def test_prb_subcarriers_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            prb_subcarriers(0)
+        # An allocation of N PRBs spans N/2 PRBs a slot, 12 subcarriers each.
+        user = UserParameters(0, 2, 1, Modulation.QPSK)
+        assert user.num_subcarriers == 12
+        assert SubframeFactory().total_subcarriers == 1200
 
     def test_valid_allocation_passes(self):
         validate_allocation(2, 1, Modulation.QPSK)

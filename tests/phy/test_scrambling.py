@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from repro.phy.scrambling import (
     descramble_llrs,
     gold_sequence,
-    pusch_c_init,
     scramble_bits,
 )
+
+#: TS 36.211 §5.3.1's PUSCH seed ``RNTI·2^14 + subframe·2^9 + cell_id`` for
+#: RNTI 61 in subframe 4 of cell 3.
+PUSCH_C_INIT = (61 << 14) + (4 << 9) + 3
 
 
 def loop_gold_sequence(c_init, length):
@@ -73,26 +76,12 @@ class TestGoldSequence:
 
     @pytest.mark.parametrize("length", [0, 1, 31, 1599, 1600, 1601, 69_120])
     @pytest.mark.parametrize(
-        "c_init", [0, 1, 12345, 0x2AAAAAAA, pusch_c_init(61, 4, 3), (1 << 31) - 1]
+        "c_init", [0, 1, 12345, 0x2AAAAAAA, PUSCH_C_INIT, (1 << 31) - 1]
     )
     def test_block_recurrence_equals_the_bit_loop(self, c_init, length):
         got = gold_sequence(c_init, length)
         assert got.dtype == np.int64
         assert np.array_equal(got, loop_gold_sequence(c_init, length))
-
-
-class TestCInit:
-    def test_formula(self):
-        assert pusch_c_init(rnti=1, subframe_index=0, cell_id=0) == 1 << 14
-        assert pusch_c_init(rnti=0, subframe_index=0, cell_id=7) == 7
-        assert pusch_c_init(rnti=0, subframe_index=3, cell_id=0) == 3 << 9
-
-    def test_wraps_subframe_mod_10(self):
-        assert pusch_c_init(5, 13) == pusch_c_init(5, 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pusch_c_init(-1)
 
 
 class TestScrambleDescramble:
@@ -134,7 +123,7 @@ class TestChainIntegration:
         rng = np.random.default_rng(3)
         alloc = UserAllocation(num_prb=12, layers=2, modulation=Modulation.QAM16)
         payload = random_payload(alloc, rng)
-        c_init = pusch_c_init(rnti=61, subframe_index=4, cell_id=3)
+        c_init = PUSCH_C_INIT
         tx = transmit_subframe(alloc, payload, rng, scrambling_c_init=c_init)
         channel = ChannelModel(num_rx_antennas=4, num_taps=1, snr_db=30.0)
         rx = channel.realize(2, alloc.num_subcarriers, rng).apply(tx.grid, rng)

@@ -79,7 +79,7 @@ class TestRscEncoder:
         enc = RscEncoder()
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=50)
-        parity, tail = enc.encode(bits, terminate=True)
+        parity, tail = enc.encode(bits)
         # Re-run manually and check the final state after tail insertion.
         state = 0
         for b in bits:
@@ -93,8 +93,10 @@ class TestRscEncoder:
         enc = RscEncoder()
         impulse = np.zeros(30, dtype=int)
         impulse[0] = 1
-        parity, _ = enc.encode(impulse, terminate=False)
-        # Non-recursive codes would quiet down after constraint length.
+        # The tail follows the 30 data bits; the parity over them is the
+        # impulse response. Non-recursive codes would quiet down after the
+        # constraint length.
+        parity, _ = enc.encode(impulse)
         assert parity[8:].any()
 
     def test_transition_tables_consistent(self):

@@ -80,7 +80,7 @@ class TestEvaluate:
 
     def test_power_factor_below_one_at_low_load(self):
         trace = DvfsModel().evaluate(np.full(20, 0.1))
-        assert trace.mean_power_factor() < 0.2
+        assert trace.power_factor.mean() < 0.2
 
 
 class TestApplyToPower:

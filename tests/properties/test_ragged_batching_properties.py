@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from repro.phy import process_user  # noqa: E402
 from repro.phy.params import ALL_MODULATIONS  # noqa: E402
 from repro.uplink import (  # noqa: E402
+    POOL_SIZE,
     SubframeFactory,
     UserParameters,
     process_subframes,
@@ -25,7 +26,7 @@ from repro.uplink import (  # noqa: E402
 
 pytestmark = pytest.mark.slow
 
-FACTORY = SubframeFactory(seed=13, pool_size=3)
+FACTORY = SubframeFactory(seed=13)
 SHAPE = st.tuples(
     st.sampled_from([2, 4, 6, 10, 14]),
     st.integers(1, 4),
@@ -73,7 +74,7 @@ def test_any_multiset_cut_anywhere_equals_the_users_alone(data):
         for user_slice, got in zip(subframe.slices, result.user_results):
             user = user_slice.user
             want = alone(
-                subframe.subframe_index % FACTORY.pool_size,
+                subframe.subframe_index % POOL_SIZE,
                 user_slice.subcarrier_offset,
                 (user.num_prb, user.layers, user.modulation),
             )

@@ -12,6 +12,10 @@ Four contracts, one per property class:
   outside its synchronized window, for every (period, window, tick).
 * **Diurnal volume** — the per-tick intensity integrates to exactly the
   configured daily volume over one mapped day.
+
+Expected counts come from each process's own parameters: ``rate``,
+``intensity(t)``, and ``base_rate`` plus ``burst_size / burst_window``
+inside the burst window.
 """
 
 import math
@@ -40,31 +44,36 @@ class TestSeedDeterminism:
     def test_same_seed_same_stream(self, kind, seed, tick):
         a = make_arrivals(kind, seed=seed, rate=3.0, mix="mixed")
         b = make_arrivals(kind, seed=seed, rate=3.0, mix="mixed")
-        assert _users_key(a.users_for(tick)) == _users_key(b.users_for(tick))
+        assert _users_key(a.uplink_parameters(tick)) == _users_key(
+            b.uplink_parameters(tick)
+        )
 
     @given(seed=seeds, tick=st.integers(min_value=0, max_value=63))
     def test_constant_same_seed_same_stream(self, seed, tick):
         a = make_arrivals("constant", seed=seed, total_subframes=64)
         b = make_arrivals("constant", seed=seed, total_subframes=64)
-        assert _users_key(a.users_for(tick)) == _users_key(b.users_for(tick))
+        assert _users_key(a.uplink_parameters(tick)) == _users_key(
+            b.uplink_parameters(tick)
+        )
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 2))
     def test_different_seed_perturbs_the_stream(self, seed):
         a = PoissonArrivals(rate=5.0, seed=seed)
         b = PoissonArrivals(rate=5.0, seed=seed + 1)
         assert any(
-            a.count_for(t) != b.count_for(t) for t in range(64)
+            len(a.uplink_parameters(t)) != len(b.uplink_parameters(t))
+            for t in range(64)
         ), "seed change never altered 64 consecutive arrival counts"
 
     @given(seed=seeds, tick=ticks)
     def test_random_access_is_order_independent(self, seed, tick):
         """Querying earlier ticks first must not change a later tick."""
         a = PoissonArrivals(rate=4.0, seed=seed)
-        fresh = a.count_for(tick)
+        fresh = _users_key(a.uplink_parameters(tick))
         b = PoissonArrivals(rate=4.0, seed=seed)
         for t in range(0, min(tick, 5)):
-            b.count_for(t)
-        assert b.count_for(tick) == fresh
+            b.uplink_parameters(t)
+        assert _users_key(b.uplink_parameters(tick)) == fresh
 
 
 class TestRateCorrectness:
@@ -76,7 +85,7 @@ class TestRateCorrectness:
     def test_poisson_empirical_mean_tracks_rate(self, rate, seed):
         window = 600
         arrivals = PoissonArrivals(rate=rate, seed=seed)
-        mean = sum(arrivals.count_for(t) for t in range(window)) / window
+        mean = sum(len(arrivals.uplink_parameters(t)) for t in range(window)) / window
         # 5-sigma CLT band: sigma = sqrt(rate / window) for a Poisson mean.
         tolerance = 5.0 * math.sqrt(rate / window)
         assert abs(mean - rate) <= tolerance
@@ -94,8 +103,12 @@ class TestRateCorrectness:
         )
         periods = 12
         window = arrivals.burst_period * periods
-        total = sum(len(arrivals.users_for(t)) for t in range(window))
-        expected = sum(arrivals.expected_users(t) for t in range(window))
+        total = sum(len(arrivals.uplink_parameters(t)) for t in range(window))
+        surge = arrivals.burst_size / arrivals.burst_window
+        expected = sum(
+            arrivals.base_rate + (surge if arrivals.in_burst(t) else 0.0)
+            for t in range(window)
+        )
         sigma = math.sqrt(expected)
         assert abs(total - expected) <= 5.0 * sigma
 
@@ -125,7 +138,7 @@ class TestBurstConfinement:
         )
         for tick in range(90):
             if not arrivals.in_burst(tick):
-                assert arrivals.users_for(tick) == []
+                assert arrivals.uplink_parameters(tick) == []
 
 
 class TestDiurnalVolume:
@@ -142,11 +155,20 @@ class TestDiurnalVolume:
             seed=seed,
             subframes_per_hour=subframes_per_hour,
         )
-        day = arrivals.day_subframes
+        day = arrivals.subframes_per_hour * len(arrivals.profile)
         total = sum(arrivals.intensity(t) for t in range(day))
         assert total == pytest.approx(daily_users, rel=1e-9, abs=1e-9)
 
+    @settings(max_examples=20)
     @given(seed=seeds, tick=ticks)
     def test_expected_users_is_the_intensity(self, seed, tick):
+        """Over the hour holding ``tick``, the mean arrival count is the
+        hour's intensity, within 5 sigma."""
         arrivals = DiurnalArrivals(daily_users=5000.0, seed=seed)
-        assert arrivals.expected_users(tick) == arrivals.intensity(tick)
+        hour = arrivals.subframes_per_hour
+        start = tick - tick % hour
+        counts = [
+            len(arrivals.uplink_parameters(t)) for t in range(start, start + hour)
+        ]
+        expected = arrivals.intensity(tick)
+        assert abs(sum(counts) / hour - expected) <= 5.0 * math.sqrt(expected / hour)

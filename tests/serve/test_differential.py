@@ -2,8 +2,8 @@
 
 A single-cell constant-rate serve run must be *bit-exact* with the
 equivalent batch driver at the same seed: cell 0's global subframe ids
-equal its ticks, ``ConstantRateArrivals`` replays the batch parameter
-model tick-for-tick, and the synthesis RNG is keyed on ``(seed, 1, id)``
+equal its ticks, ``make_arrivals("constant")`` *is* the batch parameter
+model, and the synthesis RNG is keyed on ``(seed, 1, id)``
 — so every numeric output of the pipeline must match, not just the CRC
 verdicts. Admission shedding is disabled (``max_activity`` huge) and
 backpressure set to ``block`` because the batch driver has neither.

@@ -145,9 +145,14 @@ class TestSurgeShedding:
             r["subframe"] for r in surge if r["users"] == offered[r["subframe"]]
         ]
         assert surge_only, "expected a burst tick with no background user"
+        terminals = {
+            r["subframe"]: r for r in records if r["kind"] == "subframe-terminal"
+        }
         for gid in surge_only:
             assert report["terminal_states"][str(gid)] == "shed"
+            assert terminals[gid]["reason"] == "surge"
         assert report["terminal_counts"]["shed"] == len(surge_only)
+        assert all(r["reason"] == "" for r in terminals.values() if r["state"] == "ok")
 
 
 class TestSubmitFailure:

@@ -32,7 +32,7 @@ def _expected_nonempty(cell_id):
     arrivals = make_arrivals(
         "poisson", seed=SEED + STRIDE * cell_id, rate=3.0, max_users=4
     )
-    return [t for t in range(SUBFRAMES) if arrivals.users_for(t)]
+    return [t for t in range(SUBFRAMES) if arrivals.uplink_parameters(t)]
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,14 @@
 """Tests for the calibrated cycle cost model."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.params import ALL_MODULATIONS, Modulation
+from repro.sim import cost as cost_module
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
 from repro.uplink.parameter_model import TraceParameterModel
@@ -52,16 +55,13 @@ class TestCalibration:
         # Slightly above the saturation fraction because of per-task overhead.
         assert 0.97 < activity < 1.01
 
-    def test_saturation_fraction_respected(self):
-        cost = CostModel(saturation_fraction=0.5, task_overhead_cycles=0)
-        activity = cost.user_activity(user(200, 4, Modulation.QAM64))
+    def test_saturation_fraction_respected(self, monkeypatch):
+        assert cost_module.SATURATION_FRACTION == 0.98
+        assert cost_module.TASK_OVERHEAD_CYCLES == 6_000
+        monkeypatch.setattr(cost_module, "SATURATION_FRACTION", 0.5)
+        monkeypatch.setattr(cost_module, "TASK_OVERHEAD_CYCLES", 0)
+        activity = CostModel().user_activity(user(200, 4, Modulation.QAM64))
         assert activity == pytest.approx(0.5, rel=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CostModel(saturation_fraction=0.0)
-        with pytest.raises(ValueError):
-            CostModel(task_overhead_cycles=-1)
 
 
 class TestLinearity:
@@ -149,15 +149,17 @@ class TestStageTable:
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 4])
     @pytest.mark.parametrize("mod", ALL_MODULATIONS)
-    @given(half_prb=st.integers(1, 100), antennas=st.integers(1, 8))
+    @given(half_prb=st.integers(1, 100))
     @settings(max_examples=15, deadline=None)
-    def test_lookup_equals_per_descriptor_prices(self, layers, mod, half_prb, antennas):
-        """The Fig. 5 program: ``antennas × layers`` identical chest tasks,
-        the combiner join, ``12 × layers`` identical symbol tasks, the
-        finalize join; every task is its scaled work plus one overhead."""
-        cost, bare = CostModel(), CostModel(task_overhead_cycles=0)
+    def test_lookup_equals_per_descriptor_prices(self, layers, mod, half_prb):
+        """The Fig. 5 program: ``4 antennas × layers`` identical chest
+        tasks, the combiner join, ``12 × layers`` identical symbol tasks,
+        the finalize join; every task is its scaled work plus one overhead."""
+        cost = CostModel()
         u = user(2 * half_prb, layers, mod)
-        program = cost.stage_program(u, antennas)
+        program = cost.stage_program(u)
+        with mock.patch.object(cost_module, "TASK_OVERHEAD_CYCLES", 0):
+            bare = CostModel().stage_program(u)
         assert [(kind, kernel) for kind, _, kernel in program] == [
             ("par", "chest"),
             ("ser", "combiner"),
@@ -165,7 +167,7 @@ class TestStageTable:
             ("ser", "finalize"),
         ]
         assert [kernel for kernel, _ in tasks(program)] == (
-            ["chest"] * antennas * layers
+            ["chest"] * 4 * layers
             + ["combiner"]
             + ["symbol"] * 12 * layers
             + ["finalize"]
@@ -173,12 +175,10 @@ class TestStageTable:
         for kind, cycles, _ in program:
             if kind == "par":
                 assert len(set(cycles)) == 1
-        overhead = cost.task_overhead_cycles
-        assert [c for _, c in tasks(program)] == [
-            c + overhead for _, c in tasks(bare.stage_program(u, antennas))
-        ]
-        assert cost.stage_program(u, antennas) is program  # the hit
-        assert cost.user_cycles(u, antennas) == sum(c for _, c in tasks(program))
+        overhead = cost_module.TASK_OVERHEAD_CYCLES
+        assert [c for _, c in tasks(program)] == [c + overhead for _, c in tasks(bare)]
+        assert cost.stage_program(u) is program  # the hit
+        assert cost.user_cycles(u) == sum(c for _, c in tasks(program))
 
     def test_users_of_one_shape_share_an_entry(self):
         cost = CostModel()
@@ -186,19 +186,24 @@ class TestStageTable:
         b = cost.stage_program(UserParameters(7, 40, 2, Modulation.QAM16))
         assert a is b
         same = UserParameters(7, 40, 2, Modulation.QAM16)
-        assert cost.stage_program(same, 2) is not a
         assert cost.stage_program(same, slot_pipelined=True) is not a
         assert cost.stage_program(UserParameters(7, 42, 2, Modulation.QAM16)) is not a
 
     @pytest.mark.parametrize(
-        "other", [dict(task_overhead_cycles=0), dict(saturation_fraction=0.5)]
+        "other", [dict(TASK_OVERHEAD_CYCLES=0), dict(SATURATION_FRACTION=0.5)]
     )
-    def test_cost_models_do_not_share_entries(self, other):
+    def test_cost_models_do_not_share_entries(self, other, monkeypatch):
         u = user(40, 2, Modulation.QAM16)
-        default, changed = CostModel(), CostModel(**other)
-        assert default.stage_program(u) != changed.stage_program(u)
+        default = CostModel()
+        priced = default.stage_program(u)
+        for name, value in other.items():
+            monkeypatch.setattr(cost_module, name, value)
+        changed = CostModel()
+        assert changed.stage_program(u) != priced
+        monkeypatch.undo()
         # Filling one instance's table left the other's prices alone.
-        assert default.stage_program(u) == CostModel().stage_program(u)
+        assert default.stage_program(u) is priced
+        assert priced == CostModel().stage_program(u)
         assert changed.user_cycles(u) == sum(
             c for _, c in tasks(changed.stage_program(u))
         )

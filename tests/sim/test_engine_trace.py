@@ -122,11 +122,6 @@ class TestOccupancyTrace:
         trace.add_segment(CoreState.SPIN, 0, 100)
         assert trace.check_conservation()
 
-    def test_window_times(self):
-        trace = self._trace(window=100, windows=3)
-        times = trace.window_times_s(clock_hz=1000.0)
-        assert times.tolist() == [0.05, 0.15, 0.25]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             OccupancyTrace(window_cycles=0, num_windows=1, num_workers=1)

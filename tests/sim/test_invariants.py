@@ -30,6 +30,7 @@ from repro.obs.events import EventKind
 from repro.phy.params import Modulation
 from repro.power.estimator import calibrate_from_cost_model
 from repro.power.governor import make_policy
+from repro.sim import cost as cost_module
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
 from repro.sim.trace import CoreState
@@ -304,14 +305,14 @@ class TestStaleCompletion:
         [("combiner", 2, 3_000_000), ("finalize", 4, 1_000_000)],
     )
     def test_a_crash_mid_serial_join_retries_the_user(
-        self, kernel, workers, overhead
+        self, kernel, workers, overhead, monkeypatch
     ):
         """Core 0 owns subframe 0's one user and dies at subframe 2's
         dispatch instant, inside that user's ``ser`` join: a per-task
         overhead of most of a DELTA makes the join span the instant."""
+        monkeypatch.setattr(cost_module, "TASK_OVERHEAD_CYCLES", overhead)
         cost = CostModel(
-            machine=MachineSpec(num_cores=workers + 2, num_workers=workers),
-            task_overhead_cycles=overhead,
+            machine=MachineSpec(num_cores=workers + 2, num_workers=workers)
         )
         recorder = EventRecorder()
         result = MachineSimulator(

@@ -27,6 +27,7 @@ from repro.obs.telemetry import IN_FLIGHT_BOUND
 from repro.phy.params import ALL_MODULATIONS, Modulation
 from repro.power.estimator import calibrate_from_cost_model
 from repro.power.governor import make_policy
+from repro.sim import cost as cost_module
 from repro.sim.cost import CostModel, MachineSpec
 from repro.sim.machine import MachineSimulator, SimConfig
 from repro.uplink.parameter_model import RandomizedParameterModel, TraceParameterModel
@@ -235,7 +236,7 @@ def test_graham_bound_fails_when_a_steal_costs_cycles(monkeypatch):
     cost = CostModel()
 
     def charged(self, core, job, cycles, t, stolen, serial=False):
-        extra = cost.task_overhead_cycles if stolen else 0
+        extra = cost_module.TASK_OVERHEAD_CYCLES if stolen else 0
         execute(self, core, job, cycles + extra, t, stolen, serial)
 
     monkeypatch.setattr(MachineSimulator, "_execute_task", charged)

@@ -47,12 +47,12 @@ class TestSlotPipelined:
         cost = small_cost()
         totals = []
         for pipelined in (False, True):
-            program = cost.stage_program(user, 4, slot_pipelined=pipelined)
+            program = cost.stage_program(user, slot_pipelined=pipelined)
             totals.append(
                 sum(sum(s[1]) if s[0] == "par" else s[1] for s in program)
             )
-        assert totals[0] == totals[1] == cost.user_cycles(user, 4)
-        piped = cost.stage_program(user, 4, slot_pipelined=True)
+        assert totals[0] == totals[1] == cost.user_cycles(user)
+        piped = cost.stage_program(user, slot_pipelined=True)
         assert [s[2] for s in piped] == [
             "chest", "combiner", "symbol", "chest", "combiner", "symbol", "finalize"
         ]

@@ -129,7 +129,6 @@ def test_emit_spans_and_free_deadlines_are_gone():
     assert not hasattr(telemetry, "DEFAULT_DEADLINE_NS")
     assert list(inspect.signature(Profiler).parameters) == ["keep_spans"]
     assert "deadline" not in inspect.signature(TelemetryCollector).parameters
-    assert "deadline" not in inspect.signature(slo.default_targets).parameters
     assert latency.IN_FLIGHT_BOUND is telemetry.IN_FLIGHT_BOUND
 
 
@@ -362,8 +361,6 @@ def test_each_thing_is_written_once():
     assert "serve_async" not in repro.serve.__all__
     assert not hasattr(repro.serve, "serve_async")
     for cls in (
-        arrivals.ArrivalProcess,
-        arrivals.ConstantRateArrivals,
         arrivals.PoissonArrivals,
         arrivals.DiurnalArrivals,
         arrivals.MmtcBurstArrivals,
@@ -435,9 +432,6 @@ def test_supervised_respawn_has_one_configuration():
     for callable_ in (MultiprocessRuntime, make_runtime, CellShard):
         assert inspect.signature(callable_).parameters["respawn"].default is False
     assert not hasattr(MultiprocessRuntime, "_check_heartbeats")
-    assert list(inspect.signature(MultiprocessRuntime.await_respawns).parameters) == [
-        "self"
-    ]
     for config, gone in (
         (ServeConfig, "respawn_policy"),
         (ResilienceConfig, "join_timeout_s"),
@@ -475,7 +469,6 @@ def test_every_option_has_a_caller():
 
     for callable_, gone in (
         (slo.SLOEngine, {"targets", "fast_windows", "slow_windows"}),
-        (slo.default_targets, {"power_budget_w"}),
         (AimdController, {"config"}),
         (OverloadController, {"config", "targets"}),
         (AdmissionController, {"load_factor"}),
@@ -490,7 +483,6 @@ def test_every_option_has_a_caller():
         (EventRecorder, {"kinds"}),
     ):
         assert not gone & params(callable_), callable_
-    assert not params(slo.default_targets)
     admit = inspect.signature(AdmissionController.admit).parameters
     assert admit["load_factor"].default == 1.0
     for package, name in (
@@ -506,12 +498,85 @@ def test_every_option_has_a_caller():
     assert {"config", "slot_pipelined"} <= params(MachineSimulator)
     assert "drain_margin_s" in {f.name for f in dataclasses.fields(SimConfig)}
     assert "keep_spans" in params(Profiler)
-    assert {"saturation_fraction", "task_overhead_cycles"} <= params(CostModel)
     assert {"window", "delta", "workers"} <= params(TelemetryCollector)
     assert "deadline_s" in params(latency.deadline_report)
     assert "capacity" in params(EventRecorder)
     assert "max_activity" in params(AdmissionController)
     assert "queue_depth" in {f.name for f in dataclasses.fields(ServeConfig)}
+
+def test_nothing_in_src_exists_only_for_tests():
+    """A public name whose only callers were tests is gone, and a value
+    only tests set is a module constant: the arrival processes are
+    ``ParameterModel``s, the FFT and demap oracles live in
+    ``tests/reference``. No alias, no stub."""
+    import dataclasses
+    import inspect
+
+    import repro.obs
+    import repro.serve
+    from repro.experiments import runner
+    from repro.obs import invariants, prometheus, slo, telemetry
+    from repro.phy import fftutil, modulation, params, scrambling, sequences, turbo
+    from repro.power import dvfs
+    from repro.sched import MultiprocessRuntime
+    from repro.serve import arrivals
+    from repro.sim import cost, trace
+    from repro.uplink import RandomizedParameterModel, subframe, user
+
+    for owner, names in (
+        (MultiprocessRuntime, ("await_respawns",)),
+        (invariants.SchedulerInvariantChecker, ("check_now",)),
+        (user.UserParameters, ("config_key",)),
+        (params.Modulation, ("constellation_order", "from_name")),
+        (params, ("prb_subcarriers",)),
+        (slo, ("default_targets",)),
+        (repro.obs, ("default_targets", "parse_prometheus")),
+        (telemetry.QuantileSketch, ("num_bins",)),
+        (trace.OccupancyTrace, ("window_times_s",)),
+        (dvfs.DvfsTrace, ("mean_power_factor",)),
+        (prometheus, ("parse_prometheus", "_SAMPLE", "_LABEL")),
+        (modulation, ("llrs_to_bits", "demodulate_hard", "symbols_to_bits")),
+        (scrambling, ("pusch_c_init",)),
+        (fftutil, ("fft_radix2", "ifft_radix2", "is_power_of_two")),
+        (arrivals, ("ArrivalProcess", "ConstantRateArrivals")),
+        (repro.serve, ("ConstantRateArrivals",)),
+        (subframe, ("DEFAULT_POOL_SIZE",)),
+    ):
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+            assert name not in getattr(owner, "__all__", ()), (owner, name)
+    for cls in (
+        arrivals.PoissonArrivals,
+        arrivals.DiurnalArrivals,
+        arrivals.MmtcBurstArrivals,
+    ):
+        for name in ("users_for", "expected_users", "count_for", "day_subframes"):
+            assert not hasattr(cls, name), (cls, name)
+        assert callable(cls.uplink_parameters)
+    constant = arrivals.make_arrivals("constant", seed=3, total_subframes=40)
+    assert type(constant) is RandomizedParameterModel
+    assert "default" not in inspect.getsource(runner.write_report)
+
+    # The settable values only tests set, and the constants they became.
+    def params_of(callable_):
+        return set(inspect.signature(callable_).parameters)
+
+    assert not {"saturation_fraction", "task_overhead_cycles"} & {
+        f.name for f in dataclasses.fields(cost.CostModel)
+    }
+    assert (cost.SATURATION_FRACTION, cost.TASK_OVERHEAD_CYCLES) == (0.98, 6_000)
+    for method in ("stage_program", "user_cycles", "user_activity"):
+        assert "antennas" not in params_of(getattr(cost.CostModel, method))
+    assert params.NUM_RX_ANTENNAS == 4
+    assert "fft_size" not in {f.name for f in dataclasses.fields(params.CellConfig)}
+    assert params.FFT_SIZE == 2048
+    assert "pool_size" not in params_of(subframe.SubframeFactory)
+    assert subframe.POOL_SIZE == 10
+    assert "num_shifts" not in params_of(sequences.cyclic_shift)
+    assert "num_shifts" not in params_of(sequences.dmrs_for_layer)
+    assert sequences.NUM_CYCLIC_SHIFTS == 12
+    assert "terminate" not in params_of(turbo.RscEncoder.encode)
+
 
 def test_the_cli_is_a_thin_shell(capsys):
     """``main`` alone maps set-up errors to exit 2, arms ``--timeout`` and

@@ -217,7 +217,7 @@ def _draws_digest() -> str:
         for kind in ARRIVAL_KINDS:
             for mix in ("mmtc", "mixed"):
                 arrivals = make_arrivals(kind, seed, total_subframes=1_200, mix=mix)
-                draws.append(arrivals.users_for)
+                draws.append(arrivals.uplink_parameters)
     digest = hashlib.sha256()
     for draw in draws:
         for index in range(0, 2_400, 37):

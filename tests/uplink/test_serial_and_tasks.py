@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.phy.params import Modulation
+from repro.power.estimator import WorkloadEstimator
 from repro.uplink.parameter_model import TraceParameterModel
 from repro.uplink.serial import SerialBenchmark, process_subframe_serial
 from repro.uplink.subframe import SubframeFactory
@@ -27,8 +28,10 @@ class TestUserParameters:
         assert user.allocation.layers == 2
 
     def test_config_key(self):
+        """The estimator's k_LM is keyed by (layers, modulation name)."""
         user = UserParameters(0, 8, 3, Modulation.QAM16)
-        assert user.config_key() == (3, "16QAM")
+        estimator = WorkloadEstimator(slopes={(3, "16QAM"): 0.25})
+        assert estimator.estimate_user(user) == 8 * 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,13 +69,13 @@ class TestDescribeUserTasks:
         user = UserParameters(0, 16, 4, Modulation.QAM64)
         antennas, job = job_fan_outs(user)
         assert antennas == 4
-        assert job == fan_outs(CostModel().stage_program(user, antennas))
+        assert job == fan_outs(CostModel().stage_program(user))
         assert job == [("chest", 16), ("combiner", 1), ("symbol", 48), ("finalize", 1)]
 
     def test_single_layer_counts(self):
         user = UserParameters(0, 16, 1, Modulation.QPSK)
         antennas, job = job_fan_outs(user)
-        assert job == fan_outs(CostModel().stage_program(user, antennas))
+        assert job == fan_outs(CostModel().stage_program(user))
         assert job == [("chest", 4), ("combiner", 1), ("symbol", 12), ("finalize", 1)]
 
     def test_descriptors_carry_work(self):

@@ -8,7 +8,7 @@ import pytest
 from repro.phy.params import CellConfig, Modulation
 from repro.uplink import subframe
 from repro.uplink.subframe import (
-    DEFAULT_POOL_SIZE,
+    POOL_SIZE,
     SubframeFactory,
     UserSlice,
     assign_offsets,
@@ -96,13 +96,13 @@ class TestAllocationIsBuiltOnce:
 
 class TestPoolMode:
     def test_pool_size_default(self):
-        assert DEFAULT_POOL_SIZE == 10
+        assert POOL_SIZE == 10
 
     def test_pool_reused_round_robin(self):
-        factory = SubframeFactory(pool_size=3, seed=1)
+        factory = SubframeFactory(seed=1)
         users = users_fixture()
         a = factory.from_pool(users, 0)
-        b = factory.from_pool(users, 3)
+        b = factory.from_pool(users, POOL_SIZE)
         c = factory.from_pool(users, 1)
         assert a.grid is b.grid  # same pooled buffer
         assert a.grid is not c.grid
@@ -110,11 +110,11 @@ class TestPoolMode:
     def test_pool_grids_are_unique(self):
         """"assuring that all subframes being processed in parallel have
         unique data" — pool entries must differ."""
-        factory = SubframeFactory(pool_size=4, seed=2)
+        factory = SubframeFactory(seed=2)
         users = users_fixture()
-        grids = [factory.from_pool(users, i).grid for i in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
+        grids = [factory.from_pool(users, i).grid for i in range(POOL_SIZE)]
+        for i in range(POOL_SIZE):
+            for j in range(i + 1, POOL_SIZE):
                 assert not np.array_equal(grids[i], grids[j])
 
     def test_grid_shape(self):
@@ -131,21 +131,17 @@ class TestPoolMode:
         sub = SubframeFactory(seed=0).from_pool(users_fixture(), 0)
         assert sub.total_prb == 24 + 8 + 40
 
-    def test_rejects_bad_pool_size(self):
-        with pytest.raises(ValueError):
-            SubframeFactory(pool_size=0)
-
 
 def _pool_digest(factory: SubframeFactory) -> str:
     digest = hashlib.sha256()
-    for index in range(factory.pool_size):
+    for index in range(POOL_SIZE):
         digest.update(factory.from_pool([], index).grid.tobytes())
     return digest.hexdigest()
 
 
 class TestPoolIsBuiltOncePerProcess:
     """The §IV-B1 pool is a process-wide read-only table keyed by
-    (seed, antennas, subcarriers, pool size): same bits as ever, built once."""
+    (seed, antennas, subcarriers): same bits as ever, built once."""
 
     #: SHA-256 over the ten default-cell grids' bytes, in pool order.
     DIGESTS = {
@@ -159,7 +155,7 @@ class TestPoolIsBuiltOncePerProcess:
 
     def test_same_key_shares_the_arrays(self):
         a, b = SubframeFactory(seed=11), SubframeFactory(seed=11)
-        for index in range(DEFAULT_POOL_SIZE):
+        for index in range(POOL_SIZE):
             assert a.from_pool([], index).grid is b.from_pool([], index).grid
 
     def test_pool_grids_are_read_only(self):
@@ -174,10 +170,9 @@ class TestPoolIsBuiltOncePerProcess:
         "other",
         [
             dict(seed=12),
-            dict(seed=11, pool_size=3),
             dict(seed=11, cell=CellConfig(num_rx_antennas=2)),
         ],
-        ids=["seed", "pool_size", "antennas"],
+        ids=["seed", "antennas"],
     )
     def test_another_key_gets_its_own_pool(self, other):
         base = SubframeFactory(seed=11).from_pool([], 0).grid
