@@ -127,7 +127,7 @@ supervision-smoke:
 		tests/serve/test_checkpoint.py tests/serve/test_overload_properties.py \
 		benchmarks/test_supervision_overhead.py
 	$(PYTHON) -m repro serve --cells 2 --subframes 100 --no-pace \
-		--backend multiprocess --workers 2 --faults --respawn \
+		--backend multiprocess --workers 2 --faults \
 		--backpressure block --seed 5 --timeout 600 \
 		--json-out SUPERVISION_smoke.json
 	$(PYTHON) -c "import json; from repro.serve import validate_serve_report; \
@@ -135,8 +135,9 @@ supervision-smoke:
 		problems = validate_serve_report(r); assert not problems, problems; \
 		sup = r['supervisor']; \
 		assert r['ledger_ok'] and sup['respawns'] >= 1 and not sup['fail_stop'], sup; \
-		print('supervision: %d deaths healed by %d respawns, ledger OK' \
-		% (sup['deaths'], sup['respawns']))"
+		assert sup['deaths'] == sup['respawns'] + sup['pending'], sup; \
+		print('supervision: %d deaths healed by %d respawns (%d pending), ledger OK' \
+		% (sup['deaths'], sup['respawns'], sup['pending']))"
 	$(PYTHON) scripts/supervision_smoke.py
 	$(PYTHON) -m repro serve --cells 2 --subframes 300 --no-pace \
 		--arrival mmtc --adaptive --backpressure block --seed 0 --timeout 300 \

@@ -791,7 +791,8 @@ def cmd_serve(args) -> Callable[[], int]:
             if sup := report["supervisor"]:
                 lines.append(
                     f"  supervisor: {sup['deaths']} death(s), {sup['respawns']} "
-                    f"respawn(s){', FAIL-STOP' if sup['fail_stop'] else ''}"
+                    f"respawn(s), {sup['pending']} pending"
+                    f"{', FAIL-STOP' if sup['fail_stop'] else ''}"
                 )
             if adaptive := report["adaptive"]:
                 lines.append(

@@ -75,9 +75,9 @@ THREAD_KINDS = frozenset(
 #: Kinds that corrupt subframe input data (any functional backend).
 PAYLOAD_KINDS = frozenset({FaultKind.PAYLOAD_BITFLIP, FaultKind.PAYLOAD_NAN})
 
-#: Kinds that only make sense against a supervised (respawning) pool —
-#: they repeatedly kill worker slots, so a fail-stop runtime would just
-#: abort on the first death.
+#: Kinds that repeatedly kill worker slots: only the multiprocess pool,
+#: whose supervisor respawns a dead slot, can take them (a threaded
+#: worker that dies stays dead).
 RESPAWN_KINDS = frozenset({FaultKind.CRASH_LOOP, FaultKind.RESPAWN_STORM})
 
 

@@ -3,18 +3,18 @@
 :mod:`.core` defines what it means to run a subframe to a terminal state
 (:class:`SubframeTracker` under the :class:`Runtime` base); the transports
 are thread-based work stealing (the paper's Pthreads version, GIL-bound),
-spawn-based multiprocess (true multi-core, shared-memory grids, optional
-respawn of dead workers under :mod:`.supervisor`) and inline
+spawn-based multiprocess (true multi-core, shared-memory grids, dead
+workers respawned under :mod:`.supervisor`) and inline
 (one thread, whole subframes, for the serial/vectorized backends).
 :func:`make_runtime` is the one place a backend *name* becomes a runtime.
 """
 
-from .core import Runtime, SubframeTracker, WorkerFailuresError
+from .core import Runtime, RuntimeStats, SubframeTracker, WorkerFailuresError
 from .inline import InlineRuntime
 from .multiprocess import MultiprocessRuntime, MultiprocessStats
 from .policy import RandomVictimPolicy
 from .queues import GlobalQueue, WorkStealingDeque
-from .threaded import RuntimeStats, ThreadedRuntime
+from .threaded import ThreadedRuntime
 
 __all__ = [
     "RandomVictimPolicy",
@@ -52,18 +52,14 @@ def make_runtime(
     backend: str,
     num_workers: int = 2,
     processor=None,
-    respawn: bool = False,
     **common,
 ) -> Runtime:
     """Build the runtime for ``backend``: ``num_workers`` goes to the pools,
-    ``processor`` to the inline transport, ``respawn`` to the multiprocess
-    pool, ``common`` (``observers``, ``faults``, ``resilience``,
-    ``ledger``) to whichever it is."""
+    ``processor`` to the inline transport, ``common`` (``observers``,
+    ``faults``, ``resilience``, ``ledger``) to whichever it is."""
     cls = runtime_class(backend)
     if cls is InlineRuntime:
         common.update(backend=backend, processor=processor)
     else:
         common["num_workers"] = num_workers
-    if cls is MultiprocessRuntime:
-        common["respawn"] = respawn
     return cls(**common)

@@ -40,7 +40,14 @@ from ..phy.chain import UserResult
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeInput
 
-__all__ = ["Pending", "Runtime", "SubframeTracker", "WorkerFailuresError", "classify"]
+__all__ = [
+    "Pending",
+    "Runtime",
+    "RuntimeStats",
+    "SubframeTracker",
+    "WorkerFailuresError",
+    "classify",
+]
 
 
 class WorkerFailuresError(RuntimeError):
@@ -50,6 +57,46 @@ class WorkerFailuresError(RuntimeError):
         self.failures = list(failures)
         lines = "; ".join(str(f) for f in failures)
         super().__init__(f"{len(failures)} worker failure(s): {lines}")
+
+
+@dataclass
+class RuntimeStats:
+    """Counters describing one run (useful for scheduling tests).
+
+    Worker threads update the per-worker slots concurrently and callers
+    may sum them mid-run, so every access goes through ``lock`` (the
+    ``_GUARDED_BY`` map below is enforced statically by ``repro lint``'s
+    REP101 rule).
+    """
+
+    _GUARDED_BY: ClassVar[dict[str, str]] = {
+        "tasks_executed": "lock",
+        "steals": "lock",
+        "users_processed": "lock",
+        "retries": "lock",
+        "aborted_users": "lock",
+    }
+
+    tasks_executed: list[int] = field(default_factory=list)
+    steals: list[int] = field(default_factory=list)
+    users_processed: list[int] = field(default_factory=list)
+    retries: int = 0
+    aborted_users: int = 0
+    lock: threading.Lock = field(
+        default_factory=threading.Lock,
+        repr=False,
+        compare=False,
+    )
+
+    @property
+    def total_tasks(self) -> int:
+        with self.lock:
+            return sum(self.tasks_executed)
+
+    @property
+    def total_steals(self) -> int:
+        with self.lock:
+            return sum(self.steals)
 
 
 def classify(result: SubframeResult) -> TerminalState:

@@ -37,8 +37,7 @@ from ..obs.events import Event, EventKind
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeInput
 from ..uplink.vectorized import process_subframes
-from .core import Pending, Runtime
-from .threaded import RuntimeStats
+from .core import Pending, Runtime, RuntimeStats
 
 __all__ = ["InlineRuntime"]
 

@@ -48,7 +48,7 @@ predecessor's and the single-threaded loop has copied those out before it
 reads the next reply.
 
 This module is *transport* only — shared segments, pipes, sentinels and the
-respawn of supervised slots. What it means to run a subframe to its
+respawn of dead slots. What it means to run a subframe to its
 terminal state (ledger, retry budget, deadlines, events,
 ``run``/``drain``/``collect_results``/``abort``) is
 :mod:`repro.sched.core`'s, shared with every other backend; the work unit here is the whole subframe, charged per user. Worker death is
@@ -56,17 +56,14 @@ terminal state (ledger, retry budget, deadlines, events,
 itself, the parent detects the corpse via its sentinel and hands the
 orphaned subframe back to the tracker (requeued within the retry
 budget), so every dispatched subframe still reaches exactly one terminal
-state. By default
-dead workers are not respawned (matching the threaded runtime); when the
-last one dies, outstanding subframes are aborted loudly. The opt-in
-``respawn=True`` attaches a
-:class:`~repro.sched.supervisor.WorkerSupervisor` that turns the pool
-into a self-healing service: dead slots are respawned with exponential
-backoff under a rolling restart budget, orphaned subframes stay queued for
-the replacement, and crash-loop detection degrades back to the fail-stop
-semantics above when the budget is exhausted. Replay fingerprints of
-existing chaos scenarios are unaffected because the default stays
-fail-stop.
+state. The pool runs under a
+:class:`~repro.sched.supervisor.WorkerSupervisor`: dead slots are
+respawned with exponential backoff under a rolling restart budget and
+orphaned subframes stay queued for the replacement. The pool fails stop
+only when crash-loop detection trips (the budget is exhausted): no slot
+respawns any more, a real (not injected) death aborts the outstanding
+subframes and ``drain()`` raises, and the last worker's death aborts them
+too.
 
 Events reuse the existing schema with a ``process_id`` payload dimension
 (worker OS pids). Worker-side kernel timestamps are taken with
@@ -93,6 +90,7 @@ import numpy as np
 
 from ..faults import watchdog
 from ..faults.accounting import SubframeLedger
+from ..faults.plan import FaultKind
 from ..faults.watchdog import (
     WATCHDOG_POLL_S,
     ResilienceConfig,
@@ -105,9 +103,8 @@ from ..phy.chain import UserResult
 from ..phy.dtypes import COMPLEX_DTYPE
 from ..uplink.subframe import SubframeInput
 from ..uplink.vectorized import process_subframes
-from .core import Pending, Runtime
+from .core import Pending, Runtime, RuntimeStats
 from .supervisor import WorkerSupervisor
-from .threaded import RuntimeStats
 
 __all__ = [
     "DEFAULT_SLAB_BYTES",
@@ -300,7 +297,7 @@ def _worker_main(worker_id: int, conn, slab_name: str) -> None:
 class MultiprocessStats(RuntimeStats):
     """Counters for one multiprocess run.
 
-    :class:`~repro.sched.threaded.RuntimeStats` plus the pool's own
+    :class:`~repro.sched.core.RuntimeStats` plus the pool's own
     counters. Only the single-threaded parent event loop mutates them, so
     beyond the inherited ``retries``/``aborted_users`` (the tracker's, per
     *user*: a reclaimed subframe charges each of its users once) nothing
@@ -358,11 +355,15 @@ class MultiprocessRuntime(Runtime):
     ledger:
         Optional externally-owned ledger; a fresh one is created at
         :meth:`start` otherwise.
-    respawn:
-        Opt into supervised worker respawn
-        (:class:`~repro.sched.supervisor.WorkerSupervisor`); ``False``
-        keeps the historical fail-stop semantics.
     """
+
+    #: Dead slots respawn, so a chaos plan may also kill them repeatedly.
+    chaos_kinds = (
+        FaultKind.WORKER_DEATH,
+        FaultKind.TASK_EXCEPTION,
+        FaultKind.CRASH_LOOP,
+        FaultKind.RESPAWN_STORM,
+    )
 
     def __init__(
         self,
@@ -371,7 +372,6 @@ class MultiprocessRuntime(Runtime):
         faults=None,
         resilience: ResilienceConfig | None = None,
         ledger: SubframeLedger | None = None,
-        respawn: bool = False,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -395,8 +395,8 @@ class MultiprocessRuntime(Runtime):
         #: Segments whose subframe resolved, kept mapped for the next grid.
         self._idle_grids: list[SharedMemory] = []
         self._tracker.listeners.append(self._release_grid)
-        #: The attached :class:`WorkerSupervisor`, or ``None``.
-        self.supervisor = WorkerSupervisor(num_workers) if respawn else None
+        #: Decides when each dead slot respawns.
+        self.supervisor = WorkerSupervisor(num_workers)
 
     # ------------------------------------------------------------ transport
     def _start(self) -> None:
@@ -509,7 +509,7 @@ class MultiprocessRuntime(Runtime):
         self._dispatch_ready()
         live = [worker for worker in self._workers if not worker.dead]
         if not live:
-            if self.supervisor is not None and self.supervisor.pending:
+            if self.supervisor.pending:
                 # Every slot is dead but a respawn is scheduled: wait out
                 # (part of) the backoff instead of busy-spinning callers.
                 if timeout > 0:
@@ -617,10 +617,9 @@ class MultiprocessRuntime(Runtime):
             if following is not None:
                 self._dispatch(worker, following)
             _, _, packed, overflowed, stage_ns = message
-            if self.supervisor is not None:
-                # Completed real work: reset this slot's consecutive-death
-                # backoff so a much-later crash starts from the initial one.
-                self.supervisor.note_progress(worker.worker_id)
+            # Completed real work: reset this slot's consecutive-death
+            # backoff so a much-later crash starts from the initial one.
+            self.supervisor.note_progress(worker.worker_id)
             self.stats.slab_overflows += overflowed
             self.stats.tasks_executed[worker.worker_id] += len(stage_ns)
             self.stats.users_processed[worker.worker_id] += len(packed)
@@ -716,13 +715,10 @@ class MultiprocessRuntime(Runtime):
         else:
             exitcode = worker.process.exitcode
             error = f"worker process died unexpectedly (exitcode {exitcode})"
-        due = None
-        if self.supervisor is not None:
-            due = self.supervisor.record_death(worker.worker_id, monotonic_ns())
-        # Under an active supervisor a death is an incident, not a
-        # verdict: the slot respawns, so nothing is fatal unless
-        # crash-loop detection already degraded the pool to fail-stop
-        # (due is None then, restoring the historical semantics).
+        due = self.supervisor.record_death(worker.worker_id, monotonic_ns())
+        # A death is an incident, not a verdict: the slot respawns, so
+        # nothing is fatal unless crash-loop detection has tripped (due
+        # is None then) and the pool fails stop.
         fatal = due is None and not injected
         self._tracker.worker_failed(
             WorkerFailure(worker.worker_id, error, fatal=fatal, injected=injected)
@@ -745,7 +741,7 @@ class MultiprocessRuntime(Runtime):
     def _service_supervisor(self) -> None:
         """Respawn every dead slot whose backoff expired."""
         supervisor = self.supervisor
-        if supervisor is None or not self._started or not supervisor.pending:
+        if not self._started or not supervisor.pending:
             return
         now = monotonic_ns()
         for slot, worker in enumerate(self._workers):
@@ -753,11 +749,9 @@ class MultiprocessRuntime(Runtime):
                 continue
             due = supervisor.respawn_due(worker.worker_id)
             if due is not None and now >= due:
-                self._respawn_worker(slot, worker, supervisor)
+                self._respawn_worker(slot, worker)
 
-    def _respawn_worker(
-        self, slot: int, corpse: _WorkerHandle, supervisor: WorkerSupervisor
-    ) -> None:
+    def _respawn_worker(self, slot: int, corpse: _WorkerHandle) -> None:
         """Replace one dead slot with a fresh process (same worker id)."""
         replacement = self._spawn_worker(corpse.worker_id)
         # Reap the corpse and release its resources. Its slab may still
@@ -770,6 +764,7 @@ class MultiprocessRuntime(Runtime):
         self._workers[slot] = replacement
         self._spawned_pids.append(replacement.pid)
         now = monotonic_ns()
+        supervisor = self.supervisor
         supervisor.note_respawn(corpse.worker_id, now)
         self.stats.respawns += 1
         if self.emit is not None:

@@ -2,23 +2,21 @@
 
 Real eNodeB stacks run as long-lived supervised services (srsLTE-style):
 a dead signal-processing worker is restarted, not taken as a reason to
-fail the whole base station. The multiprocess runtime's historical
-policy is fail-stop — an unexpected worker death aborts all pending work
-— which is the right *default* for reproducible chaos campaigns but the
-wrong operational posture for ``repro serve``. ``respawn=True`` attaches
-the alternative, :class:`WorkerSupervisor`: the bookkeeping state machine
-the runtime consults on every death, deciding *when* (if ever) each dead
-slot may be respawned. A slot's consecutive deaths back off exponentially
-from :data:`BACKOFF_INITIAL_S` up to :data:`BACKOFF_MAX_S`, and the pool
-may respawn :data:`MAX_RESPAWNS` times per rolling :data:`WINDOW_S`. When
+fail the whole base station. Every multiprocess pool runs under one
+:class:`WorkerSupervisor`: the bookkeeping state machine the runtime
+consults on every death, deciding *when* (if ever) each dead slot may be
+respawned. A slot's consecutive deaths back off exponentially from
+:data:`BACKOFF_INITIAL_S` up to :data:`BACKOFF_MAX_S`, and the pool may
+respawn :data:`MAX_RESPAWNS` times per rolling :data:`WINDOW_S`. When
 that budget is exhausted the supervisor trips **crash-loop detection**
-and permanently degrades to fail-stop — no further respawns are scheduled
-and the runtime reverts to its historical abort semantics.
+and the pool fails stop: no further respawns are scheduled, pending work
+is aborted and ``drain()`` raises. A slot that keeps crashing is thus
+reported after at most ~7 s of backoff (0.05 + 0.1 + ... + 2 + 2 s).
 
 The supervisor never touches processes itself; the runtime owns spawn
 and reap. All methods are called from the runtime's single pump thread
 (the serve loop task or the draining caller), so no lock is needed.
-Ledger accounting is unaffected either way: orphaned subframes are
+Ledger accounting is unaffected: orphaned subframes are
 requeued through the runtime's existing bounded-retry path and every
 subframe still resolves exactly once.
 """
@@ -38,7 +36,7 @@ __all__ = [
 ]
 
 #: Respawns allowed per rolling :data:`WINDOW_S` before crash-loop
-#: detection trips and the pool degrades to fail-stop.
+#: detection trips and the pool fails stop.
 MAX_RESPAWNS = 8
 #: Rolling budget window in seconds.
 WINDOW_S = 30.0
@@ -129,9 +127,9 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------ queries
     @property
-    def pending(self) -> bool:
-        """True while any dead slot still has a scheduled respawn."""
-        return bool(self._due_ns)
+    def pending(self) -> int:
+        """How many dead slots still have a scheduled respawn."""
+        return len(self._due_ns)
 
     def last_backoff_s(self, worker_id: int) -> float:
         """Backoff that preceded the slot's most recent respawn (s)."""
@@ -142,6 +140,7 @@ class WorkerSupervisor:
         return {
             "deaths": self.deaths,
             "respawns": self.respawns,
+            "pending": self.pending,
             "fail_stop": self.fail_stop,
             "max_respawns": MAX_RESPAWNS,
             "window_s": WINDOW_S,

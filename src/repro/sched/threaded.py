@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, TypeVar
+from typing import Callable, TypeVar
 
 from ..faults.accounting import SubframeLedger
 from ..faults import watchdog
@@ -45,53 +44,13 @@ from ..faults.watchdog import (
 from ..obs.events import Event, EventKind
 from ..uplink.subframe import UserSlice
 from ..uplink.tasks import UserJob
-from .core import Pending, Runtime, WorkerFailuresError
+from .core import Pending, Runtime, RuntimeStats, WorkerFailuresError
 from .policy import RandomVictimPolicy
 from .queues import GlobalQueue, WorkStealingDeque
 
-__all__ = ["ThreadedRuntime", "RuntimeStats", "WorkerFailuresError"]
+__all__ = ["ThreadedRuntime", "WorkerFailuresError"]
 
 _R = TypeVar("_R")
-
-
-@dataclass
-class RuntimeStats:
-    """Counters describing one run (useful for scheduling tests).
-
-    Worker threads update the per-worker slots concurrently and callers
-    may sum them mid-run, so every access goes through ``lock`` (the
-    ``_GUARDED_BY`` map below is enforced statically by ``repro lint``'s
-    REP101 rule).
-    """
-
-    _GUARDED_BY: ClassVar[dict[str, str]] = {
-        "tasks_executed": "lock",
-        "steals": "lock",
-        "users_processed": "lock",
-        "retries": "lock",
-        "aborted_users": "lock",
-    }
-
-    tasks_executed: list[int] = field(default_factory=list)
-    steals: list[int] = field(default_factory=list)
-    users_processed: list[int] = field(default_factory=list)
-    retries: int = 0
-    aborted_users: int = 0
-    lock: threading.Lock = field(
-        default_factory=threading.Lock,
-        repr=False,
-        compare=False,
-    )
-
-    @property
-    def total_tasks(self) -> int:
-        with self.lock:
-            return sum(self.tasks_executed)
-
-    @property
-    def total_steals(self) -> int:
-        with self.lock:
-            return sum(self.steals)
 
 
 class _Latch:

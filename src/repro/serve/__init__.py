@@ -21,8 +21,9 @@ instead of deadline collapse? See ``docs/serving.md``.
 * :mod:`repro.serve.overload` — SLO-driven adaptive admission (AIMD
   with hysteresis, ``--adaptive``).
 
-``--respawn`` attaches :class:`repro.sched.supervisor.WorkerSupervisor`,
-the multiprocess pool's bounded worker respawn (``docs/robustness.md``).
+A multiprocess cell's pool runs under
+:class:`repro.sched.supervisor.WorkerSupervisor`, its bounded worker
+respawn (``docs/robustness.md``).
 
 Names resolve on first use (:pep:`562`): importing the package imports
 no submodule, so ``repro.cli`` reads :class:`ServeConfig` without NumPy.

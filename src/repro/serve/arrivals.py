@@ -64,6 +64,10 @@ __all__ = [
 #: :data:`MIN_PRB_PER_USER`-PRB devices fills the carrier exactly.
 _MAX_DEVICES = MAX_PRB // MIN_PRB_PER_USER
 
+#: Normalizer of the hourly weights: one day's intensities sum to
+#: ``daily_users``.
+_DIURNAL_WEIGHT_SUM = float(sum(DEFAULT_DIURNAL_PROFILE))
+
 
 def _draw_users(
     rng: np.random.Generator, count: int, mix: str
@@ -99,30 +103,27 @@ class PoissonArrivals:
         rate: float,
         seed: int = 0,
         mix: str = "mmtc",
-        max_users: int = _MAX_DEVICES,
     ) -> None:
         if rate < 0:
             raise ValueError("rate must be >= 0")
-        if max_users < 1:
-            raise ValueError("max_users must be >= 1")
         self.rate = float(rate)
         self.seed = seed
         self.mix = _validated_mix(mix)
-        self.max_users = min(max_users, _MAX_DEVICES)
 
     def uplink_parameters(self, tick: int) -> list[UserParameters]:
         rng = np.random.default_rng((self.seed, 2, tick))
-        count = int(min(rng.poisson(self.rate), self.max_users))
+        count = int(min(rng.poisson(self.rate), _MAX_DEVICES))
         return _draw_users(rng, count, self.mix)
 
 
 class DiurnalArrivals:
     """Poisson arrivals modulated by the 24-hour diurnal load profile.
 
-    One mapped day spans ``subframes_per_hour * len(profile)`` ticks
-    (repeating afterwards); the per-tick intensity is the hour's profile
-    weight normalized so that ``sum(intensity(t))`` over exactly one day
-    equals ``daily_users`` — the "configured daily volume integrates
+    One mapped day spans ``subframes_per_hour * 24`` ticks (repeating
+    afterwards); the per-tick intensity is the hour's
+    :data:`~repro.uplink.scenarios.DEFAULT_DIURNAL_PROFILE` weight,
+    normalized so that ``sum(intensity(t))`` over exactly one day equals
+    ``daily_users`` — the "configured daily volume integrates
     exactly" contract the property tests assert.
     """
 
@@ -132,36 +133,29 @@ class DiurnalArrivals:
         seed: int = 0,
         subframes_per_hour: int = 100,
         mix: str = "mmtc",
-        profile: tuple = DEFAULT_DIURNAL_PROFILE,
-        max_users: int = _MAX_DEVICES,
     ) -> None:
         if daily_users < 0:
             raise ValueError("daily_users must be >= 0")
         if subframes_per_hour < 1:
             raise ValueError("subframes_per_hour must be >= 1")
-        if not profile or min(profile) <= 0:
-            raise ValueError("profile weights must be positive")
         self.daily_users = float(daily_users)
         self.seed = seed
         self.subframes_per_hour = subframes_per_hour
         self.mix = _validated_mix(mix)
-        self.profile = tuple(float(w) for w in profile)
-        self.max_users = min(max_users, _MAX_DEVICES)
-        self._weight_sum = float(sum(self.profile))
 
     def hour_of(self, tick: int) -> int:
         if tick < 0:
             raise ValueError("tick must be >= 0")
-        return (tick // self.subframes_per_hour) % len(self.profile)
+        return (tick // self.subframes_per_hour) % len(DEFAULT_DIURNAL_PROFILE)
 
     def intensity(self, tick: int) -> float:
         """Expected arrivals in subframe ``tick`` (the Poisson mean)."""
-        share = self.profile[self.hour_of(tick)] / self._weight_sum
+        share = DEFAULT_DIURNAL_PROFILE[self.hour_of(tick)] / _DIURNAL_WEIGHT_SUM
         return self.daily_users * share / self.subframes_per_hour
 
     def uplink_parameters(self, tick: int) -> list[UserParameters]:
         rng = np.random.default_rng((self.seed, 3, tick))
-        count = int(min(rng.poisson(self.intensity(tick)), self.max_users))
+        count = int(min(rng.poisson(self.intensity(tick)), _MAX_DEVICES))
         return _draw_users(rng, count, self.mix)
 
 
@@ -184,7 +178,6 @@ class MmtcBurstArrivals:
         burst_window: int = 10,
         seed: int = 0,
         mix: str = "mmtc",
-        max_users: int = _MAX_DEVICES,
     ) -> None:
         if base_rate < 0 or burst_size < 0:
             raise ValueError("base_rate and burst_size must be >= 0")
@@ -198,7 +191,6 @@ class MmtcBurstArrivals:
         self.burst_window = burst_window
         self.seed = seed
         self.mix = _validated_mix(mix)
-        self.max_users = min(max_users, _MAX_DEVICES)
 
     def in_burst(self, tick: int) -> bool:
         if tick < 0:
@@ -215,7 +207,7 @@ class MmtcBurstArrivals:
     def uplink_parameters(self, tick: int) -> list[UserParameters]:
         rng = np.random.default_rng((self.seed, 5, tick))
         count = int(rng.poisson(self.base_rate)) + self.burst_count(tick)
-        count = min(count, self.max_users)
+        count = min(count, _MAX_DEVICES)
         return _draw_users(rng, count, self.mix)
 
 

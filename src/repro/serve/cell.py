@@ -92,7 +92,6 @@ class CellShard:
         resilience: ResilienceConfig | None = None,
         observers: list | None = None,
         processor: Callable[[SubframeInput], SubframeResult] | None = None,
-        respawn: bool = False,
     ) -> None:
         if cell_id < 0:
             raise ValueError("cell_id must be >= 0")
@@ -114,7 +113,6 @@ class CellShard:
             backend,
             num_workers=workers,
             processor=processor,
-            respawn=respawn,
             observers=observers,
             faults=plan,
             resilience=resilience,

@@ -165,13 +165,6 @@ class ServeConfig:
         "chaos variant: inject worker deaths, task exceptions, and "
         "overload windows; the run must degrade via shedding",
     )
-    respawn: bool = _flag(
-        False,
-        "--respawn",
-        "supervised worker respawn (multiprocess backend): heal worker deaths "
-        "under a bounded restart budget instead of aborting the shard",
-        signature=False,
-    )
     adaptive: bool = _flag(
         False,
         "--adaptive",
@@ -243,8 +236,6 @@ class ServeConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.max_users < 1:
             raise ValueError("max_users must be >= 1")
-        if self.respawn and self.backend != "multiprocess":
-            raise ValueError("respawn requires the multiprocess backend")
         if self.checkpoint_every_s <= 0:
             raise ValueError("checkpoint_every_s must be positive")
         if self.max_wall_s is not None and self.max_wall_s <= 0:

@@ -246,7 +246,6 @@ class _Server:
                 resilience=resilience,
                 observers=[_RuntimeWatcher(self, cell_id)],
                 processor=config.processor,
-                respawn=config.respawn,
             )
             self.cells.append(cell)
             self.overloads.append(overloads)
@@ -317,11 +316,10 @@ class _Server:
         config = self.config
         # Worker faults only where the transport can lose a worker and go
         # on (a serial/vectorized shard's one thread is the whole shard).
-        kinds = runtime_class(config.backend).chaos_kinds + (FaultKind.OVERLOAD,)
-        if config.respawn:
-            # Repeated-kill kinds exercise the supervisor's bounded
-            # respawn; without one they would just abort the shard.
-            kinds += (FaultKind.CRASH_LOOP, FaultKind.RESPAWN_STORM)
+        # Kinds in declaration order: the plan's RNG draws kind by kind, so
+        # the order a transport lists its chaos kinds in must not move it.
+        chosen = {*runtime_class(config.backend).chaos_kinds, FaultKind.OVERLOAD}
+        kinds = tuple(kind for kind in FaultKind if kind in chosen)
         return FaultPlan.generate(
             seed=config.seed + _CELL_SEED_STRIDE * cell_id + 1,
             num_subframes=config.subframes,
@@ -845,6 +843,8 @@ class _Server:
         return report
 
     def _supervisor_summary(self) -> dict | None:
+        """The pools' supervisors summed over cells (``None`` without a
+        pool); ``deaths == respawns + pending`` unless ``fail_stop``."""
         supervisors = [
             supervisor
             for supervisor in (
@@ -858,6 +858,7 @@ class _Server:
         return {
             "deaths": sum(s.deaths for s in supervisors),
             "respawns": sum(s.respawns for s in supervisors),
+            "pending": sum(s.pending for s in supervisors),
             "fail_stop": any(s.fail_stop for s in supervisors),
             "per_cell": [s.summary() for s in supervisors],
         }

@@ -9,7 +9,7 @@ caught once.
 def rule_ids(result):
     return [f.rule_id for f in result.findings]
 
-# Regression note 1 — repro/sched/threaded.py (RuntimeStats):
+# Regression note 1 — repro/sched/core.py (RuntimeStats; in threaded.py when found):
 # the per-worker stats counters were mutated by worker threads
 # (`self._stats.tasks_executed[worker_id] += 1`) and summed by callers
 # (`total_tasks`) with no synchronisation at all. Fixed by adding

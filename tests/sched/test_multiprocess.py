@@ -21,7 +21,7 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig
 from repro.obs.recorder import EventRecorder
 from repro.phy.params import CellConfig, Modulation
-from repro.sched import multiprocess
+from repro.sched import multiprocess, supervisor
 from repro.sched.multiprocess import MultiprocessRuntime
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
@@ -193,8 +193,10 @@ def test_task_exception_without_retries_aborts_one_subframe(workload):
     assert runtime.stats.aborted_users == len(aborted[0].aborted_user_ids)
 
 
-def test_all_workers_dead_aborts_everything(workload):
+def test_all_workers_dead_aborts_everything(workload, monkeypatch):
     subframes, _ = workload
+    # No respawn budget: the first death trips crash-loop detection.
+    monkeypatch.setattr(supervisor, "MAX_RESPAWNS", 0)
     plan = FaultPlan(
         specs=tuple(
             FaultSpec(kind=FaultKind.WORKER_DEATH, subframe=0, target=w, seed=0)
@@ -208,8 +210,8 @@ def test_all_workers_dead_aborts_everything(workload):
         resilience=ResilienceConfig(max_retries=5, drain_timeout_s=60.0),
     )
     runtime.run(subframes)
-    # Both pool processes SIGKILLed: the drain loop must still terminate
-    # with every dispatched subframe accounted as aborted.
+    # Both pool processes SIGKILLed and none respawned: the drain loop must
+    # still terminate with every dispatched subframe accounted as aborted.
     counts = runtime.ledger.counts()
     assert runtime.ledger.ok and counts["aborted"] == NUM_SUBFRAMES
     assert runtime.stats.worker_deaths == 2

@@ -29,7 +29,7 @@ from repro.obs.events import EventKind
 from repro.obs.recorder import EventRecorder
 from repro.obs.telemetry import TelemetryCollector
 from repro.phy.params import Modulation
-from repro.sched import Runtime, WorkerFailuresError, make_runtime
+from repro.sched import Runtime, WorkerFailuresError, make_runtime, supervisor
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe, process_subframe_serial
 from repro.uplink.subframe import SubframeFactory, SubframeInput
@@ -316,9 +316,13 @@ class TestRuntimeContract:
             runtime.abort()
         runtime.ledger.check()
 
-    def test_drain_raises_on_a_fatal_worker_failure(self, backend, one_user):
+    def test_drain_raises_on_a_fatal_worker_failure(
+        self, backend, one_user, monkeypatch
+    ):
         if backend == "multiprocess":
-            # A real bug in a pool process is a process that is gone.
+            # A real bug in a pool process is a process that is gone; with
+            # no respawn budget left the pool fails stop.
+            monkeypatch.setattr(supervisor, "MAX_RESPAWNS", 0)
             runtime = runtime_for(backend)
             runtime.start()
             for pid in runtime.process_ids:

@@ -30,6 +30,7 @@ from repro.serve.arrivals import (
     PoissonArrivals,
     make_arrivals,
 )
+from repro.uplink.scenarios import DEFAULT_DIURNAL_PROFILE
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 ticks = st.integers(min_value=0, max_value=10_000)
@@ -99,7 +100,6 @@ class TestRateCorrectness:
             burst_period=50,
             burst_window=5,
             seed=seed,
-            max_users=100,
         )
         periods = 12
         window = arrivals.burst_period * periods
@@ -155,7 +155,7 @@ class TestDiurnalVolume:
             seed=seed,
             subframes_per_hour=subframes_per_hour,
         )
-        day = arrivals.subframes_per_hour * len(arrivals.profile)
+        day = arrivals.subframes_per_hour * len(DEFAULT_DIURNAL_PROFILE)
         total = sum(arrivals.intensity(t) for t in range(day))
         assert total == pytest.approx(daily_users, rel=1e-9, abs=1e-9)
 

@@ -12,6 +12,7 @@ from repro.serve.arrivals import (
     make_arrivals,
 )
 from repro.uplink.parameter_model import RandomizedParameterModel
+from repro.uplink.scenarios import DEFAULT_DIURNAL_PROFILE
 
 
 class TestMakeArrivals:
@@ -62,8 +63,6 @@ class TestPoissonArrivals:
     def test_validation(self):
         with pytest.raises(ValueError):
             PoissonArrivals(rate=-1.0)
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate=1.0, max_users=0)
         with pytest.raises(ValueError, match="unknown traffic mix"):
             PoissonArrivals(rate=1.0, mix="exotic")
 
@@ -73,11 +72,16 @@ class TestPoissonArrivals:
 
     def test_count_matches_users(self):
         """Tick ``t`` offers Poisson(rate) users drawn from
-        ``default_rng((seed, 2, t))``, capped at ``max_users``."""
-        arrivals = PoissonArrivals(rate=3.0, seed=4, max_users=3)
-        for tick in range(30):
-            count = np.random.default_rng((4, 2, tick)).poisson(3.0)
-            assert len(arrivals.uplink_parameters(tick)) == min(count, 3)
+        ``default_rng((seed, 2, t))``, capped at the 100 minimum-PRB
+        devices that fill the carrier."""
+        for rate in (3.0, 120.0):
+            arrivals = PoissonArrivals(rate=rate, seed=4)
+            sizes = []
+            for tick in range(30):
+                count = np.random.default_rng((4, 2, tick)).poisson(rate)
+                sizes.append(len(arrivals.uplink_parameters(tick)))
+                assert sizes[-1] == min(count, 100)
+            assert (max(sizes) == 100) is (rate > 100), rate
 
     def test_negative_tick_rejected(self):
         with pytest.raises(ValueError):
@@ -90,18 +94,16 @@ class TestDiurnalArrivals:
             DiurnalArrivals(daily_users=-1.0)
         with pytest.raises(ValueError):
             DiurnalArrivals(daily_users=1.0, subframes_per_hour=0)
-        with pytest.raises(ValueError):
-            DiurnalArrivals(daily_users=1.0, profile=(1.0, 0.0))
 
     def test_profile_repeats_daily(self):
         arrivals = DiurnalArrivals(daily_users=1000.0, subframes_per_hour=10)
-        day = arrivals.subframes_per_hour * len(arrivals.profile)
+        day = arrivals.subframes_per_hour * len(DEFAULT_DIURNAL_PROFILE)
         for tick in range(25):
             assert arrivals.intensity(tick) == arrivals.intensity(tick + day)
 
     def test_busy_hour_beats_quiet_hour(self):
         arrivals = DiurnalArrivals(daily_users=1000.0, subframes_per_hour=10)
-        weights = arrivals.profile
+        weights = DEFAULT_DIURNAL_PROFILE
         busy = weights.index(max(weights)) * arrivals.subframes_per_hour
         quiet = weights.index(min(weights)) * arrivals.subframes_per_hour
         assert arrivals.intensity(busy) > arrivals.intensity(quiet)
@@ -140,9 +142,10 @@ class TestMmtcBurstArrivals:
 class TestPrbBudget:
     @pytest.mark.parametrize("mix", ["mmtc", "mixed"])
     def test_generated_subframes_always_fit_the_carrier(self, mix):
-        arrivals = PoissonArrivals(rate=80.0, seed=6, mix=mix, max_users=200)
+        arrivals = PoissonArrivals(rate=80.0, seed=6, mix=mix)
         for tick in range(20):
             users = arrivals.uplink_parameters(tick)
+            assert len(users) <= 100  # MAX_PRB / MIN_PRB_PER_USER devices
             assert sum(u.num_prb for u in users) <= MAX_PRB
             assert all(u.num_prb >= MIN_PRB_PER_USER for u in users)
             assert [u.user_id for u in users] == list(range(len(users)))

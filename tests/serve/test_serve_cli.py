@@ -89,12 +89,12 @@ class TestOptionsAreDeclaredOnce:
 
     def test_every_option_but_the_three_hooks_has_a_flag(self):
         names = [f.name for f in dataclasses.fields(ServeConfig)]
-        assert len(names) == 30
+        assert len(names) == 29
         assert set(names) - {f.name for f in FLAG_FIELDS} == {
             "keep_results", "processor",
         }
         flags = [f.metadata["flag"] for f in FLAG_FIELDS]
-        assert len(set(flags)) == len(flags) == 28
+        assert len(set(flags)) == len(flags) == 27
 
     def test_no_flags_yield_the_dataclass_defaults(self):
         assert _config([]) == ServeConfig(keep_results=False)

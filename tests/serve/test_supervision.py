@@ -3,8 +3,8 @@
 Three layers, cheapest first: the :class:`WorkerSupervisor` state
 machine with a synthetic clock (backoff shape, rolling budget,
 crash-loop detection), the multiprocess runtime healing through real
-SIGKILLed workers, and the serve loop's ``respawn=`` plumbing end to
-end under the chaos plan. The budget and backoff are module constants of
+SIGKILLed workers, and a multiprocess serve run's supervisor report end
+to end under the chaos plan. The budget and backoff are module constants of
 :mod:`repro.sched.supervisor`; a test that needs another shape
 monkeypatches them. Spawn-based tests keep the workloads tiny — the
 exhaustive kill-matrix lives in ``tests/sched``.
@@ -18,6 +18,7 @@ from repro.sched import supervisor
 from repro.sched.multiprocess import MultiprocessRuntime
 from repro.sched.supervisor import WorkerSupervisor
 from repro.serve import ServeConfig, serve
+from repro.serve.loop import _Server
 from repro.serve.report import validate_serve_report
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
@@ -129,13 +130,12 @@ class TestRuntimeRespawn:
             num_workers=2,
             faults=plan,
             resilience=ResilienceConfig(max_retries=5, drain_timeout_s=60.0),
-            respawn=True,
         )
         results = runtime.run(subframes)
         sup = runtime.supervisor
         assert not sup.pending  # closing the pool leaves no respawn due
-        # Both slots were SIGKILLed; under fail-stop that aborts the
-        # pending work, under supervision every subframe still lands.
+        # Both slots were SIGKILLed; they respawn, so every subframe
+        # still lands.
         assert runtime.ledger.ok
         assert runtime.ledger.counts()["ok"] == len(subframes)
         for result, expected in zip(results, reference):
@@ -161,14 +161,13 @@ class TestRuntimeRespawn:
             num_workers=1,
             faults=plan,
             resilience=ResilienceConfig(max_retries=8, drain_timeout_s=60.0),
-            respawn=True,
         )
         runtime.run(subframes)
         sup = runtime.supervisor
         assert sup.fail_stop  # budget of 2 < 6 consecutive kills
         assert sup.respawns == 2
-        # Fail-stop restores the historical abort semantics: the ledger
-        # still resolves everything, as aborted rather than ok.
+        # Fail-stop aborts what the dead pool holds: the ledger still
+        # resolves everything, as aborted rather than ok.
         assert runtime.ledger.ok
         counts = runtime.ledger.counts()
         assert counts["aborted"] > 0
@@ -177,40 +176,114 @@ class TestRuntimeRespawn:
         )
 
 
-class TestServeRespawn:
-    def test_respawn_requires_multiprocess(self):
-        with pytest.raises(ValueError, match="respawn"):
-            serve(ServeConfig(cells=1, subframes=2, respawn=True))
+def chaos_serve(subframes: int):
+    """A one-cell multiprocess chaos serve run, unpaced and blocking."""
+    return serve(
+        ServeConfig(
+            cells=1,
+            subframes=subframes,
+            backend="multiprocess",
+            workers=2,
+            pace=False,
+            arrival="poisson",
+            rate=3.0,
+            queue_depth=6,
+            backpressure="block",
+            seed=5,
+            faults=True,
+        )
+    )
 
+
+def assert_deaths_accounted(sup: dict) -> None:
+    """Short of fail-stop, every death was respawned or still waits."""
+    if not sup["fail_stop"]:
+        assert sup["deaths"] == sup["respawns"] + sup["pending"], sup
+
+
+class TestServeRespawn:
     def test_chaos_serve_heals_and_stays_ledger_ok(self, policy):
         policy(
             MAX_RESPAWNS=32, WINDOW_S=60.0, BACKOFF_INITIAL_S=0.02, BACKOFF_MAX_S=0.2
         )
-        result = serve(
-            ServeConfig(
-                cells=1,
-                subframes=60,
-                backend="multiprocess",
-                workers=2,
-                pace=False,
-                arrival="poisson",
-                rate=3.0,
-                queue_depth=6,
-                backpressure="block",
-                seed=5,
-                faults=True,
-                respawn=True,
-            )
-        )
+        result = chaos_serve(60)
         report = result.report
         assert report["ledger_ok"], result.errors
         assert not result.errors
         assert validate_serve_report(report) == []
         sup = report["supervisor"]
-        assert report["config"]["respawn"] and sup is not None
+        assert sup is not None
         assert sup["deaths"] >= 1 and sup["respawns"] >= 1
         assert not sup["fail_stop"]
+        assert_deaths_accounted(sup)
         assert report["dispatched"] == sum(
             report["terminal_counts"].values()
         )
         assert sup["per_cell"][0]["respawns"] == sup["respawns"]
+
+    def test_a_respawn_still_waiting_at_the_end_is_reported(
+        self, policy, monkeypatch
+    ):
+        """One death whose backoff outlives the run: the other worker
+        finishes the work and the record counts the slot as pending."""
+        policy(BACKOFF_INITIAL_S=3600.0, BACKOFF_MAX_S=3600.0)
+        monkeypatch.setattr(
+            MultiprocessRuntime, "chaos_kinds", (FaultKind.WORKER_DEATH,)
+        )
+        result = chaos_serve(40)
+        report = result.report
+        assert report["ledger_ok"], result.errors
+        assert validate_serve_report(report) == []
+        sup = report["supervisor"]
+        assert (sup["deaths"], sup["respawns"], sup["pending"]) == (1, 0, 1)
+        assert not sup["fail_stop"]
+        assert_deaths_accounted(sup)
+        assert sup["per_cell"][0]["pending"] == 1
+
+
+class TestServeChaosPlan:
+    def test_a_multiprocess_cell_plans_the_repeated_kill_kinds(self):
+        """``--faults`` on a multiprocess cell draws the plan the pool drew
+        when respawn was a switch and was on: the same specs, spec for
+        spec (captured once from that code), and the threaded plan it
+        always drew."""
+        planned = {}
+        for backend in ("multiprocess", "threaded"):
+            server = _Server(
+                ServeConfig(
+                    cells=2, subframes=120, backend=backend, workers=2,
+                    seed=5, faults=True, pace=False,
+                )
+            )
+            for cell in (0, 1):
+                plan = server._cell_plan(cell)
+                planned[backend, cell] = (plan.seed, [
+                    (s.kind.value, s.subframe, s.target, s.param, s.seed)
+                    for s in plan.specs
+                ])
+        assert planned == {
+            ("multiprocess", 0): (6, [
+                ("overload", 0, 0, 8.0, 2019726626),
+                ("crash-loop", 97, 1, 2.0, 1371750992),
+                ("task-exception", 97, 1, 0.0, 158152503),
+                ("respawn-storm", 98, 0, 2.0, 1171229348),
+                ("worker-death", 101, 0, 0.0, 2083207870),
+            ]),
+            ("multiprocess", 1): (1000009, [
+                ("respawn-storm", 2, 1, 2.0, 155383073),
+                ("task-exception", 10, 0, 0.0, 1760987018),
+                ("crash-loop", 16, 1, 2.0, 1036321677),
+                ("overload", 50, 1, 8.0, 551856413),
+                ("worker-death", 66, 0, 0.0, 548600388),
+            ]),
+            ("threaded", 0): (6, [
+                ("overload", 0, 0, 8.0, 2019726626),
+                ("task-exception", 97, 1, 0.0, 158152503),
+                ("worker-death", 101, 0, 0.0, 2083207870),
+            ]),
+            ("threaded", 1): (1000009, [
+                ("task-exception", 10, 0, 0.0, 1760987018),
+                ("overload", 50, 1, 8.0, 551856413),
+                ("worker-death", 66, 0, 0.0, 548600388),
+            ]),
+        }

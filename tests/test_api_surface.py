@@ -76,7 +76,7 @@ def test_the_pools_old_seams_and_unused_sim_models_are_gone():
     assert "cache" not in inspect.signature(CostModel).parameters
     # ... and the pool grew no parameter to select the old unit.
     assert list(inspect.signature(MultiprocessRuntime).parameters) == [
-        "num_workers", "observers", "faults", "resilience", "ledger", "respawn",
+        "num_workers", "observers", "faults", "resilience", "ledger",
     ]
 
 
@@ -227,7 +227,7 @@ def test_metrics_registry_and_worker_sketching_are_gone():
     assert not hasattr(multiprocess, "_build_shard")
     assert issubclass(repro.obs.Profiler, repro.obs.TelemetryCollector)
     assert list(inspect.signature(multiprocess.MultiprocessRuntime).parameters) == [
-        "num_workers", "observers", "faults", "resilience", "ledger", "respawn",
+        "num_workers", "observers", "faults", "resilience", "ledger",
     ]
 
 
@@ -402,11 +402,14 @@ def test_power_is_priced_once():
 
 
 def test_supervised_respawn_has_one_configuration():
-    """Respawn is a switch: the supervisor's budget and backoff are module
-    constants beside the pool it supervises, the hang check nothing turned
-    on went, and so did the join timeout, the slab size and the wake-check
-    cost only tests set. ``repro.sched`` imports nothing from
-    ``repro.serve``. No alias, no stub."""
+    """The pool always runs under its supervisor: no ``respawn`` switch is
+    left on the pool, ``make_runtime``, ``CellShard`` or ``ServeConfig``,
+    and a multiprocess chaos plan always arms the repeated-kill kinds. The
+    supervisor's budget and backoff are module constants beside the pool
+    it supervises, the hang check nothing turned on went, and so did the
+    join timeout, the slab size and the wake-check cost only tests set.
+    ``repro.sched`` imports nothing from ``repro.serve``. No alias, no
+    stub."""
     import dataclasses
     import inspect
     import pathlib
@@ -414,6 +417,7 @@ def test_supervised_respawn_has_one_configuration():
 
     import repro.sched
     import repro.serve
+    from repro.faults.plan import FaultKind
     from repro.faults.watchdog import ResilienceConfig
     from repro.sched import MultiprocessRuntime, make_runtime, supervisor
     from repro.serve import CellShard, ServeConfig
@@ -430,9 +434,16 @@ def test_supervised_respawn_has_one_configuration():
     assert (supervisor.MAX_RESPAWNS, supervisor.WINDOW_S) == (8, 30.0)
     assert (supervisor.BACKOFF_INITIAL_S, supervisor.BACKOFF_MAX_S) == (0.05, 2.0)
     for callable_ in (MultiprocessRuntime, make_runtime, CellShard):
-        assert inspect.signature(callable_).parameters["respawn"].default is False
+        assert "respawn" not in inspect.signature(callable_).parameters
+    assert MultiprocessRuntime.chaos_kinds == (
+        FaultKind.WORKER_DEATH,
+        FaultKind.TASK_EXCEPTION,
+        FaultKind.CRASH_LOOP,
+        FaultKind.RESPAWN_STORM,
+    )
     assert not hasattr(MultiprocessRuntime, "_check_heartbeats")
     for config, gone in (
+        (ServeConfig, "respawn"),
         (ServeConfig, "respawn_policy"),
         (ResilienceConfig, "join_timeout_s"),
         (SimConfig, "wake_check_cycles"),
@@ -576,6 +587,12 @@ def test_nothing_in_src_exists_only_for_tests():
     assert "num_shifts" not in params_of(sequences.dmrs_for_layer)
     assert sequences.NUM_CYCLIC_SHIFTS == 12
     assert "terminate" not in params_of(turbo.RscEncoder.encode)
+    for cls in (
+        arrivals.PoissonArrivals,
+        arrivals.DiurnalArrivals,
+        arrivals.MmtcBurstArrivals,
+    ):
+        assert not {"max_users", "profile"} & params_of(cls), cls
 
 
 def test_the_cli_is_a_thin_shell(capsys):
@@ -717,6 +734,11 @@ def test_runtime_core_names_are_public():
     from repro.sched.threaded import WorkerFailuresError
 
     assert WorkerFailuresError is core.WorkerFailuresError
+    # The counters every transport keeps live in the core, not in one of
+    # the transports; ``perf/`` reads them through ``repro.sched``.
+    assert sched.RuntimeStats is core.RuntimeStats
+    assert "RuntimeStats" in sched.__all__ and "RuntimeStats" in core.__all__
+    assert issubclass(sched.MultiprocessStats, core.RuntimeStats)
     for backend in ("serial", "vectorized", "threaded", "multiprocess"):
         assert issubclass(sched.runtime_class(backend), sched.Runtime)
     with pytest.raises(ValueError):
