@@ -65,6 +65,8 @@ multiprocess-smoke:
 		{ echo "shared-memory segments left behind: $$leaked"; exit 1; }
 	$(PYTHON) -m pytest -m slow -q tests/differential/test_backends.py -k multiprocess
 	$(PYTHON) -m repro chaos --backend multiprocess --scale smoke --seeds 2 --timeout 600
+	@leaked=$$(ls /dev/shm 2>/dev/null | grep '^psm_'); test -z "$$leaked" || \
+		{ echo "shared-memory segments left behind: $$leaked"; exit 1; }
 
 serve-smoke:
 	$(PYTHON) -m pytest -x -q tests/sched/test_runtime_contract.py tests/serve

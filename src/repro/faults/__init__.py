@@ -35,8 +35,6 @@ from .injector import (
 )
 from .plan import (
     PAYLOAD_KINDS,
-    SIM_KINDS,
-    THREAD_KINDS,
     FaultKind,
     FaultPlan,
     FaultSpec,
@@ -56,10 +54,8 @@ __all__ = [
     "PAYLOAD_KINDS",
     "ResilienceConfig",
     "RuntimeHung",
-    "SIM_KINDS",
     "SubframeLedger",
     "TerminalState",
-    "THREAD_KINDS",
     "ThreadFaultInjector",
     "WorkerFailure",
     "corrupt_subframe",

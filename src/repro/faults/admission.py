@@ -66,8 +66,6 @@ class AdmissionController:
             raise ValueError("max_activity must be positive")
         self.estimator = estimator
         self.max_activity = max_activity
-        self.total_shed_users = 0
-        self.total_shed_subframes = 0
 
     def admit(
         self, users: list[UserParameters], load_factor: float = 1.0
@@ -92,9 +90,6 @@ class AdmissionController:
             shed.append(admitted.pop())
             estimate = self.estimator.estimate_subframe(admitted) * load_factor
         shed.reverse()
-        if shed:
-            self.total_shed_users += len(shed)
-            self.total_shed_subframes += 1
         return AdmissionDecision(
             admitted=tuple(admitted),
             shed=tuple(shed),

@@ -16,8 +16,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-__all__ = ["FaultKind", "FaultSpec", "FaultPlan", "SIM_KINDS", "THREAD_KINDS",
-           "PAYLOAD_KINDS", "RESPAWN_KINDS"]
+__all__ = ["FaultKind", "FaultSpec", "FaultPlan", "PAYLOAD_KINDS"]
 
 
 class FaultKind(str, enum.Enum):
@@ -53,32 +52,8 @@ class FaultKind(str, enum.Enum):
     RESPAWN_STORM = "respawn-storm"
 
 
-#: Kinds the discrete-event simulator backend can inject.
-SIM_KINDS = frozenset(
-    {
-        FaultKind.CORE_CRASH,
-        FaultKind.CORE_STALL,
-        FaultKind.CORE_SLOWDOWN,
-        FaultKind.OVERLOAD,
-    }
-)
-
-#: Kinds the threaded runtime can inject.
-THREAD_KINDS = frozenset(
-    {
-        FaultKind.WORKER_DEATH,
-        FaultKind.WORKER_HANG,
-        FaultKind.TASK_EXCEPTION,
-    }
-)
-
 #: Kinds that corrupt subframe input data (any functional backend).
 PAYLOAD_KINDS = frozenset({FaultKind.PAYLOAD_BITFLIP, FaultKind.PAYLOAD_NAN})
-
-#: Kinds that repeatedly kill worker slots: only the multiprocess pool,
-#: whose supervisor respawns a dead slot, can take them (a threaded
-#: worker that dies stays dead).
-RESPAWN_KINDS = frozenset({FaultKind.CRASH_LOOP, FaultKind.RESPAWN_STORM})
 
 
 @dataclass(frozen=True)

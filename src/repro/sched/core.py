@@ -477,11 +477,6 @@ class Runtime:
             self._started = False
             self._close()
 
-    def stop(self) -> None:
-        """Drain outstanding work, then :meth:`close`."""
-        self.drain()
-        self.close()
-
     def abort(self) -> None:
         """Emergency shutdown: account every unresolved subframe as
         ``aborted`` (the ledger still balances), then :meth:`close`."""

@@ -10,42 +10,42 @@ subframe and makes the same
 runtime makes, so throughput scales with cores while results stay
 bit-exact with the serial reference.
 
-Data movement is engineered around ``multiprocessing.shared_memory``,
-two kinds of segment:
+Data movement is engineered around ``multiprocessing.shared_memory``:
+each worker slot owns two slabs, created when it spawns and unlinked when
+it is respawned or the pool closes, so steady state creates and unlinks
+nothing.
 
-* **received grids** — the parent copies a subframe's complex grid into a
-  shared segment when it dispatches it; the worker attaches and reads
-  zero-copy. Segments are *recycled*: when its subframe resolves, a segment
-  goes onto a byte-capped idle list, still mapped on both sides, and the
-  next grid that fits is copied into it. A fixed set of buffers circulates
-  (one per worker and one in hand, plus one per retry waiting in the queue)
-  and steady state creates, unlinks, attaches and faults in nothing. Only
-  a segment a live worker's outstanding task still names (a straggler the
-  deadline gave up on), the overflow past the cap and everything at
-  ``close()`` are unlinked.
-* **results** — each worker owns one shared output slab; decoded
-  payloads and LLRs are written there, beside (never over) the previous
-  task's, and only small descriptors travel over the control pipe (with
-  an inline fallback, counted in ``stats.slab_overflows``, when a subframe
-  does not fit beside its predecessor).
+* **grid slab** — sized for the default cell's received grid; the parent
+  copies a subframe's complex grid into the chosen worker's slab when it
+  dispatches it, and the worker reads it zero-copy. One task per worker
+  keeps this safe: the parent sends a busy worker nothing, so a straggler
+  the deadline gave up on keeps its grid, and a retried subframe is
+  copied again into whichever worker takes it. A grid that does not fit
+  travels inline in the task, counted in ``stats.slab_overflows``.
+* **result slab** — decoded payloads and LLRs are written there, beside
+  (never over) the previous task's, and only small descriptors travel
+  over the control pipe (with the same inline fallback, counted in
+  ``stats.slab_overflows``, when a subframe does not fit beside its
+  predecessor).
 
 Everything else a worker needs (DMRS banks, windows, gather tables) it
 caches on first use, exactly as the in-process backends do.
 
 Control flow is a single-threaded parent event loop over per-worker
 duplex pipes plus process sentinels (``multiprocessing.connection.wait``
-covers both), carrying two kinds of message down: ``task`` (one subframe:
-its index, grid segment and user slices) and ``forget`` (unlinked grid
-segments to unmap), and two up: one ``ready`` per worker once it has
-imported the chain (``start()`` waits for the first generation's) and one
-reply per task. Per-worker pipes — not a shared queue — because a
+covers both), carrying one kind of message down, the task (one subframe:
+its index, grid shape or inline grid and user slices), and two up: one
+``ready`` per worker once it has imported the chain (``start()`` waits
+for the first generation's) and one reply per task. Per-worker pipes —
+not a shared queue — because a
 ``SIGKILL``-ed worker must not be able to corrupt a stream other workers
 share, and ``Connection.send`` has no feeder thread to die mid-write.
 One task is outstanding per worker at a time; a worker that replies is
 sent its next subframe *before* the parent copies the finished one out of
-the slab, which is safe because a task's results never overwrite its
-predecessor's and the single-threaded loop has copied those out before it
-reads the next reply.
+the result slab, which is safe because a worker that replied reads its
+grid slab no more, a task's results never overwrite its predecessor's and
+the single-threaded loop has copied those out before it reads the next
+reply.
 
 This module is *transport* only — shared segments, pipes, sentinels and the
 respawn of dead slots. What it means to run a subframe to its
@@ -101,6 +101,13 @@ from ..faults.watchdog import (
 from ..obs.events import Event, EventKind
 from ..phy.chain import UserResult
 from ..phy.dtypes import COMPLEX_DTYPE
+from ..phy.params import (
+    MAX_PRB_PER_SLOT,
+    NUM_RX_ANTENNAS,
+    SLOTS_PER_SUBFRAME,
+    SUBCARRIERS_PER_PRB,
+    SYMBOLS_PER_SLOT,
+)
 from ..uplink.subframe import SubframeInput
 from ..uplink.vectorized import process_subframes
 from .core import Pending, Runtime, RuntimeStats
@@ -119,16 +126,28 @@ __all__ = [
 #: counted.
 DEFAULT_SLAB_BYTES = 24 << 20
 
-#: Cap on the idle grid segments kept mapped for reuse. The pool needs one
-#: per worker and one in hand (a full-band 4-antenna grid is 2.15 MB); past
-#: the cap a segment is unlinked as before: it bounds memory, costs only speed.
-_IDLE_GRID_BYTES = 64 << 20
+#: Per-worker shared grid slab size: the default cell's received grid,
+#: 4 antennas x 14 symbols x 1,200 subcarriers of complex128 (1.07 MB). A
+#: larger grid travels inline in its task and is counted.
+_GRID_SLAB_BYTES = (
+    NUM_RX_ANTENNAS
+    * SYMBOLS_PER_SLOT * SLOTS_PER_SUBFRAME
+    * MAX_PRB_PER_SLOT * SUBCARRIERS_PER_PRB
+    * np.dtype(COMPLEX_DTYPE).itemsize
+)
 
 _ALIGN = 16  # complex128 itemsize; keeps every array offset aligned
 
 
 def _aligned(nbytes: int) -> int:
     return (nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
+
+
+def _unlink(*segments: SharedMemory) -> None:
+    """Release segments this process created: unmap them, then remove them."""
+    for shm in segments:
+        shm.close()
+        shm.unlink()
 
 
 def _attach_shm(name: str) -> SharedMemory:
@@ -217,30 +236,25 @@ def _pack_results(
 
 def _execute_task(
     task: dict,
-    grids: dict[str, tuple[SharedMemory, np.ndarray]],
+    grid_slab: SharedMemory,
     slab: SharedMemory,
     live: list[int],
 ) -> tuple:
-    """Run one subframe against the shared grid; reply over the pipe."""
+    """Run one subframe against its grid; reply over the pipe."""
     task_id = task["task_id"]
     if task.get("die"):
         # Real worker death, not an exception: the parent must detect the
         # corpse via the process sentinel and reclaim the orphaned subframe.
         os.kill(os.getpid(), signal.SIGKILL)
     try:
-        name, shape = task["grid"]
-        entry = grids.get(name)
-        if entry is None or entry[1].shape != tuple(shape):
-            # A recycled segment keeps its name and this mapping, but may
-            # carry a grid of another shape than the cached view's.
-            shm = entry[0] if entry else _attach_shm(name)
-            view = np.ndarray(tuple(shape), dtype=COMPLEX_DTYPE, buffer=shm.buf)
-            view.setflags(write=False)
-            entry = grids[name] = (shm, view)
-        grid = entry[1]
-        # Wedge while *holding* the task (grid mapped), like a hung thread:
-        # if the deadline resolves the subframe meanwhile, the straggler
-        # still reads valid memory and reports a late completion.
+        grid = task["grid"]  # its shape in the grid slab, or the grid inline
+        if isinstance(grid, tuple):
+            grid = np.ndarray(grid, dtype=COMPLEX_DTYPE, buffer=grid_slab.buf)
+        grid.setflags(write=False)
+        # Wedge while *holding* the task, like a hung thread: the parent
+        # sends a busy worker nothing, so if the deadline resolves the
+        # subframe meanwhile, the straggler still reads its own grid and
+        # reports a late completion.
         hang_s = task.get("hang_s")
         if hang_s:
             time.sleep(hang_s)
@@ -260,34 +274,26 @@ def _execute_task(
         return ("err", task_id, f"{type(exc).__name__}: {exc}", False)
 
 
-def _worker_main(worker_id: int, conn, slab_name: str) -> None:
+def _worker_main(worker_id: int, conn, grid_name: str, slab_name: str) -> None:
     """Spawn entry point: serve tasks from the parent until told to stop."""
+    grid_slab = _attach_shm(grid_name)
     slab = _attach_shm(slab_name)
     live = [0, 0]  # slab extent of the previous task's results
-    grids: dict[str, tuple[SharedMemory, np.ndarray]] = {}
     try:
-        # Slab attached, chain imported (with this module): start() may return.
+        # Slabs attached, chain imported (with this module): start() may return.
         conn.send(("ready",))
         while True:
-            message = conn.recv()
-            if message is None:
+            task = conn.recv()
+            if task is None:
                 break
-            kind = message[0]
-            if kind == "forget":
-                for name in message[1]:
-                    entry = grids.pop(name, None)
-                    if entry is not None:
-                        entry[0].close()
-            else:  # ("task", {...})
-                conn.send(_execute_task(message[1], grids, slab, live))
+            conn.send(_execute_task(task, grid_slab, slab, live))
     except (EOFError, BrokenPipeError, KeyboardInterrupt) as exc:
         # Parent vanished or interactive interrupt: nothing to report to
         # (the pipe is gone) — fall through to cleanup and exit 0 so the
         # parent's join sees an orderly shutdown, not a crash.
         del exc
     finally:
-        for shm, _ in grids.values():
-            shm.close()
+        grid_slab.close()
         slab.close()
         conn.close()
 
@@ -302,7 +308,9 @@ class MultiprocessStats(RuntimeStats):
     beyond the inherited ``retries``/``aborted_users`` (the tracker's, per
     *user*: a reclaimed subframe charges each of its users once) nothing
     here takes the lock; ``steals`` stays zero. ``tasks_executed`` counts
-    the kernel stage calls a worker ran, ``users_processed`` its users.
+    the kernel stage calls a worker ran, ``users_processed`` its users;
+    ``slab_overflows`` counts the grids (one a dispatch) and the users'
+    results that travelled inline because their slab had no room.
     """
 
     worker_deaths: int = 0
@@ -318,7 +326,8 @@ class _WorkerHandle:
     process: Any
     conn: Any
     pid: int
-    slab: SharedMemory
+    grid_slab: SharedMemory
+    slab: SharedMemory  # its results
     busy: dict | None = None  # the task currently dispatched to it
     ready: bool = False  # its ``ready`` message arrived
     dead: bool = False
@@ -390,11 +399,6 @@ class MultiprocessRuntime(Runtime):
         self._spawned_pids: list[int] = []
         self._queue: deque[dict] = deque()
         self._next_task_id = 0
-        #: The grid segment of each dispatched, still unresolved subframe.
-        self._grid_of: dict[int, SharedMemory] = {}
-        #: Segments whose subframe resolved, kept mapped for the next grid.
-        self._idle_grids: list[SharedMemory] = []
-        self._tracker.listeners.append(self._release_grid)
         #: Decides when each dead slot respawns.
         self.supervisor = WorkerSupervisor(num_workers)
 
@@ -421,21 +425,23 @@ class MultiprocessRuntime(Runtime):
 
     def _spawn_worker(self, worker_id: int) -> _WorkerHandle:
         """Spawn one worker process into the given slot id."""
-        slab = SharedMemory(create=True, size=DEFAULT_SLAB_BYTES)
+        slabs: list[SharedMemory] = []
         try:
+            for size in (_GRID_SLAB_BYTES, DEFAULT_SLAB_BYTES):
+                slabs.append(SharedMemory(create=True, size=size))
+            grid_slab, slab = slabs
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(worker_id, child_conn, slab.name),
+                args=(worker_id, child_conn, grid_slab.name, slab.name),
                 daemon=True,
                 name=f"repro-mp-worker-{worker_id}",
             )
             process.start()
         except BaseException:
-            # This worker's slab has no _WorkerHandle yet; nothing else
-            # will ever release it.
-            slab.close()
-            slab.unlink()
+            # This worker's slabs have no _WorkerHandle yet; nothing else
+            # will ever release them.
+            _unlink(*slabs)
             raise
         child_conn.close()  # keep one writer so EOF propagates on death
         return _WorkerHandle(
@@ -443,6 +449,7 @@ class MultiprocessRuntime(Runtime):
             process=process,
             conn=parent_conn,
             pid=process.pid,
+            grid_slab=grid_slab,
             slab=slab,
         )
 
@@ -457,19 +464,13 @@ class MultiprocessRuntime(Runtime):
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
             worker.conn.close()
-            worker.slab.close()
-            worker.slab.unlink()
-        for shm in [*self._grid_of.values(), *self._idle_grids]:
-            shm.close()
-            shm.unlink()
-        self._grid_of.clear()
-        self._idle_grids.clear()
+            _unlink(worker.grid_slab, worker.slab)
         self._workers.clear()
         self._queue.clear()
 
     def _enqueue(self, pending: Pending) -> None:
-        """Enqueue the subframe as one task (its grid is shared at dispatch,
-        so the segments in rotation are bounded by the pool, not the backlog)."""
+        """Enqueue the subframe as one task (its grid is copied into a
+        worker's grid slab at dispatch, not here)."""
         task_id = self._next_task_id
         self._next_task_id += 1
         self._queue.append(
@@ -555,9 +556,8 @@ class MultiprocessRuntime(Runtime):
     def _dispatch(self, worker: _WorkerHandle, task: dict) -> None:
         pending = task["pending"]
         index = pending.index
-        if "grid" not in task["wire"]:  # a retried task keeps its segment
-            task["wire"]["grid"] = self._share_grid(index, pending.subframe.grid)
-        wire = dict(task["wire"])  # fault flags are per-dispatch
+        wire = dict(task["wire"])  # the grid and fault flags are per-dispatch
+        wire["grid"] = self._place_grid(worker, pending.subframe.grid)
         faults = self.faults
         if faults is not None:
             fault = partial(
@@ -586,7 +586,7 @@ class MultiprocessRuntime(Runtime):
                     subframe=index, user=user_slice.user.user_id,
                 )
         worker.busy = task
-        self._send(worker, ("task", wire))
+        self._send(worker, wire)
 
     def _drain_conn(self, worker: _WorkerHandle) -> None:
         while not worker.dead and worker.conn.poll(0):
@@ -754,13 +754,12 @@ class MultiprocessRuntime(Runtime):
     def _respawn_worker(self, slot: int, corpse: _WorkerHandle) -> None:
         """Replace one dead slot with a fresh process (same worker id)."""
         replacement = self._spawn_worker(corpse.worker_id)
-        # Reap the corpse and release its resources. Its slab may still
-        # back descriptors of replies drained earlier, but every result
-        # is copied out of the slab on receipt, so unlinking is safe.
+        # Reap the corpse and release its resources. Its result slab may
+        # still back descriptors of replies drained earlier, but every
+        # result is copied out of the slab on receipt, so unlinking is safe.
         corpse.process.join(timeout=0)
         corpse.conn.close()
-        corpse.slab.close()
-        corpse.slab.unlink()
+        _unlink(corpse.grid_slab, corpse.slab)
         self._workers[slot] = replacement
         self._spawned_pids.append(replacement.pid)
         now = monotonic_ns()
@@ -798,47 +797,17 @@ class MultiprocessRuntime(Runtime):
             self._queue.appendleft(task)
 
     # --------------------------------------------------------- shared memory
-    def _share_grid(self, index: int, grid: np.ndarray) -> tuple[str, tuple]:
-        """Copy ``grid`` into a segment owned by subframe ``index`` until it
-        resolves; the ``(name, shape)`` a worker needs to view it."""
-        source = np.ascontiguousarray(grid, dtype=COMPLEX_DTYPE)
-        # Most recently idled first: the likeliest to be mapped and warm in
-        # both workers, and it keeps the set in rotation small.
-        shm = next(
-            (s for s in reversed(self._idle_grids) if s.size >= source.nbytes), None
-        )
-        if shm is None:
-            shm = SharedMemory(create=True, size=source.nbytes)
-        else:
-            self._idle_grids.remove(shm)
-        self._grid_of[index] = shm
-        np.ndarray(source.shape, dtype=COMPLEX_DTYPE, buffer=shm.buf)[...] = source
-        return shm.name, source.shape
-
-    def _release_grid(self, result, state, t_ns: int) -> None:
-        """Terminal listener: recycle the resolved subframe's grid segment."""
-        index = result.subframe_index
-        shm = self._grid_of.pop(index, None)
-        if shm is None:
-            return
-        # A straggler (its subframe resolved by deadline or abort while the
-        # worker still holds the task) reads this segment: never rewrite it.
-        held = any(
-            worker.busy is not None and worker.busy["pending"].index == index
-            for worker in self._workers
-        )
-        idle_bytes = sum(idle.size for idle in self._idle_grids)
-        if not held and idle_bytes + shm.size <= _IDLE_GRID_BYTES:
-            self._idle_grids.append(shm)
-            return
-        # Workers drop their cached mapping at the next message; Linux
-        # keeps an unlinked segment alive until the last mapping closes,
-        # so the straggler still reads valid memory.
-        for worker in self._workers:
-            if not worker.dead:
-                self._send(worker, ("forget", [shm.name]))
-        shm.close()
-        shm.unlink()
+    def _place_grid(
+        self, worker: _WorkerHandle, grid: np.ndarray
+    ) -> tuple | np.ndarray:
+        """Copy ``grid`` into ``worker``'s grid slab and return its shape;
+        a grid too large for the slab is returned to travel inline, counted."""
+        if grid.size * np.dtype(COMPLEX_DTYPE).itemsize > _GRID_SLAB_BYTES:
+            self.stats.slab_overflows += 1
+            return np.asarray(grid, dtype=COMPLEX_DTYPE)
+        buffer = worker.grid_slab.buf
+        np.ndarray(grid.shape, dtype=COMPLEX_DTYPE, buffer=buffer)[...] = grid
+        return grid.shape
 
     def _send(self, worker: _WorkerHandle, message) -> bool:
         try:

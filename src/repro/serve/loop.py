@@ -230,8 +230,10 @@ class _Server:
             if config.faults:
                 plan = self._cell_plan(cell_id)
                 # OVERLOAD is the loop's to inject; the rest is the runtime's.
+                # An empty share arms no injector (an armed one stops an
+                # inline cell from batching its backlog).
                 overloads = plan.of_kinds(overload).specs
-                runtime_plan = plan.of_kinds(frozenset(FaultKind) - overload)
+                runtime_plan = plan.of_kinds(frozenset(FaultKind) - overload) or None
             cell = CellShard(
                 cell_id,
                 self._cell_arrivals(cell_id),

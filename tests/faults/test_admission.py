@@ -30,8 +30,6 @@ class TestAdmit:
         assert decision.shed == ()
         assert not decision.shed_any
         assert decision.estimated_activity <= decision.budget_activity
-        assert controller.total_shed_users == 0
-        assert controller.total_shed_subframes == 0
 
     def test_overload_sheds_from_the_tail(self):
         controller = make_controller()
@@ -43,8 +41,6 @@ class TestAdmit:
         assert decision.admitted == tuple(users[:kept])
         assert decision.shed == tuple(users[kept:])
         assert decision.estimated_activity <= decision.budget_activity
-        assert controller.total_shed_users == len(decision.shed)
-        assert controller.total_shed_subframes == 1
 
     def test_extreme_overload_sheds_everyone(self):
         controller = make_controller()

@@ -4,15 +4,9 @@ import json
 
 import pytest
 
-from repro.faults.plan import (
-    PAYLOAD_KINDS,
-    RESPAWN_KINDS,
-    SIM_KINDS,
-    THREAD_KINDS,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.faults import chaos
+from repro.faults.plan import PAYLOAD_KINDS, FaultKind, FaultPlan, FaultSpec
+from repro.sched.multiprocess import MultiprocessRuntime
 
 
 class TestGenerate:
@@ -88,16 +82,21 @@ class TestQueries:
 
     def test_of_kinds_partitions(self):
         plan = FaultPlan.generate(seed=0, num_subframes=10, num_workers=4)
-        sim = plan.of_kinds(SIM_KINDS)
-        threaded = plan.of_kinds(THREAD_KINDS)
-        payload = plan.of_kinds(PAYLOAD_KINDS)
-        respawn = plan.of_kinds(RESPAWN_KINDS)
-        assert len(sim) + len(threaded) + len(payload) + len(respawn) == len(
-            plan
-        )
-        assert all(s.kind in SIM_KINDS for s in sim.specs)
+        parts = [plan.of_kinds(frozenset({kind})) for kind in FaultKind]
+        assert sum(len(part) for part in parts) == len(plan)
+        for kind, part in zip(FaultKind, parts):
+            assert part.seed == plan.seed
+            assert all(s.kind is kind for s in part.specs)
 
     def test_kind_sets_cover_all_kinds(self):
-        assert SIM_KINDS | THREAD_KINDS | PAYLOAD_KINDS | RESPAWN_KINDS == frozenset(
-            FaultKind
-        )
+        """Every kind has a taker: the simulator's and the threaded
+        runtime's chaos groups, the pool's chaos kinds, and the payload
+        corruption every functional backend applies."""
+        grouped = {
+            kind
+            for groups in (chaos.SIM_GROUPS, chaos.THREADED_GROUPS)
+            for _, kinds in groups
+            for kind in kinds
+        }
+        taken = grouped | set(MultiprocessRuntime.chaos_kinds) | PAYLOAD_KINDS
+        assert taken == set(FaultKind)

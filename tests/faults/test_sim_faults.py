@@ -212,7 +212,6 @@ class TestOverloadAndShedding:
         assert checker.ok, checker.summary()
         assert result.shed_users >= 1
         assert result.ledger.counts()["shed"] >= 1
-        assert admission.total_shed_subframes >= 1
         result.ledger.check()
 
     def test_no_overload_no_shedding(self):

@@ -230,12 +230,16 @@ def test_tiny_output_slab_falls_back_to_inline_results(workload, monkeypatch):
         assert_uint8_payloads(result)
 
 
-# ------------------------------------------------- grid-segment lifecycle
+# ------------------------------------------------------ per-slot grid slab
 def shm_names() -> set[str]:
     """Python shared-memory segments on this host (Linux names them psm_*)."""
     if not os.path.isdir("/dev/shm"):
         pytest.skip("needs /dev/shm to see segment names")
     return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def shm_sizes(names) -> list[int]:
+    return sorted(os.path.getsize(os.path.join("/dev/shm", n)) for n in names)
 
 
 def same_bits(result, expected) -> bool:
@@ -249,17 +253,18 @@ def same_bits(result, expected) -> bool:
 
 
 def test_steady_state_recycles_grid_segments(workload):
-    """A fixed set of segments circulates: windows of work create at most
-    one grid segment per worker plus one (a worker's next subframe is shared
-    before its last one's segment is released) and unlink none — so no
-    ``forget`` is ever due; ``close()`` unlinks them all, idle ones included."""
+    """The same segments carry every grid: each worker slot creates its
+    grid slab and its result slab at spawn, windows of work create and
+    unlink nothing, and ``close()`` unlinks them all."""
     subframes, reference = workload
     before = shm_names()
     runtime = MultiprocessRuntime(num_workers=2)
     runtime.start()
     try:
         seen = shm_names() - before
-        assert len(seen) == 2  # the result slabs
+        assert shm_sizes(seen) == sorted(
+            [multiprocess._GRID_SLAB_BYTES, multiprocess.DEFAULT_SLAB_BYTES] * 2
+        )
         for window in range(4):
             for subframe in subframes:
                 index = window * NUM_SUBFRAMES + subframe.subframe_index
@@ -267,11 +272,8 @@ def test_steady_state_recycles_grid_segments(workload):
             runtime.drain()
             results = runtime.collect_results()
             assert all(same_bits(r, e) for r, e in zip(results, reference))
-            now = shm_names() - before
-            assert now >= seen, "a segment was unlinked in steady state"
-            seen = now
-        # Idle now, and still there for the next window.
-        assert 2 < len(seen) <= 2 + runtime.num_workers + 1
+            assert shm_names() - before == seen, "a segment came or went"
+        assert runtime.stats.slab_overflows == 0
     finally:
         runtime.close()
     assert shm_names() == before
@@ -294,8 +296,9 @@ def test_start_returns_with_the_workers_ready(workload):
 
 def test_a_stragglers_segment_is_never_recycled(workload):
     """A hung worker still reads the grid of the subframe its deadline gave
-    up on: that segment is unlinked (the old path), not kept for the next
-    subframe, and the straggler finishes late on valid memory."""
+    up on: it is sent nothing while it holds that task, so its grid slab is
+    not reused for a later grid (the other worker runs every later
+    subframe), and the straggler finishes late on valid memory."""
     subframes, reference = workload
     hung = 2
     plan = FaultPlan(
@@ -317,15 +320,22 @@ def test_a_stragglers_segment_is_never_recycled(workload):
         runtime.submit(subframes[hung])
         runtime.drain()
         assert runtime.ledger.state_of(hung) is TerminalState.ABORTED
-        # It took a recycled segment, and that one is gone while the worker
-        # that reads it is still asleep; a recycled segment would have stayed.
         assert runtime.late_completions == 0
-        assert len(warm - shm_names()) == 1
         for i in range(4):
             runtime.submit(replace(subframes[i % hung], subframe_index=10 + i))
         runtime.drain()
         for i, result in enumerate(runtime.collect_results()[-4:]):
             assert same_bits(result, reference[i % hung])
+        # Still asleep: exactly one grid slab holds the aborted grid.
+        assert runtime.late_completions == 0
+        assert shm_names() == warm
+        grid = np.ascontiguousarray(subframes[hung].grid).tobytes()
+        holders = []
+        for name in warm:
+            with open(os.path.join("/dev/shm", name), "rb") as segment:
+                if segment.read(len(grid)) == grid:
+                    holders.append(name)
+        assert len(holders) == 1
         users = len(subframes[hung].slices)
         give_up = time.monotonic() + 20.0
         while runtime.late_completions < users and time.monotonic() < give_up:
@@ -336,8 +346,9 @@ def test_a_stragglers_segment_is_never_recycled(workload):
 
 
 def test_a_recycled_segment_can_carry_a_grid_of_another_shape():
-    """The worker keeps its mapping of a recycled segment and rebuilds the
-    view when the next grid in it has fewer antennas."""
+    """The grid slab is reused whatever the shape: the worker views it in
+    the shape the task names, so a 2-antenna grid follows a 4-antenna one
+    through the same slab."""
     users = [UserParameters(0, 4, 2, Modulation.QAM16)]
     wide = SubframeFactory(seed=SEED).synthesize(users, 0)
     narrow = SubframeFactory(
@@ -348,17 +359,30 @@ def test_a_recycled_segment_can_carry_a_grid_of_another_shape():
     runtime = MultiprocessRuntime(num_workers=1)
     runtime.start()
     try:
-        names = None
+        names = shm_names()
         for subframe in sequence:
             runtime.submit(subframe)
             runtime.drain()
-            # One slab, one grid segment: every grid travelled in the first's.
-            names = names or shm_names()
-            assert shm_names() == names
+            assert shm_names() == names  # one grid slab, one result slab
         for result, subframe in zip(runtime.collect_results(), sequence):
             assert same_bits(result, process_subframe_serial(subframe))
+        assert runtime.stats.slab_overflows == 0
     finally:
         runtime.close()
+
+
+def test_a_grid_larger_than_the_slab_travels_inline():
+    """An 8-antenna grid does not fit the default cell's grid slab: it
+    rides the pipe inside its task, counted once, still bit-exact."""
+    users = [UserParameters(0, 4, 2, Modulation.QAM16)]
+    big = SubframeFactory(
+        cell=CellConfig(num_rx_antennas=8), seed=SEED
+    ).synthesize(users, 0)
+    assert big.grid.nbytes > multiprocess._GRID_SLAB_BYTES
+    runtime = MultiprocessRuntime(num_workers=1)
+    [result] = runtime.run([big])
+    assert runtime.stats.slab_overflows == 1
+    assert same_bits(result, process_subframe_serial(big))
 
 
 # ------------------------------------------------------ result-slab extents

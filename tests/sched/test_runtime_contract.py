@@ -208,7 +208,8 @@ class TestRuntimeContract:
             with pytest.raises(RuntimeError, match="already started"):
                 runtime.start()
         finally:
-            runtime.stop()
+            runtime.drain()
+            runtime.close()
         runtime.close()  # idempotent
 
     def test_task_exception_retries_then_succeeds(self, backend, one_user):

@@ -83,7 +83,8 @@ class TestThreadedRuntime:
             with pytest.raises(RuntimeError):
                 runtime.start()
         finally:
-            runtime.stop()
+            runtime.drain()
+            runtime.close()
 
     def test_incremental_submit_then_drain(self):
         model, factory, subframes = make_subframes(num=3)
@@ -95,7 +96,8 @@ class TestThreadedRuntime:
                 runtime.submit(sub)
             runtime.drain()
         finally:
-            runtime.stop()
+            runtime.drain()
+            runtime.close()
         parallel = runtime.collect_results()
         assert verify_against_serial(serial, parallel).passed
 
@@ -127,7 +129,8 @@ class TestThreadedRuntime:
             # No explicit drain(): collect_results must do it itself.
             parallel = runtime.collect_results()
         finally:
-            runtime.stop()
+            runtime.drain()
+            runtime.close()
         assert len(parallel) == 4
         assert verify_against_serial(serial, parallel).passed
 

@@ -10,10 +10,15 @@ monkeypatches them. Spawn-based tests keep the workloads tiny — the
 exhaustive kill-matrix lives in ``tests/sched``.
 """
 
+import threading
+from types import SimpleNamespace
+
 import pytest
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig
+from repro.obs.events import EventKind
+from repro.phy.params import Modulation
 from repro.sched import supervisor
 from repro.sched.multiprocess import MultiprocessRuntime
 from repro.sched.supervisor import WorkerSupervisor
@@ -23,6 +28,7 @@ from repro.serve.report import validate_serve_report
 from repro.uplink.parameter_model import RandomizedParameterModel
 from repro.uplink.serial import process_subframe_serial
 from repro.uplink.subframe import SubframeFactory
+from repro.uplink.user import UserParameters
 
 NS = 1_000_000_000
 
@@ -287,3 +293,44 @@ class TestServeChaosPlan:
                 ("worker-death", 66, 0, 0.0, 548600388),
             ]),
         }
+
+    def test_an_inline_cell_arms_no_injector_and_still_batches(self):
+        """An inline transport takes no worker fault, so ``--faults`` leaves
+        a serial/vectorized cell's runtime no share of the plan: it gets no
+        injector, and a vectorized cell still runs a backlog as one call."""
+        for backend in ("serial", "vectorized"):
+            server = _Server(
+                ServeConfig(
+                    cells=2, subframes=120, backend=backend, seed=5,
+                    faults=True, pace=False,
+                )
+            )
+            assert [cell.runtime.faults for cell in server.cells] == [None, None]
+        # Park the vectorized cell's worker in its first call, queue a
+        # backlog behind it, and count the subframes of every call.
+        calls: list[int] = []
+        entered, release = threading.Event(), threading.Event()
+
+        def gate(event):
+            if event.kind is EventKind.TASK_START:
+                calls.append(event.data["subframes"])
+                entered.set()
+                release.wait(30.0)
+
+        server.emit = gate  # the cell's watcher forwards task events here
+        server.loop = SimpleNamespace(call_soon_threadsafe=lambda land: None)
+        users = [UserParameters(u, 4, 1, Modulation.QPSK) for u in range(2)]
+        factory = SubframeFactory(seed=5)
+        subframes = [factory.synthesize(users, i) for i in range(4)]
+        runtime = server.cells[0].runtime
+        runtime.start()
+        try:
+            runtime.submit(subframes[0])
+            assert entered.wait(30.0)
+            for subframe in subframes[1:]:
+                runtime.submit(subframe)
+            release.set()
+            runtime.drain()
+        finally:
+            runtime.close()
+        assert calls == [1, 3]

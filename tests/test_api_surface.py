@@ -80,6 +80,32 @@ def test_the_pools_old_seams_and_unused_sim_models_are_gone():
     ]
 
 
+def test_each_pool_slot_owns_one_grid_slab():
+    """Grids reach the pool's workers through one slab a slot, sized from
+    the default cell's grid: the per-subframe segments, their idle list,
+    the terminal listener that recycled them and the ``forget`` message
+    that unmapped them are gone, and no setting sizes the slab."""
+    import inspect
+
+    from repro.phy import params
+    from repro.sched import multiprocess
+    from repro.sched.multiprocess import MultiprocessRuntime
+
+    assert not hasattr(multiprocess, "_IDLE_GRID_BYTES")
+    for name in ("_share_grid", "_release_grid"):
+        assert not hasattr(MultiprocessRuntime, name)
+    source = inspect.getsource(multiprocess)
+    for word in ("listeners", "forget", "_grid_of", "_idle_grids"):
+        assert word not in source, word
+    grid = (
+        params.NUM_RX_ANTENNAS,
+        params.SYMBOLS_PER_SLOT * params.SLOTS_PER_SUBFRAME,
+        params.MAX_PRB_PER_SLOT * params.SUBCARRIERS_PER_PRB,
+    )
+    assert grid == (4, 14, 1200)
+    assert multiprocess._GRID_SLAB_BYTES == 4 * 14 * 1200 * 16
+
+
 def test_unreached_modules_are_gone():
     """Removed on purpose: no command, example, benchmark or workload
     reached the RF front-end, link adaptation, result recording or the
@@ -523,13 +549,17 @@ def test_nothing_in_src_exists_only_for_tests():
     import dataclasses
     import inspect
 
+    import repro.faults
     import repro.obs
     import repro.serve
     from repro.experiments import runner
+    from repro.faults import plan
+    from repro.faults.admission import AdmissionController
     from repro.obs import invariants, prometheus, slo, telemetry
     from repro.phy import fftutil, modulation, params, scrambling, sequences, turbo
     from repro.power import dvfs
-    from repro.sched import MultiprocessRuntime
+    from repro.power.estimator import calibrate_from_cost_model
+    from repro.sched import MultiprocessRuntime, Runtime
     from repro.serve import arrivals
     from repro.sim import cost, trace
     from repro.uplink import RandomizedParameterModel, subframe, user
@@ -552,6 +582,13 @@ def test_nothing_in_src_exists_only_for_tests():
         (arrivals, ("ArrivalProcess", "ConstantRateArrivals")),
         (repro.serve, ("ConstantRateArrivals",)),
         (subframe, ("DEFAULT_POOL_SIZE",)),
+        (Runtime, ("stop",)),
+        (plan, ("SIM_KINDS", "THREAD_KINDS", "RESPAWN_KINDS")),
+        (repro.faults, ("SIM_KINDS", "THREAD_KINDS", "RESPAWN_KINDS")),
+        (
+            AdmissionController(calibrate_from_cost_model(cost.CostModel())),
+            ("total_shed_users", "total_shed_subframes"),
+        ),
     ):
         for name in names:
             assert not hasattr(owner, name), (owner, name)
