@@ -1,38 +1,37 @@
-"""``serial`` / ``vectorized`` as a transport: one thread, whole subframes.
+"""``serial`` / ``vectorized`` as a transport: no thread, whole subframes.
 
 The single-thread functional backends need no scheduler, but they still owe
 the runtime contract (:mod:`repro.sched.core`): exactly one terminal per
-subframe, bounded retry, deadlines. :class:`InlineRuntime` is the smallest
-transport that honours it — one worker thread taking dispatched subframes
-off a queue and calling ``process_subframes(backend=...)`` (or the caller's
-``processor``) on them. The whole subframe is the work unit, so a failure
-retries or aborts all of its users together.
+subframe, bounded retry, deadlines. :class:`InlineRuntime` honours it with
+no thread: each :meth:`poll` runs one ``process_subframes(backend=...)``
+call (or the caller's ``processor``) on the polling thread — ``drain``'s,
+or the serve loop's, which a worker thread would only fight for the GIL.
 
-**Batching under backlog.** The worker blocks for one subframe and, before
-computing, also takes what is *already* queued behind it — it never waits
-for more — up to :data:`_BATCH_ELEMENTS` of work, and runs the lot as one
-shape-grouped ``process_subframes`` call: the users of different subframes
-are as independent as the users of one, and results are bit-exact per
-subframe whatever shares the call. An idle or paced runtime therefore sees
-batches of one, event for event what it did before; a runtime that is
-behind pays the per-call fixed cost once per batch, exactly when it needs
-to. Only the call is shared: terminals, the ledger, the retry budget,
-results and ``stats`` stay per subframe, resolved in submit order after
-the call; a call that raises is split and every member re-run alone. The
-``serial`` backend, a ``processor`` and an armed fault injector keep one
-subframe a call (``docs/serving.md``, "Batching under backlog").
+**Batching under backlog.** A call takes the oldest queued subframe and
+what is queued behind it when the poll runs, up to :data:`_BATCH_ELEMENTS`
+of work; results are bit-exact per subframe whatever shares the call, and
+terminals, the ledger, the retry budget and ``stats`` stay per subframe.
+A call that raises is split, every member re-run alone. ``serial``, a
+``processor`` and an armed injector keep one subframe a call.
+
+**One poll, one call.** A poll expires deadlines, runs at most one call,
+expires deadlines again, then completes the members in submit order (one
+whose deadline passed during the call ends aborted, its result counted
+late). An injected ``WORKER_HANG`` parks the call until the hang ends or
+:meth:`close`; polls meanwhile wait at most ``timeout``. A
+``BaseException`` out of a call is a real bug: a fatal
+:class:`WorkerFailure`, all outstanding work aborted, and then
+``KeyboardInterrupt`` / ``SystemExit`` propagate.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+import time
 from collections import deque
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
-from ..faults import watchdog
-from ..faults.watchdog import WorkerFailure, monotonic_ns
+from ..faults.watchdog import WorkerFailure, monotonic_ns, ns_from_s
 from ..obs.events import Event, EventKind
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeInput
@@ -68,10 +67,9 @@ def _elements(pending: Pending) -> int:
 
 
 class InlineRuntime(Runtime):
-    """One thread running ``processor`` over each submitted subframe
-    (default: ``process_subframes`` on ``backend`` over whatever is queued,
-    see the module docstring); the other parameters are as for
-    :class:`~repro.sched.threaded.ThreadedRuntime`."""
+    """``processor`` (default: ``process_subframes`` on ``backend``) over
+    the submitted subframes, on the polling thread; the other parameters
+    are as for :class:`~repro.sched.threaded.ThreadedRuntime`."""
 
     chaos_kinds = ()  # its one worker is the whole shard
 
@@ -93,98 +91,99 @@ class InlineRuntime(Runtime):
         self._batched = (
             processor is None and backend == "vectorized" and self.faults is None
         )
-        self._queue: queue.SimpleQueue[Pending | None] = queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
-        self._halt = threading.Event()  # cuts an injected hang short
+        self._queue: deque[Pending] = deque()  # submitted, not yet run
+        self._alone: deque[Pending] = deque()  # a failed call's, to re-run
+        #: The call an injected hang holds, and when the hang ends (ns).
+        self._parked: tuple[list[Pending], int] | None = None
 
     def _start(self) -> None:
-        self._halt.clear()
-        self._thread = threading.Thread(target=self._work, daemon=True)
-        self._thread.start()
+        pass  # no thread: whoever polls runs the work
+
+    _close = _start  # and a hang ends when the runtime is closed
 
     def _enqueue(self, pending: Pending) -> None:
-        self._queue.put(pending)
+        self._queue.append(pending)
 
-    def _close(self) -> None:
-        self._halt.set()
-        self._queue.put(None)
-        if self._thread is not None:
-            self._thread.join(timeout=watchdog.JOIN_TIMEOUT_S)
-
-    def _work(self) -> None:
+    def poll(self, timeout: float = 0.0) -> None:
+        """Run at most one call on this thread (see the module docstring);
+        wait up to ``timeout`` s only while an injected hang holds it."""
+        tracker = self._tracker
+        tracker.expire_deadlines()
         try:
-            for batch in self._batches():
-                self._run(batch)
+            # Whatever was resolved meanwhile (deadline, abort) is skipped.
+            while self._parked is None and (self._alone or self._queue):
+                if batch := [p for p in self._take() if not p.resolved]:
+                    self._parked = (batch, self._hang_end(batch[0].index))
+            if self._parked is None:
+                return
+            batch, until = self._parked
+            if self._started and (wait_s := (until - monotonic_ns()) / 1e9) > 0:
+                time.sleep(min(timeout, wait_s))
+                if monotonic_ns() < until:
+                    tracker.expire_deadlines()
+                    return
+            self._parked = None
+            self._run(batch)
         except BaseException as exc:
-            # The silent-death path, made loud: drain() raises instead of
-            # waiting forever for a thread that is gone.
+            # A real bug, made loud: drain() raises instead of waiting.
+            self._parked = None
             error = f"{type(exc).__name__}: {exc}"
-            self._tracker.worker_failed(WorkerFailure(0, error, fatal=True))
-            self._tracker.abort_all(f"worker failure: {error}")
+            tracker.worker_failed(WorkerFailure(0, error, fatal=True))
+            tracker.abort_all(f"worker failure: {error}")
+            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                raise
 
-    def _batches(self) -> Iterator[list[Pending]]:
-        """The queue as lists of pendings, one list a call, until the close
-        sentinel: block for a head, then add what is *already* waiting
-        behind it while it fits :data:`_BATCH_ELEMENTS`. Never waits for
-        company, so an idle or paced runtime sees batches of one."""
-        waiting: deque[Pending | None] = deque()  # taken, not yet run
-        while True:
-            if not waiting:
-                waiting.append(self._queue.get())
-            # Sole consumer: a queue seen non-empty cannot raise Empty.
-            while not self._queue.empty():
-                waiting.append(self._queue.get_nowait())
-            if (head := waiting.popleft()) is None:
-                return  # closed: nothing queued after the sentinel runs
-            batch, room = [head], _BATCH_ELEMENTS
-            while (
-                self._batched
-                and waiting
-                and waiting[0] is not None
-                and (room := room - _elements(waiting[0])) >= 0
-            ):
-                batch.append(waiting.popleft())
-            yield batch
+    def _take(self) -> list[Pending]:
+        """A failed call's member alone, else the oldest queued subframe
+        and what is queued behind it while it fits :data:`_BATCH_ELEMENTS`."""
+        if self._alone:
+            return [self._alone.popleft()]
+        queue = self._queue
+        batch, room = [queue.popleft()], _BATCH_ELEMENTS
+        while self._batched and queue and (room := room - _elements(queue[0])) >= 0:
+            batch.append(queue.popleft())
+        return batch
+
+    def _hang_end(self, index: int) -> int:
+        """When an injected hang of the call on ``index`` ends (ns), else 0."""
+        faults = self.faults
+        hang_s = None if faults is None else faults.check_worker_hang(0, index)
+        if hang_s is None:
+            return 0
+        self._tracker.fault("worker-hang", 0, index)
+        return monotonic_ns() + ns_from_s(hang_s)
 
     def _run(self, batch: list[Pending]) -> None:
-        # Whatever was resolved meanwhile (deadline, abort) is skipped.
-        while batch := [p for p in batch if not p.resolved]:
-            try:
-                results = self._attempt(batch)
-            except Exception as exc:
-                if len(batch) > 1:
-                    # Split: every member re-runs alone, so a poisoned
-                    # subframe spends its own retry budget and no other.
-                    for pending in batch:
-                        self._run([pending])
-                    return
-                users = [s.user.user_id for s in batch[0].subframe.slices]
-                reason = f"{type(exc).__name__}: {exc}"
-                if not self._tracker.fail(batch[0], None, users, reason, 0):
-                    return
-            else:
-                for pending, result in zip(batch, results):
-                    users = len(pending.subframe.slices)
-                    with self.stats.lock:
-                        self.stats.tasks_executed[0] += 1
-                        self.stats.users_processed[0] += users
-                    # Whatever the processor returned is the subframe's result.
-                    found = result.user_results
-                    self._tracker.complete(
-                        pending, range(len(found)), found, users=users
-                    )
+        tracker = self._tracker
+        try:
+            results = self._attempt(batch)
+        except Exception as exc:
+            if len(batch) > 1:
+                # Split: every member re-runs alone, so a poisoned
+                # subframe spends its own retry budget and no other.
+                self._alone.extend(batch)
                 return
+            users = [s.user.user_id for s in batch[0].subframe.slices]
+            reason = f"{type(exc).__name__}: {exc}"
+            if tracker.fail(batch[0], None, users, reason, 0):
+                self._alone.appendleft(batch[0])  # the retry runs next
+            return
+        # A member whose deadline passed during the call ends aborted.
+        tracker.expire_deadlines()
+        for pending, result in zip(batch, results):
+            users = len(pending.subframe.slices)
+            with self.stats.lock:
+                self.stats.tasks_executed[0] += 1
+                self.stats.users_processed[0] += users
+            # Whatever the processor returned is the subframe's result.
+            found = result.user_results
+            tracker.complete(pending, range(len(found)), found, users=users)
 
     def _attempt(self, batch: list[Pending]) -> list[SubframeResult]:
         index, emit, faults = batch[0].index, self.emit, self.faults
-        if faults is not None:  # armed: ``batch`` is one subframe
-            hang_s = faults.check_worker_hang(0, index)
-            if hang_s is not None:
-                self._tracker.fault("worker-hang", 0, index)
-                self._halt.wait(hang_s)
-            if faults.check_task_exception(0, index):
-                self._tracker.fault("task-exception", 0, index)
-                raise RuntimeError(f"planned task failure (subframe {index})")
+        if faults is not None and faults.check_task_exception(0, index):
+            self._tracker.fault("task-exception", 0, index)
+            raise RuntimeError(f"planned task failure (subframe {index})")
         subframes = [pending.subframe for pending in batch]
         if emit is None:
             return self._process(subframes)

@@ -5,9 +5,9 @@ run's one :class:`~repro.uplink.subframe.SubframeFactory`, a per-cell
 :class:`~repro.faults.admission.AdmissionController` (the Eq. 3-4
 estimator shedding against the DELTA budget), a bounded in-flight queue,
 and one :class:`~repro.sched.core.Runtime` from
-:func:`~repro.sched.make_runtime` — whichever backend it is, it runs
-off the ingest loop's thread, resolves every submitted subframe exactly
-once in the serve run's shared
+:func:`~repro.sched.make_runtime` — whichever backend it is (a serial or
+vectorized one runs on the ingest loop's thread, when the loop polls it),
+it resolves every submitted subframe exactly once in the serve run's shared
 :class:`~repro.faults.accounting.SubframeLedger`, and hands each result to
 the loop through its observers' ``on_terminal``.
 
@@ -34,7 +34,7 @@ from ..uplink.parameter_model import ParameterModel
 from ..uplink.serial import SubframeResult
 from ..uplink.subframe import SubframeFactory, SubframeInput
 from ..uplink.user import UserParameters
-from .report import CellRow, sum_counters, terminal_counts
+from .report import SHED_REASONS, CellRow, sum_counters, terminal_counts
 
 __all__ = ["CELL_STRIDE", "CellShard", "offset_plan"]
 
@@ -137,6 +137,8 @@ class CellShard:
         #: restored baseline): the record's share of ``terminal_states``,
         #: the resume skip set and the source of every per-cell count.
         self.resolved_ticks: dict[int, str] = {}
+        #: Shed subframes by the reason the ledger gives.
+        self.shed_reasons = dict.fromkeys(SHED_REASONS, 0)
 
     # ------------------------------------------------------------- identity
     def global_id(self, tick: int) -> int:
@@ -201,7 +203,10 @@ class CellShard:
         counters["shed_users"] += shed
         counters["backpressure_hits"] += backpressure
         self.resolved_ticks[tick] = state
-        if state in (TerminalState.OK, TerminalState.CRC_FAILED):
+        if state == TerminalState.SHED:
+            reason = self.ledger.reason_of(gid)
+            self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
+        elif state in (TerminalState.OK, TerminalState.CRC_FAILED):
             counters["served_users"] += users
             counters["crc_ok_users"] += crc_ok
         return users
@@ -214,6 +219,7 @@ class CellShard:
             "cell": self.cell_id,
             "dispatched": len(self.resolved_ticks),
             "terminal_counts": terminal_counts(self.resolved_ticks.values()),
+            "shed_reasons": dict(self.shed_reasons),
             **self.counters,
             "max_queue_depth": self.max_depth,
             "last_tick": self.last_tick,
@@ -231,3 +237,7 @@ class CellShard:
             raise RuntimeError("cannot restore into a cell that already ran")
         self.resolved_ticks = dict(states)
         self.counters = sum_counters([row])
+        reasons = row.get("shed_reasons")
+        if reasons is None:  # a record written before reasons were kept
+            reasons = {"unrecorded": list(states.values()).count("shed")}
+        self.shed_reasons.update(reasons)

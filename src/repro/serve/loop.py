@@ -11,7 +11,8 @@ backpressure against the cell's bounded in-flight queue, runs the
 Eq. 3-4 admission controller, and submits the admitted subframe to the
 cell's shard (:class:`repro.serve.cell.CellShard`), whose
 :class:`~repro.sched.core.Runtime` — serial, vectorized, threaded or
-multiprocess, all one contract — runs it off the loop's thread.
+multiprocess, all one contract — runs it: a serial or vectorized cell on
+the loop's own thread, a pool on its workers.
 
 Accounting is ledger-first: every arrival that offers users is entered
 into one shared :class:`~repro.faults.accounting.SubframeLedger` and
@@ -30,17 +31,18 @@ runs, and ``--trace`` writes a line-flushed JSONL stream that
 ``repro top --from <path> --follow`` can tail live.
 
 Threading model: the asyncio loop owns every shard counter and the
-ledger-facing serve paths. There is one terminal path: the runtime's
-tracker resolves a subframe (on a worker thread, or on the loop thread for
-the multiprocess pool), hands state *and* result to the cell's
-``_RuntimeWatcher.on_terminal``, and that queues them for the loop, where
-one ``call_soon_threadsafe`` lands every terminal queued meanwhile — a
-batch's terminals in one wakeup — into ``_on_terminal``, which does all the
-accounting. A loop task polls every runtime (``Runtime.poll``): that is
-what pumps the multiprocess pool's replies and expires deadlines, always
-from the loop thread, so no second thread ever calls into a runtime. The
-loop keeps running while the runtimes drain, so terminals land and cuts
-are written up to the end.
+ledger-facing serve paths, and it alone calls into a runtime. A poll
+(``Runtime.poll``) runs an inline cell's next PHY call on the loop thread,
+pumps the multiprocess pool's replies and expires deadlines; the producer
+polls its cell where it would otherwise wait (a full queue, a shed tick,
+a pacing sleep), and a pump task polls every cell every 2 ms. There is one
+terminal path: the runtime's tracker resolves a subframe (on the loop
+thread, or on a threaded cell's worker), hands state *and* result to the
+cell's ``_RuntimeWatcher.on_terminal``, and that queues them for the loop,
+where one ``call_soon_threadsafe`` lands every terminal queued meanwhile —
+a batch's terminals in one wakeup — into ``_on_terminal``, which does all
+the accounting. The loop keeps running while the runtimes drain, so
+terminals land and cuts are written up to the end.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .report import (
     ServeReport,
     load_checkpoint,
     sum_counters,
+    sum_shed_reasons,
     terminal_counts,
     validate_checkpoint,
 )
@@ -412,6 +415,7 @@ class _Server:
             event.clear()
             if cell.inflight < self._queue_depth(cell):
                 break
+            self._poll(cell)
             try:
                 await asyncio.wait_for(event.wait(), timeout=0.05)
             # repro-lint: disable=REP402 poll heartbeat; while re-checks inflight
@@ -466,14 +470,16 @@ class _Server:
             slot += 1
             now = monotonic_ns()
             if config.pace and now < scheduled:
-                await asyncio.sleep((scheduled - now) / 1e9)
+                # Time to spare: the cell's PHY runs in it.
+                self._poll(cell)
+                await asyncio.sleep(max(0, scheduled - monotonic_ns()) / 1e9)
                 now = monotonic_ns()
             elif not config.pace:
-                # Unpaced, the producer yields only at a full queue: a yield
-                # is an epoll call that hands the GIL to the cell's idle
-                # worker, which would then start on a batch of one. So the
-                # queue fills first, and terminals, pumps and cuts run
-                # while it is full (under ``shed``, every tick it is).
+                # Unpaced, the producer yields only at a full queue and
+                # polls its cell only once the backpressure check below
+                # finds it full, so the call a poll runs takes the whole
+                # queue. Terminals, pumps and cuts run while it is full
+                # (under ``shed``, every tick it is).
                 if cell.inflight >= self._queue_depth(cell):
                     await asyncio.sleep(0)
                 now = monotonic_ns()
@@ -538,6 +544,7 @@ class _Server:
                 )
                 if config.backpressure == "shed":
                     self._shed_whole(cell, tick, offered, "backpressure", 1)
+                    self._poll(cell)
                     continue
                 await self._await_capacity(cell)
                 now = monotonic_ns()
@@ -598,20 +605,24 @@ class _Server:
     async def _pump_runtimes(self) -> None:
         """Poll every cell's runtime from the loop thread.
 
-        A poll is what surfaces the multiprocess pool's replies and what
-        expires wall-clock deadlines on every backend; with a blocked or
-        idle producer nothing else would. Always from the loop thread,
-        because a runtime is not safe for concurrent callers.
+        A poll is what runs an inline cell's queue once its producer is
+        done, surfaces the multiprocess pool's replies and expires
+        wall-clock deadlines on every backend; with a blocked or finished
+        producer nothing else would. Always from the loop thread, because a
+        runtime is not safe for concurrent callers.
         """
         while not self._pump_stop:
             for cell in self.cells:
-                try:
-                    cell.runtime.poll(0.0)
-                except Exception as exc:  # noqa: BLE001 - recorded
-                    self.errors.append(
-                        f"cell {cell.cell_id} pump: {exc!r}"
-                    )
+                self._poll(cell)
             await asyncio.sleep(_POLL_S)
+
+    def _poll(self, cell: CellShard) -> None:
+        """One step of ``cell``'s runtime on the loop thread: an inline
+        cell's next PHY call, a pool's replies, expired deadlines."""
+        try:
+            cell.runtime.poll(0.0)
+        except Exception as exc:  # noqa: BLE001 - recorded
+            self.errors.append(f"cell {cell.cell_id} poll: {exc!r}")
 
     # ----------------------------------------------------------- checkpoint
     async def _checkpoint_loop(self) -> None:
@@ -803,6 +814,7 @@ class _Server:
             "wall_s": wall_s,
             "dispatched": len(states),
             "terminal_counts": terminal_counts(states.values()),
+            "shed_reasons": sum_shed_reasons(rows),
             **users,
             "throughput_sf_per_s": len(states) / wall_s,
             "users_per_hour": users["served_users"] / wall_s * 3600.0,

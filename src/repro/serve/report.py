@@ -54,6 +54,12 @@ SCHEMA = "repro-serve/2"
 
 _STATES = sorted(state.value for state in TerminalState)
 
+#: Why the loop sheds a whole subframe, as its ledger entry says: the
+#: degraded controller dropped an mMTC burst's every user (``surge``),
+#: Eq. 3-4 admitted none (``admission``), or its queue was full under
+#: ``--backpressure shed`` (``backpressure``).
+SHED_REASONS = ("admission", "backpressure", "surge")
+
 
 class UserCounters(TypedDict):
     """User totals over *resolved* subframes, per cell and fleet-wide
@@ -73,6 +79,9 @@ class CellRow(UserCounters):
     cell: int
     dispatched: int
     terminal_counts: dict[str, int]
+    #: Shed subframes by reason: every :data:`SHED_REASONS` key, and
+    #: ``unrecorded`` for those of a resumed record that kept no reasons.
+    shed_reasons: dict[str, int]
     max_queue_depth: int
     last_tick: int | None
     monotone_ids: bool
@@ -96,6 +105,7 @@ class ServeCut(UserCounters):
     wall_s: float
     dispatched: int
     terminal_counts: dict[str, int]
+    shed_reasons: dict[str, int]
     throughput_sf_per_s: float
     users_per_hour: float
     per_cell: list[CellRow]
@@ -132,6 +142,14 @@ def sum_counters(rows: Iterable[Mapping[str, Any]]) -> UserCounters:
     return cast(
         UserCounters, {name: sum(int(row[name]) for row in rows) for name in names}
     )
+
+
+def sum_shed_reasons(rows: Iterable[Mapping[str, Any]]) -> dict[str, int]:
+    """The rows' ``shed_reasons`` added up, reason by reason."""
+    totals: Counter[str] = Counter()
+    for row in rows:
+        totals.update(row["shed_reasons"])
+    return dict(sorted(totals.items()))
 
 
 def terminal_counts(states: Iterable[str]) -> dict[str, int]:
@@ -186,6 +204,15 @@ def validate_serve_report(report: Any) -> list[str]:
             f"terminal_states has {len(report['terminal_states'])} entries "
             f"for {report['dispatched']} dispatched"
         )
+    rows = enumerate(report["per_cell"])
+    for where, record in [("", report), *((f"per_cell[{i}].", r) for i, r in rows)]:
+        counts = list(record["shed_reasons"].values())
+        shed = record["terminal_counts"].get("shed")
+        if not all(type(n) is int for n in counts) or sum(counts) != shed:
+            problems.append(
+                f"{where}shed_reasons {record['shed_reasons']} do not sum to "
+                f"{where}terminal_counts['shed'] ({shed})"
+            )
     return problems
 
 

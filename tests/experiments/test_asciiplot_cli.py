@@ -1,5 +1,7 @@
 """Tests for the ASCII figure renderer and the CLI."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,45 @@ class TestCli:
         frames = out.count("\x1b[H\x1b[2J")
         assert frames >= 2
         assert out.count("slo miss-rate") == frames
+
+    def test_calibrate_prints_one_slope_per_configuration(
+        self, capsys, monkeypatch
+    ):
+        """``repro calibrate`` (the ``repro.cli`` docstring): the Fig. 11
+        k_LM table, one line per (layers, modulation) configuration. The
+        command takes no argument; its five-point sweep of 200 subframes a
+        point takes ~3.5 s, so the sweep is cut to two short points here."""
+        import repro.power
+
+        short = partial(
+            repro.power.calibrate_from_simulation,
+            prb_values=(2, 200), settle_subframes=4, measure_subframes=16,
+        )
+        monkeypatch.setattr(repro.power, "calibrate_from_simulation", short)
+        assert main(["calibrate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("Fig. 11 activity vs PRBs")
+        assert len(lines) == 1 + 12
+        assert all(" k=" in line and "sweep: (2," in line for line in lines[1:])
+
+    def test_power_study_prints_fig16_and_both_tables(self, capsys):
+        """``repro power-study`` (README, "Quickstart"; the ``repro.cli``
+        docstring): Fig. 16's series, then Tables I and II, a row per
+        technique beside the paper's value; the watts are the seed-0
+        study's (``test_experiments.py`` pins them to 1e-12)."""
+        assert main(["power-study", "--subframes", "60", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        fig16, table1 = out.index("Fig. 16"), out.index("Table I:")
+        table2 = out.index("Table II:")
+        assert fig16 < table1 < table2
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in out[table2:].splitlines()[2:]
+        }
+        assert rows == {
+            "NONAP": "24.1", "IDLE": "17.1", "NAP": "16.6",
+            "NAP+IDLE": "16.3", "PowerGating": "13.7",
+        }
 
     def test_workload_runs(self, capsys):
         assert main(["workload", "--subframes", "800"]) == 0

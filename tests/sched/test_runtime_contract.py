@@ -11,7 +11,6 @@ transport: stealing, shared memory, real process death.
 
 import os
 import signal
-import sys
 import threading
 import time
 from collections import Counter
@@ -21,7 +20,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.faults import watchdog
 from repro.faults.accounting import TerminalState
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.watchdog import ResilienceConfig, RuntimeHung
@@ -364,31 +362,28 @@ def test_the_fold_counts_the_run_across_a_sigkilled_worker(workload):
 
 
 # --------------------------------------------------------------------------
-# Batching under backlog (the inline transport): whatever is already queued
-# behind the head runs as one call on ``vectorized``; everything the
-# contract above promises stays per subframe.
+# Batching under backlog (the inline transport): whatever is queued when a
+# poll runs goes into one call on ``vectorized``; everything the contract
+# above promises stays per subframe.
 INLINE = ["serial", "vectorized"]
 BACKLOG = 6
 
 
-class Gate:
-    """An observer that parks the worker inside its first ``holds``
-    TASK_STARTs until released, so what is submitted meanwhile is a
-    backlog; it also records every event."""
+class Calls:
+    """An observer that records every event; the ``nap``-th TASK_START
+    (0-based) sleeps ``sleep_s`` on the polling thread, inside the call."""
 
-    def __init__(self, holds=1):
+    def __init__(self, nap=None, sleep_s=0.0):
         self.events = []
-        self.entered = [threading.Event() for _ in range(holds)]
-        self.release = [threading.Event() for _ in range(holds)]
+        self.nap, self.sleep_s = nap, sleep_s
         self._starts = 0
 
     def __call__(self, event):
         self.events.append(event)
         if event.kind is EventKind.TASK_START:
-            ordinal, self._starts = self._starts, self._starts + 1
-            if ordinal < len(self.entered):
-                self.entered[ordinal].set()
-                assert self.release[ordinal].wait(30.0)
+            if self._starts == self.nap:
+                time.sleep(self.sleep_s)
+            self._starts += 1
 
     def calls(self):
         """The ``subframes`` count of every call started so far."""
@@ -416,29 +411,30 @@ def flood():
     return subframes, [process_subframe_serial(s) for s in subframes]
 
 
-def submit_behind_gate(runtime, gate, subframes):
-    """Start, park the worker on the head, queue the rest, let go."""
+def submit_behind_head(runtime, subframes):
+    """Start, run the head alone in one poll, then queue the rest: a
+    backlog the next poll finds."""
     runtime.start()
     runtime.submit(subframes[0])
-    assert gate.entered[0].wait(30.0)
+    runtime.poll()
+    assert runtime.outstanding == 0
     for subframe in subframes[1:]:
         runtime.submit(subframe)
-    gate.release[0].set()
 
 
 @pytest.mark.parametrize("backend", INLINE)
 class TestInlineBatching:
     def test_a_backlog_is_one_call_on_vectorized_only(self, backend, flood):
         subframes, reference = flood
-        gate = Gate()
-        runtime = runtime_for(backend, observers=[gate])
-        submit_behind_gate(runtime, gate, subframes)
+        recorder = Calls()
+        runtime = runtime_for(backend, observers=[recorder])
+        submit_behind_head(runtime, subframes)
         try:
             results = runtime.collect_results()
         finally:
             runtime.close()
         # Per subframe, as ever: one terminal each, results by index.
-        assert gate.terminals() == list(range(1 + BACKLOG))
+        assert recorder.terminals() == list(range(1 + BACKLOG))
         runtime.ledger.check()
         assert runtime.ledger.counts()["ok"] == 1 + BACKLOG
         assert [r.subframe_index for r in results] == list(range(1 + BACKLOG))
@@ -448,30 +444,47 @@ class TestInlineBatching:
         assert runtime.stats.users_processed == [2 * (1 + BACKLOG)]
         # Per call: the head ran alone, the backlog behind it together.
         expected_calls = [1, BACKLOG] if backend == "vectorized" else [1] * (1 + BACKLOG)
-        assert gate.calls() == expected_calls
-        finishes = [e for e in gate.events if e.kind is EventKind.TASK_FINISH]
+        assert recorder.calls() == expected_calls
+        finishes = [e for e in recorder.events if e.kind is EventKind.TASK_FINISH]
         assert [e.data["subframes"] for e in finishes] == expected_calls
+
+    def test_the_polling_thread_runs_every_call(self, backend, flood):
+        """No worker thread: the runtime starts none, and each call runs
+        on the thread that polls."""
+        subframes, reference = flood
+        threads = []
+
+        def processor(subframe):
+            threads.append((threading.get_ident(), threading.active_count()))
+            return process_subframe(subframe, backend=backend)
+
+        before = threading.active_count()
+        runtime = runtime_for(backend, processor=processor)
+        results = runtime.run(subframes)
+        assert threads == [(threading.get_ident(), before)] * len(subframes)
+        for result, expected in zip(results, reference):
+            assert result.equals(expected)
 
     @pytest.mark.parametrize("how", ["processor", "injector"])
     def test_a_processor_or_an_armed_injector_means_one_a_call(
         self, backend, flood, how
     ):
         subframes, reference = flood
-        gate = Gate()
+        recorder = Calls()
         extra = (
             {"processor": partial(process_subframe, backend=backend)}
             if how == "processor"
             # Armed, never fires: hang / exception checks stay per index.
             else {"faults": plan_of(FaultKind.TASK_EXCEPTION, subframe=10_000)}
         )
-        runtime = runtime_for(backend, observers=[gate], **extra)
-        submit_behind_gate(runtime, gate, subframes)
+        runtime = runtime_for(backend, observers=[recorder], **extra)
+        submit_behind_head(runtime, subframes)
         try:
             results = runtime.collect_results()
         finally:
             runtime.close()
-        assert gate.calls() == [1] * (1 + BACKLOG)
-        assert gate.terminals() == list(range(1 + BACKLOG))
+        assert recorder.calls() == [1] * (1 + BACKLOG)
+        assert recorder.terminals() == list(range(1 + BACKLOG))
         for result, expected in zip(results, reference):
             assert result.equals(expected)
 
@@ -481,9 +494,9 @@ class TestInlineBatching:
         # for the whole call, and it raises again whenever it runs alone.
         poisoned = replace(subframes[3], grid=subframes[3].grid[:, :13])
         batch = [*subframes[:3], poisoned, *subframes[4:]]
-        gate = Gate()
-        runtime = runtime_for(backend, observers=[gate])
-        submit_behind_gate(runtime, gate, batch)
+        recorder = Calls()
+        runtime = runtime_for(backend, observers=[recorder])
+        submit_behind_head(runtime, batch)
         try:
             results = runtime.collect_results()
         finally:
@@ -491,7 +504,7 @@ class TestInlineBatching:
         ledger = runtime.ledger
         ledger.check()
         assert ledger.counts()["ok"] == BACKLOG and ledger.counts()["aborted"] == 1
-        assert gate.terminals() == list(range(1 + BACKLOG))
+        assert recorder.terminals() == list(range(1 + BACKLOG))
         # Only its own two users spent budget: one retry each, then abort.
         assert (runtime.stats.retries, runtime.stats.aborted_users) == (2, 2)
         for result, expected in zip(results, reference):
@@ -500,70 +513,60 @@ class TestInlineBatching:
                 assert result.user_results == []
             else:
                 assert result.equals(expected) and not result.aborted_user_ids
-        aborted = [e for e in gate.events if e.kind is EventKind.USER_ABORTED]
+        aborted = [e for e in recorder.events if e.kind is EventKind.USER_ABORTED]
         assert {e.data["subframe"] for e in aborted} == {3}
         if backend == "vectorized":
             # The batch failed as one call, then every member ran alone
             # (the poisoned one twice).
-            assert gate.calls() == [1, BACKLOG] + [1] * (BACKLOG + 1)
+            assert recorder.calls() == [1, BACKLOG] + [1] * (BACKLOG + 1)
 
     def test_members_aborted_mid_call_are_late_not_re_resolved(
         self, backend, flood
     ):
         subframes, _ = flood
-        holds = 2  # the head, then the call (or subframe) behind it
-        gate = Gate(holds)
+        # The call behind the head (vectorized: subframes 1 and 2; serial:
+        # subframe 1) sleeps past its members' deadline.
+        recorder = Calls(nap=1, sleep_s=0.6)
         runtime = runtime_for(
             backend,
-            observers=[gate],
+            observers=[recorder],
             resilience=ResilienceConfig(
                 max_retries=0, deadline_s=0.5, drain_timeout_s=60.0,
             ),
         )
-        submit_behind_gate(runtime, gate, subframes[:3])
+        submit_behind_head(runtime, subframes[:3])
         try:
-            assert gate.entered[1].wait(30.0)
-            runtime.drain()  # the parked call outlives its members' deadline
+            runtime.drain()
             ledger = runtime.ledger
             assert ledger.state_of(0) is TerminalState.OK
             assert ledger.state_of(1) is TerminalState.ABORTED
             assert ledger.state_of(2) is TerminalState.ABORTED
-            gate.release[1].set()
             # vectorized: subframes 1 and 2 finish together, both late;
             # serial: 1 finishes late, 2 was resolved before it ran (skipped).
             late = 4 if backend == "vectorized" else 2
-            give_up = time.monotonic() + 20.0
-            while runtime.late_completions < late and time.monotonic() < give_up:
-                runtime.poll(0.02)
             assert runtime.late_completions == late
-            assert gate.calls() == ([1, 2] if backend == "vectorized" else [1, 1])
+            assert recorder.calls() == ([1, 2] if backend == "vectorized" else [1, 1])
             assert ledger.late_resolutions == []
-            assert gate.terminals() == [0, 1, 2]
+            assert recorder.terminals() == [0, 1, 2]
             results = runtime.collect_results()
             assert [bool(r.user_results) for r in results] == [True, False, False]
             ledger.check()
         finally:
             runtime.close()
 
-    def test_close_with_a_backlog(self, backend, flood, monkeypatch):
+    def test_close_with_a_backlog(self, backend, flood):
         subframes, reference = flood
-        gate = Gate()
-        monkeypatch.setattr(watchdog, "JOIN_TIMEOUT_S", 0.05)
-        runtime = runtime_for(backend, observers=[gate])
-        runtime.start()
-        runtime.submit(subframes[0])
-        assert gate.entered[0].wait(30.0)
-        for subframe in subframes[1:]:
-            runtime.submit(subframe)
-        runtime.close()  # the sentinel goes in behind the backlog
+        recorder = Calls()
+        runtime = runtime_for(backend, observers=[recorder])
+        submit_behind_head(runtime, subframes)
+        runtime.close()  # behind the backlog
         with pytest.raises(RuntimeError, match="not started"):
             runtime.submit(subframes[0])  # ... and nothing after it
-        gate.release[0].set()
         give_up = time.monotonic() + 20.0
         while runtime.ledger.unresolved() and time.monotonic() < give_up:
             runtime.poll(0.02)
-        # What was queued before the sentinel still reached its terminal.
-        assert gate.terminals() == list(range(1 + BACKLOG))
+        # What was queued before the close still reached its terminal.
+        assert recorder.terminals() == list(range(1 + BACKLOG))
         runtime.ledger.check()
         for result, expected in zip(runtime.collect_results(), reference):
             assert result.equals(expected)
@@ -581,44 +584,45 @@ class TestInlineBatching:
             factory.from_pool([UserParameters(0, 4, 1, Modulation.QPSK)], 0),
             *(factory.from_pool([wide], 1 + i) for i in range(count)),
         ]
-        gate = Gate()
-        runtime = runtime_for(backend, observers=[gate])
-        submit_behind_gate(runtime, gate, subframes)
+        recorder = Calls()
+        runtime = runtime_for(backend, observers=[recorder])
+        submit_behind_head(runtime, subframes)
         try:
             results = runtime.collect_results()
         finally:
             runtime.close()
         assert [r.subframe_index for r in results] == list(range(1 + count))
-        assert gate.terminals() == list(range(1 + count))
+        assert recorder.terminals() == list(range(1 + count))
         if backend == "vectorized":
             # The head always goes in; the constant bounds what joins it,
             # however long the queue is.
-            assert gate.calls() == [1, 1 + room, 1 + room, 1]
+            assert recorder.calls() == [1, 1 + room, 1 + room, 1]
         else:
-            assert gate.calls() == [1] * (1 + count)
+            assert recorder.calls() == [1] * (1 + count)
 
     def test_submitting_while_the_worker_drains_loses_nothing(self, backend, flood):
-        """The producer races the worker's look at the queue: with a short
-        switch interval every interleaving of ``put`` against ``empty`` /
-        ``get_nowait`` gets its turn, and each subframe still ends once."""
+        """Submits interleaved with polls, so calls start at every offset
+        into the queue and at every queue length up to 6: each subframe
+        still ends once, in exactly one call."""
         subframes, reference = flood
         count = 300
-        gate = Gate(holds=0)
-        runtime = runtime_for(backend, observers=[gate])
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        recorder = Calls()
+        runtime = runtime_for(backend, observers=[recorder])
         try:
             runtime.start()
             for index in range(count):
                 runtime.submit(
                     replace(subframes[index % len(subframes)], subframe_index=index)
                 )
+                if index % 7 in (0, 3):
+                    runtime.poll()
             results = runtime.collect_results()
         finally:
-            sys.setswitchinterval(interval)
             runtime.close()
-        assert gate.terminals() == list(range(count))
-        assert sum(gate.calls()) == count  # every subframe in exactly one call
+        assert recorder.terminals() == list(range(count))
+        assert sum(recorder.calls()) == count  # every subframe in exactly one call
+        if backend == "vectorized":
+            assert set(recorder.calls()) > {1}
         runtime.ledger.check()
         assert runtime.ledger.counts()["ok"] == count
         assert [r.subframe_index for r in results] == list(range(count))

@@ -128,6 +128,27 @@ class TestResumeDifferential:
             assert report[key] == full[key], key
         assert load_checkpoint(ckpt)["checkpoint"]["completed"] is True
 
+    def test_a_record_without_shed_reasons_still_resumes(self, tmp_path):
+        """A record written before ``shed_reasons`` existed resumes, and
+        its shed ticks count as ``unrecorded``."""
+        ckpt = tmp_path / "done.json"
+        assert _serve(queue_depth=1, checkpoint_path=str(ckpt)).ok
+        record = load_checkpoint(ckpt)
+        shed = record["terminal_counts"]["shed"]
+        assert shed > 0  # a queue of one sheds under ``shed``
+        del record["shed_reasons"]
+        for row in record["per_cell"]:
+            del row["shed_reasons"]
+        ckpt.write_text(json.dumps(record))
+        resumed = _serve(queue_depth=1, resume_path=str(ckpt))
+        assert resumed.ok, resumed.errors
+        report = resumed.report
+        assert validate_serve_report(report) == []
+        assert report["terminal_counts"] == record["terminal_counts"]
+        assert report["shed_reasons"] == {
+            "admission": 0, "backpressure": 0, "surge": 0, "unrecorded": shed,
+        }
+
     def test_resume_from_completed_run_is_a_noop_segment(
         self, tmp_path, uninterrupted
     ):
@@ -178,10 +199,17 @@ class TestCrcAccountingAtTheTerminal:
     collected at the end of the run: a periodic snapshot of a ``threaded``
     cell read ``crc_ok_users: 0`` beside dozens of resolved ``ok`` ticks,
     and a SIGKILL-and-resume from it undercounted silently.
+
+    The queue holds 8 and ``block`` never sheds, so the producer yields
+    between calls and cuts land mid-run on every backend (an inline cell's
+    PHY runs on the loop thread: with ``BASE``'s depth of 200 it would run
+    only after the last dispatch). Every decision stays a function of the
+    seed and the tick.
     """
 
     CONFIG = dict(
-        backend=None, subframes=40, synthesize=True, checkpoint_every_s=0.02
+        backend=None, subframes=40, synthesize=True, checkpoint_every_s=0.02,
+        queue_depth=8, backpressure="block",
     )
 
     def _serve(self, backend, **overrides):

@@ -23,12 +23,14 @@ from repro.serve import (
     serve,
     validate_serve_report,
 )
-from repro.uplink.serial import SubframeResult
+from repro.serve.cell import CELL_STRIDE
+from repro.uplink.serial import SubframeResult, process_subframe
 
 
-def _slow_fake_processor(delay_s):
+def _slow_fake_processor(delay_s, slow=lambda index: True):
     def process(subframe):
-        time.sleep(delay_s)
+        if slow(subframe.subframe_index):
+            time.sleep(delay_s)
         return SubframeResult(subframe_index=subframe.subframe_index)
 
     return process
@@ -76,6 +78,14 @@ class TestBackpressure:
         report = result.report
         assert report["backpressure_hits"] > 0
         assert report["terminal_counts"]["shed"] > 0
+        # Every shed tick was shed for its full queue, and says so.
+        assert report["shed_reasons"] == {
+            "admission": 0,
+            "backpressure": report["terminal_counts"]["shed"],
+            "surge": 0,
+        }
+        [row] = report["per_cell"]
+        assert row["shed_reasons"] == report["shed_reasons"]
         # Nothing is lost: every arrival reached a terminal state.
         assert report["dispatched"] == 40
         assert sum(report["terminal_counts"].values()) == 40
@@ -152,6 +162,7 @@ class TestSurgeShedding:
             assert report["terminal_states"][str(gid)] == "shed"
             assert terminals[gid]["reason"] == "surge"
         assert report["terminal_counts"]["shed"] == len(surge_only)
+        assert report["shed_reasons"]["surge"] == len(surge_only)
         assert all(r["reason"] == "" for r in terminals.values() if r["state"] == "ok")
 
 
@@ -199,6 +210,7 @@ class TestAdmissionShedding:
         assert result.ok
         report = result.report
         assert report["terminal_counts"]["shed"] == 40
+        assert report["shed_reasons"]["admission"] == 40
         assert report["shed_users"] == report["offered_users"]
         assert report["served_users"] == 0
         assert report["faults"]["shedding_engaged"] is True
@@ -264,32 +276,17 @@ class TestPacing:
         assert result.report["wall_s"] >= 5 * 0.03
 
 
-def _gated_processor(gate, gated=lambda index: True, timed_out=None):
-    """A fake processor that holds each subframe ``gated`` selects until
-    ``gate`` opens (at most 5 s; ``timed_out`` collects those that waited
-    that long)."""
-
-    def process(subframe):
-        index = subframe.subframe_index
-        if gated(index) and not gate.wait(timeout=5.0) and timed_out is not None:
-            timed_out.append(index)
-        return SubframeResult(subframe_index=index)
-
-    return process
-
-
 class TestLoopHandoff:
-    """How the serve loop and the runtimes' threads hand over: an unpaced
-    producer fills its queue before it yields, a batch's terminals land in
-    one loop wakeup, and the loop keeps running while the runtimes drain
-    (docs/serving.md, "Threading model")."""
+    """How the serve loop and the runtimes hand over: an inline cell's PHY
+    runs on the loop thread, an unpaced producer fills its queue before it
+    yields, a batch's terminals land in one loop wakeup, and the loop keeps
+    running while the runtimes drain (docs/serving.md, "Threading model")."""
 
     def test_terminals_queued_while_the_loop_is_busy_land_in_one_wakeup(
         self, monkeypatch
     ):
         from repro.serve import loop
 
-        gate = threading.Event()
         handed: list[int] = []  # terminals handed to the watcher, in order
         landed: list[int] = []  # terminals the loop accounted, in order
         wakeups: list[object] = []  # loop wakeups asked for by the server
@@ -298,7 +295,9 @@ class TestLoopHandoff:
         on_terminal = loop._RuntimeWatcher.on_terminal
 
         def watch(self, result, state, t):
-            assert threading.current_thread() is not threading.main_thread()
+            # Resolved inside the loop thread's call, before it lands.
+            assert threading.current_thread() is threading.main_thread()
+            assert result.subframe_index not in landed
             on_terminal(self, result, state, t)
             handed.append(result.subframe_index)
 
@@ -317,24 +316,20 @@ class TestLoopHandoff:
 
         run_cell = loop._Server._run_cell
 
-        async def busy_after_dispatch(self, cell):
+        async def observed(self, cell):
             servers.append(self)
             await run_cell(self, cell)
-            # Keep the loop thread busy until the worker has handed every
-            # terminal over.
-            gate.set()
-            deadline = time.monotonic() + 10.0
-            while len(handed) < 4 and time.monotonic() < deadline:
-                time.sleep(0.001)
 
         monkeypatch.setattr(loop._RuntimeWatcher, "on_terminal", watch)
         monkeypatch.setattr(loop._Server, "_on_terminal", account)
-        monkeypatch.setattr(loop._Server, "_run_cell", busy_after_dispatch)
+        monkeypatch.setattr(loop._Server, "_run_cell", observed)
         monkeypatch.setattr(asyncio.BaseEventLoop, "call_soon_threadsafe", wake)
+        # Four mMTC ticks fit one vectorized call: its four terminals are
+        # resolved back to back while the loop thread is busy in it.
         result = serve(
             _config(
-                subframes=4, backend="serial", queue_depth=8,
-                backpressure="block", processor=_gated_processor(gate),
+                subframes=4, arrival="mmtc", rate=2.0, queue_depth=8,
+                backpressure="block", processor=None,
             )
         )
         assert result.ok, result.errors
@@ -366,13 +361,12 @@ class TestLoopHandoff:
     def test_cuts_are_written_while_the_runtimes_drain(
         self, monkeypatch, tmp_path
     ):
-        """The last subframes stay outstanding after the last dispatch
-        until a cut is written that holds resolved terminals: only a loop
-        that keeps running during the drain writes one."""
+        """The last subframes stay outstanding after the last dispatch,
+        30 ms a call, while cuts fall due every 10 ms: only a loop that
+        keeps running between the calls of the drain writes a cut that
+        holds some resolved terminals and not all."""
         from repro.serve import loop
 
-        gate = threading.Event()
-        timed_out: list[int] = []
         drain_cuts: list[int] = []  # resolved terminals in each such cut
         write = loop._Server._write_checkpoint
 
@@ -381,10 +375,8 @@ class TestLoopHandoff:
                 self._producers_done
                 and "ledger_ok" not in record  # a cut, not the final report
                 and record["terminal_states"]
-                and not gate.is_set()
             ):
                 drain_cuts.append(len(record["terminal_states"]))
-                gate.set()
             write(self, record)
 
         monkeypatch.setattr(loop._Server, "_write_checkpoint", cut)
@@ -393,21 +385,19 @@ class TestLoopHandoff:
                 subframes=6, backend="serial", queue_depth=8,
                 backpressure="block", checkpoint_every_s=0.01,
                 checkpoint_path=str(tmp_path / "ckpt.json"),
-                processor=_gated_processor(
-                    gate, gated=lambda index: index >= 3, timed_out=timed_out
-                ),
+                processor=_slow_fake_processor(0.03, lambda index: index >= 3),
             )
         )
         assert result.ok, result.errors
-        assert timed_out == []
-        assert len(drain_cuts) == 1 and 0 < drain_cuts[0] < 6
+        assert drain_cuts and 0 < drain_cuts[0] < 6
         assert result.report["terminal_counts"]["ok"] == 6
 
     def test_no_terminal_is_lost_between_the_workers_and_the_loop(
         self, monkeypatch
     ):
-        """Four cells' worker threads (more than this host's cores) queue
-        terminals while the loop takes them, switching threads every 10 us:
+        """Four threaded cells' worker threads (more than this host's
+        cores) queue terminals while the loop takes them, switching threads
+        every 10 us:
         every terminal lands through ``_on_terminal`` exactly once, and a
         landing that never comes would stall a ``block`` producer, so the
         run must end within 60 s."""
@@ -424,8 +414,8 @@ class TestLoopHandoff:
 
         monkeypatch.setattr(loop._Server, "_on_terminal", account)
         config = _config(
-            cells=4, subframes=150, backend="serial", queue_depth=8,
-            backpressure="block", processor=_slow_fake_processor(0.0),
+            cells=4, subframes=150, backend="threaded", workers=1,
+            max_users=1, queue_depth=8, backpressure="block", processor=None,
         )
         results: list[ServeResult] = []
         interval = sys.getswitchinterval()
@@ -443,7 +433,87 @@ class TestLoopHandoff:
         assert result.ok, result.errors
         assert len(landed) == 600 and set(landed.values()) == {1}
         assert result.report["terminal_counts"] == result.ledger.counts()
-        assert result.report["terminal_counts"]["ok"] == 600
+        # Pool grids are noise: every subframe decodes to ``crc_failed``.
+        assert result.report["terminal_counts"]["crc_failed"] == 600
+
+
+def _record_calls(monkeypatch, calls):
+    """Wrap the inline transport's ``process_subframes``: every call
+    appends ``(cell, subframes, thread id, live threads)``."""
+    from repro.sched import inline
+
+    real = inline.process_subframes
+
+    def recorded(subframes, **kwargs):
+        cell = subframes[0].subframe_index // CELL_STRIDE
+        calls.append(
+            (cell, len(subframes), threading.get_ident(), threading.active_count())
+        )
+        return real(subframes, **kwargs)
+
+    monkeypatch.setattr(inline, "process_subframes", recorded)
+
+
+def _flood(**overrides):
+    """An unpaced two-cell mMTC flood on real vectorized PHY, 8 in flight."""
+    base = dict(
+        cells=2, subframes=120, arrival="mmtc", rate=2.0, queue_depth=8,
+        backpressure="block", processor=None,
+    )
+    return _config(**{**base, **overrides})
+
+
+class TestInlineCellsOnTheLoopThread:
+    """docs/serving.md, "Threading model": a serial or vectorized cell
+    starts no thread, and the loop thread runs its PHY at the points where
+    it would otherwise wait, one call a poll, whatever is queued then."""
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    @pytest.mark.parametrize("how", ["process_subframes", "processor"])
+    def test_the_phy_runs_on_the_loop_thread(self, monkeypatch, backend, how):
+        calls: list[tuple[int, int, int, int]] = []
+        processor = None
+        if how == "processor":
+
+            def processor(subframe):
+                calls.append(
+                    (0, 1, threading.get_ident(), threading.active_count())
+                )
+                return process_subframe(subframe, backend=backend)
+
+        else:
+            _record_calls(monkeypatch, calls)
+        before = threading.active_count()
+        result = serve(_flood(cells=1, backend=backend, processor=processor))
+        assert result.ok, result.errors
+        assert sum(size for _, size, _, _ in calls) == result.report["dispatched"]
+        assert {(ident, live) for _, _, ident, live in calls} == {
+            (threading.get_ident(), before)
+        }
+
+    def test_an_unpaced_mmtc_flood_runs_full_calls(self, monkeypatch):
+        calls: list[tuple[int, int, int, int]] = []
+        _record_calls(monkeypatch, calls)
+        result = serve(_flood())
+        assert result.ok, result.errors
+        for cell in (0, 1):
+            sizes = [size for c, size, _, _ in calls if c == cell]
+            assert sum(sizes) == result.report["per_cell"][cell]["dispatched"]
+            assert len(sizes) > 5 and set(sizes[:-1]) == {8}, sizes
+            assert 1 <= sizes[-1] <= 8
+
+    def test_two_floods_make_the_same_calls(self, monkeypatch):
+        runs: list[list[tuple[int, int]]] = []
+        for _ in range(2):
+            calls: list[tuple[int, int, int, int]] = []
+            _record_calls(monkeypatch, calls)
+            assert serve(_flood()).ok
+            runs.append([(cell, size) for cell, size, _, _ in calls])
+        per_cell = [
+            [[size for cell, size in run if cell == c] for c in (0, 1)]
+            for run in runs
+        ]
+        assert per_cell[0] == per_cell[1]
 
 
 class TestTrace:
