@@ -7,9 +7,14 @@ provides the four processes the serve loop dispatches from. Each is a
 :class:`~repro.uplink.parameter_model.ParameterModel`: it answers
 ``uplink_parameters(tick)``, as every batch workload does, on the
 same seeded, random-access RNG discipline as
-:class:`~repro.uplink.parameter_model.RandomizedParameterModel`
-(``np.random.default_rng((seed, tick))``), so a serve run is exactly
-reproducible from its seed and any tick can be queried independently:
+:class:`~repro.uplink.parameter_model.RandomizedParameterModel`: tick
+``t`` draws from ``np.random.default_rng((seed, stream, t))``, where each
+process salts its key with its own stream number (2 Poisson, 3 diurnal,
+4 and 5 the mMTC surge and background), so a serve run is exactly
+reproducible from its seed and any tick can be queried independently.
+Those generators are seeded in bulk, a block of ticks at a time, by
+:class:`~repro.uplink.parameter_model.TickGenerators`; every draw is
+bit-identical to the per-tick ``default_rng``:
 
 * ``constant`` — the paper's randomized parameter model itself, so a
   single-cell constant-rate serve run is bit-exact with the equivalent
@@ -46,6 +51,7 @@ from ..phy.params import (
 from ..uplink.parameter_model import (
     ParameterModel,
     RandomizedParameterModel,
+    TickGenerators,
     draw_users,
 )
 from ..uplink.scenarios import DEFAULT_DIURNAL_PROFILE
@@ -68,6 +74,13 @@ _MAX_DEVICES = MAX_PRB // MIN_PRB_PER_USER
 #: ``daily_users``.
 _DIURNAL_WEIGHT_SUM = float(sum(DEFAULT_DIURNAL_PROFILE))
 
+#: The ``mmtc`` mix's devices, built and validated once: a tick's users are
+#: the first ``count`` of them.
+_MMTC_DEVICES = tuple(
+    UserParameters(user_id, MIN_PRB_PER_USER, 1, Modulation.QPSK)
+    for user_id in range(_MAX_DEVICES)
+)
+
 
 def _draw_users(
     rng: np.random.Generator, count: int, mix: str
@@ -83,10 +96,7 @@ def _draw_users(
     """
     if mix == "mixed":
         return draw_users(rng, count, MAX_PRB, 0.5)
-    return [
-        UserParameters(user_id, MIN_PRB_PER_USER, 1, Modulation.QPSK)
-        for user_id in range(min(count, _MAX_DEVICES))
-    ]
+    return list(_MMTC_DEVICES[:count])
 
 
 def _validated_mix(mix: str) -> str:
@@ -109,9 +119,10 @@ class PoissonArrivals:
         self.rate = float(rate)
         self.seed = seed
         self.mix = _validated_mix(mix)
+        self._ticks = TickGenerators(seed, 2)
 
     def uplink_parameters(self, tick: int) -> list[UserParameters]:
-        rng = np.random.default_rng((self.seed, 2, tick))
+        rng = self._ticks.gen(tick)
         count = int(min(rng.poisson(self.rate), _MAX_DEVICES))
         return _draw_users(rng, count, self.mix)
 
@@ -142,6 +153,7 @@ class DiurnalArrivals:
         self.seed = seed
         self.subframes_per_hour = subframes_per_hour
         self.mix = _validated_mix(mix)
+        self._ticks = TickGenerators(seed, 3)
 
     def hour_of(self, tick: int) -> int:
         if tick < 0:
@@ -154,7 +166,7 @@ class DiurnalArrivals:
         return self.daily_users * share / self.subframes_per_hour
 
     def uplink_parameters(self, tick: int) -> list[UserParameters]:
-        rng = np.random.default_rng((self.seed, 3, tick))
+        rng = self._ticks.gen(tick)
         count = int(min(rng.poisson(self.intensity(tick)), _MAX_DEVICES))
         return _draw_users(rng, count, self.mix)
 
@@ -191,6 +203,9 @@ class MmtcBurstArrivals:
         self.burst_window = burst_window
         self.seed = seed
         self.mix = _validated_mix(mix)
+        # One object a stream: a tick draws both, interleaved.
+        self._burst_ticks = TickGenerators(seed, 4)
+        self._base_ticks = TickGenerators(seed, 5)
 
     def in_burst(self, tick: int) -> bool:
         if tick < 0:
@@ -201,11 +216,11 @@ class MmtcBurstArrivals:
         """The surge component alone: zero outside the burst window."""
         if not self.in_burst(tick):
             return 0
-        rng = np.random.default_rng((self.seed, 4, tick))
+        rng = self._burst_ticks.gen(tick)
         return int(rng.poisson(self.burst_size / self.burst_window))
 
     def uplink_parameters(self, tick: int) -> list[UserParameters]:
-        rng = np.random.default_rng((self.seed, 5, tick))
+        rng = self._base_ticks.gen(tick)
         count = int(rng.poisson(self.base_rate)) + self.burst_count(tick)
         count = min(count, _MAX_DEVICES)
         return _draw_users(rng, count, self.mix)

@@ -13,10 +13,15 @@ Two models are provided:
   second half (Fig. 10), changing every 200 subframes.
 * :class:`SteadyStateParameterModel` — a single user with fixed parameters,
   used to calibrate the workload estimator (Section VI-A).
+
+Every seeded model here, in ``scenarios`` and in ``repro.serve.arrivals``,
+draws subframe ``i`` from ``np.random.default_rng((*key, i))``'s state,
+which :class:`TickGenerators` sets without building that generator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence
 
@@ -34,6 +39,7 @@ __all__ = [
     "ParameterModel",
     "RandomizedParameterModel",
     "SteadyStateParameterModel",
+    "TickGenerators",
     "TraceParameterModel",
     "DEFAULT_TOTAL_SUBFRAMES",
     "PROBABILITY_STEP_SUBFRAMES",
@@ -49,6 +55,185 @@ PROBABILITY_STEP_SUBFRAMES = 200
 #: Fig. 10's probability ramp runs from 0.6 % to 100 %.
 MIN_PROBABILITY = 0.006
 MAX_PROBABILITY = 1.0
+
+#: Ticks whose PCG64 states one vectorized pass computes: 32 bytes a tick,
+#: 32 KB a block.
+TICK_BLOCK = 1024
+
+#: Blocks a :class:`TickGenerators` keeps; the oldest is dropped first.
+_CACHED_BLOCKS = 4
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx), whose bit streams
+# NumPy keeps stable: pool size, hash and mix constants.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+#: PCG64's 128-bit LCG multiplier, as 32-bit limbs, least significant first.
+_PCG_MULT_LIMBS = tuple(
+    (0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32 for k in range(4)
+)
+
+
+def _int_words(value: int) -> list[int]:
+    """``SeedSequence``'s entropy words of one integer: little-endian uint32
+    words, and ``[0]`` for 0."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(hash_const)
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg64_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """``PCG64(SeedSequence(words))``'s state for a column of entropy words.
+
+    ``entropy`` holds one uint32 array per entropy word, all of one length
+    n; the result is an ``(n, 4)`` uint64 array of (state high, state low,
+    increment high, increment low), NumPy's algorithm run on every row at
+    once.
+    """
+    n = entropy[0].size
+    hash_const = _INIT_A
+    pool: list[np.ndarray] = []
+    for i in range(_POOL_SIZE):
+        word = entropy[i] if i < len(entropy) else np.zeros(n, np.uint32)
+        mixed, hash_const = _hashmix(word, hash_const)
+        pool.append(mixed)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixed, hash_const = _hashmix(pool[i_src], hash_const)
+                pool[i_dst] = _mix(pool[i_dst], mixed)
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            mixed, hash_const = _hashmix(word, hash_const)
+            pool[i_dst] = _mix(pool[i_dst], mixed)
+    # generate_state(4, uint64): eight uint32 words, cycling the pool.
+    hash_const = _INIT_B
+    out = []
+    for i_dst in range(8):
+        value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # Little-endian word pairs give uint64s w0..w3; seed s = w0:w1 and
+    # sequence i = w2:w3 as 128-bit numbers, here as 32-bit limbs.
+    seed = [out[2], out[3], out[0], out[1]]
+    seq = [out[6], out[7], out[4], out[5]]
+    inc = [((seq[0] << 1) | 1) & _MASK32] + [
+        ((seq[k] << 1) | (seq[k - 1] >> 31)) & _MASK32 for k in range(1, 4)
+    ]
+    # state = ((inc + s) * M + inc) mod 2**128, PCG64's two seeding steps.
+    total = _add_limbs(inc, seed)
+    columns = [np.zeros(n, np.uint64) for _ in range(4)]
+    for a in range(4):
+        for b in range(4 - a):
+            product = total[a] * np.uint64(_PCG_MULT_LIMBS[b])
+            columns[a + b] += product & _MASK32
+            if a + b < 3:
+                columns[a + b + 1] += product >> 32
+    state = _add_limbs(_carry(columns), inc)
+    states = np.empty((n, 4), np.uint64)
+    states[:, 0] = state[2] | (state[3] << 32)
+    states[:, 1] = state[0] | (state[1] << 32)
+    states[:, 2] = inc[2] | (inc[3] << 32)
+    states[:, 3] = inc[0] | (inc[1] << 32)
+    return states
+
+
+def _carry(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """Normalize column sums into 32-bit limbs, dropping the carry out."""
+    limbs = []
+    carry = np.zeros_like(columns[0])
+    for column in columns:
+        column = column + carry
+        limbs.append(column & _MASK32)
+        carry = column >> 32
+    return limbs
+
+
+def _add_limbs(x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
+    return _carry([a + b for a, b in zip(x, y)])
+
+
+class TickGenerators:
+    """``np.random.default_rng((*key, tick))`` for any tick, seeded in bulk.
+
+    A tick-keyed model draws subframe ``tick`` from
+    ``default_rng((*key, tick))``; building that generator hashes a
+    ``SeedSequence`` and seeds a ``PCG64``, many times the cost of the
+    draw itself. :meth:`gen` returns a generator in exactly that state: it
+    computes the PCG64 states of a block of :data:`TICK_BLOCK` ticks in
+    one vectorized pass of NumPy's own seeding algorithm, keeps a bounded
+    number of blocks, and sets the state of the one ``PCG64`` this object
+    owns. Any tick may be asked for, in any order.
+
+    The returned generator is valid until the next call to :meth:`gen` on
+    the same object: two streams drawn interleaved need two objects.
+    """
+
+    def __init__(self, *key: int) -> None:
+        self._key_words = [word for part in key for word in _int_words(part)]
+        self._blocks: dict[int, np.ndarray] = {}
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
+        self._state = self._bit_generator.state
+
+    def gen(self, tick: int) -> np.random.Generator:
+        """The generator ``np.random.default_rng((*key, tick))`` returns."""
+        tick = operator.index(tick)
+        if tick < 0:
+            raise ValueError("expected non-negative integer")
+        index, offset = divmod(tick, TICK_BLOCK)
+        block = self._blocks.get(index)
+        if block is None:
+            block = self._block(index)
+        state_hi, state_lo, inc_hi, inc_lo = block[offset].tolist()
+        self._state["state"] = {
+            "state": state_hi << 64 | state_lo,
+            "inc": inc_hi << 64 | inc_lo,
+        }
+        self._bit_generator.state = self._state
+        return self._generator
+
+    def _block(self, index: int) -> np.ndarray:
+        if len(self._blocks) >= _CACHED_BLOCKS:
+            del self._blocks[next(iter(self._blocks))]
+        first = index * TICK_BLOCK
+        # TICK_BLOCK divides 2**32, so no block crosses a word-width
+        # boundary: a block's ticks share every entropy word but the lowest.
+        low = np.arange(TICK_BLOCK, dtype=np.uint32) + np.uint32(first & _MASK32)
+        high = first >> 32
+        fixed = [np.full(TICK_BLOCK, word, np.uint32) for word in self._key_words]
+        upper = [
+            np.full(TICK_BLOCK, word, np.uint32)
+            for word in (_int_words(high) if high else [])
+        ]
+        block = self._blocks[index] = _pcg64_states([*fixed, low, *upper])
+        return block
 
 
 def draw_users(
@@ -106,9 +291,13 @@ class RandomizedParameterModel:
         same shape by shrinking this value.
     seed:
         Seed of the model's private RNG. Subframe parameters are generated
-        independently per subframe index, so the sequence is reproducible
-        and random-access: ``uplink_parameters(i)`` always returns the same
-        users for the same ``(seed, i)``.
+        independently per subframe index, from
+        ``np.random.default_rng((seed, i))`` (built by
+        :class:`TickGenerators`), so the sequence is reproducible and
+        random-access: ``uplink_parameters(i)`` always returns the same
+        users for the same ``(seed, i)``. The model owns one generator and
+        re-seeds it on every call, so a model is used by one thread at a
+        time: its generator is valid until the next call.
     max_users, max_prb:
         Fig. 6's MAX_USERS and MAX_PRB.
     """
@@ -132,6 +321,7 @@ class RandomizedParameterModel:
         self.max_users = max_users
         self.max_prb = max_prb
         self.probability_step = probability_step
+        self._ticks = TickGenerators(seed)
 
     def current_probability(self, subframe_index: int) -> float:
         """Fig. 10's probability at a given subframe.
@@ -151,13 +341,10 @@ class RandomizedParameterModel:
             fraction = (self.total_subframes - stepped) / half
         return MIN_PROBABILITY + (MAX_PROBABILITY - MIN_PROBABILITY) * fraction
 
-    def _rng_for(self, subframe_index: int) -> np.random.Generator:
-        return np.random.default_rng((self.seed, subframe_index))
-
     def uplink_parameters(self, subframe_index: int) -> list[UserParameters]:
         """Generate one subframe's users per the Fig. 6 / Fig. 10 pseudocode."""
         return draw_users(
-            self._rng_for(subframe_index),
+            self._ticks.gen(subframe_index),
             self.max_users,
             self.max_prb,
             self.current_probability(subframe_index),

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..phy.params import MAX_PRB, MAX_USERS_PER_SUBFRAME, MIN_PRB_PER_USER
-from .parameter_model import draw_users
+from .parameter_model import TickGenerators, draw_users
 from .user import UserParameters
 
 __all__ = ["DiurnalParameterModel", "DEFAULT_DIURNAL_PROFILE"]
@@ -55,6 +53,7 @@ class DiurnalParameterModel:
         if not self.profile or min(self.profile) <= 0 or max(self.profile) > 1:
             raise ValueError("profile values must be in (0, 1]")
         self._subframes_per_hour = self.total_subframes // len(self.profile)
+        self._ticks = TickGenerators(self.seed)
 
     def hour_of(self, subframe_index: int) -> int:
         if subframe_index < 0:
@@ -69,7 +68,6 @@ class DiurnalParameterModel:
         budget = max(MIN_PRB_PER_USER, int(round(load * MAX_PRB)))
         budget -= budget % 2
         users_cap = max(1, int(round(load * MAX_USERS_PER_SUBFRAME)))
-        rng = np.random.default_rng((self.seed, subframe_index))
         # Busy hours carry heavier per-user traffic (layers/modulation).
         prob = max(0.006, min(1.0, load))
-        return draw_users(rng, users_cap, budget, prob)
+        return draw_users(self._ticks.gen(subframe_index), users_cap, budget, prob)
